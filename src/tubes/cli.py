@@ -86,7 +86,7 @@ def assemble(command: str, checks: Sequence[Check], started: float) -> Report:
         "fail": sum(c.verdict == "FAIL" for c in ordered),
         "unresolved": sum(c.verdict == "UNRESOLVED" for c in ordered),
     }
-    return Report(VERSION, command, ordered, summary, round(time.time() - started, 3))
+    return Report(VERSION, command, ordered, summary, round(time.perf_counter() - started, 3))
 
 
 def check_of(cid: str, claim: str, ok: bool, details: str = "",
@@ -101,10 +101,6 @@ def prov(fx: Fixture) -> str:
 
 
 # ---------------------------------------------------------------- primitives
-
-def _registry():
-    return catalog.active_registry()
-
 
 def _fixture(reg, fid: str) -> Fixture:
     if fid not in reg:
@@ -192,9 +188,9 @@ def cmd_symmetry(args, reg) -> List[Check]:
             f"symmetry.transitive.{args.surface}",
             "pointwise rank of the algebra at the basepoint (reported, not asserted)",
             True, f"rank {rank} of a possible {n - 1}", provenance))
-    if getattr(args, "verbose", False):
+    if args.verbose:
         for i, b in enumerate(algebra.basis):
-            print(f"  basis[{i}]: {b}")
+            print(f"  basis[{i}]: {b}", file=sys.stderr)
     return checks
 
 
@@ -489,8 +485,6 @@ def cmd_group(args, reg) -> List[Check]:
         law_fx = _fixture(reg, "family.affine.D")
     else:
         gen_sources = []
-        for fid, point_vars in (("family.affine.C", None), ("family.translations.z", None)):
-            pass
         afx = _fixture(reg, "family.affine.C")
         px = (MultiPoly.var(catalog.XV, "x4") - MultiPoly.var(catalog.XV, "x1")
               * MultiPoly.var(catalog.XV, "x2") - MultiPoly.var(catalog.XV, "x1")
@@ -571,8 +565,6 @@ def cmd_nilpotency(args, reg) -> List[Check]:
         "(lower central series stabilizes above zero)",
         not nil, f"series dimensions {dims}", f"basis.Z.{case} [source]"))
     # negative control: wipe the bracket between the two marked generators
-    rows = [list(map(list, row)) for row in
-            [[list(entry) for entry in r] for r in algebra.structure]]
     dim = algebra.dim
     structure = [[tuple(Fraction(x) for x in algebra.structure[i][j]) for j in range(dim)]
                  for i in range(dim)]
@@ -791,7 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the JSON report")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized probes")
-    common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS)
     ap = argparse.ArgumentParser(
         prog="tubes", parents=[common],
         description="Exact verification of the tube-domain classification catalog")
@@ -800,6 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symmetry", parents=[common],
                        help="affine symmetry algebra of a surface")
     p.add_argument("--surface", required=True)
+    p.add_argument("--verbose", action="store_true",
+                   help="print the computed basis fields to stderr")
     p = sub.add_parser("orbits", parents=[common], help="determinant/minor orbit report")
     p.add_argument("--surface", required=True)
     p.add_argument("--probes", nargs="*", help="extra probes as comma-separated rationals")
@@ -878,7 +871,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.command:
         ap.print_help()
         return USAGE_ERROR
-    started = time.time()
+    started = time.perf_counter()
     reg = catalog.active_registry()
     try:
         checks = COMMANDS[args.command](args, reg)

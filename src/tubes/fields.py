@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import det_exact, gaussian_rank, maximal_minors, solve_columns
+from .linalg import det_exact, maximal_minors, rref_rows, solve_columns
 from .poly import MultiPoly
 from .scalars import I, ONE, ZERO, GaussianRational
 
@@ -49,15 +49,8 @@ class VectorField:
             filled.append(c.with_vars(carrier) if c is not None else MultiPoly.zero(carrier))
         return cls(variables, tuple(filled))
 
-    def with_carrier(self, carrier: Sequence[str]) -> "VectorField":
-        carrier = tuple(carrier)
-        return VectorField(self.variables, tuple(c.with_vars(carrier) for c in self.components))
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
-
-    def is_affine(self) -> bool:
-        return all(c.total_degree() <= 1 for c in self.components)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Directional derivative sum_i X_i dp/dx_i."""
@@ -101,10 +94,6 @@ class HoloField(VectorField):
         super().__post_init__()
         if self.carrier != self.variables:
             raise ValueError("holomorphic fields may not carry extra parameters")
-
-
-def apply_field(x: VectorField, p: MultiPoly) -> MultiPoly:
-    return x.apply(p)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -237,9 +226,8 @@ def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
     if len(point) != len(base.variables):
         raise ValueError("point dimension does not match field variables")
     assignment = dict(zip(base.variables, point))
-    matrix = [[GaussianRational.coerce(c) for c in f.evaluate(assignment)] for f in fields]
     # rows are fields; rank is the same either way
-    return gaussian_rank(matrix)
+    return len(rref_rows([f.evaluate(assignment) for f in fields]))
 
 
 def minors_scan(fields: Sequence[VectorField]) -> List[MultiPoly]:

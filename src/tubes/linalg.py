@@ -3,8 +3,10 @@
 Rational matrices go through fraction-free Bareiss elimination on
 integer-scaled rows, which keeps intermediate entries as single big
 integers instead of fractions with growing denominators. Polynomial
-matrices use Bareiss with exact polynomial division. A small generic
-Gaussian solver covers systems over GaussianRational.
+matrices use Bareiss with exact polynomial division. Systems over
+GaussianRational all go through one Gauss-Jordan core, _rref: rref_rows
+keeps its nonzero rows, solve_columns runs it on [columns | target] and
+invert_gaussian_matrix on [A | I].
 """
 
 from __future__ import annotations
@@ -107,123 +109,64 @@ def _primitive(vector: List[Fraction]) -> List[Fraction]:
     return [Fraction(sign * x, g) for x in ints]
 
 
-def solve_columns(columns: Sequence[Sequence[GaussianRational]],
-                  target: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
-    """Solve sum_i x_i * columns[i] = target exactly, or return None.
+def _rref(rows: Sequence[Sequence[GaussianRational]]):
+    """Gauss-Jordan elimination over the Gaussian rationals.
 
-    Plain Gaussian elimination over the Gaussian rationals; sizes in
-    this package are small so pivots need no magnitude heuristics.
+    Returns (reduced rows, pivot columns); row i < len(pivots) has a 1 in
+    column pivots[i] and zeros in every other pivot column, and the rows
+    past the rank are zero. Sizes in this package are small, so pivots
+    need no magnitude heuristics.
     """
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[GaussianRational.coerce(columns[j][i]) for j in range(ncols)]
-           + [GaussianRational.coerce(target[i])] for i in range(nrows)]
-    pivots = []
+    work = [list(map(GaussianRational.coerce, row)) for row in rows]
+    nrows = len(work)
+    pivots: List[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if aug[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
+    for c in range(len(work[0]) if work else 0):
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None  # inconsistent
-    solution = [ZERO] * ncols
-    for row_idx, c in enumerate(pivots):
-        solution[c] = aug[row_idx][ncols]
-    return solution
-
-
-def gaussian_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
-    rows = [list(map(GaussianRational.coerce, row)) for row in matrix]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def rref_rows(rows: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianRational]]:
-    """Reduced row-echelon basis of the row span (zero rows dropped)."""
-    work = [list(map(GaussianRational.coerce, row)) for row in rows]
-    if not work:
-        return []
-    n = len(work[0])
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pv = work[r][c]
         work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
+        for i in range(nrows):
             if i != r and work[i][c]:
                 f = work[i][c]
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
         r += 1
-        if r == len(work):
-            break
-    return [row for row in work[:r]]
+    return work, pivots
+
+
+def rref_rows(rows: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianRational]]:
+    """Reduced row-echelon basis of the row span (zero rows dropped)."""
+    work, pivots = _rref(rows)
+    return work[:len(pivots)]
+
+
+def solve_columns(columns: Sequence[Sequence[GaussianRational]],
+                  target: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
+    """Solve sum_i x_i * columns[i] = target exactly, or return None."""
+    ncols = len(columns)
+    work, pivots = _rref([[columns[j][i] for j in range(ncols)] + [target[i]]
+                          for i in range(len(target))])
+    if pivots and pivots[-1] == ncols:
+        return None  # inconsistent: a row reads 0 = 1
+    solution = [ZERO] * ncols
+    for row_idx, c in enumerate(pivots):
+        solution[c] = work[row_idx][ncols]
+    return solution
 
 
 def invert_gaussian_matrix(matrix: Sequence[Sequence[GaussianRational]]):
     """Exact inverse of a square GaussianRational matrix, or None."""
     n = len(matrix)
-    aug = [[GaussianRational.coerce(matrix[i][j]) for j in range(n)]
-           + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if aug[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    work, pivots = _rref([list(matrix[i]) + [ONE if i == j else ZERO for j in range(n)]
+                          for i in range(n)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in work]
 
 
 # ------------------------------------------------------------------ polynomial

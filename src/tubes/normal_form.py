@@ -16,7 +16,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
 from .linalg import invert_gaussian_matrix
-from .poly import MultiPoly, RationalFunction, series_expand, substitute
+from .poly import (MultiPoly, Powers, RationalFunction, series_expand, substitute,
+                   substitute_rf)
 from .relations import RelationContext
 from .scalars import I, ONE, ZERO, GaussianRational
 
@@ -261,21 +262,10 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     max_j = max((key[0] for key in groups), default=0)
     max_k = max((key[1] for key in groups), default=0)
     total = MultiPoly.zero(fv)
-    den_pows = {0: MultiPoly.const(fv, 1)}
-
-    def dpow(k: int) -> MultiPoly:
-        if k not in den_pows:
-            top = max(den_pows)
-            cur = den_pows[top]
-            while top < k:
-                cur = cur * den
-                top += 1
-                den_pows[top] = cur
-        return den_pows[k]
-
+    w_pows, wbar_pows, den_pows = Powers(w_num), Powers(wbar_num), Powers(den)
     for (j, k), part in groups.items():
         part_v = part.with_vars(fv)
-        term = part_v * (w_num ** j) * (wbar_num ** k) * dpow(max_j + max_k - j - k)
+        term = part_v * w_pows[j] * wbar_pows[k] * den_pows[max_j + max_k - j - k]
         total = total + term
     return total.is_zero(), total
 
@@ -366,9 +356,7 @@ class MapFamily:
         for p in self.params:
             assignment[p] = MultiPoly.const(self.variables, Fraction(values[p])) \
                 if not isinstance(values[p], (MultiPoly, RationalFunction)) else values[p]
-        num = substitute(self.components[index].num, assignment)
-        den = substitute(self.components[index].den, assignment)
-        return num / den
+        return substitute_rf(self.components[index], assignment)
 
     def conjugate_components(self, var_pairing: Mapping[str, str],
                              universe: Sequence[str]) -> List[RationalFunction]:
@@ -520,13 +508,13 @@ def verify_group_law(fam: MapFamily) -> GroupLawResult:
         right = {pp: RationalFunction.from_scalar(fam.params, ident[strip_prime(pp, fam, primed)])
                  if pp in primed else RationalFunction(MultiPoly.var(fam.params, pp))
                  for pp in law_p.vars if pp in primed or pp in fam.params}
-        val = substitute(law_p.num, right) / substitute(law_p.den, right)
+        val = substitute_rf(law_p, right)
         if not (val.num - MultiPoly.var(val.vars, p).with_vars(val.vars) * val.den).is_zero():
             return GroupLawResult("failed", f"identity is not a right unit for {p}")
         left = {pp: RationalFunction(MultiPoly.var(primed, pp)) if pp in primed
                 else RationalFunction.from_scalar(primed, ident[pp])
                 for pp in law_p.vars if pp in primed or pp in fam.params}
-        val = substitute(law_p.num, left) / substitute(law_p.den, left)
+        val = substitute_rf(law_p, left)
         target = MultiPoly.var(val.vars, rename[p]).with_vars(val.vars)
         if not (val.num - target * val.den).is_zero():
             return GroupLawResult("failed", f"identity is not a left unit for {p}")
@@ -568,17 +556,11 @@ def verify_map_conjugation(phi: Mapping[str, RationalFunction],
     for i, name in enumerate(outer.variables):
         lhs_num = substitute(phi[name].num, inner_images)
         lhs_den = substitute(phi[name].den, inner_images)
-        rhs = _substitute_rf_pair(outer.components[i], outer_assignment)
+        rhs = substitute_rf(outer.components[i], outer_assignment)
         diff = lhs_num.num * rhs.den * lhs_den.den - rhs.num * lhs_den.num * lhs_num.den
         if not diff.is_zero():
             return False, f"component {name} disagrees"
     return True, ""
-
-
-def _substitute_rf_pair(rf: RationalFunction, assignment: Mapping[str, object]) -> RationalFunction:
-    num = substitute(rf.num, assignment)
-    den = substitute(rf.den, assignment)
-    return num / den
 
 
 def infinitesimal_generators(fam: MapFamily) -> List[HoloField]:

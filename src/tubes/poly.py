@@ -211,9 +211,6 @@ class MultiPoly:
         exps = max(self.terms, key=lambda e: (sum(e), e))
         return exps, self.terms[exps]
 
-    def coeffs_are_real(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
-
     # ------------------------------------------------------------- calculus
 
     def diff(self, name: str) -> "MultiPoly":
@@ -282,22 +279,13 @@ class MultiPoly:
                 images.append(mapping[v])
             else:
                 images.append(MultiPoly.var(target, v))
-        # cache powers per variable
-        powers = [{0: MultiPoly.const(target, 1)} for _ in images]
+        powers = [Powers(image) for image in images]
         result = MultiPoly.zero(target)
         for e, c in self.terms.items():
             term = MultiPoly.const(target, c)
             for i, k in enumerate(e):
                 if k:
-                    cache = powers[i]
-                    if k not in cache:
-                        top = max(cache)
-                        cur = cache[top]
-                        while top < k:
-                            cur = cur * images[i]
-                            top += 1
-                            cache[top] = cur
-                    term = term * cache[k]
+                    term = term * powers[i][k]
             result = result + term
         return result
 
@@ -417,6 +405,24 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars}, {str(self)})"
+
+
+class Powers:
+    """The powers base**0, base**1, ... of one polynomial, each computed
+    once, on first use, by one multiplication with base."""
+
+    __slots__ = ("_pows",)
+
+    def __init__(self, base: MultiPoly):
+        self._pows = [MultiPoly.const(base.vars, 1), base]
+
+    def __getitem__(self, k: int) -> MultiPoly:
+        pows = self._pows
+        top = len(pows) - 1
+        while top < k:
+            pows.append(pows[top] * pows[1])
+            top += 1
+        return pows[k]
 
 
 def merge_vars(*groups: Iterable[str]) -> Tuple[str, ...]:
@@ -597,23 +603,11 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
                 if k > maxdeg[name]:
                     maxdeg[name] = k
 
-    one = MultiPoly.const(target, 1)
-    num_pows: Dict[str, Dict[int, MultiPoly]] = {v: {0: one} for v in used}
-    den_pows: Dict[str, Dict[int, MultiPoly]] = {v: {0: one} for v in used}
-
-    def _pow(cache: Dict[int, MultiPoly], base: MultiPoly, k: int) -> MultiPoly:
-        if k not in cache:
-            top = max(cache)
-            cur = cache[top]
-            while top < k:
-                cur = cur * base
-                top += 1
-                cache[top] = cur
-        return cache[k]
-
-    den_total = one
+    num_pows = {v: Powers(values[v].num) for v in used}
+    den_pows = {v: Powers(values[v].den) for v in used}
+    den_total = MultiPoly.const(target, 1)
     for v in used:
-        den_total = den_total * _pow(den_pows[v], values[v].den, maxdeg[v])
+        den_total = den_total * den_pows[v][maxdeg[v]]
 
     num_total = MultiPoly.zero(target)
     for e, c in p.terms.items():
@@ -622,14 +616,19 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
             name = p.vars[i]
             if name not in maxdeg:
                 continue
-            rf = values[name]
             if k:
-                term = term * _pow(num_pows[name], rf.num, k)
+                term = term * num_pows[name][k]
             slack = maxdeg[name] - k
             if slack:
-                term = term * _pow(den_pows[name], rf.den, slack)
+                term = term * den_pows[name][slack]
         num_total = num_total + term
     return RationalFunction(num_total, den_total)
+
+
+def substitute_rf(f: RationalFunction, assignment: Mapping[str, object]) -> RationalFunction:
+    """Compose the rational function f with rational-function values for
+    its variables: substitute(num) / substitute(den)."""
+    return substitute(f.num, assignment) / substitute(f.den, assignment)
 
 
 def series_expand(f: RationalFunction, cutoff: int) -> MultiPoly:
@@ -652,11 +651,3 @@ def series_expand(f: RationalFunction, cutoff: int) -> MultiPoly:
         inv = inv + acc * (-1) ** (k % 2)
     result = mul_trunc(f.num.truncate(cutoff), inv, cutoff)
     return result * (ONE / c0)
-
-
-def bidegree_split(p: MultiPoly, holo_vars: Sequence[str], anti_vars: Sequence[str]):
-    return p.bidegree_split(holo_vars, anti_vars)
-
-
-def conjugate(p: MultiPoly, pairing: Mapping[str, str]) -> MultiPoly:
-    return p.conjugate(pairing)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from .poly import MultiPoly, RationalFunction
+from .poly import MultiPoly, Powers
 
 
 @dataclass(frozen=True)
@@ -48,19 +48,10 @@ class RelationContext:
             idx = out.vars.index(sym)
             if all(e[idx] < 2 for e in out.terms):
                 continue
-            d_emb = d.with_vars(out.vars)
-            d_pows = {0: MultiPoly.const(out.vars, 1), 1: d_emb}
+            d_pows = Powers(d.with_vars(out.vars))
             acc = MultiPoly.zero(out.vars)
             for e, c in out.terms.items():
-                k = e[idx]
-                half, rem = divmod(k, 2)
-                if half not in d_pows:
-                    top = max(d_pows)
-                    cur = d_pows[top]
-                    while top < half:
-                        cur = cur * d_emb
-                        top += 1
-                        d_pows[top] = cur
+                half, rem = divmod(e[idx], 2)
                 mono = MultiPoly.zero(out.vars)
                 mono.terms = {e[:idx] + (rem,) + e[idx + 1:]: c}
                 acc = acc + mono * d_pows[half]
@@ -91,12 +82,3 @@ class RelationContext:
             red.terms = terms
             out = red
         return out
-
-    def reduce_rf(self, f: RationalFunction) -> RationalFunction:
-        num = self.reduce_poly(f.num)
-        den = self.reduce_poly(f.den)
-        return RationalFunction(num, den)
-
-
-def reduce_mod_relations(p: MultiPoly, ctx: RelationContext) -> MultiPoly:
-    return ctx.reduce_poly(p)

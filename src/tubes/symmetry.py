@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .fields import (HoloField, VectorField, lie_bracket, linear_combination,
                      minors_scan, rank_at, realify, tangency_multiplier)
-from .poly import MultiPoly, RationalFunction, substitute
+from .poly import MultiPoly, RationalFunction, substitute_rf
 from .relations import RelationContext
 from .scalars import ONE, ZERO, GaussianRational
 
@@ -550,7 +550,7 @@ def verify_transitivity_witness(witness: TransitivityWitness,
         full_assignment[p] = witness.assignment[p]
     ctx = witness.context
     for i, comp in enumerate(fam.components):
-        image = _substitute_rf(comp, full_assignment)
+        image = substitute_rf(comp, full_assignment)
         num = ctx.reduce_poly(image.num)
         den = ctx.reduce_poly(image.den)
         if den.is_zero():
@@ -561,12 +561,6 @@ def verify_transitivity_witness(witness: TransitivityWitness,
     return True
 
 
-def _substitute_rf(rf: RationalFunction, assignment: Mapping[str, object]) -> RationalFunction:
-    num = substitute(rf.num, assignment)
-    den = substitute(rf.den, assignment)
-    return num / den
-
-
 # ------------------------------------------------- nil-ball obstruction check
 
 @dataclass(frozen=True)
@@ -575,9 +569,6 @@ class ObstructionCertificate:
     conditions: Tuple[Tuple[str, bool, str], ...]
     induction_depth: int
     induction_ok: bool
-
-    def failures(self) -> Tuple[str, ...]:
-        return tuple(f"{name}: {detail}" for name, ok, detail in self.conditions if not ok)
 
 
 def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,

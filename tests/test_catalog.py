@@ -1,12 +1,18 @@
 """Fixture store integrity: round-trips, probes, ids, tags."""
 
 import json
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tubes import catalog
 from tubes.scalars import GaussianRational
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_fixture_round_trips_bit_exactly():
@@ -104,3 +110,21 @@ def test_environment_override(tmp_path, monkeypatch):
     assert sorted(reg) == catalog.list_ids()
     monkeypatch.delenv("TUBES_FIXTURES")
     assert catalog.active_registry() is catalog.registry()
+
+
+def test_committed_fixture_tree_matches_export(tmp_path):
+    catalog.export_tree(tmp_path)
+    committed = sorted(p.name for p in (ROOT / "fixtures").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (ROOT / "fixtures" / name).read_bytes(), name
+
+
+def test_sympy_oracle_script_passes():
+    pytest.importorskip("sympy")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "derive_fixtures.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    summary = re.search(r"^(\d+) ok, (\d+) failed$", proc.stdout, re.MULTILINE)
+    assert summary is not None, proc.stdout[-2000:]
+    assert summary.group(2) == "0" and int(summary.group(1)) >= 53

@@ -72,6 +72,15 @@ def test_usage_errors(capsys):
     assert cli.main(["witness", "--id", "no.such.witness"]) == 64
 
 
+def test_verbose_only_on_symmetry_and_keeps_json_clean(capsys):
+    code = cli.main(["symmetry", "--surface", "surface.table.3", "--json", "--verbose"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["command"] == "symmetry"
+    assert "basis[0]" in captured.err
+    assert cli.main(["orbits", "--surface", "surface.table.3", "--verbose"]) == 64
+
+
 def test_report_schema_fields(capsys):
     code, report = run_json(["lines"], capsys)
     assert code == 0
