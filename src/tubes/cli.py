@@ -23,7 +23,7 @@ from . import catalog
 from .catalog import Fixture
 from .fields import rank_at, minors_scan
 from .linalg import poly_div_exact, rref_rows
-from .normal_form import (GraphSurface, MapFamily, chern_moser_check,
+from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_check,
                           defining_series, infinitesimal_generators,
                           map_at_origin, trace_from_levi,
                           verify_family_invariance, verify_group_law,
@@ -41,6 +41,11 @@ from .symmetry import (Hypersurface, LieAlgebraPresentation,
 VERSION = "0.1.0"
 
 USAGE_ERROR = 64
+
+
+class UsageError(Exception):
+    """Invalid command-line input; main reports it on one line and exits 64."""
+
 
 # expected affine symmetry dimensions for the catalogued table rows
 EXPECTED_DIMS = {
@@ -106,7 +111,7 @@ def _fixture(reg, fid: str) -> Fixture:
     if fid not in reg:
         import difflib
         near = difflib.get_close_matches(fid, reg.keys(), n=5, cutoff=0.4)
-        raise KeyError(f"unknown fixture {fid!r}; near matches: {near}")
+        raise UsageError(f"unknown fixture {fid!r}; near matches: {near}")
     return reg[fid]
 
 
@@ -114,13 +119,13 @@ def _surface(reg, ident: str) -> Tuple[Hypersurface, str]:
     if ident in reg:
         fx = _fixture(reg, ident)
         if fx.kind != "hypersurface":
-            raise KeyError(f"fixture {ident!r} is not a hypersurface")
+            raise UsageError(f"fixture {ident!r} is not a hypersurface")
         return fx.payload, prov(fx)
     if os.path.exists(ident):
         obj = json.loads(open(ident).read())
         fx = catalog.fixture_from_obj(obj)
         return fx.payload, f"file:{ident}"
-    raise KeyError(f"no surface fixture or file named {ident!r}")
+    raise UsageError(f"no surface fixture or file named {ident!r}")
 
 
 def _domains_for_surface(reg, surface_id: str):
@@ -132,8 +137,14 @@ def _domains_for_surface(reg, surface_id: str):
     return out
 
 
-def _parse_probe(text: str) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(part) for part in text.split(","))
+def _parse_probe(text: str, width: int) -> Tuple[Fraction, ...]:
+    try:
+        point = tuple(Fraction(part) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"probe {text!r} is not a comma-separated list of rationals") from None
+    if len(point) != width:
+        raise UsageError(f"probe {text!r} has {len(point)} coordinates; the surface has {width}")
+    return point
 
 
 def _random_probe(rng: random.Random, surface: Hypersurface) -> Optional[Tuple[Fraction, ...]]:
@@ -196,10 +207,9 @@ def cmd_symmetry(args, reg) -> List[Check]:
 
 def cmd_orbits(args, reg) -> List[Check]:
     surface, provenance = _surface(reg, args.surface)
+    extra = [_parse_probe(text, len(surface.variables)) for text in args.probes or ()]
     algebra = affine_symmetry_algebra(surface)
-    probes = [fx.payload.probe for fx in _domains_for_surface(reg, args.surface)]
-    for text in args.probes or ():
-        probes.append(_parse_probe(text))
+    probes = [fx.payload.probe for fx in _domains_for_surface(reg, args.surface)] + extra
     rng = random.Random(getattr(args, "seed", 0))
     for _ in range(args.random_probes):
         p = _random_probe(rng, surface)
@@ -272,8 +282,10 @@ def _case_graph(reg, case: str) -> Tuple[Fixture, GraphSurface]:
 
 def cmd_normal_form(args, reg) -> List[Check]:
     case = args.case
-    fx, graph = _case_graph(reg, case)
     cutoff = args.cutoff
+    if cutoff < MIN_CM_CUTOFF:
+        raise UsageError(f"--cutoff must be at least {MIN_CM_CUTOFF}, got {cutoff}")
+    fx, graph = _case_graph(reg, case)
     series = defining_series(graph, cutoff)
     checks = []
     try:
@@ -320,7 +332,7 @@ def cmd_normal_form(args, reg) -> List[Check]:
 def cmd_verify_map(args, reg) -> List[Check]:
     fx = _fixture(reg, args.id)
     if fx.kind != "rational_map":
-        raise KeyError(f"{args.id!r} is not a map fixture")
+        raise UsageError(f"{args.id!r} is not a map fixture")
     payload = fx.payload
     source = _fixture(reg, payload.source_graph).payload
     phi = dict(payload.components)
@@ -585,7 +597,7 @@ def cmd_nilpotency(args, reg) -> List[Check]:
 def cmd_witness(args, reg) -> List[Check]:
     fx = _fixture(reg, args.id)
     if fx.kind != "witness":
-        raise KeyError(f"{args.id!r} is not a witness fixture")
+        raise UsageError(f"{args.id!r} is not a witness fixture")
     payload = fx.payload
     ok = verify_transitivity_witness(payload.witness, payload.base)
     return [check_of(f"witness.{args.id}",
@@ -613,6 +625,9 @@ def cmd_lines(args, reg) -> List[Check]:
 def cmd_scan(args, reg) -> List[Check]:
     surface, provenance = _surface(reg, args.surface)
     algebra = affine_symmetry_algebra(surface)
+    if not 0 < args.dim < algebra.dim:
+        raise UsageError(f"--dim must be strictly between 0 and the algebra dimension "
+                         f"{algebra.dim}, got {args.dim}")
     scan = subalgebra_scan(algebra, args.dim)
     checks = []
     n = len(surface.variables)
@@ -875,7 +890,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reg = catalog.active_registry()
     try:
         checks = COMMANDS[args.command](args, reg)
-    except KeyError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     report = assemble(args.command, checks, started)

@@ -16,7 +16,7 @@ from .fields import HoloField, VectorField
 from .normal_form import GraphSurface, MapFamily
 from .poly import MultiPoly, RationalFunction
 from .relations import RelationContext
-from .scalars import GaussianRational
+from .scalars import GaussianRational, rat
 
 
 def frac_to_str(x) -> str:
@@ -95,15 +95,13 @@ def algebra_to_obj(algebra) -> Dict:
 
 
 def algebra_from_obj(obj: Mapping):
-    from fractions import Fraction as F
-
     from .symmetry import LieAlgebraPresentation
     basis = tuple(field_from_obj(f) for f in obj["basis"])
     dim = len(basis)
-    rows = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    rows = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in obj["structure"]:
-        rows[i][j][k] = F(c)
-        rows[j][i][k] = -F(c)
+        rows[i][j][k] = rat(c)
+        rows[j][i][k] = -rat(c)
     return LieAlgebraPresentation(
         basis, tuple(tuple(tuple(entry) for entry in row) for row in rows))
 

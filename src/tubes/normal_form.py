@@ -199,6 +199,10 @@ class NormalFormReport:
         return tuple(name for name, ok, _ in self.conditions if not ok)
 
 
+# the trace conditions reach the (3,3) part, so the series must run through degree 6
+MIN_CM_CUTOFF = 6
+
+
 def chern_moser_check(series: BidegreeSeries, tr: TraceOperator) -> NormalFormReport:
     """The normal-form conditions on the bidegree parts.
 
@@ -207,8 +211,8 @@ def chern_moser_check(series: BidegreeSeries, tr: TraceOperator) -> NormalFormRe
     The classical third trace power on F33 is reported separately and is
     not assumed equivalent to the square condition.
     """
-    if series.cutoff < 6:
-        raise ValueError("chern_moser_check needs cutoff >= 6")
+    if series.cutoff < MIN_CM_CUTOFF:
+        raise ValueError(f"chern_moser_check needs cutoff >= {MIN_CM_CUTOFF}")
     conditions: List[Tuple[str, bool, str]] = []
 
     bad = [k for k in range(series.cutoff + 1) if not series.part(k, 0).is_zero()]

@@ -14,9 +14,10 @@ cross-multiplication; no multivariate gcd is ever computed.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, GaussianRational, ScalarLike
+from .scalars import ONE, ZERO, GaussianRational, ScalarLike, _canon, _gr
 
 Exponents = Tuple[int, ...]
 
@@ -130,23 +131,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_vars(other)
-        terms: Dict[Exponents, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e)
-                p = c1 * c2
-                if s is None:
-                    if p:
-                        terms[e] = p
-                else:
-                    s = s + p
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
         out = MultiPoly.zero(self.vars)
-        out.terms = terms
+        out.terms = _product(self.terms, other.terms, None)
         return out
 
     __rmul__ = __mul__
@@ -438,24 +424,47 @@ def merge_vars(*groups: Iterable[str]) -> Tuple[str, ...]:
 def mul_trunc(a: MultiPoly, b: MultiPoly, cutoff: int) -> MultiPoly:
     """Product truncated to total degree <= cutoff."""
     a._check_same_vars(b)
-    terms: Dict[Exponents, GaussianRational] = {}
-    bterms = [(e, sum(e), c) for e, c in b.terms.items()]
-    for e1, c1 in a.terms.items():
-        d1 = sum(e1)
-        if d1 > cutoff:
-            continue
-        for e2, d2, c2 in bterms:
-            if d1 + d2 > cutoff:
-                continue
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = terms.get(e, ZERO) + c1 * c2
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
     out = MultiPoly.zero(a.vars)
-    out.terms = terms
+    out.terms = _product(a.terms, b.terms, cutoff)
     return out
+
+
+def _product(a_terms: Mapping[Exponents, GaussianRational],
+             b_terms: Mapping[Exponents, GaussianRational],
+             cutoff: Optional[int]) -> Dict[Exponents, GaussianRational]:
+    """Terms of the product of two term dicts, keeping total degree <=
+    cutoff (all terms when cutoff is None).
+
+    Each coefficient's (re, im) parts are read once and every term pair
+    is multiplied and summed in plain int/Fraction arithmetic; a real
+    pair skips the imaginary products. One GaussianRational is built per
+    nonzero output term, in first-seen order.
+    """
+    b_items = [(e, c.re, c.im) for e, c in b_terms.items()]
+    if cutoff is not None:
+        b_degrees = [sum(e) for e in b_terms]
+    acc: Dict[Exponents, list] = {}
+    for e1, c1 in a_terms.items():
+        row = b_items
+        if cutoff is not None:
+            room = cutoff - sum(e1)
+            row = [t for t, d in zip(b_items, b_degrees) if d <= room]
+        r1, i1 = c1.re, c1.im
+        for e2, r2, i2 in row:
+            e = tuple(map(add, e1, e2))
+            if i1 or i2:
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+            else:
+                re = r1 * r2
+                im = 0
+            s = acc.get(e)
+            if s is None:
+                acc[e] = [re, im]
+            else:
+                s[0] += re
+                s[1] += im
+    return {e: _gr(_canon(re), _canon(im)) for e, (re, im) in acc.items() if re or im}
 
 
 class RationalFunction:

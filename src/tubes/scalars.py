@@ -1,9 +1,13 @@
 """Exact scalars: arbitrary-precision rationals and Gaussian rationals.
 
-Plain rationals are fractions.Fraction, which already guarantees the
-reduced-form invariants (gcd 1, positive denominator). GaussianRational
-is a thin exact complex layer on top of it. No floating point enters
-anywhere in this package.
+A rational is held in canonical form: a plain int when it is integral and
+a fractions.Fraction (gcd 1, positive denominator, never denominator 1)
+otherwise. Integral values stay machine-cheap Python ints, and Fraction
+objects appear only where a denominator really occurs. GaussianRational
+is a thin exact complex layer whose re and im parts are such canonical
+rationals. No floating point enters anywhere in this package: a part is
+never a float or a bool, and division goes through Fraction, never
+through int / int.
 """
 
 from __future__ import annotations
@@ -11,24 +15,39 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
+Rational = Union[int, Fraction]
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
 
-def rat(value) -> Fraction:
-    """Parse an exact rational from an int, Fraction or 'p/q' string."""
+def _canon(x: Rational) -> Rational:
+    """The canonical form of an int or Fraction value."""
+    if type(x) is int:
+        return x
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(x: Rational, y: Rational) -> Rational:
+    """Exact canonical quotient x / y of two rationals (y nonzero)."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return _canon(x / y)
+
+
+def rat(value) -> Rational:
+    """Parse an exact canonical rational from an int, Fraction or 'p/q' string."""
     if isinstance(value, Fraction):
-        return value
+        return _canon(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _canon(Fraction(value))
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
 class GaussianRational:
-    """Exact complex number re + im*i with Fraction parts."""
+    """Exact complex number re + im*i with canonical rational parts."""
 
     __slots__ = ("re", "im")
 
@@ -45,10 +64,10 @@ class GaussianRational:
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -57,62 +76,62 @@ class GaussianRational:
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return not self.im and self.re == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
+        return _gr(_canon(self.re + other.re), _canon(self.im + other.im))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
+        return _gr(_canon(self.re - other.re), _canon(self.im - other.im))
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return GaussianRational.coerce(other) - self
+        return GaussianRational(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = GaussianRational.coerce(other)
-        if self.im == 0 and other.im == 0:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _gr(_canon(a * c), 0)
+        return _gr(_canon(a * c - b * d), _canon(a * d + b * c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction, GaussianRational)):
-            return NotImplemented
-        other = GaussianRational.coerce(other)
-        if not other:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        if other.im == 0:
-            return GaussianRational(self.re / other.re, self.im / other.re)
-        n = other.re * other.re + other.im * other.im
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return _gr(_div(a, c), _div(b, c))
+        n = c * c + d * d
+        return _gr(_div(a * c + b * d, n), _div(b * c - a * d, n))
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
@@ -130,15 +149,27 @@ class GaussianRational:
         return out
 
     def __str__(self) -> str:
-        if self.im == 0:
+        if not self.im:
             return str(self.re)
-        if self.re == 0:
+        if not self.re:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _gr(re: Rational, im: Rational) -> GaussianRational:
+    """Build a GaussianRational from parts already in canonical form,
+    skipping the validation of __init__."""
+    z = _new(GaussianRational)
+    z.re = re
+    z.im = im
+    return z
 
 
 ZERO = GaussianRational(0)

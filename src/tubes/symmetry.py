@@ -21,7 +21,7 @@ from .fields import (HoloField, VectorField, lie_bracket, linear_combination,
                      minors_scan, rank_at, realify, tangency_multiplier)
 from .poly import MultiPoly, RationalFunction, substitute_rf
 from .relations import RelationContext
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, Rational
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class Hypersurface:
         return True
 
 
-def _satisfies(value: Fraction, sense: str) -> bool:
+def _satisfies(value: Rational, sense: str) -> bool:
     if sense == "gt":
         return value > 0
     if sense == "lt":
@@ -97,13 +97,14 @@ def _field_coordinates(fields: Sequence[VectorField]):
 class LieAlgebraPresentation:
     """Ordered basis of vector fields plus the full structure tensor.
 
-    structure[i][j] is the coefficient tuple of [B_i, B_j] in the basis;
-    antisymmetry is enforced at construction and the Jacobi identity is
-    checked by verify().
+    structure[i][j] is the coefficient tuple of [B_i, B_j] in the basis,
+    with canonical rational entries (int when integral, Fraction
+    otherwise); antisymmetry is enforced at construction and the Jacobi
+    identity is checked by verify().
     """
 
     basis: Tuple[VectorField, ...]
-    structure: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
+    structure: Tuple[Tuple[Tuple[Rational, ...], ...], ...]
 
     @property
     def dim(self) -> int:
@@ -113,8 +114,8 @@ class LieAlgebraPresentation:
     def from_fields(cls, basis: Sequence[VectorField]) -> "LieAlgebraPresentation":
         basis = tuple(basis)
         dim = len(basis)
-        zero_row = (Fraction(0),) * dim
-        rows: List[List[Tuple[Fraction, ...]]] = [[zero_row] * dim for _ in range(dim)]
+        zero_row = (0,) * dim
+        rows: List[List[Tuple[Rational, ...]]] = [[zero_row] * dim for _ in range(dim)]
         for i in range(dim):
             for j in range(i + 1, dim):
                 br = lie_bracket(basis[i], basis[j])

@@ -55,6 +55,43 @@ def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
+# Gaussian rationals as plain (re, im) Fraction pairs, for checking
+# tubes.scalars without using it.
+
+def pair(re=0, im=0):
+    return (Fraction(re), Fraction(im))
+
+
+def pair_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def pair_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c)
+
+
+def pair_div(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return ((a * c + b * d) / n, (b * c - a * d) / n)
+
+
+def pair_conjugate(x):
+    return (x[0], -x[1])
+
+
+def pair_pow(x, k: int):
+    out = pair(1)
+    for _ in range(k):
+        out = pair_mul(out, x)
+    return out
+
+
 def random_poly(rng, variables, max_degree=2, max_terms=4, complex_coeffs=False) -> MultiPoly:
     from tubes.scalars import GaussianRational
     terms = {}

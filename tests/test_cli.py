@@ -1,6 +1,7 @@
 """Front-end behavior: subcommands, exit codes, report schema."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -72,6 +73,30 @@ def test_usage_errors(capsys):
     assert cli.main(["witness", "--id", "no.such.witness"]) == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["normal-form", "--case", "D", "--cutoff", "3"], "--cutoff must be at least 6"),
+    (["orbits", "--surface", "surface.table.6", "--probes", "1,x"], "probe '1,x'"),
+    (["orbits", "--surface", "surface.table.6", "--probes", "1,2"], "has 2 coordinates"),
+    (["scan", "--surface", "surface.table.3", "--dim", "9"], "--dim must be strictly between"),
+    (["verify-map", "--id", "surface.table.6"], "is not a map fixture"),
+])
+def test_invalid_input_is_a_usage_error(argv, message, capsys):
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert "Traceback" not in captured.err
+
+
+def test_engine_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args):
+        raise KeyError("engine bug")
+    monkeypatch.setattr(cli, "verify_transitivity_witness", broken)
+    with pytest.raises(KeyError, match="engine bug"):
+        cli.main(["witness", "--id", "witness.C.gt"])
+
+
 def test_verbose_only_on_symmetry_and_keeps_json_clean(capsys):
     code = cli.main(["symmetry", "--surface", "surface.table.3", "--json", "--verbose"])
     captured = capsys.readouterr()
@@ -107,8 +132,11 @@ def test_fixture_override_roundtrip(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "tubes.cli", "verify-map",
                            "--id", "map.case3.derived"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout

@@ -17,10 +17,13 @@ from oracles import random_poly
 VARS = ("x", "y", "z")
 
 
+def small_part(bound):
+    return st.one_of(st.integers(-bound, bound),
+                     st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 4)))
+
+
 def small_scalar():
-    return st.builds(GaussianRational,
-                     st.integers(min_value=-5, max_value=5),
-                     st.integers(min_value=-3, max_value=3))
+    return st.builds(GaussianRational, small_part(5), small_part(3))
 
 
 @st.composite
@@ -40,6 +43,12 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(max_terms=6), polys(max_terms=6), st.integers(0, 10))
+def test_mul_trunc_is_truncated_product(a, b, cutoff):
+    assert mul_trunc(a, b, cutoff) == (a * b).truncate(cutoff)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,0 +1,98 @@
+"""Canonical parts of GaussianRational: int when integral, Fraction
+otherwise, never float or bool, and values equal to a Fraction-pair oracle."""
+
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tubes.scalars import GaussianRational
+
+from oracles import (pair, pair_add, pair_conjugate, pair_div, pair_mul, pair_pow,
+                     pair_sub)
+
+# ints, and Fractions whose small denominators make integral values such
+# as 2/2 and integral sums such as 1/2 + 1/2 common
+parts = st.one_of(st.integers(-30, 30),
+                  st.builds(Fraction, st.integers(-30, 30), st.integers(1, 4)))
+gaussians = st.builds(GaussianRational, parts, parts)
+scalars = st.one_of(gaussians, parts)
+
+
+def assert_canonical(z):
+    assert type(z) is GaussianRational
+    for part in (z.re, z.im):
+        assert type(part) in (int, Fraction), repr(part)
+        if type(part) is Fraction:
+            assert part.denominator != 1, repr(part)
+
+
+def as_pair(value):
+    if isinstance(value, GaussianRational):
+        return pair(value.re, value.im)
+    return pair(value)
+
+
+def assert_matches(z, expected):
+    assert_canonical(z)
+    assert pair(z.re, z.im) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts, parts)
+def test_construction_is_canonical(re, im):
+    z = GaussianRational(re, im)
+    assert_matches(z, pair(re, im))
+    assert_canonical(GaussianRational.coerce(str(Fraction(re))))
+
+
+@pytest.mark.parametrize("op, oracle", [
+    (operator.add, pair_add), (operator.sub, pair_sub), (operator.mul, pair_mul)])
+@settings(max_examples=200, deadline=None)
+@given(x=scalars, y=scalars)
+def test_ring_operations(op, oracle, x, y):
+    if not isinstance(x, GaussianRational) and not isinstance(y, GaussianRational):
+        x = GaussianRational(x)
+    assert_matches(op(x, y), oracle(as_pair(x), as_pair(y)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=scalars, y=scalars)
+def test_division(x, y):
+    if not isinstance(x, GaussianRational) and not isinstance(y, GaussianRational):
+        x = GaussianRational(x)
+    if as_pair(y) == pair(0):
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    assert_matches(x / y, pair_div(as_pair(x), as_pair(y)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussians, st.integers(0, 5))
+def test_conjugate_negate_and_power(z, k):
+    assert_matches(z.conjugate(), pair_conjugate(as_pair(z)))
+    assert_matches(-z, pair_sub(pair(0), as_pair(z)))
+    assert_matches(z ** k, pair_pow(as_pair(z), k))
+
+
+def test_integer_division_gives_a_fraction_part():
+    half = GaussianRational(1) / 2
+    assert type(half.re) is Fraction and half.re == Fraction(1, 2)
+    assert type(half.im) is int and half.im == 0
+    assert type((GaussianRational(4, 6) / 2).im) is int
+
+
+def test_floats_and_bools_never_become_parts():
+    with pytest.raises(TypeError):
+        GaussianRational(0.5)
+    with pytest.raises(TypeError):
+        GaussianRational(1, 0.5)
+    with pytest.raises(TypeError):
+        GaussianRational.coerce(0.5)
+    with pytest.raises(TypeError):
+        GaussianRational(1) * 0.5
+    z = GaussianRational(True, False)
+    assert type(z.re) is int and type(z.im) is int
