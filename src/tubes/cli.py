@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -28,7 +29,7 @@ from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_ch
                           map_at_origin, trace_from_levi,
                           verify_family_invariance, verify_group_law,
                           verify_map_conjugation, verify_surface_map)
-from .poly import MultiPoly, RationalFunction, merge_vars
+from .poly import MultiPoly, RationalFunction, merge_vars, poly_sum
 from .scalars import GaussianRational
 from .symmetry import (Hypersurface, LieAlgebraPresentation,
                        affine_symmetry_algebra, expand_in_basis,
@@ -117,15 +118,19 @@ def _fixture(reg, fid: str) -> Fixture:
 
 def _surface(reg, ident: str) -> Tuple[Hypersurface, str]:
     if ident in reg:
-        fx = _fixture(reg, ident)
-        if fx.kind != "hypersurface":
-            raise UsageError(f"fixture {ident!r} is not a hypersurface")
-        return fx.payload, prov(fx)
-    if os.path.exists(ident):
-        obj = json.loads(open(ident).read())
-        fx = catalog.fixture_from_obj(obj)
-        return fx.payload, f"file:{ident}"
-    raise UsageError(f"no surface fixture or file named {ident!r}")
+        fx = reg[ident]
+        source = prov(fx)
+    elif os.path.exists(ident):
+        try:
+            fx = catalog.fixture_from_obj(json.loads(Path(ident).read_text()))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"cannot read a fixture from {ident!r}: {exc!r}") from exc
+        source = f"file:{ident}"
+    else:
+        raise UsageError(f"no surface fixture or file named {ident!r}")
+    if fx.kind != "hypersurface":
+        raise UsageError(f"fixture {ident!r} is not a hypersurface")
+    return fx.payload, source
 
 
 def _domains_for_surface(reg, surface_id: str):
@@ -687,14 +692,12 @@ def _chart_minor_analysis(algebra, chart, surface) -> Tuple[bool, bool]:
     fields = []
     from .fields import VectorField
     for row in rows:
-        comps = [MultiPoly.zero(universe) for _ in surface.variables]
-        for l, entry in enumerate(row):
-            if entry.is_zero():
-                continue
-            entry_u = entry.with_vars(universe)
-            for ci, comp in enumerate(algebra.basis[l].components):
-                comps[ci] = comps[ci] + comp.with_vars(universe) * entry_u
-        fields.append(VectorField(surface.variables, tuple(comps)))
+        entries = [(algebra.basis[l].components, entry.with_vars(universe))
+                   for l, entry in enumerate(row) if not entry.is_zero()]
+        comps = tuple(poly_sum(universe, [basis_comps[ci].with_vars(universe) * entry_u
+                                          for basis_comps, entry_u in entries])
+                      for ci in range(len(surface.variables)))
+        fields.append(VectorField(surface.variables, comps))
     minors = minors_scan(fields)
     if all(m.is_zero() for m in minors):
         return True, False
@@ -719,8 +722,7 @@ def cmd_classify(args, reg) -> List[Check]:
                 _fixture(reg, surface_id).payload)
         return algebra_cache[surface_id]
 
-    for fid in catalog.list_ids("domain.*") if reg is catalog.registry() \
-            else sorted(k for k in reg if k.startswith("domain.")):
+    for fid in sorted(k for k in reg if k.startswith("domain.")):
         fx = reg[fid]
         spec = fx.payload
         if fid.startswith("domain.H."):
@@ -887,8 +889,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ap.print_help()
         return USAGE_ERROR
     started = time.perf_counter()
-    reg = catalog.active_registry()
     try:
+        try:
+            reg = catalog.active_registry()
+        except OSError as exc:
+            raise UsageError(f"cannot load the fixture tree: {exc}") from exc
         checks = COMMANDS[args.command](args, reg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

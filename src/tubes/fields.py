@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import det_exact, maximal_minors, rref_rows, solve_columns
-from .poly import MultiPoly
+from .poly import MultiPoly, _poly, poly_sum
 from .scalars import I, ONE, ZERO, GaussianRational
 
 
@@ -56,12 +56,12 @@ class VectorField:
         """Directional derivative sum_i X_i dp/dx_i."""
         if p.vars != self.carrier:
             raise ValueError(f"variable mismatch: field carrier {self.carrier} vs {p.vars}")
-        out = MultiPoly.zero(p.vars)
+        products = []
         for name, comp in zip(self.variables, self.components):
             d = p.diff(name)
             if not d.is_zero() and not comp.is_zero():
-                out = out + comp * d
-        return out
+                products.append(comp * d)
+        return poly_sum(p.vars, products)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         if self.variables != other.variables or self.carrier != other.carrier:
@@ -131,15 +131,8 @@ def realify(z: VectorField, names: Optional[Mapping[str, Tuple[str, str]]] = Non
     im_comps: List[MultiPoly] = []
     for comp in z.components:
         g = comp.subs_poly(images)
-        re_part = MultiPoly.zero(real_vars)
-        im_part = MultiPoly.zero(real_vars)
-        for e, c in g.terms.items():
-            if c.re:
-                re_part.terms[e] = GaussianRational(c.re)
-            if c.im:
-                im_part.terms[e] = GaussianRational(c.im)
-        re_comps.append(re_part)
-        im_comps.append(im_part)
+        re_comps.append(MultiPoly(real_vars, {e: c.re for e, c in g.terms.items()}))
+        im_comps.append(MultiPoly(real_vars, {e: c.im for e, c in g.terms.items()}))
     return VectorField(real_vars, tuple(re_comps + im_comps))
 
 
@@ -166,9 +159,7 @@ def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[TangencyCertif
     support: Dict[Tuple[int, ...], int] = {}
     products = []
     for mono in monomials:
-        shifted = MultiPoly.zero(p.vars)
-        shifted.terms = {mono: ONE}
-        prod = shifted * p
+        prod = _poly(p.vars, {mono: ONE}) * p
         products.append(prod)
         for e in prod.terms:
             support.setdefault(e, len(support))
@@ -186,10 +177,7 @@ def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[TangencyCertif
     solution = solve_columns(columns, target)
     if solution is None:
         return None
-    q = MultiPoly.zero(p.vars)
-    for mono, c in zip(monomials, solution):
-        if c:
-            q.terms[mono] = c
+    q = _poly(p.vars, {mono: c for mono, c in zip(monomials, solution) if c})
     return TangencyCertificate(q, xp)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
-from .poly import MultiPoly
+from .poly import MultiPoly, _poly, poly_sum
 from .scalars import ONE, ZERO, GaussianRational
 
 RatMatrix = Sequence[Sequence[Fraction]]
@@ -61,13 +61,6 @@ def _bareiss(rows: List[List[int]]):
         if r == m:
             break
     return pivots
-
-
-def rank(matrix: RatMatrix) -> int:
-    rows = _rows_to_int(matrix)
-    if not rows or not rows[0]:
-        return 0
-    return len(_bareiss(rows))
 
 
 def kernel_basis(matrix: RatMatrix) -> List[List[Fraction]]:
@@ -175,7 +168,7 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact division f / g; raises if g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    quotient = MultiPoly.zero(f.vars)
+    q_terms = []
     rem = f
     g_exps, g_coeff = g.leading()
     while not rem.is_zero():
@@ -183,11 +176,10 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         q_exps = tuple(a - b for a, b in zip(r_exps, g_exps))
         if any(k < 0 for k in q_exps):
             raise ValueError("inexact polynomial division")
-        q_term = MultiPoly.zero(f.vars)
-        q_term.terms = {q_exps: r_coeff / g_coeff}
-        quotient = quotient + q_term
+        q_term = _poly(f.vars, {q_exps: r_coeff / g_coeff})
+        q_terms.append(q_term)
         rem = rem - q_term * g
-    return quotient
+    return poly_sum(f.vars, q_terms)
 
 
 def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

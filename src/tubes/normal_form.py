@@ -16,8 +16,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
 from .linalg import invert_gaussian_matrix
-from .poly import (MultiPoly, Powers, RationalFunction, series_expand, substitute,
-                   substitute_rf)
+from .poly import (MultiPoly, Powers, RationalFunction, _poly, poly_sum, series_expand,
+                   substitute, substitute_rf)
 from .relations import RelationContext
 from .scalars import I, ONE, ZERO, GaussianRational
 
@@ -71,13 +71,9 @@ class TraceOperator:
     anti_vars: Tuple[str, ...]
 
     def apply(self, p: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(p.vars)
-        for a, wa in enumerate(self.holo_vars):
-            for b, wb in enumerate(self.anti_vars):
-                g = self.matrix[a][b]
-                if g:
-                    out = out + p.diff(wa).diff(wb) * g
-        return out
+        return poly_sum(p.vars, [p.diff(wa).diff(wb) * g
+                                 for wa, row in zip(self.holo_vars, self.matrix)
+                                 for wb, g in zip(self.anti_vars, row) if g])
 
 
 def trace_from_levi(f11: MultiPoly, holo_vars: Sequence[str],
@@ -265,12 +261,10 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     fv = source.free_vars
     max_j = max((key[0] for key in groups), default=0)
     max_k = max((key[1] for key in groups), default=0)
-    total = MultiPoly.zero(fv)
     w_pows, wbar_pows, den_pows = Powers(w_num), Powers(wbar_num), Powers(den)
-    for (j, k), part in groups.items():
-        part_v = part.with_vars(fv)
-        term = part_v * w_pows[j] * wbar_pows[k] * den_pows[max_j + max_k - j - k]
-        total = total + term
+    total = poly_sum(fv, [part.with_vars(fv) * w_pows[j] * wbar_pows[k]
+                          * den_pows[max_j + max_k - j - k]
+                          for (j, k), part in groups.items()])
     return total.is_zero(), total
 
 
@@ -292,12 +286,9 @@ def surface_map_series_residual(source: GraphSurface, target: MultiPoly,
                              RationalFunction(series_expand(source.im_part, cutoff)),
                              source.name + f".series{cutoff}")
     _, residual = verify_surface_map(truncated, target, target_holo, target_anti, phi)
-    keep = MultiPoly.zero(residual.vars)
     graded = [v in source.holo_vars or v in source.anti_vars for v in residual.vars]
-    for exps, coeff in residual.terms.items():
-        if sum(e for e, g in zip(exps, graded) if g) <= cutoff:
-            keep.terms[exps] = coeff
-    return keep
+    return _poly(residual.vars, {exps: coeff for exps, coeff in residual.terms.items()
+                                 if sum(e for e, g in zip(exps, graded) if g) <= cutoff})
 
 
 def map_at_origin(phi: Mapping[str, RationalFunction],
@@ -438,7 +429,7 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
     rho = surface.with_vars(universe)
     lead_exps, lead_coeff = rho.leading()
 
-    multiplier = MultiPoly.zero(fam.params)
+    multiplier: Dict[Tuple[int, ...], GaussianRational] = {}
     groups = image.split_by_vars(list(fam.params))
     ok = True
     residual: Optional[MultiPoly] = None
@@ -450,7 +441,7 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
             residual = rest
             break
         if c:
-            multiplier.terms[pexps] = c
+            multiplier[pexps] = c
     fixes: Optional[bool] = None
     if fixed_point is not None:
         fixes = True
@@ -463,7 +454,7 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
             if value != MultiPoly.const(fam.params, Fraction(fixed_point[i])):
                 fixes = False
                 break
-    return InvarianceResult(ok, multiplier if ok else None, fixes, residual)
+    return InvarianceResult(ok, _poly(fam.params, multiplier) if ok else None, fixes, residual)
 
 
 @dataclass(frozen=True)

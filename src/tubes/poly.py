@@ -7,6 +7,11 @@ juggles several coordinate systems (x, z, w and their conjugates) and
 silent mixing would be a correctness hazard. Canonical term order is
 graded lexicographic with respect to the variable order.
 
+Term dicts are built only in this module: through `MultiPoly.__init__`,
+which checks and coerces input from outside the engine, or through the
+trusted `_poly`, which takes over a dict the engine built. Sums of many
+polynomials accumulate into one dict (`poly_sum`, `_add_into`).
+
 Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed.
 """
@@ -30,9 +35,7 @@ class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Optional[Mapping[Exponents, ScalarLike]] = None):
-        self.vars: Tuple[str, ...] = tuple(variables)
-        if len(set(self.vars)) != len(self.vars):
-            raise ValueError(f"duplicate variable names in {self.vars}")
+        self.vars: Tuple[str, ...] = _distinct(variables)
         clean: Dict[Exponents, GaussianRational] = {}
         if terms:
             width = len(self.vars)
@@ -47,22 +50,22 @@ class MultiPoly:
 
     # ---------------------------------------------------------------- basics
 
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "MultiPoly":
-        return cls(variables)
+    @staticmethod
+    def zero(variables: Sequence[str]) -> "MultiPoly":
+        return _poly(tuple(variables), {})
 
-    @classmethod
-    def const(cls, variables: Sequence[str], value: ScalarLike) -> "MultiPoly":
+    @staticmethod
+    def const(variables: Sequence[str], value: ScalarLike) -> "MultiPoly":
         v = tuple(variables)
-        return cls(v, {(0,) * len(v): value})
+        c = _as_coeff(value)
+        return _poly(v, {(0,) * len(v): c} if c else {})
 
-    @classmethod
-    def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
+    @staticmethod
+    def var(variables: Sequence[str], name: str) -> "MultiPoly":
         v = tuple(variables)
         if name not in v:
             raise ValueError(f"variable {name!r} not among {v}")
-        exps = tuple(1 if n == name else 0 for n in v)
-        return cls(v, {exps: 1})
+        return _poly(v, {tuple(1 if n == name else 0 for n in v): ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -92,23 +95,12 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_vars(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, ZERO) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        out = MultiPoly.zero(self.vars)
-        out.terms = terms
-        return out
+        return _poly(self.vars, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.zero(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -125,15 +117,11 @@ class MultiPoly:
             c = _as_coeff(other)
             if not c:
                 return MultiPoly.zero(self.vars)
-            out = MultiPoly.zero(self.vars)
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return _poly(self.vars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_vars(other)
-        out = MultiPoly.zero(self.vars)
-        out.terms = _product(self.terms, other.terms, None)
-        return out
+        return _poly(self.vars, _product(self.terms, other.terms, None))
 
     __rmul__ = __mul__
 
@@ -201,19 +189,9 @@ class MultiPoly:
 
     def diff(self, name: str) -> "MultiPoly":
         idx = self.vars.index(name)
-        terms: Dict[Exponents, GaussianRational] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k:
-                ne = e[:idx] + (k - 1,) + e[idx + 1:]
-                nc = terms.get(ne, ZERO) + c * k
-                if nc:
-                    terms[ne] = nc
-                else:
-                    terms.pop(ne, None)
-        out = MultiPoly.zero(self.vars)
-        out.terms = terms
-        return out
+        # distinct exponents stay distinct, so no two terms meet
+        return _poly(self.vars, {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+                                 for e, c in self.terms.items() if e[idx]})
 
     # ------------------------------------------------------- transformations
 
@@ -222,6 +200,7 @@ class MultiPoly:
         newvars = tuple(variables)
         if newvars == self.vars:
             return self
+        _distinct(newvars)
         pos = {}
         for i, v in enumerate(self.vars):
             if v in newvars:
@@ -237,15 +216,10 @@ class MultiPoly:
                             f"variable {self.vars[i]!r} is used but absent from {newvars}")
                     ne[pos[i]] = k
             terms[tuple(ne)] = c
-        out = MultiPoly.zero(newvars)
-        out.terms = terms
-        return out
+        return _poly(newvars, terms)
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        newvars = tuple(mapping.get(v, v) for v in self.vars)
-        out = MultiPoly.zero(newvars)
-        out.terms = dict(self.terms)
-        return out
+        return _poly(_distinct(mapping.get(v, v) for v in self.vars), dict(self.terms))
 
     def subs_poly(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Polynomial substitution. Values must share one variable tuple;
@@ -259,21 +233,9 @@ class MultiPoly:
             elif value.vars != target:
                 raise ValueError("substitution values must share a variable tuple")
         assert target is not None
-        images = []
-        for v in self.vars:
-            if v in mapping:
-                images.append(mapping[v])
-            else:
-                images.append(MultiPoly.var(target, v))
-        powers = [Powers(image) for image in images]
-        result = MultiPoly.zero(target)
-        for e, c in self.terms.items():
-            term = MultiPoly.const(target, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * powers[i][k]
-            result = result + term
-        return result
+        images = [(Powers(mapping[v] if v in mapping else MultiPoly.var(target, v)), None, 0)
+                  for v in self.vars]
+        return _compose(self, target, images)
 
     def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
         for v in self.used_vars():
@@ -290,9 +252,7 @@ class MultiPoly:
         return total
 
     def truncate(self, cutoff: int) -> "MultiPoly":
-        out = MultiPoly.zero(self.vars)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= cutoff}
-        return out
+        return _poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= cutoff})
 
     # ----------------------------------------------------- conjugation, split
 
@@ -323,9 +283,7 @@ class MultiPoly:
             for i, k in enumerate(e):
                 ne[swap[i]] += k
             terms[tuple(ne)] = c.conjugate()
-        out = MultiPoly.zero(self.vars)
-        out.terms = terms
-        return out
+        return _poly(self.vars, terms)
 
     def bidegree_split(self, holo_vars: Sequence[str], anti_vars: Sequence[str]):
         """Split into bihomogeneous parts keyed by (holo degree, anti degree)."""
@@ -337,38 +295,24 @@ class MultiPoly:
         if unknown:
             raise ValueError(f"unclassified variables in bidegree split: {unknown}")
         hmask = [v in holo for v in self.vars]
-        parts: Dict[Tuple[int, int], MultiPoly] = {}
+        parts: Dict[Tuple[int, int], Dict[Exponents, GaussianRational]] = {}
         for e, c in self.terms.items():
             k = sum(x for x, h in zip(e, hmask) if h)
-            l = sum(e) - k
-            part = parts.get((k, l))
-            if part is None:
-                part = MultiPoly.zero(self.vars)
-                parts[(k, l)] = part
-            part.terms[e] = c
-        return parts
+            parts.setdefault((k, sum(e) - k), {})[e] = c
+        return {key: _poly(self.vars, terms) for key, terms in parts.items()}
 
     def split_by_vars(self, group: Sequence[str]):
         """Group terms by their exponents in `group`; values are polynomials
         in the full universe with those exponents stripped to zero."""
         idxs = [self.vars.index(v) for v in group]
-        out: Dict[Exponents, MultiPoly] = {}
+        parts: Dict[Exponents, Dict[Exponents, GaussianRational]] = {}
         for e, c in self.terms.items():
-            key = tuple(e[i] for i in idxs)
             rest = list(e)
             for i in idxs:
                 rest[i] = 0
-            part = out.get(key)
-            if part is None:
-                part = MultiPoly.zero(self.vars)
-                out[key] = part
-            re = tuple(rest)
-            cur = part.terms.get(re, ZERO) + c
-            if cur:
-                part.terms[re] = cur
-            else:
-                part.terms.pop(re, None)
-        return out
+            # the key and the stripped exponents together give back e
+            parts.setdefault(tuple(e[i] for i in idxs), {})[tuple(rest)] = c
+        return {key: _poly(self.vars, terms) for key, terms in parts.items()}
 
     # ---------------------------------------------------------------- output
 
@@ -411,6 +355,71 @@ class Powers:
         return pows[k]
 
 
+def _poly(variables: Tuple[str, ...], terms: Dict[Exponents, GaussianRational]) -> MultiPoly:
+    """Trusted constructor: takes over `terms`, whose exponent tuples must
+    match `variables` in width and whose coefficients must be nonzero
+    GaussianRationals, without checking either."""
+    p = object.__new__(MultiPoly)
+    p.vars = variables
+    p.terms = terms
+    return p
+
+
+def _distinct(variables: Iterable[str]) -> Tuple[str, ...]:
+    names = tuple(variables)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names}")
+    return names
+
+
+def _add_into(acc: Dict[Exponents, GaussianRational],
+              terms: Mapping[Exponents, GaussianRational]) -> Dict[Exponents, GaussianRational]:
+    """Add terms into the dict acc in place, dropping sums that cancel;
+    returns acc."""
+    for e, c in terms.items():
+        s = acc.get(e)
+        if s is None:
+            acc[e] = c
+        else:
+            s = s + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return acc
+
+
+def poly_sum(variables: Sequence[str], polys: Iterable[MultiPoly]) -> MultiPoly:
+    """The sum of polys, all over `variables`, accumulated in one dict."""
+    v = tuple(variables)
+    acc: Dict[Exponents, GaussianRational] = {}
+    for p in polys:
+        if p.vars != v:
+            raise ValueError(f"variable mismatch: {v} vs {p.vars}")
+        _add_into(acc, p.terms)
+    return _poly(v, acc)
+
+
+def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
+    """The sum over the terms c * prod x_i**k_i of p of
+    c * prod num_i[k_i] * den_i[top_i - k_i], over `target`.
+
+    images[i] = (num_i, den_i, top_i) holds the Powers of the numerator and
+    denominator of the image of x_i and the degree top_i of the common
+    denominator den_i**top_i; no k_i exceeds top_i. A polynomial image has
+    top_i = 0 and no den_i."""
+    acc: Dict[Exponents, GaussianRational] = {}
+    for e, c in p.terms.items():
+        term = MultiPoly.const(target, c)
+        for k, (num, den, top) in zip(e, images):
+            if k:
+                term = term * num[k]
+            if top > k:
+                term = term * den[top - k]
+        _add_into(acc, term.terms)
+    return _poly(target, acc)
+
+
 def merge_vars(*groups: Iterable[str]) -> Tuple[str, ...]:
     """Union of variable tuples, preserving first-seen order."""
     seen = []
@@ -424,9 +433,7 @@ def merge_vars(*groups: Iterable[str]) -> Tuple[str, ...]:
 def mul_trunc(a: MultiPoly, b: MultiPoly, cutoff: int) -> MultiPoly:
     """Product truncated to total degree <= cutoff."""
     a._check_same_vars(b)
-    out = MultiPoly.zero(a.vars)
-    out.terms = _product(a.terms, b.terms, cutoff)
-    return out
+    return _poly(a.vars, _product(a.terms, b.terms, cutoff))
 
 
 def _product(a_terms: Mapping[Exponents, GaussianRational],
@@ -592,46 +599,23 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
                 raise ValueError("assignment values must share a variable tuple")
     if target is None:
         target = p.vars
-    values: Dict[str, RationalFunction] = {}
+    # a variable no term uses has top 0 and is never looked up
+    images = [(None, None, 0)] * len(p.vars)
+    den_total = MultiPoly.const(target, 1)
     for v in used:
         value = assignment[v]
         if isinstance(value, MultiPoly):
-            values[v] = RationalFunction(value)
-        elif isinstance(value, RationalFunction):
-            values[v] = value
+            value = RationalFunction(value)
         elif isinstance(value, (int, Fraction, GaussianRational)):
-            values[v] = RationalFunction.from_scalar(target, value)
-        else:
+            value = RationalFunction.from_scalar(target, value)
+        elif not isinstance(value, RationalFunction):
             raise TypeError(f"assignment for {v!r} is not a rational function")
-
-    maxdeg = {v: 0 for v in used}
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k:
-                name = p.vars[i]
-                if k > maxdeg[name]:
-                    maxdeg[name] = k
-
-    num_pows = {v: Powers(values[v].num) for v in used}
-    den_pows = {v: Powers(values[v].den) for v in used}
-    den_total = MultiPoly.const(target, 1)
-    for v in used:
-        den_total = den_total * den_pows[v][maxdeg[v]]
-
-    num_total = MultiPoly.zero(target)
-    for e, c in p.terms.items():
-        term = MultiPoly.const(target, c)
-        for i, k in enumerate(e):
-            name = p.vars[i]
-            if name not in maxdeg:
-                continue
-            if k:
-                term = term * num_pows[name][k]
-            slack = maxdeg[name] - k
-            if slack:
-                term = term * den_pows[name][slack]
-        num_total = num_total + term
-    return RationalFunction(num_total, den_total)
+        i = p.vars.index(v)
+        top = max(e[i] for e in p.terms)
+        den_pows = Powers(value.den)
+        images[i] = (Powers(value.num), den_pows, top)
+        den_total = den_total * den_pows[top]
+    return RationalFunction(_compose(p, target, images), den_total)
 
 
 def substitute_rf(f: RationalFunction, assignment: Mapping[str, object]) -> RationalFunction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from .poly import MultiPoly, Powers
+from .poly import MultiPoly, Powers, _add_into, _poly, poly_sum
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,11 @@ class RelationContext:
             if all(e[idx] < 2 for e in out.terms):
                 continue
             d_pows = Powers(d.with_vars(out.vars))
-            acc = MultiPoly.zero(out.vars)
+            parts = []
             for e, c in out.terms.items():
                 half, rem = divmod(e[idx], 2)
-                mono = MultiPoly.zero(out.vars)
-                mono.terms = {e[:idx] + (rem,) + e[idx + 1:]: c}
-                acc = acc + mono * d_pows[half]
-            out = acc
+                parts.append(_poly(out.vars, {e[:idx] + (rem,) + e[idx + 1:]: c}) * d_pows[half])
+            out = poly_sum(out.vars, parts)
         for c_name, cb_name in self.unit_pairs:
             if c_name not in out.vars or cb_name not in out.vars:
                 continue
@@ -69,16 +67,6 @@ class RelationContext:
                     e[i] -= m
                     e[j] -= m
                     e = tuple(e)
-                cur = terms.get(e)
-                if cur is None:
-                    terms[e] = c
-                else:
-                    cur = cur + c
-                    if cur:
-                        terms[e] = cur
-                    else:
-                        del terms[e]
-            red = MultiPoly.zero(out.vars)
-            red.terms = terms
-            out = red
+                _add_into(terms, {e: c})
+            out = _poly(out.vars, terms)
         return out

@@ -140,15 +140,11 @@ class LieAlgebraPresentation:
         out = [0] * dim
         for i in range(dim):
             ui = u[i]
-            if isinstance(ui, (int, Fraction)) and not ui:
-                continue
-            if isinstance(ui, (GaussianRational, MultiPoly)) and not ui:
+            if not ui:
                 continue
             for j in range(dim):
                 vj = v[j]
-                if isinstance(vj, (int, Fraction)) and not vj:
-                    continue
-                if isinstance(vj, (GaussianRational, MultiPoly)) and not vj:
+                if not vj:
                     continue
                 prod = ui * vj
                 for k, c in enumerate(self.structure[i][j]):
@@ -229,17 +225,13 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
             matrix[support[e]][col] = c.re
 
     kernel = linalg.kernel_basis(matrix)
+    # component i is vec[n*n + i] + sum_j vec[n*i + j] * x_j
+    exps = [(0,) * n] + [tuple(int(k == j) for k in range(n)) for j in range(n)]
     fields = []
     for vec in kernel:
-        comps = []
-        for i in range(n):
-            comp = MultiPoly.const(names, vec[n * n + i])
-            for j in range(n):
-                a = vec[n * i + j]
-                if a:
-                    comp = comp + MultiPoly.var(names, names[j]) * a
-            comps.append(comp)
-        fields.append(VectorField(tuple(names), tuple(comps)))
+        comps = tuple(MultiPoly(names, dict(zip(exps, [vec[n * n + i]] + vec[n * i:n * i + n])))
+                      for i in range(n))
+        fields.append(VectorField(tuple(names), comps))
     return LieAlgebraPresentation.from_fields(fields)
 
 

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tubes import cli
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def run_cli(argv, capsys):
@@ -73,14 +76,24 @@ def test_usage_errors(capsys):
     assert cli.main(["witness", "--id", "no.such.witness"]) == 64
 
 
+# "{tmp}" stands for a temporary directory holding bad.json, which is not JSON;
+# leading NAME=value items set environment variables, as in a shell
 @pytest.mark.parametrize("argv, message", [
     (["normal-form", "--case", "D", "--cutoff", "3"], "--cutoff must be at least 6"),
     (["orbits", "--surface", "surface.table.6", "--probes", "1,x"], "probe '1,x'"),
     (["orbits", "--surface", "surface.table.6", "--probes", "1,2"], "has 2 coordinates"),
     (["scan", "--surface", "surface.table.3", "--dim", "9"], "--dim must be strictly between"),
     (["verify-map", "--id", "surface.table.6"], "is not a map fixture"),
+    (["symmetry", "--surface", "{tmp}/bad.json"], "JSONDecodeError"),
+    (["symmetry", "--surface", str(FIXTURES / "domain.D.gt.json")], "is not a hypersurface"),
+    (["TUBES_FIXTURES={tmp}/missing", "lines"], "cannot load the fixture tree"),
 ])
-def test_invalid_input_is_a_usage_error(argv, message, capsys):
+def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.json").write_text("{not json")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    while "=" in argv[0]:
+        name, _, value = argv.pop(0).partition("=")
+        monkeypatch.setenv(name, value)
     assert cli.main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,13 +1,16 @@
 """Core polynomial, rational function and relation-context behavior."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubes.poly import (MultiPoly, RationalFunction, merge_vars, mul_trunc,
+import tubes.poly
+from tubes.poly import (MultiPoly, RationalFunction, merge_vars, mul_trunc, poly_sum,
                         series_expand, substitute)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
@@ -49,6 +52,66 @@ def test_ring_axioms(a, b, c):
 @given(polys(max_terms=6), polys(max_terms=6), st.integers(0, 10))
 def test_mul_trunc_is_truncated_product(a, b, cutoff):
     assert mul_trunc(a, b, cutoff) == (a * b).truncate(cutoff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polys(), max_size=5))
+def test_poly_sum_is_the_left_fold_of_add(ps):
+    fold = MultiPoly.zero(VARS)
+    for p in ps:
+        fold = fold + p
+    assert poly_sum(VARS, ps) == fold
+    assert poly_sum(VARS, ps + [-p for p in reversed(ps)]).terms == {}
+
+
+def test_poly_sum_rejects_mixed_variables():
+    with pytest.raises(ValueError, match="mismatch"):
+        poly_sum(("x",), [MultiPoly.var(("x",), "x"), MultiPoly.var(("y",), "y")])
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+UV = ("u", "v")
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(max_terms=3), st.lists(polys(UV, max_terms=3, max_exp=2), min_size=3, max_size=3),
+       polys(max_terms=3, max_exp=2), st.tuples(rationals(), rationals(), rationals()))
+def test_subs_poly_agrees_with_eval_at(p, images, x_image, point):
+    at = dict(zip(UV, point))
+    full = dict(zip(VARS, images))
+    assert p.subs_poly(full).eval_at(at) == p.eval_at({v: q.eval_at(at) for v, q in full.items()})
+    # unmapped variables map to themselves
+    at = dict(zip(VARS, point))
+    assert (p.subs_poly({"x": x_image}).eval_at(at)
+            == p.eval_at({**at, "x": x_image.eval_at(at)}))
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(max_terms=3), st.lists(polys(UV, max_terms=3, max_exp=2), min_size=6, max_size=6),
+       st.lists(small_scalar().filter(bool), min_size=3, max_size=3),
+       st.tuples(rationals(), rationals()))
+def test_substitute_agrees_with_eval_at(p, parts, den_values, point):
+    at = dict(zip(UV, point))
+    assignment = {}
+    for v, num, den, value in zip(VARS, parts[:3], parts[3:], den_values):
+        # shift den so that it takes the nonzero value `value` at the point
+        assignment[v] = RationalFunction(num, den - den.eval_at(at) + value)
+    out = substitute(p, assignment)
+    values = {v: f.num.eval_at(at) / f.den.eval_at(at) for v, f in assignment.items()}
+    assert out.den.eval_at(at)
+    assert out.num.eval_at(at) == p.eval_at(values) * out.den.eval_at(at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.sampled_from(VARS))
+def test_diff_is_a_derivation(a, b, v):
+    for w in VARS:
+        assert MultiPoly.var(VARS, w).diff(v) == (1 if w == v else 0)
+    assert (a + b).diff(v) == a.diff(v) + b.diff(v)
+    assert (a * b).diff(v) == a.diff(v) * b + a * b.diff(v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,6 +201,18 @@ def test_bidegree_parts_sum_to_input(p):
     assert total == p
 
 
+@settings(max_examples=40, deadline=None)
+@given(polys(variables=("a", "b", "ab", "bb")))
+def test_split_by_vars_parts_add_back_up(p):
+    group = ("b", "ab")
+    pieces = []
+    for key, part in p.split_by_vars(group).items():
+        assert not set(part.used_vars()) & set(group)
+        mono = MultiPoly(p.vars, {tuple(dict(zip(group, key)).get(v, 0) for v in p.vars): 1})
+        pieces.append(part * mono)
+    assert poly_sum(p.vars, pieces) == p
+
+
 PAIRING = {"a": "ab", "ab": "a", "b": "bb", "bb": "b"}
 
 
@@ -193,3 +268,33 @@ def test_variable_mismatch_raises():
     y = MultiPoly.var(("y",), "y")
     with pytest.raises(ValueError, match="mismatch"):
         _ = x + y
+
+
+# dict methods that change their receiver
+MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+
+
+def _term_dict_writes(path):
+    """Lines of `path` that assign, delete or mutate `<expr>.terms` or
+    `<expr>.terms[...]`."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            written = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            written = node.func.value
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            written = node
+        else:
+            continue
+        if isinstance(written, ast.Attribute) and written.attr == "terms":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_poly_module_writes_term_dicts():
+    package = Path(tubes.poly.__file__).parent
+    writes = {path.name: _term_dict_writes(path) for path in sorted(package.glob("*.py"))}
+    assert writes.pop("poly.py"), "the scan should see the writes in poly.py"
+    assert {name: lines for name, lines in writes.items() if lines} == {}
