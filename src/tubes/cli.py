@@ -892,8 +892,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
             reg = catalog.active_registry()
-        except OSError as exc:
-            raise UsageError(f"cannot load the fixture tree: {exc}") from exc
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"cannot load the fixture tree: {exc!r}") from exc
         checks = COMMANDS[args.command](args, reg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

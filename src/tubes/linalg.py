@@ -79,27 +79,32 @@ def kernel_basis(matrix: RatMatrix) -> List[List[Fraction]]:
     free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
     for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        # back-substitute in integers: v is always an integer multiple of
+        # the null vector; at pivot p with row sum s, scaling v by p // g
+        # (g = gcd(s, p)) makes -s * (p // g) / p = -s // g exact
+        v = [0] * n
+        v[fc] = 1
         for k in range(len(pivots) - 1, -1, -1):
             pc = pivots[k]
-            s = sum((Fraction(rows[k][j]) * v[j] for j in range(pc + 1, n)), Fraction(0))
-            v[pc] = -s / rows[k][pc]
+            row = rows[k]
+            s = sum(row[j] * v[j] for j in range(pc + 1, n) if v[j])
+            p = row[pc]
+            g = gcd(s, p)
+            scale = p // g
+            if scale != 1:
+                v = [x * scale for x in v]
+            v[pc] = -s // g
         basis.append(_primitive(v))
     return basis
 
 
-def _primitive(vector: List[Fraction]) -> List[Fraction]:
-    denoms = lcm(*(f.denominator for f in vector))
-    ints = [int(f * denoms) for f in vector]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return [Fraction(0)] * len(vector)
-    lead = next(x for x in ints if x)
-    sign = 1 if lead > 0 else -1
-    return [Fraction(sign * x, g) for x in ints]
+def _primitive(ints: List[int]) -> List[Fraction]:
+    """A nonzero integer vector divided by the gcd of its entries, signed
+    so that its leading nonzero entry is positive."""
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [Fraction(x, g) for x in ints]
 
 
 def _rref(rows: Sequence[Sequence[GaussianRational]]):

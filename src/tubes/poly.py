@@ -233,8 +233,15 @@ class MultiPoly:
             elif value.vars != target:
                 raise ValueError("substitution values must share a variable tuple")
         assert target is not None
-        images = [(Powers(mapping[v] if v in mapping else MultiPoly.var(target, v)), None, 0)
-                  for v in self.vars]
+        position = {v: t for t, v in enumerate(target)}
+        images = []
+        for v in self.vars:
+            if v in mapping:
+                images.append((Powers(mapping[v]), None, 0))
+            elif v in position:
+                images.append(position[v])
+            else:
+                raise ValueError(f"variable {v!r} not among {target}")
         return _compose(self, target, images)
 
     def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
@@ -404,14 +411,36 @@ def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
     """The sum over the terms c * prod x_i**k_i of p of
     c * prod num_i[k_i] * den_i[top_i - k_i], over `target`.
 
-    images[i] = (num_i, den_i, top_i) holds the Powers of the numerator and
-    denominator of the image of x_i and the degree top_i of the common
-    denominator den_i**top_i; no k_i exceeds top_i. A polynomial image has
-    top_i = 0 and no den_i."""
-    acc: Dict[Exponents, GaussianRational] = {}
+    images[i] is one of two kinds. A triple (num_i, den_i, top_i) holds
+    the Powers of the numerator and denominator of the image of x_i and
+    the degree top_i of the common denominator den_i**top_i; no k_i
+    exceeds top_i, and a polynomial image has top_i = 0 and no den_i. An
+    int is the position in `target` of the variable x_i keeps.
+
+    Terms are grouped by their exponents on the triple-mapped variables,
+    with the kept exponents moved to their target positions, so each
+    distinct mapped exponent costs one chain of products, started from
+    its group."""
+    width = len(target)
+    kept = [(i, t) for i, t in enumerate(images) if isinstance(t, int)]
+    mapped = [i for i, t in enumerate(images) if not isinstance(t, int)]
+    chains = [images[i] for i in mapped]
+    origin = (0,) * width
+    groups: Dict[Exponents, Dict[Exponents, GaussianRational]] = {}
     for e, c in p.terms.items():
-        term = MultiPoly.const(target, c)
-        for k, (num, den, top) in zip(e, images):
+        rest = origin
+        if kept:
+            moved = [0] * width
+            for i, t in kept:
+                moved[t] = e[i]
+            rest = tuple(moved)
+        # the key and the moved exponents together give back e, so no two
+        # terms of p share a slot
+        groups.setdefault(tuple([e[i] for i in mapped]), {})[rest] = c
+    acc: Dict[Exponents, GaussianRational] = {}
+    for key, terms in groups.items():
+        term = _poly(target, terms)
+        for k, (num, den, top) in zip(key, chains):
             if k:
                 term = term * num[k]
             if top > k:

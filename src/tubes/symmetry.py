@@ -156,24 +156,31 @@ class LieAlgebraPresentation:
         return linear_combination(list(coords), list(self.basis))
 
     def verify(self) -> None:
+        """Check antisymmetry and the Jacobi identity of the tensor, then
+        the tensor against the brackets of the basis fields.
+
+        Jacobi sums, for each (i, j, k), the three cyclic terms
+        c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m over the nonzero
+        constants c_ij^l only, into one coordinate vector per triple."""
         dim = self.dim
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
                     if self.structure[i][j][k] != -self.structure[j][i][k]:
                         raise AssertionError("structure tensor is not antisymmetric")
-        # Jacobi on the tensor
+        # Jacobi on the tensor, over the nonzero (l, c_ij^l) of each (i, j)
+        nonzero = [[[(l, c) for l, c in enumerate(row) if c] for row in rows]
+                   for rows in self.structure]
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    for m in range(dim):
-                        total = Fraction(0)
-                        for l in range(dim):
-                            total += self.structure[i][j][l] * self.structure[l][k][m]
-                            total += self.structure[j][k][l] * self.structure[l][i][m]
-                            total += self.structure[k][i][l] * self.structure[l][j][m]
-                        if total:
-                            raise AssertionError("Jacobi identity fails on the tensor")
+                    total = [0] * dim
+                    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                        for l, c in nonzero[a][b]:
+                            for m, c2 in nonzero[l][d]:
+                                total[m] += c * c2
+                    if any(total):
+                        raise AssertionError("Jacobi identity fails on the tensor")
         # bracket identity against the actual fields
         for i in range(dim):
             for j in range(i + 1, dim):

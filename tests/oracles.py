@@ -1,14 +1,16 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the determinant
-oracle is a cofactor expansion, the kernel oracle is plain fraction
-Gaussian elimination, and series results are checked by multiplying
-back rather than re-expanding.
+oracle is a cofactor expansion, the rank and kernel oracles are plain
+fraction Gauss-Jordan elimination, the Jacobi oracle sums the structure
+tensor densely over every index, and series results are checked by
+multiplying back rather than re-expanding.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence
 
 from tubes.poly import MultiPoly
@@ -30,29 +32,70 @@ def cofactor_det(matrix) -> MultiPoly:
     return total
 
 
-def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+def fraction_rref(matrix: Sequence[Sequence[Fraction]]):
+    """(reduced row echelon form, pivot columns) by plain Gauss-Jordan."""
     rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    rank = 0
-    for c in range(n):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
+    pivots: List[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
         for i in range(len(rows)):
-            if i != rank and rows[i][c]:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    return len(fraction_rref(matrix)[1])
+
+
+def fraction_kernel(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """Null space basis from the reduced row echelon form: one vector per
+    free column, in column order, with 1 at its free column and 0 at the
+    others, scaled to coprime integers with a positive first nonzero entry."""
+    rows, pivots = fraction_rref(matrix)
+    n = len(rows[0]) if rows else 0
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        scale = 1
+        for x in vec:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+        ints = [int(x * scale) for x in vec]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        if next(x for x in ints if x) < 0:
+            g = -g
+        basis.append([Fraction(x, g) for x in ints])
+    return basis
+
+
+def jacobi_holds(structure) -> bool:
+    """The Jacobi identity of a structure tensor, summed over all dim**5
+    index tuples."""
+    dim = len(structure)
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                for m in range(dim):
+                    total = Fraction(0)
+                    for l in range(dim):
+                        total += structure[i][j][l] * structure[l][k][m]
+                        total += structure[j][k][l] * structure[l][i][m]
+                        total += structure[k][i][l] * structure[l][j][m]
+                    if total:
+                        return False
+    return True
 
 
 # Gaussian rationals as plain (re, im) Fraction pairs, for checking

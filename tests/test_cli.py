@@ -76,7 +76,8 @@ def test_usage_errors(capsys):
     assert cli.main(["witness", "--id", "no.such.witness"]) == 64
 
 
-# "{tmp}" stands for a temporary directory holding bad.json, which is not JSON;
+# "{tmp}" stands for a temporary directory holding bad.json, which is not JSON,
+# and the fixture trees oops/ and empty/, whose index.json reads "{oops" and "{}";
 # leading NAME=value items set environment variables, as in a shell
 @pytest.mark.parametrize("argv, message", [
     (["normal-form", "--case", "D", "--cutoff", "3"], "--cutoff must be at least 6"),
@@ -87,9 +88,14 @@ def test_usage_errors(capsys):
     (["symmetry", "--surface", "{tmp}/bad.json"], "JSONDecodeError"),
     (["symmetry", "--surface", str(FIXTURES / "domain.D.gt.json")], "is not a hypersurface"),
     (["TUBES_FIXTURES={tmp}/missing", "lines"], "cannot load the fixture tree"),
+    (["TUBES_FIXTURES={tmp}/oops", "lines"], "cannot load the fixture tree: JSONDecodeError"),
+    (["TUBES_FIXTURES={tmp}/empty", "lines"], "cannot load the fixture tree: KeyError"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
+    for tree, index in (("oops", "{oops"), ("empty", "{}")):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "index.json").write_text(index)
     argv = [a.format(tmp=tmp_path) for a in argv]
     while "=" in argv[0]:
         name, _, value = argv.pop(0).partition("=")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,7 @@ from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis,
 from tubes.poly import MultiPoly
 from tubes.scalars import ONE, ZERO, GaussianRational
 
-from oracles import cofactor_det, fraction_rank, random_poly
+from oracles import cofactor_det, fraction_kernel, fraction_rank, random_poly
 
 
 def test_kernel_zero_matrix():
@@ -37,6 +38,37 @@ def test_kernel_against_row_reduction_oracle():
                 assert sum(a * b for a, b in zip(row, vec)) == 0
         # vectors are independent
         assert fraction_rank(basis) == len(basis)
+
+
+def _kernel_case(rng, rational):
+    """A sparse matrix with negative entries, some zero and repeated rows,
+    and as many as twice as many columns as rows."""
+    m, n = rng.randint(1, 5), rng.randint(1, 10)
+
+    def entry():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4) if rational else 1)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        if rng.random() < 0.2:
+            rows[i] = [Fraction(0)] * n
+        elif i and rng.random() < 0.2:
+            rows[i] = [-3 * x for x in rows[rng.randrange(i)]]
+    return rows
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_kernel_normalisation_matches_fraction_oracle(rational):
+    rng = random.Random(2207 + rational)
+    for _ in range(200):
+        rows = _kernel_case(rng, rational)
+        basis = kernel_basis(rows)
+        assert basis == fraction_kernel(rows)
+        for vec in basis:
+            assert all(type(x) is Fraction and x.denominator == 1 for x in vec)
+            assert gcd(*(int(x) for x in vec)) == 1
+            assert next(x for x in vec if x) > 0
 
 
 def test_det_diag():

@@ -89,6 +89,30 @@ def test_subs_poly_agrees_with_eval_at(p, images, x_image, point):
             == p.eval_at({**at, "x": x_image.eval_at(at)}))
 
 
+# the kept variables y and z in another order, an extra name w, and x itself
+KEPT_TARGET = ("z", "w", "x", "y")
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(max_terms=4), polys(KEPT_TARGET, max_terms=2, max_exp=2),
+       st.tuples(rationals(), rationals(), rationals(), rationals()))
+def test_subs_poly_moves_kept_variables_into_the_target(p, extra, point):
+    at = dict(zip(KEPT_TARGET, point))
+    # x -> x + y + extra mentions the mapped variable itself
+    image = MultiPoly.var(KEPT_TARGET, "x") + MultiPoly.var(KEPT_TARGET, "y") + extra
+    out = p.subs_poly({"x": image})
+    assert out.vars == KEPT_TARGET
+    assert out.eval_at(at) == p.eval_at({"x": image.eval_at(at), "y": at["y"], "z": at["z"]})
+
+
+def test_subs_poly_rejects_an_unmapped_variable_missing_from_the_target():
+    xy = ("x", "y")
+    image = MultiPoly.var(xy, "y")
+    for p in (MultiPoly.var(VARS, "z"), MultiPoly.var(VARS, "x")):  # z used, and z unused
+        with pytest.raises(ValueError, match="'z' not among"):
+            p.subs_poly({"x": image})
+
+
 @settings(max_examples=50, deadline=None)
 @given(polys(max_terms=3), st.lists(polys(UV, max_terms=3, max_exp=2), min_size=6, max_size=6),
        st.lists(small_scalar().filter(bool), min_size=3, max_size=3),

@@ -1,5 +1,7 @@
 """Symmetry algebra computation, orbits, scans, witnesses, obstruction."""
 
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
                             open_orbit_report, scan_covers_subspace,
                             simply_transitive_check, subalgebra_scan,
                             verify_transitivity_witness)
+
+from oracles import jacobi_holds
 
 XV = ("x1", "x2", "x3", "x4")
 X1, X2, X3, X4 = (MultiPoly.var(XV, n) for n in XV)
@@ -72,6 +76,78 @@ def test_sphere_algebra_equals_rotation_span():
     for b in alg.basis:
         coeffs = _expand_in_fields(b, rotations)
         assert coeffs is not None
+
+
+def _frozen(structure):
+    return tuple(tuple(tuple(entry) for entry in row) for row in structure)
+
+
+def _retensored(alg, structure):
+    return dataclasses.replace(alg, structure=_frozen(structure))
+
+
+def _tensor_lists(alg):
+    return [[list(entry) for entry in row] for row in alg.structure]
+
+
+def test_verify_rejects_a_one_sided_entry():
+    alg = algebra("surface.table.3")
+    alg.verify()
+    t = _tensor_lists(alg)
+    assert t[0][1][3] == -1 and t[1][0][3] == 1
+    t[0][1][3] = 1
+    with pytest.raises(AssertionError, match="structure tensor is not antisymmetric"):
+        _retensored(alg, t).verify()
+
+
+def test_verify_rejects_an_antisymmetric_change_that_breaks_jacobi():
+    alg = algebra("surface.table.3")
+    dim = alg.dim
+    for i, j, l in itertools.product(range(dim), repeat=3):
+        if i < j:
+            t = _tensor_lists(alg)
+            t[i][j][l] += 1
+            t[j][i][l] -= 1
+            if not jacobi_holds(t):
+                break
+    else:
+        pytest.fail("no single antisymmetric change breaks Jacobi")
+    with pytest.raises(AssertionError, match="Jacobi identity fails on the tensor"):
+        _retensored(alg, t).verify()
+
+
+def test_verify_rejects_a_rescaled_basis_field():
+    alg = algebra("surface.table.3")
+    assert alg.structure[0][1] == (0, 0, 0, -1, 0)
+    doubled = dataclasses.replace(alg, basis=(alg.basis[0].scale(2),) + alg.basis[1:])
+    with pytest.raises(AssertionError, match=r"structure tensor wrong at \(0,1\)"):
+        doubled.verify()
+
+
+def test_verify_jacobi_agrees_with_dense_oracle():
+    """On random sparse antisymmetric tensors over zero fields, whose
+    bracket identity always holds, verify fails exactly when the dense
+    Jacobi sum does not vanish."""
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        dim = rng.randint(3, 6)
+        t = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        for _ in range(rng.randint(1, dim)):
+            i, j = rng.sample(range(dim), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            l = rng.randrange(dim)
+            t[i][j][l], t[j][i][l] = c, -c
+        zero = VectorField(XV, (MultiPoly.zero(XV),) * 4)
+        alg = LieAlgebraPresentation((zero,) * dim, _frozen(t))
+        holds = jacobi_holds(t)
+        outcomes.add(holds)
+        if holds:
+            alg.verify()
+        else:
+            with pytest.raises(AssertionError, match="Jacobi identity fails on the tensor"):
+                alg.verify()
+    assert outcomes == {True, False}
 
 
 def _expand_in_fields(x, basis):
