@@ -5,14 +5,15 @@
     python3 scripts/report_digest.py --root OTHER_CHECKOUT --seeds 1-5 --work ... > other.txt
     diff digest.txt other.txt
 
-The invocations are those of the first --passes passes (default 1) that
-perfbench/workloads.py builds for each seed, exactly as the benchmark
-draws them; each is run in-process through tubes.cli.main of the checkout
-at --root. A line holds the SHA-256 of the --json report with every
-"seconds" key removed, the exit code and the argv, sorted by argv. One
-more line digests the fixture tree that catalog.export_tree writes and
-says whether it equals the checkout's fixtures/ byte for byte. Two
-checkouts give the same results exactly when their outputs are equal.
+The invocations are those of the first pass that perfbench/workloads.py
+builds for each seed and workload, exactly as the benchmark draws them;
+each is run in-process through tubes.cli.main of the checkout at --root
+by perfbench/harness.py's Runner. A line holds the SHA-256 of the --json
+report with every "seconds" key removed, the exit code and the argv,
+sorted by argv. One more line digests the fixture tree that
+catalog.export_tree writes and says whether it equals the checkout's
+fixtures/ byte for byte. Two checkouts give the same results exactly when
+their outputs are equal.
 
 Standard library only. The interpreter runs with PYTHONHASHSEED=0, as in
 the benchmark, so that set iteration order is the same in every run.
@@ -21,10 +22,7 @@ the benchmark, so that set iteration order is the same in every run.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import filecmp
 import hashlib
-import io
 import json
 import os
 import random
@@ -52,47 +50,41 @@ def _strip_seconds(obj):
 
 
 def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
-def invocations(workloads, seeds, passes):
-    """(workload, argv) of every distinct CLI invocation, in first-seen order."""
-    from workloads import build_pass
+def invocations(seeds):
+    """(workload, op) of every distinct CLI invocation, in first-seen order."""
+    from workloads import WORKLOADS, build_pass
     seen = {}
-    for workload in workloads:
+    for workload in WORKLOADS:
         for seed in seeds:
-            rng = random.Random(seed)
-            for _ in range(passes):
-                for op in build_pass(workload, rng):
-                    if op.argv:
-                        seen.setdefault((workload, op.argv), None)
-    return list(seen)
+            for op in build_pass(workload, random.Random(seed)):
+                if op.argv:
+                    seen.setdefault((workload, op.argv), op)
+    return [(workload, op) for (workload, _), op in seen.items()]
 
 
-def digest_line(cli, argv) -> str:
-    out, err = io.StringIO(), io.StringIO()
+def digest_line(runner, op) -> str:
+    code, out, err = runner._run(op)
+    if isinstance(code, str):  # a raised invocation is a result to compare too
+        code = "raised:" + code.strip().splitlines()[-1].split(":")[0]
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
-    except Exception as exc:  # a raised invocation is a result to compare too
-        code = f"raised:{type(exc).__name__}"
-    try:
-        body = json.dumps(_strip_seconds(json.loads(out.getvalue()))).encode()
+        body = json.dumps(_strip_seconds(json.loads(out))).encode()
     except ValueError:
-        body = b"not JSON: " + out.getvalue().encode() + err.getvalue().encode()
-    return f"{_sha(body)[:16]} exit={code} {' '.join(argv)}"
+        body = f"not JSON: {out}{err}".encode()
+    return f"{_sha(body)} exit={code} {' '.join(op.argv)}"
 
 
-def export_line(catalog, fixtures: Path, work: str) -> str:
-    with tempfile.TemporaryDirectory(dir=work) as tmp:
-        catalog.export_tree(tmp)
-        names = sorted(os.listdir(tmp))
-        h = hashlib.sha256()
-        for name in names:
-            h.update(name.encode() + b"\0" + (Path(tmp) / name).read_bytes())
-        same = names == sorted(os.listdir(fixtures)) and not any(
-            filecmp.cmpfiles(fixtures, tmp, names, shallow=False)[1:])
-    return f"{h.hexdigest()[:16]} export identical-to-fixtures={'yes' if same else 'no'}"
+def export_line(runner, op) -> str:
+    code, _, _ = runner._run(op)
+    if code:
+        return f"export raised: {code.strip().splitlines()[-1]}"
+    tree = Path(runner.export_dir)
+    data = b"".join(name.encode() + b"\0" + (tree / name).read_bytes()
+                    for name in sorted(os.listdir(tree)))
+    problems = runner._export_problems()  # removes the export
+    return f"{_sha(data)} export {'; '.join(problems) or 'identical to fixtures/'}"
 
 
 def main() -> int:
@@ -100,9 +92,6 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", default=str(REPO), help="checkout to run (default: this one)")
     ap.add_argument("--seeds", default="1-5", help="seeds, e.g. 1-5 or 1,3,7 (default 1-5)")
-    ap.add_argument("--passes", type=int, default=1, help="passes per seed (default 1)")
-    ap.add_argument("--workload", action="append",
-                    help="workload to include; repeatable (default: all)")
     ap.add_argument("--work", help="directory for the temporary export (default: system temp)")
     args = ap.parse_args()
     if os.environ.get("PYTHONHASHSEED") != "0":
@@ -110,10 +99,12 @@ def main() -> int:
         os.execv(sys.executable, [sys.executable] + sys.argv)
 
     root = Path(args.root).resolve()
-    # the workloads come from this checkout's perfbench, the code under test from --root
+    # the workloads and the runner come from this checkout's perfbench,
+    # the code under test from --root
     sys.path.insert(0, str(REPO / "perfbench"))
     sys.path.insert(0, str(root / "src"))
-    from workloads import WORKLOADS
+    from harness import Runner
+    from workloads import Op
     import tubes.cli as cli
     from tubes import catalog
     if not Path(cli.__file__).resolve().is_relative_to(root / "src"):
@@ -121,16 +112,17 @@ def main() -> int:
 
     fixtures = root / "fixtures"
     lines = []
-    for workload, argv in invocations(args.workload or WORKLOADS, _seeds(args.seeds),
-                                      args.passes):
-        if workload == "catalog-disk":
-            os.environ["TUBES_FIXTURES"] = str(fixtures)
-        else:
-            os.environ.pop("TUBES_FIXTURES", None)
-        lines.append(digest_line(cli, argv))
-    os.environ.pop("TUBES_FIXTURES", None)
-    lines.sort(key=lambda line: line.split(" ", 2)[2])
-    lines.append(export_line(catalog, fixtures, args.work))
+    with tempfile.TemporaryDirectory(dir=args.work) as tmp:
+        runner = Runner(cli, catalog, str(fixtures), os.path.join(tmp, "export"))
+        for workload, op in invocations(_seeds(args.seeds)):
+            if workload == "catalog-disk":
+                os.environ["TUBES_FIXTURES"] = str(fixtures)
+            else:
+                os.environ.pop("TUBES_FIXTURES", None)
+            lines.append(digest_line(runner, op))
+        os.environ.pop("TUBES_FIXTURES", None)
+        lines.sort(key=lambda line: line.split(" ", 2)[2])
+        lines.append(export_line(runner, Op(())))
     print("\n".join(lines))
     print(f"{len(lines) - 1} invocations", file=sys.stderr)
     return 0

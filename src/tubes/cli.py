@@ -890,10 +890,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     started = time.perf_counter()
     try:
+        tree = os.environ.get("TUBES_FIXTURES")
         try:
             reg = catalog.active_registry()
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"cannot load the fixture tree: {exc!r}") from exc
+            if not tree:
+                raise  # the in-code registry: an engine fault, not bad input
+            raise UsageError(f"cannot load the fixture tree {tree!r}: "
+                             f"{type(exc).__name__}: {exc}") from exc
         checks = COMMANDS[args.command](args, reg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

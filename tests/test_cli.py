@@ -76,9 +76,10 @@ def test_usage_errors(capsys):
     assert cli.main(["witness", "--id", "no.such.witness"]) == 64
 
 
-# "{tmp}" stands for a temporary directory holding bad.json, which is not JSON,
-# and the fixture trees oops/ and empty/, whose index.json reads "{oops" and "{}";
-# leading NAME=value items set environment variables, as in a shell
+# "{tmp}" (in argv and message) stands for a temporary directory holding
+# bad.json, which is not JSON, and the fixture trees oops/ and empty/, whose
+# index.json reads "{oops" and "{}"; leading NAME=value items set environment
+# variables, as in a shell
 @pytest.mark.parametrize("argv, message", [
     (["normal-form", "--case", "D", "--cutoff", "3"], "--cutoff must be at least 6"),
     (["orbits", "--surface", "surface.table.6", "--probes", "1,x"], "probe '1,x'"),
@@ -88,8 +89,13 @@ def test_usage_errors(capsys):
     (["symmetry", "--surface", "{tmp}/bad.json"], "JSONDecodeError"),
     (["symmetry", "--surface", str(FIXTURES / "domain.D.gt.json")], "is not a hypersurface"),
     (["TUBES_FIXTURES={tmp}/missing", "lines"], "cannot load the fixture tree"),
-    (["TUBES_FIXTURES={tmp}/oops", "lines"], "cannot load the fixture tree: JSONDecodeError"),
-    (["TUBES_FIXTURES={tmp}/empty", "lines"], "cannot load the fixture tree: KeyError"),
+    (["TUBES_FIXTURES={tmp}/oops", "lines"],
+     "cannot load the fixture tree '{tmp}/oops': JSONDecodeError: "),
+    (["TUBES_FIXTURES={tmp}/empty", "lines"],
+     "cannot load the fixture tree '{tmp}/empty': KeyError: 'fixtures'"),
+    (["TUBES_FIXTURES={tmp}/missing", "lines"],
+     "'{tmp}/missing': FileNotFoundError: [Errno 2] No such file or directory: "
+     "'{tmp}/missing/index.json'"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
@@ -104,6 +110,7 @@ def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
+    message = message.format(tmp=tmp_path)
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in captured.err
 
@@ -114,6 +121,17 @@ def test_engine_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "verify_transitivity_witness", broken)
     with pytest.raises(KeyError, match="engine bug"):
         cli.main(["witness", "--id", "witness.C.gt"])
+
+
+def test_in_code_registry_fault_is_not_a_usage_error(monkeypatch):
+    from tubes import catalog
+
+    def broken():
+        raise KeyError("engine bug")
+    monkeypatch.delenv("TUBES_FIXTURES", raising=False)
+    monkeypatch.setattr(catalog, "registry", broken)
+    with pytest.raises(KeyError, match="engine bug"):
+        cli.main(["lines"])
 
 
 def test_verbose_only_on_symmetry_and_keeps_json_clean(capsys):
