@@ -165,10 +165,6 @@ class AlphaFamilyInfo:
     target: str
     sign_rule: str
 
-    @property
-    def params(self):
-        return self
-
 
 # -------------------------------------------------------------- polynomials
 
@@ -1068,6 +1064,9 @@ def payload_from_obj(kind: str, obj) -> object:
     if kind == "derived_slice":
         return SliceInfo(obj["family"], obj["reduces_to"], tuple(obj["slice_params"]),
                          tuple((k, io.poly_from_obj(v)) for k, v in obj["assignments"].items()))
+    if kind == "alpha_family":
+        return AlphaFamilyInfo(obj["parameter"], tuple(Fraction(s) for s in obj["samples"]),
+                               tuple(obj["sample_ids"]), obj["target"], obj["sign_rule"])
     raise ValueError(f"cannot deserialize fixture kind {kind!r}")
 
 
@@ -1078,12 +1077,6 @@ def fixture_to_obj(fx: Fixture):
 
 def fixture_from_obj(obj) -> Fixture:
     kind = obj["kind"]
-    if kind == "alpha_family":
-        p = obj["payload"]
-        payload = AlphaFamilyInfo(p["parameter"],
-                                  tuple(Fraction(s) for s in p["samples"]),
-                                  tuple(p["sample_ids"]), p["target"], p["sign_rule"])
-        return Fixture(obj["id"], kind, obj["tag"], obj["claim"], payload)
     return Fixture(obj["id"], kind, obj["tag"], obj["claim"],
                    payload_from_obj(kind, obj["payload"]))
 

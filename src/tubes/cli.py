@@ -10,6 +10,7 @@ summary: {pass, fail, unresolved}, seconds}. Exit codes: 0 all PASS,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -32,8 +33,7 @@ from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_ch
 from .poly import MultiPoly, RationalFunction, merge_vars, poly_sum
 from .scalars import GaussianRational
 from .symmetry import (Hypersurface, LieAlgebraPresentation,
-                       affine_symmetry_algebra, expand_in_basis,
-                       is_nilpotent, line_in_domain_check,
+                       affine_symmetry_algebra, is_nilpotent, line_in_domain_check,
                        non_nilpotent_transitive_obstruction,
                        open_orbit_report, scan_covers_subspace,
                        subalgebra_scan, verify_transitivity_witness,
@@ -667,7 +667,7 @@ def cmd_scan(args, reg) -> List[Check]:
         rows = []
         ok = True
         for f in fx.payload.fields:
-            c = expand_in_basis(f, algebra)
+            c = expand_in_fields(f, algebra.basis)
             if c is None:
                 ok = False
                 break
@@ -794,7 +794,10 @@ def cmd_classify(args, reg) -> List[Check]:
 
 # ----------------------------------------------------------------- plumbing
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each build leaves
+    cyclic garbage that only the cyclic collector frees."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit the JSON report")

@@ -5,17 +5,17 @@ one component polynomial per variable. Component polynomials may live
 over a superset of the field variables; the extra names act as formal
 parameters and are never differentiated. Holomorphic fields are plain
 fields over complex coordinate names whose components are checked to be
-free of conjugated variables; realification doubles the coordinates.
+free of conjugated variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
-from .linalg import det_exact, maximal_minors, rref_rows, solve_columns
-from .poly import MultiPoly, _poly, poly_sum
-from .scalars import I, ONE, ZERO, GaussianRational
+from .linalg import maximal_minors, rref_rows
+from .poly import MultiPoly, poly_sum
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,6 @@ class VectorField:
     @property
     def carrier(self) -> Tuple[str, ...]:
         return self.components[0].vars
-
-    @classmethod
-    def from_dict(cls, variables: Sequence[str], comps: Mapping[str, MultiPoly],
-                  carrier: Optional[Sequence[str]] = None) -> "VectorField":
-        variables = tuple(variables)
-        carrier = tuple(carrier) if carrier else variables
-        filled = []
-        for v in variables:
-            c = comps.get(v)
-            filled.append(c.with_vars(carrier) if c is not None else MultiPoly.zero(carrier))
-        return cls(variables, tuple(filled))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
     def apply(self, p: MultiPoly) -> MultiPoly:
         """Directional derivative sum_i X_i dp/dx_i."""
@@ -107,95 +93,6 @@ def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) 
     return out
 
 
-def _default_real_names(name: str) -> Tuple[str, str]:
-    if len(name) > 1 and name[1:].isdigit():
-        return "x" + name[1:], "y" + name[1:]
-    return "re_" + name, "im_" + name
-
-
-def realify(z: VectorField, names: Optional[Mapping[str, Tuple[str, str]]] = None) -> VectorField:
-    """Realify a holomorphic field: z_j = x_j + i y_j gives a field on 2n
-    real coordinates with x-components Re f_j and y-components Im f_j."""
-    if z.carrier != z.variables:
-        raise ValueError("realify expects a field without extra parameters")
-    if names is None:
-        names = {v: _default_real_names(v) for v in z.variables}
-    re_names = [names[v][0] for v in z.variables]
-    im_names = [names[v][1] for v in z.variables]
-    real_vars = tuple(re_names + im_names)
-    images = {
-        v: MultiPoly.var(real_vars, names[v][0]) + MultiPoly.var(real_vars, names[v][1]) * I
-        for v in z.variables
-    }
-    re_comps: List[MultiPoly] = []
-    im_comps: List[MultiPoly] = []
-    for comp in z.components:
-        g = comp.subs_poly(images)
-        re_comps.append(MultiPoly(real_vars, {e: c.re for e, c in g.terms.items()}))
-        im_comps.append(MultiPoly(real_vars, {e: c.im for e, c in g.terms.items()}))
-    return VectorField(real_vars, tuple(re_comps + im_comps))
-
-
-@dataclass(frozen=True)
-class TangencyCertificate:
-    multiplier: MultiPoly
-    derivative: MultiPoly  # X(P), stored for reporting
-
-
-def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[TangencyCertificate]:
-    """Find Q with X(P) = Q * P and deg Q <= max(0, deg X(P) - deg P).
-
-    Returns None when no such polynomial multiplier exists, which means
-    the field is not tangent to {P = 0} in the multiplier sense.
-    """
-    if p.is_zero():
-        raise ValueError("tangency against the zero polynomial is undefined")
-    xp = x.apply(p)
-    if xp.is_zero():
-        return TangencyCertificate(MultiPoly.zero(p.vars), xp)
-    bound = max(0, xp.total_degree() - p.total_degree())
-    monomials = _monomials_up_to(p.vars, bound)
-    columns = []
-    support: Dict[Tuple[int, ...], int] = {}
-    products = []
-    for mono in monomials:
-        prod = _poly(p.vars, {mono: ONE}) * p
-        products.append(prod)
-        for e in prod.terms:
-            support.setdefault(e, len(support))
-    for e in xp.terms:
-        support.setdefault(e, len(support))
-    nrows = len(support)
-    for prod in products:
-        col = [ZERO] * nrows
-        for e, c in prod.terms.items():
-            col[support[e]] = c
-        columns.append(col)
-    target = [ZERO] * nrows
-    for e, c in xp.terms.items():
-        target[support[e]] = c
-    solution = solve_columns(columns, target)
-    if solution is None:
-        return None
-    q = _poly(p.vars, {mono: c for mono, c in zip(monomials, solution) if c})
-    return TangencyCertificate(q, xp)
-
-
-def _monomials_up_to(variables: Tuple[str, ...], degree: int) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], degree, len(variables))
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
 def component_matrix(fields: Sequence[VectorField]) -> List[List[MultiPoly]]:
     """n x m matrix whose columns are the fields' components."""
     if not fields:
@@ -228,9 +125,3 @@ def minors_scan(fields: Sequence[VectorField]) -> List[MultiPoly]:
         return maximal_minors(matrix_t)
     return maximal_minors(matrix)
 
-
-def fields_determinant(fields: Sequence[VectorField]) -> MultiPoly:
-    matrix = component_matrix(fields)
-    if len(matrix) != len(fields):
-        raise ValueError("determinant needs exactly n fields in n variables")
-    return det_exact(matrix)

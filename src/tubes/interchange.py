@@ -16,7 +16,7 @@ from .fields import HoloField, VectorField
 from .normal_form import GraphSurface, MapFamily
 from .poly import MultiPoly, RationalFunction
 from .relations import RelationContext
-from .scalars import GaussianRational, rat
+from .scalars import GaussianRational
 
 
 def frac_to_str(x) -> str:
@@ -80,30 +80,6 @@ def field_to_obj(f: VectorField) -> Dict:
 def field_from_obj(obj: Mapping) -> VectorField:
     cls = HoloField if obj.get("holomorphic") else VectorField
     return cls(tuple(obj["variables"]), tuple(poly_from_obj(c) for c in obj["components"]))
-
-
-def algebra_to_obj(algebra) -> Dict:
-    """Serialize a LieAlgebraPresentation: basis fields plus the nonzero
-    upper-triangle structure entries as [i, j, k, c] records."""
-    entries = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            for k, c in enumerate(algebra.structure[i][j]):
-                if c:
-                    entries.append([i, j, k, frac_to_str(c)])
-    return {"basis": [field_to_obj(f) for f in algebra.basis], "structure": entries}
-
-
-def algebra_from_obj(obj: Mapping):
-    from .symmetry import LieAlgebraPresentation
-    basis = tuple(field_from_obj(f) for f in obj["basis"])
-    dim = len(basis)
-    rows = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, c in obj["structure"]:
-        rows[i][j][k] = rat(c)
-        rows[j][i][k] = -rat(c)
-    return LieAlgebraPresentation(
-        basis, tuple(tuple(tuple(entry) for entry in row) for row in rows))
 
 
 def relations_to_obj(ctx: RelationContext) -> Dict:

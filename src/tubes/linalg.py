@@ -127,7 +127,8 @@ def _rref(rows: Sequence[Sequence[GaussianRational]]):
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
+        if pv != ONE:
+            work[r] = [x / pv if x else x for x in work[r]]
         for i in range(nrows):
             if i != r and work[i][c]:
                 f = work[i][c]

@@ -187,10 +187,6 @@ class NormalFormReport:
     conditions: Tuple[Tuple[str, bool, str], ...]
     classical_trace3: bool
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.conditions)
-
     def failed_names(self) -> Tuple[str, ...]:
         return tuple(name for name, ok, _ in self.conditions if not ok)
 
@@ -577,7 +573,7 @@ def infinitesimal_generators(fam: MapFamily) -> List[HoloField]:
             n, d = comp.num, comp.den
             dn, dd = dcomp_fn(n), dcomp_fn(d)
             d_id = eval_at_identity(d)
-            if d_id.used_vars() and d_id.total_degree() > 0:
+            if d_id.used_vars():
                 raise ValueError("non-polynomial parameter dependence at the identity")
             d0 = d_id.const_coeff()
             if not d0:

@@ -137,23 +137,7 @@ class MultiPoly:
             n >>= 1
         return out
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _as_coeff(other)
-            if not c:
-                raise ZeroDivisionError("division of polynomial by zero scalar")
-            return self * (ONE / c)
-        if isinstance(other, MultiPoly):
-            return RationalFunction(self, other)
-        return NotImplemented
-
     # ------------------------------------------------------------- structure
-
-    def total_degree(self) -> int:
-        """Maximum total degree; returns 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
         idx = self.vars.index(name)
@@ -528,9 +512,6 @@ class RationalFunction:
     def vars(self) -> Tuple[str, ...]:
         return self.num.vars
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def is_polynomial(self) -> bool:
         return self.den == MultiPoly.const(self.vars, 1)
 
@@ -558,36 +539,11 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerced(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = self._coerced(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerced(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if self.num.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
         try:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .fields import (HoloField, VectorField, lie_bracket, linear_combination,
-                     minors_scan, rank_at, realify, tangency_multiplier)
+from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
+                     rank_at)
 from .poly import MultiPoly, RationalFunction, substitute_rf
 from .relations import RelationContext
 from .scalars import ONE, ZERO, GaussianRational, Rational
@@ -201,10 +201,6 @@ def expand_in_fields(x: VectorField, basis: Sequence[VectorField]):
     return None if sol is None else tuple(sol)
 
 
-def expand_in_basis(x: VectorField, algebra: LieAlgebraPresentation):
-    return expand_in_fields(x, algebra.basis)
-
-
 # ------------------------------------------------------- symmetry computation
 
 def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
@@ -239,28 +235,6 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
         comps = tuple(MultiPoly(names, dict(zip(exps, [vec[n * n + i]] + vec[n * i:n * i + n])))
                       for i in range(n))
         fields.append(VectorField(tuple(names), comps))
-    return LieAlgebraPresentation.from_fields(fields)
-
-
-def generated_subalgebra(seeds: Sequence[VectorField],
-                         ambient: LieAlgebraPresentation) -> LieAlgebraPresentation:
-    """Smallest bracket-closed subspace of `ambient` containing the seeds."""
-    coords = []
-    for seed in seeds:
-        c = expand_in_basis(seed, ambient)
-        if c is None:
-            raise ValueError("seed field lies outside the ambient algebra")
-        coords.append([GaussianRational.coerce(x) for x in c])
-    span = linalg.rref_rows(coords)
-    while True:
-        new_vectors = list(span)
-        for u, v in itertools.combinations(span, 2):
-            new_vectors.append(self_bracket(ambient, u, v))
-        new_span = linalg.rref_rows(new_vectors)
-        if len(new_span) == len(span):
-            break
-        span = new_span
-    fields = [ambient.field_from_coords(v) for v in span]
     return LieAlgebraPresentation.from_fields(fields)
 
 
@@ -382,10 +356,6 @@ class ScanResult:
     @property
     def unresolved(self) -> Tuple[ChartOutcome, ...]:
         return tuple(c for c in self.charts if c.status == "unresolved")
-
-    @property
-    def solved(self) -> Tuple[ChartOutcome, ...]:
-        return tuple(c for c in self.charts if c.status == "solved")
 
 
 def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
@@ -652,40 +622,6 @@ def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,
             current = nxt
 
     return ObstructionCertificate(all_ok and induction_ok, tuple(conditions), depth, induction_ok)
-
-
-# ------------------------------------------------------ simple transitivity
-
-@dataclass(frozen=True)
-class SimplyTransitiveResult:
-    ok: bool
-    expected_count: int
-    count: int
-    rank: Optional[int]
-    non_tangent: Tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def simply_transitive_check(fields: Sequence[HoloField], surface: Hypersurface,
-                            point: Sequence[Fraction]) -> SimplyTransitiveResult:
-    """Realified fields must be tangent, number exactly dim S = 2n - 1,
-    and have full rank at the given point of the realified surface."""
-    if not surface.point_on_surface(point):
-        raise ValueError("point is not on the realified surface")
-    two_n = len(surface.variables)
-    expected = two_n - 1
-    realified = [realify(z) for z in fields]
-    for f in realified:
-        if f.variables != surface.variables:
-            raise ValueError("realified fields and surface use different coordinates")
-    non_tangent = tuple(i for i, f in enumerate(realified)
-                        if tangency_multiplier(f, surface.defining) is None)
-    count = len(fields)
-    rank = rank_at(realified, list(point)) if count else 0
-    ok = not non_tangent and count == expected and rank == expected
-    return SimplyTransitiveResult(ok, expected, count, rank, non_tangent)
 
 
 # ----------------------------------------------------------- complex lines

@@ -3,17 +3,22 @@
 These deliberately avoid the code paths they check: the determinant
 oracle is a cofactor expansion, the rank and kernel oracles are plain
 fraction Gauss-Jordan elimination, the Jacobi oracle sums the structure
-tensor densely over every index, and series results are checked by
-multiplying back rather than re-expanding.
+tensor densely over every index, series results are checked by
+multiplying back rather than re-expanding, and a field's tangency to a
+surface is certified by solving X(P) = Q P for a polynomial multiplier Q
+instead of through the kernel solve of affine_symmetry_algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
+from tubes.fields import VectorField
+from tubes.linalg import solve_columns
 from tubes.poly import MultiPoly
+from tubes.scalars import I, ZERO
 
 
 def cofactor_det(matrix) -> MultiPoly:
@@ -152,3 +157,61 @@ def random_poly(rng, variables, max_degree=2, max_terms=4, complex_coeffs=False)
         if coeff:
             terms[tuple(exps)] = terms.get(tuple(exps), GaussianRational(0)) + coeff
     return MultiPoly(variables, {e: c for e, c in terms.items() if c})
+
+
+def realify(z: VectorField) -> VectorField:
+    """Realify a holomorphic field: z_j = x_j + i y_j gives a field on 2n
+    real coordinates with x-components Re f_j and y-components Im f_j.
+    A name zK splits into xK, yK and any other name v into re_v, im_v."""
+    if z.carrier != z.variables:
+        raise ValueError("realify expects a field without extra parameters")
+    names = {v: ("x" + v[1:], "y" + v[1:]) if len(v) > 1 and v[1:].isdigit()
+             else ("re_" + v, "im_" + v) for v in z.variables}
+    real_vars = tuple([names[v][0] for v in z.variables] + [names[v][1] for v in z.variables])
+    images = {v: MultiPoly.var(real_vars, re) + MultiPoly.var(real_vars, im) * I
+              for v, (re, im) in names.items()}
+    re_comps, im_comps = [], []
+    for comp in z.components:
+        g = comp.subs_poly(images)
+        re_comps.append(MultiPoly(real_vars, {e: c.re for e, c in g.terms.items()}))
+        im_comps.append(MultiPoly(real_vars, {e: c.im for e, c in g.terms.items()}))
+    return VectorField(real_vars, tuple(re_comps + im_comps))
+
+
+def _total_degree(p: MultiPoly) -> int:
+    return max((sum(e) for e in p.terms), default=0)
+
+
+def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
+    if nvars == 0:
+        return [()]
+    return [(k,) + rest for k in range(degree + 1)
+            for rest in _monomials_up_to(nvars - 1, degree - k)]
+
+
+def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[MultiPoly]:
+    """Find Q with X(P) = Q * P and deg Q <= max(0, deg X(P) - deg P).
+
+    Returns None when no such polynomial multiplier exists, which means
+    the field is not tangent to {P = 0} in the multiplier sense.
+    """
+    if not p:
+        raise ValueError("tangency against the zero polynomial is undefined")
+    xp = x.apply(p)
+    monomials = _monomials_up_to(len(p.vars), max(0, _total_degree(xp) - _total_degree(p)))
+    products = [MultiPoly(p.vars, {mono: 1}) * p for mono in monomials]
+    support = {}
+    for q in products + [xp]:
+        for e in q.terms:
+            support.setdefault(e, len(support))
+
+    def column(q):
+        col = [ZERO] * len(support)
+        for e, c in q.terms.items():
+            col[support[e]] = c
+        return col
+
+    solution = solve_columns([column(q) for q in products], column(xp))
+    if solution is None:
+        return None
+    return MultiPoly(p.vars, dict(zip(monomials, solution)))

@@ -65,7 +65,7 @@ def test_case6_surface_example():
 
 def test_alpha_family_metadata():
     fx = catalog.get("surface.table.4")
-    info = fx.payload.params
+    info = fx.payload
     assert info.samples == (Fraction(0), Fraction(1, 12), Fraction(1))
     assert "|w1|^4" in info.target
     assert "1/12" in info.sign_rule
@@ -91,16 +91,6 @@ def test_export_and_load_tree(tmp_path):
     assert sorted(loaded) == catalog.list_ids()
     fx = loaded["table.golden.D"]
     assert fx.payload.coeff_map()[(1, 4)] == {4: Fraction(-1)}
-
-
-def test_algebra_presentation_round_trip():
-    from tubes.interchange import algebra_from_obj, algebra_to_obj
-    from tubes.symmetry import LieAlgebraPresentation
-    fields = list(catalog.get("basis.Z.C").payload.fields)
-    algebra = LieAlgebraPresentation.from_fields(fields)
-    back = algebra_from_obj(json.loads(json.dumps(algebra_to_obj(algebra))))
-    assert back.structure == algebra.structure
-    back.verify()
 
 
 def test_environment_override(tmp_path, monkeypatch):

@@ -143,6 +143,20 @@ def test_verbose_only_on_symmetry_and_keeps_json_clean(capsys):
     assert cli.main(["orbits", "--surface", "surface.table.3", "--verbose"]) == 64
 
 
+def test_parser_is_built_once_and_keeps_no_options_between_calls(capsys):
+    assert cli.main(["--json", "symmetry", "--surface", "surface.table.3", "--verbose"]) == 0
+    first = capsys.readouterr()
+    assert json.loads(first.out)["command"] == "symmetry"
+    assert "basis[0]" in first.err
+    assert cli.main(["symmetry", "--surface", "surface.table.3"]) == 0
+    second = capsys.readouterr()
+    assert second.err == ""
+    lines = second.out.splitlines()
+    assert all(line.startswith("[PASS] ") for line in lines[:-1]) and len(lines) == 4
+    assert lines[-1].startswith("summary: 3 pass, 0 fail, 0 unresolved")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_report_schema_fields(capsys):
     code, report = run_json(["lines"], capsys)
     assert code == 0

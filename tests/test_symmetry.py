@@ -8,20 +8,18 @@ from fractions import Fraction
 import pytest
 
 from tubes import catalog
-from tubes.fields import VectorField, lie_bracket, minors_scan, tangency_multiplier
+from tubes.fields import VectorField, lie_bracket, minors_scan, rank_at
 from tubes.linalg import rref_rows
 from tubes.poly import MultiPoly, merge_vars
 from tubes.scalars import GaussianRational
 from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
-                            affine_symmetry_algebra, expand_in_basis,
-                            generated_subalgebra, is_nilpotent,
+                            affine_symmetry_algebra, expand_in_fields, is_nilpotent,
                             line_in_domain_check,
                             non_nilpotent_transitive_obstruction,
                             open_orbit_report, scan_covers_subspace,
-                            simply_transitive_check, subalgebra_scan,
-                            verify_transitivity_witness)
+                            subalgebra_scan, verify_transitivity_witness)
 
-from oracles import jacobi_holds
+from oracles import jacobi_holds, realify, tangency_multiplier
 
 XV = ("x1", "x2", "x3", "x4")
 X1, X2, X3, X4 = (MultiPoly.var(XV, n) for n in XV)
@@ -72,10 +70,9 @@ def test_sphere_algebra_equals_rotation_span():
     rotations = catalog.get("basis.rotations.sphere").payload.fields
     assert alg.dim == 6
     for rot in rotations:
-        assert expand_in_basis(rot, alg) is not None
+        assert expand_in_fields(rot, alg.basis) is not None
     for b in alg.basis:
-        coeffs = _expand_in_fields(b, rotations)
-        assert coeffs is not None
+        assert expand_in_fields(b, rotations) is not None
 
 
 def _frozen(structure):
@@ -150,18 +147,13 @@ def test_verify_jacobi_agrees_with_dense_oracle():
     assert outcomes == {True, False}
 
 
-def _expand_in_fields(x, basis):
-    from tubes.symmetry import expand_in_fields
-    return expand_in_fields(x, list(basis))
-
-
 def test_expand_in_basis_examples():
     zb = list(catalog.get("basis.Z.D").payload.fields)
     alg = LieAlgebraPresentation.from_fields(zb)
-    coeffs = expand_in_basis(zb[3], alg)
+    coeffs = expand_in_fields(zb[3], alg.basis)
     assert list(coeffs) == [GaussianRational(int(i == 3)) for i in range(10)]
     br = lie_bracket(zb[2], zb[9])
-    coeffs = expand_in_basis(br, alg)
+    coeffs = expand_in_fields(br, alg.basis)
     expected = [GaussianRational(0)] * 10
     expected[8] = GaussianRational(-2)
     assert list(coeffs) == expected
@@ -170,36 +162,28 @@ def test_expand_in_basis_examples():
 def test_expand_absent():
     alg = algebra("surface.table.2.sphere")
     d1 = VectorField(XV, (MultiPoly.const(XV, 1),) + (MultiPoly.zero(XV),) * 3)
-    assert expand_in_basis(d1, alg) is None
+    assert expand_in_fields(d1, alg.basis) is None
 
 
-def test_generated_subalgebra():
-    zb = list(catalog.get("basis.Z.D").payload.fields)
-    alg = LieAlgebraPresentation.from_fields(zb)
-    sub = generated_subalgebra([zb[0]], alg)
-    assert sub.dim == 1
-    sub = generated_subalgebra([zb[0], zb[3]], alg)
-    assert sub.dim == 2  # [Z1, Z4] = -Z4 closes the pair
-    everything = generated_subalgebra(list(zb), alg)
-    assert everything.dim == 10
+def _field(variables, **comps):
+    return VectorField(variables, tuple(comps.get(v, MultiPoly.zero(variables))
+                                        for v in variables))
 
 
 def test_is_nilpotent_fixtures():
     av = ("a", "b", "c")
-    heis = [VectorField.from_dict(av, {"a": MultiPoly.var(av, "b")}),
-            VectorField.from_dict(av, {"b": MultiPoly.var(av, "c")}),
-            VectorField.from_dict(av, {"a": MultiPoly.var(av, "c")})]
+    a, b, c = (MultiPoly.var(av, n) for n in av)
+    heis = [_field(av, a=b), _field(av, b=c), _field(av, a=c)]
     nil, dims = is_nilpotent(LieAlgebraPresentation.from_fields(heis))
     assert nil and dims == (3, 1, 0)
 
-    abelian = [VectorField.from_dict(av, {"a": MultiPoly.const(av, 1)}),
-               VectorField.from_dict(av, {"b": MultiPoly.const(av, 1)})]
+    one = MultiPoly.const(av, 1)
+    abelian = [_field(av, a=one), _field(av, b=one)]
     nil, dims = is_nilpotent(LieAlgebraPresentation.from_fields(abelian))
     assert nil and dims == (2, 0)
 
     zb = list(catalog.get("basis.Z.D").payload.fields)
-    alg = LieAlgebraPresentation.from_fields(zb)
-    pair = generated_subalgebra([zb[0], zb[3]], alg)
+    pair = LieAlgebraPresentation.from_fields([zb[0], zb[3]])  # [Z1, Z4] = -Z4
     nil, dims = is_nilpotent(pair)
     assert not nil and dims[-1] == dims[-2] == 1
 
@@ -251,15 +235,20 @@ def test_orbit_report_basis_independent():
     assert base.all_minors_zero == rep2.all_minors_zero
 
 
+def _solved(scan):
+    return [c for c in scan.charts if c.status == "solved"]
+
+
 def test_scan_case3():
     alg = algebra("surface.table.3")
     scan = subalgebra_scan(alg, 4)
     assert len(scan.charts) == 5
-    assert all(c.closure_verified for c in scan.solved)
+    solved = _solved(scan)
+    assert all(c.closure_verified for c in solved)
     # every solved family is either nowhere of full rank or has
     # determinant proportional to the defining polynomial
     s = surf("surface.table.3")
-    for chart in scan.solved:
+    for chart in solved:
         rows = chart.basis_coords(alg.dim)
         minors = _family_minors(alg, rows, s)
         if all(m.is_zero() for m in minors):
@@ -268,7 +257,7 @@ def test_scan_case3():
         quotient = poly_div_exact(minors[0], s.defining.with_vars(minors[0].vars))
         assert all(v not in s.variables for v in quotient.used_vars())
     # unresolved charts surfaced, never dropped
-    assert len(scan.unresolved) + len(scan.solved) + \
+    assert len(scan.unresolved) + len(solved) + \
         len([c for c in scan.charts if c.status == "empty"]) == 5
 
 
@@ -290,7 +279,7 @@ def _family_minors(alg, rows, s):
 
 def test_scan_abelian_every_subspace_closes():
     av = ("a", "b", "c")
-    abelian = [VectorField.from_dict(av, {v: MultiPoly.const(av, 1)}) for v in av]
+    abelian = [_field(av, **{v: MultiPoly.const(av, 1)}) for v in av]
     alg = LieAlgebraPresentation.from_fields(abelian)
     scan = subalgebra_scan(alg, 2)
     assert all(c.status == "solved" for c in scan.charts)
@@ -304,7 +293,7 @@ def test_scan_recovers_half_domain_subalgebra():
     fx = catalog.get("basis.half_pseudo_ball.1m")
     rows = []
     for f in fx.payload.fields:
-        c = expand_in_basis(f, alg)
+        c = expand_in_fields(f, alg.basis)
         assert c is not None
         rows.append(list(c))
     assert scan_covers_subspace(scan, rows)
@@ -318,7 +307,7 @@ def test_scan_permuted_basis_same_subspaces():
     scan_b = subalgebra_scan(permuted, 4)
     # sample solved subspaces of A and re-express them in B's coordinates
     rng = random.Random(8)
-    for chart in scan_a.solved:
+    for chart in _solved(scan_a):
         rows = chart.basis_coords(alg.dim)
         for _ in range(2):
             values = {v: GaussianRational(rng.randint(-3, 3)) for v in rows[0][0].vars}
@@ -396,20 +385,25 @@ def test_obstruction_perturbed_control():
 
 
 def test_simply_transitive_on_realified_surface():
-    fields = list(catalog.get("basis.H.transitive.D").payload.fields)
+    """The realified basis.H.transitive.D fields act simply transitively on
+    the realified surface: each is tangent, there are exactly dim S = 7 of
+    them, and they have rank 7 at a point of the surface."""
     s = surf("surface.tube.6.realified")
     point = [Fraction(x) for x in (1, 0, 1, 1, 0, 0, 0, 0)]
-    res = simply_transitive_check(fields, s, point)
-    assert res.ok and res.rank == 7 and res.count == 7
+    assert s.point_on_surface(point)
+    assert not s.point_on_surface([Fraction(x) for x in (1, 1, 1, 1, 0, 0, 0, 0)])
+    fields = [realify(z) for z in catalog.get("basis.H.transitive.D").payload.fields]
+    assert all(f.variables == s.variables for f in fields)
+    assert all(tangency_multiplier(f, s.defining) is not None for f in fields)
+    expected = len(s.variables) - 1
 
-    res = simply_transitive_check(fields[:-1], s, point)
-    assert not res.ok and res.rank == 6
+    def simply_transitive(fs):
+        return len(fs) == expected and rank_at(fs, point) == expected
 
-    res = simply_transitive_check(fields + [fields[0]], s, point)
-    assert not res.ok and res.count == 8
-
-    with pytest.raises(ValueError):
-        simply_transitive_check(fields, s, [Fraction(x) for x in (1, 1, 1, 1, 0, 0, 0, 0)])
+    assert len(fields) == 7 and rank_at(fields, point) == 7 and simply_transitive(fields)
+    assert rank_at(fields[:-1], point) == 6 and not simply_transitive(fields[:-1])
+    doubled = fields + [fields[0]]
+    assert len(doubled) == 8 and not simply_transitive(doubled)
 
 
 def test_line_in_domain_checks():
