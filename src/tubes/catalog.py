@@ -33,7 +33,7 @@ from .normal_form import GraphSurface, MapFamily
 from .poly import MultiPoly, RationalFunction
 from .relations import RelationContext
 from .scalars import GaussianRational, I
-from .symmetry import ComplexLine, Hypersurface, TransitivityWitness
+from .symmetry import ComplexLine, Hypersurface, TransitivityWitness, satisfies
 
 # coordinate universes used throughout the catalog
 XV = ("x1", "x2", "x3", "x4")
@@ -80,13 +80,15 @@ class DomainSpec:
     levi_type: str
     source_surface: str
 
+    def __post_init__(self):
+        for _, sense in self.constraints:
+            if sense not in ("gt", "lt"):
+                raise ValueError(f"unknown constraint sense {sense!r}")
+
     def probe_inside(self) -> bool:
-        value = self.expr.eval_at(dict(zip(self.expr.vars, self.probe)))
-        if not value.is_real() or value.re <= 0:
-            return False
-        for expr, sense in self.constraints:
+        for expr, sense in ((self.expr, "gt"),) + self.constraints:
             v = expr.eval_at(dict(zip(expr.vars, self.probe)))
-            if not v.is_real() or (sense == "gt" and v.re <= 0) or (sense == "lt" and v.re >= 0):
+            if not v.is_real() or not satisfies(v.re, sense):
                 return False
         return True
 

@@ -698,18 +698,15 @@ def _chart_minor_analysis(algebra, chart, surface) -> Tuple[bool, bool]:
                                           for basis_comps, entry_u in entries])
                       for ci in range(len(surface.variables)))
         fields.append(VectorField(surface.variables, comps))
-    minors = minors_scan(fields)
-    if all(m.is_zero() for m in minors):
+    det = minors_scan(fields)[0]  # k = n fields: the one maximal minor
+    if det.is_zero():
         return True, False
-    if len(minors) == 1:
-        try:
-            quotient = poly_div_exact(minors[0], surface.defining.with_vars(universe))
-            # quotient must not involve the surface coordinates
-            surface_free = all(v not in surface.variables for v in quotient.used_vars())
-            return False, surface_free
-        except ValueError:
-            return False, False
-    return False, False
+    try:
+        quotient = poly_div_exact(det, surface.defining.with_vars(universe))
+    except ValueError:
+        return False, False
+    # quotient must not involve the surface coordinates
+    return False, all(v not in surface.variables for v in quotient.used_vars())
 
 
 def cmd_classify(args, reg) -> List[Check]:
@@ -750,8 +747,7 @@ def cmd_classify(args, reg) -> List[Check]:
         surface, provenance = _surface(reg, sid)
         algebra = algebra_for(sid)
         if algebra.dim >= 4:
-            minors = minors_scan(list(algebra.basis))
-            ok = all(m.is_zero() for m in minors)
+            ok = minors_scan(list(algebra.basis))[0].is_zero()
             detail = "all maximal minors vanish identically"
         else:
             ok = True

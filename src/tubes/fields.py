@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence, Tuple
 
-from .linalg import maximal_minors, rref_rows
+from .linalg import det_exact, rref_rows
 from .poly import MultiPoly, poly_sum
 from .scalars import GaussianRational
 
@@ -56,15 +56,6 @@ class VectorField:
                       for xc, yc in zip(self.components, other.components))
         return VectorField(self.variables, comps)
 
-    def scale(self, c) -> "VectorField":
-        return VectorField(self.variables, tuple(comp * c for comp in self.components))
-
-    def add(self, other: "VectorField") -> "VectorField":
-        if self.variables != other.variables or self.carrier != other.carrier:
-            raise ValueError("variable mismatch in field sum")
-        return VectorField(self.variables,
-                           tuple(a + b for a, b in zip(self.components, other.components)))
-
     def evaluate(self, point: Mapping[str, object]) -> List[GaussianRational]:
         return [c.eval_at(point) for c in self.components]
 
@@ -87,22 +78,12 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) -> VectorField:
-    out = fields[0].scale(coeffs[0])
-    for c, f in zip(coeffs[1:], fields[1:]):
-        out = out.add(f.scale(c))
-    return out
-
-
-def component_matrix(fields: Sequence[VectorField]) -> List[List[MultiPoly]]:
-    """n x m matrix whose columns are the fields' components."""
-    if not fields:
-        raise ValueError("no fields supplied")
+    """sum_i coeffs[i] * fields[i]; zero coefficients are skipped."""
     base = fields[0]
-    for f in fields:
-        if f.variables != base.variables or f.carrier != base.carrier:
-            raise ValueError("fields must share variables")
-    n = len(base.variables)
-    return [[f.components[i] for f in fields] for i in range(n)]
+    nonzero = [(c, f) for c, f in zip(coeffs, fields) if c]
+    return VectorField(base.variables, tuple(
+        poly_sum(base.carrier, [f.components[i] * c for c, f in nonzero])
+        for i in range(len(base.variables))))
 
 
 def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
@@ -116,12 +97,15 @@ def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
 
 
 def minors_scan(fields: Sequence[VectorField]) -> List[MultiPoly]:
-    """All maximal minors of the component matrix, as polynomials."""
-    matrix = component_matrix(fields)
-    n = len(matrix)
-    m = len(fields)
-    if m < n:
-        matrix_t = [[matrix[i][j] for i in range(n)] for j in range(m)]
-        return maximal_minors(matrix_t)
-    return maximal_minors(matrix)
-
+    """The first nonzero maximal minor of the n x m component matrix
+    (column j holds the components of fields[j]; m >= n), or zero when
+    every maximal minor vanishes identically (see linalg.det_exact)."""
+    if not fields:
+        raise ValueError("no fields supplied")
+    base = fields[0]
+    for f in fields:
+        if f.variables != base.variables or f.carrier != base.carrier:
+            raise ValueError("fields must share variables")
+    matrix = [[f.components[i] for f in fields] for i in range(len(base.variables))]
+    # a list, not a bare polynomial: perfbench/spans.py wraps this and records len(result)
+    return [det_exact(matrix)]

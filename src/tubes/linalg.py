@@ -1,19 +1,19 @@
 """Exact linear algebra.
 
-Rational matrices go through fraction-free Bareiss elimination on
-integer-scaled rows, which keeps intermediate entries as single big
-integers instead of fractions with growing denominators. Polynomial
-matrices use Bareiss with exact polynomial division. Systems over
-GaussianRational all go through one Gauss-Jordan core, _rref: rref_rows
-keeps its nonzero rows, solve_columns runs it on [columns | target] and
-invert_gaussian_matrix on [A | I].
+One fraction-free (Bareiss) loop, _bareiss, serves integer-scaled
+rational rows in kernel_basis, which keeps intermediate entries as single
+big integers instead of fractions with growing denominators, and
+polynomial rows in det_exact, with exact polynomial division. Systems
+over GaussianRational all go through one Gauss-Jordan core, _rref:
+rref_rows keeps its nonzero rows, solve_columns runs it on
+[columns | target] and invert_gaussian_matrix on [A | I].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .poly import MultiPoly, _poly, poly_sum
 from .scalars import ONE, ZERO, GaussianRational
@@ -30,37 +30,53 @@ def _rows_to_int(matrix: RatMatrix) -> List[List[int]]:
     return rows
 
 
-def _bareiss(rows: List[List[int]]):
-    """In-place fraction-free echelon reduction; returns pivot columns."""
+def _int_div_exact(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError("fraction-free elimination lost exactness")
+    return q
+
+
+def _bareiss(rows: List[list], div) -> Tuple[List[int], int]:
+    """In-place fraction-free (Bareiss) echelon reduction over ints or
+    polynomials; div(a, b) is the exact quotient a / b.
+
+    Pivot columns are chosen greedily from the left, so over the fraction
+    field they are the lexicographically first independent columns.
+    Returns (pivot columns, sign of the row swaps). Afterwards
+    rows[k][pivots[k]] is the minor of the swapped rows 0..k on
+    pivots[:k + 1]; entries left of a row's pivot are not cleared and
+    must not be read.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    prev = 1
+    prev = None  # the first step divides by nothing
     r = 0
+    sign = 1
     pivots = []
     for c in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
         for i in range(r + 1, m):
-            if not any(rows[i][c:]):
+            row = rows[i]
+            if not any(row[c:]):
                 continue
+            f = row[c]
             for j in range(c + 1, n):
-                q, rem = divmod(rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                rows[i][j] = q
-            rows[i][c] = 0
-        prev = rows[r][c]
+                num = p * row[j] - f * top[j]
+                row[j] = num if prev is None else div(num, prev)
+        prev = p
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return pivots
+    return pivots, sign
 
 
 def kernel_basis(matrix: RatMatrix) -> List[List[Fraction]]:
@@ -74,7 +90,7 @@ def kernel_basis(matrix: RatMatrix) -> List[List[Fraction]]:
     if not rows:
         return []
     n = len(rows[0])
-    pivots = _bareiss(rows)
+    pivots, _ = _bareiss(rows, _int_div_exact)
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
@@ -110,12 +126,13 @@ def _primitive(ints: List[int]) -> List[Fraction]:
 def _rref(rows: Sequence[Sequence[GaussianRational]]):
     """Gauss-Jordan elimination over the Gaussian rationals.
 
+    Every entry must already be a GaussianRational; none is coerced.
     Returns (reduced rows, pivot columns); row i < len(pivots) has a 1 in
     column pivots[i] and zeros in every other pivot column, and the rows
     past the rank are zero. Sizes in this package are small, so pivots
     need no magnitude heuristics.
     """
-    work = [list(map(GaussianRational.coerce, row)) for row in rows]
+    work = [list(row) for row in rows]
     nrows = len(work)
     pivots: List[int] = []
     r = 0
@@ -189,49 +206,25 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Exact determinant of a square polynomial matrix (Bareiss)."""
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise ValueError("determinant requires a nonempty square matrix")
-    variables = matrix[0][0].vars
-    rows = []
-    for row in matrix:
-        for entry in row:
-            if entry.vars != variables:
-                raise ValueError("matrix entries must share a variable tuple")
-        rows.append(list(row))
-    one = MultiPoly.const(variables, 1)
-    prev = one
-    sign = 1
-    for c in range(n - 1):
-        pivot_row = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return MultiPoly.zero(variables)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                num = rows[c][c] * rows[i][j] - rows[i][c] * rows[c][j]
-                rows[i][j] = poly_div_exact(num, prev)
-            rows[i][c] = MultiPoly.zero(variables)
-        prev = rows[c][c]
-    return rows[n - 1][n - 1] * sign
+    """The first nonzero maximal minor of an n x m polynomial matrix
+    (n <= m), in itertools.combinations column order, or zero when the
+    generic rank is below n; for a square matrix, its determinant.
 
-
-def maximal_minors(matrix: Sequence[Sequence[MultiPoly]]) -> List[MultiPoly]:
-    """All maximal minors of an n x m polynomial matrix (n <= m)."""
-    from itertools import combinations
-
+    That minor is the one on the pivot columns that Bareiss elimination
+    picks greedily, signed as the determinant of those columns.
+    """
     n = len(matrix)
     m = len(matrix[0]) if n else 0
-    if m < n:
-        raise ValueError("expected at least as many columns as rows")
-    minors = []
-    for cols in combinations(range(m), n):
-        minors.append(det_exact([[matrix[i][j] for j in cols] for i in range(n)]))
-    return minors
+    if n == 0 or any(len(row) != m for row in matrix):
+        raise ValueError("maximal minors require a nonempty rectangular matrix")
+    if n > m:
+        raise ValueError(f"maximal minors need at least as many columns as rows, got {n} x {m}")
+    variables = matrix[0][0].vars
+    if any(entry.vars != variables for row in matrix for entry in row):
+        raise ValueError("matrix entries must share a variable tuple")
+    rows = [list(row) for row in matrix]
+    pivots, sign = _bareiss(rows, poly_div_exact)
+    if len(pivots) < n:
+        return MultiPoly.zero(variables)
+    minor = rows[n - 1][pivots[-1]]
+    return minor if sign > 0 else -minor

@@ -48,7 +48,7 @@ class Hypersurface:
             raise ValueError(f"basepoint {self.basepoint} is not on the surface ({value})")
         for expr, sense in self.constraints:
             v = expr.eval_at(dict(zip(expr.vars, self.basepoint)))
-            if not v.is_real() or not _satisfies(v.re, sense):
+            if not v.is_real() or not satisfies(v.re, sense):
                 raise ValueError(f"basepoint violates side constraint {expr} {sense} 0")
 
     @property
@@ -61,12 +61,12 @@ class Hypersurface:
     def point_satisfies_constraints(self, point: Sequence[object]) -> bool:
         for expr, sense in self.constraints:
             v = expr.eval_at(dict(zip(expr.vars, point)))
-            if not v.is_real() or not _satisfies(v.re, sense):
+            if not v.is_real() or not satisfies(v.re, sense):
                 return False
         return True
 
 
-def _satisfies(value: Rational, sense: str) -> bool:
+def satisfies(value: Rational, sense: str) -> bool:
     if sense == "gt":
         return value > 0
     if sense == "lt":
@@ -277,7 +277,6 @@ class OrbitReport:
     algebra_dim: int
     ambient_dim: int
     determinant: Optional[MultiPoly]
-    minors: Tuple[MultiPoly, ...]
     all_minors_zero: bool
     probes: Tuple[ProbeRecord, ...]
     verdict: str
@@ -288,13 +287,9 @@ def open_orbit_report(algebra: LieAlgebraPresentation, surface: Hypersurface,
     """Determinant / minor analysis of the algebra's pointwise rank."""
     n = len(surface.variables)
     fields = list(algebra.basis)
-    det: Optional[MultiPoly] = None
-    minors: Tuple[MultiPoly, ...] = ()
-    if algebra.dim >= n:
-        minors = tuple(minors_scan(fields))
-        if algebra.dim == n:
-            det = minors[0]
-    all_zero = bool(minors) and all(m.is_zero() for m in minors)
+    minor = minors_scan(fields)[0] if algebra.dim >= n else None
+    det = minor if algebra.dim == n else None
+    all_zero = minor is not None and minor.is_zero()
     records = []
     for point in probes:
         point = tuple(Fraction(x) for x in point)
@@ -310,7 +305,7 @@ def open_orbit_report(algebra: LieAlgebraPresentation, surface: Hypersurface,
         verdict = "open orbit at every accepted probe"
     else:
         verdict = "mixed or undetermined at the probes"
-    return OrbitReport(algebra.dim, n, det, minors, all_zero, tuple(records), verdict)
+    return OrbitReport(algebra.dim, n, det, all_zero, tuple(records), verdict)
 
 
 # ---------------------------------------------------------- Grassmannian scan
@@ -664,6 +659,6 @@ def line_in_domain_check(line: ComplexLine, expr: MultiPoly, sense: str) -> Line
     value = restricted.const_coeff()
     if not value.is_real():
         return LineVerdict("unresolved", None, "restriction is not real")
-    contained = _satisfies(value.re, sense)
+    contained = satisfies(value.re, sense)
     return LineVerdict("contained" if contained else "not_contained", value.re,
                        f"restriction is the constant {value.re}")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,9 +78,10 @@ def test_usage_errors(capsys):
 
 
 # "{tmp}" (in argv and message) stands for a temporary directory holding
-# bad.json, which is not JSON, and the fixture trees oops/ and empty/, whose
-# index.json reads "{oops" and "{}"; leading NAME=value items set environment
-# variables, as in a shell
+# bad.json, which is not JSON, the fixture trees oops/ and empty/, whose
+# index.json reads "{oops" and "{}", and ge/, a copy of fixtures/ in which
+# the constraint of domain.H.gt has the unknown sense "ge"; leading
+# NAME=value items set environment variables, as in a shell
 @pytest.mark.parametrize("argv, message", [
     (["normal-form", "--case", "D", "--cutoff", "3"], "--cutoff must be at least 6"),
     (["orbits", "--surface", "surface.table.6", "--probes", "1,x"], "probe '1,x'"),
@@ -96,12 +98,19 @@ def test_usage_errors(capsys):
     (["TUBES_FIXTURES={tmp}/missing", "lines"],
      "'{tmp}/missing': FileNotFoundError: [Errno 2] No such file or directory: "
      "'{tmp}/missing/index.json'"),
+    (["TUBES_FIXTURES={tmp}/ge", "classify"], "unknown constraint sense 'ge'"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
     for tree, index in (("oops", "{oops"), ("empty", "{}")):
         (tmp_path / tree).mkdir()
         (tmp_path / tree / "index.json").write_text(index)
+    if "{tmp}/ge" in argv[0]:
+        domain = tmp_path / "ge" / "domain.H.gt.json"
+        shutil.copytree(FIXTURES, domain.parent)
+        obj = json.loads(domain.read_text())
+        obj["payload"]["constraints"][0]["sense"] = "ge"
+        domain.write_text(json.dumps(obj))
     argv = [a.format(tmp=tmp_path) for a in argv]
     while "=" in argv[0]:
         name, _, value = argv.pop(0).partition("=")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubes.fields import HoloField, VectorField, lie_bracket, minors_scan, rank_at
+from tubes.fields import (HoloField, VectorField, lie_bracket, linear_combination,
+                          minors_scan, rank_at)
 from tubes.poly import MultiPoly
 from tubes.scalars import I
 
@@ -55,9 +56,9 @@ def test_jacobi_identity_randomized(seed):
         return VectorField(vs, (random_poly(rng, vs, 2, 2), random_poly(rng, vs, 2, 2)))
 
     x, y, z = rand_field(), rand_field(), rand_field()
-    total = lie_bracket(x, lie_bracket(y, z)) \
-        .add(lie_bracket(y, lie_bracket(z, x))) \
-        .add(lie_bracket(z, lie_bracket(x, y)))
+    total = linear_combination([1, 1, 1], [lie_bracket(x, lie_bracket(y, z)),
+                                           lie_bracket(y, lie_bracket(z, x)),
+                                           lie_bracket(z, lie_bracket(x, y))])
     assert not any(total.components)
 
 
@@ -167,6 +168,19 @@ def test_four_rotation_fields_determinant_vanishes():
     four = rotations()[:4]
     minors = minors_scan(four)
     assert len(minors) == 1 and minors[0].is_zero()
+
+
+def test_minors_scan_needs_as_many_fields_as_variables():
+    with pytest.raises(ValueError, match="at least as many columns as rows"):
+        minors_scan(rotations()[:3])
+
+
+def test_linear_combination_skips_zero_coefficients():
+    rots = rotations()
+    combo = linear_combination([0, 2, 0, Fraction(-1, 3), 0, 0], rots)
+    assert combo.components == tuple(2 * b - a * Fraction(1, 3) for a, b in
+                                     zip(rots[3].components, rots[1].components))
+    assert not any(linear_combination([0] * 6, rots).components)
 
 
 def test_rank_at_points():

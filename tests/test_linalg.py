@@ -2,14 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis,
-                          maximal_minors, poly_div_exact, rref_rows,
-                          solve_columns)
-from tubes.poly import MultiPoly
+                          poly_div_exact, rref_rows, solve_columns)
+from tubes.poly import MultiPoly, poly_sum
 from tubes.scalars import ONE, ZERO, GaussianRational
 
 from oracles import cofactor_det, fraction_kernel, fraction_rank, random_poly
@@ -105,8 +105,58 @@ def test_det_cofactor_oracle_size_five():
 def test_det_requires_square():
     vs = ("x",)
     x = MultiPoly.var(vs, "x")
-    with pytest.raises(ValueError):
-        det_exact([[x, x]])
+    with pytest.raises(ValueError, match="at least as many columns as rows"):
+        det_exact([[x], [x]])
+
+
+def test_det_rejects_ragged_rows_and_mixed_variables():
+    x = MultiPoly.var(("x",), "x")
+    y = MultiPoly.var(("y",), "y")
+    with pytest.raises(ValueError, match="rectangular"):
+        det_exact([[x, x], [x]])
+    with pytest.raises(ValueError, match="share a variable tuple"):
+        det_exact([[x, y]])
+
+
+def _rank_deficient_case(rng, vs, kind):
+    """An n x m polynomial matrix (n in 1..4, m in n..n+3), a third of
+    whose entries are zero, with, by kind, nothing more (0), a zero column
+    (1), a repeated column (2) or a first row that is a polynomial
+    combination of the others (3)."""
+    n = rng.randint(1, 4)
+    m = rng.randint(n, n + 3)
+    rows = [[random_poly(rng, vs, max_degree=1, max_terms=2) if rng.random() < 0.67
+             else MultiPoly.zero(vs) for _ in range(m)] for _ in range(n)]
+    if kind == 1:
+        col = rng.randrange(m)
+        for row in rows:
+            row[col] = MultiPoly.zero(vs)
+    elif kind == 2 and m > 1:
+        a, b = sorted(rng.sample(range(m), 2))
+        for row in rows:
+            row[b] = row[a]
+    elif kind == 3:
+        coeffs = [random_poly(rng, vs, max_degree=1, max_terms=2) for _ in rows[1:]]
+        rows[0] = [poly_sum(vs, [c * row[j] for c, row in zip(coeffs, rows[1:])])
+                   for j in range(m)]
+    return rows
+
+
+def test_det_exact_is_the_first_nonzero_maximal_minor():
+    """Against the cofactor oracle on every maximal minor, taken in
+    itertools.combinations column order."""
+    rng = random.Random(7013)
+    vs = ("x", "y")
+    outcomes = set()
+    for trial in range(120):
+        rows = _rank_deficient_case(rng, vs, trial % 4)
+        n, m = len(rows), len(rows[0])
+        minors = [cofactor_det([[row[j] for j in cols] for row in rows])
+                  for cols in combinations(range(m), n)]
+        first = next((k for k, d in enumerate(minors) if d), None)
+        outcomes.add("zero" if first is None else "first" if first == 0 else "later")
+        assert det_exact(rows) == (MultiPoly.zero(vs) if first is None else minors[first])
+    assert outcomes == {"zero", "first", "later"}
 
 
 def test_poly_div_exact_and_inexact():
@@ -230,11 +280,3 @@ def test_rref_rows_rank_against_fraction_oracle():
                                                    for k in range(len(reduced))]
         complex_rows = _random_matrix(rng, nrows, ncols, rank_cap=rng.randint(1, nrows))
         assert 2 * len(rref_rows(complex_rows)) == fraction_rank(_realified(complex_rows))
-
-
-def test_maximal_minors_count():
-    vs = ("x",)
-    x = MultiPoly.var(vs, "x")
-    one = MultiPoly.const(vs, 1)
-    m = [[x, one, x], [one, x, one]]
-    assert len(maximal_minors(m)) == 3

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tubes import catalog
-from tubes.fields import VectorField, lie_bracket, minors_scan, rank_at
+from tubes.fields import VectorField, lie_bracket, linear_combination, minors_scan, rank_at
 from tubes.linalg import rref_rows
 from tubes.poly import MultiPoly, merge_vars
 from tubes.scalars import GaussianRational
@@ -116,7 +116,8 @@ def test_verify_rejects_an_antisymmetric_change_that_breaks_jacobi():
 def test_verify_rejects_a_rescaled_basis_field():
     alg = algebra("surface.table.3")
     assert alg.structure[0][1] == (0, 0, 0, -1, 0)
-    doubled = dataclasses.replace(alg, basis=(alg.basis[0].scale(2),) + alg.basis[1:])
+    doubled = dataclasses.replace(
+        alg, basis=(linear_combination([2], alg.basis[:1]),) + alg.basis[1:])
     with pytest.raises(AssertionError, match=r"structure tensor wrong at \(0,1\)"):
         doubled.verify()
 
@@ -223,12 +224,7 @@ def test_orbit_report_basis_independent():
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
         if len(rref_rows([[GaussianRational(x) for x in row] for row in m])) == dim:
             break
-    new_fields = []
-    for row in m:
-        f = alg.basis[0].scale(row[0])
-        for c, b in zip(row[1:], alg.basis[1:]):
-            f = f.add(b.scale(c))
-        new_fields.append(f)
+    new_fields = [linear_combination(row, alg.basis) for row in m]
     changed = LieAlgebraPresentation.from_fields(new_fields)
     rep2 = open_orbit_report(changed, s, probes)
     assert [r.open_orbit for r in base.probes] == [r.open_orbit for r in rep2.probes]
