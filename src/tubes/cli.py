@@ -382,8 +382,7 @@ def cmd_isotropy(args, reg) -> List[Check]:
                                "family fixes the basepoint (1,0,1,1) identically",
                                bool(res.fixes_point), "", prov(fx)))
         gens = infinitesimal_generators(fam)
-        coords = [expand_in_fields(g, list(_fixture(reg, "basis.Z.D").payload.fields))
-                  for g in gens]
+        coords = expand_in_fields(gens, _fixture(reg, "basis.Z.D").payload.fields)
         dim = len(rref_rows([list(c) for c in coords if c is not None]))
         checks.append(check_of("isotropy.D.dimension",
                                "isotropy group has dimension 3",
@@ -428,8 +427,7 @@ def cmd_isotropy(args, reg) -> List[Check]:
         gens = []
         for fid in ("family.isotropy.C.scale", "family.isotropy.C.shear", "family.circle.C"):
             gens.extend(infinitesimal_generators(_fixture(reg, fid).payload))
-        coords = [expand_in_fields(g, list(_fixture(reg, "basis.Z.C").payload.fields))
-                  for g in gens]
+        coords = expand_in_fields(gens, _fixture(reg, "basis.Z.C").payload.fields)
         dim = len(rref_rows([list(c) for c in coords if c is not None]))
         checks.append(check_of("isotropy.C.dimension",
                                "isotropy group has dimension 3",
@@ -522,23 +520,20 @@ def cmd_group(args, reg) -> List[Check]:
             gfx = _fixture(reg, fid)
             gen_sources.append((prov(gfx), infinitesimal_generators(gfx.payload)))
         law_fx = afx
+    sourced = [(provenance, g) for provenance, gens in gen_sources for g in gens]
     coords = []
-    count = 0
-    for provenance, gens in gen_sources:
-        for g in gens:
-            count += 1
-            c = expand_in_fields(g, zbasis)
-            if c is None:
-                checks.append(check_of(f"group.{case}.generator_membership",
-                                       "every generator lies in the span of the ten-field "
-                                       "basis", False, str(g), provenance))
-                continue
-            coords.append(list(c))
+    for (provenance, g), c in zip(sourced, expand_in_fields([g for _, g in sourced], zbasis)):
+        if c is None:
+            checks.append(check_of(f"group.{case}.generator_membership",
+                                   "every generator lies in the span of the ten-field "
+                                   "basis", False, str(g), provenance))
+            continue
+        coords.append(list(c))
     dim = len(rref_rows(coords)) if coords else 0
     checks.append(check_of(
         f"group.{case}.generators",
         "the infinitesimal generators span the full ten-dimensional algebra",
-        dim == 10, f"{count} generators spanning {dim}",
+        dim == 10, f"{len(sourced)} generators spanning {dim}",
         f"basis.Z.{case} [source]"))
     law = verify_group_law(law_fx.payload)
     verdict = "PASS" if law.status == "ok" else ("UNRESOLVED" if law.status == "unresolved"
@@ -664,15 +659,9 @@ def cmd_scan(args, reg) -> List[Check]:
         checks.append(check_of(cid, claim, ok, detail, provenance))
     if args.surface == "surface.table.1m" and args.dim == 5:
         fx = _fixture(reg, "basis.half_pseudo_ball.1m")
-        rows = []
-        ok = True
-        for f in fx.payload.fields:
-            c = expand_in_fields(f, algebra.basis)
-            if c is None:
-                ok = False
-                break
-            rows.append(list(c))
-        covered = ok and scan_covers_subspace(scan, rows)
+        coords = expand_in_fields(fx.payload.fields, algebra.basis)
+        covered = (None not in coords
+                   and scan_covers_subspace(scan, [list(c) for c in coords]))
         checks.append(check_of(
             f"scan.{args.surface}.k5.recovers_half_domain_subalgebra",
             "the scan's chart outcome contains the wall-preserving five-dimensional "

@@ -5,8 +5,10 @@ rational rows in kernel_basis, which keeps intermediate entries as single
 big integers instead of fractions with growing denominators, and
 polynomial rows in det_exact, with exact polynomial division. Systems
 over GaussianRational all go through one Gauss-Jordan core, _rref:
-rref_rows keeps its nonzero rows, solve_columns runs it on
-[columns | target] and invert_gaussian_matrix on [A | I].
+rref_rows keeps its nonzero rows, invert_gaussian_matrix runs it on
+[A | I], and solve_columns runs it once on [columns | t_1 ... t_T] with
+pivots restricted to the columns, so one elimination answers every
+target t_i of a shared coefficient matrix.
 """
 
 from __future__ import annotations
@@ -123,20 +125,22 @@ def _primitive(ints: List[int]) -> List[Fraction]:
     return [Fraction(x, g) for x in ints]
 
 
-def _rref(rows: Sequence[Sequence[GaussianRational]]):
-    """Gauss-Jordan elimination over the Gaussian rationals.
+def _rref(rows: Sequence[Sequence[GaussianRational]], limit: Optional[int] = None):
+    """Gauss-Jordan elimination over the Gaussian rationals, pivoting only
+    in the first `limit` columns (in all of them when limit is None).
 
     Every entry must already be a GaussianRational; none is coerced.
     Returns (reduced rows, pivot columns); row i < len(pivots) has a 1 in
     column pivots[i] and zeros in every other pivot column, and the rows
-    past the rank are zero. Sizes in this package are small, so pivots
-    need no magnitude heuristics.
+    past the rank are zero in the first `limit` columns. Clearing a column
+    skips the entries where the pivot row is zero. Sizes in this package
+    are small, so pivots need no magnitude heuristics.
     """
     work = [list(row) for row in rows]
     nrows = len(work)
     pivots: List[int] = []
     r = 0
-    for c in range(len(work[0]) if work else 0):
+    for c in range((len(work[0]) if work else 0) if limit is None else limit):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
@@ -146,10 +150,13 @@ def _rref(rows: Sequence[Sequence[GaussianRational]]):
         pv = work[r][c]
         if pv != ONE:
             work[r] = [x / pv if x else x for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        top = work[r]
+        support = [j for j, b in enumerate(top) if b]
+        for row in work:
+            f = row[c]
+            if f and row is not top:
+                for j in support:
+                    row[j] -= f * top[j]
         pivots.append(c)
         r += 1
     return work, pivots
@@ -162,17 +169,23 @@ def rref_rows(rows: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianR
 
 
 def solve_columns(columns: Sequence[Sequence[GaussianRational]],
-                  target: Sequence[GaussianRational]) -> Optional[List[GaussianRational]]:
-    """Solve sum_i x_i * columns[i] = target exactly, or return None."""
+                  targets: Sequence[Sequence[GaussianRational]]
+                  ) -> List[Optional[List[GaussianRational]]]:
+    """Solve sum_i x_i * columns[i] = t exactly for every t in targets,
+    by one elimination of [columns | t_1 ... t_T] pivoting in the columns
+    only. The answer for t is None when a row past the rank is nonzero in
+    t's column (it reads 0 = 1), else the solution on the pivot rows."""
     ncols = len(columns)
-    work, pivots = _rref([[columns[j][i] for j in range(ncols)] + [target[i]]
-                          for i in range(len(target))])
-    if pivots and pivots[-1] == ncols:
-        return None  # inconsistent: a row reads 0 = 1
-    solution = [ZERO] * ncols
-    for row_idx, c in enumerate(pivots):
-        solution[c] = work[row_idx][ncols]
-    return solution
+    work, pivots = _rref(list(zip(*columns, *targets)), ncols)
+    answers: List[Optional[List[GaussianRational]]] = []
+    for t in range(ncols, ncols + len(targets)):
+        solution = None
+        if not any(row[t] for row in work[len(pivots):]):
+            solution = [ZERO] * ncols
+            for row, c in zip(work, pivots):
+                solution[c] = row[t]
+        answers.append(solution)
+    return answers
 
 
 def invert_gaussian_matrix(matrix: Sequence[Sequence[GaussianRational]]):

@@ -139,12 +139,6 @@ class MultiPoly:
 
     # ------------------------------------------------------------- structure
 
-    def degree_in(self, name: str) -> int:
-        idx = self.vars.index(name)
-        if not self.terms:
-            return 0
-        return max(e[idx] for e in self.terms)
-
     def used_vars(self) -> Tuple[str, ...]:
         used = [False] * len(self.vars)
         for e in self.terms:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
                      rank_at)
-from .poly import MultiPoly, RationalFunction, substitute_rf
+from .poly import MultiPoly, RationalFunction, poly_sum, substitute_rf
 from .relations import RelationContext
 from .scalars import ONE, ZERO, GaussianRational, Rational
 
@@ -76,23 +77,6 @@ def satisfies(value: Rational, sense: str) -> bool:
 
 # --------------------------------------------------------------- presentations
 
-def _field_coordinates(fields: Sequence[VectorField]):
-    """Monomial-coordinate columns for a list of fields over one carrier."""
-    support: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    for f in fields:
-        for i, comp in enumerate(f.components):
-            for e in comp.terms:
-                support.setdefault((i, e), len(support))
-    columns = []
-    for f in fields:
-        col = [ZERO] * len(support)
-        for i, comp in enumerate(f.components):
-            for e, c in comp.terms.items():
-                col[support[(i, e)]] = c
-        columns.append(col)
-    return support, columns
-
-
 @dataclass(frozen=True)
 class LieAlgebraPresentation:
     """Ordered basis of vector fields plus the full structure tensor.
@@ -116,41 +100,43 @@ class LieAlgebraPresentation:
         dim = len(basis)
         zero_row = (0,) * dim
         rows: List[List[Tuple[Rational, ...]]] = [[zero_row] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                br = lie_bracket(basis[i], basis[j])
-                coeffs = expand_in_fields(br, basis)
-                if coeffs is None:
-                    raise RuntimeError(
-                        f"closure failure: [B_{i}, B_{j}] is outside the span; "
-                        "this indicates a bug in the basis computation")
-                rat = []
-                for c in coeffs:
-                    if not c.is_real():
-                        raise RuntimeError("structure constants must be rational")
-                    rat.append(c.re)
-                rows[i][j] = tuple(rat)
-                rows[j][i] = tuple(-x for x in rat)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        brackets = [lie_bracket(basis[i], basis[j]) for i, j in pairs]
+        for (i, j), coeffs in zip(pairs, expand_in_fields(brackets, basis)):
+            if coeffs is None:
+                raise RuntimeError(
+                    f"closure failure: [B_{i}, B_{j}] is outside the span; "
+                    "this indicates a bug in the basis computation")
+            if not all(c.is_real() for c in coeffs):
+                raise RuntimeError("structure constants must be rational")
+            rat = tuple(c.re for c in coeffs)
+            rows[i][j] = rat
+            rows[j][i] = tuple(-x for x in rat)
         return cls(basis, tuple(tuple(r) for r in rows))
 
-    def bracket_coords(self, u: Sequence[object], v: Sequence[object]):
-        """Coordinates of [u, v] for coordinate vectors with entries in any
-        commutative ring containing the rationals (scalars or polynomials)."""
-        dim = self.dim
-        out = [0] * dim
-        for i in range(dim):
-            ui = u[i]
+    @cached_property
+    def nonzero_structure(self):
+        """nonzero_structure[i][j] lists the pairs (k, c_ij^k) with c_ij^k != 0."""
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
+                     for row in self.structure)
+
+    def bracket_coords(self, u: Sequence[object], v: Sequence[object]) -> list:
+        """Coordinates of [u, v] for coordinate vectors of GaussianRationals,
+        or of polynomials over one variable tuple, which give polynomials;
+        each coordinate sums the nonzero structure constants' terms once."""
+        parts: List[list] = [[] for _ in range(self.dim)]
+        for ui, row in zip(u, self.nonzero_structure):
             if not ui:
                 continue
-            for j in range(dim):
-                vj = v[j]
-                if not vj:
+            for vj, entry in zip(v, row):
+                if not vj or not entry:
                     continue
                 prod = ui * vj
-                for k, c in enumerate(self.structure[i][j]):
-                    if c:
-                        out[k] = out[k] + prod * c
-        return out
+                for k, c in entry:
+                    parts[k].append(prod * c)
+        if isinstance(u[0], MultiPoly):
+            return [poly_sum(u[0].vars, p) for p in parts]
+        return [sum(p, ZERO) for p in parts]
 
     def field_from_coords(self, coords: Sequence[object]) -> VectorField:
         return linear_combination(list(coords), list(self.basis))
@@ -169,8 +155,7 @@ class LieAlgebraPresentation:
                     if self.structure[i][j][k] != -self.structure[j][i][k]:
                         raise AssertionError("structure tensor is not antisymmetric")
         # Jacobi on the tensor, over the nonzero (l, c_ij^l) of each (i, j)
-        nonzero = [[[(l, c) for l, c in enumerate(row) if c] for row in rows]
-                   for rows in self.structure]
+        nonzero = self.nonzero_structure
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
@@ -191,14 +176,29 @@ class LieAlgebraPresentation:
                         raise AssertionError(f"structure tensor wrong at ({i},{j})")
 
 
-def expand_in_fields(x: VectorField, basis: Sequence[VectorField]):
-    """Coefficients of x in span(basis), or None if x is outside."""
-    fields = list(basis) + [x]
-    support, columns = _field_coordinates(fields)
-    return_cols = columns[:-1]
-    target = columns[-1]
-    sol = linalg.solve_columns(return_cols, target)
-    return None if sol is None else tuple(sol)
+def expand_in_fields(xs: Sequence[VectorField], basis: Sequence[VectorField]):
+    """For each x in xs, its coefficient tuple in span(basis), or None if
+    x is outside; one elimination serves every x.
+
+    The fields' monomial-coordinate columns run over the support of the
+    basis and every x together, so a term of x that no basis field has
+    leaves x outside the span."""
+    fields = list(basis) + list(xs)
+    support: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    for f in fields:
+        for i, comp in enumerate(f.components):
+            for e in comp.terms:
+                support.setdefault((i, e), len(support))
+    columns = []
+    for f in fields:
+        col = [ZERO] * len(support)
+        for i, comp in enumerate(f.components):
+            for e, c in comp.terms.items():
+                col[support[(i, e)]] = c
+        columns.append(col)
+    n = len(fields) - len(xs)
+    return [None if sol is None else tuple(sol)
+            for sol in linalg.solve_columns(columns[:n], columns[n:])]
 
 
 # ------------------------------------------------------- symmetry computation
@@ -238,10 +238,6 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
     return LieAlgebraPresentation.from_fields(fields)
 
 
-def self_bracket(algebra: LieAlgebraPresentation, u, v):
-    return [GaussianRational.coerce(x) for x in algebra.bracket_coords(u, v)]
-
-
 def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]]:
     """Lower central series: returns (nilpotent?, series dimensions)."""
     dim = algebra.dim
@@ -252,7 +248,7 @@ def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]
         brackets = []
         for e in unit:
             for v in current:
-                brackets.append(self_bracket(algebra, e, v))
+                brackets.append(algebra.bracket_coords(e, v))
         nxt = linalg.rref_rows(brackets)
         dims.append(len(nxt))
         if not nxt:
@@ -358,10 +354,13 @@ def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
 
     Each affine chart pins k pivot coordinates to the identity and leaves
     the rest as unknowns; closure of the span under bracket produces
-    polynomial equations which are solved by repeated elimination of
-    variables that occur linearly with a constant coefficient. Charts
-    whose systems do not successively linearize are reported UNRESOLVED
-    with their residual equations.
+    polynomial equations, solved by repeated elimination. One sweep over
+    the terms of the first equation that has one finds its pivot: the
+    smallest name, in string order, of a variable occurring in a single
+    term c * var with c constant. It is substituted into the equations and
+    solved entries that contain it. A nonzero constant equation makes the
+    chart empty; charts whose systems do not successively linearize are
+    reported UNRESOLVED with their residual equations.
     """
     m = algebra.dim
     if not 0 < k < m:
@@ -378,69 +377,71 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
     tvars = tuple(f"t{a}_{j}" for a in range(k) for j in nonpivots)
     if not tvars:
         tvars = ("t_unused",)
-    one = MultiPoly.const(tvars, 1)
-    zero = MultiPoly.zero(tvars)
-    rows: List[List[MultiPoly]] = []
-    for a in range(k):
-        row = [zero] * m
-        row[pivots[a]] = one
-        for j in nonpivots:
-            row[j] = MultiPoly.var(tvars, f"t{a}_{j}")
-        rows.append(row)
+    rows = [[MultiPoly.const(tvars, int(j == p)) if j in pivots
+             else MultiPoly.var(tvars, f"t{a}_{j}") for j in range(m)]
+            for a, p in enumerate(pivots)]
 
     def residuals(current_rows):
         eqs = []
         for a in range(k):
             for b in range(a + 1, k):
                 w = algebra.bracket_coords(current_rows[a], current_rows[b])
-                w = [x if isinstance(x, MultiPoly) else MultiPoly.const(tvars, x) for x in w]
-                mu = [w[p] for p in pivots]
+                neg_mu = [-w[p] for p in pivots]
                 for j in nonpivots:
-                    r = w[j]
-                    for c in range(k):
-                        r = r - mu[c] * current_rows[c][j]
+                    r = poly_sum(tvars, [w[j]] + [mu * row[j] for mu, row in
+                                                  zip(neg_mu, current_rows) if mu and row[j]])
                     if not r.is_zero():
                         eqs.append(r)
         return eqs
 
     eqs = residuals(rows)
+    origin = (0,) * len(tvars)
     solution: Dict[str, MultiPoly] = {}
     while eqs:
-        eqs = [e for e in eqs if not e.is_zero()]
-        if not eqs:
-            break
-        constant = next((e for e in eqs if not e.used_vars()), None)
-        if constant is not None:
+        if any(len(e.terms) == 1 and origin in e.terms for e in eqs):
             return ChartOutcome(pivots, "empty")
         pick = None
         for e in eqs:
-            for var in sorted(e.used_vars()):
-                if e.degree_in(var) == 1:
-                    coeff = e.diff(var)
-                    if not coeff.used_vars():  # constant coefficient
-                        pick = (e, var, coeff.const_coeff())
-                        break
+            pick = _linear_pivot(e)
             if pick:
                 break
         if pick is None:
             return ChartOutcome(pivots, "unresolved", residual=tuple(eqs))
-        e, var, c = pick
+        var, c = pick
         rest = e - MultiPoly.var(tvars, var) * c
-        expr = rest * (ONE / GaussianRational.coerce(c)) * (-1)
-        for key in list(solution):
-            solution[key] = solution[key].subs_poly({var: expr})
-        solution[var] = expr
-        eqs = [q.subs_poly({var: expr}) for q in eqs]
+        expr = rest * (ONE / c) * (-1)
+        idx = tvars.index(var)
 
-    final_rows = []
-    for a in range(len(rows)):
-        final_rows.append([entry.subs_poly(solution) if solution else entry for entry in rows[a]])
+        def eliminate(q: MultiPoly) -> MultiPoly:
+            return q.subs_poly({var: expr}) if any(x[idx] for x in q.terms) else q
+
+        solution = {key: eliminate(value) for key, value in solution.items()}
+        solution[var] = expr
+        # e itself becomes c * expr + rest = 0
+        eqs = [q for q in (eliminate(q) for q in eqs if q is not e) if q]
+
+    final_rows = [[solution.get(f"t{a}_{j}", entry) for j, entry in enumerate(row)]
+                  for a, row in enumerate(rows)]
     # independent closure recheck on the solved family
     recheck = residuals(final_rows)
     verified = all(e.is_zero() for e in recheck)
     free = tuple(sorted({v for row in final_rows for entry in row for v in entry.used_vars()}))
     sol_items = tuple(sorted(solution.items()))
     return ChartOutcome(pivots, "solved", free, sol_items, (), verified)
+
+
+def _linear_pivot(e: MultiPoly) -> Optional[Tuple[str, GaussianRational]]:
+    """(var, c) for the smallest name var occurring in one term of e only,
+    that term being c * var; None when there is none."""
+    seen, repeated, linear = set(), set(), {}
+    for exps, c in e.terms.items():
+        used = [i for i, x in enumerate(exps) if x]
+        repeated.update(seen.intersection(used))
+        seen.update(used)
+        if len(used) == 1 and exps[used[0]] == 1:
+            linear[used[0]] = c
+    return min(((e.vars[i], c) for i, c in linear.items() if i not in repeated),
+               key=lambda pick: pick[0], default=None)
 
 
 def chart_coordinates_of_subspace(rows: Sequence[Sequence[object]]):
@@ -565,23 +566,23 @@ def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,
 
     conditions: List[Tuple[str, bool, str]] = []
 
-    br = self_bracket(algebra, unit(z1_idx), unit(z4_idx))
+    br = algebra.bracket_coords(unit(z1_idx), unit(z4_idx))
     ok_a = all(br[i] == (-1 if i == z4_idx else 0) for i in range(dim))
     conditions.append(("a: [Z1, Z4] = -Z4", ok_a, "" if ok_a else f"got {br}"))
 
     bad = [s for s in sorted(s_set)
-           if not in_s(self_bracket(algebra, unit(z1_idx), unit(s)))]
+           if not in_s(algebra.bracket_coords(unit(z1_idx), unit(s)))]
     conditions.append(("b: [Z1, S] inside S", not bad, f"escapes at {bad}" if bad else ""))
 
     iso_vecs = [[GaussianRational.coerce(x) for x in v] for v in iso]
     bad = [n for n, w in enumerate(iso_vecs)
-           if not in_s(self_bracket(algebra, w, unit(z4_idx)))]
+           if not in_s(algebra.bracket_coords(w, unit(z4_idx)))]
     conditions.append(("c: [iso, Z4] inside S", not bad, f"escapes for iso[{bad}]" if bad else ""))
 
     bad_pairs = []
     for n, w in enumerate(iso_vecs):
         for s in sorted(s_set):
-            if not in_s(self_bracket(algebra, w, unit(s))):
+            if not in_s(algebra.bracket_coords(w, unit(s))):
                 bad_pairs.append((n, s))
     conditions.append(("d: [iso, S] inside S", not bad_pairs,
                        f"escapes at {bad_pairs}" if bad_pairs else ""))
@@ -610,7 +611,6 @@ def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,
         induction_ok = True
         for _ in range(depth):
             nxt = algebra.bracket_coords(z1p, current)
-            nxt = [x if isinstance(x, MultiPoly) else MultiPoly.const(pvars, x) for x in nxt]
             if nxt[z4_idx] != 1 or not nxt[z1_idx].is_zero():
                 induction_ok = False
                 break

@@ -6,7 +6,9 @@ fraction Gauss-Jordan elimination, the Jacobi oracle sums the structure
 tensor densely over every index, series results are checked by
 multiplying back rather than re-expanding, and a field's tangency to a
 surface is certified by solving X(P) = Q P for a polynomial multiplier Q
-instead of through the kernel solve of affine_symmetry_algebra.
+instead of through the kernel solve of affine_symmetry_algebra. The
+scan's one-sweep pivot pick is checked against its first form, which
+tries each variable in turn for degree 1 and a constant `diff`.
 """
 
 from __future__ import annotations
@@ -140,6 +142,19 @@ def pair_pow(x, k: int):
     return out
 
 
+def first_written_pivot(e: MultiPoly):
+    """The scan's pivot pick as first written, frozen: over
+    sorted(e.used_vars()), the first variable of degree 1 in e whose
+    derivative is a constant; returns (variable, that constant) or None."""
+    for var in sorted(e.used_vars()):
+        idx = e.vars.index(var)
+        if max(x[idx] for x in e.terms) == 1:
+            coeff = e.diff(var)
+            if not coeff.used_vars():
+                return var, coeff.const_coeff()
+    return None
+
+
 def random_poly(rng, variables, max_degree=2, max_terms=4, complex_coeffs=False) -> MultiPoly:
     from tubes.scalars import GaussianRational
     terms = {}
@@ -211,7 +226,7 @@ def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[MultiPoly]:
             col[support[e]] = c
         return col
 
-    solution = solve_columns([column(q) for q in products], column(xp))
+    solution = solve_columns([column(q) for q in products], [column(xp)])[0]
     if solution is None:
         return None
     return MultiPoly(p.vars, dict(zip(monomials, solution)))

@@ -61,9 +61,9 @@ def test_criterion_01_symmetry_dimensions():
         alg = _algebra("surface.table.2.sphere")
         rotations = list(catalog.get("basis.rotations.sphere").payload.fields)
         for rot in rotations:
-            ok = ok and expand_in_fields(rot, list(alg.basis)) is not None
+            ok = ok and expand_in_fields([rot], list(alg.basis))[0] is not None
         for b in alg.basis:
-            ok = ok and expand_in_fields(b, rotations) is not None
+            ok = ok and expand_in_fields([b], rotations)[0] is not None
     _verdict(1, ok, f"affine symmetry dimensions {sorted(results.items())}")
 
 
@@ -167,7 +167,7 @@ def test_criterion_05_groups():
 
     gens_d = infinitesimal_generators(full)
     zb_d = list(catalog.get("basis.Z.D").payload.fields)
-    coords = [list(expand_in_fields(g, zb_d)) for g in gens_d]
+    coords = [list(expand_in_fields([g], zb_d)[0]) for g in gens_d]
     span_d = len(rref_rows(coords))
 
     gens_c = []
@@ -181,7 +181,7 @@ def test_criterion_05_groups():
     for fid in ("family.translations.z", "family.isotropy.C.shear", "family.circle.C"):
         gens_c.extend(infinitesimal_generators(catalog.get(fid).payload))
     zb_c = list(catalog.get("basis.Z.C").payload.fields)
-    coords = [list(expand_in_fields(g, zb_c)) for g in gens_c]
+    coords = [list(expand_in_fields([g], zb_c)[0]) for g in gens_c]
     span_c = len(rref_rows(coords))
     ok = ok and len(gens_d) == 10 and span_d == 10 and len(gens_c) == 10 and span_c == 10
     details.append(f"generator counts/spans: D {len(gens_d)}/{span_d}, "

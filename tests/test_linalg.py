@@ -7,10 +7,12 @@ from math import gcd
 
 import pytest
 
+from tubes.fields import VectorField
 from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis,
                           poly_div_exact, rref_rows, solve_columns)
 from tubes.poly import MultiPoly, poly_sum
 from tubes.scalars import ONE, ZERO, GaussianRational
+from tubes.symmetry import expand_in_fields
 
 from oracles import cofactor_det, fraction_kernel, fraction_rank, random_poly
 
@@ -173,11 +175,11 @@ def test_solve_columns_consistency():
     cols = [[GaussianRational(1), GaussianRational(0)],
             [GaussianRational(1), GaussianRational(1)]]
     target = [GaussianRational(3), GaussianRational(2)]
-    sol = solve_columns(cols, target)
+    sol = solve_columns(cols, [target])[0]
     assert sol is not None
     assert sol[0] == GaussianRational(1) and sol[1] == GaussianRational(2)
     assert solve_columns([[GaussianRational(0), GaussianRational(0)]],
-                         [GaussianRational(1), GaussianRational(0)]) is None
+                         [[GaussianRational(1), GaussianRational(0)]])[0] is None
 
 
 def test_rref_rows_span():
@@ -252,7 +254,7 @@ def test_solve_columns_random_against_rank_oracle():
         else:
             target = [_random_gaussian(rng) for _ in range(nrows)]
         columns = [[row[j] for row in matrix] for j in range(ncols)]
-        sol = solve_columns(columns, target)
+        sol = solve_columns(columns, [target])[0]
         augmented = [row + [t] for row, t in zip(matrix, target)]
         inconsistent = fraction_rank(_realified(augmented)) > fraction_rank(_realified(matrix))
         assert (sol is None) == inconsistent
@@ -280,3 +282,57 @@ def test_rref_rows_rank_against_fraction_oracle():
                                                    for k in range(len(reduced))]
         complex_rows = _random_matrix(rng, nrows, ncols, rank_cap=rng.randint(1, nrows))
         assert 2 * len(rref_rows(complex_rows)) == fraction_rank(_realified(complex_rows))
+
+
+def test_solve_columns_batched_against_single_targets_and_rank_oracle():
+    rng = random.Random(2004408)
+    mixed = 0
+    for _ in range(30):
+        nrows, ncols = rng.randint(2, 6), rng.randint(1, 4)
+        columns = [[_random_gaussian(rng) for _ in range(nrows)] for _ in range(ncols)]
+        for j in range(1, ncols):
+            if rng.random() < 0.4:  # a column dependent on earlier ones
+                a, b = _random_gaussian(rng), _random_gaussian(rng)
+                columns[j] = [a * x + b * y for x, y in zip(columns[0], columns[rng.randrange(j)])]
+        targets = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.5:
+                x = [_random_gaussian(rng) for _ in range(ncols)]
+                targets.append([sum((col[i] * c for col, c in zip(columns, x)), ZERO)
+                                for i in range(nrows)])
+            else:
+                targets.append([_random_gaussian(rng) for _ in range(nrows)])
+        answers = solve_columns(columns, targets)
+        assert len(answers) == len(targets)
+        matrix = [[col[i] for col in columns] for i in range(nrows)]
+        rank = fraction_rank(_realified(matrix))
+        for target, answer in zip(targets, answers):
+            assert answer == solve_columns(columns, [target])[0]
+            augmented = [row + [t] for row, t in zip(matrix, target)]
+            assert (answer is None) == (fraction_rank(_realified(augmented)) > rank)
+            if answer is not None:
+                for row, t in zip(matrix, target):
+                    assert sum((a * b for a, b in zip(row, answer)), ZERO) == t
+        mixed += len({answer is None for answer in answers}) == 2
+    assert mixed >= 5
+
+
+def test_solve_columns_inconsistent_targets_do_not_clear_each_other():
+    # without pivoting in the columns only, the first target would pivot
+    # in row 1 and clear the second's only entry past the rank
+    g = GaussianRational
+    answers = solve_columns([[g(1), g(0)]], [[g(0), g(1)], [g(0), g(2)], [g(3), g(0)]])
+    assert answers == [None, None, [g(3)]]
+
+
+def test_expand_in_fields_term_outside_the_basis_support():
+    vs = ("x", "y")
+    x, y = MultiPoly.var(vs, "x"), MultiPoly.var(vs, "y")
+    zero, one = MultiPoly.zero(vs), MultiPoly.const(vs, 1)
+    basis = [VectorField(vs, (x, zero)), VectorField(vs, (zero, one))]
+    outside = VectorField(vs, (x + y, zero))  # y d/dx: no basis field has it
+    inside = VectorField(vs, (x * 2, one * 3))
+    assert expand_in_fields([outside, inside, outside], basis) == [
+        None, (GaussianRational(2), GaussianRational(3)), None]
+    assert expand_in_fields([outside], basis) == [None]
+    assert expand_in_fields([], basis) == []

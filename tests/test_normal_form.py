@@ -304,13 +304,13 @@ def test_full_family_generators_span_basis():
     zb = list(catalog.get("basis.Z.D").payload.fields)
     coords = []
     for g in gens:
-        c = expand_in_fields(g, zb)
+        c = expand_in_fields([g], zb)[0]
         assert c is not None
         coords.append(list(c))
     assert len(rref_rows(coords)) == 10
     # and conversely every basis field is a combination of generators
     for b in zb:
-        assert expand_in_fields(b, gens) is not None
+        assert expand_in_fields([b], gens)[0] is not None
 
 
 def test_cubic_case_generators_span_basis():
@@ -327,7 +327,7 @@ def test_cubic_case_generators_span_basis():
     zb = list(catalog.get("basis.Z.C").payload.fields)
     coords = []
     for g in gens:
-        c = expand_in_fields(g, zb)
+        c = expand_in_fields([g], zb)[0]
         assert c is not None
         coords.append(list(c))
     assert len(rref_rows(coords)) == 10
@@ -337,7 +337,7 @@ def test_circle_generator_is_tenth_basis_field():
     gens = infinitesimal_generators(catalog.get("family.circle.C").payload)
     assert len(gens) == 1
     zb = list(catalog.get("basis.Z.C").payload.fields)
-    coeffs = expand_in_fields(gens[0], zb)
+    coeffs = expand_in_fields([gens[0]], zb)[0]
     expected = [GaussianRational(int(i == 9)) for i in range(10)]
     assert list(coeffs) == expected
 
@@ -355,7 +355,7 @@ def test_generator_structure_constants_match_golden_table():
     zb = list(catalog.get("basis.Z.D").payload.fields)
     z_algebra = LieAlgebraPresentation.from_fields(zb)
     gen_algebra = LieAlgebraPresentation.from_fields(gens)
-    m = [list(expand_in_fields(g, zb)) for g in gens]
+    m = [list(expand_in_fields([g], zb)[0]) for g in gens]
     dim = 10
     for a in range(dim):
         for b in range(dim):

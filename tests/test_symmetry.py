@@ -1,11 +1,14 @@
 """Symmetry algebra computation, orbits, scans, witnesses, obstruction."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubes import catalog
 from tubes.fields import VectorField, lie_bracket, linear_combination, minors_scan, rank_at
@@ -13,13 +16,15 @@ from tubes.linalg import rref_rows
 from tubes.poly import MultiPoly, merge_vars
 from tubes.scalars import GaussianRational
 from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
-                            affine_symmetry_algebra, expand_in_fields, is_nilpotent,
+                            _linear_pivot, affine_symmetry_algebra, expand_in_fields,
+                            is_nilpotent,
                             line_in_domain_check,
                             non_nilpotent_transitive_obstruction,
                             open_orbit_report, scan_covers_subspace,
                             subalgebra_scan, verify_transitivity_witness)
 
-from oracles import jacobi_holds, realify, tangency_multiplier
+from oracles import (first_written_pivot, jacobi_holds, random_poly, realify,
+                     tangency_multiplier)
 
 XV = ("x1", "x2", "x3", "x4")
 X1, X2, X3, X4 = (MultiPoly.var(XV, n) for n in XV)
@@ -70,9 +75,9 @@ def test_sphere_algebra_equals_rotation_span():
     rotations = catalog.get("basis.rotations.sphere").payload.fields
     assert alg.dim == 6
     for rot in rotations:
-        assert expand_in_fields(rot, alg.basis) is not None
+        assert expand_in_fields([rot], alg.basis)[0] is not None
     for b in alg.basis:
-        assert expand_in_fields(b, rotations) is not None
+        assert expand_in_fields([b], rotations)[0] is not None
 
 
 def _frozen(structure):
@@ -151,10 +156,10 @@ def test_verify_jacobi_agrees_with_dense_oracle():
 def test_expand_in_basis_examples():
     zb = list(catalog.get("basis.Z.D").payload.fields)
     alg = LieAlgebraPresentation.from_fields(zb)
-    coeffs = expand_in_fields(zb[3], alg.basis)
+    coeffs = expand_in_fields([zb[3]], alg.basis)[0]
     assert list(coeffs) == [GaussianRational(int(i == 3)) for i in range(10)]
     br = lie_bracket(zb[2], zb[9])
-    coeffs = expand_in_fields(br, alg.basis)
+    coeffs = expand_in_fields([br], alg.basis)[0]
     expected = [GaussianRational(0)] * 10
     expected[8] = GaussianRational(-2)
     assert list(coeffs) == expected
@@ -163,7 +168,7 @@ def test_expand_in_basis_examples():
 def test_expand_absent():
     alg = algebra("surface.table.2.sphere")
     d1 = VectorField(XV, (MultiPoly.const(XV, 1),) + (MultiPoly.zero(XV),) * 3)
-    assert expand_in_fields(d1, alg.basis) is None
+    assert expand_in_fields([d1], alg.basis)[0] is None
 
 
 def _field(variables, **comps):
@@ -289,7 +294,7 @@ def test_scan_recovers_half_domain_subalgebra():
     fx = catalog.get("basis.half_pseudo_ball.1m")
     rows = []
     for f in fx.payload.fields:
-        c = expand_in_fields(f, alg.basis)
+        c = expand_in_fields([f], alg.basis)[0]
         assert c is not None
         rows.append(list(c))
     assert scan_covers_subspace(scan, rows)
@@ -311,6 +316,80 @@ def test_scan_permuted_basis_same_subspaces():
             # coordinates w.r.t. permuted basis
             reexpressed = [[row[i] for i in perm] for row in sampled]
             assert scan_covers_subspace(scan_b, reexpressed)
+
+
+# names whose string order differs from their index order
+PICK_VARS = ("t0_2", "t0_10", "t1_3", "t0_1", "t10_0")
+PICK_UNITS = [tuple(int(i == j) for i in range(len(PICK_VARS))) for j in range(len(PICK_VARS))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.one_of(st.sampled_from(PICK_UNITS),
+                                 st.tuples(*[st.integers(0, 2)] * len(PICK_VARS))),
+                       st.integers(-3, 3).filter(bool), max_size=6))
+def test_linear_pivot_matches_first_written_rule(terms):
+    e = MultiPoly(PICK_VARS, terms)
+    assert _linear_pivot(e) == first_written_pivot(e)
+
+
+def test_linear_pivot_uses_string_order():
+    t = {v: MultiPoly.var(PICK_VARS, v) for v in PICK_VARS}
+    assert _linear_pivot(t["t0_2"] + t["t0_10"] * 3) == ("t0_10", GaussianRational(3))
+    assert _linear_pivot(t["t0_2"] * 5 + t["t0_10"] * t["t1_3"] + t["t0_10"]) == \
+        ("t0_2", GaussianRational(5))
+    assert _linear_pivot(t["t0_2"] * t["t0_2"] + t["t0_10"] * t["t1_3"]) is None
+
+
+def _dense_bracket(structure, u, v, zero):
+    dim = len(structure)
+    return [sum((u[i] * v[j] * structure[i][j][k] for i in range(dim) for j in range(dim)),
+                zero) for k in range(dim)]
+
+
+def test_bracket_coords_against_dense_sum_and_evaluation():
+    rng = random.Random(3)
+    vs = ("a", "b", "c")
+    zero = MultiPoly.zero(vs)
+    dense = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i, j in itertools.combinations(range(4), 2):
+        for k in range(4):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            dense[i][j][k], dense[j][i][k] = c, -c
+    algebras = [algebra(fid) for fid in ("surface.table.1m", "surface.quadric.half")]
+    algebras.append(LieAlgebraPresentation((None,) * 4, _frozen(dense)))
+    for alg in algebras:
+        for _ in range(4):
+            u, v = ([random_poly(rng, vs, complex_coeffs=True) if rng.random() < 0.7
+                     else zero for _ in range(alg.dim)] for _ in range(2))
+            w = alg.bracket_coords(u, v)
+            assert w == _dense_bracket(alg.structure, u, v, zero)
+            for _ in range(3):
+                point = {n: GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                             rng.randint(-2, 2)) for n in vs}
+                scalar = alg.bracket_coords([x.eval_at(point) for x in u],
+                                            [x.eval_at(point) for x in v])
+                assert [x.eval_at(point) for x in w] == scalar
+
+
+# SHA-256 of each scan, over its charts in order: pivots, status, sorted
+# solution strings, residual strings and closure flag. The benchmark runs
+# none of these scans. The digests were computed at commit fb86230, the
+# scan before the one-sweep pivot pick and the batched bracket solve.
+SCAN_DIGESTS = {
+    ("surface.table.1m", 3): "a9b75d785ff8cffe4ef28dd86753ad82ead3862dcd660c21430cdb66647ccebc",
+    ("surface.table.5", 3): "5a43efd70ab81e7bf65c4c88bc164bbe593485eed30c487dc84d891c7ebc7612",
+    ("surface.table.6", 3): "5c709d1de350a12695948af2afaa41dbf960554f77da4429c19e52caf8c7c155",
+}
+
+
+@pytest.mark.parametrize("fid,k", sorted(SCAN_DIGESTS))
+def test_scan_golden_digest(fid, k):
+    lines = []
+    for c in subalgebra_scan(algebra(fid), k).charts:
+        solution = sorted(f"{name}={value}" for name, value in c.solution)
+        residual = [str(e) for e in c.residual]
+        lines.append(f"{c.pivots}|{c.status}|{solution}|{residual}|{c.closure_verified}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_DIGESTS[fid, k]
 
 
 def test_half_domain_fixture_closed_and_tangent():
