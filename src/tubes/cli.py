@@ -472,9 +472,7 @@ def _slice_check(reg, slice_fx: Fixture) -> Check:
                                      for v in full.variables}
         for p in full.params:
             values[p] = assignments[p].with_vars(target.universe)
-        image = comp.num.subs_poly(values)
-        expect = target.components[i].num
-        if image != expect:
+        if comp.subs_poly(values) != target.components[i]:
             ok = False
             detail = f"component {full.variables[i]} disagrees"
             break
@@ -547,8 +545,7 @@ def cmd_group(args, reg) -> List[Check]:
 def _lift_family_to_z(fam: MapFamily) -> MapFamily:
     """Rename an x-coordinate affine family to act on z coordinates."""
     rename = dict(zip(catalog.XV, catalog.ZV))
-    comps = tuple(RationalFunction(c.num.rename_vars(rename), c.den.rename_vars(rename))
-                  for c in fam.components)
+    comps = tuple(c.rename_vars(rename) for c in fam.components)
     return MapFamily(fam.name + ".z", catalog.ZV, fam.params, comps, fam.identity,
                      fam.relations, fam.constraints)
 

@@ -49,13 +49,6 @@ class VectorField:
                 products.append(comp * d)
         return poly_sum(p.vars, products)
 
-    def bracket(self, other: "VectorField") -> "VectorField":
-        if self.variables != other.variables or self.carrier != other.carrier:
-            raise ValueError("variable mismatch in Lie bracket")
-        comps = tuple(self.apply(yc) - other.apply(xc)
-                      for xc, yc in zip(self.components, other.components))
-        return VectorField(self.variables, comps)
-
     def evaluate(self, point: Mapping[str, object]) -> List[GaussianRational]:
         return [c.eval_at(point) for c in self.components]
 
@@ -74,7 +67,10 @@ class HoloField(VectorField):
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    return x.bracket(y)
+    if x.variables != y.variables or x.carrier != y.carrier:
+        raise ValueError("variable mismatch in Lie bracket")
+    return VectorField(x.variables, tuple(x.apply(yc) - y.apply(xc)
+                                          for xc, yc in zip(x.components, y.components)))
 
 
 def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) -> VectorField:

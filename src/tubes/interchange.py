@@ -101,7 +101,7 @@ def family_to_obj(fam: MapFamily) -> Dict:
         "name": fam.name,
         "variables": list(fam.variables),
         "params": list(fam.params),
-        "components": [ratfun_to_obj(c) for c in fam.components],
+        "components": [ratfun_to_obj(RationalFunction(c)) for c in fam.components],
         "identity": {p: frac_to_str(v) for p, v in fam.identity},
         "relations": relations_to_obj(fam.relations),
         "constraints": {p: text for p, text in fam.constraints},
@@ -111,11 +111,18 @@ def family_to_obj(fam: MapFamily) -> Dict:
 
 
 def family_from_obj(obj: Mapping) -> MapFamily:
+    components = []
+    for c in obj["components"]:
+        rf = ratfun_from_obj(c)
+        if not rf.is_polynomial():
+            raise ValueError(f"map family {obj['name']!r} needs polynomial components, "
+                             f"got the denominator {rf.den}")
+        components.append(rf.num)
     return MapFamily(
         name=obj["name"],
         variables=tuple(obj["variables"]),
         params=tuple(obj["params"]),
-        components=tuple(ratfun_from_obj(c) for c in obj["components"]),
+        components=tuple(components),
         identity=tuple((p, Fraction(v)) for p, v in obj["identity"].items()),
         relations=relations_from_obj(obj.get("relations", {})),
         constraints=tuple(sorted(obj.get("constraints", {}).items())),

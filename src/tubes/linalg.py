@@ -24,11 +24,12 @@ RatMatrix = Sequence[Sequence[Fraction]]
 
 
 def _rows_to_int(matrix: RatMatrix) -> List[List[int]]:
+    """Each row of canonical rationals scaled by the lcm of its
+    denominators."""
     rows = []
     for row in matrix:
-        fr = [Fraction(x) for x in row]
-        denoms = lcm(*(f.denominator for f in fr)) if fr else 1
-        rows.append([int(f * denoms) for f in fr])
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) if x else 0 for x in row])
     return rows
 
 
@@ -81,7 +82,7 @@ def _bareiss(rows: List[list], div) -> Tuple[List[int], int]:
     return pivots, sign
 
 
-def kernel_basis(matrix: RatMatrix) -> List[List[Fraction]]:
+def kernel_basis(matrix: RatMatrix) -> List[List[int]]:
     """Basis of the exact null space of a rational matrix.
 
     Vectors are normalized to primitive integer form with positive
@@ -116,13 +117,13 @@ def kernel_basis(matrix: RatMatrix) -> List[List[Fraction]]:
     return basis
 
 
-def _primitive(ints: List[int]) -> List[Fraction]:
+def _primitive(ints: List[int]) -> List[int]:
     """A nonzero integer vector divided by the gcd of its entries, signed
     so that its leading nonzero entry is positive."""
     g = gcd(*ints)
     if next(x for x in ints if x) < 0:
         g = -g
-    return [Fraction(x, g) for x in ints]
+    return [x // g for x in ints]
 
 
 def _rref(rows: Sequence[Sequence[GaussianRational]], limit: Optional[int] = None):

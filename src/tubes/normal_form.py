@@ -3,9 +3,10 @@
 Covers the bidegree expansion of rational graph equations Im w_n =
 R(w', conj w'), the trace operator built from the nondegenerate (1,1)
 part, the normal-form condition checks, and exact verification of
-coordinate changes, self-map families, group laws, and infinitesimal
-generators. All checks are polynomial identities after clearing
-denominators; series truncation appears only inside defining_series.
+rational coordinate changes, polynomial self-map families, their
+rational group laws, and infinitesimal generators. All checks are
+polynomial identities after clearing denominators; series truncation
+appears only inside defining_series.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
 from .linalg import invert_gaussian_matrix
-from .poly import (MultiPoly, Powers, RationalFunction, _poly, poly_sum, series_expand,
-                   substitute, substitute_rf)
+from .poly import (MultiPoly, Powers, RationalFunction, _poly, conjugation_pairing, poly_sum,
+                   series_expand, substitute)
 from .relations import RelationContext
-from .scalars import I, ONE, ZERO, GaussianRational
+from .scalars import I, ZERO, GaussianRational
 
 
 # ------------------------------------------------------------- bidegree data
@@ -36,11 +37,7 @@ class BidegreeSeries:
 
     @property
     def pairing(self) -> Dict[str, str]:
-        pairing = {}
-        for a, b in zip(self.holo_vars, self.anti_vars):
-            pairing[a] = b
-            pairing[b] = a
-        return pairing
+        return conjugation_pairing(self.holo_vars, self.anti_vars)
 
     def part(self, k: int, l: int) -> MultiPoly:
         got = self.parts.get((k, l))
@@ -138,11 +135,7 @@ class GraphSurface:
 
     @property
     def pairing(self) -> Dict[str, str]:
-        pairing = {}
-        for a, b in zip(self.holo_vars, self.anti_vars):
-            pairing[a] = b
-            pairing[b] = a
-        return pairing
+        return conjugation_pairing(self.holo_vars, self.anti_vars)
 
     @property
     def free_vars(self) -> Tuple[str, ...]:
@@ -168,8 +161,9 @@ class GraphSurface:
 
 
 def defining_series(surface: GraphSurface, cutoff: int) -> BidegreeSeries:
-    """Expand the graph function and split by bidegree; reality and the
-    vanishing of the constant part are verified."""
+    """Expand the graph function and split by bidegree; the vanishing of
+    the constant part is verified. Reality of the split is a reported
+    check (BidegreeSeries.verify_reality), not a precondition."""
     if surface.im_part is None:
         raise ValueError("defining_series expects the normal-form graph pattern")
     expansion = series_expand(surface.im_part, cutoff)
@@ -177,7 +171,6 @@ def defining_series(surface: GraphSurface, cutoff: int) -> BidegreeSeries:
     series = BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, dict(parts))
     if not series.part(0, 0).is_zero():
         raise ValueError("defining function does not vanish at the origin")
-    series.verify_reality()
     return series
 
 
@@ -305,17 +298,19 @@ def map_at_origin(phi: Mapping[str, RationalFunction],
 
 @dataclass(frozen=True)
 class MapFamily:
-    """Parametrized polynomial/rational self-map family.
+    """Parametrized polynomial self-map family.
 
-    Components live over variables + params. Real parameters are fixed
-    by conjugation; a unit-modulus parameter is modelled as a pair
-    (c, cbar) with c*cbar = 1 registered in the relation context.
+    Components are polynomials over variables + params; only the stored
+    composition law, which gives the parameters of a composite, is
+    rational. Real parameters are fixed by conjugation; a unit-modulus
+    parameter is modelled as a pair (c, cbar) with c*cbar = 1 registered
+    in the relation context.
     """
 
     name: str
     variables: Tuple[str, ...]
     params: Tuple[str, ...]
-    components: Tuple[RationalFunction, ...]
+    components: Tuple[MultiPoly, ...]
     identity: Tuple[Tuple[str, Fraction], ...]
     relations: RelationContext = field(default_factory=RelationContext)
     constraints: Tuple[Tuple[str, str], ...] = ()
@@ -324,6 +319,8 @@ class MapFamily:
 
     def __post_init__(self):
         expect = self.variables + self.params
+        if len(self.components) != len(self.variables):
+            raise ValueError("a family needs one component per variable")
         for comp in self.components:
             if comp.vars != expect:
                 raise ValueError(f"family components must live over {expect}")
@@ -331,26 +328,16 @@ class MapFamily:
         missing = [p for p in self.params if p not in ident]
         if missing:
             raise ValueError(f"no identity value for parameters {missing}")
-        for i, comp in enumerate(self.components):
-            at_id = self.component_at_params(i, ident)
-            var = MultiPoly.var(self.variables, self.variables[i])
-            if not (at_id.num - var * at_id.den).is_zero():
+        for name, comp in zip(self.variables, self.components):
+            if comp.specialize(ident) != MultiPoly.var(self.variables, name):
                 raise ValueError("identity parameters do not give the identity map")
 
     @property
     def universe(self) -> Tuple[str, ...]:
         return self.variables + self.params
 
-    def component_at_params(self, index: int, values: Mapping[str, object]) -> RationalFunction:
-        assignment: Dict[str, object] = {v: MultiPoly.var(self.variables, v)
-                                         for v in self.variables}
-        for p in self.params:
-            assignment[p] = MultiPoly.const(self.variables, Fraction(values[p])) \
-                if not isinstance(values[p], (MultiPoly, RationalFunction)) else values[p]
-        return substitute_rf(self.components[index], assignment)
-
     def conjugate_components(self, var_pairing: Mapping[str, str],
-                             universe: Sequence[str]) -> List[RationalFunction]:
+                             universe: Sequence[str]) -> List[MultiPoly]:
         """Components of the conjugated map, embedded into `universe`
         (which must contain both variable groups and the parameters)."""
         pairing = dict(var_pairing)
@@ -397,28 +384,15 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
         if surface.vars != holo_vars + anti_vars:
             raise ValueError("surface must live over holo + anti variables")
         universe = holo_vars + anti_vars + fam.params
-        pairing = {}
-        for a, b in zip(holo_vars, anti_vars):
-            pairing[a] = b
-            pairing[b] = a
-        images: Dict[str, MultiPoly] = {}
-        conj = fam.conjugate_components(pairing, universe)
-        for i, name in enumerate(fam.variables):
-            comp = fam.components[i]
-            if not comp.is_polynomial():
-                raise ValueError("invariance check expects polynomial family components")
-            images[name] = comp.num.with_vars(universe)
-        for i, name in enumerate(anti_vars):
-            images[name] = conj[i].num
+        conj = fam.conjugate_components(conjugation_pairing(holo_vars, anti_vars), universe)
+        images = dict(zip(anti_vars, conj))
     else:
         if surface.vars != fam.variables:
             raise ValueError("surface and family variables differ")
         universe = fam.variables + fam.params
-        images = {name: fam.components[i].num.with_vars(universe)
-                  for i, name in enumerate(fam.variables)}
-        for comp in fam.components:
-            if not comp.is_polynomial():
-                raise ValueError("invariance check expects polynomial family components")
+        images = {}
+    images.update((name, comp.with_vars(universe))
+                  for name, comp in zip(fam.variables, fam.components))
 
     image = surface.with_vars(universe).subs_poly(images)
     image = fam.relations.reduce_poly(image)
@@ -440,16 +414,10 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
             multiplier[pexps] = c
     fixes: Optional[bool] = None
     if fixed_point is not None:
-        fixes = True
-        const_images = {v: MultiPoly.const(fam.params, Fraction(x))
-                        for v, x in zip(fam.variables, fixed_point)}
-        for i, comp in enumerate(fam.components):
-            value = comp.num.with_vars(fam.universe).subs_poly(
-                {**{p: MultiPoly.var(fam.params, p) for p in fam.params}, **const_images})
-            value = fam.relations.reduce_poly(value)
-            if value != MultiPoly.const(fam.params, Fraction(fixed_point[i])):
-                fixes = False
-                break
+        point = dict(zip(fam.variables, fixed_point))
+        fixes = all(fam.relations.reduce_poly(comp.specialize(point))
+                    == MultiPoly.const(fam.params, x)
+                    for comp, x in zip(fam.components, fixed_point))
     return InvarianceResult(ok, _poly(fam.params, multiplier) if ok else None, fixes, residual)
 
 
@@ -475,45 +443,27 @@ def verify_group_law(fam: MapFamily) -> GroupLawResult:
     big = fam.variables + fam.params + primed
     rename = dict(zip(fam.params, primed))
 
-    inner_images = {}
-    for i, name in enumerate(fam.variables):
-        comp = fam.components[i]
-        if not comp.is_polynomial():
-            return GroupLawResult("failed", "composition needs polynomial components")
-        inner_images[name] = comp.num.rename_vars(rename).with_vars(big)
-
-    for i, name in enumerate(fam.variables):
-        lhs = fam.components[i].num.with_vars(big).subs_poly(inner_images)
-        assignment: Dict[str, object] = {v: RationalFunction(MultiPoly.var(big, v))
-                                         for v in fam.variables}
-        for p in fam.params:
-            assignment[p] = law[p].with_vars(big)
-        rhs = substitute(fam.components[i].num, assignment)
+    inner_images = {name: comp.rename_vars(rename).with_vars(big)
+                    for name, comp in zip(fam.variables, fam.components)}
+    assignment: Dict[str, MultiPoly] = {v: MultiPoly.var(big, v) for v in fam.variables}
+    for p in fam.params:
+        assignment[p] = law[p].with_vars(big)
+    for name, comp in zip(fam.variables, fam.components):
+        lhs = comp.with_vars(big).subs_poly(inner_images)
+        rhs = substitute(comp, assignment)
         if not (lhs * rhs.den - rhs.num).is_zero():
             return GroupLawResult("failed", f"component {name} disagrees")
 
     ident = dict(fam.identity)
+    ident_primed = {rename[p]: x for p, x in ident.items()}
     for p in fam.params:
-        law_p = law[p]
-        # right unit: law(p, id') = p
-        right = {pp: RationalFunction.from_scalar(fam.params, ident[strip_prime(pp, fam, primed)])
-                 if pp in primed else RationalFunction(MultiPoly.var(fam.params, pp))
-                 for pp in law_p.vars if pp in primed or pp in fam.params}
-        val = substitute_rf(law_p, right)
-        if not (val.num - MultiPoly.var(val.vars, p).with_vars(val.vars) * val.den).is_zero():
-            return GroupLawResult("failed", f"identity is not a right unit for {p}")
-        left = {pp: RationalFunction(MultiPoly.var(primed, pp)) if pp in primed
-                else RationalFunction.from_scalar(primed, ident[pp])
-                for pp in law_p.vars if pp in primed or pp in fam.params}
-        val = substitute_rf(law_p, left)
-        target = MultiPoly.var(val.vars, rename[p]).with_vars(val.vars)
-        if not (val.num - target * val.den).is_zero():
-            return GroupLawResult("failed", f"identity is not a left unit for {p}")
+        # right unit: law(p, id') = p; left unit: law(id, p') = p'
+        for side, values, unit in (("right", ident_primed, p), ("left", ident, rename[p])):
+            # a denominator that vanishes at the identity raises ZeroDivisionError
+            val = RationalFunction(law[p].num.specialize(values), law[p].den.specialize(values))
+            if val != MultiPoly.var(val.vars, unit):
+                return GroupLawResult("failed", f"identity is not a {side} unit for {p}")
     return GroupLawResult("ok", "")
-
-
-def strip_prime(primed_name: str, fam: MapFamily, primed: Tuple[str, ...]) -> str:
-    return fam.params[list(primed).index(primed_name)]
 
 
 def verify_map_conjugation(phi: Mapping[str, RationalFunction],
@@ -527,12 +477,8 @@ def verify_map_conjugation(phi: Mapping[str, RationalFunction],
     inverting phi.
     """
     universe = inner.variables + inner.params
-    inner_images: Dict[str, MultiPoly] = {}
-    for i, name in enumerate(inner.variables):
-        comp = inner.components[i]
-        if not comp.is_polynomial():
-            raise ValueError("conjugation check expects a polynomial inner family")
-        inner_images[name] = comp.num.with_vars(universe)
+    inner_images = {name: comp.with_vars(universe)
+                    for name, comp in zip(inner.variables, inner.components)}
 
     outer_assignment: Dict[str, object] = {}
     for name in outer.variables:
@@ -547,7 +493,7 @@ def verify_map_conjugation(phi: Mapping[str, RationalFunction],
     for i, name in enumerate(outer.variables):
         lhs_num = substitute(phi[name].num, inner_images)
         lhs_den = substitute(phi[name].den, inner_images)
-        rhs = substitute_rf(outer.components[i], outer_assignment)
+        rhs = substitute(outer.components[i], outer_assignment)
         diff = lhs_num.num * rhs.den * lhs_den.den - rhs.num * lhs_den.num * lhs_num.den
         if not diff.is_zero():
             return False, f"component {name} disagrees"
@@ -558,37 +504,10 @@ def infinitesimal_generators(fam: MapFamily) -> List[HoloField]:
     """One generator per parameter: the derivative of the family at the
     identity parameters. A unit pair (c, cbar) contributes the single
     rotation generator i (d/dc - d/dcbar) evaluated at c = cbar = 1."""
-    ident = {p: Fraction(v) for p, v in fam.identity}
+    ident = dict(fam.identity)
     unit_syms = set(fam.unit_pair_params())
-    gens: List[HoloField] = []
-
-    def eval_at_identity(p: MultiPoly) -> MultiPoly:
-        images = {name: MultiPoly.const(fam.variables, ident[name]) if name in ident
-                  else MultiPoly.var(fam.variables, name) for name in p.vars}
-        return p.subs_poly(images)
-
-    def derivative_components(dcomp_fn) -> List[MultiPoly]:
-        comps = []
-        for comp in fam.components:
-            n, d = comp.num, comp.den
-            dn, dd = dcomp_fn(n), dcomp_fn(d)
-            d_id = eval_at_identity(d)
-            if d_id.used_vars():
-                raise ValueError("non-polynomial parameter dependence at the identity")
-            d0 = d_id.const_coeff()
-            if not d0:
-                raise ValueError("family denominator vanishes at the identity parameters")
-            num = eval_at_identity(dn * d - n * dd)
-            comps.append(num * (ONE / (d0 * d0)))
-        return comps
-
-    for p in fam.params:
-        if p in unit_syms:
-            continue
-        comps = derivative_components(lambda poly, p=p: poly.diff(p))
-        gens.append(HoloField(fam.variables, tuple(comps)))
-    for c, cb in fam.relations.unit_pairs:
-        comps = derivative_components(
-            lambda poly, c=c, cb=cb: (poly.diff(c) - poly.diff(cb)) * I)
-        gens.append(HoloField(fam.variables, tuple(comps)))
-    return gens
+    derivatives = [lambda comp, p=p: comp.diff(p) for p in fam.params if p not in unit_syms]
+    derivatives += [lambda comp, c=c, cb=cb: (comp.diff(c) - comp.diff(cb)) * I
+                    for c, cb in fam.relations.unit_pairs]
+    return [HoloField(fam.variables, tuple(d(comp).specialize(ident) for comp in fam.components))
+            for d in derivatives]

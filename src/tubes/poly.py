@@ -43,6 +43,8 @@ class MultiPoly:
                 exps = tuple(exps)
                 if len(exps) != width:
                     raise ValueError(f"exponent vector {exps} does not match variables {self.vars}")
+                if not all(type(k) is int and k >= 0 for k in exps):
+                    raise ValueError(f"exponents must be nonnegative ints, got {exps}")
                 c = _as_coeff(coeff)
                 if c:
                     clean[exps] = c
@@ -222,19 +224,30 @@ class MultiPoly:
                 raise ValueError(f"variable {v!r} not among {target}")
         return _compose(self, target, images)
 
-    def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
-        for v in self.used_vars():
-            if v not in point:
-                raise ValueError(f"no value supplied for variable {v!r}")
-        vals = [GaussianRational.coerce(point.get(v, 0)) for v in self.vars]
-        total = ZERO
+    def specialize(self, values: Mapping[str, ScalarLike]) -> "MultiPoly":
+        """Set the variables named in `values` to those constants; the
+        result lives over the remaining variables, in order. Names that
+        are not variables of self are ignored."""
+        fixed = [(i, GaussianRational.coerce(values[v]))
+                 for i, v in enumerate(self.vars) if v in values]
+        keep = [i for i, v in enumerate(self.vars) if v not in values]
+        acc: Dict[Exponents, GaussianRational] = {}
         for e, c in self.terms.items():
-            acc = c
-            for i, k in enumerate(e):
-                if k:
-                    acc = acc * vals[i] ** k
-            total = total + acc
-        return total
+            for i, x in fixed:
+                if e[i]:
+                    c = c * x ** e[i]
+            if c:
+                key = tuple([e[i] for i in keep])
+                s = acc.get(key)
+                acc[key] = c if s is None else s + c
+        return _poly(tuple(self.vars[i] for i in keep), {e: c for e, c in acc.items() if c})
+
+    def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
+        rest = self.specialize(point)
+        missing = rest.used_vars()
+        if missing:
+            raise ValueError(f"no value supplied for variable {missing[0]!r}")
+        return rest.const_coeff()
 
     def truncate(self, cutoff: int) -> "MultiPoly":
         return _poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= cutoff})
@@ -427,6 +440,13 @@ def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
     return _poly(target, acc)
 
 
+def conjugation_pairing(holo_vars: Sequence[str], anti_vars: Sequence[str]) -> Dict[str, str]:
+    """The involution swapping each holomorphic name with its conjugate."""
+    pairing = dict(zip(holo_vars, anti_vars))
+    pairing.update(zip(anti_vars, holo_vars))
+    return pairing
+
+
 def merge_vars(*groups: Iterable[str]) -> Tuple[str, ...]:
     """Union of variable tuples, preserving first-seen order."""
     seen = []
@@ -533,12 +553,6 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __truediv__(self, other):
-        other = self._coerced(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other) -> bool:
         try:
             other = self._coerced(other)
@@ -595,12 +609,6 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
         images[i] = (Powers(value.num), den_pows, top)
         den_total = den_total * den_pows[top]
     return RationalFunction(_compose(p, target, images), den_total)
-
-
-def substitute_rf(f: RationalFunction, assignment: Mapping[str, object]) -> RationalFunction:
-    """Compose the rational function f with rational-function values for
-    its variables: substitute(num) / substitute(den)."""
-    return substitute(f.num, assignment) / substitute(f.den, assignment)
 
 
 def series_expand(f: RationalFunction, cutoff: int) -> MultiPoly:

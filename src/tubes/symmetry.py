@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
                      rank_at)
-from .poly import MultiPoly, RationalFunction, poly_sum, substitute_rf
+from .poly import MultiPoly, RationalFunction, poly_sum, substitute
 from .relations import RelationContext
 from .scalars import ONE, ZERO, GaussianRational, Rational
 
@@ -47,10 +47,9 @@ class Hypersurface:
         value = self.defining.eval_at(dict(zip(self.defining.vars, self.basepoint)))
         if value:
             raise ValueError(f"basepoint {self.basepoint} is not on the surface ({value})")
-        for expr, sense in self.constraints:
-            v = expr.eval_at(dict(zip(expr.vars, self.basepoint)))
-            if not v.is_real() or not satisfies(v.re, sense):
-                raise ValueError(f"basepoint violates side constraint {expr} {sense} 0")
+        bad = violated_constraint(self.constraints, self.basepoint)
+        if bad is not None:
+            raise ValueError(f"basepoint violates side constraint {bad[0]} {bad[1]} 0")
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -60,11 +59,18 @@ class Hypersurface:
         return not self.defining.eval_at(dict(zip(self.variables, point)))
 
     def point_satisfies_constraints(self, point: Sequence[object]) -> bool:
-        for expr, sense in self.constraints:
-            v = expr.eval_at(dict(zip(expr.vars, point)))
-            if not v.is_real() or not satisfies(v.re, sense):
-                return False
-        return True
+        return violated_constraint(self.constraints, point) is None
+
+
+def violated_constraint(constraints: Sequence[Tuple[MultiPoly, str]],
+                        point: Sequence[object]) -> Optional[Tuple[MultiPoly, str]]:
+    """The first constraint (expr, sense) that fails at the point, whose
+    coordinates follow the order of each expr's variables, or None."""
+    for expr, sense in constraints:
+        v = expr.eval_at(dict(zip(expr.vars, point)))
+        if not v.is_real() or not satisfies(v.re, sense):
+            return expr, sense
+    return None
 
 
 def satisfies(value: Rational, sense: str) -> bool:
@@ -220,7 +226,7 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
     for poly in unknown_polys:
         for e in poly.terms:
             support.setdefault(e, len(support))
-    matrix = [[Fraction(0)] * len(unknown_polys) for _ in range(len(support))]
+    matrix = [[0] * len(unknown_polys) for _ in range(len(support))]
     for col, poly in enumerate(unknown_polys):
         for e, c in poly.terms.items():
             if not c.is_real():
@@ -516,7 +522,7 @@ def verify_transitivity_witness(witness: TransitivityWitness,
         full_assignment[p] = witness.assignment[p]
     ctx = witness.context
     for i, comp in enumerate(fam.components):
-        image = substitute_rf(comp, full_assignment)
+        image = substitute(comp, full_assignment)
         num = ctx.reduce_poly(image.num)
         den = ctx.reduce_poly(image.den)
         if den.is_zero():

@@ -8,7 +8,9 @@ multiplying back rather than re-expanding, and a field's tangency to a
 surface is certified by solving X(P) = Q P for a polynomial multiplier Q
 instead of through the kernel solve of affine_symmetry_algebra. The
 scan's one-sweep pivot pick is checked against its first form, which
-tries each variable in turn for degree 1 and a constant `diff`.
+tries each variable in turn for degree 1 and a constant `diff`, and
+`MultiPoly.specialize` against the term loop `eval_at` had before it
+became specialize's full case.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from tubes.fields import VectorField
 from tubes.linalg import solve_columns
 from tubes.poly import MultiPoly
-from tubes.scalars import I, ZERO
+from tubes.scalars import I, ZERO, GaussianRational
 
 
 def cofactor_det(matrix) -> MultiPoly:
@@ -155,8 +157,21 @@ def first_written_pivot(e: MultiPoly):
     return None
 
 
+def eval_terms(p: MultiPoly, point) -> GaussianRational:
+    """The value of p at a point (a dict over p.vars; absent names read
+    as 0) by the term loop eval_at had before specialize, frozen."""
+    vals = [GaussianRational.coerce(point.get(v, 0)) for v in p.vars]
+    total = ZERO
+    for e, c in p.terms.items():
+        acc = c
+        for i, k in enumerate(e):
+            if k:
+                acc = acc * vals[i] ** k
+        total = total + acc
+    return total
+
+
 def random_poly(rng, variables, max_degree=2, max_terms=4, complex_coeffs=False) -> MultiPoly:
-    from tubes.scalars import GaussianRational
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * len(variables)

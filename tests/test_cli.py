@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -77,10 +78,39 @@ def test_usage_errors(capsys):
     assert cli.main(["witness", "--id", "no.such.witness"]) == 64
 
 
+def _unknown_sense(payload):
+    payload["constraints"][0]["sense"] = "ge"
+
+
+def _negative_exponent(payload):
+    payload["fields"][0]["components"][0]["terms"][0]["e"][0] = -1
+
+
+def _float_exponent(payload):
+    exps = next(t["e"] for t in payload["expr"]["terms"] if 1 in t["e"])
+    exps[exps.index(1)] = 1.0
+
+
+def _rational_component(payload):
+    # the same map, written as (2 z1) / 2
+    comp = payload["components"][0]
+    for part in (comp["num"], comp["den"]):
+        for term in part["terms"]:
+            term["c"] = str(2 * Fraction(term["c"]))
+
+
+# fixture trees {tmp}/<name>: a copy of fixtures/ with one payload edited
+BAD_TREES = {
+    "ge": ("domain.H.gt", _unknown_sense),
+    "negexp": ("basis.Z.D", _negative_exponent),
+    "floatexp": ("domain.Bp.gt", _float_exponent),
+    "ratcomp": ("family.isotropy.C.scale", _rational_component),
+}
+
+
 # "{tmp}" (in argv and message) stands for a temporary directory holding
 # bad.json, which is not JSON, the fixture trees oops/ and empty/, whose
-# index.json reads "{oops" and "{}", and ge/, a copy of fixtures/ in which
-# the constraint of domain.H.gt has the unknown sense "ge"; leading
+# index.json reads "{oops" and "{}", and the trees of BAD_TREES; leading
 # NAME=value items set environment variables, as in a shell
 @pytest.mark.parametrize("argv, message", [
     (["normal-form", "--case", "D", "--cutoff", "3"], "--cutoff must be at least 6"),
@@ -99,18 +129,25 @@ def test_usage_errors(capsys):
      "'{tmp}/missing': FileNotFoundError: [Errno 2] No such file or directory: "
      "'{tmp}/missing/index.json'"),
     (["TUBES_FIXTURES={tmp}/ge", "classify"], "unknown constraint sense 'ge'"),
+    (["TUBES_FIXTURES={tmp}/negexp", "table", "--case", "D"],
+     "exponents must be nonnegative ints, got (-1, "),
+    (["TUBES_FIXTURES={tmp}/floatexp", "classify"],
+     "exponents must be nonnegative ints, got (0, 0, 0, 1.0)"),
+    (["TUBES_FIXTURES={tmp}/ratcomp", "isotropy", "--case", "C"],
+     "map family 'isotropy.C.scale' needs polynomial components"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
     for tree, index in (("oops", "{oops"), ("empty", "{}")):
         (tmp_path / tree).mkdir()
         (tmp_path / tree / "index.json").write_text(index)
-    if "{tmp}/ge" in argv[0]:
-        domain = tmp_path / "ge" / "domain.H.gt.json"
-        shutil.copytree(FIXTURES, domain.parent)
-        obj = json.loads(domain.read_text())
-        obj["payload"]["constraints"][0]["sense"] = "ge"
-        domain.write_text(json.dumps(obj))
+    for tree, (fid, edit) in BAD_TREES.items():
+        if f"{{tmp}}/{tree}" in argv[0]:
+            shutil.copytree(FIXTURES, tmp_path / tree)
+            path = tmp_path / tree / f"{fid}.json"
+            obj = json.loads(path.read_text())
+            edit(obj["payload"])
+            path.write_text(json.dumps(obj))
     argv = [a.format(tmp=tmp_path) for a in argv]
     while "=" in argv[0]:
         name, _, value = argv.pop(0).partition("=")
@@ -122,6 +159,29 @@ def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, ca
     message = message.format(tmp=tmp_path)
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in captured.err
+
+
+def test_non_real_series_is_a_reality_fail(monkeypatch, capsys):
+    """A series that breaks the reality pairing is reported as the
+    normal_form.reality FAIL (exit 1), not raised."""
+    from tubes import normal_form
+    from tubes.poly import MultiPoly
+    from tubes.scalars import I
+
+    expand = normal_form.series_expand
+
+    def non_real(f, cutoff):
+        out = expand(f, cutoff)
+        w1, w1b = MultiPoly.var(out.vars, "w1"), MultiPoly.var(out.vars, "w1b")
+        return out + w1**2 * w1b**2 * I
+
+    monkeypatch.setattr(normal_form, "series_expand", non_real)
+    code = cli.main(["--json", "normal-form", "--case", "D"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    verdicts = {c["id"]: c["verdict"] for c in json.loads(captured.out)["checks"]}
+    assert verdicts["normal_form.reality.D"] == "FAIL"
 
 
 def test_engine_key_error_is_not_a_usage_error(monkeypatch):

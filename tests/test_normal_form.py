@@ -194,6 +194,10 @@ def test_isotropy_family_invariance_and_fixed_point():
     assert res.ok and res.fixes_point
     r = MultiPoly.var(fam.params, "r")
     assert res.multiplier == r**2
+    # z3 goes to 1 - r^2 at (1, 0, 0, 1), which the family does not fix
+    res = verify_family_invariance(fam, tube_rho("D"), catalog.ZV, ZF_ANTI,
+                                   fixed_point=(1, 0, 0, 1))
+    assert res.ok and res.fixes_point is False
 
 
 def test_full_family_invariance():
@@ -214,7 +218,7 @@ def test_full_family_isotropy_slice_fixes_basepoint():
         values = {v: MultiPoly.var(iso.universe, v) for v in full.variables}
         for p in full.params:
             values[p] = assignments[p].with_vars(iso.universe)
-        assert comp.num.subs_poly(values) == iso.components[i].num
+        assert comp.subs_poly(values) == iso.components[i]
 
 
 def test_cubic_case_isotropy_triple():
@@ -295,6 +299,24 @@ def test_group_law_wrong_law_fails():
     assert verify_group_law(broken).status == "failed"
 
 
+def test_group_law_unit_checks():
+    # z -> z ignores p, so any law composes; p + p' + 1 has no identity at p = 0
+    u = ("z", "p")
+    lawv = ("p", "pp")
+    p, pp = (MultiPoly.var(lawv, n) for n in lawv)
+    fam = MapFamily("idle", ("z",), ("p",), (MultiPoly.var(u, "z"),), (("p", Fraction(0)),),
+                    composition=(("p", RationalFunction(p + pp + 1)),),
+                    composition_primed=("pp",))
+    law = verify_group_law(fam)
+    assert law.status == "failed" and law.detail == "identity is not a right unit for p"
+    # p + p' written over the denominator p', which vanishes at the identity p' = 0
+    fam = MapFamily("idle", ("z",), ("p",), (MultiPoly.var(u, "z"),), (("p", Fraction(0)),),
+                    composition=(("p", RationalFunction((p + pp) * pp, pp)),),
+                    composition_primed=("pp",))
+    with pytest.raises(ZeroDivisionError):
+        verify_group_law(fam)
+
+
 # ------------------------------------------------------------- generators
 
 def test_full_family_generators_span_basis():
@@ -317,8 +339,7 @@ def test_cubic_case_generators_span_basis():
     gens = []
     afx = catalog.get("family.affine.C").payload
     rename = dict(zip(catalog.XV, catalog.ZV))
-    comps = tuple(RationalFunction(c.num.rename_vars(rename), c.den.rename_vars(rename))
-                  for c in afx.components)
+    comps = tuple(c.rename_vars(rename) for c in afx.components)
     zlift = MapFamily("affine.C.z", catalog.ZV, afx.params, comps, afx.identity)
     gens.extend(infinitesimal_generators(zlift))
     for fid in ("family.translations.z", "family.isotropy.C.shear", "family.circle.C"):
@@ -391,8 +412,7 @@ def test_cubic_case_parameter_bridges():
     W4V = ("w1", "w2", "w3", "w4")
 
     def wslice(params, comps, ident, rels=None):
-        return MapFamily("slice", W4V, params,
-                         tuple(RationalFunction(c) for c in comps), ident,
+        return MapFamily("slice", W4V, params, comps, ident,
                          relations=rels or RelationContext())
 
     u = W4V + ("r",)

@@ -15,7 +15,7 @@ from tubes.poly import (MultiPoly, RationalFunction, merge_vars, mul_trunc, poly
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
-from oracles import random_poly
+from oracles import eval_terms, random_poly
 
 VARS = ("x", "y", "z")
 
@@ -127,6 +127,33 @@ def test_substitute_agrees_with_eval_at(p, parts, den_values, point):
     values = {v: f.num.eval_at(at) / f.den.eval_at(at) for v, f in assignment.items()}
     assert out.den.eval_at(at)
     assert out.num.eval_at(at) == p.eval_at(values) * out.den.eval_at(at)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(max_terms=6), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.tuples(small_scalar(), small_scalar(), small_scalar()))
+def test_specialize_matches_the_term_loop_and_constant_subs_poly(p, chosen, point):
+    values = {v: x for v, x, c in zip(VARS, point, chosen) if c}
+    rest = tuple(v for v in VARS if v not in values)
+    out = p.specialize(values)
+    assert out.vars == rest
+    assert out == p.subs_poly({v: MultiPoly.const(rest, x) for v, x in values.items()})
+    at = {v: x for v, x in zip(VARS, point) if v in rest}
+    assert eval_terms(out, at) == eval_terms(p, dict(zip(VARS, point)))
+    assert p.eval_at(dict(zip(VARS, point))) == eval_terms(p, dict(zip(VARS, point)))
+
+
+def test_eval_at_names_a_missing_used_variable():
+    p = MultiPoly.var(VARS, "y") + 1
+    assert p.eval_at({"y": 2}) == 3  # unused x and z need no value
+    with pytest.raises(ValueError, match="no value supplied for variable 'y'"):
+        p.eval_at({"x": 1, "z": 1})
+
+
+@pytest.mark.parametrize("exps", [(-1, 0), (1.5, 0), (1.0, 0), (True, 0)])
+def test_constructor_rejects_bad_exponents(exps):
+    with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+        MultiPoly(("x", "y"), {exps: 1})
 
 
 @settings(max_examples=60, deadline=None)

@@ -414,7 +414,7 @@ def test_identity_parameters_fix_base():
     ident = dict(fam.identity)
     base = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
     for i, comp in enumerate(fam.components):
-        value = comp.num.eval_at({**dict(zip(fam.variables, base)), **ident})
+        value = comp.eval_at({**dict(zip(fam.variables, base)), **ident})
         assert value == GaussianRational(base[i])
 
 
