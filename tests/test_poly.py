@@ -138,9 +138,9 @@ def test_specialize_matches_the_term_loop_and_constant_subs_poly(p, chosen, poin
     out = p.specialize(values)
     assert out.vars == rest
     assert out == p.subs_poly({v: MultiPoly.const(rest, x) for v, x in values.items()})
-    at = {v: x for v, x in zip(VARS, point) if v in rest}
-    assert eval_terms(out, at) == eval_terms(p, dict(zip(VARS, point)))
-    assert p.eval_at(dict(zip(VARS, point))) == eval_terms(p, dict(zip(VARS, point)))
+    full = dict(zip(VARS, point))
+    assert eval_terms(out, {v: full[v] for v in rest}) == eval_terms(p, full)
+    assert p.eval_at(full) == eval_terms(p, full)
 
 
 def test_eval_at_names_a_missing_used_variable():
