@@ -11,11 +11,16 @@ free of conjugated variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from functools import cached_property
+from typing import List, Sequence, Tuple
 
 from .linalg import det_exact, rref_rows
 from .poly import MultiPoly, poly_sum
 from .scalars import GaussianRational
+
+
+# the pairs (j, dp/dx_j) with a nonzero derivative, in variable order
+Gradient = Tuple[Tuple[int, MultiPoly], ...]
 
 
 @dataclass(frozen=True)
@@ -38,19 +43,11 @@ class VectorField:
     def carrier(self) -> Tuple[str, ...]:
         return self.components[0].vars
 
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        """Directional derivative sum_i X_i dp/dx_i."""
-        if p.vars != self.carrier:
-            raise ValueError(f"variable mismatch: field carrier {self.carrier} vs {p.vars}")
-        products = []
-        for name, comp in zip(self.variables, self.components):
-            d = p.diff(name)
-            if not d.is_zero() and not comp.is_zero():
-                products.append(comp * d)
-        return poly_sum(p.vars, products)
-
-    def evaluate(self, point: Mapping[str, object]) -> List[GaussianRational]:
-        return [c.eval_at(point) for c in self.components]
+    @cached_property
+    def jacobian(self) -> Tuple[Gradient, ...]:
+        """jacobian[i] is the gradient of X_i, computed once per field."""
+        return tuple(tuple((j, d) for j, d in enumerate(comp.diff(v) for v in self.variables) if d)
+                     for comp in self.components)
 
     def __str__(self) -> str:
         bits = [f"({c}) d/d{v}" for v, c in zip(self.variables, self.components) if not c.is_zero()]
@@ -69,8 +66,16 @@ class HoloField(VectorField):
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     if x.variables != y.variables or x.carrier != y.carrier:
         raise ValueError("variable mismatch in Lie bracket")
-    return VectorField(x.variables, tuple(x.apply(yc) - y.apply(xc)
-                                          for xc, yc in zip(x.components, y.components)))
+    # [X, Y]_i = X(Y_i) - Y(X_i), with the derivatives read from the jacobians
+    return VectorField(x.variables, tuple(_along(x, dy) - _along(y, dx)
+                                          for dx, dy in zip(x.jacobian, y.jacobian)))
+
+
+def _along(field: VectorField, gradient: Gradient) -> MultiPoly:
+    """The derivative sum_j X_j dp/dx_j of some p along the field, from
+    the gradient of p."""
+    comps = field.components
+    return poly_sum(field.carrier, [comps[j] * d for j, d in gradient if comps[j]])
 
 
 def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) -> VectorField:
@@ -87,9 +92,9 @@ def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
     base = fields[0]
     if len(point) != len(base.variables):
         raise ValueError("point dimension does not match field variables")
-    assignment = dict(zip(base.variables, point))
+    values = {v: GaussianRational.coerce(x) for v, x in zip(base.variables, point)}
     # rows are fields; rank is the same either way
-    return len(rref_rows([f.evaluate(assignment) for f in fields]))
+    return len(rref_rows([[c.eval_at(values) for c in f.components] for f in fields]))
 
 
 def minors_scan(fields: Sequence[VectorField]) -> List[MultiPoly]:

@@ -224,7 +224,8 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     """Exact check that phi maps the source graph into {target = 0}.
 
     Substitutes z := phi(w), conj z := conj phi(conj w), then the graph
-    relations for the solved coordinate, and cross-multiplies. Returns
+    relations for the solved coordinate, and cross-multiplies by the
+    least power of the graph denominator that clears them. Returns
     (identity holds, residual numerator).
     """
     src_holo_full = source.holo_vars + (source.solved_var,)
@@ -248,12 +249,18 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     groups = numer.split_by_vars([source.solved_var, source.solved_conj])
     w_num, wbar_num, den = source.solved_pair()
     fv = source.free_vars
-    max_j = max((key[0] for key in groups), default=0)
-    max_k = max((key[1] for key in groups), default=0)
+    # den(0) != 0, so den is a nonzero polynomial and clearing its least
+    # power den**top keeps the zero test exact
+    top = max((j + k for j, k in groups), default=0)
     w_pows, wbar_pows, den_pows = Powers(w_num), Powers(wbar_num), Powers(den)
-    total = poly_sum(fv, [part.with_vars(fv) * w_pows[j] * wbar_pows[k]
-                          * den_pows[max_j + max_k - j - k]
-                          for (j, k), part in groups.items()])
+    products = []
+    for (j, k), part in groups.items():
+        term = part.with_vars(fv)
+        for pows, n in ((w_pows, j), (wbar_pows, k), (den_pows, top - j - k)):
+            if n:
+                term = term * pows[n]
+        products.append(term)
+    total = poly_sum(fv, products)
     return total.is_zero(), total
 
 

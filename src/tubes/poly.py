@@ -408,14 +408,17 @@ def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
     exceeds top_i, and a polynomial image has top_i = 0 and no den_i. An
     int is the position in `target` of the variable x_i keeps.
 
-    Terms are grouped by their exponents on the triple-mapped variables,
-    with the kept exponents moved to their target positions, so each
-    distinct mapped exponent costs one chain of products, started from
-    its group."""
+    Horner's rule over the mapped variables: p is split by its exponent k
+    on one mapped variable, each part is composed over the variables left,
+    and num[k] * den[top - k] multiplies that sum once. The largest image
+    (by |num| * |den|, |num| when top is 0; ties by index) is split
+    first: its powers multiply once per distinct exponent, and the
+    variables split later, whose powers multiply once per part, have the
+    smaller images."""
     width = len(target)
     kept = [(i, t) for i, t in enumerate(images) if isinstance(t, int)]
     mapped = [i for i, t in enumerate(images) if not isinstance(t, int)]
-    chains = [images[i] for i in mapped]
+    mapped.sort(key=lambda i: -_image_size(images[i]))  # stable: ties keep index order
     origin = (0,) * width
     groups: Dict[Exponents, Dict[Exponents, GaussianRational]] = {}
     for e, c in p.terms.items():
@@ -428,16 +431,41 @@ def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
         # the key and the moved exponents together give back e, so no two
         # terms of p share a slot
         groups.setdefault(tuple([e[i] for i in mapped]), {})[rest] = c
+    if not mapped:
+        return _poly(target, groups.get((), {}))
+    return _poly(target, _horner(target, [images[i] for i in mapped], 0, groups, groups))
+
+
+def _image_size(image) -> int:
+    num, den, top = image
+    return len(num[1].terms) * (len(den[1].terms) if top else 1)
+
+
+def _horner(target: Tuple[str, ...], chains, level: int,
+            groups: Dict[Exponents, Dict[Exponents, GaussianRational]],
+            keys: Iterable[Exponents]) -> Dict[Exponents, GaussianRational]:
+    """The terms of _compose over chains[level:] for the groups of p under
+    `keys`, which agree before `level`. A module-level function, not a
+    closure, so a call leaves no reference cycle holding the Powers caches."""
+    num, den, top = chains[level]
+    if level + 1 == len(chains):
+        # the keys agree everywhere else, so each exponent names one group
+        parts = ((key[level], groups[key]) for key in keys)
+    else:
+        split: Dict[int, list] = {}
+        for key in keys:
+            split.setdefault(key[level], []).append(key)
+        parts = ((k, _horner(target, chains, level + 1, groups, part))
+                 for k, part in split.items())
     acc: Dict[Exponents, GaussianRational] = {}
-    for key, terms in groups.items():
+    for k, terms in parts:
         term = _poly(target, terms)
-        for k, (num, den, top) in zip(key, chains):
-            if k:
-                term = term * num[k]
-            if top > k:
-                term = term * den[top - k]
+        if k:
+            term = term * num[k]
+        if top > k:
+            term = term * den[top - k]
         _add_into(acc, term.terms)
-    return _poly(target, acc)
+    return acc
 
 
 def conjugation_pairing(holo_vars: Sequence[str], anti_vars: Sequence[str]) -> Dict[str, str]:
@@ -592,10 +620,11 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
                 raise ValueError("assignment values must share a variable tuple")
     if target is None:
         target = p.vars
-    # a variable no term uses has top 0 and is never looked up
-    images = [(None, None, 0)] * len(p.vars)
+    # compose over the used variables only: _compose reads every image it gets
+    q = p.with_vars(used)
+    images = []
     den_total = MultiPoly.const(target, 1)
-    for v in used:
+    for i, v in enumerate(used):
         value = assignment[v]
         if isinstance(value, MultiPoly):
             value = RationalFunction(value)
@@ -603,12 +632,11 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
             value = RationalFunction.from_scalar(target, value)
         elif not isinstance(value, RationalFunction):
             raise TypeError(f"assignment for {v!r} is not a rational function")
-        i = p.vars.index(v)
-        top = max(e[i] for e in p.terms)
+        top = max(e[i] for e in q.terms)
         den_pows = Powers(value.den)
-        images[i] = (Powers(value.num), den_pows, top)
+        images.append((Powers(value.num), den_pows, top))
         den_total = den_total * den_pows[top]
-    return RationalFunction(_compose(p, target, images), den_total)
+    return RationalFunction(_compose(q, target, images), den_total)
 
 
 def series_expand(f: RationalFunction, cutoff: int) -> MultiPoly:
@@ -616,18 +644,26 @@ def series_expand(f: RationalFunction, cutoff: int) -> MultiPoly:
 
     Requires den(0) != 0. Multiplying the result back by den(f) agrees
     with num(f) through total degree cutoff.
+
+    The inverse is taken over the coefficient ring of den: with
+    E = c0 - den, each E**k has order >= k, so through the cutoff
+    c0**(cutoff+1) / den = sum_k E**k * c0**(cutoff-k). The geometric
+    series and the product with num run on that, and the one division,
+    by c0**(cutoff+1), comes last.
     """
     c0 = f.den.const_coeff()
     if not c0:
         raise ValueError("singular expansion point: denominator vanishes at 0")
-    # den = c0 (1 + E) with E vanishing at 0; invert by geometric series.
-    e_poly = (f.den - c0).truncate(cutoff) * (ONE / c0)
-    inv = MultiPoly.const(f.vars, 1)
+    e_poly = (c0 - f.den).truncate(cutoff)
+    scales = [ONE]
+    for _ in range(cutoff + 1):
+        scales.append(scales[-1] * c0)
+    inv = MultiPoly.const(f.vars, scales[cutoff])
     acc = MultiPoly.const(f.vars, 1)
     for k in range(1, cutoff + 1):
         acc = mul_trunc(acc, e_poly, cutoff)
         if acc.is_zero():
             break
-        inv = inv + acc * (-1) ** (k % 2)
+        inv = inv + acc * scales[cutoff - k]
     result = mul_trunc(f.num.truncate(cutoff), inv, cutoff)
-    return result * (ONE / c0)
+    return result * (ONE / scales[cutoff + 1])

@@ -10,7 +10,11 @@ instead of through the kernel solve of affine_symmetry_algebra. The
 scan's one-sweep pivot pick is checked against its first form, which
 tries each variable in turn for degree 1 and a constant `diff`, and
 `MultiPoly.specialize` against the term loop `eval_at` had before it
-became specialize's full case.
+became specialize's full case. The Horner composition of `tubes.poly`
+is checked against the per-group product chains it replaced, the
+scaled series inversion against the geometric series in E / c0 it
+replaced, and brackets, which read cached jacobians, against fields
+applied one product per variable.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from tubes.fields import VectorField
 from tubes.linalg import solve_columns
-from tubes.poly import MultiPoly
-from tubes.scalars import I, ZERO, GaussianRational
+from tubes.poly import MultiPoly, RationalFunction
+from tubes.scalars import I, ONE, ZERO, GaussianRational
 
 
 def cofactor_det(matrix) -> MultiPoly:
@@ -171,6 +175,49 @@ def eval_terms(p: MultiPoly, point) -> GaussianRational:
     return total
 
 
+def chain_compose(p: MultiPoly, target, images) -> MultiPoly:
+    """tubes.poly._compose before Horner's rule, frozen: the terms of p are
+    grouped by their mapped exponents, with the kept exponents moved to
+    their target positions, and each group runs its own chain of
+    products num_i[k_i] * den_i[top_i - k_i] over the mapped variables
+    in index order. `images` is in _compose's format."""
+    kept = [(i, t) for i, t in enumerate(images) if isinstance(t, int)]
+    mapped = [i for i, t in enumerate(images) if not isinstance(t, int)]
+    groups = {}
+    for e, c in p.terms.items():
+        moved = [0] * len(target)
+        for i, t in kept:
+            moved[t] = e[i]
+        groups.setdefault(tuple(e[i] for i in mapped), {})[tuple(moved)] = c
+    total = MultiPoly.zero(target)
+    for key, terms in groups.items():
+        term = MultiPoly(target, terms)
+        for k, i in zip(key, mapped):
+            num, den, top = images[i]
+            if k:
+                term = term * num[k]
+            if top > k:
+                term = term * den[top - k]
+        total = total + term
+    return total
+
+
+def fraction_series(f: RationalFunction, cutoff: int) -> MultiPoly:
+    """series_expand before the scaled inversion, frozen: den = c0 (1 + E) with
+    E = (den - c0) / c0, 1 / (1 + E) by the alternating geometric series,
+    every product over the field of fractions."""
+    c0 = f.den.const_coeff()
+    e_poly = (f.den - c0).truncate(cutoff) * (ONE / c0)
+    inv = MultiPoly.const(f.vars, 1)
+    acc = MultiPoly.const(f.vars, 1)
+    for k in range(1, cutoff + 1):
+        acc = (acc * e_poly).truncate(cutoff)
+        if acc.is_zero():
+            break
+        inv = inv + acc * (-1) ** (k % 2)
+    return (f.num.truncate(cutoff) * inv).truncate(cutoff) * (ONE / c0)
+
+
 def random_poly(rng, variables, max_degree=2, max_terms=4, complex_coeffs=False) -> MultiPoly:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -219,6 +266,17 @@ def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
             for rest in _monomials_up_to(nvars - 1, degree - k)]
 
 
+def apply_field(x: VectorField, p: MultiPoly) -> MultiPoly:
+    """The derivative sum_i X_i dp/dx_i of p along x, one product per
+    variable; lie_bracket reads cached jacobians instead."""
+    if p.vars != x.carrier:
+        raise ValueError(f"variable mismatch: field carrier {x.carrier} vs {p.vars}")
+    total = MultiPoly.zero(p.vars)
+    for name, comp in zip(x.variables, x.components):
+        total = total + comp * p.diff(name)
+    return total
+
+
 def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[MultiPoly]:
     """Find Q with X(P) = Q * P and deg Q <= max(0, deg X(P) - deg P).
 
@@ -227,7 +285,7 @@ def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[MultiPoly]:
     """
     if not p:
         raise ValueError("tangency against the zero polynomial is undefined")
-    xp = x.apply(p)
+    xp = apply_field(x, p)
     monomials = _monomials_up_to(len(p.vars), max(0, _total_degree(xp) - _total_degree(p)))
     products = [MultiPoly(p.vars, {mono: 1}) * p for mono in monomials]
     support = {}

@@ -1,5 +1,6 @@
 """Bidegree series, trace conditions, coordinate changes, families."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from tubes.normal_form import (GraphSurface, MapFamily, chern_moser_check,
                                map_at_origin, trace_from_levi,
                                verify_family_invariance, verify_group_law,
                                verify_map_conjugation, verify_surface_map)
-from tubes.poly import MultiPoly, RationalFunction
+from tubes.poly import MultiPoly, RationalFunction, series_expand, substitute
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 from tubes.symmetry import LieAlgebraPresentation, expand_in_fields
@@ -150,6 +151,104 @@ def test_map_fixtures_match_expected_verdicts(mid):
     if payload.origin_image is not None:
         assert map_at_origin(dict(payload.components),
                              list(payload.target_holo)) == list(payload.origin_image)
+
+
+def sphere_graph():
+    """Im w = z z' / (1 + z z'), with z' the conjugate of z."""
+    zz = ("z", "zb")
+    q = MultiPoly.var(zz, "z") * MultiPoly.var(zz, "zb")
+    return GraphSurface(("z",), ("zb",), "u", "w", "wb", None, RationalFunction(q, 1 + q))
+
+
+TARGET_ZW = ("Z", "W", "Zb", "Wb")
+Z, W, ZB, WB = (MultiPoly.var(TARGET_ZW, n) for n in TARGET_ZW)
+
+
+def test_surface_map_clears_the_least_denominator_power():
+    source = sphere_graph()
+    universe = ("z", "w", "zb", "wb")
+    phi = {"Z": RationalFunction(MultiPoly.var(universe, "z")),
+           "W": RationalFunction(MultiPoly.var(universe, "w"))}
+    fv = source.free_vars
+    q = MultiPoly.var(fv, "z") * MultiPoly.var(fv, "zb")
+    # (W - Wb)(1 + Z Zb) = 2i Z Zb holds on the graph
+    ok, residual = verify_surface_map(source, (W - WB) * (1 + Z * ZB) - Z * ZB * 2 * I,
+                                      ("Z", "W"), ("Zb", "Wb"), phi)
+    assert ok and residual.is_zero()
+    # W - Wb = 2i Z Zb does not. Its groups are (1, 0), (0, 1) and (0, 0), so
+    # den**1 clears them: w - wb = 2i q / den, and the residual is
+    # 2i q - 2i q (1 + q) = -2i q^2 with no further factor of den
+    ok, residual = verify_surface_map(source, W - WB - Z * ZB * 2 * I,
+                                      ("Z", "W"), ("Zb", "Wb"), phi)
+    assert not ok and residual == q * q * (-2 * I)
+
+
+def test_surface_map_without_the_solved_coordinate_multiplies_no_denominator():
+    # the map never reaches w or wb, so the only group is (0, 0) and top is 0
+    source = sphere_graph()
+    universe = ("z", "w", "zb", "wb")
+    one_plus_z = 1 + MultiPoly.var(universe, "z")
+    phi = {"Z": RationalFunction(one_plus_z * I, one_plus_z)}  # the constant i
+    zz = ("Z", "Zb")
+    z, zb = MultiPoly.var(zz, "Z"), MultiPoly.var(zz, "Zb")
+    ok, residual = verify_surface_map(source, z + zb, ("Z",), ("Zb",), phi)
+    assert ok and residual.is_zero()
+    ok, residual = verify_surface_map(source, z - zb, ("Z",), ("Zb",), phi)
+    fv = source.free_vars
+    expect = (1 + MultiPoly.var(fv, "z")) * (1 + MultiPoly.var(fv, "zb")) * 2 * I
+    assert not ok and residual == expect
+
+
+def test_map_cm_D_check_stays_within_its_product_budget(monkeypatch):
+    """Cost guard for the composition order and the clearing power: the
+    whole check makes 67,529 term pairs. Splitting the mapped variables
+    in index order instead of largest image first costs about 110,000;
+    clearing den**(max j + max k) costs more than 70,000 as well."""
+    payload = catalog.get("map.cm.D").payload
+    source = catalog.get(payload.source_graph).payload
+    pairs = []
+    mul = MultiPoly.__mul__
+
+    def counting(a, b):
+        pairs.append(len(a.terms) * (len(b.terms) if isinstance(b, MultiPoly) else 1))
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    ok, _ = verify_surface_map(source, payload.target, payload.target_holo,
+                               payload.target_anti, dict(payload.components))
+    assert ok and sum(pairs) <= 70_000
+
+
+def test_engine_calls_leave_no_cyclic_garbage():
+    """Each call frees all it built by reference counting, so the cyclic
+    collector never has to hold its power caches: a recursive helper
+    written as a closure that names itself would leave one cycle per call."""
+    xyz = ("x", "y", "z")
+    x, y, z = (MultiPoly.var(xyz, n) for n in xyz)
+    uv = ("u", "v")
+    u, v = (MultiPoly.var(uv, n) for n in uv)
+    p = x * x * y + y * z - z * z * x
+    payload = catalog.get("map.cm.C").payload
+    source = catalog.get(payload.source_graph).payload
+    basis = list(catalog.get("basis.Z.D").payload.fields)
+    calls = [
+        lambda: substitute(p, {"x": RationalFunction(u, 1 + v), "y": u * v,
+                               "z": RationalFunction(v, 1 - u)}),
+        lambda: p.subs_poly({"x": x + y * y, "z": x * y}),
+        lambda: series_expand(graph("D").im_part, 8),
+        lambda: verify_surface_map(source, payload.target, payload.target_holo,
+                                   payload.target_anti, dict(payload.components)),
+        lambda: LieAlgebraPresentation.from_fields(basis),
+    ]
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
 
 
 def test_series_diagnostic_fallback():

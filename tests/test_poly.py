@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tubes.poly
-from tubes.poly import (MultiPoly, RationalFunction, merge_vars, mul_trunc, poly_sum,
+from tubes.poly import (MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc, poly_sum,
                         series_expand, substitute)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
-from oracles import eval_terms, random_poly
+from oracles import chain_compose, eval_terms, fraction_series, random_poly
 
 VARS = ("x", "y", "z")
 
@@ -127,6 +127,38 @@ def test_substitute_agrees_with_eval_at(p, parts, den_values, point):
     values = {v: f.num.eval_at(at) / f.den.eval_at(at) for v, f in assignment.items()}
     assert out.den.eval_at(at)
     assert out.num.eval_at(at) == p.eval_at(values) * out.den.eval_at(at)
+
+
+SRC4 = ("a", "b", "c", "d")
+# the source names reordered, and an extra name t
+TARGET5 = ("d", "t", "b", "a", "c")
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(SRC4, max_terms=5, max_exp=2), st.data())
+def test_compose_matches_the_per_group_chains(p, data):
+    images = []
+    for i, v in enumerate(SRC4):
+        kind = data.draw(st.sampled_from(["kept", "poly", "rational"]))
+        if kind == "kept":
+            images.append(TARGET5.index(v))
+            continue
+        num = Powers(data.draw(polys(TARGET5, max_terms=3, max_exp=2)))
+        if kind == "poly":
+            images.append((num, None, 0))
+        else:
+            den = Powers(data.draw(polys(TARGET5, max_terms=2, max_exp=1).filter(bool)))
+            images.append((num, den, max((e[i] for e in p.terms), default=0)))
+    assert tubes.poly._compose(p, TARGET5, images) == chain_compose(p, TARGET5, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(UV, max_terms=4, max_exp=3), polys(UV, max_terms=3, max_exp=2),
+       small_scalar().filter(lambda c: c.im), st.integers(0, 8))
+def test_series_expand_matches_the_fraction_series(num, den, c0, cutoff):
+    for d in (den - den.const_coeff() + c0, MultiPoly.const(UV, c0)):  # E = 0 for the second
+        f = RationalFunction(num, d)
+        assert series_expand(f, cutoff) == fraction_series(f, cutoff)
 
 
 @settings(max_examples=80, deadline=None)
