@@ -112,6 +112,8 @@ def main() -> int:
 
     fixtures = root / "fixtures"
     lines = []
+    if args.work:
+        os.makedirs(args.work, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.work) as tmp:
         runner = Runner(cli, catalog, str(fixtures), os.path.join(tmp, "export"))
         for workload, op in invocations(_seeds(args.seeds)):

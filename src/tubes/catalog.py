@@ -39,7 +39,8 @@ from .symmetry import ComplexLine, Hypersurface, TransitivityWitness, violated_c
 XV = ("x1", "x2", "x3", "x4")
 X8 = ("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4")
 ZV = ("z1", "z2", "z3", "z4")
-ZF = ZV + ("z1b", "z2b", "z3b", "z4b")
+ZA = ("z1b", "z2b", "z3b", "z4b")
+ZF = ZV + ZA
 WH = ("w1", "w2", "w3")
 WA = ("w1b", "w2b", "w3b")
 WG = WH + WA
@@ -57,15 +58,31 @@ def _x(universe, j):
     return (MultiPoly.var(universe, f"z{j}") + MultiPoly.var(universe, f"z{j}b")) * Fraction(1, 2)
 
 
+def _tube(p: MultiPoly, universe=ZF) -> MultiPoly:
+    """The tube over p = 0: p, a polynomial in x1..xn, at x_j = Re z_j =
+    (z_j + z_jb) / 2, over `universe`."""
+    return p.subs_poly({x: _x(universe, x[1:]) for x in p.vars})
+
+
+def _fields(cls, universe):
+    """A builder of `cls` fields over `universe` from keyword components;
+    the components it is not given are zero."""
+    zero = MultiPoly.zero(universe)
+    return lambda **comps: cls(universe, tuple(comps.get(v, zero) for v in universe))
+
+
 # ---------------------------------------------------------------- structures
 
 @dataclass(frozen=True)
 class Fixture:
     id: str
-    kind: str
     tag: str  # "source" | "derived" | "direct"
     claim: str
     payload: object
+
+    @property
+    def kind(self) -> str:
+        return _KIND_OF[type(self.payload)][0]
 
 
 @dataclass(frozen=True)
@@ -167,10 +184,10 @@ def _surfaces() -> List[Fixture]:
     x1, x2, x3, x4 = _vars(XV)
     out = []
 
-    def add(fid, tag, claim, poly, bp, cons=(), irred=False, name=""):
-        out.append(Fixture(fid, "hypersurface", tag, claim,
-                           Hypersurface(poly, tuple(Fraction(b) for b in bp),
-                                        tuple(cons), irred, name or fid)))
+    def add(fid, tag, claim, poly, bp, cons=(), irred=False):
+        surface = Hypersurface(poly, tuple(Fraction(b) for b in bp), tuple(cons), irred, fid)
+        out.append(Fixture(fid, tag, claim, surface))
+        return surface
 
     gtx1 = (x1, "gt")
     add("surface.table.1p", "source",
@@ -200,25 +217,23 @@ def _surfaces() -> List[Fixture]:
     add("surface.table.5", "source",
         "cubic case x4 = x1 x2 + x1 x3^2 with basepoint (1,0,0,0); dimension 4",
         x4 - x1*x2 - x1*x3**2, (1, 0, 0, 0), (gtx1,), irred=True)
-    add("surface.table.6", "source",
-        "quartic-degenerate case x4^2 = x1 x2 + x1^2 x3, x1 > 0, basepoint (1,0,1,1); "
-        "dimension 4",
-        x4**2 - x1*x2 - x1**2*x3, (1, 0, 1, 1), (gtx1,), irred=True)
+    table6 = add("surface.table.6", "source",
+                 "quartic-degenerate case x4^2 = x1 x2 + x1^2 x3, x1 > 0, basepoint (1,0,1,1); "
+                 "dimension 4",
+                 x4**2 - x1*x2 - x1**2*x3, (1, 0, 1, 1), (gtx1,), irred=True)
     add("surface.quadric.half", "derived",
         "indefinite quadric x4 = x1 x2 + x3^2 restricted to x1 > 0, the boundary of the "
         "half-domains; its wall-preserving subalgebra has dimension 5",
         x4 - x1*x2 - x3**2, (1, 0, 0, 0), (gtx1,))
 
-    p6 = (x4**2 - x1*x2 - x1**2*x3).with_vars(X8)
-    out.append(Fixture(
-        "surface.tube.6.realified", "hypersurface", "derived",
+    add("surface.tube.6.realified", "derived",
         "the quartic-degenerate surface viewed in the 8 real coordinates of C^4; "
         "carrier for the simple-transitivity rank check",
-        Hypersurface(p6, tuple(Fraction(b) for b in (1, 0, 1, 1, 0, 0, 0, 0)),
-                     ((MultiPoly.var(X8, "x1"), "gt"),), True, "surface.tube.6.realified")))
+        table6.defining.with_vars(X8), table6.basepoint + (0,) * 4,
+        [(e.with_vars(X8), sense) for e, sense in table6.constraints], irred=True)
 
     out.append(Fixture(
-        "surface.table.4", "alpha_family", "source",
+        "surface.table.4", "source",
         "the quartic one-parameter family x4 = x1 x2 + x3^2 + x1^2 x3 + alpha x1^4; the "
         "normal-form target carries |w1|^4 with the sign of alpha - 1/12",
         AlphaFamilyInfo("alpha", (Fraction(0), Fraction(1, 12), Fraction(1)),
@@ -228,46 +243,47 @@ def _surfaces() -> List[Fixture]:
     return out
 
 
-def _domains() -> List[Fixture]:
-    x1, x2, x3, x4 = _vars(XV)
-    gtx1 = (x1, "gt")
+def _domains(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
+    """Each domain is a side of its source surface P = 0 under the surface's
+    constraints: {P > 0} for an id ending in .gt, {-P > 0} for .lt."""
     data = [
-        ("domain.Bp.gt", x4 - x1**2 - x2**2 - x3**2, (), (0, 0, 0, 1),
-         "pseudoconvex", "surface.table.1p", "the tube form of the unit ball"),
-        ("domain.Bp.lt", x1**2 + x2**2 + x3**2 - x4, (), (0, 0, 0, -1),
-         "pseudoconcave", "surface.table.1p", "complement side of the ball quadric"),
-        ("domain.Bm.gt", x4 - x1**2 - x2**2 + x3**2, (), (0, 0, 0, 1),
-         "++-", "surface.table.1m", "upper side of the indefinite quadric"),
-        ("domain.Bm.lt", x1**2 + x2**2 - x3**2 - x4, (), (0, 0, 0, -1),
-         "+--", "surface.table.1m", "lower side of the indefinite quadric"),
-        ("domain.H.gt", x4 - x1*x2 - x3**2, (gtx1,), (1, 0, 0, 1),
-         "++-", "surface.quadric.half", "upper half-domain over the indefinite quadric"),
-        ("domain.H.lt", x1*x2 + x3**2 - x4, (gtx1,), (1, 0, 0, -1),
-         "+--", "surface.quadric.half", "lower half-domain over the indefinite quadric"),
-        ("domain.Np.gt", x4 - x1*x2 - x3**2 - x1**2*x3 - x1**4, (), (0, 0, 0, 1),
-         "++-", "surface.table.4.a1", "upper side of the plus-quartic surface"),
-        ("domain.Np.lt", x1*x2 + x3**2 + x1**2*x3 + x1**4 - x4, (), (0, 0, 0, -1),
-         "+--", "surface.table.4.a1", "lower side of the plus-quartic surface"),
-        ("domain.Nm.gt", x4 - x1*x2 - x3**2 - x1**2*x3 + x1**4, (), (0, 0, 0, 1),
-         "++-", "surface.table.4.am1", "upper side of the minus-quartic surface"),
-        ("domain.Nm.lt", x1*x2 + x3**2 + x1**2*x3 - x1**4 - x4, (), (0, 0, 0, -1),
-         "+--", "surface.table.4.am1", "lower side of the minus-quartic surface"),
-        ("domain.C.gt", x4 - x1*x2 - x1*x3**2, (gtx1,), (1, 0, 0, 1),
-         "++-", "surface.table.5", "upper side of the cubic case, x1 > 0"),
-        ("domain.C.lt", x1*x2 + x1*x3**2 - x4, (gtx1,), (1, 0, 0, -1),
-         "+--", "surface.table.5", "lower side of the cubic case, x1 > 0"),
-        ("domain.D.gt", x4**2 - x1*x2 - x1**2*x3, (gtx1,), (1, 0, 0, 1),
-         "++-", "surface.table.6", "outer side of the quartic-degenerate case, x1 > 0"),
-        ("domain.D.lt", x1*x2 + x1**2*x3 - x4**2, (gtx1,), (1, 1, 0, 0),
-         "+--", "surface.table.6",
+        ("domain.Bp.gt", (0, 0, 0, 1), "pseudoconvex", "surface.table.1p",
+         "the tube form of the unit ball"),
+        ("domain.Bp.lt", (0, 0, 0, -1), "pseudoconcave", "surface.table.1p",
+         "complement side of the ball quadric"),
+        ("domain.Bm.gt", (0, 0, 0, 1), "++-", "surface.table.1m",
+         "upper side of the indefinite quadric"),
+        ("domain.Bm.lt", (0, 0, 0, -1), "+--", "surface.table.1m",
+         "lower side of the indefinite quadric"),
+        ("domain.H.gt", (1, 0, 0, 1), "++-", "surface.quadric.half",
+         "upper half-domain over the indefinite quadric"),
+        ("domain.H.lt", (1, 0, 0, -1), "+--", "surface.quadric.half",
+         "lower half-domain over the indefinite quadric"),
+        ("domain.Np.gt", (0, 0, 0, 1), "++-", "surface.table.4.a1",
+         "upper side of the plus-quartic surface"),
+        ("domain.Np.lt", (0, 0, 0, -1), "+--", "surface.table.4.a1",
+         "lower side of the plus-quartic surface"),
+        ("domain.Nm.gt", (0, 0, 0, 1), "++-", "surface.table.4.am1",
+         "upper side of the minus-quartic surface"),
+        ("domain.Nm.lt", (0, 0, 0, -1), "+--", "surface.table.4.am1",
+         "lower side of the minus-quartic surface"),
+        ("domain.C.gt", (1, 0, 0, 1), "++-", "surface.table.5",
+         "upper side of the cubic case, x1 > 0"),
+        ("domain.C.lt", (1, 0, 0, -1), "+--", "surface.table.5",
+         "lower side of the cubic case, x1 > 0"),
+        ("domain.D.gt", (1, 0, 0, 1), "++-", "surface.table.6",
+         "outer side of the quartic-degenerate case, x1 > 0"),
+        ("domain.D.lt", (1, 1, 0, 0), "+--", "surface.table.6",
          "inner side of the quartic-degenerate case, x1 > 0 (probe chosen off the surface)"),
     ]
     out = []
-    for fid, expr, cons, probe, levi, src, text in data:
+    for fid, probe, levi, src, text in data:
+        surface = surfaces[src]
+        side = 1 if fid.endswith(".gt") else -1
         tag = "derived" if fid == "domain.D.lt" else "source"
-        spec = DomainSpec(fid.split(".", 1)[1], expr, tuple(cons),
+        spec = DomainSpec(fid.split(".", 1)[1], surface.defining * side, surface.constraints,
                           tuple(Fraction(p) for p in probe), levi, src)
-        out.append(Fixture(fid, "domain", tag,
+        out.append(Fixture(fid, tag,
                            f"{text}; the interior probe satisfies the inequalities exactly",
                            spec))
     return out
@@ -275,7 +291,7 @@ def _domains() -> List[Fixture]:
 
 def _z_basis_d() -> Tuple[HoloField, ...]:
     z1, z2, z3, z4 = _vars(ZV)
-    f = lambda **c: HoloField(ZV, tuple(c.get(v, MultiPoly.zero(ZV)) for v in ZV))
+    f = _fields(HoloField, ZV)
     one = MultiPoly.const(ZV, 1)
     return (
         f(z1=z1, z2=z2, z4=z4),
@@ -293,7 +309,7 @@ def _z_basis_d() -> Tuple[HoloField, ...]:
 
 def _z_basis_c() -> Tuple[HoloField, ...]:
     z1, z2, z3, z4 = _vars(ZV)
-    f = lambda **c: HoloField(ZV, tuple(c.get(v, MultiPoly.zero(ZV)) for v in ZV))
+    f = _fields(HoloField, ZV)
     one = MultiPoly.const(ZV, 1)
     return (
         f(z1=z1, z4=z4),
@@ -332,80 +348,71 @@ C_TABLE_ENTRIES = (
 )
 
 
+def _golden(entries) -> GoldenTable:
+    return GoldenTable(10, tuple((i, j, tuple((k, Fraction(c)) for k, c in combo))
+                                 for i, j, combo in entries))
+
+
 def _bases_and_tables() -> List[Fixture]:
+    z_basis_d = _z_basis_d()
     out = [
-        Fixture("basis.Z.D", "field_basis", "source",
+        Fixture("basis.Z.D", "source",
                 "ten holomorphic generators of the automorphism algebra for the "
-                "quartic-degenerate tube", FieldBasis(_z_basis_d())),
-        Fixture("basis.Z.C", "field_basis", "source",
+                "quartic-degenerate tube", FieldBasis(z_basis_d)),
+        Fixture("basis.Z.C", "source",
                 "ten holomorphic generators of the automorphism algebra for the "
                 "cubic tube", FieldBasis(_z_basis_c())),
-        Fixture("table.golden.D", "golden_table", "source",
+        Fixture("table.golden.D", "source",
                 "upper-triangle commutation table of the ten-generator basis, "
                 "quartic-degenerate case; 45 entries, omitted ones zero",
-                GoldenTable(10, tuple((i, j, tuple((k, Fraction(c)) for k, c in combo))
-                                      for i, j, combo in D_TABLE_ENTRIES))),
-        Fixture("table.golden.C", "golden_table", "source",
+                _golden(D_TABLE_ENTRIES)),
+        Fixture("table.golden.C", "source",
                 "upper-triangle commutation table of the ten-generator basis, cubic case",
-                GoldenTable(10, tuple((i, j, tuple((k, Fraction(c)) for k, c in combo))
-                                      for i, j, combo in C_TABLE_ENTRIES))),
+                _golden(C_TABLE_ENTRIES)),
     ]
-    x1, x2, x3, x4 = _vars(XV)
-    rotations = []
-    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        comps = {XV[i]: MultiPoly.var(XV, XV[j]), XV[j]: -MultiPoly.var(XV, XV[i])}
-        rotations.append(VectorField(XV, tuple(comps.get(v, MultiPoly.zero(XV)) for v in XV)))
-    out.append(Fixture("basis.rotations.sphere", "field_basis", "direct",
+    x = _vars(XV)
+    x1, x2, x3, x4 = x
+    vf = _fields(VectorField, XV)
+    rotations = tuple(vf(**{XV[i]: x[j], XV[j]: -x[i]})
+                      for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    out.append(Fixture("basis.rotations.sphere", "direct",
                        "the six rotation fields x_j d_k - x_k d_j tangent to the sphere",
-                       FieldBasis(tuple(rotations))))
-
-    def vf(comps):
-        return VectorField(XV, tuple(comps.get(v, MultiPoly.zero(XV)) for v in XV))
+                       FieldBasis(rotations)))
 
     one = MultiPoly.const(XV, 1)
     quadric_half = (
-        vf({"x1": x1, "x2": -x2}),
-        vf({"x2": x2, "x3": x3 * Fraction(1, 2), "x4": x4}),
-        vf({"x2": 2*x3, "x3": -x1}),
-        vf({"x2": one, "x4": x1}),
-        vf({"x3": one, "x4": 2*x3}),
+        vf(x1=x1, x2=-x2),
+        vf(x2=x2, x3=x3 * Fraction(1, 2), x4=x4),
+        vf(x2=2*x3, x3=-x1),
+        vf(x2=one, x4=x1),
+        vf(x3=one, x4=2*x3),
     )
     out.append(Fixture(
-        "basis.half_pseudo_ball.quadric", "field_basis", "derived",
+        "basis.half_pseudo_ball.quadric", "derived",
         "five affine fields tangent to x4 = x1 x2 + x3^2 and to the wall x1 = 0; "
         "closed under bracket (oracle script, half_pseudo_ball section)",
         FieldBasis(quadric_half)))
     onm = (
-        vf({"x1": x3, "x3": x1}),
-        vf({"x1": x1 - x3, "x2": x2, "x3": x3 - x1, "x4": 2*x4}),
-        vf({"x1": x2, "x2": -(x1 + x3), "x3": -x2}),
-        vf({"x1": one, "x3": -one, "x4": 2*(x1 + x3)}),
-        vf({"x2": one, "x4": 2*x2}),
+        vf(x1=x3, x3=x1),
+        vf(x1=x1 - x3, x2=x2, x3=x3 - x1, x4=2*x4),
+        vf(x1=x2, x2=-(x1 + x3), x3=-x2),
+        vf(x1=one, x3=-one, x4=2*(x1 + x3)),
+        vf(x2=one, x4=2*x2),
     )
     out.append(Fixture(
-        "basis.half_pseudo_ball.1m", "field_basis", "derived",
+        "basis.half_pseudo_ball.1m", "derived",
         "the half-domain subalgebra expressed inside the dimension-7 symmetry algebra of "
         "the indefinite paraboloid: tangent to the quadric and to the wall x1 + x3 = 0 "
         "(oracle script, half_pseudo_ball section)",
         FieldBasis(onm)))
 
-    z1, z2, z3, z4 = _vars(ZV)
-    onez = MultiPoly.const(ZV, 1)
-    hf = lambda **c: HoloField(ZV, tuple(c.get(v, MultiPoly.zero(ZV)) for v in ZV))
-    transitive = (
-        hf(z1=z1, z2=z2, z4=z4),
-        hf(z2=z1, z3=-onez),
-        hf(z2=2*z4, z4=z1),
-        hf(z1=onez*I),
-        hf(z2=onez*I),
-        hf(z3=onez*I),
-        hf(z4=onez*I),
-    )
+    hf = _fields(HoloField, ZV)
+    translations = tuple(hf(**{z: MultiPoly.const(ZV, I)}) for z in ZV)
     out.append(Fixture(
-        "basis.H.transitive.D", "field_basis", "source",
+        "basis.H.transitive.D", "source",
         "generators of the r = 1 subgroup plus the four imaginary translations; acts "
         "simply transitively on the realified quartic-degenerate surface",
-        FieldBasis(transitive)))
+        FieldBasis(z_basis_d[:3] + translations)))
     return out
 
 
@@ -418,10 +425,10 @@ def _iso_spans() -> List[Fixture]:
     c = IsoSpan((vec({8: 1}), vec({9: 1, 5: -2, 7: -1}), vec({10: 1})),
                 z1_index=0, z4_index=3, s_indices=(1, 2, 4, 5, 6, 7, 8, 9))
     return [
-        Fixture("isospan.D", "iso_span", "source",
+        Fixture("isospan.D", "source",
                 "isotropy span inside the ten-generator basis, quartic-degenerate case: "
                 "generators 8, 9 - 5 + 2*6, 10 + 7", d),
-        Fixture("isospan.C", "iso_span", "source",
+        Fixture("isospan.C", "source",
                 "isotropy span inside the ten-generator basis, cubic case: "
                 "generators 8, 9 - 2*5 - 7, 10", c),
     ]
@@ -445,7 +452,7 @@ def _families() -> List[Fixture]:
            ("s", RationalFunction(sp*rp**2 + sv, rp**2)),
            ("t", RationalFunction(tp*rp + tv, rp)))
     out.append(Fixture(
-        "family.affine.D", "map_family", "source",
+        "family.affine.D", "source",
         "four-parameter affine group preserving the quartic-degenerate surface with "
         "multiplier q^2 r^2; composition law derived by the oracle script",
         MapFamily("affine.D", XV, ("q", "r", "s", "t"),
@@ -464,7 +471,7 @@ def _families() -> List[Fixture]:
            ("s", RationalFunction(sp*rp + sv, rp)),
            ("t", RationalFunction(tp*rp**2 - 2*sv*sp*rp + tv, rp**2)))
     out.append(Fixture(
-        "family.affine.C", "map_family", "source",
+        "family.affine.C", "source",
         "four-parameter affine group preserving the cubic surface with multiplier q r^2; "
         "composition law derived by the oracle script",
         MapFamily("affine.C", XV, ("q", "r", "s", "t"),
@@ -477,7 +484,7 @@ def _families() -> List[Fixture]:
     u = ZV + ("a1", "a2", "a3", "a4")
     z1, z2, z3, z4, a1, a2, a3, a4 = _vars(u)
     out.append(Fixture(
-        "family.translations.z", "map_family", "direct",
+        "family.translations.z", "direct",
         "imaginary translations z_j + i a_j, under which every tube is invariant",
         MapFamily("translations", ZV, ("a1", "a2", "a3", "a4"),
                   (z1 + a1*I, z2 + a2*I, z3 + a3*I, z4 + a4*I),
@@ -495,7 +502,7 @@ def _families() -> List[Fixture]:
         -z1**2*v*I + (1 - r)*z1 + r*z4 + v*I,
     )
     out.append(Fixture(
-        "family.isotropy.D", "map_family", "source",
+        "family.isotropy.D", "source",
         "three-parameter isotropy of the basepoint (1,0,1,1) on the quartic-degenerate "
         "tube; preserves the tube with multiplier r^2 and fixes the basepoint",
         MapFamily("isotropy.D", ZV, ("r", "u", "v"),
@@ -517,7 +524,7 @@ def _families() -> List[Fixture]:
         -q*z1**2*v*I + q*(t - r + 1)*z1 + q*r*z4 + a4*I,
     )
     out.append(Fixture(
-        "family.full.D", "map_family", "source",
+        "family.full.D", "source",
         "the full ten-parameter holomorphic automorphism family of the "
         "quartic-degenerate tube domains; preserves the tube with multiplier q^2 r^2",
         MapFamily("full.D", ZV, pnames,
@@ -536,7 +543,7 @@ def _families() -> List[Fixture]:
              nu*w1*I + r*w3,
              r**2*w4)
     out.append(Fixture(
-        "family.isotropy.D.w", "map_family", "source",
+        "family.isotropy.D.w", "source",
         "linear isotropy in the normal-form coordinates, quartic-degenerate case",
         MapFamily("isotropy.D.w", W4, ("r", "mu", "nu"),
                   comps,
@@ -547,7 +554,7 @@ def _families() -> List[Fixture]:
     u = ZV + ("r",)
     z1, z2, z3, z4, r = _vars(u)
     out.append(Fixture(
-        "family.isotropy.C.scale", "map_family", "source",
+        "family.isotropy.C.scale", "source",
         "scaling isotropy of (1,0,0,0) on the cubic tube, multiplier r^2",
         MapFamily("isotropy.C.scale", ZV, ("r",),
                   (z1, r**2*z2, r*z3, r**2*z4),
@@ -555,7 +562,7 @@ def _families() -> List[Fixture]:
     u = ZV + ("u",)
     z1, z2, z3, z4, uu = _vars(u)
     out.append(Fixture(
-        "family.isotropy.C.shear", "map_family", "source",
+        "family.isotropy.C.shear", "source",
         "shear isotropy of (1,0,0,0) on the cubic tube, multiplier 1",
         MapFamily("isotropy.C.shear", ZV, ("u",),
                   (z1, z2 + uu*(z1 - 1)*I, z3, z4 + uu*(z1**2 - 1)*Fraction(1, 2)*I),
@@ -566,7 +573,7 @@ def _families() -> List[Fixture]:
     z1, z2, z3, z4, c, cb = _vars(u)
     ctx = RelationContext(unit_pairs=(("c", "cb"),))
     out.append(Fixture(
-        "family.circle.C", "map_family", "derived",
+        "family.circle.C", "derived",
         "holomorphic circle action on the cubic tube with the sign-corrected quadratic "
         "term (1 - c^2) z3^2 / 2; the generator matches the tenth basis field "
         "(oracle script, circle_action section)",
@@ -575,7 +582,7 @@ def _families() -> List[Fixture]:
                   (("c", Fraction(1)), ("cb", Fraction(1))),
                   relations=ctx, constraints=(("c", "unit"),))))
     out.append(Fixture(
-        "family.circle.C.printed", "map_family", "source",
+        "family.circle.C.printed", "source",
         "circle action exactly as printed, quadratic term (c^2 - 1) z3^2 / 2; fails "
         "invariance except at c^2 = 1 and is kept as a negative fixture",
         MapFamily("circle.C.printed", ZV, ("c", "cb"),
@@ -587,7 +594,7 @@ def _families() -> List[Fixture]:
     u = W4 + ("r", "u", "c", "cb")
     w1, w2, w3, w4, r, uu, c, cb = _vars(u)
     out.append(Fixture(
-        "family.isotropy.C.w", "map_family", "source",
+        "family.isotropy.C.w", "source",
         "linear isotropy in the normal-form coordinates, cubic case",
         MapFamily("isotropy.C.w", W4, ("r", "u", "c", "cb"),
                   (w1, r**2*(w2 + uu*w1*I), r*c*w3, r**2*w4),
@@ -598,7 +605,7 @@ def _families() -> List[Fixture]:
     return out
 
 
-def _graphs() -> List[Fixture]:
+def _graphs(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
     w1, w2, w3, w1b, w2b, w3b = _vars(WG)
     out = []
 
@@ -607,7 +614,7 @@ def _graphs() -> List[Fixture]:
            + 2*(11*w1*w1b + 24*w1 + 24*w1b + 16)*w1*w2b)
     n_num = (big + big.conjugate(W_PAIRING)) * 4
     out.append(Fixture(
-        "graph.cm.D", "graph_surface", "source",
+        "graph.cm.D", "source",
         "normal-form graph Im w4 = N/D for the quartic-degenerate surface near its "
         "basepoint",
         GraphSurface(WH, WA, "s", "w4", "w4b", None,
@@ -617,59 +624,34 @@ def _graphs() -> List[Fixture]:
     bigc = (4*w3*w3b*(1 + w1) + 2*w2*w1*w1b + w2b*w1**2*w1b + 4*w2b*w1 + 2*w2b*w1**2)
     nc_num = (bigc + bigc.conjugate(W_PAIRING)) * 5
     out.append(Fixture(
-        "graph.cm.C", "graph_surface", "source",
+        "graph.cm.C", "source",
         "normal-form graph Im w4 = N/D for the cubic surface near its basepoint",
         GraphSurface(WH, WA, "s", "w4", "w4b", None,
                      RationalFunction(nc_num, c_den), "graph.cm.C")))
 
     herm = (w1*w2b + w2*w1b + w3*w3b) * Fraction(1, 2)
     out.append(Fixture(
-        "graph.hermitian.quadric", "graph_surface", "direct",
+        "graph.hermitian.quadric", "direct",
         "Hermitian quadric graph Im w4 = Re(w1 conj w2) + |w3|^2/2; only the (1,1) part",
         GraphSurface(WH, WA, "s", "w4", "w4b", None,
                      RationalFunction(herm), "graph.hermitian.quadric")))
 
-    zh = ("z1", "z2", "z3")
-    za = ("z1b", "z2b", "z3b")
-    zg = zh + za
-    def xr(j):
-        return (MultiPoly.var(zg, f"z{j}") + MultiPoly.var(zg, f"z{j}b")) * Fraction(1, 2)
-    out.append(Fixture(
-        "graph.tube.3", "graph_surface", "direct",
-        "real tube over x4 = x1 x2 + x3^2 + x1^3 solved for z4",
-        GraphSurface(zh, za, "s", "z4", "z4b",
-                     RationalFunction(xr(1)*xr(2) + xr(3)**2 + xr(1)**3), None,
-                     "graph.tube.3")))
-    out.append(Fixture(
-        "graph.tube.quadric", "graph_surface", "direct",
-        "real tube over x4 = x1 x2 + x3^2 solved for z4",
-        GraphSurface(zh, za, "s", "z4", "z4b",
-                     RationalFunction(xr(1)*xr(2) + xr(3)**2), None,
-                     "graph.tube.quadric")))
+    # the real tubes over x4 = h(x1, x2, x3), with h = x4 - P for the surface P = 0
+    x4 = MultiPoly.var(XV, "x4")
+    zh, za = ZV[:3], ZA[:3]
+    for fid, sid, text in (("graph.tube.3", "surface.table.3", "x4 = x1 x2 + x3^2 + x1^3"),
+                           ("graph.tube.quadric", "surface.quadric.half", "x4 = x1 x2 + x3^2")):
+        height = (x4 - surfaces[sid].defining).with_vars(XV[:3])
+        out.append(Fixture(fid, "direct", f"real tube over {text} solved for z4",
+                           GraphSurface(zh, za, "s", "z4", "z4b",
+                                        RationalFunction(_tube(height, zh + za)), None, fid)))
     return out
 
 
-def _rho_d() -> MultiPoly:
-    return _x(ZF, 4)**2 - _x(ZF, 1)*_x(ZF, 2) - _x(ZF, 1)**2*_x(ZF, 3)
+def _maps(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
+    def tube(sid):
+        return _tube(surfaces[sid].defining)
 
-
-def _rho_c() -> MultiPoly:
-    return _x(ZF, 4) - _x(ZF, 1)*_x(ZF, 2) - _x(ZF, 1)*_x(ZF, 3)**2
-
-
-def _rho_quadric() -> MultiPoly:
-    return _x(ZF, 4) - _x(ZF, 1)*_x(ZF, 2) - _x(ZF, 3)**2
-
-
-def _rho_case3() -> MultiPoly:
-    return _x(ZF, 4) - _x(ZF, 1)*_x(ZF, 2) - _x(ZF, 3)**2 - _x(ZF, 1)**3
-
-
-def _rho_bminus() -> MultiPoly:
-    return _x(ZF, 4) - _x(ZF, 1)**2 - _x(ZF, 2)**2 + _x(ZF, 3)**2
-
-
-def _maps() -> List[Fixture]:
     out = []
     one4 = MultiPoly.const(W4, 1)
     W1, W2, W3, W4_ = _vars(W4)
@@ -689,11 +671,10 @@ def _maps() -> List[Fixture]:
                + RationalFunction(MultiPoly.const(W4, 11), one4)),
     )
     out.append(Fixture(
-        "map.cm.D", "rational_map", "source",
+        "map.cm.D", "source",
         "rational change of coordinates carrying the normal-form graph onto the "
         "quartic-degenerate tube surface; sends the origin to (1,0,1,1)",
-        RationalMapFixture(phi_d, "graph.cm.D", _rho_d(), ZV,
-                           ("z1b", "z2b", "z3b", "z4b"), True,
+        RationalMapFixture(phi_d, "graph.cm.D", tube("surface.table.6"), ZV, ZA, True,
                            tuple(map(GaussianRational.coerce, (1, 0, 1, 1))))))
 
     phi_c = (
@@ -706,11 +687,10 @@ def _maps() -> List[Fixture]:
                + RationalFunction(W1*(10*W2 - (W1 + 2)*W4_*I) * Fraction(1, 20), one4)),
     )
     out.append(Fixture(
-        "map.cm.C", "rational_map", "source",
+        "map.cm.C", "source",
         "rational change of coordinates carrying the normal-form graph onto the cubic "
         "tube surface; sends the origin to (1,0,0,0)",
-        RationalMapFixture(phi_c, "graph.cm.C", _rho_c(), ZV,
-                           ("z1b", "z2b", "z3b", "z4b"), True,
+        RationalMapFixture(phi_c, "graph.cm.C", tube("surface.table.5"), ZV, ZA, True,
                            tuple(map(GaussianRational.coerce, (1, 0, 0, 0))))))
 
     Z1, Z2, Z3, Z4 = _vars(ZV)
@@ -723,36 +703,36 @@ def _maps() -> List[Fixture]:
                 ("z4", RationalFunction(Z4 + Z1**3 * b)))
 
     out.append(Fixture(
-        "map.case3.derived", "rational_map", "derived",
+        "map.case3.derived", "derived",
         "shear with coefficients (3/2, 1/2) carrying the tube over "
         "x4 = x1 x2 + x3^2 + x1^3 onto the tube over x4 = x1 x2 + x3^2 "
         "(oracle script, case3_map section)",
         RationalMapFixture(zmap(Fraction(3, 2), Fraction(1, 2)), "graph.tube.3",
-                           _rho_quadric(), ZV, ("z1b", "z2b", "z3b", "z4b"), True)))
+                           tube("surface.quadric.half"), ZV, ZA, True)))
     out.append(Fixture(
-        "map.case3.printed", "rational_map", "source",
+        "map.case3.printed", "source",
         "the printed shear with coefficients (-3/2, -1/2) tested against the cubic-to-"
         "quadric direction; the identity fails, so the printed direction cannot be the "
         "one stated in prose",
         RationalMapFixture(zmap(Fraction(-3, 2), Fraction(-1, 2)), "graph.tube.3",
-                           _rho_quadric(), ZV, ("z1b", "z2b", "z3b", "z4b"), False)))
+                           tube("surface.quadric.half"), ZV, ZA, False)))
     out.append(Fixture(
-        "map.case3.printed.reversed", "rational_map", "derived",
+        "map.case3.printed.reversed", "derived",
         "the printed shear verifies exactly in the reverse direction: it carries the "
         "tube over x4 = x1 x2 + x3^2 onto the tube over x4 = x1 x2 + x3^2 + x1^3",
         RationalMapFixture(zmap(Fraction(-3, 2), Fraction(-1, 2)), "graph.tube.quadric",
-                           _rho_case3(), ZV, ("z1b", "z2b", "z3b", "z4b"), True)))
+                           tube("surface.table.3"), ZV, ZA, True)))
 
     linear = (("z1", RationalFunction((Z1 + Z2) * Fraction(1, 2))),
               ("z2", RationalFunction(Z3)),
               ("z3", RationalFunction((Z1 - Z2) * Fraction(1, 2))),
               ("z4", RationalFunction(Z4)))
     out.append(Fixture(
-        "map.quadric.to.Bminus", "rational_map", "derived",
+        "map.quadric.to.Bminus", "derived",
         "linear change identifying the tube over x4 = x1 x2 + x3^2 with the tube over "
         "the indefinite paraboloid x4 = x1^2 + x2^2 - x3^2",
-        RationalMapFixture(linear, "graph.tube.quadric", _rho_bminus(), ZV,
-                           ("z1b", "z2b", "z3b", "z4b"), True)))
+        RationalMapFixture(linear, "graph.tube.quadric", tube("surface.table.1m"), ZV, ZA,
+                           True)))
 
     ident = (("w1", RationalFunction(W1)), ("w2", RationalFunction(W2)),
              ("w3", RationalFunction(W3)), ("w4", RationalFunction(W4_)))
@@ -763,10 +743,9 @@ def _maps() -> List[Fixture]:
             + MultiPoly.var(W8, "w3")*MultiPoly.var(W8, "w3b")) * Fraction(1, 2)
     rho_herm = (w4p - w4bp) * GaussianRational(0, Fraction(-1, 2)) - herm
     out.append(Fixture(
-        "map.identity.quadric", "rational_map", "direct",
+        "map.identity.quadric", "direct",
         "identity map on the Hermitian quadric graph",
-        RationalMapFixture(ident, "graph.hermitian.quadric", rho_herm, W4,
-                           ("w1b", "w2b", "w3b", "w4b"), True)))
+        RationalMapFixture(ident, "graph.hermitian.quadric", rho_herm, W4, W8[4:], True)))
     return out
 
 
@@ -782,7 +761,7 @@ def _witnesses(fam_d: MapFamily, fam_c: MapFamily) -> List[Fixture]:
     d_gt = x40**2 - x10*x20 - x10**2*x30
     ctx = RelationContext(radicals=(("rho", d_gt),))
     out.append(Fixture(
-        "witness.D.gt", "witness", "source",
+        "witness.D.gt", "source",
         "parameters sending the base point (1,0,0,1) to an arbitrary target of the outer "
         "quartic-degenerate domain, modulo rho^2 = x4^2 - x1 x2 - x1^2 x3 at the target",
         WitnessFixture(TransitivityWitness(
@@ -794,7 +773,7 @@ def _witnesses(fam_d: MapFamily, fam_c: MapFamily) -> List[Fixture]:
     d_lt = x10*x20 + x10**2*x30 - x40**2
     ctx = RelationContext(radicals=(("rho", d_lt),))
     out.append(Fixture(
-        "witness.D.lt", "witness", "derived",
+        "witness.D.lt", "derived",
         "parameters sending the base point (1,1,0,0) to an arbitrary target of the inner "
         "quartic-degenerate domain (oracle script, witnesses section)",
         WitnessFixture(TransitivityWitness(
@@ -806,7 +785,7 @@ def _witnesses(fam_d: MapFamily, fam_c: MapFamily) -> List[Fixture]:
     c_gt = x10*x40 - x10**2*x20 - x10**2*x30**2
     ctx = RelationContext(radicals=(("rho", c_gt),))
     out.append(Fixture(
-        "witness.C.gt", "witness", "derived",
+        "witness.C.gt", "derived",
         "parameters sending the base point (1,0,0,1) to an arbitrary target of the upper "
         "cubic domain (oracle script, witnesses section)",
         WitnessFixture(TransitivityWitness(
@@ -818,7 +797,7 @@ def _witnesses(fam_d: MapFamily, fam_c: MapFamily) -> List[Fixture]:
     c_lt = x10**2*x20 + x10**2*x30**2 - x10*x40
     ctx = RelationContext(radicals=(("rho", c_lt),))
     out.append(Fixture(
-        "witness.C.lt", "witness", "derived",
+        "witness.C.lt", "derived",
         "parameters sending the base point (1,0,0,-1) to an arbitrary target of the lower "
         "cubic domain (oracle script, witnesses section)",
         WitnessFixture(TransitivityWitness(
@@ -844,7 +823,7 @@ def _lines() -> List[Fixture]:
     out = []
     for fid, point, direction, dom, text in data:
         out.append(Fixture(
-            fid, "line", "source",
+            fid, "source",
             text + "; witnesses that the domain contains an affine complex line and is "
                    "therefore not Kobayashi-hyperbolic",
             LineFixture(ComplexLine(tuple(g(p) for p in point),
@@ -863,13 +842,13 @@ def _bridges_and_slices() -> List[Fixture]:
         ("a1", zero), ("a2", 2*v - u), ("a3", 2*u), ("a4", v),
     )
     return [
-        Fixture("bridge.isotropy.D", "bridge", "source",
+        Fixture("bridge.isotropy.D", "source",
                 "conjugating the linear normal-form isotropy by the rational coordinate "
                 "change reproduces the cubic isotropy family after substituting "
                 "u = (16/25) mu and v = (2/5) nu",
                 BridgeInfo(Fraction(16, 25), Fraction(2, 5),
                            "family.isotropy.D.w", "family.isotropy.D", "map.cm.D")),
-        Fixture("slice.isotropy.D", "derived_slice", "derived",
+        Fixture("slice.isotropy.D", "derived",
                 "restricting the full ten-parameter family by q = 1, s = t = 0, a1 = 0, "
                 "a2 = 2v - u, a3 = 2u, a4 = v gives exactly the isotropy family "
                 "(oracle script, isotropy_and_full_group section)",
@@ -881,15 +860,15 @@ def _bridges_and_slices() -> List[Fixture]:
 
 @lru_cache(maxsize=1)
 def registry() -> Dict[str, Fixture]:
-    fixtures: List[Fixture] = []
-    fixtures.extend(_surfaces())
-    fixtures.extend(_domains())
+    fixtures = _surfaces()
+    surfaces = {fx.id: fx.payload for fx in fixtures}
+    fixtures.extend(_domains(surfaces))
     fixtures.extend(_bases_and_tables())
     fixtures.extend(_iso_spans())
     families = _families()
     fixtures.extend(families)
-    fixtures.extend(_graphs())
-    fixtures.extend(_maps())
+    fixtures.extend(_graphs(surfaces))
+    fixtures.extend(_maps(surfaces))
     by_id = {fx.id: fx for fx in families}
     fixtures.extend(_witnesses(by_id["family.affine.D"].payload,
                                by_id["family.affine.C"].payload))
@@ -917,157 +896,122 @@ def list_ids(pattern: str = "*") -> List[str]:
 
 # ------------------------------------------------------------- serialization
 
-def _hypersurface_to_obj(s: Hypersurface):
-    return {
-        "poly": io.poly_to_obj(s.defining),
-        "basepoint": [io.frac_to_str(b) for b in s.basepoint],
-        "constraints": [{"expr": io.poly_to_obj(e), "sense": sense}
-                        for e, sense in s.constraints],
-        "assert_irreducible": s.assert_irreducible,
-        "name": s.name,
-    }
+def _constraints_to_obj(constraints):
+    return [{"expr": io.poly_to_obj(e), "sense": sense} for e, sense in constraints]
 
 
-def _hypersurface_from_obj(obj) -> Hypersurface:
-    return Hypersurface(
-        io.poly_from_obj(obj["poly"]),
-        tuple(Fraction(b) for b in obj["basepoint"]),
-        tuple((io.poly_from_obj(c["expr"]), c["sense"]) for c in obj["constraints"]),
-        obj.get("assert_irreducible", False),
-        obj.get("name", ""),
-    )
+def _constraints_from_obj(obj):
+    return tuple((io.poly_from_obj(c["expr"]), c["sense"]) for c in obj)
 
 
-def payload_to_obj(fx: Fixture):
-    p = fx.payload
-    if fx.kind == "hypersurface":
-        return _hypersurface_to_obj(p)
-    if fx.kind == "domain":
-        return {
-            "name": p.name,
-            "expr": io.poly_to_obj(p.expr),
-            "constraints": [{"expr": io.poly_to_obj(e), "sense": s} for e, s in p.constraints],
-            "probe": [io.frac_to_str(x) for x in p.probe],
-            "levi_type": p.levi_type,
-            "source_surface": p.source_surface,
-        }
-    if fx.kind == "field_basis":
-        return {"fields": [io.field_to_obj(f) for f in p.fields]}
-    if fx.kind == "golden_table":
-        return {"dim": p.dim,
+# The one table of fixture kinds: name, payload type, encoder, decoder. The
+# codecs look up interchange functions as `io.` attributes at call time, so
+# that a wrapper installed on that module sees every call.
+_KINDS = (
+    ("hypersurface", Hypersurface,
+     lambda p: {"poly": io.poly_to_obj(p.defining),
+                "basepoint": [io.frac_to_str(b) for b in p.basepoint],
+                "constraints": _constraints_to_obj(p.constraints),
+                "assert_irreducible": p.assert_irreducible, "name": p.name},
+     lambda obj: Hypersurface(io.poly_from_obj(obj["poly"]),
+                              tuple(Fraction(b) for b in obj["basepoint"]),
+                              _constraints_from_obj(obj["constraints"]),
+                              obj.get("assert_irreducible", False), obj.get("name", ""))),
+    ("domain", DomainSpec,
+     lambda p: {"name": p.name, "expr": io.poly_to_obj(p.expr),
+                "constraints": _constraints_to_obj(p.constraints),
+                "probe": [io.frac_to_str(x) for x in p.probe],
+                "levi_type": p.levi_type, "source_surface": p.source_surface},
+     lambda obj: DomainSpec(obj["name"], io.poly_from_obj(obj["expr"]),
+                            _constraints_from_obj(obj["constraints"]),
+                            tuple(Fraction(x) for x in obj["probe"]),
+                            obj["levi_type"], obj["source_surface"])),
+    ("field_basis", FieldBasis,
+     lambda p: {"fields": [io.field_to_obj(f) for f in p.fields]},
+     lambda obj: FieldBasis(tuple(io.field_from_obj(f) for f in obj["fields"]))),
+    ("golden_table", GoldenTable,
+     lambda p: {"dim": p.dim,
                 "entries": [[i, j, {str(k): io.frac_to_str(c) for k, c in combo}]
-                            for i, j, combo in p.entries]}
-    if fx.kind == "iso_span":
-        return {"vectors": [[io.frac_to_str(x) for x in vec] for vec in p.vectors],
+                            for i, j, combo in p.entries]},
+     lambda obj: GoldenTable(obj["dim"], tuple(
+         (i, j, tuple((int(k), Fraction(c)) for k, c in combo.items()))
+         for i, j, combo in obj["entries"]))),
+    ("iso_span", IsoSpan,
+     lambda p: {"vectors": [[io.frac_to_str(x) for x in vec] for vec in p.vectors],
                 "z1_index": p.z1_index, "z4_index": p.z4_index,
-                "s_indices": list(p.s_indices)}
-    if fx.kind == "map_family":
-        return io.family_to_obj(p)
-    if fx.kind == "graph_surface":
-        return io.graph_to_obj(p)
-    if fx.kind == "rational_map":
-        return {
-            "components": {name: io.ratfun_to_obj(rf) for name, rf in p.components},
-            "source_graph": p.source_graph,
-            "target": io.poly_to_obj(p.target),
-            "target_holo": list(p.target_holo),
-            "target_anti": list(p.target_anti),
-            "expected": p.expected,
-            "origin_image": None if p.origin_image is None
-            else [io.gauss_to_obj(c) for c in p.origin_image],
-        }
-    if fx.kind == "witness":
-        w = p.witness
-        return {
-            "family": io.family_to_obj(w.family),
-            "target_vars": list(w.target_vars),
-            "assignment": {k: io.ratfun_to_obj(v) for k, v in w.assignment.items()},
-            "context": io.relations_to_obj(w.context),
-            "name": w.name,
-            "base": [io.frac_to_str(b) for b in p.base],
-        }
-    if fx.kind == "line":
-        return {
-            "point": [io.gauss_to_obj(c) for c in p.line.point],
-            "direction": [io.gauss_to_obj(c) for c in p.line.direction],
-            "name": p.line.name,
-            "domain": p.domain_id,
-        }
-    if fx.kind == "bridge":
-        return {"u_scale": io.frac_to_str(p.u_scale), "v_scale": io.frac_to_str(p.v_scale),
-                "w_family": p.w_family, "z_family": p.z_family, "map": p.map_id}
-    if fx.kind == "derived_slice":
-        return {"family": p.family, "reduces_to": p.reduces_to,
+                "s_indices": list(p.s_indices)},
+     lambda obj: IsoSpan(tuple(tuple(Fraction(x) for x in vec) for vec in obj["vectors"]),
+                         obj["z1_index"], obj["z4_index"], tuple(obj["s_indices"]))),
+    ("map_family", MapFamily,
+     lambda p: io.family_to_obj(p), lambda obj: io.family_from_obj(obj)),
+    ("graph_surface", GraphSurface,
+     lambda p: io.graph_to_obj(p), lambda obj: io.graph_from_obj(obj)),
+    ("rational_map", RationalMapFixture,
+     lambda p: {"components": {name: io.ratfun_to_obj(rf) for name, rf in p.components},
+                "source_graph": p.source_graph, "target": io.poly_to_obj(p.target),
+                "target_holo": list(p.target_holo), "target_anti": list(p.target_anti),
+                "expected": p.expected,
+                "origin_image": None if p.origin_image is None
+                else [io.gauss_to_obj(c) for c in p.origin_image]},
+     lambda obj: RationalMapFixture(
+         tuple((name, io.ratfun_from_obj(rf)) for name, rf in obj["components"].items()),
+         obj["source_graph"], io.poly_from_obj(obj["target"]),
+         tuple(obj["target_holo"]), tuple(obj["target_anti"]), obj["expected"],
+         None if obj.get("origin_image") is None
+         else tuple(io.gauss_from_obj(c) for c in obj["origin_image"]))),
+    ("witness", WitnessFixture,
+     lambda p: {"family": io.family_to_obj(p.witness.family),
+                "target_vars": list(p.witness.target_vars),
+                "assignment": {k: io.ratfun_to_obj(v) for k, v in p.witness.assignment.items()},
+                "context": io.relations_to_obj(p.witness.context),
+                "name": p.witness.name, "base": [io.frac_to_str(b) for b in p.base]},
+     lambda obj: WitnessFixture(
+         TransitivityWitness(io.family_from_obj(obj["family"]), tuple(obj["target_vars"]),
+                             {k: io.ratfun_from_obj(v) for k, v in obj["assignment"].items()},
+                             io.relations_from_obj(obj["context"]), obj.get("name", "")),
+         tuple(Fraction(b) for b in obj["base"]))),
+    ("line", LineFixture,
+     lambda p: {"point": [io.gauss_to_obj(c) for c in p.line.point],
+                "direction": [io.gauss_to_obj(c) for c in p.line.direction],
+                "name": p.line.name, "domain": p.domain_id},
+     lambda obj: LineFixture(ComplexLine(tuple(io.gauss_from_obj(c) for c in obj["point"]),
+                                         tuple(io.gauss_from_obj(c) for c in obj["direction"]),
+                                         obj.get("name", "")), obj["domain"])),
+    ("bridge", BridgeInfo,
+     lambda p: {"u_scale": io.frac_to_str(p.u_scale), "v_scale": io.frac_to_str(p.v_scale),
+                "w_family": p.w_family, "z_family": p.z_family, "map": p.map_id},
+     lambda obj: BridgeInfo(Fraction(obj["u_scale"]), Fraction(obj["v_scale"]),
+                            obj["w_family"], obj["z_family"], obj["map"])),
+    ("derived_slice", SliceInfo,
+     lambda p: {"family": p.family, "reduces_to": p.reduces_to,
                 "slice_params": list(p.slice_params),
-                "assignments": {k: io.poly_to_obj(v) for k, v in p.assignments}}
-    if fx.kind == "alpha_family":
-        return {"parameter": p.parameter,
+                "assignments": {k: io.poly_to_obj(v) for k, v in p.assignments}},
+     lambda obj: SliceInfo(obj["family"], obj["reduces_to"], tuple(obj["slice_params"]),
+                           tuple((k, io.poly_from_obj(v))
+                                 for k, v in obj["assignments"].items()))),
+    ("alpha_family", AlphaFamilyInfo,
+     lambda p: {"parameter": p.parameter,
                 "samples": [io.frac_to_str(s) for s in p.samples],
                 "sample_ids": list(p.sample_ids),
-                "target": p.target, "sign_rule": p.sign_rule}
-    raise ValueError(f"cannot serialize fixture kind {fx.kind!r}")
-
-
-def payload_from_obj(kind: str, obj) -> object:
-    if kind == "hypersurface":
-        return _hypersurface_from_obj(obj)
-    if kind == "domain":
-        return DomainSpec(
-            obj["name"], io.poly_from_obj(obj["expr"]),
-            tuple((io.poly_from_obj(c["expr"]), c["sense"]) for c in obj["constraints"]),
-            tuple(Fraction(x) for x in obj["probe"]),
-            obj["levi_type"], obj["source_surface"])
-    if kind == "field_basis":
-        return FieldBasis(tuple(io.field_from_obj(f) for f in obj["fields"]))
-    if kind == "golden_table":
-        return GoldenTable(obj["dim"], tuple(
-            (i, j, tuple((int(k), Fraction(c)) for k, c in combo.items()))
-            for i, j, combo in obj["entries"]))
-    if kind == "iso_span":
-        return IsoSpan(tuple(tuple(Fraction(x) for x in vec) for vec in obj["vectors"]),
-                       obj["z1_index"], obj["z4_index"], tuple(obj["s_indices"]))
-    if kind == "map_family":
-        return io.family_from_obj(obj)
-    if kind == "graph_surface":
-        return io.graph_from_obj(obj)
-    if kind == "rational_map":
-        return RationalMapFixture(
-            tuple((name, io.ratfun_from_obj(rf)) for name, rf in obj["components"].items()),
-            obj["source_graph"], io.poly_from_obj(obj["target"]),
-            tuple(obj["target_holo"]), tuple(obj["target_anti"]), obj["expected"],
-            None if obj.get("origin_image") is None
-            else tuple(io.gauss_from_obj(c) for c in obj["origin_image"]))
-    if kind == "witness":
-        witness = TransitivityWitness(
-            io.family_from_obj(obj["family"]), tuple(obj["target_vars"]),
-            {k: io.ratfun_from_obj(v) for k, v in obj["assignment"].items()},
-            io.relations_from_obj(obj["context"]), obj.get("name", ""))
-        return WitnessFixture(witness, tuple(Fraction(b) for b in obj["base"]))
-    if kind == "line":
-        return LineFixture(ComplexLine(tuple(io.gauss_from_obj(c) for c in obj["point"]),
-                                       tuple(io.gauss_from_obj(c) for c in obj["direction"]),
-                                       obj.get("name", "")), obj["domain"])
-    if kind == "bridge":
-        return BridgeInfo(Fraction(obj["u_scale"]), Fraction(obj["v_scale"]),
-                          obj["w_family"], obj["z_family"], obj["map"])
-    if kind == "derived_slice":
-        return SliceInfo(obj["family"], obj["reduces_to"], tuple(obj["slice_params"]),
-                         tuple((k, io.poly_from_obj(v)) for k, v in obj["assignments"].items()))
-    if kind == "alpha_family":
-        return AlphaFamilyInfo(obj["parameter"], tuple(Fraction(s) for s in obj["samples"]),
-                               tuple(obj["sample_ids"]), obj["target"], obj["sign_rule"])
-    raise ValueError(f"cannot deserialize fixture kind {kind!r}")
+                "target": p.target, "sign_rule": p.sign_rule},
+     lambda obj: AlphaFamilyInfo(obj["parameter"], tuple(Fraction(s) for s in obj["samples"]),
+                                 tuple(obj["sample_ids"]), obj["target"], obj["sign_rule"])),
+)
+_KIND_OF = {cls: (name, encode) for name, cls, encode, _ in _KINDS}
+_DECODER = {name: decode for name, _, _, decode in _KINDS}
 
 
 def fixture_to_obj(fx: Fixture):
-    return {"id": fx.id, "kind": fx.kind, "tag": fx.tag, "claim": fx.claim,
-            "payload": payload_to_obj(fx)}
+    kind, encode = _KIND_OF[type(fx.payload)]
+    return {"id": fx.id, "kind": kind, "tag": fx.tag, "claim": fx.claim,
+            "payload": encode(fx.payload)}
 
 
 def fixture_from_obj(obj) -> Fixture:
-    kind = obj["kind"]
-    return Fixture(obj["id"], kind, obj["tag"], obj["claim"],
-                   payload_from_obj(kind, obj["payload"]))
+    decode = _DECODER.get(obj["kind"])
+    if decode is None:
+        raise ValueError(f"cannot deserialize fixture kind {obj['kind']!r}")
+    return Fixture(obj["id"], obj["tag"], obj["claim"], decode(obj["payload"]))
 
 
 def export_tree(path) -> int:

@@ -95,8 +95,7 @@ def assemble(command: str, checks: Sequence[Check], started: float) -> Report:
     return Report(VERSION, command, ordered, summary, round(time.perf_counter() - started, 3))
 
 
-def check_of(cid: str, claim: str, ok: bool, details: str = "",
-             provenance: str = "engine") -> Check:
+def check_of(cid: str, claim: str, ok: bool, details: str, provenance: str) -> Check:
     if not ok and not details:
         details = "check failed"
     return Check(cid, claim, "PASS" if ok else "FAIL", details, provenance)
@@ -248,14 +247,9 @@ def cmd_orbits(args, reg) -> List[Check]:
     return checks
 
 
-def _case_basis(reg, case: str):
-    fx = _fixture(reg, f"basis.Z.{case}")
-    return fx, list(fx.payload.fields)
-
-
 def cmd_table(args, reg) -> List[Check]:
     case = args.case
-    basis_fx, fields = _case_basis(reg, case)
+    fields = list(_fixture(reg, f"basis.Z.{case}").payload.fields)
     golden_fx = _fixture(reg, f"table.golden.{case}")
     golden = golden_fx.payload.coeff_map()
     algebra = LieAlgebraPresentation.from_fields(fields)
@@ -280,17 +274,13 @@ def cmd_table(args, reg) -> List[Check]:
     return checks
 
 
-def _case_graph(reg, case: str) -> Tuple[Fixture, GraphSurface]:
-    fx = _fixture(reg, f"graph.cm.{case}")
-    return fx, fx.payload
-
-
 def cmd_normal_form(args, reg) -> List[Check]:
     case = args.case
     cutoff = args.cutoff
     if cutoff < MIN_CM_CUTOFF:
         raise UsageError(f"--cutoff must be at least {MIN_CM_CUTOFF}, got {cutoff}")
-    fx, graph = _case_graph(reg, case)
+    fx = _fixture(reg, f"graph.cm.{case}")
+    graph: GraphSurface = fx.payload
     series = defining_series(graph, cutoff)
     checks = []
     try:
@@ -358,9 +348,6 @@ def cmd_verify_map(args, reg) -> List[Check]:
     return checks
 
 
-ZF_ANTI = ("z1b", "z2b", "z3b", "z4b")
-
-
 def _tube_rho(reg, case: str) -> MultiPoly:
     source = {"D": "map.cm.D", "C": "map.cm.C"}[case]
     return _fixture(reg, source).payload.target
@@ -373,7 +360,7 @@ def cmd_isotropy(args, reg) -> List[Check]:
     if case == "D":
         fx = _fixture(reg, "family.isotropy.D")
         fam: MapFamily = fx.payload
-        res = verify_family_invariance(fam, rho, catalog.ZV, ZF_ANTI,
+        res = verify_family_invariance(fam, rho, catalog.ZV, catalog.ZA,
                                        fixed_point=(1, 0, 1, 1))
         checks.append(check_of("isotropy.D.invariance",
                                "isotropy family preserves the tube surface symbolically",
@@ -382,8 +369,7 @@ def cmd_isotropy(args, reg) -> List[Check]:
                                "family fixes the basepoint (1,0,1,1) identically",
                                bool(res.fixes_point), "", prov(fx)))
         gens = infinitesimal_generators(fam)
-        coords = expand_in_fields(gens, _fixture(reg, "basis.Z.D").payload.fields)
-        dim = len(rref_rows([list(c) for c in coords if c is not None]))
+        dim, _ = _generator_span(gens, _fixture(reg, "basis.Z.D").payload.fields)
         checks.append(check_of("isotropy.D.dimension",
                                "isotropy group has dimension 3",
                                len(gens) == 3 and dim == 3,
@@ -413,22 +399,21 @@ def cmd_isotropy(args, reg) -> List[Check]:
                            ("family.isotropy.C.shear", (1, 0, 0, 0)),
                            ("family.circle.C", (1, 0, 0, 0))):
             fx = _fixture(reg, fid)
-            res = verify_family_invariance(fx.payload, rho, catalog.ZV, ZF_ANTI,
+            res = verify_family_invariance(fx.payload, rho, catalog.ZV, catalog.ZA,
                                            fixed_point=point)
             checks.append(check_of(f"isotropy.C.invariance.{fid.split('.')[-1]}",
                                    f"{fid} preserves the tube and fixes the basepoint",
                                    res.ok and bool(res.fixes_point),
                                    f"multiplier {res.multiplier}", prov(fx)))
         bad = _fixture(reg, "family.circle.C.printed")
-        res = verify_family_invariance(bad.payload, rho, catalog.ZV, ZF_ANTI)
+        res = verify_family_invariance(bad.payload, rho, catalog.ZV, catalog.ZA)
         checks.append(check_of("isotropy.C.printed_circle_control",
                                "the circle action with the printed sign fails invariance "
                                "(negative control)", not res.ok, "", prov(bad)))
         gens = []
         for fid in ("family.isotropy.C.scale", "family.isotropy.C.shear", "family.circle.C"):
             gens.extend(infinitesimal_generators(_fixture(reg, fid).payload))
-        coords = expand_in_fields(gens, _fixture(reg, "basis.Z.C").payload.fields)
-        dim = len(rref_rows([list(c) for c in coords if c is not None]))
+        dim, _ = _generator_span(gens, _fixture(reg, "basis.Z.C").payload.fields)
         checks.append(check_of("isotropy.C.dimension",
                                "isotropy group has dimension 3",
                                len(gens) == 3 and dim == 3,
@@ -437,6 +422,14 @@ def cmd_isotropy(args, reg) -> List[Check]:
         checks.append(_graph_family_check(reg, "family.isotropy.C.w", "graph.cm.C",
                                           "isotropy.C.w_graph"))
     return checks
+
+
+def _generator_span(gens, basis) -> Tuple[int, List[int]]:
+    """The dimension of the span of the generators that lie in the span of
+    the basis fields, and the positions of the generators that do not."""
+    coords = expand_in_fields(gens, basis)
+    inside = [list(c) for c in coords if c is not None]
+    return len(rref_rows(inside)), [i for i, c in enumerate(coords) if c is None]
 
 
 def _graph_family_check(reg, family_id: str, graph_id: str, cid: str) -> Check:
@@ -489,7 +482,7 @@ def cmd_group(args, reg) -> List[Check]:
     zbasis = list(_fixture(reg, f"basis.Z.{case}").payload.fields)
     if case == "D":
         fx = _fixture(reg, "family.full.D")
-        res = verify_family_invariance(fx.payload, rho, catalog.ZV, ZF_ANTI)
+        res = verify_family_invariance(fx.payload, rho, catalog.ZV, catalog.ZA)
         checks.append(check_of("group.D.invariance",
                                "the ten-parameter family preserves the tube symbolically",
                                res.ok, f"multiplier {res.multiplier}", prov(fx)))
@@ -499,9 +492,7 @@ def cmd_group(args, reg) -> List[Check]:
     else:
         gen_sources = []
         afx = _fixture(reg, "family.affine.C")
-        px = (MultiPoly.var(catalog.XV, "x4") - MultiPoly.var(catalog.XV, "x1")
-              * MultiPoly.var(catalog.XV, "x2") - MultiPoly.var(catalog.XV, "x1")
-              * MultiPoly.var(catalog.XV, "x3") ** 2)
+        px = _fixture(reg, "surface.table.5").payload.defining
         res = verify_family_invariance(afx.payload, px)
         checks.append(check_of("group.C.affine_invariance",
                                "the affine family preserves the base surface in R^4",
@@ -509,7 +500,7 @@ def cmd_group(args, reg) -> List[Check]:
         zlift = _lift_family_to_z(afx.payload)
         gen_sources.append((prov(afx), infinitesimal_generators(zlift)))
         tfx = _fixture(reg, "family.translations.z")
-        rest = verify_family_invariance(tfx.payload, rho, catalog.ZV, ZF_ANTI)
+        rest = verify_family_invariance(tfx.payload, rho, catalog.ZV, catalog.ZA)
         checks.append(check_of("group.C.translations",
                                "imaginary translations preserve the tube",
                                rest.ok, "", prov(tfx)))
@@ -519,15 +510,12 @@ def cmd_group(args, reg) -> List[Check]:
             gen_sources.append((prov(gfx), infinitesimal_generators(gfx.payload)))
         law_fx = afx
     sourced = [(provenance, g) for provenance, gens in gen_sources for g in gens]
-    coords = []
-    for (provenance, g), c in zip(sourced, expand_in_fields([g for _, g in sourced], zbasis)):
-        if c is None:
-            checks.append(check_of(f"group.{case}.generator_membership",
-                                   "every generator lies in the span of the ten-field "
-                                   "basis", False, str(g), provenance))
-            continue
-        coords.append(list(c))
-    dim = len(rref_rows(coords)) if coords else 0
+    dim, outside = _generator_span([g for _, g in sourced], zbasis)
+    for i in outside:
+        provenance, g = sourced[i]
+        checks.append(check_of(f"group.{case}.generator_membership",
+                               "every generator lies in the span of the ten-field "
+                               "basis", False, str(g), provenance))
     checks.append(check_of(
         f"group.{case}.generators",
         "the infinitesimal generators span the full ten-dimensional algebra",

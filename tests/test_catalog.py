@@ -54,6 +54,19 @@ def test_every_domain_probe_inside():
         assert catalog.get(fid).payload.probe_inside(), fid
 
 
+@pytest.mark.parametrize("source", ["registry", "committed tree"])
+def test_every_domain_is_a_side_of_its_surface(source):
+    reg = catalog.registry() if source == "registry" else catalog.load_tree(ROOT / "fixtures")
+    domains = [fid for fid in reg if fid.startswith("domain.")]
+    assert len(domains) == 14
+    for fid in domains:
+        spec = reg[fid].payload
+        surface = reg[spec.source_surface].payload
+        side = {"gt": 1, "lt": -1}[fid.rsplit(".", 1)[1]]
+        assert spec.expr == surface.defining * side, fid
+        assert spec.constraints == surface.constraints, fid
+
+
 def test_case6_surface_example():
     fx = catalog.get("surface.table.6")
     s = fx.payload

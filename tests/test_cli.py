@@ -78,33 +78,38 @@ def test_usage_errors(capsys):
     assert cli.main(["witness", "--id", "no.such.witness"]) == 64
 
 
-def _unknown_sense(payload):
-    payload["constraints"][0]["sense"] = "ge"
+def _unknown_sense(obj):
+    obj["payload"]["constraints"][0]["sense"] = "ge"
 
 
-def _negative_exponent(payload):
-    payload["fields"][0]["components"][0]["terms"][0]["e"][0] = -1
+def _negative_exponent(obj):
+    obj["payload"]["fields"][0]["components"][0]["terms"][0]["e"][0] = -1
 
 
-def _float_exponent(payload):
-    exps = next(t["e"] for t in payload["expr"]["terms"] if 1 in t["e"])
+def _float_exponent(obj):
+    exps = next(t["e"] for t in obj["payload"]["expr"]["terms"] if 1 in t["e"])
     exps[exps.index(1)] = 1.0
 
 
-def _rational_component(payload):
+def _rational_component(obj):
     # the same map, written as (2 z1) / 2
-    comp = payload["components"][0]
+    comp = obj["payload"]["components"][0]
     for part in (comp["num"], comp["den"]):
         for term in part["terms"]:
             term["c"] = str(2 * Fraction(term["c"]))
 
 
-# fixture trees {tmp}/<name>: a copy of fixtures/ with one payload edited
+def _misspelt_kind(obj):
+    obj["kind"] = "domian"
+
+
+# fixture trees {tmp}/<name>: a copy of fixtures/ with one fixture edited
 BAD_TREES = {
     "ge": ("domain.H.gt", _unknown_sense),
     "negexp": ("basis.Z.D", _negative_exponent),
     "floatexp": ("domain.Bp.gt", _float_exponent),
     "ratcomp": ("family.isotropy.C.scale", _rational_component),
+    "badkind": ("domain.Bp.gt", _misspelt_kind),
 }
 
 
@@ -135,6 +140,9 @@ BAD_TREES = {
      "exponents must be nonnegative ints, got (0, 0, 0, 1.0)"),
     (["TUBES_FIXTURES={tmp}/ratcomp", "isotropy", "--case", "C"],
      "map family 'isotropy.C.scale' needs polynomial components"),
+    (["TUBES_FIXTURES={tmp}/badkind", "lines"],
+     "cannot load the fixture tree '{tmp}/badkind': ValueError: "
+     "cannot deserialize fixture kind 'domian'"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
@@ -146,7 +154,7 @@ def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, ca
             shutil.copytree(FIXTURES, tmp_path / tree)
             path = tmp_path / tree / f"{fid}.json"
             obj = json.loads(path.read_text())
-            edit(obj["payload"])
+            edit(obj)
             path.write_text(json.dumps(obj))
     argv = [a.format(tmp=tmp_path) for a in argv]
     while "=" in argv[0]:
