@@ -5,13 +5,14 @@
 
 The sweep runs in-process through tubes.cli.main, under sys.setprofile:
 every invocation in the verdict table of perfbench/expected.py with
---json, an orbit report with --probes and --random-probes, symmetry with
---verbose as a text report, one invocation that loads the fixture tree
-through TUBES_FIXTURES, and catalog.export_tree. The script then prints
-each function or method defined under src/tubes/ (dunder methods,
-lambdas and comprehensions left out) that the sweep never entered, as
-module.qualname, and their count. Such a function is reached only from
-tests or from nothing.
+--json, an orbit report with --probes and --random-probes and symmetry
+with --verbose as a text report, all of them once on the in-code catalog
+and once on the committed fixture tree through TUBES_FIXTURES (a command
+decodes only the fixtures it reads), and then catalog.export_tree. The
+script then prints each function or method defined under src/tubes/
+(dunder methods, lambdas and comprehensions left out) that the sweep
+never entered, as module.qualname, and their count. Such a function is
+reached only from tests or from nothing.
 
 Standard library only. The interpreter runs with PYTHONHASHSEED=0, as in
 the benchmark, so that set iteration order is the same in every run.
@@ -58,8 +59,8 @@ def _defined():
 
 
 def sweep(cli, catalog, invocations, tree, export_dir):
-    """Run every invocation and the fixture-tree load and export; returns
-    the code objects entered."""
+    """Run every invocation on the in-code catalog and on the fixture tree,
+    then the export; returns the code objects entered."""
     entered = set()
 
     def profile(frame, event, arg):
@@ -76,7 +77,8 @@ def sweep(cli, catalog, invocations, tree, export_dir):
             run(argv)
         os.environ["TUBES_FIXTURES"] = tree
         try:
-            run(("--json", "lines"))
+            for argv in invocations:
+                run(argv)
         finally:
             del os.environ["TUBES_FIXTURES"]
         catalog.export_tree(export_dir)
@@ -105,7 +107,7 @@ def main() -> int:
             if Path(c.co_filename).resolve().parent == PACKAGE}
     unreached = sorted(name for key, name in _defined().items() if key not in seen)
     print("\n".join(unreached + [f"{len(unreached)} functions under src/tubes/ not entered "
-                                 f"by {len(invocations) + 2} sweep steps"]))
+                                 f"by {2 * len(invocations) + 1} sweep steps"]))
     return 0
 
 

@@ -12,7 +12,7 @@ here, each tagged with its provenance class:
 Claims describe the mathematical assertion each fixture participates
 in. Fixtures are immutable after load and serialize one file per id
 under a fixtures/ tree (see export_tree), with an index listing ids,
-tags and claims.
+kinds, tags and claims.
 """
 
 from __future__ import annotations
@@ -1028,20 +1028,79 @@ def export_tree(path) -> int:
     return len(index)
 
 
-def load_tree(path) -> Dict[str, Fixture]:
-    """Load a fixtures/ tree written by export_tree."""
-    root = Path(path)
-    table: Dict[str, Fixture] = {}
-    index = json.loads((root / "index.json").read_text())
-    for entry in index["fixtures"]:
-        obj = json.loads((root / f"{entry['id']}.json").read_text())
-        fx = fixture_from_obj(obj)
-        table[fx.id] = fx
-    return table
+class TreeError(Exception):
+    """A fixture tree whose index cannot be read, or a fixture in it that
+    cannot be decoded. Not a ValueError, so that a command's own handlers
+    for engine errors never swallow it."""
+
+    def __init__(self, path, cause: Exception):
+        super().__init__(f"cannot load the fixture tree {str(path)!r}: "
+                         f"{type(cause).__name__}: {cause}")
 
 
-def active_registry() -> Dict[str, Fixture]:
-    """The in-code registry, unless TUBES_FIXTURES points at a tree."""
+class FixtureTree(Mapping[str, Fixture]):
+    """Read-only view of a fixtures/ tree written by export_tree.
+
+    Ids and kinds come from index.json, so membership, iteration and length
+    decode nothing. A fixture file is read and decoded on first access and
+    kept for the life of the view; a file that cannot be decoded, or whose
+    id or kind differs from its index entry, raises TreeError there."""
+
+    def __init__(self, path, kinds: Dict[str, str]):
+        self._path, self._kinds = path, kinds
+        self._decoded: Dict[str, Fixture] = {}
+
+    def __getitem__(self, fid: str) -> Fixture:
+        fx = self._decoded.get(fid)
+        if fx is None:
+            kind = self._kinds[fid]
+            try:
+                obj = json.loads((Path(self._path) / f"{fid}.json").read_text())
+                fx = fixture_from_obj(obj)
+                if (fx.id, obj["kind"]) != (fid, kind):
+                    raise ValueError(f"{fid}.json holds {obj['kind']} {fx.id!r}, "
+                                     f"but the index lists {kind} {fid!r}")
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise TreeError(self._path, exc) from exc
+            self._decoded[fid] = fx
+        return fx
+
+    def __contains__(self, fid) -> bool:
+        return fid in self._kinds
+
+    def __iter__(self):
+        return iter(self._kinds)
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+
+def load_tree(path) -> FixtureTree:
+    """Open a fixtures/ tree written by export_tree.
+
+    Reads and checks index.json now: it must list entries, each with an id
+    and a known kind, and no id twice; otherwise TreeError. Fixture files
+    are decoded only when accessed (see FixtureTree)."""
+    try:
+        entries = json.loads((Path(path) / "index.json").read_text())["fixtures"]
+        if not isinstance(entries, list):
+            raise TypeError(f"the index lists {type(entries).__name__}, not fixture entries")
+        kinds: Dict[str, str] = {}
+        for entry in entries:
+            fid, kind = entry["id"], entry["kind"]
+            if kind not in _DECODER:
+                raise ValueError(f"cannot deserialize fixture kind {kind!r}")
+            if fid in kinds:
+                raise ValueError(f"fixture id {fid!r} appears twice in the index")
+            kinds[fid] = kind
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise TreeError(path, exc) from exc
+    return FixtureTree(path, kinds)
+
+
+def active_registry() -> Mapping[str, Fixture]:
+    """The in-code registry, unless TUBES_FIXTURES points at a tree; then a
+    FixtureTree over it, freshly opened on every call."""
     override = os.environ.get("TUBES_FIXTURES")
     if override:
         return load_tree(override)

@@ -133,12 +133,8 @@ def _surface(reg, ident: str) -> Tuple[Hypersurface, str]:
 
 
 def _domains_for_surface(reg, surface_id: str):
-    out = []
-    for fid in sorted(reg):
-        fx = reg[fid]
-        if fx.kind == "domain" and fx.payload.source_surface == surface_id:
-            out.append(fx)
-    return out
+    domains = (reg[fid] for fid in sorted(reg) if fid.startswith("domain."))
+    return [fx for fx in domains if fx.payload.source_surface == surface_id]
 
 
 def _parse_probe(text: str, width: int) -> Tuple[Fraction, ...]:
@@ -592,10 +588,8 @@ def cmd_witness(args, reg) -> List[Check]:
 
 def cmd_lines(args, reg) -> List[Check]:
     checks = []
-    for fid in sorted(reg):
+    for fid in sorted(k for k in reg if k.startswith("line.")):
         fx = reg[fid]
-        if fx.kind != "line":
-            continue
         payload = fx.payload
         domain = _fixture(reg, payload.domain_id).payload
         verdict = line_in_domain_check(payload.line, domain.expr, "gt")
@@ -863,15 +857,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     started = time.perf_counter()
     try:
-        tree = os.environ.get("TUBES_FIXTURES")
         try:
-            reg = catalog.active_registry()
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            if not tree:
-                raise  # the in-code registry: an engine fault, not bad input
-            raise UsageError(f"cannot load the fixture tree {tree!r}: "
-                             f"{type(exc).__name__}: {exc}") from exc
-        checks = COMMANDS[args.command](args, reg)
+            checks = COMMANDS[args.command](args, catalog.active_registry())
+        except catalog.TreeError as exc:  # a fault in the tree, as loaded or as read
+            raise UsageError(str(exc)) from exc
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -54,9 +54,22 @@ def test_every_domain_probe_inside():
         assert catalog.get(fid).payload.probe_inside(), fid
 
 
+def _fixtures(source):
+    return catalog.registry() if source == "registry" else catalog.load_tree(ROOT / "fixtures")
+
+
+@pytest.mark.parametrize("source", ["registry", "committed tree"])
+def test_line_and_domain_ids_name_their_kind(source):
+    """Commands select lines and domains by id prefix, without decoding."""
+    reg = _fixtures(source)
+    for fid in reg:
+        for kind in ("line", "domain"):
+            assert fid.startswith(kind + ".") == (reg[fid].kind == kind), fid
+
+
 @pytest.mark.parametrize("source", ["registry", "committed tree"])
 def test_every_domain_is_a_side_of_its_surface(source):
-    reg = catalog.registry() if source == "registry" else catalog.load_tree(ROOT / "fixtures")
+    reg = _fixtures(source)
     domains = [fid for fid in reg if fid.startswith("domain.")]
     assert len(domains) == 14
     for fid in domains:

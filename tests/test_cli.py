@@ -103,6 +103,10 @@ def _misspelt_kind(obj):
     obj["kind"] = "domian"
 
 
+def _other_id(obj):
+    obj["id"] = "witness.C.lt"
+
+
 # fixture trees {tmp}/<name>: a copy of fixtures/ with one fixture edited
 BAD_TREES = {
     "ge": ("domain.H.gt", _unknown_sense),
@@ -110,12 +114,23 @@ BAD_TREES = {
     "floatexp": ("domain.Bp.gt", _float_exponent),
     "ratcomp": ("family.isotropy.C.scale", _rational_component),
     "badkind": ("domain.Bp.gt", _misspelt_kind),
+    "renamed": ("witness.C.gt", _other_id),
+}
+
+# fixture trees {tmp}/<name> that hold only an index.json with this text
+BAD_INDEXES = {
+    "oops": "{oops",
+    "empty": "{}",
+    "notlist": '{"fixtures": {}}',
+    "nokind": '{"fixtures": [{"id": "line.C.gt"}]}',
+    "lien": '{"fixtures": [{"id": "line.C.gt", "kind": "lien"}]}',
+    "twice": '{"fixtures": [{"id": "line.C.gt", "kind": "line"}, '
+             '{"id": "line.C.gt", "kind": "line"}]}',
 }
 
 
 # "{tmp}" (in argv and message) stands for a temporary directory holding
-# bad.json, which is not JSON, the fixture trees oops/ and empty/, whose
-# index.json reads "{oops" and "{}", and the trees of BAD_TREES; leading
+# bad.json, which is not JSON, and the trees of BAD_INDEXES and BAD_TREES; leading
 # NAME=value items set environment variables, as in a shell
 @pytest.mark.parametrize("argv, message", [
     (["normal-form", "--case", "D", "--cutoff", "3"], "--cutoff must be at least 6"),
@@ -140,13 +155,24 @@ BAD_TREES = {
      "exponents must be nonnegative ints, got (0, 0, 0, 1.0)"),
     (["TUBES_FIXTURES={tmp}/ratcomp", "isotropy", "--case", "C"],
      "map family 'isotropy.C.scale' needs polynomial components"),
-    (["TUBES_FIXTURES={tmp}/badkind", "lines"],
+    (["TUBES_FIXTURES={tmp}/badkind", "classify"],
      "cannot load the fixture tree '{tmp}/badkind': ValueError: "
      "cannot deserialize fixture kind 'domian'"),
+    (["TUBES_FIXTURES={tmp}/renamed", "witness", "--id", "witness.C.gt"],
+     "ValueError: witness.C.gt.json holds witness 'witness.C.lt', "
+     "but the index lists witness 'witness.C.gt'"),
+    (["TUBES_FIXTURES={tmp}/notlist", "witness", "--id", "witness.C.gt"],
+     "'{tmp}/notlist': TypeError: the index lists dict, not fixture entries"),
+    (["TUBES_FIXTURES={tmp}/nokind", "witness", "--id", "witness.C.gt"],
+     "'{tmp}/nokind': KeyError: 'kind'"),
+    (["TUBES_FIXTURES={tmp}/lien", "witness", "--id", "witness.C.gt"],
+     "'{tmp}/lien': ValueError: cannot deserialize fixture kind 'lien'"),
+    (["TUBES_FIXTURES={tmp}/twice", "witness", "--id", "witness.C.gt"],
+     "'{tmp}/twice': ValueError: fixture id 'line.C.gt' appears twice in the index"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
-    for tree, index in (("oops", "{oops"), ("empty", "{}")):
+    for tree, index in BAD_INDEXES.items():
         (tmp_path / tree).mkdir()
         (tmp_path / tree / "index.json").write_text(index)
     for tree, (fid, edit) in BAD_TREES.items():
@@ -167,6 +193,61 @@ def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, ca
     message = message.format(tmp=tmp_path)
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in captured.err
+
+
+def _tree_with_unreadable_witness(tmp_path, monkeypatch):
+    """A copy of fixtures/ in which witness.C.gt.json is not JSON, set as
+    TUBES_FIXTURES; `lines` reads neither that file nor any witness."""
+    tree = tmp_path / "tree"
+    shutil.copytree(FIXTURES, tree)
+    (tree / "witness.C.gt.json").write_text("{not json")
+    monkeypatch.setenv("TUBES_FIXTURES", str(tree))
+    return tree
+
+
+def test_unread_broken_fixture_leaves_the_report_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TUBES_FIXTURES", str(FIXTURES))
+    _, clean = run_json(["lines"], capsys)
+    _tree_with_unreadable_witness(tmp_path, monkeypatch)
+    code, report = run_json(["lines"], capsys)
+    clean.pop("seconds")
+    report.pop("seconds")
+    assert code == 0 and report == clean
+
+
+def test_reading_a_broken_fixture_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    tree = _tree_with_unreadable_witness(tmp_path, monkeypatch)
+    assert cli.main(["witness", "--id", "witness.C.gt"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot load the fixture tree {str(tree)!r}: "
+                               "JSONDecodeError: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, decodes", [
+    (["witness", "--id", "witness.C.gt"], 1),
+    (["lines"], 8),  # the four lines and their four domains
+    (["classify"], 31),
+])
+def test_commands_decode_only_the_fixtures_they_read(argv, decodes, monkeypatch, capsys):
+    from tubes import catalog
+    decode, decoded = catalog.fixture_from_obj, []
+
+    def counting(obj):
+        decoded.append(obj["id"])
+        return decode(obj)
+    monkeypatch.setattr(catalog, "fixture_from_obj", counting)
+    monkeypatch.setenv("TUBES_FIXTURES", str(FIXTURES))
+    reg = catalog.active_registry()
+    ids = sorted(reg)
+    assert "witness.C.gt" in reg and ids == catalog.list_ids() and len(reg) == len(ids)
+    assert decoded == []
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(decoded) == len(set(decoded)) == decodes, decoded
 
 
 def test_non_real_series_is_a_reality_fail(monkeypatch, capsys):
