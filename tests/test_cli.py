@@ -130,8 +130,8 @@ BAD_INDEXES = {
 
 
 # "{tmp}" (in argv and message) stands for a temporary directory holding
-# bad.json, which is not JSON, and the trees of BAD_INDEXES and BAD_TREES; leading
-# NAME=value items set environment variables, as in a shell
+# bad.json, which is not JSON, and the trees of BAD_INDEXES and BAD_TREES;
+# leading NAME=value items set environment variables, as in a shell
 @pytest.mark.parametrize("argv, message", [
     (["normal-form", "--case", "D", "--cutoff", "3"], "--cutoff must be at least 6"),
     (["orbits", "--surface", "surface.table.6", "--probes", "1,x"], "probe '1,x'"),
