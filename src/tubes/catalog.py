@@ -914,7 +914,7 @@ _KINDS = (
                 "constraints": _constraints_to_obj(p.constraints),
                 "assert_irreducible": p.assert_irreducible, "name": p.name},
      lambda obj: Hypersurface(io.poly_from_obj(obj["poly"]),
-                              tuple(Fraction(b) for b in obj["basepoint"]),
+                              tuple(io.frac_from_str(b) for b in obj["basepoint"]),
                               _constraints_from_obj(obj["constraints"]),
                               obj.get("assert_irreducible", False), obj.get("name", ""))),
     ("domain", DomainSpec,
@@ -924,7 +924,7 @@ _KINDS = (
                 "levi_type": p.levi_type, "source_surface": p.source_surface},
      lambda obj: DomainSpec(obj["name"], io.poly_from_obj(obj["expr"]),
                             _constraints_from_obj(obj["constraints"]),
-                            tuple(Fraction(x) for x in obj["probe"]),
+                            tuple(io.frac_from_str(x) for x in obj["probe"]),
                             obj["levi_type"], obj["source_surface"])),
     ("field_basis", FieldBasis,
      lambda p: {"fields": [io.field_to_obj(f) for f in p.fields]},
@@ -934,13 +934,13 @@ _KINDS = (
                 "entries": [[i, j, {str(k): io.frac_to_str(c) for k, c in combo}]
                             for i, j, combo in p.entries]},
      lambda obj: GoldenTable(obj["dim"], tuple(
-         (i, j, tuple((int(k), Fraction(c)) for k, c in combo.items()))
+         (i, j, tuple((int(k), io.frac_from_str(c)) for k, c in combo.items()))
          for i, j, combo in obj["entries"]))),
     ("iso_span", IsoSpan,
      lambda p: {"vectors": [[io.frac_to_str(x) for x in vec] for vec in p.vectors],
                 "z1_index": p.z1_index, "z4_index": p.z4_index,
                 "s_indices": list(p.s_indices)},
-     lambda obj: IsoSpan(tuple(tuple(Fraction(x) for x in vec) for vec in obj["vectors"]),
+     lambda obj: IsoSpan(tuple(tuple(io.frac_from_str(x) for x in vec) for vec in obj["vectors"]),
                          obj["z1_index"], obj["z4_index"], tuple(obj["s_indices"]))),
     ("map_family", MapFamily,
      lambda p: io.family_to_obj(p), lambda obj: io.family_from_obj(obj)),
@@ -969,7 +969,7 @@ _KINDS = (
          TransitivityWitness(io.family_from_obj(obj["family"]), tuple(obj["target_vars"]),
                              {k: io.ratfun_from_obj(v) for k, v in obj["assignment"].items()},
                              io.relations_from_obj(obj["context"]), obj.get("name", "")),
-         tuple(Fraction(b) for b in obj["base"]))),
+         tuple(io.frac_from_str(b) for b in obj["base"]))),
     ("line", LineFixture,
      lambda p: {"point": [io.gauss_to_obj(c) for c in p.line.point],
                 "direction": [io.gauss_to_obj(c) for c in p.line.direction],
@@ -980,7 +980,7 @@ _KINDS = (
     ("bridge", BridgeInfo,
      lambda p: {"u_scale": io.frac_to_str(p.u_scale), "v_scale": io.frac_to_str(p.v_scale),
                 "w_family": p.w_family, "z_family": p.z_family, "map": p.map_id},
-     lambda obj: BridgeInfo(Fraction(obj["u_scale"]), Fraction(obj["v_scale"]),
+     lambda obj: BridgeInfo(io.frac_from_str(obj["u_scale"]), io.frac_from_str(obj["v_scale"]),
                             obj["w_family"], obj["z_family"], obj["map"])),
     ("derived_slice", SliceInfo,
      lambda p: {"family": p.family, "reduces_to": p.reduces_to,
@@ -994,7 +994,8 @@ _KINDS = (
                 "samples": [io.frac_to_str(s) for s in p.samples],
                 "sample_ids": list(p.sample_ids),
                 "target": p.target, "sign_rule": p.sign_rule},
-     lambda obj: AlphaFamilyInfo(obj["parameter"], tuple(Fraction(s) for s in obj["samples"]),
+     lambda obj: AlphaFamilyInfo(obj["parameter"],
+                                 tuple(io.frac_from_str(s) for s in obj["samples"]),
                                  tuple(obj["sample_ids"]), obj["target"], obj["sign_rule"])),
 )
 _KIND_OF = {cls: (name, encode) for name, cls, encode, _ in _KINDS}
@@ -1038,6 +1039,27 @@ class TreeError(Exception):
                          f"{type(cause).__name__}: {cause}")
 
 
+class FixtureError(Exception):
+    """A fixture file that cannot be read or decoded; `fault` is the
+    exception underneath. Not a ValueError, for the reason TreeError is
+    not one."""
+
+    def __init__(self, path, fault: Exception):
+        super().__init__(f"cannot read a fixture from {str(path)!r}: "
+                         f"{type(fault).__name__}: {fault}")
+        self.fault = fault
+
+
+def read_fixture(path) -> Fixture:
+    """Decode one fixture file written by export_tree. A file that cannot
+    be read, is not JSON or does not decode, a float where a rational
+    belongs or a zero denominator among them, raises FixtureError."""
+    try:
+        return fixture_from_obj(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise FixtureError(path, exc) from exc
+
+
 class FixtureTree(Mapping[str, Fixture]):
     """Read-only view of a fixtures/ tree written by export_tree.
 
@@ -1055,13 +1077,12 @@ class FixtureTree(Mapping[str, Fixture]):
         if fx is None:
             kind = self._kinds[fid]
             try:
-                obj = json.loads((Path(self._path) / f"{fid}.json").read_text())
-                fx = fixture_from_obj(obj)
-                if (fx.id, obj["kind"]) != (fid, kind):
-                    raise ValueError(f"{fid}.json holds {obj['kind']} {fx.id!r}, "
-                                     f"but the index lists {kind} {fid!r}")
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise TreeError(self._path, exc) from exc
+                fx = read_fixture(Path(self._path) / f"{fid}.json")
+            except FixtureError as exc:
+                raise TreeError(self._path, exc.fault) from exc.fault
+            if (fx.id, fx.kind) != (fid, kind):
+                raise TreeError(self._path, ValueError(
+                    f"{fid}.json holds {fx.kind} {fx.id!r}, but the index lists {kind} {fid!r}"))
             self._decoded[fid] = fx
         return fx
 

@@ -18,19 +18,18 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
 from .catalog import Fixture
-from .fields import rank_at, minors_scan
+from .fields import VectorField, linear_combination, minors_scan, rank_at
 from .linalg import poly_div_exact, rref_rows
 from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_check,
                           defining_series, infinitesimal_generators,
                           map_at_origin, trace_from_levi,
                           verify_family_invariance, verify_group_law,
                           verify_map_conjugation, verify_surface_map)
-from .poly import MultiPoly, RationalFunction, merge_vars, poly_sum
+from .poly import MultiPoly, RationalFunction, merge_vars
 from .scalars import GaussianRational
 from .symmetry import (Hypersurface, LieAlgebraPresentation,
                        affine_symmetry_algebra, is_nilpotent, line_in_domain_check,
@@ -121,9 +120,9 @@ def _surface(reg, ident: str) -> Tuple[Hypersurface, str]:
         source = prov(fx)
     elif os.path.exists(ident):
         try:
-            fx = catalog.fixture_from_obj(json.loads(Path(ident).read_text()))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"cannot read a fixture from {ident!r}: {exc!r}") from exc
+            fx = catalog.read_fixture(ident)
+        except catalog.FixtureError as exc:
+            raise UsageError(str(exc)) from exc
         source = f"file:{ident}"
     else:
         raise UsageError(f"no surface fixture or file named {ident!r}")
@@ -655,17 +654,11 @@ def cmd_scan(args, reg) -> List[Check]:
 
 def _chart_minor_analysis(algebra, chart, surface) -> Tuple[bool, bool]:
     rows = chart.basis_coords(algebra.dim)
-    tvars = rows[0][0].vars
-    universe = merge_vars(surface.variables, tvars)
-    fields = []
-    from .fields import VectorField
-    for row in rows:
-        entries = [(algebra.basis[l].components, entry.with_vars(universe))
-                   for l, entry in enumerate(row) if not entry.is_zero()]
-        comps = tuple(poly_sum(universe, [basis_comps[ci].with_vars(universe) * entry_u
-                                          for basis_comps, entry_u in entries])
-                      for ci in range(len(surface.variables)))
-        fields.append(VectorField(surface.variables, comps))
+    universe = merge_vars(surface.variables, rows[0][0].vars)
+    basis = [VectorField(f.variables, tuple(c.with_vars(universe) for c in f.components))
+             for f in algebra.basis]
+    fields = [linear_combination([entry.with_vars(universe) for entry in row], basis)
+              for row in rows]
     det = minors_scan(fields)[0]  # k = n fields: the one maximal minor
     if det.is_zero():
         return True, False

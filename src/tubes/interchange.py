@@ -3,8 +3,9 @@
 Polynomials follow the shared interchange layout: an ordered `vars` list
 plus a `terms` list of records with exponent vector `e` and either a
 rational coefficient `c: "p/q"` or a Gaussian one `re`/`im`. Rationals
-are always decimal-digit strings, never floats. Terms are emitted in
-graded-lexicographic order so serialization is canonical.
+are always decimal-digit strings, never floats: frac_from_str refuses
+anything else. Terms are emitted in graded-lexicographic order so
+serialization is canonical.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ def frac_to_str(x) -> str:
     return str(Fraction(x))
 
 
+def frac_from_str(text) -> Fraction:
+    """The rational that a frac_to_str string names. Anything but a string
+    is a TypeError, so a JSON float never becomes a binary fraction."""
+    if not isinstance(text, str):
+        raise TypeError(f"a rational must be a 'p/q' string, got {text!r}")
+    return Fraction(text)
+
+
 def gauss_to_obj(c: GaussianRational):
     if c.is_real():
         return frac_to_str(c.re)
@@ -31,8 +40,8 @@ def gauss_to_obj(c: GaussianRational):
 
 def gauss_from_obj(obj) -> GaussianRational:
     if isinstance(obj, str):
-        return GaussianRational(Fraction(obj))
-    return GaussianRational(Fraction(obj["re"]), Fraction(obj.get("im", "0")))
+        return GaussianRational(frac_from_str(obj))
+    return GaussianRational(frac_from_str(obj["re"]), frac_from_str(obj.get("im", "0")))
 
 
 def poly_to_obj(p: MultiPoly) -> Dict:
@@ -54,9 +63,10 @@ def poly_from_obj(obj: Mapping) -> MultiPoly:
     for record in obj["terms"]:
         exps = tuple(record["e"])
         if "c" in record:
-            coeff = GaussianRational(Fraction(record["c"]))
+            coeff = GaussianRational(frac_from_str(record["c"]))
         else:
-            coeff = GaussianRational(Fraction(record["re"]), Fraction(record.get("im", "0")))
+            coeff = GaussianRational(frac_from_str(record["re"]),
+                                     frac_from_str(record.get("im", "0")))
         terms[exps] = coeff
     return MultiPoly(variables, terms)
 
@@ -123,7 +133,7 @@ def family_from_obj(obj: Mapping) -> MapFamily:
         variables=tuple(obj["variables"]),
         params=tuple(obj["params"]),
         components=tuple(components),
-        identity=tuple((p, Fraction(v)) for p, v in obj["identity"].items()),
+        identity=tuple((p, frac_from_str(v)) for p, v in obj["identity"].items()),
         relations=relations_from_obj(obj.get("relations", {})),
         constraints=tuple(sorted(obj.get("constraints", {}).items())),
         composition=tuple((p, ratfun_from_obj(law))

@@ -1,119 +1,47 @@
 """Exact linear algebra.
 
-One fraction-free (Bareiss) loop, _bareiss, serves integer-scaled
-rational rows in kernel_basis, which keeps intermediate entries as single
-big integers instead of fractions with growing denominators, and
-polynomial rows in det_exact, with exact polynomial division. Systems
-over GaussianRational all go through one Gauss-Jordan core, _rref:
-rref_rows keeps its nonzero rows, invert_gaussian_matrix runs it on
-[A | I], and solve_columns runs it once on [columns | t_1 ... t_T] with
-pivots restricted to the columns, so one elimination answers every
-target t_i of a shared coefficient matrix.
+Every linear system over the Gaussian rationals goes through one
+Gauss-Jordan core, _rref, which clears a column only over the support of
+the pivot row: kernel_basis reads one null vector per free column off its
+reduced rows, rref_rows keeps its nonzero rows, invert_gaussian_matrix
+runs it on [A | I], and solve_columns runs it once on
+[columns | t_1 ... t_T] with pivots restricted to the columns, so one
+elimination answers every target t_i of a shared coefficient matrix.
+det_exact, over polynomial entries, where a division is an exact
+polynomial division and costly, eliminates fraction-free (Bareiss).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .poly import MultiPoly, _poly, poly_sum
 from .scalars import ONE, ZERO, GaussianRational
 
-RatMatrix = Sequence[Sequence[Fraction]]
 
+def kernel_basis(matrix) -> List[List[int]]:
+    """Basis of the exact null space of a matrix of rationals (int,
+    Fraction or real GaussianRational entries).
 
-def _rows_to_int(matrix: RatMatrix) -> List[List[int]]:
-    """Each row of canonical rationals scaled by the lcm of its
-    denominators."""
-    rows = []
-    for row in matrix:
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) if x else 0 for x in row])
-    return rows
-
-
-def _int_div_exact(a: int, b: int) -> int:
-    q, rem = divmod(a, b)
-    if rem:
-        raise ArithmeticError("fraction-free elimination lost exactness")
-    return q
-
-
-def _bareiss(rows: List[list], div) -> Tuple[List[int], int]:
-    """In-place fraction-free (Bareiss) echelon reduction over ints or
-    polynomials; div(a, b) is the exact quotient a / b.
-
-    Pivot columns are chosen greedily from the left, so over the fraction
-    field they are the lexicographically first independent columns.
-    Returns (pivot columns, sign of the row swaps). Afterwards
-    rows[k][pivots[k]] is the minor of the swapped rows 0..k on
-    pivots[:k + 1]; entries left of a row's pivot are not cleared and
-    must not be read.
+    One vector per free column of the reduced rows, in column order: 1 at
+    that column, 0 at the other free columns and the negated reduced
+    entries at the pivot columns, scaled to primitive integer form with
+    positive leading entry. The count always equals #columns - rank.
+    Raises ValueError when the null space has no rational basis.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    prev = None  # the first step divides by nothing
-    r = 0
-    sign = 1
-    pivots = []
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
-        top = rows[r]
-        p = top[c]
-        for i in range(r + 1, m):
-            row = rows[i]
-            if not any(row[c:]):
-                continue
-            f = row[c]
-            for j in range(c + 1, n):
-                num = p * row[j] - f * top[j]
-                row[j] = num if prev is None else div(num, prev)
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots, sign
-
-
-def kernel_basis(matrix: RatMatrix) -> List[List[int]]:
-    """Basis of the exact null space of a rational matrix.
-
-    Vectors are normalized to primitive integer form with positive
-    leading entry, ordered by their free column. The count always
-    equals #columns - rank.
-    """
-    rows = _rows_to_int(matrix)
-    if not rows:
-        return []
-    n = len(rows[0])
-    pivots, _ = _bareiss(rows, _int_div_exact)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
+    work, pivots = _rref([[GaussianRational.coerce(x) for x in row] for row in matrix])
+    n = len(work[0]) if work else 0
     basis = []
-    for fc in free_cols:
-        # back-substitute in integers: v is always an integer multiple of
-        # the null vector; at pivot p with row sum s, scaling v by p // g
-        # (g = gcd(s, p)) makes -s * (p // g) / p = -s // g exact
-        v = [0] * n
-        v[fc] = 1
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            row = rows[k]
-            s = sum(row[j] * v[j] for j in range(pc + 1, n) if v[j])
-            p = row[pc]
-            g = gcd(s, p)
-            scale = p // g
-            if scale != 1:
-                v = [x * scale for x in v]
-            v[pc] = -s // g
-        basis.append(_primitive(v))
+    for fc in sorted(set(range(n)) - set(pivots)):
+        vec = [ZERO] * n
+        vec[fc] = ONE
+        for row, pc in zip(work, pivots):
+            vec[pc] = -row[fc]
+        if any(x.im for x in vec):
+            raise ValueError("the null space is not defined over the rationals")
+        scale = lcm(*(x.re.denominator for x in vec))
+        basis.append(_primitive([x.re.numerator * (scale // x.re.denominator) for x in vec]))
     return basis
 
 
@@ -224,8 +152,13 @@ def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     (n <= m), in itertools.combinations column order, or zero when the
     generic rank is below n; for a square matrix, its determinant.
 
-    That minor is the one on the pivot columns that Bareiss elimination
-    picks greedily, signed as the determinant of those columns.
+    Fraction-free (Bareiss) elimination with exact polynomial division
+    picks pivot columns greedily from the left, over the fraction field
+    the lexicographically first independent ones. After step r, entry
+    rows[r][c] of pivot column c is the minor of the swapped rows 0..r on
+    the pivot columns so far; entries left of a row's pivot are never
+    cleared or read. The minor at the n-th pivot, signed by the row swaps,
+    is the answer.
     """
     n = len(matrix)
     m = len(matrix[0]) if n else 0
@@ -237,8 +170,27 @@ def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     if any(entry.vars != variables for row in matrix for entry in row):
         raise ValueError("matrix entries must share a variable tuple")
     rows = [list(row) for row in matrix]
-    pivots, sign = _bareiss(rows, poly_div_exact)
-    if len(pivots) < n:
-        return MultiPoly.zero(variables)
-    minor = rows[n - 1][pivots[-1]]
-    return minor if sign > 0 else -minor
+    prev = None  # the first step divides by nothing
+    sign = 1
+    r = 0
+    for c in range(m):
+        pivot_row = next((i for i in range(r, n) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for row in rows[r + 1:]:
+            if not any(row[c:]):
+                continue
+            f = row[c]
+            for j in range(c + 1, m):
+                num = p * row[j] - f * top[j]
+                row[j] = num if prev is None else poly_div_exact(num, prev)
+        prev = p
+        r += 1
+        if r == n:
+            return p if sign > 0 else -p
+    return MultiPoly.zero(variables)

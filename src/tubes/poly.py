@@ -27,10 +27,6 @@ from .scalars import ONE, ZERO, GaussianRational, ScalarLike, _canon, _gr
 Exponents = Tuple[int, ...]
 
 
-def _as_coeff(value) -> GaussianRational:
-    return GaussianRational.coerce(value)
-
-
 class MultiPoly:
     __slots__ = ("vars", "terms")
 
@@ -45,7 +41,7 @@ class MultiPoly:
                     raise ValueError(f"exponent vector {exps} does not match variables {self.vars}")
                 if not all(type(k) is int and k >= 0 for k in exps):
                     raise ValueError(f"exponents must be nonnegative ints, got {exps}")
-                c = _as_coeff(coeff)
+                c = GaussianRational.coerce(coeff)
                 if c:
                     clean[exps] = c
         self.terms = clean
@@ -59,7 +55,7 @@ class MultiPoly:
     @staticmethod
     def const(variables: Sequence[str], value: ScalarLike) -> "MultiPoly":
         v = tuple(variables)
-        c = _as_coeff(value)
+        c = GaussianRational.coerce(value)
         return _poly(v, {(0,) * len(v): c} if c else {})
 
     @staticmethod
@@ -116,7 +112,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _as_coeff(other)
+            c = GaussianRational.coerce(other)
             if not c:
                 return MultiPoly.zero(self.vars)
             return _poly(self.vars, {e: k * c for e, k in self.terms.items()})

@@ -226,12 +226,12 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
     for poly in unknown_polys:
         for e in poly.terms:
             support.setdefault(e, len(support))
-    matrix = [[0] * len(unknown_polys) for _ in range(len(support))]
+    matrix = [[ZERO] * len(unknown_polys) for _ in range(len(support))]
     for col, poly in enumerate(unknown_polys):
         for e, c in poly.terms.items():
             if not c.is_real():
                 raise ValueError("affine symmetry solve expects a real defining polynomial")
-            matrix[support[e]][col] = c.re
+            matrix[support[e]][col] = c
 
     kernel = linalg.kernel_basis(matrix)
     # component i is vec[n*n + i] + sum_j vec[n*i + j] * x_j

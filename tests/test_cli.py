@@ -99,6 +99,23 @@ def _rational_component(obj):
             term["c"] = str(2 * Fraction(term["c"]))
 
 
+def _zero_denominator(obj):
+    obj["payload"]["poly"]["terms"][0]["c"] = "1/0"
+
+
+def _empty_denominator(obj):
+    next(iter(obj["payload"]["components"].values()))["den"]["terms"] = []
+
+
+def _float_coefficient(obj):
+    term = obj["payload"]["poly"]["terms"][0]
+    term["c"] = float(Fraction(term["c"]))
+
+
+def _float_probe(obj):
+    obj["payload"]["probe"][0] = 0.1
+
+
 def _misspelt_kind(obj):
     obj["kind"] = "domian"
 
@@ -115,6 +132,10 @@ BAD_TREES = {
     "ratcomp": ("family.isotropy.C.scale", _rational_component),
     "badkind": ("domain.Bp.gt", _misspelt_kind),
     "renamed": ("witness.C.gt", _other_id),
+    "zerorat": ("surface.table.6", _zero_denominator),
+    "zeroden": ("map.identity.quadric", _empty_denominator),
+    "floatcoef": ("surface.table.6", _float_coefficient),
+    "floatprobe": ("domain.Bp.gt", _float_probe),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -169,6 +190,23 @@ BAD_INDEXES = {
      "'{tmp}/lien': ValueError: cannot deserialize fixture kind 'lien'"),
     (["TUBES_FIXTURES={tmp}/twice", "witness", "--id", "witness.C.gt"],
      "'{tmp}/twice': ValueError: fixture id 'line.C.gt' appears twice in the index"),
+    (["TUBES_FIXTURES={tmp}/zerorat", "symmetry", "--surface", "surface.table.6"],
+     "'{tmp}/zerorat': ZeroDivisionError: Fraction(1, 0)"),
+    (["symmetry", "--surface", "{tmp}/zerorat/surface.table.6.json"],
+     "cannot read a fixture from '{tmp}/zerorat/surface.table.6.json': "
+     "ZeroDivisionError: Fraction(1, 0)"),
+    (["TUBES_FIXTURES={tmp}/zeroden", "verify-map", "--id", "map.identity.quadric"],
+     "'{tmp}/zeroden': ZeroDivisionError: rational function with zero denominator"),
+    (["symmetry", "--surface", "{tmp}/zeroden/map.identity.quadric.json"],
+     "ZeroDivisionError: rational function with zero denominator"),
+    (["TUBES_FIXTURES={tmp}/floatcoef", "symmetry", "--surface", "surface.table.6"],
+     "'{tmp}/floatcoef': TypeError: a rational must be a 'p/q' string, got -1.0"),
+    (["symmetry", "--surface", "{tmp}/floatcoef/surface.table.6.json"],
+     "TypeError: a rational must be a 'p/q' string, got -1.0"),
+    (["TUBES_FIXTURES={tmp}/floatprobe", "classify"],
+     "'{tmp}/floatprobe': TypeError: a rational must be a 'p/q' string, got 0.1"),
+    (["symmetry", "--surface", "{tmp}/floatprobe/domain.Bp.gt.json"],
+     "TypeError: a rational must be a 'p/q' string, got 0.1"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
@@ -176,7 +214,7 @@ def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, ca
         (tmp_path / tree).mkdir()
         (tmp_path / tree / "index.json").write_text(index)
     for tree, (fid, edit) in BAD_TREES.items():
-        if f"{{tmp}}/{tree}" in argv[0]:
+        if any(f"{{tmp}}/{tree}" in a for a in argv):
             shutil.copytree(FIXTURES, tmp_path / tree)
             path = tmp_path / tree / f"{fid}.json"
             obj = json.loads(path.read_text())

@@ -7,12 +7,13 @@ from math import gcd
 
 import pytest
 
+from tubes import catalog, linalg
 from tubes.fields import VectorField
 from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis,
                           poly_div_exact, rref_rows, solve_columns)
 from tubes.poly import MultiPoly, poly_sum
 from tubes.scalars import ONE, ZERO, GaussianRational
-from tubes.symmetry import expand_in_fields
+from tubes.symmetry import affine_symmetry_algebra, expand_in_fields
 
 from oracles import cofactor_det, fraction_kernel, fraction_rank, random_poly
 
@@ -71,6 +72,23 @@ def test_kernel_normalisation_matches_fraction_oracle(rational):
             assert all(type(x) is int for x in vec)
             assert gcd(*(int(x) for x in vec)) == 1
             assert next(x for x in vec if x) > 0
+
+
+def test_kernel_matches_fraction_oracle_on_every_catalogued_surface(monkeypatch):
+    """On the coefficient matrix of X(P) = c P that affine_symmetry_algebra
+    hands to kernel_basis, for every catalogued surface."""
+    reg = catalog.registry()
+    surfaces = sorted(fid for fid in reg if reg[fid].kind == "hypersurface")
+    captured = []
+    monkeypatch.setattr(linalg, "kernel_basis", lambda m: captured.append(m) or kernel_basis(m))
+    for fid in surfaces:
+        affine_symmetry_algebra(reg[fid].payload)
+    monkeypatch.undo()
+    assert len(captured) == len(surfaces) and "surface.tube.6.realified" in surfaces
+    assert max((len(m), len(m[0])) for m in captured) == (39, 73)
+    for fid, matrix in zip(surfaces, captured):
+        rational = [[x.re for x in row] for row in matrix]
+        assert kernel_basis(matrix) == fraction_kernel(rational), fid
 
 
 def test_det_diag():
