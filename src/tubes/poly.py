@@ -199,9 +199,18 @@ class MultiPoly:
 
     def subs_poly(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Polynomial substitution. Values must share one variable tuple;
-        unmapped variables of self must exist there and map to themselves."""
+        unmapped variables of self must exist there and map to themselves.
+
+        One variable of self mapped to a value over self's own variables
+        skips the general composer: the terms are grouped by that
+        variable's exponent k and each group is multiplied once by the
+        value's k-th power (`_subs_one`)."""
         if not mapping:
             return self
+        if len(mapping) == 1:
+            (name, value), = mapping.items()
+            if value.vars == self.vars and name in self.vars:
+                return _poly(self.vars, _subs_one(self.terms, self.vars.index(name), value))
         target: Optional[Tuple[str, ...]] = None
         for value in mapping.values():
             if target is None:
@@ -430,6 +439,23 @@ def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
     if not mapped:
         return _poly(target, groups.get((), {}))
     return _poly(target, _horner(target, [images[i] for i in mapped], 0, groups, groups))
+
+
+def _subs_one(terms: Mapping[Exponents, GaussianRational], idx: int,
+              value: MultiPoly) -> Dict[Exponents, GaussianRational]:
+    """The terms of the polynomial `terms` with variable idx replaced by
+    `value`, which lives over the same variables: the sum over the
+    exponents k of idx of (the terms with exponent k, that exponent set
+    to 0) * value**k, one product per distinct k."""
+    groups: Dict[int, Dict[Exponents, GaussianRational]] = {}
+    for e, c in terms.items():
+        k = e[idx]
+        groups.setdefault(k, {})[e[:idx] + (0,) + e[idx + 1:] if k else e] = c
+    pows = Powers(value)
+    acc: Dict[Exponents, GaussianRational] = {}
+    for k, part in groups.items():
+        _add_into(acc, _product(part, pows[k].terms, None) if k else part)
+    return acc
 
 
 def _image_size(image) -> int:

@@ -20,19 +20,20 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
                      rank_at)
-from .poly import MultiPoly, RationalFunction, poly_sum, substitute
+from .poly import MultiPoly, RationalFunction, _poly, poly_sum, substitute
 from .relations import RelationContext
-from .scalars import ONE, ZERO, GaussianRational, Rational
+from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _gr
 
 
 @dataclass(frozen=True)
 class Hypersurface:
     """Zero set of a polynomial with a chosen basepoint and side constraints.
 
-    Constraints are pairs (expr, "gt") asserting expr > 0; they are
-    recorded for probe filtering and sampled checks, never used in
-    polynomial identities. The irreducibility flag is an assertion by
-    the catalog, not something the engine verifies.
+    The defining polynomial must have real coefficients. Constraints are
+    pairs (expr, "gt") asserting expr > 0; they are recorded for probe
+    filtering and sampled checks, never used in polynomial identities.
+    The irreducibility flag is an assertion by the catalog, not something
+    the engine verifies.
     """
 
     defining: MultiPoly
@@ -44,6 +45,8 @@ class Hypersurface:
     def __post_init__(self):
         if len(self.basepoint) != len(self.defining.vars):
             raise ValueError("basepoint dimension does not match the surface variables")
+        if not all(c.is_real() for c in self.defining.terms.values()):
+            raise ValueError(f"the defining polynomial {self.defining} is not real")
         value = self.defining.eval_at(dict(zip(self.defining.vars, self.basepoint)))
         if value:
             raise ValueError(f"basepoint {self.basepoint} is not on the surface ({value})")
@@ -360,13 +363,16 @@ def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
 
     Each affine chart pins k pivot coordinates to the identity and leaves
     the rest as unknowns; closure of the span under bracket produces
-    polynomial equations, solved by repeated elimination. One sweep over
+    polynomial equations (`_chart_system`, straight from the structure
+    constants), solved by repeated elimination. One sweep over
     the terms of the first equation that has one finds its pivot: the
     smallest name, in string order, of a variable occurring in a single
     term c * var with c constant. It is substituted into the equations and
     solved entries that contain it. A nonzero constant equation makes the
     chart empty; charts whose systems do not successively linearize are
-    reported UNRESOLVED with their residual equations.
+    reported UNRESOLVED with their residual equations. A solved chart is
+    rechecked by bracketing its solved rows through the generic
+    `bracket_coords`, independently of how the system was built.
     """
     m = algebra.dim
     if not 0 < k < m:
@@ -387,20 +393,7 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
              else MultiPoly.var(tvars, f"t{a}_{j}") for j in range(m)]
             for a, p in enumerate(pivots)]
 
-    def residuals(current_rows):
-        eqs = []
-        for a in range(k):
-            for b in range(a + 1, k):
-                w = algebra.bracket_coords(current_rows[a], current_rows[b])
-                neg_mu = [-w[p] for p in pivots]
-                for j in nonpivots:
-                    r = poly_sum(tvars, [w[j]] + [mu * row[j] for mu, row in
-                                                  zip(neg_mu, current_rows) if mu and row[j]])
-                    if not r.is_zero():
-                        eqs.append(r)
-        return eqs
-
-    eqs = residuals(rows)
+    eqs = _chart_system(algebra, pivots, tvars)
     origin = (0,) * len(tvars)
     solution: Dict[str, MultiPoly] = {}
     while eqs:
@@ -429,11 +422,82 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
     final_rows = [[solution.get(f"t{a}_{j}", entry) for j, entry in enumerate(row)]
                   for a, row in enumerate(rows)]
     # independent closure recheck on the solved family
-    recheck = residuals(final_rows)
+    recheck = _residuals(algebra, pivots, tvars, final_rows)
     verified = all(e.is_zero() for e in recheck)
     free = tuple(sorted({v for row in final_rows for entry in row for v in entry.used_vars()}))
     sol_items = tuple(sorted(solution.items()))
     return ChartOutcome(pivots, "solved", free, sol_items, (), verified)
+
+
+def _residuals(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
+               tvars: Tuple[str, ...], rows: Sequence[Sequence[MultiPoly]]) -> List[MultiPoly]:
+    """The nonzero closure residuals w_j - sum_q w_{p_q} * rows[q][j] of
+    w = [rows[a], rows[b]], for a < b and the nonpivot columns j in order,
+    through the generic bracket_coords on polynomial rows."""
+    nonpivots = [j for j in range(algebra.dim) if j not in pivots]
+    eqs = []
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            w = algebra.bracket_coords(rows[a], rows[b])
+            neg_mu = [-w[p] for p in pivots]
+            for j in nonpivots:
+                r = poly_sum(tvars, [w[j]] + [mu * row[j] for mu, row in
+                                              zip(neg_mu, rows) if mu and row[j]])
+                if not r.is_zero():
+                    eqs.append(r)
+    return eqs
+
+
+def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
+                  tvars: Tuple[str, ...]) -> List[MultiPoly]:
+    """The closure equations of the chart with these pivots: `_residuals`
+    of its rows, the same equations in the same order, read straight off
+    the structure constants (de Graaf, Lie Algebras: Theory and
+    Algorithms, ch. 1).
+
+    Row a is e_{p_a} + sum_j t_{a,j} e_j over the nonpivots j, so each
+    coordinate of the bracket w of rows a < b is a sum of c_ij^k * u_i * v_j
+    with every u_i, v_j equal to 1 or one variable, and each residual
+    w_j - sum_q w_{p_q} * t_{q,j} has degree at most 3. A monomial is keyed
+    by the sorted tuple of its variables' indices in tvars, the
+    coefficients are summed as ints and Fractions, and one
+    GaussianRational is built per surviving term."""
+    structure = algebra.nonzero_structure
+    nonpivots = [j for j in range(algebra.dim) if j not in pivots]
+    width = len(nonpivots)
+    # row a as (coordinate, key of its entry): 1 at the pivot, t_{a,j} at j
+    rows = [[(p, ())] + [(j, (a * width + col,)) for col, j in enumerate(nonpivots)]
+            for a, p in enumerate(pivots)]
+    eqs = []
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            w: List[Dict[Tuple[int, ...], Rational]] = [{} for _ in range(algebra.dim)]
+            for i, ui in rows[a]:
+                srow = structure[i]
+                for j, vj in rows[b]:
+                    # a < b, so every index in ui is below every index in vj
+                    key = ui + vj
+                    for k, c in srow[j]:
+                        wk = w[k]
+                        wk[key] = wk.get(key, 0) + c
+            for col, j in enumerate(nonpivots):
+                r = dict(w[j])
+                for q, p in enumerate(pivots):
+                    t = (q * width + col,)
+                    for key, c in w[p].items():
+                        if c:
+                            key = tuple(sorted(key + t))
+                            r[key] = r.get(key, 0) - c
+                terms = {}
+                for key, c in r.items():
+                    if c:
+                        e = [0] * len(tvars)
+                        for x in key:
+                            e[x] += 1
+                        terms[tuple(e)] = _gr(_canon(c), 0)
+                if terms:
+                    eqs.append(_poly(tvars, terms))
+    return eqs
 
 
 def _linear_pivot(e: MultiPoly) -> Optional[Tuple[str, GaussianRational]]:

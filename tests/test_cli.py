@@ -112,6 +112,11 @@ def _float_coefficient(obj):
     term["c"] = float(Fraction(term["c"]))
 
 
+def _non_real_term(obj):
+    # i*x2 vanishes at the basepoint (1, 0, 1, 1)
+    obj["payload"]["poly"]["terms"].append({"e": [0, 1, 0, 0], "re": "0", "im": "1"})
+
+
 def _float_probe(obj):
     obj["payload"]["probe"][0] = 0.1
 
@@ -136,6 +141,7 @@ BAD_TREES = {
     "zeroden": ("map.identity.quadric", _empty_denominator),
     "floatcoef": ("surface.table.6", _float_coefficient),
     "floatprobe": ("domain.Bp.gt", _float_probe),
+    "nonreal": ("surface.table.6", _non_real_term),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -207,6 +213,11 @@ BAD_INDEXES = {
      "'{tmp}/floatprobe': TypeError: a rational must be a 'p/q' string, got 0.1"),
     (["symmetry", "--surface", "{tmp}/floatprobe/domain.Bp.gt.json"],
      "TypeError: a rational must be a 'p/q' string, got 0.1"),
+    (["TUBES_FIXTURES={tmp}/nonreal", "symmetry", "--surface", "surface.table.6"],
+     "'{tmp}/nonreal': ValueError: the defining polynomial "),
+    (["orbits", "--surface", "{tmp}/nonreal/surface.table.6.json"],
+     "cannot read a fixture from '{tmp}/nonreal/surface.table.6.json': "
+     "ValueError: the defining polynomial "),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
@@ -387,3 +398,100 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout
+
+
+# Negative controls for the conjunctions behind two verdicts: each edits
+# one fixture of a copy of fixtures/ so that exactly one conjunct fails,
+# and the check must FAIL while every other check of the command passes.
+
+def _run_on_edited_tree(tmp_path, monkeypatch, capsys, argv, edits):
+    tree = tmp_path / "tree"
+    shutil.copytree(FIXTURES, tree)
+    for fid, edit in edits.items():
+        path = tree / f"{fid}.json"
+        obj = json.loads(path.read_text())
+        edit(obj["payload"])
+        path.write_text(json.dumps(obj))
+    monkeypatch.setenv("TUBES_FIXTURES", str(tree))
+    code, report = run_json(argv, capsys)
+    failed = {c["id"]: c["details"] for c in report["checks"] if c["verdict"] != "PASS"}
+    return code, failed, tree
+
+
+def _x_field(**comps):
+    """A field over x1..x4 whose component x_i is the sum of the given
+    (coefficient, exponents) terms."""
+    names = ["x1", "x2", "x3", "x4"]
+    return {"components": [{"vars": names, "terms": [{"c": c, "e": e} for c, e in
+                                                      comps.get(n, [])]} for n in names],
+            "holomorphic": False, "variables": names}
+
+
+HALF_BALL = "basis.half_pseudo_ball.quadric"
+CLASSIFY_CONTROLS = {
+    # (1, 0, 0, -1) lies below the quadric, where the five fields still have rank 4
+    "probe": ({"domain.H.gt": lambda p: p.update(probe=["1", "0", "0", "-1"])},
+              {"classify.domain.H.gt": "dimension 5, rank 4"}),
+    # five closed fields with no d/dx4 part: d1, d2, d3, x1 d2, x1 d3
+    "rank": ({HALF_BALL: lambda p: p.update(fields=[
+        _x_field(**{n: [("1", [0, 0, 0, 0])]}) for n in ("x1", "x2", "x3")] + [
+        _x_field(**{n: [("1", [1, 0, 0, 0])]}) for n in ("x2", "x3")])},
+             {"classify.domain.H.gt": "dimension 5, rank 3",
+              "classify.domain.H.lt": "dimension 5, rank 3"}),
+    # x1 d1, d2, d3, d4: closed, of rank 4 off the wall x1 = 0 and tangent
+    # to it, but not the 5 catalogued fields
+    "dimension": ({HALF_BALL: lambda p: p.update(fields=[_x_field(x1=[("1", [1, 0, 0, 0])])] + [
+        _x_field(**{n: [("1", [0, 0, 0, 0])]}) for n in ("x2", "x3", "x4")])},
+                  {"classify.domain.H.gt": "dimension 4, rank 4",
+                   "classify.domain.H.lt": "dimension 4, rank 4"}),
+}
+
+
+@pytest.mark.parametrize("control", sorted(CLASSIFY_CONTROLS))
+def test_classify_fails_when_one_conjunct_fails(control, tmp_path, monkeypatch, capsys):
+    """probe inside, rank 4 and the catalogued dimension: break one."""
+    from tubes import catalog
+    edits, expected = CLASSIFY_CONTROLS[control]
+    code, failed, tree = _run_on_edited_tree(tmp_path, monkeypatch, capsys, ["classify"], edits)
+    assert code == 1 and failed == expected
+    inside = [catalog.read_fixture(tree / f"{fid[len('classify.'):]}.json").payload.probe_inside()
+              for fid in expected]
+    assert inside == [control != "probe"] * len(expected)
+
+
+def _imaginary_shift(payload):
+    # z4 -> r^2 z4 + i (r - 1): Re z4 scales as before, (1, 0, 0, 0) moves
+    payload["components"][3]["num"]["terms"] += [
+        {"e": [0, 0, 0, 0, 1], "re": "0", "im": "1"},
+        {"e": [0, 0, 0, 0, 0], "re": "0", "im": "-1"}]
+
+
+def _printed_sign(payload):
+    # the circle action with the printed quadratic term, which fixes (1, 0, 0, 0)
+    printed = json.loads((FIXTURES / "family.circle.C.printed.json").read_text())
+    payload["components"] = printed["payload"]["components"]
+
+
+# fixture, edit, (invariance, fixes the point), the checks that FAIL; the
+# printed circle's generator also lies outside basis.Z.C
+ISOTROPY_CONTROLS = {
+    "fixes_point": ("family.isotropy.C.scale", _imaginary_shift, (True, False),
+                    {"isotropy.C.invariance.scale"}),
+    "invariance": ("family.circle.C", _printed_sign, (False, True),
+                   {"isotropy.C.invariance.C", "isotropy.C.dimension"}),
+}
+
+
+@pytest.mark.parametrize("control", sorted(ISOTROPY_CONTROLS))
+def test_isotropy_c_fails_when_one_conjunct_fails(control, tmp_path, monkeypatch, capsys):
+    """Case C invariance needs both the invariance and the fixed point."""
+    from tubes import catalog
+    from tubes.normal_form import verify_family_invariance
+    fid, edit, conjuncts, expected = ISOTROPY_CONTROLS[control]
+    code, failed, tree = _run_on_edited_tree(tmp_path, monkeypatch, capsys,
+                                             ["isotropy", "--case", "C"], {fid: edit})
+    assert code == 1 and set(failed) == expected
+    res = verify_family_invariance(catalog.read_fixture(tree / f"{fid}.json").payload,
+                                   catalog.get("map.cm.C").payload.target,
+                                   catalog.ZV, catalog.ZA, fixed_point=(1, 0, 0, 0))
+    assert (res.ok, bool(res.fixes_point)) == conjuncts

@@ -16,7 +16,8 @@ from tubes.linalg import rref_rows
 from tubes.poly import MultiPoly, merge_vars
 from tubes.scalars import GaussianRational
 from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
-                            _linear_pivot, affine_symmetry_algebra, expand_in_fields,
+                            _chart_system, _linear_pivot, _residuals,
+                            affine_symmetry_algebra, expand_in_fields,
                             is_nilpotent,
                             line_in_domain_check,
                             non_nilpotent_transitive_obstruction,
@@ -371,6 +372,50 @@ def test_bracket_coords_against_dense_sum_and_evaluation():
                 assert [x.eval_at(point) for x in w] == scalar
 
 
+def _assert_chart_systems_match_generic(alg):
+    """_chart_system gives the generic residuals of the chart rows, in
+    order and term for term, for every chart of every k."""
+    m = alg.dim
+    for k in range(1, m):
+        for pivots in itertools.combinations(range(m), k):
+            nonpivots = [j for j in range(m) if j not in pivots]
+            tvars = tuple(f"t{a}_{j}" for a in range(k) for j in nonpivots)
+            rows = [[MultiPoly.const(tvars, int(j == p)) if j in pivots
+                     else MultiPoly.var(tvars, f"t{a}_{j}") for j in range(m)]
+                    for a, p in enumerate(pivots)]
+            fast = _chart_system(alg, pivots, tvars)
+            generic = _residuals(alg, pivots, tvars, rows)
+            assert [(e.vars, e.terms) for e in fast] == [(e.vars, e.terms) for e in generic], \
+                (k, pivots)
+
+
+SCAN_SURFACES = sorted(f for f in catalog.list_ids("surface.*")
+                       if catalog.get(f).kind == "hypersurface" and "realified" not in f)
+
+
+def test_scan_surfaces_are_the_twelve_table_and_quadric_surfaces():
+    assert len(SCAN_SURFACES) == 12
+
+
+@pytest.mark.parametrize("fid", SCAN_SURFACES)
+def test_chart_system_equals_generic_residuals(fid):
+    _assert_chart_systems_match_generic(algebra(fid))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chart_system_equals_generic_residuals_on_a_random_tensor(seed):
+    # antisymmetric, sparse, with Fraction constants; Jacobi does not matter
+    rng = random.Random(seed)
+    m = 6
+    dense = [[[0] * m for _ in range(m)] for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        for k in range(m):
+            if rng.random() < 0.4:
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                dense[i][j][k], dense[j][i][k] = c, -c
+    _assert_chart_systems_match_generic(LieAlgebraPresentation((None,) * m, _frozen(dense)))
+
+
 # SHA-256 of each scan, over its charts in order: pivots, status, sorted
 # solution strings, residual strings and closure flag. The benchmark runs
 # none of these scans. The digests were computed at commit fb86230, the
@@ -457,6 +502,41 @@ def test_obstruction_perturbed_control():
         perturbed, list(iso.vectors), iso.z1_index, iso.z4_index, list(iso.s_indices))
     assert not cert.passed
     assert not cert.conditions[0][1]  # condition (a) fails
+
+
+# Two Lie algebras of vector fields in the plane, e0 = x d/dx, e1 = d/dx
+# and a third field e2, with z1 = e0, z4 = e1, iso = [e2] and the span S
+# chosen so that conditions (a)-(e) hold but the first iterated bracket,
+# (1 + lam) e1 or lam e0 + e1 - mu e2, breaks exactly one half of the
+# induction test: the B_z4-coefficient 1, or the vanishing B_z1-coefficient.
+XY = ("x", "y")
+X, Y = (MultiPoly.var(XY, n) for n in XY)
+LM = ("lam0", "mu0")
+OBSTRUCTION_CONTROLS = {
+    # [e0, e1] = -e1, [e2, e1] = e1, [e0, e2] = 0; S = span(e1, e2)
+    "z4 coefficient": ({"x": -X, "y": Y}, (1, 2)),
+    # sl2: [e0, e1] = -e1, [e0, e2] = e2, [e2, e1] = e0; S = span(e0, e2)
+    "z1 coefficient": ({"x": X * X * Fraction(-1, 2)}, (0, 2)),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(OBSTRUCTION_CONTROLS))
+def test_obstruction_induction_needs_both_halves(broken):
+    """Negative control: conditions (a)-(e) all hold, and the first
+    iterated bracket fails exactly one of the two halves of the induction
+    test, so the certificate must not pass."""
+    e2, s_idx = OBSTRUCTION_CONTROLS[broken]
+    alg = LieAlgebraPresentation.from_fields(
+        [_field(XY, x=X), _field(XY, x=MultiPoly.const(XY, 1)), _field(XY, **e2)])
+    alg.verify()
+    cert = non_nilpotent_transitive_obstruction(alg, [[0, 0, 1]], 0, 1, s_idx, depth=1)
+    assert all(ok for _, ok, _ in cert.conditions)
+    lam, mu = (MultiPoly.var(LM, n) for n in LM)
+    zero, one = MultiPoly.zero(LM), MultiPoly.const(LM, 1)
+    nxt = alg.bracket_coords([-one, zero, lam], [zero, one, mu])
+    assert (nxt[1] != 1, not nxt[0].is_zero()) == ((True, False) if broken == "z4 coefficient"
+                                                   else (False, True))
+    assert not cert.induction_ok and not cert.passed
 
 
 def test_simply_transitive_on_realified_surface():
