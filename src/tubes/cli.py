@@ -326,20 +326,23 @@ def cmd_verify_map(args, reg) -> List[Check]:
     payload = fx.payload
     source = _fixture(reg, payload.source_graph).payload
     phi = dict(payload.components)
-    ok, residual = verify_surface_map(source, payload.target, payload.target_holo,
-                                      payload.target_anti, phi)
+    ok, _ = verify_surface_map(source, payload.target, payload.target_holo,
+                               payload.target_anti, phi)
     checks = [check_of(
         f"map.identity.{args.id}",
         f"cross-multiplied surface identity holds: expected {payload.expected}",
         ok == payload.expected,
         f"identity {'holds' if ok else 'fails'}", prov(fx))]
     if payload.origin_image is not None:
-        image = map_at_origin(phi, list(payload.target_holo))
-        want = list(payload.origin_image)
+        try:
+            image = map_at_origin(phi, list(payload.target_holo))
+            hit = image == list(payload.origin_image)
+            detail = f"image {[str(x) for x in image]}"
+        except ZeroDivisionError as exc:  # a reduced denominator vanishes at 0
+            hit, detail = False, str(exc)
         checks.append(check_of(
             f"map.origin.{args.id}",
-            "the origin maps to the recorded basepoint",
-            image == want, f"image {[str(x) for x in image]}", prov(fx)))
+            "the origin maps to the recorded basepoint", hit, detail, prov(fx)))
     return checks
 
 

@@ -9,14 +9,16 @@ runs it on [A | I], and solve_columns runs it once on
 elimination answers every target t_i of a shared coefficient matrix.
 det_exact, over polynomial entries, where a division is an exact
 polynomial division and costly, eliminates fraction-free (Bareiss).
+lowest_terms cancels the gcd of a rational function whose denominator
+uses one variable, by Euclid's algorithm on coefficient lists.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import MultiPoly, _poly, poly_sum
+from .poly import Exponents, MultiPoly, RationalFunction, _poly, poly_sum
 from .scalars import ONE, ZERO, GaussianRational
 
 
@@ -145,6 +147,84 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         q_terms.append(q_term)
         rem = rem - q_term * g
     return poly_sum(f.vars, q_terms)
+
+
+def lowest_terms(rf: RationalFunction) -> RationalFunction:
+    """rf in lowest terms when its denominator uses exactly one variable
+    x; rf itself otherwise.
+
+    Read num as a polynomial in its other variables over Q(i)[x]; then
+    gcd(num, den) is the gcd G of den and every coefficient of num, found
+    by Euclid's algorithm over Q(i)[x] (Brown, J. ACM 18, 1971; Knuth,
+    TAOCP Vol. 2, 4.6.1), which stops as soon as G is a constant. G is
+    made monic and divides num and den exactly, coefficient by
+    coefficient."""
+    used = rf.den.used_vars()
+    if len(used) != 1:
+        return rf
+    x = rf.vars.index(used[0])
+    den = _dense((e[x], c) for e, c in rf.den.terms.items())
+    grouped: Dict[Exponents, list] = {}
+    for e, c in rf.num.terms.items():
+        grouped.setdefault(e[:x] + (0,) + e[x + 1:], []).append((e[x], c))
+    parts = {rest: _dense(part) for rest, part in grouped.items()}
+    g = den
+    for part in parts.values():
+        a, b = part, g
+        while b:
+            a, b = b, _monic(_udivmod(a, b)[1])
+        g = a
+        if len(g) == 1:
+            return rf
+    g = _monic(g)
+    num_terms = {}
+    for rest, part in parts.items():
+        for k, c in enumerate(_udivmod(part, g)[0]):
+            if c:
+                num_terms[rest[:x] + (k,) + rest[x + 1:]] = c
+    origin = (0,) * len(rf.vars)
+    den_terms = {origin[:x] + (k,) + origin[x + 1:]: c
+                 for k, c in enumerate(_udivmod(den, g)[0]) if c}
+    return RationalFunction(_poly(rf.vars, num_terms), _poly(rf.vars, den_terms))
+
+
+def _dense(terms: Iterable[Tuple[int, GaussianRational]]) -> List[GaussianRational]:
+    """The coefficient list, lowest degree first, of the univariate
+    polynomial with these (exponent, nonzero coefficient) terms."""
+    terms = list(terms)
+    out = [ZERO] * (max(k for k, _ in terms) + 1)
+    for k, c in terms:
+        out[k] = c
+    return out
+
+
+def _monic(a: List[GaussianRational]) -> List[GaussianRational]:
+    """A nonzero coefficient list divided by its leading coefficient; the
+    empty list (zero) unchanged."""
+    if not a or a[-1] == ONE:
+        return a
+    inv = ONE / a[-1]
+    return [c * inv for c in a]
+
+
+def _udivmod(a: List[GaussianRational], b: List[GaussianRational]):
+    """(quotient, remainder) of coefficient lists a by nonzero b, the
+    remainder with its high zero coefficients dropped."""
+    r = list(a)
+    n = len(b) - 1
+    inv = ONE / b[-1]
+    q = [ZERO] * max(len(a) - n, 0)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = r[i + n] * inv
+        if c:
+            q[i] = c
+            for j in range(n):
+                if b[j]:
+                    r[i + j] = r[i + j] - c * b[j]
+    del r[n:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

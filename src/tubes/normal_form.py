@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
-from .linalg import invert_gaussian_matrix
+from .linalg import invert_gaussian_matrix, lowest_terms
 from .poly import (MultiPoly, Powers, RationalFunction, _poly, conjugation_pairing, poly_sum,
                    series_expand, substitute)
 from .relations import RelationContext
@@ -223,6 +223,10 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
                        phi: Mapping[str, RationalFunction]) -> Tuple[bool, MultiPoly]:
     """Exact check that phi maps the source graph into {target = 0}.
 
+    Each component is first put in lowest terms (`lowest_terms`), since
+    `substitute` clears the product of the component denominators to the
+    powers the target needs and so carries every surplus factor through
+    the whole composition; the stored components are left as they are.
     Substitutes z := phi(w), conj z := conj phi(conj w), then the graph
     relations for the solved coordinate, and cross-multiplies by the
     least power of the graph denominator that clears them. Returns
@@ -239,7 +243,7 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     for name in target_holo:
         if name not in phi:
             raise ValueError(f"map provides no component for {name!r}")
-        assignment[name] = phi[name].with_vars(universe)
+        assignment[name] = lowest_terms(phi[name]).with_vars(universe)
     for h, a in zip(target_holo, target_anti):
         assignment[a] = assignment[h].conjugate(pairing)
 
@@ -289,15 +293,20 @@ def surface_map_series_residual(source: GraphSurface, target: MultiPoly,
 
 def map_at_origin(phi: Mapping[str, RationalFunction],
                   order: Sequence[str]) -> List[GaussianRational]:
-    """Value of a rational map at the origin of its source coordinates."""
+    """Value of a rational map at the origin of its source coordinates,
+    read off each component in lowest terms. Raises ZeroDivisionError
+    naming the first component whose reduced denominator vanishes there."""
     out = []
     for name in order:
         rf = phi[name]
-        num0 = rf.num.const_coeff()
+        if not rf.den.const_coeff():
+            # a factor of den that vanishes at 0 may cancel against num;
+            # when den(0) != 0, reducing changes neither den(0) != 0 nor the value
+            rf = lowest_terms(rf)
         den0 = rf.den.const_coeff()
         if not den0:
             raise ZeroDivisionError(f"component {name!r} is singular at the origin")
-        out.append(num0 / den0)
+        out.append(rf.num.const_coeff() / den0)
     return out
 
 

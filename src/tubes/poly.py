@@ -554,8 +554,9 @@ def _product(a_terms: Mapping[Exponents, GaussianRational],
 class RationalFunction:
     """Quotient num/den of polynomials over a shared variable tuple.
 
-    Never normalized to lowest terms; equality goes through
-    cross-multiplication."""
+    Never normalized to lowest terms in storage, and equality goes
+    through cross-multiplication; verify_surface_map reduces each map
+    component at use (linalg.lowest_terms)."""
 
     __slots__ = ("num", "den")
 

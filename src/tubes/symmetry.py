@@ -393,19 +393,23 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
              else MultiPoly.var(tvars, f"t{a}_{j}") for j in range(m)]
             for a, p in enumerate(pivots)]
 
-    eqs = _chart_system(algebra, pivots, tvars)
+    # each equation with a mark: True once _linear_pivot found no pivot in
+    # it; an equation that elimination leaves untouched keeps its mark
+    eqs = [(e, False) for e in _chart_system(algebra, pivots, tvars)]
     origin = (0,) * len(tvars)
     solution: Dict[str, MultiPoly] = {}
     while eqs:
-        if any(len(e.terms) == 1 and origin in e.terms for e in eqs):
+        if any(len(e.terms) == 1 and origin in e.terms for e, _ in eqs):
             return ChartOutcome(pivots, "empty")
         pick = None
-        for e in eqs:
-            pick = _linear_pivot(e)
-            if pick:
-                break
+        for n, (e, stuck) in enumerate(eqs):
+            if not stuck:
+                pick = _linear_pivot(e)
+                if pick:
+                    break
+                eqs[n] = (e, True)
         if pick is None:
-            return ChartOutcome(pivots, "unresolved", residual=tuple(eqs))
+            return ChartOutcome(pivots, "unresolved", residual=tuple(e for e, _ in eqs))
         var, c = pick
         rest = e - MultiPoly.var(tvars, var) * c
         expr = rest * (ONE / c) * (-1)
@@ -417,7 +421,13 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
         solution = {key: eliminate(value) for key, value in solution.items()}
         solution[var] = expr
         # e itself becomes c * expr + rest = 0
-        eqs = [q for q in (eliminate(q) for q in eqs if q is not e) if q]
+        left = []
+        for q, stuck in eqs:
+            if q is not e:
+                r = eliminate(q)
+                if r:
+                    left.append((r, stuck and r is q))
+        eqs = left
 
     final_rows = [[solution.get(f"t{a}_{j}", entry) for j, entry in enumerate(row)]
                   for a, row in enumerate(rows)]

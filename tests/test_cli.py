@@ -495,3 +495,30 @@ def test_isotropy_c_fails_when_one_conjunct_fails(control, tmp_path, monkeypatch
                                    catalog.get("map.cm.C").payload.target,
                                    catalog.ZV, catalog.ZA, fixed_point=(1, 0, 0, 0))
     assert (res.ok, bool(res.fixes_point)) == conjuncts
+
+
+def _z3_over_w1(payload):
+    # z3 = 2 w3 / w1 instead of 2 w3 / (w1 + 2)
+    payload["components"]["z3"]["den"]["terms"] = [{"c": "1", "e": [1, 0, 0, 0]}]
+
+
+def _z3_times_w1(payload):
+    # z3 = 2 w1 w3 / (w1^2 + 2 w1): the same component, its denominator 0 at 0
+    z3 = payload["components"]["z3"]
+    for part in (z3["num"], z3["den"]):
+        for term in part["terms"]:
+            term["e"][0] += 1
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (_z3_over_w1, {"map.identity.map.cm.C": "identity fails",
+                   "map.origin.map.cm.C": "component 'z3' is singular at the origin"}),
+    (_z3_times_w1, {}),
+])
+def test_map_origin_reads_the_components_in_lowest_terms(edit, expected, tmp_path,
+                                                        monkeypatch, capsys):
+    """A map singular at the origin FAILs its origin check, with every other
+    check reported; a denominator zero that cancels is no singularity."""
+    code, failed, _ = _run_on_edited_tree(tmp_path, monkeypatch, capsys,
+                                          ["verify-map", "--id", "map.cm.C"], {"map.cm.C": edit})
+    assert failed == expected and code == (1 if expected else 0)

@@ -6,12 +6,15 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tubes import catalog, linalg
 from tubes.fields import VectorField
-from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis,
+from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis, lowest_terms,
                           poly_div_exact, rref_rows, solve_columns)
-from tubes.poly import MultiPoly, poly_sum
+from tubes.poly import MultiPoly, RationalFunction, poly_sum
 from tubes.scalars import ONE, ZERO, GaussianRational
 from tubes.symmetry import affine_symmetry_algebra, expand_in_fields
 
@@ -187,6 +190,82 @@ def test_poly_div_exact_and_inexact():
     assert poly_div_exact(f, x + y) == (x - y) * (x + 2)
     with pytest.raises(ValueError):
         poly_div_exact(x * y + 1, x + y)
+
+
+XYZ = ("x", "y", "z")
+
+
+def small_part(bound):
+    return st.one_of(st.integers(-bound, bound),
+                     st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 4)))
+
+
+@st.composite
+def in_x(draw, min_terms=1):
+    """A Gaussian-rational polynomial in x alone, over XYZ."""
+    terms = {(k, 0, 0): GaussianRational(draw(small_part(5)), draw(small_part(3)))
+             for k in draw(st.lists(st.integers(0, 3), min_size=min_terms, max_size=4))}
+    return MultiPoly(XYZ, terms)
+
+
+def x_degree(p):
+    return max(e[0] for e in p.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(in_x(min_terms=0), min_size=1, max_size=3), in_x(), in_x())
+def test_lowest_terms_cancels_a_common_factor_in_one_variable(a_parts, b, g):
+    # a = sum_k a_k(x) * y^k z, lifted over the variables b and g do not use
+    y, z = MultiPoly.var(XYZ, "y"), MultiPoly.var(XYZ, "z")
+    a = poly_sum(XYZ, [part * y**k * z for k, part in enumerate(a_parts)])
+    assume(b and g)
+    rf = RationalFunction(a * g, b * g)
+    red = lowest_terms(rf)
+    assert red.vars == XYZ
+    assert (red.num * rf.den - rf.num * red.den).is_zero()
+    assert set(red.den.used_vars()) <= {"x"}
+    assert x_degree(red.den) <= x_degree(b)
+
+
+def test_lowest_terms_leaves_a_denominator_in_two_variables():
+    x, y = (MultiPoly.var(XYZ, n) for n in ("x", "y"))
+    rf = RationalFunction((x + 1) * (y + 1), (x + 1) * y)
+    assert lowest_terms(rf) is rf
+
+
+def test_lowest_terms_of_a_zero_numerator_is_zero_over_a_constant():
+    x = MultiPoly.var(XYZ, "x")
+    red = lowest_terms(RationalFunction(MultiPoly.zero(XYZ), (x + 1) * (x * 3 - 2)))
+    assert red.num.is_zero() and red.den.used_vars() == ()
+
+
+def _to_sympy(p, symbols):
+    return sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+               * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
+               for e, c in p.terms.items())
+
+
+@pytest.mark.parametrize("mid, degrees", [("map.cm.D", (1, 3, 2, 2)),
+                                          ("map.cm.C", None)])
+def test_lowest_terms_agrees_with_sympy_cancel(mid, degrees):
+    """Against sympy's cancel: map.cm.D reduces to denominators of degree
+    1, 3, 2 and 2 in w1, and map.cm.C is already in lowest terms."""
+    components = catalog.get(mid).payload.components
+    symbols = sympy.symbols(components[0][1].vars)
+    got = []
+    for _, rf in components:
+        red = lowest_terms(rf)
+        num, den = (_to_sympy(p, symbols) for p in (red.num, red.den))
+        want_num, want_den = sympy.fraction(sympy.cancel(_to_sympy(rf.num, symbols)
+                                                         / _to_sympy(rf.den, symbols)))
+        assert sympy.expand(num * want_den - want_num * den) == 0
+        assert sympy.degree(den, symbols[0]) == sympy.degree(want_den, symbols[0])
+        got.append(sympy.degree(den, symbols[0]))
+        if degrees is None:
+            assert red is rf
+    if degrees is not None:
+        assert tuple(got) == degrees
 
 
 def test_solve_columns_consistency():
