@@ -177,11 +177,8 @@ def lowest_terms(rf: RationalFunction) -> RationalFunction:
         if len(g) == 1:
             return rf
     g = _monic(g)
-    num_terms = {}
-    for rest, part in parts.items():
-        for k, c in enumerate(_udivmod(part, g)[0]):
-            if c:
-                num_terms[rest[:x] + (k,) + rest[x + 1:]] = c
+    num_terms = {rest[:x] + (k,) + rest[x + 1:]: c
+                 for rest, part in parts.items() for k, c in enumerate(_udivmod(part, g)[0]) if c}
     origin = (0,) * len(rf.vars)
     den_terms = {origin[:x] + (k,) + origin[x + 1:]: c
                  for k, c in enumerate(_udivmod(den, g)[0]) if c}

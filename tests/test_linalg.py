@@ -195,15 +195,11 @@ def test_poly_div_exact_and_inexact():
 XYZ = ("x", "y", "z")
 
 
-def small_part(bound):
-    return st.one_of(st.integers(-bound, bound),
-                     st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 4)))
-
-
 @st.composite
 def in_x(draw, min_terms=1):
     """A Gaussian-rational polynomial in x alone, over XYZ."""
-    terms = {(k, 0, 0): GaussianRational(draw(small_part(5)), draw(small_part(3)))
+    part = st.fractions(-5, 5, max_denominator=4)
+    terms = {(k, 0, 0): GaussianRational(draw(part), draw(part))
              for k in draw(st.lists(st.integers(0, 3), min_size=min_terms, max_size=4))}
     return MultiPoly(XYZ, terms)
 
