@@ -29,7 +29,7 @@ from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_ch
                           map_at_origin, trace_from_levi,
                           verify_family_invariance, verify_group_law,
                           verify_map_conjugation, verify_surface_map)
-from .poly import MultiPoly, RationalFunction, merge_vars
+from .poly import MultiPoly, merge_vars
 from .scalars import GaussianRational
 from .symmetry import (Hypersurface, LieAlgebraPresentation,
                        affine_symmetry_algebra, is_nilpotent, line_in_domain_check,
@@ -205,6 +205,8 @@ def cmd_symmetry(args, reg) -> List[Check]:
 
 
 def cmd_orbits(args, reg) -> List[Check]:
+    if args.random_probes < 0:
+        raise UsageError(f"--random-probes must be at least 0, got {args.random_probes}")
     surface, provenance = _surface(reg, args.surface)
     extra = [_parse_probe(text, len(surface.variables)) for text in args.probes or ()]
     algebra = affine_symmetry_algebra(surface)
@@ -276,7 +278,16 @@ def cmd_normal_form(args, reg) -> List[Check]:
         raise UsageError(f"--cutoff must be at least {MIN_CM_CUTOFF}, got {cutoff}")
     fx = _fixture(reg, f"graph.cm.{case}")
     graph: GraphSurface = fx.payload
-    series = defining_series(graph, cutoff)
+    # the negative control: the numerator perturbed by a real (2,2) term
+    pairing = graph.pairing
+    holo = graph.holo_vars
+    g = graph.im_part
+    w1 = MultiPoly.var(g.num.vars, holo[0])
+    w1b = MultiPoly.var(g.num.vars, pairing[holo[0]])
+    w2 = MultiPoly.var(g.num.vars, holo[1])
+    w2b = MultiPoly.var(g.num.vars, pairing[holo[1]])
+    bump = w1**2 * w1b * w2b + w1b**2 * w1 * w2
+    series, perturbed = defining_series(graph, cutoff, [bump * g.den.const_coeff()])
     checks = []
     try:
         series.verify_reality()
@@ -297,19 +308,7 @@ def cmd_normal_form(args, reg) -> List[Check]:
         "classical third-power trace condition on the (3,3) part (reported separately)",
         report.classical_trace3, "", prov(fx)))
 
-    # negative control: perturb the numerator by a real (2,2) term
-    pairing = graph.pairing
-    holo = graph.holo_vars
-    g = graph.im_part
-    w1 = MultiPoly.var(g.num.vars, holo[0])
-    w1b = MultiPoly.var(g.num.vars, pairing[holo[0]])
-    w2 = MultiPoly.var(g.num.vars, holo[1])
-    w2b = MultiPoly.var(g.num.vars, pairing[holo[1]])
-    bump = w1**2 * w1b * w2b + w1b**2 * w1 * w2
-    perturbed = GraphSurface(graph.holo_vars, graph.anti_vars, graph.slice_var,
-                             graph.solved_var, graph.solved_conj, None,
-                             RationalFunction(g.num + bump * g.den.const_coeff(), g.den))
-    rep_p = chern_moser_check(defining_series(perturbed, cutoff), tr)
+    rep_p = chern_moser_check(perturbed, tr)
     control_failed = "tr F22 = 0" in rep_p.failed_names()
     checks.append(check_of(
         f"normal_form.{case}.perturbation_control",

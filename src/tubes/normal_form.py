@@ -6,7 +6,9 @@ part, the normal-form condition checks, and exact verification of
 rational coordinate changes, polynomial self-map families, their
 rational group laws, and infinitesimal generators. All checks are
 polynomial identities after clearing denominators; series truncation
-appears only inside defining_series.
+appears only in series_expand, which defining_series calls once for a
+graph and every perturbation of its numerator, and in the series
+diagnostic.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
 from .linalg import invert_gaussian_matrix, lowest_terms
-from .poly import (MultiPoly, Powers, RationalFunction, _poly, conjugation_pairing, poly_sum,
-                   series_expand, substitute)
+from .poly import (MultiPoly, Powers, RationalFunction, _poly, conjugation_pairing,
+                   denominator_lcm, poly_sum, series_expand, substitute)
 from .relations import RelationContext
 from .scalars import I, ZERO, GaussianRational
 
@@ -160,18 +162,30 @@ class GraphSurface:
         return w_num, wbar_num, den
 
 
-def defining_series(surface: GraphSurface, cutoff: int) -> BidegreeSeries:
-    """Expand the graph function and split by bidegree; the vanishing of
-    the constant part is verified. Reality of the split is a reported
+def defining_series(surface: GraphSurface, cutoff: int,
+                    bumps: Sequence[MultiPoly] = ()) -> List[BidegreeSeries]:
+    """Expand the graph function num/den through `cutoff` and split it by
+    bidegree, and do the same for (num + bump)/den for each bump, whose
+    variables are those of num. Returns the graph's series, then one
+    series per bump.
+
+    All expansions share one inverse of den (one series_expand call): a
+    bumped expansion is the graph's plus that of bump/den, which is exact
+    because the expansion is linear in the numerator. The vanishing of
+    each constant part is verified. Reality of the split is a reported
     check (BidegreeSeries.verify_reality), not a precondition."""
     if surface.im_part is None:
         raise ValueError("defining_series expects the normal-form graph pattern")
-    expansion = series_expand(surface.im_part, cutoff)
-    parts = expansion.bidegree_split(surface.holo_vars, surface.anti_vars)
-    series = BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, dict(parts))
-    if not series.part(0, 0).is_zero():
-        raise ValueError("defining function does not vanish at the origin")
-    return series
+    g = surface.im_part
+    expansion, *deltas = series_expand([g.num, *bumps], g.den, cutoff)
+    out = []
+    for total in [expansion] + [expansion + d for d in deltas]:
+        parts = total.bidegree_split(surface.holo_vars, surface.anti_vars)
+        series = BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, dict(parts))
+        if not series.part(0, 0).is_zero():
+            raise ValueError("defining function does not vanish at the origin")
+        out.append(series)
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,10 +241,15 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     `substitute` clears the product of the component denominators to the
     powers the target needs and so carries every surplus factor through
     the whole composition; the stored components are left as they are.
+    The target, and the num and den of each reduced component, are then
+    scaled by the lcm of their coefficient denominators (`denominator_lcm`),
+    so the products run on Gaussian integers; this changes neither the
+    zero set of the target nor the value of a component.
     Substitutes z := phi(w), conj z := conj phi(conj w), then the graph
     relations for the solved coordinate, and cross-multiplies by the
     least power of the graph denominator that clears them. Returns
-    (identity holds, residual numerator).
+    (identity holds, residual numerator); the residual is exact up to a
+    nonzero rational factor, from the scaling.
     """
     src_holo_full = source.holo_vars + (source.solved_var,)
     src_anti_full = source.anti_vars + (source.solved_conj,)
@@ -243,11 +262,13 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     for name in target_holo:
         if name not in phi:
             raise ValueError(f"map provides no component for {name!r}")
-        assignment[name] = lowest_terms(phi[name]).with_vars(universe)
+        rf = lowest_terms(phi[name])
+        d = denominator_lcm(rf.num, rf.den)
+        assignment[name] = RationalFunction(rf.num * d, rf.den * d).with_vars(universe)
     for h, a in zip(target_holo, target_anti):
         assignment[a] = assignment[h].conjugate(pairing)
 
-    composed = substitute(target, assignment)
+    composed = substitute(target * denominator_lcm(target), assignment)
     numer = composed.num
 
     groups = numer.split_by_vars([source.solved_var, source.solved_conj])
@@ -283,7 +304,8 @@ def surface_map_series_residual(source: GraphSurface, target: MultiPoly,
         raise ValueError("the series diagnostic expects the normal-form graph pattern")
     truncated = GraphSurface(source.holo_vars, source.anti_vars, source.slice_var,
                              source.solved_var, source.solved_conj, None,
-                             RationalFunction(series_expand(source.im_part, cutoff)),
+                             RationalFunction(series_expand([source.im_part.num],
+                                                            source.im_part.den, cutoff)[0]),
                              source.name + f".series{cutoff}")
     _, residual = verify_surface_map(truncated, target, target_holo, target_anti, phi)
     graded = [v in source.holo_vars or v in source.anti_vars for v in residual.vars]

@@ -19,8 +19,9 @@ cross-multiplication; no multivariate gcd is ever computed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike, _canon, _gr
 
@@ -403,6 +404,13 @@ def poly_sum(variables: Sequence[str], polys: Iterable[MultiPoly]) -> MultiPoly:
     return _poly(v, acc)
 
 
+def denominator_lcm(*polys: MultiPoly) -> int:
+    """The least common multiple of the denominators of the real and
+    imaginary parts of every coefficient of polys: multiplied by it, each
+    has Gaussian-integer coefficients."""
+    return lcm(*{x.denominator for p in polys for c in p.terms.values() for x in (c.re, c.im)})
+
+
 def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
     """The sum over the terms c * prod x_i**k_i of p of
     c * prod num_i[k_i] * den_i[top_i - k_i], over `target`.
@@ -555,8 +563,10 @@ class RationalFunction:
     """Quotient num/den of polynomials over a shared variable tuple.
 
     Never normalized to lowest terms in storage, and equality goes
-    through cross-multiplication; verify_surface_map reduces each map
-    component at use (linalg.lowest_terms)."""
+    through cross-multiplication. verify_surface_map reduces each map
+    component at use (linalg.lowest_terms) and then scales its num and
+    den by one integer to Gaussian-integer coefficients
+    (denominator_lcm), which changes neither its value nor its zeros."""
 
     __slots__ = ("num", "den")
 
@@ -662,31 +672,32 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
     return RationalFunction(_compose(q, target, images), den_total)
 
 
-def series_expand(f: RationalFunction, cutoff: int) -> MultiPoly:
-    """Truncated Taylor expansion of f at the origin through `cutoff`.
+def series_expand(nums: Sequence[MultiPoly], den: MultiPoly, cutoff: int) -> List[MultiPoly]:
+    """Truncated Taylor expansions at the origin of num/den through
+    `cutoff`, one for each num in nums, all over one inverse of den.
 
-    Requires den(0) != 0. Multiplying the result back by den(f) agrees
-    with num(f) through total degree cutoff.
+    Requires den(0) != 0. Multiplying each result back by den agrees
+    with its num through total degree cutoff.
 
-    The inverse is taken over the coefficient ring of den: with
+    The inverse is taken once, over the coefficient ring of den: with
     E = c0 - den, each E**k has order >= k, so through the cutoff
-    c0**(cutoff+1) / den = sum_k E**k * c0**(cutoff-k). The geometric
-    series and the product with num run on that, and the one division,
-    by c0**(cutoff+1), comes last.
+    c0**(cutoff+1) / den = sum_k E**k * c0**(cutoff-k). Each num is then
+    one truncated product with that sum, and the one division, by
+    c0**(cutoff+1), comes last.
     """
-    c0 = f.den.const_coeff()
+    c0 = den.const_coeff()
     if not c0:
         raise ValueError("singular expansion point: denominator vanishes at 0")
-    e_poly = (c0 - f.den).truncate(cutoff)
+    e_poly = (c0 - den).truncate(cutoff)
     scales = [ONE]
     for _ in range(cutoff + 1):
         scales.append(scales[-1] * c0)
-    inv = MultiPoly.const(f.vars, scales[cutoff])
-    acc = MultiPoly.const(f.vars, 1)
+    inv = MultiPoly.const(den.vars, scales[cutoff])
+    acc = MultiPoly.const(den.vars, 1)
     for k in range(1, cutoff + 1):
         acc = mul_trunc(acc, e_poly, cutoff)
         if acc.is_zero():
             break
         inv = inv + acc * scales[cutoff - k]
-    result = mul_trunc(f.num.truncate(cutoff), inv, cutoff)
-    return result * (ONE / scales[cutoff + 1])
+    scale = ONE / scales[cutoff + 1]
+    return [mul_trunc(num.truncate(cutoff), inv, cutoff) * scale for num in nums]

@@ -59,6 +59,13 @@ def test_orbits_rejects_on_surface_probe(capsys):
     assert "probe lies on the surface" in out
 
 
+def test_negative_random_probe_count_is_a_usage_error(capsys):
+    code = cli.main(["orbits", "--surface", "surface.table.1m", "--random-probes", "-1"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert "--random-probes" in captured.err and captured.out == ""
+
+
 def test_scan_exit_code_unresolved(capsys):
     code, report = run_json(["scan", "--surface", "surface.table.3", "--dim", "4"], capsys)
     assert code == 2
@@ -308,10 +315,10 @@ def test_non_real_series_is_a_reality_fail(monkeypatch, capsys):
 
     expand = normal_form.series_expand
 
-    def non_real(f, cutoff):
-        out = expand(f, cutoff)
-        w1, w1b = MultiPoly.var(out.vars, "w1"), MultiPoly.var(out.vars, "w1b")
-        return out + w1**2 * w1b**2 * I
+    def non_real(nums, den, cutoff):
+        graph, *rest = expand(nums, den, cutoff)
+        w1, w1b = MultiPoly.var(den.vars, "w1"), MultiPoly.var(den.vars, "w1b")
+        return [graph + w1**2 * w1b**2 * I, *rest]
 
     monkeypatch.setattr(normal_form, "series_expand", non_real)
     code = cli.main(["--json", "normal-form", "--case", "D"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import tubes.poly
 from tubes import catalog
 from tubes.fields import lie_bracket
 from tubes.linalg import rref_rows
@@ -34,7 +35,7 @@ def tube_rho(case):
 # ------------------------------------------------------------------- series
 
 def test_series_parts_match_recorded_values():
-    series = defining_series(graph("D"), 8)
+    series = defining_series(graph("D"), 8)[0]
     assert series.part(1, 1) == (W3 * W3B + W1 * W2B + W2 * W1B) * Fraction(1, 2)
     want22 = ((W1**2 * W1B * W2B + W1B**2 * W1 * W2) * Fraction(-5, 32)
               + (W1**2 * W3B**2 + W1B**2 * W3**2) * Fraction(25, 64)
@@ -52,7 +53,7 @@ def test_series_parts_match_recorded_values():
 
 def test_series_multiply_back():
     g = graph("D")
-    series = defining_series(g, 8)
+    series = defining_series(g, 8)[0]
     total = MultiPoly.zero(WG)
     for part in series.parts.values():
         total = total + part
@@ -62,13 +63,13 @@ def test_series_multiply_back():
 
 def test_series_reality_and_origin():
     for case in ("D", "C"):
-        series = defining_series(graph(case), 8)
+        series = defining_series(graph(case), 8)[0]
         series.verify_reality()
         assert series.part(0, 0).is_zero()
 
 
 def test_hermitian_quadric_series_only_11_part():
-    series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)
+    series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)[0]
     assert set(series.parts.keys()) == {(1, 1)}
 
 
@@ -83,7 +84,7 @@ def test_graph_numerator_and_denominator_are_real():
 # -------------------------------------------------------------------- trace
 
 def test_trace_matches_displayed_operator():
-    series = defining_series(graph("D"), 6)
+    series = defining_series(graph("D"), 6)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     two = GaussianRational(2)
     zero = GaussianRational(0)
@@ -104,7 +105,7 @@ def test_trace_degenerate():
 
 @pytest.mark.parametrize("case", ["D", "C"])
 def test_chern_moser_conditions_pass(case):
-    series = defining_series(graph(case), 8)
+    series = defining_series(graph(case), 8)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     report = chern_moser_check(series, tr)
     assert not report.failed_names(), report.failed_names()
@@ -112,7 +113,7 @@ def test_chern_moser_conditions_pass(case):
 
 
 def test_chern_moser_quadric_vacuous():
-    series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)
+    series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     assert not chern_moser_check(series, tr).failed_names()
 
@@ -123,14 +124,31 @@ def test_chern_moser_perturbation_control():
     perturbed = GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var,
                              g.solved_conj, None,
                              RationalFunction(g.im_part.num + bump * 256, g.im_part.den))
-    series = defining_series(perturbed, 8)
+    series = defining_series(perturbed, 8)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     report = chern_moser_check(series, tr)
     assert "tr F22 = 0" in report.failed_names()
 
 
+@pytest.mark.parametrize("case", ["D", "C"])
+@pytest.mark.parametrize("cutoff", [6, 8, 14])
+def test_bumped_series_equals_the_perturbed_graph_expanded_alone(case, cutoff):
+    """The control series of `normal-form`, the graph's expansion plus
+    that of bump/den over the same inverse, is the series of the
+    perturbed graph expanded on its own, part for part."""
+    g = graph(case)
+    bump = (W1**2 * W1B * W2B + W1B**2 * W1 * W2) * g.im_part.den.const_coeff()
+    series, control = defining_series(g, cutoff, [bump])
+    perturbed = GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var,
+                             g.solved_conj, None,
+                             RationalFunction(g.im_part.num + bump, g.im_part.den))
+    alone, = defining_series(perturbed, cutoff)
+    assert control.parts == alone.parts
+    assert series.parts == defining_series(g, cutoff)[0].parts
+
+
 def test_chern_moser_needs_cutoff():
-    series = defining_series(graph("D"), 4)
+    series = defining_series(graph("D"), 4)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     with pytest.raises(ValueError):
         chern_moser_check(series, tr)
@@ -138,9 +156,11 @@ def test_chern_moser_needs_cutoff():
 
 # ------------------------------------------------------------- surface maps
 
-@pytest.mark.parametrize("mid", ["map.cm.D", "map.cm.C", "map.case3.derived",
-                                 "map.case3.printed", "map.case3.printed.reversed",
-                                 "map.quadric.to.Bminus", "map.identity.quadric"])
+MAP_IDS = ["map.cm.D", "map.cm.C", "map.case3.derived", "map.case3.printed",
+           "map.case3.printed.reversed", "map.quadric.to.Bminus", "map.identity.quadric"]
+
+
+@pytest.mark.parametrize("mid", MAP_IDS)
 def test_map_fixtures_match_expected_verdicts(mid):
     fx = catalog.get(mid)
     payload = fx.payload
@@ -151,6 +171,47 @@ def test_map_fixtures_match_expected_verdicts(mid):
     if payload.origin_image is not None:
         assert map_at_origin(dict(payload.components),
                              list(payload.target_holo)) == list(payload.origin_image)
+
+
+@pytest.mark.parametrize("mid", MAP_IDS)
+def test_map_verdicts_survive_rescaling(mid):
+    """Scaling the target by a nonzero rational, or the num and den of one
+    component by a common nonzero Gaussian rational, changes neither the
+    surface nor the map, so the verdict stays; the check clears the
+    coefficient denominators either brings in."""
+    payload = catalog.get(mid).payload
+    source = catalog.get(payload.source_graph).payload
+    phi = dict(payload.components)
+    name = payload.target_holo[-1]
+    c = GaussianRational(Fraction(-2, 3), Fraction(5, 7))
+    rescaled = dict(phi)
+    rescaled[name] = RationalFunction(phi[name].num * c, phi[name].den * c)
+    for target, components in ((payload.target * Fraction(-7, 9), phi),
+                               (payload.target, rescaled)):
+        ok, _ = verify_surface_map(source, target, payload.target_holo,
+                                   payload.target_anti, components)
+        assert ok == payload.expected
+
+
+@pytest.mark.parametrize("mid", ["map.cm.C", "map.cm.D"])
+def test_surface_map_products_run_on_gaussian_integers(mid, monkeypatch):
+    """Cost guard for the clearing of coefficient denominators: the
+    targets of both cm maps have a Fraction on every term, and so do some
+    terms of two map.cm.C components, yet no product of the check sees one."""
+    payload = catalog.get(mid).payload
+    source = catalog.get(payload.source_graph).payload
+    product = tubes.poly._product
+    seen = []
+
+    def spying(a_terms, b_terms, cutoff):
+        seen.extend(x for terms in (a_terms, b_terms) for c in terms.values()
+                    for x in (c.re, c.im) if type(x) is Fraction)
+        return product(a_terms, b_terms, cutoff)
+
+    monkeypatch.setattr(tubes.poly, "_product", spying)
+    ok, _ = verify_surface_map(source, payload.target, payload.target_holo,
+                               payload.target_anti, dict(payload.components))
+    assert ok and not seen
 
 
 def sphere_graph():
@@ -252,7 +313,7 @@ def test_engine_calls_leave_no_cyclic_garbage():
         lambda: substitute(p, {"x": RationalFunction(u, 1 + v), "y": u * v,
                                "z": RationalFunction(v, 1 - u)}),
         lambda: p.subs_poly({"x": x + y * y, "z": x * y}),
-        lambda: series_expand(graph("D").im_part, 8),
+        lambda: series_expand([graph("D").im_part.num], graph("D").im_part.den, 8),
         lambda: verify_surface_map(source, payload.target, payload.target_holo,
                                    payload.target_anti, dict(payload.components)),
         lambda: LieAlgebraPresentation.from_fields(basis),

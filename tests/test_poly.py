@@ -181,7 +181,18 @@ def test_compose_matches_the_per_group_chains(p, data):
 def test_series_expand_matches_the_fraction_series(num, den, c0, cutoff):
     for d in (den - den.const_coeff() + c0, MultiPoly.const(UV, c0)):  # E = 0 for the second
         f = RationalFunction(num, d)
-        assert series_expand(f, cutoff) == fraction_series(f, cutoff)
+        assert series_expand([num], d, cutoff) == [fraction_series(f, cutoff)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polys(UV, max_terms=4, max_exp=3), min_size=1, max_size=3),
+       polys(UV, max_terms=3, max_exp=2), small_scalar().filter(bool), st.integers(0, 6))
+def test_series_expand_over_one_inverse_equals_each_expansion_alone(nums, den, c0, cutoff):
+    den = den - den.const_coeff() + c0
+    shared = series_expand(nums, den, cutoff)
+    assert shared == [series_expand([num], den, cutoff)[0] for num in nums]
+    for num, expansion in zip(nums, shared):
+        assert mul_trunc(expansion, den, cutoff) == num.truncate(cutoff)
 
 
 @settings(max_examples=80, deadline=None)
@@ -261,13 +272,13 @@ def test_substitute_denominator_product_contract():
 def test_series_geometric():
     w = MultiPoly.var(("w",), "w")
     f = RationalFunction(MultiPoly.const(("w",), 1), 1 - w)
-    assert series_expand(f, 3) == 1 + w + w**2 + w**3
+    assert series_expand([f.num], f.den, 3) == [1 + w + w**2 + w**3]
 
 
 def test_series_singular_point():
     w = MultiPoly.var(("w",), "w")
     with pytest.raises(ValueError, match="singular"):
-        series_expand(RationalFunction(MultiPoly.const(("w",), 1), w), 3)
+        series_expand([MultiPoly.const(("w",), 1)], w, 3)
 
 
 def test_series_multiply_back_randomized():
@@ -277,9 +288,8 @@ def test_series_multiply_back_randomized():
         num = random_poly(rng, variables, max_degree=3, max_terms=4)
         den = random_poly(rng, variables, max_degree=3, max_terms=3)
         den = den - MultiPoly.const(variables, den.const_coeff()) + 1  # den(0) = 1
-        f = RationalFunction(num, den)
         cutoff = 5
-        expansion = series_expand(f, cutoff)
+        expansion, = series_expand([num], den, cutoff)
         back = mul_trunc(expansion, den, cutoff)
         assert back == num.truncate(cutoff)
 
