@@ -1053,10 +1053,11 @@ class FixtureError(Exception):
 def read_fixture(path) -> Fixture:
     """Decode one fixture file written by export_tree. A file that cannot
     be read, is not JSON or does not decode, a float where a rational
-    belongs or a zero denominator among them, raises FixtureError."""
+    belongs, a zero denominator or a term of total degree above
+    poly.MAX_DEGREE among them, raises FixtureError."""
     try:
         return fixture_from_obj(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise FixtureError(path, exc) from exc
 
 

@@ -16,9 +16,9 @@ uses one variable, by Euclid's algorithm on coefficient lists.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .poly import Exponents, MultiPoly, RationalFunction, _poly, poly_sum
+from .poly import MultiPoly, RationalFunction, poly_sum
 from .scalars import ONE, ZERO, GaussianRational
 
 
@@ -143,7 +143,7 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         q_exps = tuple(a - b for a, b in zip(r_exps, g_exps))
         if any(k < 0 for k in q_exps):
             raise ValueError("inexact polynomial division")
-        q_term = _poly(f.vars, {q_exps: r_coeff / g_coeff})
+        q_term = MultiPoly(f.vars, {q_exps: r_coeff / g_coeff})
         q_terms.append(q_term)
         rem = rem - q_term * g
     return poly_sum(f.vars, q_terms)
@@ -162,12 +162,9 @@ def lowest_terms(rf: RationalFunction) -> RationalFunction:
     used = rf.den.used_vars()
     if len(used) != 1:
         return rf
-    x = rf.vars.index(used[0])
-    den = _dense((e[x], c) for e, c in rf.den.terms.items())
-    grouped: Dict[Exponents, list] = {}
-    for e, c in rf.num.terms.items():
-        grouped.setdefault(e[:x] + (0,) + e[x + 1:], []).append((e[x], c))
-    parts = {rest: _dense(part) for rest, part in grouped.items()}
+    x = used[0]
+    (origin, den), = rf.den.coefficient_lists(x).items()
+    parts = rf.num.coefficient_lists(x)
     g = den
     for part in parts.values():
         a, b = part, g
@@ -177,22 +174,10 @@ def lowest_terms(rf: RationalFunction) -> RationalFunction:
         if len(g) == 1:
             return rf
     g = _monic(g)
-    num_terms = {rest[:x] + (k,) + rest[x + 1:]: c
-                 for rest, part in parts.items() for k, c in enumerate(_udivmod(part, g)[0]) if c}
-    origin = (0,) * len(rf.vars)
-    den_terms = {origin[:x] + (k,) + origin[x + 1:]: c
-                 for k, c in enumerate(_udivmod(den, g)[0]) if c}
-    return RationalFunction(_poly(rf.vars, num_terms), _poly(rf.vars, den_terms))
-
-
-def _dense(terms: Iterable[Tuple[int, GaussianRational]]) -> List[GaussianRational]:
-    """The coefficient list, lowest degree first, of the univariate
-    polynomial with these (exponent, nonzero coefficient) terms."""
-    terms = list(terms)
-    out = [ZERO] * (max(k for k, _ in terms) + 1)
-    for k, c in terms:
-        out[k] = c
-    return out
+    num = {rest: _udivmod(part, g)[0] for rest, part in parts.items()}
+    return RationalFunction(MultiPoly.from_coefficient_lists(rf.vars, x, num),
+                            MultiPoly.from_coefficient_lists(rf.vars, x,
+                                                             {origin: _udivmod(den, g)[0]}))
 
 
 def _monic(a: List[GaussianRational]) -> List[GaussianRational]:

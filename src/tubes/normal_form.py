@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
 from .linalg import invert_gaussian_matrix, lowest_terms
-from .poly import (MultiPoly, Powers, RationalFunction, _poly, conjugation_pairing,
+from .poly import (Exponents, MultiPoly, Powers, RationalFunction, conjugation_pairing,
                    denominator_lcm, poly_sum, series_expand, substitute)
 from .relations import RelationContext
 from .scalars import I, ZERO, GaussianRational
@@ -171,17 +171,29 @@ def defining_series(surface: GraphSurface, cutoff: int,
 
     All expansions share one inverse of den (one series_expand call): a
     bumped expansion is the graph's plus that of bump/den, which is exact
-    because the expansion is linear in the numerator. The vanishing of
-    each constant part is verified. Reality of the split is a reported
+    because the expansion is linear in the numerator. So are its parts:
+    only the parts of bump/den are split, and each is added to a copy of
+    the graph's parts, a part that cancels being dropped. The vanishing
+    of each constant part is verified. Reality of the split is a reported
     check (BidegreeSeries.verify_reality), not a precondition."""
     if surface.im_part is None:
         raise ValueError("defining_series expects the normal-form graph pattern")
     g = surface.im_part
     expansion, *deltas = series_expand([g.num, *bumps], g.den, cutoff)
+    graph_parts = expansion.bidegree_split(surface.holo_vars, surface.anti_vars)
+    all_parts = [graph_parts]
+    for delta in deltas:
+        parts = dict(graph_parts)
+        for key, part in delta.bidegree_split(surface.holo_vars, surface.anti_vars).items():
+            total = parts[key] + part if key in parts else part
+            if total:
+                parts[key] = total
+            else:
+                del parts[key]
+        all_parts.append(parts)
     out = []
-    for total in [expansion] + [expansion + d for d in deltas]:
-        parts = total.bidegree_split(surface.holo_vars, surface.anti_vars)
-        series = BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, dict(parts))
+    for parts in all_parts:
+        series = BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, parts)
         if not series.part(0, 0).is_zero():
             raise ValueError("defining function does not vanish at the origin")
         out.append(series)
@@ -308,9 +320,10 @@ def surface_map_series_residual(source: GraphSurface, target: MultiPoly,
                                                             source.im_part.den, cutoff)[0]),
                              source.name + f".series{cutoff}")
     _, residual = verify_surface_map(truncated, target, target_holo, target_anti, phi)
-    graded = [v in source.holo_vars or v in source.anti_vars for v in residual.vars]
-    return _poly(residual.vars, {exps: coeff for exps, coeff in residual.terms.items()
-                                 if sum(e for e, g in zip(exps, graded) if g) <= cutoff})
+    graded = source.holo_vars + source.anti_vars
+    rest = [v for v in residual.vars if v not in graded]
+    return poly_sum(residual.vars, [part for (k, _), part in
+                                    residual.bidegree_split(graded, rest).items() if k <= cutoff])
 
 
 def map_at_origin(phi: Mapping[str, RationalFunction],
@@ -437,7 +450,7 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
     rho = surface.with_vars(universe)
     lead_exps, lead_coeff = rho.leading()
 
-    multiplier: Dict[Tuple[int, ...], GaussianRational] = {}
+    multiplier: Dict[Exponents, GaussianRational] = {}
     groups = image.split_by_vars(list(fam.params))
     ok = True
     residual: Optional[MultiPoly] = None
@@ -456,7 +469,7 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
         fixes = all(fam.relations.reduce_poly(comp.specialize(point))
                     == MultiPoly.const(fam.params, x)
                     for comp, x in zip(fam.components, fixed_point))
-    return InvarianceResult(ok, _poly(fam.params, multiplier) if ok else None, fixes, residual)
+    return InvarianceResult(ok, MultiPoly(fam.params, multiplier) if ok else None, fixes, residual)
 
 
 @dataclass(frozen=True)

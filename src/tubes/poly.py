@@ -1,11 +1,23 @@
 """Sparse exact multivariate polynomials and rational functions.
 
-A polynomial stores an ordered variable tuple and a dict mapping
-exponent tuples to nonzero GaussianRational coefficients. Binary
-operations insist that the variable tuples match exactly; the package
-juggles several coordinate systems (x, z, w and their conjugates) and
-silent mixing would be a correctness hazard. Canonical term order is
-graded lexicographic with respect to the variable order.
+A polynomial stores an ordered variable tuple and a dict mapping term
+keys to nonzero GaussianRational coefficients. Binary operations insist
+that the variable tuples match exactly; the package juggles several
+coordinate systems (x, z, w and their conjugates) and silent mixing would
+be a correctness hazard.
+
+A term key packs the exponents of a monomial into one int (Monagan &
+Pearce, CASC 2007): over n variables, the exponent of variable i is the
+byte at bit 8 * (n - 1 - i), so variable 0 is the most significant, and
+the total degree is the byte at bit 8 * n above them. The constant
+monomial is key 0, a product of monomials is the sum of their keys, and
+the int order of keys is graded lexicographic order with respect to the
+variable order, the canonical term order. A byte holds at most 255, so
+no polynomial has a term of total degree above 255 (MAX_DEGREE): the
+constructor refuses one and a product that could reach one raises
+OverflowError before it starts, so a field never carries into the next.
+Exponent tuples appear only at the public edges: the constructor,
+`coeff`, `sorted_terms` and `leading`.
 
 Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
@@ -19,32 +31,49 @@ cross-multiplication; no multivariate gcd is ever computed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, GaussianRational, ScalarLike, _canon, _gr
 
+# an exponent tuple, as the public edges take and give monomials
 Exponents = Tuple[int, ...]
+# the largest total degree a term key holds
+MAX_DEGREE = 255
 
 
 class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Optional[Mapping[Exponents, ScalarLike]] = None):
+        """The polynomial over `variables` with these terms, keyed by
+        exponent tuples. Raises ValueError for an exponent tuple of the
+        wrong width or with an entry that is not a nonnegative int, and
+        OverflowError for a term of total degree above MAX_DEGREE."""
         self.vars: Tuple[str, ...] = _distinct(variables)
-        clean: Dict[Exponents, GaussianRational] = {}
+        clean: Dict[int, GaussianRational] = {}
         if terms:
             width = len(self.vars)
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != width:
                     raise ValueError(f"exponent vector {exps} does not match variables {self.vars}")
-                if not all(type(k) is int and k >= 0 for k in exps):
+                if list(map(type, exps)).count(int) != width:
                     raise ValueError(f"exponents must be nonnegative ints, got {exps}")
+                try:
+                    fields = bytes(exps)
+                except ValueError:  # an exponent below 0 or above 255
+                    if min(exps) < 0:
+                        raise ValueError(
+                            f"exponents must be nonnegative ints, got {exps}") from None
+                degree = sum(exps)
+                if degree > MAX_DEGREE:
+                    raise OverflowError(f"total degree {degree} of the term {exps} exceeds "
+                                        f"{MAX_DEGREE}, the most a term key holds")
                 c = GaussianRational.coerce(coeff)
                 if c:
-                    clean[exps] = c
+                    clean[degree << 8 * width | int.from_bytes(fields, "big")] = c
         self.terms = clean
 
     # ---------------------------------------------------------------- basics
@@ -57,14 +86,15 @@ class MultiPoly:
     def const(variables: Sequence[str], value: ScalarLike) -> "MultiPoly":
         v = tuple(variables)
         c = GaussianRational.coerce(value)
-        return _poly(v, {(0,) * len(v): c} if c else {})
+        return _poly(v, {0: c} if c else {})
 
     @staticmethod
     def var(variables: Sequence[str], name: str) -> "MultiPoly":
         v = tuple(variables)
         if name not in v:
             raise ValueError(f"variable {name!r} not among {v}")
-        return _poly(v, {tuple(1 if n == name else 0 for n in v): ONE})
+        n = len(v)
+        return _poly(v, {(1 << 8 * n) + (1 << 8 * (n - 1 - v.index(name))): ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,36 +169,117 @@ class MultiPoly:
     # ------------------------------------------------------------- structure
 
     def used_vars(self) -> Tuple[str, ...]:
-        used = [False] * len(self.vars)
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.vars, used) if u)
+        # a field of the OR of all keys is nonzero where some key's is
+        seen = 0
+        for k in self.terms:
+            seen |= k
+        n = len(self.vars)
+        return tuple(v for v, x in zip(self.vars, seen.to_bytes(n + 1, "big")[1:]) if x)
+
+    def degree(self, name: Optional[str] = None) -> int:
+        """The total degree of self, or its degree in the variable `name`;
+        0 for the zero polynomial."""
+        if not self.terms:
+            return 0
+        n = len(self.vars)
+        if name is None:
+            return max(self.terms) >> 8 * n
+        shift = 8 * (n - 1 - self.vars.index(name))
+        return max(k >> shift & 255 for k in self.terms)
+
+    def is_real(self) -> bool:
+        """Whether every coefficient is real."""
+        return all(c.is_real() for c in self.terms.values())
 
     def coeff(self, exps: Exponents) -> GaussianRational:
-        return self.terms.get(tuple(exps), ZERO)
+        exps = tuple(exps)
+        if len(exps) != len(self.vars):
+            return ZERO
+        try:
+            key = int.from_bytes(bytes((sum(exps), *exps)), "big")
+        except ValueError:  # no term key holds this monomial
+            return ZERO
+        return self.terms.get(key, ZERO)
 
     def const_coeff(self) -> GaussianRational:
-        return self.terms.get((0,) * len(self.vars), ZERO)
+        return self.terms.get(0, ZERO)
 
-    def sorted_terms(self):
+    def sorted_terms(self) -> List[Tuple[Exponents, GaussianRational]]:
         """Terms in graded-lexicographic order, highest first."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        n = len(self.vars)
+        return [(tuple(k.to_bytes(n + 1, "big")[1:]), c)
+                for k, c in sorted(self.terms.items(), reverse=True)]
 
     def leading(self) -> Tuple[Exponents, GaussianRational]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=lambda e: (sum(e), e))
-        return exps, self.terms[exps]
+        k = max(self.terms)
+        return tuple(k.to_bytes(len(self.vars) + 1, "big")[1:]), self.terms[k]
+
+    def lone_linear_terms(self) -> Dict[str, GaussianRational]:
+        """{v: c} for each variable v that occurs in one term of self only,
+        that term being c * v."""
+        n = len(self.vars)
+        fields = (1 << 8 * n) - 1
+        lows = int.from_bytes(b"\x01" * n, "big")
+        seen = repeated = 0
+        linear = {}
+        for k, c in self.terms.items():
+            x = k & fields
+            if k >> 8 * n == 1:
+                # one field holds 1: x is the low bit of its byte
+                linear[x] = c
+            # the low bit of each byte, set where the byte is nonzero
+            x |= x >> 4
+            x |= x >> 2
+            x |= x >> 1
+            x &= lows
+            repeated |= seen & x
+            seen |= x
+        return {self.vars[n - 1 - (x.bit_length() - 1) // 8]: c
+                for x, c in linear.items() if not x & repeated}
+
+    def coefficient_lists(self, name: str) -> Dict[int, List[GaussianRational]]:
+        """self as a polynomial in `name` over the other variables: for each
+        monomial m in the other variables, under a key that only
+        `from_coefficient_lists` reads, the coefficients of m * name**k,
+        lowest k first, with ZERO for an absent k and a nonzero last."""
+        shift = 8 * (len(self.vars) - 1 - self.vars.index(name))
+        unit = (1 << 8 * len(self.vars)) + (1 << shift)
+        grouped: Dict[int, Dict[int, GaussianRational]] = {}
+        for k, c in self.terms.items():
+            e = k >> shift & 255
+            grouped.setdefault(k - e * unit, {})[e] = c
+        lists = {}
+        for rest, part in grouped.items():
+            out = [ZERO] * (max(part) + 1)
+            for e, c in part.items():
+                out[e] = c
+            lists[rest] = out
+        return lists
+
+    @staticmethod
+    def from_coefficient_lists(variables: Sequence[str], name: str,
+                               lists: Mapping[int, Sequence[GaussianRational]]) -> "MultiPoly":
+        """The polynomial over `variables` with the coefficient lists in
+        `name` that coefficient_lists gives; zero entries are skipped."""
+        v = tuple(variables)
+        unit = variable_keys(v)[v.index(name)]
+        return _poly(v, {rest + e * unit: c for rest, part in lists.items()
+                         for e, c in enumerate(part) if c})
 
     # ------------------------------------------------------------- calculus
 
     def diff(self, name: str) -> "MultiPoly":
-        idx = self.vars.index(name)
-        # distinct exponents stay distinct, so no two terms meet
-        return _poly(self.vars, {e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
-                                 for e, c in self.terms.items() if e[idx]})
+        shift = 8 * (len(self.vars) - 1 - self.vars.index(name))
+        unit = (1 << 8 * len(self.vars)) + (1 << shift)
+        # distinct keys stay distinct, so no two terms meet
+        terms = {}
+        for k, c in self.terms.items():
+            e = k >> shift & 255
+            if e:
+                terms[k - unit] = c * e
+        return _poly(self.vars, terms)
 
     # ------------------------------------------------------- transformations
 
@@ -178,21 +289,17 @@ class MultiPoly:
         if newvars == self.vars:
             return self
         _distinct(newvars)
-        pos = {}
-        for i, v in enumerate(self.vars):
-            if v in newvars:
-                pos[i] = newvars.index(v)
-        width = len(newvars)
-        terms: Dict[Exponents, GaussianRational] = {}
-        for e, c in self.terms.items():
-            ne = [0] * width
-            for i, k in enumerate(e):
-                if k:
-                    if i not in pos:
-                        raise ValueError(
-                            f"variable {self.vars[i]!r} is used but absent from {newvars}")
-                    ne[pos[i]] = k
-            terms[tuple(ne)] = c
+        for v in self.used_vars():
+            if v not in newvars:
+                raise ValueError(f"variable {v!r} is used but absent from {newvars}")
+        n, m = len(self.vars), len(newvars)
+        runs = _moves(self.vars, newvars)
+        terms: Dict[int, GaussianRational] = {}
+        for k, c in self.terms.items():
+            key = k >> 8 * n << 8 * m
+            for shift, mask, to in runs:
+                key |= (k >> shift & mask) << to
+            terms[key] = c
         return _poly(newvars, terms)
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
@@ -211,7 +318,8 @@ class MultiPoly:
         if len(mapping) == 1:
             (name, value), = mapping.items()
             if value.vars == self.vars and name in self.vars:
-                return _poly(self.vars, _subs_one(self.terms, self.vars.index(name), value))
+                return _poly(self.vars, _subs_one(self.terms, len(self.vars),
+                                                     self.vars.index(name), value))
         target: Optional[Tuple[str, ...]] = None
         for value in mapping.values():
             if target is None:
@@ -234,19 +342,30 @@ class MultiPoly:
         """Set the variables named in `values` to those constants; the
         result lives over the remaining variables, in order. Names that
         are not variables of self are ignored."""
-        fixed = [(i, GaussianRational.coerce(values[v]))
+        n = len(self.vars)
+        # each fixed variable's field shift and the powers of its value
+        fixed = [(8 * (n - 1 - i), [ONE, GaussianRational.coerce(values[v])])
                  for i, v in enumerate(self.vars) if v in values]
-        keep = [i for i, v in enumerate(self.vars) if v not in values]
-        acc: Dict[Exponents, GaussianRational] = {}
-        for e, c in self.terms.items():
-            for i, x in fixed:
-                if e[i]:
-                    c = c * x ** e[i]
+        rest = tuple(v for v in self.vars if v not in values)
+        m = len(rest)
+        runs = _moves(self.vars, rest)
+        acc: Dict[int, GaussianRational] = {}
+        for k, c in self.terms.items():
+            degree = k >> 8 * n
+            for shift, pows in fixed:
+                e = k >> shift & 255
+                if e:
+                    while len(pows) <= e:
+                        pows.append(pows[-1] * pows[1])
+                    c = c * pows[e]
+                    degree -= e
             if c:
-                key = tuple([e[i] for i in keep])
+                key = degree << 8 * m
+                for shift, mask, to in runs:
+                    key |= (k >> shift & mask) << to
                 s = acc.get(key)
                 acc[key] = c if s is None else s + c
-        return _poly(tuple(self.vars[i] for i in keep), {e: c for e, c in acc.items() if c})
+        return _poly(rest, {k: c for k, c in acc.items() if c})
 
     def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
         rest = self.specialize(point)
@@ -256,7 +375,9 @@ class MultiPoly:
         return rest.const_coeff()
 
     def truncate(self, cutoff: int) -> "MultiPoly":
-        return _poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) <= cutoff})
+        # total degree <= cutoff exactly when the key is below this one
+        limit = cutoff + 1 << 8 * len(self.vars)
+        return _poly(self.vars, {k: c for k, c in self.terms.items() if k < limit})
 
     # ----------------------------------------------------- conjugation, split
 
@@ -270,23 +391,22 @@ class MultiPoly:
         for a, b in pairing.items():
             if pairing.get(b) != a:
                 raise ValueError(f"pairing is not an involution at {a!r}")
-        index = {v: i for i, v in enumerate(self.vars)}
-        swap = list(range(len(self.vars)))
-        for i, v in enumerate(self.vars):
-            if v in pairing:
-                w = pairing[v]
-                if w not in index:
-                    raise ValueError(f"conjugate variable {w!r} absent from {self.vars}")
-                swap[i] = index[w]
+        for v in self.vars:
+            if v in pairing and pairing[v] not in self.vars:
+                raise ValueError(f"conjugate variable {pairing[v]!r} absent from {self.vars}")
         unpaired = [v for v in self.used_vars() if v not in pairing]
         if unpaired:
             raise ValueError(f"unpaired variables in conjugation: {unpaired}")
-        terms: Dict[Exponents, GaussianRational] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(e)
-            for i, k in enumerate(e):
-                ne[swap[i]] += k
-            terms[tuple(ne)] = c.conjugate()
+        n = len(self.vars)
+        # the pairing is an involution, so each variable moves to the
+        # position of its partner
+        runs = _moves(self.vars, tuple(pairing.get(v, v) for v in self.vars))
+        terms: Dict[int, GaussianRational] = {}
+        for k, c in self.terms.items():
+            key = k >> 8 * n << 8 * n
+            for shift, mask, to in runs:
+                key |= (k >> shift & mask) << to
+            terms[key] = c.conjugate()
         return _poly(self.vars, terms)
 
     def bidegree_split(self, holo_vars: Sequence[str], anti_vars: Sequence[str]):
@@ -298,25 +418,37 @@ class MultiPoly:
         unknown = [v for v in self.vars if v not in holo and v not in anti]
         if unknown:
             raise ValueError(f"unclassified variables in bidegree split: {unknown}")
-        hmask = [v in holo for v in self.vars]
-        parts: Dict[Tuple[int, int], Dict[Exponents, GaussianRational]] = {}
-        for e, c in self.terms.items():
-            k = sum(x for x, h in zip(e, hmask) if h)
-            parts.setdefault((k, sum(e) - k), {})[e] = c
+        n = len(self.vars)
+        hmask = _field_mask(n, [i for i, v in enumerate(self.vars) if v in holo])
+        # times 0x0101...01, the byte at 8 * (n - 1) sums the bytes below
+        # it; no partial sum exceeds the total degree, so none carries
+        lows = int.from_bytes(b"\x01" * n, "big")
+        at = 8 * max(n - 1, 0)
+        parts: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
+        for k, c in self.terms.items():
+            h = (k & hmask) * lows >> at & 255
+            parts.setdefault((h, (k >> 8 * n) - h), {})[k] = c
         return {key: _poly(self.vars, terms) for key, terms in parts.items()}
 
     def split_by_vars(self, group: Sequence[str]):
         """Group terms by their exponents in `group`; values are polynomials
-        in the full universe with those exponents stripped to zero."""
+        in the full universe with those exponents stripped to zero, keyed
+        by the exponent tuples in `group`."""
+        n = len(self.vars)
         idxs = [self.vars.index(v) for v in group]
-        parts: Dict[Exponents, Dict[Exponents, GaussianRational]] = {}
-        for e, c in self.terms.items():
-            rest = list(e)
-            for i in idxs:
-                rest[i] = 0
-            # the key and the stripped exponents together give back e
-            parts.setdefault(tuple(e[i] for i in idxs), {})[tuple(rest)] = c
-        return {key: _poly(self.vars, terms) for key, terms in parts.items()}
+        gmask = _field_mask(n, idxs)
+        # under the group's fields of a key: (their exponent tuple, their
+        # key as a monomial, the stripped terms)
+        parts: Dict[int, Tuple[Exponents, int, Dict[int, GaussianRational]]] = {}
+        for k, c in self.terms.items():
+            g = k & gmask
+            part = parts.get(g)
+            if part is None:
+                fields = g.to_bytes(n, "big")
+                part = parts[g] = (tuple(fields[i] for i in idxs), g + (sum(fields) << 8 * n), {})
+            # the key and the stripped exponents together give back k
+            part[2][k - part[1]] = c
+        return {key: _poly(self.vars, terms) for key, _, terms in parts.values()}
 
     # ---------------------------------------------------------------- output
 
@@ -359,9 +491,9 @@ class Powers:
         return pows[k]
 
 
-def _poly(variables: Tuple[str, ...], terms: Dict[Exponents, GaussianRational]) -> MultiPoly:
-    """Trusted constructor: takes over `terms`, whose exponent tuples must
-    match `variables` in width and whose coefficients must be nonzero
+def _poly(variables: Tuple[str, ...], terms: Dict[int, GaussianRational]) -> MultiPoly:
+    """Trusted constructor: takes over `terms`, whose keys must be term
+    keys over `variables` and whose coefficients must be nonzero
     GaussianRationals, without checking either."""
     p = object.__new__(MultiPoly)
     p.vars = variables
@@ -376,8 +508,64 @@ def _distinct(variables: Iterable[str]) -> Tuple[str, ...]:
     return names
 
 
-def _add_into(acc: Dict[Exponents, GaussianRational],
-              terms: Mapping[Exponents, GaussianRational]) -> Dict[Exponents, GaussianRational]:
+def variable_keys(variables: Sequence[str]) -> List[int]:
+    """The term key of each variable of `variables` as a monomial; the key
+    of a product of variables is the sum of theirs."""
+    n = len(variables)
+    return [(1 << 8 * n) + (1 << 8 * (n - 1 - i)) for i in range(n)]
+
+
+def _field_mask(width: int, idxs: Iterable[int]) -> int:
+    """The bits of the exponent fields of the variables idxs in a term key
+    over width variables."""
+    return sum(255 << 8 * (width - 1 - i) for i in idxs)
+
+
+@lru_cache(maxsize=256)
+def _moves(src: Tuple[str, ...], dst: Tuple[str, ...]) -> Tuple[Tuple[int, int, int], ...]:
+    """How to move the exponent fields of a key over the variables src
+    into a key over dst, each variable to the position of its name in dst
+    and dropped when dst lacks it: a (shift, mask, to) triple per maximal
+    run of variables that land on consecutive positions, the run's fields
+    being key >> shift & mask, moved << to."""
+    position = {v: j for j, v in enumerate(dst)}
+    targets = [position.get(v) for v in src]
+    n, width = len(src), len(dst)
+    runs = []
+    i = 0
+    while i < n:
+        to = targets[i]
+        j = i + 1
+        if to is not None:
+            while j < n and targets[j] is not None and targets[j] == to + j - i:
+                j += 1
+            runs.append((8 * (n - j), (1 << 8 * (j - i)) - 1, 8 * (width - to - (j - i))))
+        i = j
+    return tuple(runs)
+
+
+def coefficient_columns(columns: Sequence[Sequence[MultiPoly]]) -> List[List[GaussianRational]]:
+    """The coordinates of each column, a sequence of polynomials, over the
+    monomials the columns use: one coordinate per (position in the column,
+    monomial) that occurs in any of them, in first-seen order, ZERO where
+    the column has no such term."""
+    support: Dict[Tuple[int, int], int] = {}
+    for column in columns:
+        for i, p in enumerate(column):
+            for k in p.terms:
+                support.setdefault((i, k), len(support))
+    out = []
+    for column in columns:
+        coords = [ZERO] * len(support)
+        for i, p in enumerate(column):
+            for k, c in p.terms.items():
+                coords[support[(i, k)]] = c
+        out.append(coords)
+    return out
+
+
+def _add_into(acc: Dict[int, GaussianRational],
+              terms: Mapping[int, GaussianRational]) -> Dict[int, GaussianRational]:
     """Add terms into the dict acc in place, dropping sums that cancel;
     returns acc."""
     for e, c in terms.items():
@@ -396,7 +584,7 @@ def _add_into(acc: Dict[Exponents, GaussianRational],
 def poly_sum(variables: Sequence[str], polys: Iterable[MultiPoly]) -> MultiPoly:
     """The sum of polys, all over `variables`, accumulated in one dict."""
     v = tuple(variables)
-    acc: Dict[Exponents, GaussianRational] = {}
+    acc: Dict[int, GaussianRational] = {}
     for p in polys:
         if p.vars != v:
             raise ValueError(f"variable mismatch: {v} vs {p.vars}")
@@ -428,41 +616,43 @@ def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
     first: its powers multiply once per distinct exponent, and the
     variables split later, whose powers multiply once per part, have the
     smaller images."""
-    width = len(target)
-    kept = [(i, t) for i, t in enumerate(images) if isinstance(t, int)]
+    n = len(p.vars)
+    units = variable_keys(target)
+    # each kept variable's byte in a key of p and its key in target
+    kept = [(i + 1, units[t]) for i, t in enumerate(images) if isinstance(t, int)]
     mapped = [i for i, t in enumerate(images) if not isinstance(t, int)]
     mapped.sort(key=lambda i: -_image_size(images[i]))  # stable: ties keep index order
-    origin = (0,) * width
-    groups: Dict[Exponents, Dict[Exponents, GaussianRational]] = {}
-    for e, c in p.terms.items():
-        rest = origin
-        if kept:
-            moved = [0] * width
-            for i, t in kept:
-                moved[t] = e[i]
-            rest = tuple(moved)
-        # the key and the moved exponents together give back e, so no two
+    places = [i + 1 for i in mapped]
+    groups: Dict[Exponents, Dict[int, GaussianRational]] = {}
+    for k, c in p.terms.items():
+        fields = k.to_bytes(n + 1, "big")
+        rest = 0
+        for at, unit in kept:
+            rest += fields[at] * unit
+        # the key and the moved exponents together give back k, so no two
         # terms of p share a slot
-        groups.setdefault(tuple([e[i] for i in mapped]), {})[rest] = c
+        groups.setdefault(tuple([fields[at] for at in places]), {})[rest] = c
     if not mapped:
         return _poly(target, groups.get((), {}))
     return _poly(target, _horner(target, [images[i] for i in mapped], 0, groups, groups))
 
 
-def _subs_one(terms: Mapping[Exponents, GaussianRational], idx: int,
-              value: MultiPoly) -> Dict[Exponents, GaussianRational]:
-    """The terms of the polynomial `terms` with variable idx replaced by
-    `value`, which lives over the same variables: the sum over the
-    exponents k of idx of (the terms with exponent k, that exponent set
-    to 0) * value**k, one product per distinct k."""
-    groups: Dict[int, Dict[Exponents, GaussianRational]] = {}
-    for e, c in terms.items():
-        k = e[idx]
-        groups.setdefault(k, {})[e[:idx] + (0,) + e[idx + 1:] if k else e] = c
+def _subs_one(terms: Mapping[int, GaussianRational], width: int, idx: int,
+              value: MultiPoly) -> Dict[int, GaussianRational]:
+    """The terms of the polynomial `terms` over `width` variables with
+    variable idx replaced by `value`, which lives over the same variables:
+    the sum over the exponents e of idx of (the terms with exponent e, that
+    exponent set to 0) * value**e, one product per distinct e."""
+    shift = 8 * (width - 1 - idx)
+    unit = (1 << 8 * width) + (1 << shift)
+    groups: Dict[int, Dict[int, GaussianRational]] = {}
+    for k, c in terms.items():
+        e = k >> shift & 255
+        groups.setdefault(e, {})[k - e * unit] = c
     pows = Powers(value)
-    acc: Dict[Exponents, GaussianRational] = {}
-    for k, part in groups.items():
-        _add_into(acc, _product(part, pows[k].terms, None) if k else part)
+    acc: Dict[int, GaussianRational] = {}
+    for e, part in groups.items():
+        _add_into(acc, _product(part, pows[e].terms, None) if e else part)
     return acc
 
 
@@ -472,8 +662,8 @@ def _image_size(image) -> int:
 
 
 def _horner(target: Tuple[str, ...], chains, level: int,
-            groups: Dict[Exponents, Dict[Exponents, GaussianRational]],
-            keys: Iterable[Exponents]) -> Dict[Exponents, GaussianRational]:
+            groups: Dict[Exponents, Dict[int, GaussianRational]],
+            keys: Iterable[Exponents]) -> Dict[int, GaussianRational]:
     """The terms of _compose over chains[level:] for the groups of p under
     `keys`, which agree before `level`. A module-level function, not a
     closure, so a call leaves no reference cycle holding the Powers caches."""
@@ -487,7 +677,7 @@ def _horner(target: Tuple[str, ...], chains, level: int,
             split.setdefault(key[level], []).append(key)
         parts = ((k, _horner(target, chains, level + 1, groups, part))
                  for k, part in split.items())
-    acc: Dict[Exponents, GaussianRational] = {}
+    acc: Dict[int, GaussianRational] = {}
     for k, terms in parts:
         term = _poly(target, terms)
         if k:
@@ -518,45 +708,67 @@ def merge_vars(*groups: Iterable[str]) -> Tuple[str, ...]:
 def mul_trunc(a: MultiPoly, b: MultiPoly, cutoff: int) -> MultiPoly:
     """Product truncated to total degree <= cutoff."""
     a._check_same_vars(b)
-    return _poly(a.vars, _product(a.terms, b.terms, cutoff))
+    # total degree <= cutoff exactly when the key is below this one
+    return _poly(a.vars, _product(a.terms, b.terms, cutoff + 1 << 8 * len(a.vars)))
 
 
-def _product(a_terms: Mapping[Exponents, GaussianRational],
-             b_terms: Mapping[Exponents, GaussianRational],
-             cutoff: Optional[int]) -> Dict[Exponents, GaussianRational]:
-    """Terms of the product of two term dicts, keeping total degree <=
-    cutoff (all terms when cutoff is None).
+def _top_byte(key: int) -> int:
+    """The total degree of a term key: its top nonzero byte, or 0."""
+    return key >> (key.bit_length() - 1 & ~7) if key else 0
 
-    Each coefficient's (re, im) parts are read once and every term pair
-    is multiplied and summed in plain int/Fraction arithmetic; a real
-    pair skips the imaginary products. One GaussianRational is built per
-    nonzero output term, in first-seen order.
+
+def _product(a_terms: Mapping[int, GaussianRational],
+             b_terms: Mapping[int, GaussianRational],
+             limit: Optional[int]) -> Dict[int, GaussianRational]:
+    """Terms of the product of two term dicts, keeping the keys below
+    limit (all terms when limit is None).
+
+    Raises OverflowError before it starts when the degrees of the two
+    highest keys sum above MAX_DEGREE, even if a limit would drop every
+    term of that degree; below the bound, the key of a product of two
+    terms is the sum of their keys. A factor that is one term with
+    coefficient 1 only shifts the keys of the other, whose coefficients
+    are kept. Otherwise each coefficient's (re, im) parts are read once
+    and every term pair is multiplied and summed in plain int/Fraction
+    arithmetic; a real pair skips the imaginary products. One
+    GaussianRational is built per nonzero output term, in first-seen
+    order.
     """
-    b_items = [(e, c.re, c.im) for e, c in b_terms.items()]
-    if cutoff is not None:
-        b_degrees = [sum(e) for e in b_terms]
-    acc: Dict[Exponents, list] = {}
-    for e1, c1 in a_terms.items():
+    if not a_terms or not b_terms:
+        return {}
+    da, db = _top_byte(max(a_terms)), _top_byte(max(b_terms))
+    if da + db > MAX_DEGREE:
+        raise OverflowError(f"polynomial product: total degree {da} + {db} exceeds "
+                            f"{MAX_DEGREE}, the most a term key holds")
+    for mono, other in ((b_terms, a_terms), (a_terms, b_terms)):
+        if len(mono) == 1:
+            (shift, unit), = mono.items()
+            if unit == ONE:
+                return {k + shift: c for k, c in other.items()
+                        if limit is None or k + shift < limit}
+    b_items = [(k, c.re, c.im) for k, c in b_terms.items()]
+    acc: Dict[int, list] = {}
+    for k1, c1 in a_terms.items():
         row = b_items
-        if cutoff is not None:
-            room = cutoff - sum(e1)
-            row = [t for t, d in zip(b_items, b_degrees) if d <= room]
+        if limit is not None:
+            room = limit - k1
+            row = [t for t in b_items if t[0] < room]
         r1, i1 = c1.re, c1.im
-        for e2, r2, i2 in row:
-            e = tuple(map(add, e1, e2))
+        for k2, r2, i2 in row:
+            k = k1 + k2
             if i1 or i2:
                 re = r1 * r2 - i1 * i2
                 im = r1 * i2 + i1 * r2
             else:
                 re = r1 * r2
                 im = 0
-            s = acc.get(e)
+            s = acc.get(k)
             if s is None:
-                acc[e] = [re, im]
+                acc[k] = [re, im]
             else:
                 s[0] += re
                 s[1] += im
-    return {e: _gr(_canon(re), _canon(im)) for e, (re, im) in acc.items() if re or im}
+    return {k: _gr(_canon(re), _canon(im)) for k, (re, im) in acc.items() if re or im}
 
 
 class RationalFunction:
@@ -665,7 +877,7 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
             value = RationalFunction.from_scalar(target, value)
         elif not isinstance(value, RationalFunction):
             raise TypeError(f"assignment for {v!r} is not a rational function")
-        top = max(e[i] for e in q.terms)
+        top = q.degree(v)
         den_pows = Powers(value.den)
         images.append((Powers(value.num), den_pows, top))
         den_total = den_total * den_pows[top]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from .poly import MultiPoly, Powers, _add_into, _poly, poly_sum
+from .poly import MultiPoly, Powers, poly_sum
 
 
 @dataclass(frozen=True)
@@ -43,30 +43,29 @@ class RelationContext:
     def reduce_poly(self, p: MultiPoly) -> MultiPoly:
         out = p
         for sym, d in self.radicals:
-            if sym not in out.vars:
+            if sym not in out.vars or out.degree(sym) < 2:
                 continue
-            idx = out.vars.index(sym)
-            if all(e[idx] < 2 for e in out.terms):
-                continue
+            # s**k -> d**(k//2) * s**(k%2), one product per distinct k
             d_pows = Powers(d.with_vars(out.vars))
+            s = MultiPoly.var(out.vars, sym)
             parts = []
-            for e, c in out.terms.items():
-                half, rem = divmod(e[idx], 2)
-                parts.append(_poly(out.vars, {e[:idx] + (rem,) + e[idx + 1:]: c}) * d_pows[half])
+            for (k,), part in out.split_by_vars([sym]).items():
+                if k % 2:
+                    part = part * s
+                parts.append(part * d_pows[k // 2] if k > 1 else part)
             out = poly_sum(out.vars, parts)
         for c_name, cb_name in self.unit_pairs:
             if c_name not in out.vars or cb_name not in out.vars:
                 continue
-            i = out.vars.index(c_name)
-            j = out.vars.index(cb_name)
-            terms = {}
-            for e, c in out.terms.items():
-                m = min(e[i], e[j])
-                if m:
-                    e = list(e)
-                    e[i] -= m
-                    e[j] -= m
-                    e = tuple(e)
-                _add_into(terms, {e: c})
-            out = _poly(out.vars, terms)
+            # c**a * cbar**b -> c**(a-m) * cbar**(b-m), m = min(a, b)
+            c_pows = Powers(MultiPoly.var(out.vars, c_name))
+            cb_pows = Powers(MultiPoly.var(out.vars, cb_name))
+            parts = []
+            for (a, b), part in out.split_by_vars([c_name, cb_name]).items():
+                if a > b:
+                    part = part * c_pows[a - b]
+                elif b > a:
+                    part = part * cb_pows[b - a]
+                parts.append(part)
+            out = poly_sum(out.vars, parts)
         return out

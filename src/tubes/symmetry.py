@@ -20,7 +20,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
                      rank_at)
-from .poly import MultiPoly, RationalFunction, _poly, poly_sum, substitute
+from .poly import (MultiPoly, RationalFunction, _poly, coefficient_columns, poly_sum,
+                   substitute, variable_keys)
 from .relations import RelationContext
 from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _gr
 
@@ -45,7 +46,7 @@ class Hypersurface:
     def __post_init__(self):
         if len(self.basepoint) != len(self.defining.vars):
             raise ValueError("basepoint dimension does not match the surface variables")
-        if not all(c.is_real() for c in self.defining.terms.values()):
+        if not self.defining.is_real():
             raise ValueError(f"the defining polynomial {self.defining} is not real")
         value = self.defining.eval_at(dict(zip(self.defining.vars, self.basepoint)))
         if value:
@@ -193,18 +194,7 @@ def expand_in_fields(xs: Sequence[VectorField], basis: Sequence[VectorField]):
     basis and every x together, so a term of x that no basis field has
     leaves x outside the span."""
     fields = list(basis) + list(xs)
-    support: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    for f in fields:
-        for i, comp in enumerate(f.components):
-            for e in comp.terms:
-                support.setdefault((i, e), len(support))
-    columns = []
-    for f in fields:
-        col = [ZERO] * len(support)
-        for i, comp in enumerate(f.components):
-            for e, c in comp.terms.items():
-                col[support[(i, e)]] = c
-        columns.append(col)
+    columns = coefficient_columns([f.components for f in fields])
     n = len(fields) - len(xs)
     return [None if sol is None else tuple(sol)
             for sol in linalg.solve_columns(columns[:n], columns[n:])]
@@ -225,23 +215,18 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
     unknown_polys.extend(gradients)
     unknown_polys.append(-p)
 
-    support: Dict[Tuple[int, ...], int] = {}
-    for poly in unknown_polys:
-        for e in poly.terms:
-            support.setdefault(e, len(support))
-    matrix = [[ZERO] * len(unknown_polys) for _ in range(len(support))]
-    for col, poly in enumerate(unknown_polys):
-        for e, c in poly.terms.items():
-            if not c.is_real():
-                raise ValueError("affine symmetry solve expects a real defining polynomial")
-            matrix[support[e]][col] = c
+    if not p.is_real():
+        raise ValueError("affine symmetry solve expects a real defining polynomial")
+    # one row per monomial of the unknown polynomials, one column per unknown
+    matrix = [list(row) for row in zip(*coefficient_columns([(q,) for q in unknown_polys]))]
 
     kernel = linalg.kernel_basis(matrix)
-    # component i is vec[n*n + i] + sum_j vec[n*i + j] * x_j
-    exps = [(0,) * n] + [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    # component i is vec[n*n + i] + sum_j vec[n*i + j] * x_j, over int entries
+    keys = [0] + variable_keys(names)
     fields = []
     for vec in kernel:
-        comps = tuple(MultiPoly(names, dict(zip(exps, [vec[n * n + i]] + vec[n * i:n * i + n])))
+        comps = tuple(_poly(names, {k: _gr(c, 0) for k, c in
+                                    zip(keys, [vec[n * n + i]] + vec[n * i:n * i + n]) if c})
                       for i in range(n))
         fields.append(VectorField(tuple(names), comps))
     return LieAlgebraPresentation.from_fields(fields)
@@ -396,10 +381,10 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
     # each equation with a mark: True once _linear_pivot found no pivot in
     # it; an equation that elimination leaves untouched keeps its mark
     eqs = [(e, False) for e in _chart_system(algebra, pivots, tvars)]
-    origin = (0,) * len(tvars)
     solution: Dict[str, MultiPoly] = {}
     while eqs:
-        if any(len(e.terms) == 1 and origin in e.terms for e, _ in eqs):
+        # every equation is nonzero, so degree 0 means a nonzero constant
+        if any(e.degree() == 0 for e, _ in eqs):
             return ChartOutcome(pivots, "empty")
         pick = None
         for n, (e, stuck) in enumerate(eqs):
@@ -413,10 +398,9 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
         var, c = pick
         rest = e - MultiPoly.var(tvars, var) * c
         expr = rest * (ONE / c) * (-1)
-        idx = tvars.index(var)
 
         def eliminate(q: MultiPoly) -> MultiPoly:
-            return q.subs_poly({var: expr}) if any(x[idx] for x in q.terms) else q
+            return q.subs_poly({var: expr}) if q.degree(var) else q
 
         solution = {key: eliminate(value) for key, value in solution.items()}
         solution[var] = expr
@@ -469,23 +453,23 @@ def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
     coordinate of the bracket w of rows a < b is a sum of c_ij^k * u_i * v_j
     with every u_i, v_j equal to 1 or one variable, and each residual
     w_j - sum_q w_{p_q} * t_{q,j} has degree at most 3. A monomial is keyed
-    by the sorted tuple of its variables' indices in tvars, the
-    coefficients are summed as ints and Fractions, and one
-    GaussianRational is built per surviving term."""
+    by its term key over tvars, the sum of its variables' keys
+    (`poly.variable_keys`), the coefficients are summed as ints and
+    Fractions, and one GaussianRational is built per surviving term."""
     structure = algebra.nonzero_structure
     nonpivots = [j for j in range(algebra.dim) if j not in pivots]
     width = len(nonpivots)
+    units = variable_keys(tvars)
     # row a as (coordinate, key of its entry): 1 at the pivot, t_{a,j} at j
-    rows = [[(p, ())] + [(j, (a * width + col,)) for col, j in enumerate(nonpivots)]
+    rows = [[(p, 0)] + [(j, units[a * width + col]) for col, j in enumerate(nonpivots)]
             for a, p in enumerate(pivots)]
     eqs = []
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            w: List[Dict[Tuple[int, ...], Rational]] = [{} for _ in range(algebra.dim)]
+            w: List[Dict[int, Rational]] = [{} for _ in range(algebra.dim)]
             for i, ui in rows[a]:
                 srow = structure[i]
                 for j, vj in rows[b]:
-                    # a < b, so every index in ui is below every index in vj
                     key = ui + vj
                     for k, c in srow[j]:
                         wk = w[k]
@@ -493,18 +477,11 @@ def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
             for col, j in enumerate(nonpivots):
                 r = dict(w[j])
                 for q, p in enumerate(pivots):
-                    t = (q * width + col,)
+                    t = units[q * width + col]
                     for key, c in w[p].items():
                         if c:
-                            key = tuple(sorted(key + t))
-                            r[key] = r.get(key, 0) - c
-                terms = {}
-                for key, c in r.items():
-                    if c:
-                        e = [0] * len(tvars)
-                        for x in key:
-                            e[x] += 1
-                        terms[tuple(e)] = _gr(_canon(c), 0)
+                            r[key + t] = r.get(key + t, 0) - c
+                terms = {key: _gr(_canon(c), 0) for key, c in r.items() if c}
                 if terms:
                     eqs.append(_poly(tvars, terms))
     return eqs
@@ -513,15 +490,8 @@ def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
 def _linear_pivot(e: MultiPoly) -> Optional[Tuple[str, GaussianRational]]:
     """(var, c) for the smallest name var occurring in one term of e only,
     that term being c * var; None when there is none."""
-    seen, repeated, linear = set(), set(), {}
-    for exps, c in e.terms.items():
-        used = [i for i, x in enumerate(exps) if x]
-        repeated.update(seen.intersection(used))
-        seen.update(used)
-        if len(used) == 1 and exps[used[0]] == 1:
-            linear[used[0]] = c
-    return min(((e.vars[i], c) for i, c in linear.items() if i not in repeated),
-               key=lambda pick: pick[0], default=None)
+    # names are distinct, so min never compares two coefficients
+    return min(e.lone_linear_terms().items(), default=None)
 
 
 def chart_coordinates_of_subspace(rows: Sequence[Sequence[object]]):

@@ -153,8 +153,7 @@ def first_written_pivot(e: MultiPoly):
     sorted(e.used_vars()), the first variable of degree 1 in e whose
     derivative is a constant; returns (variable, that constant) or None."""
     for var in sorted(e.used_vars()):
-        idx = e.vars.index(var)
-        if max(x[idx] for x in e.terms) == 1:
+        if e.degree(var) == 1:
             coeff = e.diff(var)
             if not coeff.used_vars():
                 return var, coeff.const_coeff()
@@ -166,7 +165,7 @@ def eval_terms(p: MultiPoly, point) -> GaussianRational:
     as 0) by the term loop eval_at had before specialize, frozen."""
     vals = [GaussianRational.coerce(point.get(v, 0)) for v in p.vars]
     total = ZERO
-    for e, c in p.terms.items():
+    for e, c in p.sorted_terms():
         acc = c
         for i, k in enumerate(e):
             if k:
@@ -184,7 +183,7 @@ def chain_compose(p: MultiPoly, target, images) -> MultiPoly:
     kept = [(i, t) for i, t in enumerate(images) if isinstance(t, int)]
     mapped = [i for i, t in enumerate(images) if not isinstance(t, int)]
     groups = {}
-    for e, c in p.terms.items():
+    for e, c in p.sorted_terms():
         moved = [0] * len(target)
         for i, t in kept:
             moved[t] = e[i]
@@ -250,13 +249,10 @@ def realify(z: VectorField) -> VectorField:
     re_comps, im_comps = [], []
     for comp in z.components:
         g = comp.subs_poly(images)
-        re_comps.append(MultiPoly(real_vars, {e: c.re for e, c in g.terms.items()}))
-        im_comps.append(MultiPoly(real_vars, {e: c.im for e, c in g.terms.items()}))
+        terms = g.sorted_terms()
+        re_comps.append(MultiPoly(real_vars, {e: c.re for e, c in terms}))
+        im_comps.append(MultiPoly(real_vars, {e: c.im for e, c in terms}))
     return VectorField(real_vars, tuple(re_comps + im_comps))
-
-
-def _total_degree(p: MultiPoly) -> int:
-    return max((sum(e) for e in p.terms), default=0)
 
 
 def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
@@ -286,16 +282,16 @@ def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[MultiPoly]:
     if not p:
         raise ValueError("tangency against the zero polynomial is undefined")
     xp = apply_field(x, p)
-    monomials = _monomials_up_to(len(p.vars), max(0, _total_degree(xp) - _total_degree(p)))
+    monomials = _monomials_up_to(len(p.vars), max(0, xp.degree() - p.degree()))
     products = [MultiPoly(p.vars, {mono: 1}) * p for mono in monomials]
     support = {}
     for q in products + [xp]:
-        for e in q.terms:
+        for e, _ in q.sorted_terms():
             support.setdefault(e, len(support))
 
     def column(q):
         col = [ZERO] * len(support)
-        for e, c in q.terms.items():
+        for e, c in q.sorted_terms():
             col[support[e]] = c
         return col
 

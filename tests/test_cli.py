@@ -124,6 +124,11 @@ def _non_real_term(obj):
     obj["payload"]["poly"]["terms"].append({"e": [0, 1, 0, 0], "re": "0", "im": "1"})
 
 
+def _huge_exponent(obj):
+    # x1^300 * x3: total degree 301, above what a term key holds
+    obj["payload"]["poly"]["terms"][0]["e"][0] = 300
+
+
 def _float_probe(obj):
     obj["payload"]["probe"][0] = 0.1
 
@@ -149,6 +154,7 @@ BAD_TREES = {
     "floatcoef": ("surface.table.6", _float_coefficient),
     "floatprobe": ("domain.Bp.gt", _float_probe),
     "nonreal": ("surface.table.6", _non_real_term),
+    "hugeexp": ("surface.table.6", _huge_exponent),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -225,6 +231,11 @@ BAD_INDEXES = {
     (["orbits", "--surface", "{tmp}/nonreal/surface.table.6.json"],
      "cannot read a fixture from '{tmp}/nonreal/surface.table.6.json': "
      "ValueError: the defining polynomial "),
+    (["TUBES_FIXTURES={tmp}/hugeexp", "symmetry", "--surface", "surface.table.6"],
+     "'{tmp}/hugeexp': OverflowError: total degree 301 of the term (300, 0, 1, 0) exceeds 255"),
+    (["symmetry", "--surface", "{tmp}/hugeexp/surface.table.6.json"],
+     "cannot read a fixture from '{tmp}/hugeexp/surface.table.6.json': "
+     "OverflowError: total degree 301 of the term (300, 0, 1, 0) exceeds 255"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")

@@ -205,7 +205,7 @@ def in_x(min_size=1):
 
 
 def x_degree(p):
-    return max(e[0] for e in p.terms)
+    return p.degree("x")
 
 
 @settings(max_examples=80, deadline=None)
@@ -239,7 +239,7 @@ def _to_sympy(p, symbols):
     return sum((sympy.Rational(c.re.numerator, c.re.denominator)
                 + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
                * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
-               for e, c in p.terms.items())
+               for e, c in p.sorted_terms())
 
 
 @pytest.mark.parametrize("mid, degrees", [("map.cm.D", (1, 3, 2, 2)),

@@ -147,6 +147,24 @@ def test_bumped_series_equals_the_perturbed_graph_expanded_alone(case, cutoff):
     assert series.parts == defining_series(g, cutoff)[0].parts
 
 
+@pytest.mark.parametrize("case", ["D", "C"])
+@pytest.mark.parametrize("cutoff", [6, 8, 14])
+def test_bumped_parts_equal_a_full_split_of_the_bumped_expansion(case, cutoff):
+    """defining_series splits only the bump's expansion and adds its parts
+    to the graph's; that equals splitting the whole bumped expansion,
+    term for term, with no part left that cancelled."""
+    g = graph(case)
+    holo, anti = g.holo_vars, g.anti_vars
+    den0 = g.im_part.den.const_coeff()
+    # the first bump cancels the graph's (1,1) part, the second changes others
+    for bump, cancels in ((-g.im_part.num.truncate(2), True),
+                          ((W1**2 * W1B * W2B + W1B**2 * W1 * W2) * den0, False)):
+        expansion, delta = series_expand([g.im_part.num, bump], g.im_part.den, cutoff)
+        control = defining_series(g, cutoff, [bump])[1]
+        assert control.parts == (expansion + delta).bidegree_split(holo, anti)
+        assert ((1, 1) in control.parts) != cancels
+
+
 def test_chern_moser_needs_cutoff():
     series = defining_series(graph("D"), 4)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))

@@ -55,6 +55,18 @@ def test_mul_trunc_is_truncated_product(a, b, cutoff):
 
 
 @settings(max_examples=60, deadline=None)
+@given(polys(max_terms=6), st.tuples(*[st.integers(0, 3)] * 3), st.integers(0, 8))
+def test_a_monic_monomial_factor_shifts_the_exponents(p, exps, cutoff):
+    m = MultiPoly(VARS, {exps: 1})
+    shifted = MultiPoly(VARS, {tuple(a + b for a, b in zip(e, exps)): c
+                               for e, c in p.sorted_terms()})
+    assert m * p == p * m == shifted
+    assert mul_trunc(p, m, cutoff) == mul_trunc(m, p, cutoff) == shifted.truncate(cutoff)
+    # coefficient 2 takes the general loop
+    assert (m * 2) * p == shifted * 2
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.lists(polys(), max_size=5))
 def test_poly_sum_is_the_left_fold_of_add(ps):
     fold = MultiPoly.zero(VARS)
@@ -161,7 +173,7 @@ TARGET5 = ("d", "t", "b", "a", "c")
 @given(polys(SRC4, max_terms=5, max_exp=2), st.data())
 def test_compose_matches_the_per_group_chains(p, data):
     images = []
-    for i, v in enumerate(SRC4):
+    for v in SRC4:
         kind = data.draw(st.sampled_from(["kept", "poly", "rational"]))
         if kind == "kept":
             images.append(TARGET5.index(v))
@@ -171,7 +183,7 @@ def test_compose_matches_the_per_group_chains(p, data):
             images.append((num, None, 0))
         else:
             den = Powers(data.draw(polys(TARGET5, max_terms=2, max_exp=1).filter(bool)))
-            images.append((num, den, max((e[i] for e in p.terms), default=0)))
+            images.append((num, den, p.degree(v)))
     assert tubes.poly._compose(p, TARGET5, images) == chain_compose(p, TARGET5, images)
 
 
@@ -409,8 +421,85 @@ def _term_dict_writes(path):
     return lines
 
 
+def _term_dict_names(path):
+    """Lines of `path` that name `<expr>.terms` at all."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "terms"]
+
+
 def test_only_poly_module_writes_term_dicts():
+    """poly.py builds every term dict, and no other module of the package
+    even reads one: term keys are packed ints that only poly.py decodes."""
     package = Path(tubes.poly.__file__).parent
-    writes = {path.name: _term_dict_writes(path) for path in sorted(package.glob("*.py"))}
-    assert writes.pop("poly.py"), "the scan should see the writes in poly.py"
-    assert {name: lines for name, lines in writes.items() if lines} == {}
+    assert _term_dict_writes(package / "poly.py"), "the scan should see the writes in poly.py"
+    names = {path.name: _term_dict_names(path) for path in sorted(package.glob("*.py"))
+             if path.name != "poly.py"}
+    assert {name: lines for name, lines in names.items() if lines} == {}
+
+
+XY = ("x", "y")
+
+
+def test_products_reach_the_degree_bound_and_no_further():
+    x, y = (MultiPoly.var(XY, n) for n in XY)
+    a = x ** 200
+    assert a * x ** 55 == MultiPoly(XY, {(255, 0): 1})
+    top = a * (x ** 54 * y)
+    assert top == MultiPoly(XY, {(254, 1): 1})
+    assert (top.degree(), top.degree("x"), top.leading()) == (255, 254, ((254, 1), 1))
+    with pytest.raises(OverflowError,
+                       match=r"polynomial product: total degree 200 \+ 56 exceeds 255"):
+        a * (x ** 55 * y)
+    with pytest.raises(OverflowError, match=r"total degree 128 \+ 128"):
+        x ** 256
+    # the bound holds for a truncated product too, whatever the cutoff
+    with pytest.raises(OverflowError):
+        mul_trunc(a + 1, x ** 56, 10)
+
+
+def test_constructor_refuses_a_term_above_the_degree_bound():
+    assert MultiPoly(XY, {(255, 0): 1, (100, 155): 2}).degree() == 255
+    for exps in [(256, 0), (200, 56), (300, 0)]:
+        with pytest.raises(OverflowError, match=rf"total degree {sum(exps)} of the term"):
+            MultiPoly(XY, {exps: 1})
+
+
+exponent_dicts = st.dictionaries(st.tuples(*[st.integers(0, 63)] * 4), small_scalar(), max_size=8)
+WXYZ = ("w", "x", "y", "z")
+
+
+@settings(max_examples=80, deadline=None)
+@given(exponent_dicts)
+def test_public_edges_give_back_the_exponent_tuples_in_graded_lex_order(terms):
+    p = MultiPoly(WXYZ, terms)
+    expected = sorted(((e, GaussianRational.coerce(c)) for e, c in terms.items() if c),
+                      key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    assert p.sorted_terms() == expected
+    if expected:
+        assert p.leading() == expected[0]
+    assert all(p.coeff(e) == c for e, c in expected)
+    assert p.degree() == max((sum(e) for e, _ in expected), default=0)
+    for i, v in enumerate(WXYZ):
+        assert p.degree(v) == max((e[i] for e, _ in expected), default=0)
+    assert p.used_vars() == tuple(v for i, v in enumerate(WXYZ) if any(e[i] for e, _ in expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exponent_dicts, st.permutations(WXYZ + ("u", "t")), st.sampled_from(WXYZ))
+def test_key_moves_match_the_exponent_tuples(terms, universe, name):
+    p = MultiPoly(WXYZ, terms)
+    moved = p.with_vars(universe)
+    assert moved == MultiPoly(universe, {
+        tuple(e[WXYZ.index(v)] if v in WXYZ else 0 for v in universe): c
+        for e, c in p.sorted_terms()})
+    assert moved.with_vars(WXYZ) == p
+    pairing = {"w": "y", "y": "w", "x": "x", "z": "z"}
+    assert p.conjugate(pairing) == MultiPoly(WXYZ, {(e[2], e[1], e[0], e[3]): c.conjugate()
+                                                   for e, c in p.sorted_terms()})
+    parts = p.bidegree_split(("w", "z"), ("x", "y"))
+    assert parts == {key: MultiPoly(WXYZ, {e: c for e, c in p.sorted_terms()
+                                           if (e[0] + e[3], e[1] + e[2]) == key})
+                     for key in {(e[0] + e[3], e[1] + e[2]) for e, _ in p.sorted_terms()}}
+    lists = p.coefficient_lists(name)
+    assert MultiPoly.from_coefficient_lists(WXYZ, name, lists) == p
+    assert all(part[-1] and len(part) - 1 <= p.degree(name) for part in lists.values())

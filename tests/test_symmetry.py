@@ -341,6 +341,15 @@ def test_linear_pivot_uses_string_order():
     assert _linear_pivot(t["t0_2"] * t["t0_2"] + t["t0_10"] * t["t1_3"]) is None
 
 
+def test_linear_pivot_sees_a_variable_again_at_another_exponent():
+    # exponents 1 and 2 share no bit, so each exponent field must be
+    # tested for nonzero, not AND-ed with the fields seen before
+    t = {v: MultiPoly.var(PICK_VARS, v) for v in PICK_VARS}
+    assert _linear_pivot(t["t0_1"] + t["t0_1"] ** 2 * t["t1_3"]) is None
+    assert _linear_pivot(t["t0_1"] * 2 + t["t0_10"] + t["t0_10"] ** 2) == \
+        ("t0_1", GaussianRational(2))
+
+
 def _dense_bracket(structure, u, v, zero):
     dim = len(structure)
     return [sum((u[i] * v[j] * structure[i][j][k] for i in range(dim) for j in range(dim)),
