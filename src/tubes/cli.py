@@ -29,7 +29,7 @@ from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_ch
                           map_at_origin, trace_from_levi,
                           verify_family_invariance, verify_group_law,
                           verify_map_conjugation, verify_surface_map)
-from .poly import MultiPoly, merge_vars
+from .poly import MAX_DEGREE, MultiPoly, merge_vars
 from .scalars import GaussianRational
 from .symmetry import (Hypersurface, LieAlgebraPresentation,
                        affine_symmetry_algebra, is_nilpotent, line_in_domain_check,
@@ -287,6 +287,11 @@ def cmd_normal_form(args, reg) -> List[Check]:
     w2 = MultiPoly.var(g.num.vars, holo[1])
     w2b = MultiPoly.var(g.num.vars, pairing[holo[1]])
     bump = w1**2 * w1b * w2b + w1b**2 * w1 * w2
+    # the bump's expansion multiplies it by the inverse of den through the
+    # cutoff, and no term key holds a degree above MAX_DEGREE
+    top = MAX_DEGREE - bump.degree()
+    if cutoff > top:
+        raise UsageError(f"--cutoff must be at most {top}, got {cutoff}")
     series, perturbed = defining_series(graph, cutoff, [bump * g.den.const_coeff()])
     checks = []
     try:

@@ -453,14 +453,26 @@ class MultiPoly:
     # ---------------------------------------------------------------- output
 
     def __str__(self) -> str:
+        """The terms, highest first, each as its coefficient times the
+        variables it uses. A key's variables are read off its nonzero
+        exponent fields, highest (variable 0) first, so a term costs its
+        own variables, not all of self's."""
         if not self.terms:
             return "0"
+        n = len(self.vars)
+        names = self.vars[::-1]  # names[b] owns the exponent field at byte b
+        fields = (1 << 8 * n) - 1
         bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.vars, e) if k
-            )
+        for k in sorted(self.terms, reverse=True):
+            c = self.terms[k]
+            x = k & fields
+            factors = []
+            while x:
+                at = (x.bit_length() - 1) >> 3
+                e = x >> 8 * at
+                x ^= e << 8 * at
+                factors.append(f"{names[at]}^{e}" if e > 1 else names[at])
+            mono = "*".join(factors)
             if not mono:
                 bits.append(str(c))
             elif c == ONE:

@@ -12,7 +12,7 @@ transitivity witnesses) stays in exact arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -94,11 +94,16 @@ class LieAlgebraPresentation:
     structure[i][j] is the coefficient tuple of [B_i, B_j] in the basis,
     with canonical rational entries (int when integral, Fraction
     otherwise); antisymmetry is enforced at construction and the Jacobi
-    identity is checked by verify().
+    identity is checked by verify(). A presentation built by from_fields
+    keeps the brackets [B_i, B_j], i < j, that it solved for, and verify
+    reads them; they are not an init field, so a copy with another basis
+    (dataclasses.replace) starts without them.
     """
 
     basis: Tuple[VectorField, ...]
     structure: Tuple[Tuple[Tuple[Rational, ...], ...], ...]
+    brackets: Optional[Tuple[VectorField, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -111,7 +116,7 @@ class LieAlgebraPresentation:
         zero_row = (0,) * dim
         rows: List[List[Tuple[Rational, ...]]] = [[zero_row] * dim for _ in range(dim)]
         pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        brackets = [lie_bracket(basis[i], basis[j]) for i, j in pairs]
+        brackets = tuple(lie_bracket(basis[i], basis[j]) for i, j in pairs)
         for (i, j), coeffs in zip(pairs, expand_in_fields(brackets, basis)):
             if coeffs is None:
                 raise RuntimeError(
@@ -122,7 +127,9 @@ class LieAlgebraPresentation:
             rat = tuple(c.re for c in coeffs)
             rows[i][j] = rat
             rows[j][i] = tuple(-x for x in rat)
-        return cls(basis, tuple(tuple(r) for r in rows))
+        algebra = cls(basis, tuple(tuple(r) for r in rows))
+        object.__setattr__(algebra, "brackets", brackets)
+        return algebra
 
     @cached_property
     def nonzero_structure(self):
@@ -155,35 +162,43 @@ class LieAlgebraPresentation:
         """Check antisymmetry and the Jacobi identity of the tensor, then
         the tensor against the brackets of the basis fields.
 
-        Jacobi sums, for each (i, j, k), the three cyclic terms
-        c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m over the nonzero
-        constants c_ij^l only, into one coordinate vector per triple."""
+        Given antisymmetry, which is checked first, the Jacobi sum
+        J(i, j, k) = c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m is
+        alternating in (i, j, k): it changes sign when two indices swap
+        and vanishes when two are equal. So the triples i < j < k cover
+        it. Each sum runs over the nonzero constants c_ij^l only, into one
+        coordinate vector per triple.
+
+        The brackets [B_i, B_j], i < j, are the ones from_fields solved
+        for when it built self; any other presentation brackets its own
+        basis here. Either way each is compared with the combination of
+        the basis that the tensor names."""
         dim = self.dim
+        structure = self.structure
         for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    if self.structure[i][j][k] != -self.structure[j][i][k]:
-                        raise AssertionError("structure tensor is not antisymmetric")
+            for j in range(i, dim):
+                if any(a != -b for a, b in zip(structure[i][j], structure[j][i])):
+                    raise AssertionError("structure tensor is not antisymmetric")
         # Jacobi on the tensor, over the nonzero (l, c_ij^l) of each (i, j)
         nonzero = self.nonzero_structure
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    total = [0] * dim
-                    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, c in nonzero[a][b]:
-                            for m, c2 in nonzero[l][d]:
-                                total[m] += c * c2
-                    if any(total):
-                        raise AssertionError("Jacobi identity fails on the tensor")
+        for i, j, k in itertools.combinations(range(dim), 3):
+            total = [0] * dim
+            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, c in nonzero[a][b]:
+                    for m, c2 in nonzero[l][d]:
+                        total[m] += c * c2
+            if any(total):
+                raise AssertionError("Jacobi identity fails on the tensor")
         # bracket identity against the actual fields
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                br = lie_bracket(self.basis[i], self.basis[j])
-                expect = self.field_from_coords(self.structure[i][j])
-                for a, b in zip(br.components, expect.components):
-                    if a != b:
-                        raise AssertionError(f"structure tensor wrong at ({i},{j})")
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        brackets = self.brackets
+        if brackets is None:
+            brackets = [lie_bracket(self.basis[i], self.basis[j]) for i, j in pairs]
+        for (i, j), br in zip(pairs, brackets):
+            expect = self.field_from_coords(structure[i][j])
+            for a, b in zip(br.components, expect.components):
+                if a != b:
+                    raise AssertionError(f"structure tensor wrong at ({i},{j})")
 
 
 def expand_in_fields(xs: Sequence[VectorField], basis: Sequence[VectorField]):
@@ -349,15 +364,17 @@ def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
     Each affine chart pins k pivot coordinates to the identity and leaves
     the rest as unknowns; closure of the span under bracket produces
     polynomial equations (`_chart_system`, straight from the structure
-    constants), solved by repeated elimination. One sweep over
-    the terms of the first equation that has one finds its pivot: the
+    constants), solved by repeated elimination (`_scan_chart`). One sweep
+    over the terms of the first equation that has one finds its pivot: the
     smallest name, in string order, of a variable occurring in a single
-    term c * var with c constant. It is substituted into the equations and
-    solved entries that contain it. A nonzero constant equation makes the
-    chart empty; charts whose systems do not successively linearize are
-    reported UNRESOLVED with their residual equations. A solved chart is
-    rechecked by bracketing its solved rows through the generic
-    `bracket_coords`, independently of how the system was built.
+    term c * var with c constant. It is substituted into the equations that
+    contain it. A nonzero constant equation makes the chart empty; charts
+    whose systems do not successively linearize are reported UNRESOLVED
+    with their residual equations. Only a chart that ends solved
+    back-substitutes its eliminations, once, into its solution and its
+    basis rows. A solved chart is rechecked by bracketing its solved rows
+    through the generic `bracket_coords`, independently of how the system
+    was built.
     """
     m = algebra.dim
     if not 0 < k < m:
@@ -369,23 +386,29 @@ def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
 
 
 def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]) -> ChartOutcome:
+    """The outcome of the chart with these pivots.
+
+    Each elimination is recorded as (var, expr) and substituted into the
+    equations only; after it, only the equations it changed are tested
+    for a nonzero constant. Most charts end empty or UNRESOLVED and read
+    nothing else. A chart that ends solved back-substitutes once, last
+    step first, and only then builds its rows: a later expr never
+    contains an earlier var, so this gives the polynomials that
+    substituting every elimination into the solution so far would."""
     m = algebra.dim
     nonpivots = [j for j in range(m) if j not in pivots]
     tvars = tuple(f"t{a}_{j}" for a in range(k) for j in nonpivots)
     if not tvars:
         tvars = ("t_unused",)
-    rows = [[MultiPoly.const(tvars, int(j == p)) if j in pivots
-             else MultiPoly.var(tvars, f"t{a}_{j}") for j in range(m)]
-            for a, p in enumerate(pivots)]
 
     # each equation with a mark: True once _linear_pivot found no pivot in
     # it; an equation that elimination leaves untouched keeps its mark
     eqs = [(e, False) for e in _chart_system(algebra, pivots, tvars)]
-    solution: Dict[str, MultiPoly] = {}
+    # every equation is nonzero, so degree 0 means a nonzero constant
+    if any(e.degree() == 0 for e, _ in eqs):
+        return ChartOutcome(pivots, "empty")
+    steps: List[Tuple[str, MultiPoly]] = []
     while eqs:
-        # every equation is nonzero, so degree 0 means a nonzero constant
-        if any(e.degree() == 0 for e, _ in eqs):
-            return ChartOutcome(pivots, "empty")
         pick = None
         for n, (e, stuck) in enumerate(eqs):
             if not stuck:
@@ -398,23 +421,35 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
         var, c = pick
         rest = e - MultiPoly.var(tvars, var) * c
         expr = rest * (ONE / c) * (-1)
-
-        def eliminate(q: MultiPoly) -> MultiPoly:
-            return q.subs_poly({var: expr}) if q.degree(var) else q
-
-        solution = {key: eliminate(value) for key, value in solution.items()}
-        solution[var] = expr
-        # e itself becomes c * expr + rest = 0
+        steps.append((var, expr))
+        # e itself becomes c * expr + rest = 0; only a changed equation
+        # can have become a nonzero constant
         left = []
         for q, stuck in eqs:
-            if q is not e:
-                r = eliminate(q)
-                if r:
-                    left.append((r, stuck and r is q))
+            if q is e:
+                continue
+            if q.degree(var):
+                q = q.subs_poly({var: expr})
+                if not q:
+                    continue
+                if q.degree() == 0:
+                    return ChartOutcome(pivots, "empty")
+                stuck = False
+            left.append((q, stuck))
         eqs = left
 
-    final_rows = [[solution.get(f"t{a}_{j}", entry) for j, entry in enumerate(row)]
-                  for a, row in enumerate(rows)]
+    # no expr contains its own or an earlier variable, so one substitution
+    # of the later solutions, last step first, leaves each in the free
+    # variables
+    solution: Dict[str, MultiPoly] = {}
+    for var, expr in reversed(steps):
+        later = {v: solution[v] for v in expr.used_vars() if v in solution}
+        solution[var] = expr.subs_poly(later) if later else expr
+    entries = {v: MultiPoly.var(tvars, v) for v in tvars}
+    entries.update(solution)
+    final_rows = [[MultiPoly.const(tvars, int(j == p)) if j in pivots else entries[f"t{a}_{j}"]
+                   for j in range(m)]
+                  for a, p in enumerate(pivots)]
     # independent closure recheck on the solved family
     recheck = _residuals(algebra, pivots, tvars, final_rows)
     verified = all(e.is_zero() for e in recheck)

@@ -10,11 +10,12 @@ instead of through the kernel solve of affine_symmetry_algebra. The
 scan's one-sweep pivot pick is checked against its first form, which
 tries each variable in turn for degree 1 and a constant `diff`, and
 `MultiPoly.specialize` against the term loop `eval_at` had before it
-became specialize's full case. The Horner composition of `tubes.poly`
-is checked against the per-group product chains it replaced, the
-scaled series inversion against the geometric series in E / c0 it
-replaced, and brackets, which read cached jacobians, against fields
-applied one product per variable.
+became specialize's full case, and `MultiPoly.__str__` against the loop
+that zipped every term against all variable names. The Horner
+composition of `tubes.poly` is checked against the per-group product
+chains it replaced, the scaled series inversion against the geometric
+series in E / c0 it replaced, and brackets, which read cached jacobians,
+against fields applied one product per variable.
 """
 
 from __future__ import annotations
@@ -172,6 +173,26 @@ def eval_terms(p: MultiPoly, point) -> GaussianRational:
                 acc = acc * vals[i] ** k
         total = total + acc
     return total
+
+
+def str_terms(p: MultiPoly) -> str:
+    """MultiPoly.__str__ before it read variables off the packed keys,
+    frozen: every term's exponent tuple zipped against all of p.vars."""
+    if p.is_zero():
+        return "0"
+    bits = []
+    for e, c in p.sorted_terms():
+        mono = "*".join(
+            f"{v}^{k}" if k > 1 else v
+            for v, k in zip(p.vars, e) if k
+        )
+        if not mono:
+            bits.append(str(c))
+        elif c == ONE:
+            bits.append(mono)
+        else:
+            bits.append(f"{c}*{mono}")
+    return " + ".join(bits).replace("+ -", "- ")
 
 
 def chain_compose(p: MultiPoly, target, images) -> MultiPoly:

@@ -236,6 +236,8 @@ BAD_INDEXES = {
     (["symmetry", "--surface", "{tmp}/hugeexp/surface.table.6.json"],
      "cannot read a fixture from '{tmp}/hugeexp/surface.table.6.json': "
      "OverflowError: total degree 301 of the term (300, 0, 1, 0) exceeds 255"),
+    (["normal-form", "--case", "D", "--cutoff", "252"], "--cutoff must be at most 251, got 252"),
+    (["normal-form", "--case", "C", "--cutoff", "252"], "--cutoff must be at most 251, got 252"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")

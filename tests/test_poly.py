@@ -6,16 +6,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tubes.poly
-from tubes.poly import (MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc, poly_sum,
-                        series_expand, substitute)
+from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc,
+                        poly_sum, series_expand, substitute)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
-from oracles import chain_compose, eval_terms, fraction_series, random_poly
+from oracles import chain_compose, eval_terms, fraction_series, random_poly, str_terms
 
 VARS = ("x", "y", "z")
 
@@ -503,3 +503,38 @@ def test_key_moves_match_the_exponent_tuples(terms, universe, name):
     lists = p.coefficient_lists(name)
     assert MultiPoly.from_coefficient_lists(WXYZ, name, lists) == p
     assert all(part[-1] and len(part) - 1 <= p.degree(name) for part in lists.values())
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials over 1-24 variables, with a constant term or none, terms
+    of total degree up to MAX_DEGREE and integer, fractional, negative and
+    Gaussian coefficients (1 and -1 among them); the zero polynomial too."""
+    names = tuple(f"t{i % 3}_{i}" for i in range(draw(st.integers(1, 24))))
+    coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6),
+                       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                       small_scalar())
+    # the outermost exponent fields, or any
+    places = st.one_of(st.sampled_from([0, len(names) - 1]), st.integers(0, len(names) - 1))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = [0] * len(names)
+        for i in draw(st.lists(places, max_size=4, unique=True)):
+            exps[i] = draw(st.integers(0, MAX_DEGREE - sum(exps)))
+        terms[tuple(exps)] = draw(coeffs)
+    if draw(st.booleans()):
+        terms[(0,) * len(names)] = draw(coeffs)
+    return MultiPoly(names, terms)
+
+
+WIDE = tuple(f"t{i}" for i in range(24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys())
+@example(MultiPoly(WIDE, {(MAX_DEGREE,) + (0,) * 23: Fraction(-1, 2),
+                          (1,) + (0,) * 22 + (2,): GaussianRational(0, 3),
+                          (0,) * 23 + (MAX_DEGREE,): 1, (0,) * 24: -7}))
+def test_str_matches_the_frozen_term_loop(p):
+    assert str(p) == str_terms(p)
+    assert repr(p) == f"MultiPoly({p.vars}, {str_terms(p)})"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubes import catalog
+from tubes import catalog, symmetry
 from tubes.fields import VectorField, lie_bracket, linear_combination, minors_scan, rank_at
 from tubes.linalg import rref_rows
 from tubes.poly import MultiPoly, merge_vars
@@ -126,6 +126,23 @@ def test_verify_rejects_a_rescaled_basis_field():
         alg, basis=(linear_combination([2], alg.basis[:1]),) + alg.basis[1:])
     with pytest.raises(AssertionError, match=r"structure tensor wrong at \(0,1\)"):
         doubled.verify()
+
+
+def test_verify_reuses_the_brackets_of_from_fields(monkeypatch):
+    """verify compares the tensor with the brackets from_fields solved for
+    and computes none; a copy with its own basis brackets that basis."""
+    alg = LieAlgebraPresentation.from_fields(algebra("surface.table.3").basis)
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return lie_bracket(x, y)
+
+    monkeypatch.setattr(symmetry, "lie_bracket", counting)
+    alg.verify()
+    assert calls == []
+    dataclasses.replace(alg, basis=alg.basis).verify()
+    assert len(calls) == alg.dim * (alg.dim - 1) // 2
 
 
 def test_verify_jacobi_agrees_with_dense_oracle():
@@ -444,6 +461,23 @@ def test_scan_golden_digest(fid, k):
         residual = [str(e) for e in c.residual]
         lines.append(f"{c.pivots}|{c.status}|{solution}|{residual}|{c.closure_verified}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_DIGESTS[fid, k]
+
+
+def test_scan_substitution_budget(monkeypatch):
+    """The table.1m k=3 scan (34 of its 35 charts unresolved) makes at most
+    141 subs_poly calls: eliminations touch only the equations, and the one
+    solved chart back-substitutes once per step that needs it."""
+    alg = algebra("surface.table.1m")
+    calls = []
+    subs_poly = MultiPoly.subs_poly
+
+    def counting(p, mapping):
+        calls.append(len(mapping))
+        return subs_poly(p, mapping)
+
+    monkeypatch.setattr(MultiPoly, "subs_poly", counting)
+    subalgebra_scan(alg, 3)
+    assert 0 < len(calls) <= 141
 
 
 def test_half_domain_fixture_closed_and_tangent():
