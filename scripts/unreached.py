@@ -12,7 +12,8 @@ decodes only the fixtures it reads), and then catalog.export_tree. The
 script then prints each function or method defined under src/tubes/
 (dunder methods, lambdas and comprehensions left out) that the sweep
 never entered, as module.qualname, and their count. Such a function is
-reached only from tests or from nothing.
+reached only from tests or from nothing. The exit code is 1 when the
+script lists any function and 0 when it lists none.
 
 Standard library only. The interpreter runs with PYTHONHASHSEED=0, as in
 the benchmark, so that set iteration order is the same in every run.
@@ -108,7 +109,7 @@ def main() -> int:
     unreached = sorted(name for key, name in _defined().items() if key not in seen)
     print("\n".join(unreached + [f"{len(unreached)} functions under src/tubes/ not entered "
                                  f"by {2 * len(invocations) + 1} sweep steps"]))
-    return 0
+    return 1 if unreached else 0
 
 
 if __name__ == "__main__":

@@ -184,7 +184,7 @@ def cmd_symmetry(args, reg) -> List[Check]:
         checks.append(check_of(f"symmetry.structure.{args.surface}",
                                "structure constants verified", False, str(exc), provenance))
     n = len(surface.variables)
-    rank = rank_at(list(algebra.basis), list(surface.basepoint)) if algebra.dim else 0
+    rank = rank_at(list(algebra.basis), list(surface.basepoint))
     if expected is not None:
         checks.append(check_of(
             f"symmetry.transitive.{args.surface}",
@@ -660,12 +660,11 @@ def cmd_scan(args, reg) -> List[Check]:
 
 
 def _chart_minor_analysis(algebra, chart, surface) -> Tuple[bool, bool]:
-    rows = chart.basis_coords(algebra.dim)
-    universe = merge_vars(surface.variables, rows[0][0].vars)
+    universe = merge_vars(surface.variables, chart.free_vars)
     basis = [VectorField(f.variables, tuple(c.with_vars(universe) for c in f.components))
              for f in algebra.basis]
     fields = [linear_combination([entry.with_vars(universe) for entry in row], basis)
-              for row in rows]
+              for row in chart.rows]
     det = minors_scan(fields)[0]  # k = n fields: the one maximal minor
     if det.is_zero():
         return True, False
@@ -681,34 +680,33 @@ def cmd_classify(args, reg) -> List[Check]:
     checks = []
     algebra_cache: Dict[str, LieAlgebraPresentation] = {}
 
-    def algebra_for(surface_id: str) -> LieAlgebraPresentation:
-        if surface_id not in algebra_cache:
-            algebra_cache[surface_id] = affine_symmetry_algebra(
-                _fixture(reg, surface_id).payload)
-        return algebra_cache[surface_id]
+    def algebra_for(fixture_id: str) -> LieAlgebraPresentation:
+        """The affine symmetry algebra of a surface, or the presentation of
+        a stored basis (raises if it is not closed), built once per call."""
+        if fixture_id not in algebra_cache:
+            payload = _fixture(reg, fixture_id).payload
+            algebra_cache[fixture_id] = (
+                LieAlgebraPresentation.from_fields(list(payload.fields))
+                if fixture_id.startswith("basis.") else affine_symmetry_algebra(payload))
+        return algebra_cache[fixture_id]
 
     for fid in sorted(k for k in reg if k.startswith("domain.")):
         fx = reg[fid]
         spec = fx.payload
         if fid.startswith("domain.H."):
-            basis_fx = _fixture(reg, "basis.half_pseudo_ball.quadric")
-            fields = list(basis_fx.payload.fields)
-            LieAlgebraPresentation.from_fields(fields)  # raises if not closed
-            rank = rank_at(fields, list(spec.probe))
+            # both rows act by the five-field wall-preserving algebra
+            algebra = algebra_for("basis.half_pseudo_ball.quadric")
             expected_dim = 5
-            dim = len(fields)
         else:
             algebra = algebra_for(spec.source_surface)
-            fields = list(algebra.basis)
-            dim = algebra.dim
             expected_dim = EXPECTED_DIMS[spec.source_surface]
-            rank = rank_at(fields, list(spec.probe))
-        ok = spec.probe_inside() and rank == 4 and dim == expected_dim
+        rank = rank_at(list(algebra.basis), list(spec.probe))
+        ok = spec.probe_inside() and rank == 4 and algebra.dim == expected_dim
         checks.append(check_of(
             f"classify.{fid}",
             "the domain probe is interior and the acting algebra has an open orbit "
             f"there (dimension {expected_dim}, rank 4)",
-            ok, f"dimension {dim}, rank {rank}", prov(fx)))
+            ok, f"dimension {algebra.dim}, rank {rank}", prov(fx)))
 
     # closed-surface row: no open orbits from either printed variant
     for sid in sorted(NO_ORBIT_SURFACES):

@@ -88,7 +88,10 @@ def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) 
 
 
 def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
-    """Exact rank of the evaluated component matrix at a point."""
+    """Exact rank of the evaluated component matrix at a point; 0 for no
+    fields."""
+    if not fields:
+        return 0
     base = fields[0]
     if len(point) != len(base.variables):
         raise ValueError("point dimension does not match field variables")

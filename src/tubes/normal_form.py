@@ -7,8 +7,7 @@ rational coordinate changes, polynomial self-map families, their
 rational group laws, and infinitesimal generators. All checks are
 polynomial identities after clearing denominators; series truncation
 appears only in series_expand, which defining_series calls once for a
-graph and every perturbation of its numerator, and in the series
-diagnostic.
+graph and every perturbation of its numerator.
 """
 
 from __future__ import annotations
@@ -301,31 +300,6 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     return total.is_zero(), total
 
 
-def surface_map_series_residual(source: GraphSurface, target: MultiPoly,
-                                target_holo: Sequence[str], target_anti: Sequence[str],
-                                phi: Mapping[str, RationalFunction],
-                                cutoff: int) -> MultiPoly:
-    """Diagnostic variant of verify_surface_map using a truncated graph.
-
-    The graph function is replaced by its series through `cutoff` and the
-    cross-multiplied residual is truncated with respect to the non-slice
-    coordinates; a correct map gives the zero polynomial, and an
-    incorrect one leaves a low-degree residual that is easier to read
-    than the exact one. The exact path never truncates."""
-    if source.im_part is None:
-        raise ValueError("the series diagnostic expects the normal-form graph pattern")
-    truncated = GraphSurface(source.holo_vars, source.anti_vars, source.slice_var,
-                             source.solved_var, source.solved_conj, None,
-                             RationalFunction(series_expand([source.im_part.num],
-                                                            source.im_part.den, cutoff)[0]),
-                             source.name + f".series{cutoff}")
-    _, residual = verify_surface_map(truncated, target, target_holo, target_anti, phi)
-    graded = source.holo_vars + source.anti_vars
-    rest = [v for v in residual.vars if v not in graded]
-    return poly_sum(residual.vars, [part for (k, _), part in
-                                    residual.bidegree_split(graded, rest).items() if k <= cutoff])
-
-
 def map_at_origin(phi: Mapping[str, RationalFunction],
                   order: Sequence[str]) -> List[GaussianRational]:
     """Value of a rational map at the origin of its source coordinates,
@@ -542,10 +516,10 @@ def verify_map_conjugation(phi: Mapping[str, RationalFunction],
         outer_assignment[p] = param_map[p].with_vars(universe)
 
     for i, name in enumerate(outer.variables):
-        lhs_num = substitute(phi[name].num, inner_images)
-        lhs_den = substitute(phi[name].den, inner_images)
+        lhs_num = phi[name].num.subs_poly(inner_images)
+        lhs_den = phi[name].den.subs_poly(inner_images)
         rhs = substitute(outer.components[i], outer_assignment)
-        diff = lhs_num.num * rhs.den * lhs_den.den - rhs.num * lhs_den.num * lhs_num.den
+        diff = lhs_num * rhs.den - rhs.num * lhs_den
         if not diff.is_zero():
             return False, f"component {name} disagrees"
     return True, ""

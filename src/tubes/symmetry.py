@@ -280,7 +280,6 @@ class ProbeRecord:
 @dataclass(frozen=True)
 class OrbitReport:
     algebra_dim: int
-    ambient_dim: int
     determinant: Optional[MultiPoly]
     all_minors_zero: bool
     probes: Tuple[ProbeRecord, ...]
@@ -310,7 +309,7 @@ def open_orbit_report(algebra: LieAlgebraPresentation, surface: Hypersurface,
         verdict = "open orbit at every accepted probe"
     else:
         verdict = "mixed or undetermined at the probes"
-    return OrbitReport(algebra.dim, n, det, all_zero, tuple(records), verdict)
+    return OrbitReport(algebra.dim, det, all_zero, tuple(records), verdict)
 
 
 # ---------------------------------------------------------- Grassmannian scan
@@ -323,34 +322,13 @@ class ChartOutcome:
     solution: Tuple[Tuple[str, MultiPoly], ...] = ()
     residual: Tuple[MultiPoly, ...] = ()
     closure_verified: bool = False
-
-    def basis_coords(self, algebra_dim: int) -> List[List[MultiPoly]]:
-        """Symbolic chart basis rows (entries are polynomials in the free
-        chart variables)."""
-        if self.status != "solved":
-            raise ValueError("only solved charts expose a basis")
-        tvars = self.free_vars if self.free_vars else ("t_unused",)
-        solved = dict(self.solution)
-        rows = []
-        k = len(self.pivots)
-        nonpivots = [j for j in range(algebra_dim) if j not in self.pivots]
-        for a in range(k):
-            row = [MultiPoly.zero(tvars) for _ in range(algebra_dim)]
-            row[self.pivots[a]] = MultiPoly.const(tvars, 1)
-            for j in nonpivots:
-                name = f"t{a}_{j}"
-                if name in solved:
-                    row[j] = solved[name].with_vars(tvars)
-                else:
-                    row[j] = MultiPoly.var(tvars, name)
-            rows.append(row)
-        return rows
+    # a solved chart's basis rows over free_vars: 1 at row a's pivot, the
+    # solution or the free variable t{a}_{j} at each nonpivot j
+    rows: Tuple[Tuple[MultiPoly, ...], ...] = ()
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    algebra_dim: int
-    k: int
     charts: Tuple[ChartOutcome, ...]
 
     @property
@@ -371,10 +349,10 @@ def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
     contain it. A nonzero constant equation makes the chart empty; charts
     whose systems do not successively linearize are reported UNRESOLVED
     with their residual equations. Only a chart that ends solved
-    back-substitutes its eliminations, once, into its solution and its
-    basis rows. A solved chart is rechecked by bracketing its solved rows
-    through the generic `bracket_coords`, independently of how the system
-    was built.
+    back-substitutes its eliminations, once, into its solution and builds
+    its basis rows, which it keeps (`ChartOutcome.rows`). A solved chart
+    is rechecked by bracketing those rows through the generic
+    `bracket_coords`, independently of how the system was built.
     """
     m = algebra.dim
     if not 0 < k < m:
@@ -382,7 +360,7 @@ def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
     charts = []
     for pivots in itertools.combinations(range(m), k):
         charts.append(_scan_chart(algebra, k, pivots))
-    return ScanResult(m, k, tuple(charts))
+    return ScanResult(tuple(charts))
 
 
 def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]) -> ChartOutcome:
@@ -392,14 +370,13 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
     equations only; after it, only the equations it changed are tested
     for a nonzero constant. Most charts end empty or UNRESOLVED and read
     nothing else. A chart that ends solved back-substitutes once, last
-    step first, and only then builds its rows: a later expr never
-    contains an earlier var, so this gives the polynomials that
-    substituting every elimination into the solution so far would."""
+    step first, and only then builds its rows over its free variables: a
+    later expr never contains an earlier var, so this gives the
+    polynomials that substituting every elimination into the solution so
+    far would."""
     m = algebra.dim
     nonpivots = [j for j in range(m) if j not in pivots]
     tvars = tuple(f"t{a}_{j}" for a in range(k) for j in nonpivots)
-    if not tvars:
-        tvars = ("t_unused",)
 
     # each equation with a mark: True once _linear_pivot found no pivot in
     # it; an equation that elimination leaves untouched keeps its mark
@@ -445,17 +422,17 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
     for var, expr in reversed(steps):
         later = {v: solution[v] for v in expr.used_vars() if v in solution}
         solution[var] = expr.subs_poly(later) if later else expr
-    entries = {v: MultiPoly.var(tvars, v) for v in tvars}
-    entries.update(solution)
-    final_rows = [[MultiPoly.const(tvars, int(j == p)) if j in pivots else entries[f"t{a}_{j}"]
-                   for j in range(m)]
-                  for a, p in enumerate(pivots)]
+    # every variable left unsolved stands in its own row entry
+    free = tuple(sorted(v for v in tvars if v not in solution))
+    entries = {v: MultiPoly.var(free, v) for v in free}
+    entries.update((v, expr.with_vars(free)) for v, expr in solution.items())
+    rows = tuple(tuple(MultiPoly.const(free, int(j == p)) if j in pivots else entries[f"t{a}_{j}"]
+                       for j in range(m))
+                 for a, p in enumerate(pivots))
     # independent closure recheck on the solved family
-    recheck = _residuals(algebra, pivots, tvars, final_rows)
-    verified = all(e.is_zero() for e in recheck)
-    free = tuple(sorted({v for row in final_rows for entry in row for v in entry.used_vars()}))
-    sol_items = tuple(sorted(solution.items()))
-    return ChartOutcome(pivots, "solved", free, sol_items, (), verified)
+    verified = all(e.is_zero() for e in _residuals(algebra, pivots, free, rows))
+    return ChartOutcome(pivots, "solved", free, tuple(sorted(solution.items())), (),
+                        verified, rows)
 
 
 def _residuals(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],

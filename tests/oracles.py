@@ -11,11 +11,12 @@ scan's one-sweep pivot pick is checked against its first form, which
 tries each variable in turn for degree 1 and a constant `diff`, and
 `MultiPoly.specialize` against the term loop `eval_at` had before it
 became specialize's full case, and `MultiPoly.__str__` against the loop
-that zipped every term against all variable names. The Horner
-composition of `tubes.poly` is checked against the per-group product
-chains it replaced, the scaled series inversion against the geometric
-series in E / c0 it replaced, and brackets, which read cached jacobians,
-against fields applied one product per variable.
+that zipped every term against all variable names. A solved scan
+chart's kept rows are checked against their rebuild from its solution.
+The Horner composition of `tubes.poly` is checked against the per-group
+product chains it replaced, the scaled series inversion against the
+geometric series in E / c0 it replaced, and brackets, which read cached
+jacobians, against fields applied one product per variable.
 """
 
 from __future__ import annotations
@@ -159,6 +160,28 @@ def first_written_pivot(e: MultiPoly):
             if not coeff.used_vars():
                 return var, coeff.const_coeff()
     return None
+
+
+def chart_rows_from_solution(chart, algebra_dim: int) -> List[List[MultiPoly]]:
+    """A solved chart's basis rows rebuilt from its solution, as
+    ChartOutcome.basis_coords did before the scan kept the rows it solved,
+    frozen, over chart.free_vars: row a holds 1 at its pivot and, at each
+    nonpivot j, the solution of t{a}_{j} or that free variable itself."""
+    tvars = chart.free_vars
+    solved = dict(chart.solution)
+    rows = []
+    nonpivots = [j for j in range(algebra_dim) if j not in chart.pivots]
+    for a in range(len(chart.pivots)):
+        row = [MultiPoly.zero(tvars) for _ in range(algebra_dim)]
+        row[chart.pivots[a]] = MultiPoly.const(tvars, 1)
+        for j in nonpivots:
+            name = f"t{a}_{j}"
+            if name in solved:
+                row[j] = solved[name].with_vars(tvars)
+            else:
+                row[j] = MultiPoly.var(tvars, name)
+        rows.append(row)
+    return rows
 
 
 def eval_terms(p: MultiPoly, point) -> GaussianRational:

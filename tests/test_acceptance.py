@@ -249,11 +249,9 @@ def test_criterion_08_orbits_and_scan():
     surface = catalog.get("surface.table.3").payload
     no_new_domain = True
     for chart in (c for c in scan.charts if c.status == "solved"):
-        rows = chart.basis_coords(case3.dim)
-        tvars = rows[0][0].vars
-        universe = merge_vars(surface.variables, tvars)
+        universe = merge_vars(surface.variables, chart.free_vars)
         fields = []
-        for row in rows:
+        for row in chart.rows:
             comps = [MultiPoly.zero(universe) for _ in surface.variables]
             for l, entry in enumerate(row):
                 if entry.is_zero():

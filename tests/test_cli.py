@@ -52,11 +52,45 @@ def test_classify_has_fourteen_domain_records(capsys):
     assert report["summary"]["fail"] == 0
 
 
+def test_classify_builds_the_wall_preserving_presentation_once(monkeypatch, capsys):
+    from tubes import catalog
+    from tubes.symmetry import LieAlgebraPresentation
+    wall = tuple(catalog.get("basis.half_pseudo_ball.quadric").payload.fields)
+    build = LieAlgebraPresentation.from_fields.__func__
+    calls = []
+
+    def counting(cls, basis):
+        calls.append(tuple(basis) == wall)
+        return build(cls, basis)
+
+    monkeypatch.setattr(LieAlgebraPresentation, "from_fields", classmethod(counting))
+    code, _ = run_cli(["classify"], capsys)
+    assert code == 0 and calls.count(True) == 1
+
+
 def test_orbits_rejects_on_surface_probe(capsys):
     code, out = run_cli(["orbits", "--surface", "surface.table.6",
                          "--probes", "1,0,0,0"], capsys)
     assert code == 1
     assert "probe lies on the surface" in out
+
+
+def test_orbits_of_a_zero_dimensional_algebra_fail_at_rank_0(tmp_path, capsys):
+    # x2 = x1^2 + x1^5 has no affine symmetries
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({
+        "claim": "x2 = x1^2 + x1^5", "id": "surface.rigid", "kind": "hypersurface",
+        "tag": "source",
+        "payload": {"assert_irreducible": False, "basepoint": ["0", "0"], "constraints": [],
+                    "name": "surface.rigid",
+                    "poly": {"vars": ["x1", "x2"],
+                             "terms": [{"c": "1", "e": [0, 1]}, {"c": "-1", "e": [2, 0]},
+                                       {"c": "-1", "e": [5, 0]}]}}}))
+    code = cli.main(["orbits", "--surface", str(path), "--probes", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    fails = [line for line in captured.out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and fails[0].endswith("(rank 0)")
 
 
 def test_negative_random_probe_count_is_a_usage_error(capsys):

@@ -189,6 +189,7 @@ def test_rank_at_points():
     assert rank_at(rots, [0, 0, 0, 0]) == 0
     single = [vf(x1=X1)]
     assert rank_at(single, [0, 1, 1, 1]) == 0
+    assert rank_at([], [1, 2]) == 0
 
 
 def test_minors_scan_commutes_with_evaluation():

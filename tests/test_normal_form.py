@@ -347,21 +347,15 @@ def test_engine_calls_leave_no_cyclic_garbage():
         assert garbage == 0
 
 
-def test_series_diagnostic_fallback():
-    from tubes.normal_form import surface_map_series_residual
+def test_broken_cm_d_map_fails_the_exact_check():
     payload = catalog.get("map.cm.D").payload
     source = catalog.get(payload.source_graph).payload
-    residual = surface_map_series_residual(source, payload.target, payload.target_holo,
-                                           payload.target_anti,
-                                           dict(payload.components), 5)
-    assert residual.is_zero()
-    # a broken map leaves a readable low-degree residual
     broken = dict(payload.components)
     w = MultiPoly.var(broken["z4"].vars, "w2")
     broken["z4"] = broken["z4"] + RationalFunction(w)
-    residual = surface_map_series_residual(source, payload.target, payload.target_holo,
-                                           payload.target_anti, broken, 4)
-    assert not residual.is_zero()
+    ok, residual = verify_surface_map(source, payload.target, payload.target_holo,
+                                      payload.target_anti, broken)
+    assert not ok and not residual.is_zero()
 
 
 def test_affine_truncation_of_change_fails():

@@ -24,8 +24,8 @@ from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
                             open_orbit_report, scan_covers_subspace,
                             subalgebra_scan, verify_transitivity_witness)
 
-from oracles import (first_written_pivot, jacobi_holds, random_poly, realify,
-                     tangency_multiplier)
+from oracles import (chart_rows_from_solution, first_written_pivot, jacobi_holds,
+                     random_poly, realify, tangency_multiplier)
 
 XV = ("x1", "x2", "x3", "x4")
 X1, X2, X3, X4 = (MultiPoly.var(XV, n) for n in XV)
@@ -268,8 +268,7 @@ def test_scan_case3():
     # determinant proportional to the defining polynomial
     s = surf("surface.table.3")
     for chart in solved:
-        rows = chart.basis_coords(alg.dim)
-        minors = _family_minors(alg, rows, s)
+        minors = _family_minors(alg, chart.rows, s)
         if all(m.is_zero() for m in minors):
             continue
         from tubes.linalg import poly_div_exact
@@ -327,10 +326,9 @@ def test_scan_permuted_basis_same_subspaces():
     # sample solved subspaces of A and re-express them in B's coordinates
     rng = random.Random(8)
     for chart in _solved(scan_a):
-        rows = chart.basis_coords(alg.dim)
         for _ in range(2):
-            values = {v: GaussianRational(rng.randint(-3, 3)) for v in rows[0][0].vars}
-            sampled = [[entry.eval_at(values) for entry in row] for row in rows]
+            values = {v: GaussianRational(rng.randint(-3, 3)) for v in chart.free_vars}
+            sampled = [[entry.eval_at(values) for entry in row] for row in chart.rows]
             # coordinates w.r.t. permuted basis
             reexpressed = [[row[i] for i in perm] for row in sampled]
             assert scan_covers_subspace(scan_b, reexpressed)
@@ -461,6 +459,18 @@ def test_scan_golden_digest(fid, k):
         residual = [str(e) for e in c.residual]
         lines.append(f"{c.pivots}|{c.status}|{solution}|{residual}|{c.closure_verified}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_DIGESTS[fid, k]
+
+
+# the five scans of the algebra-scan benchmark workload
+BENCH_SCANS = (("surface.table.1m", 5), ("surface.table.1p", 3), ("surface.table.3", 3),
+               ("surface.table.2.sphere", 4), ("surface.quadric.half", 4))
+
+
+@pytest.mark.parametrize("fid,k", BENCH_SCANS + tuple(sorted(SCAN_DIGESTS)))
+def test_chart_rows_equal_their_rebuild_from_the_solution(fid, k):
+    alg = algebra(fid)
+    for chart in _solved(subalgebra_scan(alg, k)):
+        assert chart.rows == tuple(map(tuple, chart_rows_from_solution(chart, alg.dim)))
 
 
 def test_scan_substitution_budget(monkeypatch):
