@@ -1029,24 +1029,16 @@ def export_tree(path) -> int:
     return len(index)
 
 
-class TreeError(Exception):
-    """A fixture tree whose index cannot be read, or a fixture in it that
-    cannot be decoded. Not a ValueError, so that a command's own handlers
-    for engine errors never swallow it."""
-
-    def __init__(self, path, cause: Exception):
-        super().__init__(f"cannot load the fixture tree {str(path)!r}: "
-                         f"{type(cause).__name__}: {cause}")
-
-
 class FixtureError(Exception):
-    """A fixture file that cannot be read or decoded; `fault` is the
-    exception underneath. Not a ValueError, for the reason TreeError is
-    not one."""
+    """A fixture that cannot be read or decoded: a fixture file, or with
+    `tree` set a fixture tree whose index cannot be read or whose fixture
+    cannot be decoded; `fault` is the exception underneath. Not a
+    ValueError, so that a command's own handlers for engine errors never
+    swallow it."""
 
-    def __init__(self, path, fault: Exception):
-        super().__init__(f"cannot read a fixture from {str(path)!r}: "
-                         f"{type(fault).__name__}: {fault}")
+    def __init__(self, path, fault: Exception, tree: bool = False):
+        what = "load the fixture tree" if tree else "read a fixture from"
+        super().__init__(f"cannot {what} {str(path)!r}: {type(fault).__name__}: {fault}")
         self.fault = fault
 
 
@@ -1067,7 +1059,8 @@ class FixtureTree(Mapping[str, Fixture]):
     Ids and kinds come from index.json, so membership, iteration and length
     decode nothing. A fixture file is read and decoded on first access and
     kept for the life of the view; a file that cannot be decoded, or whose
-    id or kind differs from its index entry, raises TreeError there."""
+    id or kind differs from its index entry, raises FixtureError there,
+    with `tree` set."""
 
     def __init__(self, path, kinds: Dict[str, str]):
         self._path, self._kinds = path, kinds
@@ -1080,10 +1073,11 @@ class FixtureTree(Mapping[str, Fixture]):
             try:
                 fx = read_fixture(Path(self._path) / f"{fid}.json")
             except FixtureError as exc:
-                raise TreeError(self._path, exc.fault) from exc.fault
+                raise FixtureError(self._path, exc.fault, tree=True) from exc.fault
             if (fx.id, fx.kind) != (fid, kind):
-                raise TreeError(self._path, ValueError(
-                    f"{fid}.json holds {fx.kind} {fx.id!r}, but the index lists {kind} {fid!r}"))
+                raise FixtureError(self._path, ValueError(
+                    f"{fid}.json holds {fx.kind} {fx.id!r}, but the index lists {kind} {fid!r}"),
+                    tree=True)
             self._decoded[fid] = fx
         return fx
 
@@ -1101,8 +1095,8 @@ def load_tree(path) -> FixtureTree:
     """Open a fixtures/ tree written by export_tree.
 
     Reads and checks index.json now: it must list entries, each with an id
-    and a known kind, and no id twice; otherwise TreeError. Fixture files
-    are decoded only when accessed (see FixtureTree)."""
+    and a known kind, and no id twice; otherwise FixtureError, with `tree`
+    set. Fixture files are decoded only when accessed (see FixtureTree)."""
     try:
         entries = json.loads((Path(path) / "index.json").read_text())["fixtures"]
         if not isinstance(entries, list):
@@ -1116,7 +1110,7 @@ def load_tree(path) -> FixtureTree:
                 raise ValueError(f"fixture id {fid!r} appears twice in the index")
             kinds[fid] = kind
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise TreeError(path, exc) from exc
+        raise FixtureError(path, exc, tree=True) from exc
     return FixtureTree(path, kinds)
 
 

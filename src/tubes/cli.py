@@ -119,10 +119,7 @@ def _surface(reg, ident: str) -> Tuple[Hypersurface, str]:
         fx = reg[ident]
         source = prov(fx)
     elif os.path.exists(ident):
-        try:
-            fx = catalog.read_fixture(ident)
-        except catalog.FixtureError as exc:
-            raise UsageError(str(exc)) from exc
+        fx = catalog.read_fixture(ident)
         source = f"file:{ident}"
     else:
         raise UsageError(f"no surface fixture or file named {ident!r}")
@@ -855,11 +852,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     started = time.perf_counter()
     try:
-        try:
-            checks = COMMANDS[args.command](args, catalog.active_registry())
-        except catalog.TreeError as exc:  # a fault in the tree, as loaded or as read
-            raise UsageError(str(exc)) from exc
-    except UsageError as exc:
+        checks = COMMANDS[args.command](args, catalog.active_registry())
+    except (UsageError, catalog.FixtureError) as exc:  # a fixture fault is bad input too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     report = assemble(args.command, checks, started)

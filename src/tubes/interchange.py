@@ -39,36 +39,26 @@ def gauss_to_obj(c: GaussianRational):
 
 
 def gauss_from_obj(obj) -> GaussianRational:
-    if isinstance(obj, str):
-        return GaussianRational(frac_from_str(obj))
-    return GaussianRational(frac_from_str(obj["re"]), frac_from_str(obj.get("im", "0")))
+    """The number a gauss_to_obj value names: a rational string, or a
+    dict with its "re" and, unless it is 0, its "im" string."""
+    if isinstance(obj, dict):
+        return GaussianRational(frac_from_str(obj["re"]), frac_from_str(obj.get("im", "0")))
+    return GaussianRational(frac_from_str(obj))
 
 
 def poly_to_obj(p: MultiPoly) -> Dict:
     terms = []
     for exps, coeff in p.sorted_terms():
-        record: Dict[str, object] = {"e": list(exps)}
-        if coeff.is_real():
-            record["c"] = frac_to_str(coeff.re)
-        else:
-            record["re"] = frac_to_str(coeff.re)
-            record["im"] = frac_to_str(coeff.im)
-        terms.append(record)
+        # a real coefficient goes under "c", a complex one's parts into the record
+        c = gauss_to_obj(coeff)
+        terms.append({"e": list(exps), "c": c} if isinstance(c, str) else {"e": list(exps), **c})
     return {"vars": list(p.vars), "terms": terms}
 
 
 def poly_from_obj(obj: Mapping) -> MultiPoly:
-    variables = tuple(obj["vars"])
-    terms = {}
-    for record in obj["terms"]:
-        exps = tuple(record["e"])
-        if "c" in record:
-            coeff = GaussianRational(frac_from_str(record["c"]))
-        else:
-            coeff = GaussianRational(frac_from_str(record["re"]),
-                                     frac_from_str(record.get("im", "0")))
-        terms[exps] = coeff
-    return MultiPoly(variables, terms)
+    terms = {tuple(record["e"]): gauss_from_obj(record["c"] if "c" in record else record)
+             for record in obj["terms"]}
+    return MultiPoly(tuple(obj["vars"]), terms)
 
 
 def ratfun_to_obj(f: RationalFunction) -> Dict:

@@ -19,6 +19,13 @@ OverflowError before it starts, so a field never carries into the next.
 Exponent tuples appear only at the public edges: the constructor,
 `coeff`, `sorted_terms` and `leading`.
 
+Every substitution (`subs_poly`, `substitute`) is one Horner routine
+over term keys, `_horner`, which splits the terms by one mapped
+variable's exponent per level with a shift and a mask. `_compose` takes
+images for the mapped variables only, {index in p: (Powers of the
+numerator, Powers of the denominator, top degree)}; every other variable
+is kept and moves into the target universe by the runs of `_moves`.
+
 Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
 trusted `_poly`, which takes over a dict the engine built. Sums of many
@@ -174,7 +181,7 @@ class MultiPoly:
         for k in self.terms:
             seen |= k
         n = len(self.vars)
-        return tuple(v for v, x in zip(self.vars, seen.to_bytes(n + 1, "big")[1:]) if x)
+        return tuple(v for i, v in enumerate(self.vars) if seen >> 8 * (n - 1 - i) & 255)
 
     def degree(self, name: Optional[str] = None) -> int:
         """The total degree of self, or its degree in the variable `name`;
@@ -292,15 +299,7 @@ class MultiPoly:
         for v in self.used_vars():
             if v not in newvars:
                 raise ValueError(f"variable {v!r} is used but absent from {newvars}")
-        n, m = len(self.vars), len(newvars)
-        runs = _moves(self.vars, newvars)
-        terms: Dict[int, GaussianRational] = {}
-        for k, c in self.terms.items():
-            key = k >> 8 * n << 8 * m
-            for shift, mask, to in runs:
-                key |= (k >> shift & mask) << to
-            terms[key] = c
-        return _poly(newvars, terms)
+        return _poly(newvars, _moved(self.terms, self.vars, newvars))
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
         return _poly(_distinct(mapping.get(v, v) for v in self.vars), dict(self.terms))
@@ -310,31 +309,24 @@ class MultiPoly:
         unmapped variables of self must exist there and map to themselves.
 
         One variable of self mapped to a value over self's own variables
-        skips the general composer: the terms are grouped by that
-        variable's exponent k and each group is multiplied once by the
-        value's k-th power (`_subs_one`)."""
+        skips the argument checks and goes straight to `_horner` with one
+        chain: the terms are split by that variable's exponent k and each
+        part is multiplied once by the value's k-th power."""
         if not mapping:
             return self
         if len(mapping) == 1:
             (name, value), = mapping.items()
             if value.vars == self.vars and name in self.vars:
-                return _poly(self.vars, _subs_one(self.terms, len(self.vars),
-                                                     self.vars.index(name), value))
-        target: Optional[Tuple[str, ...]] = None
-        for value in mapping.values():
-            if target is None:
-                target = value.vars
-            elif value.vars != target:
-                raise ValueError("substitution values must share a variable tuple")
-        assert target is not None
-        position = {v: t for t, v in enumerate(target)}
-        images = []
-        for v in self.vars:
+                chain = _chain(len(self.vars), self.vars.index(name), (Powers(value), None, 0))
+                return _poly(self.vars, _horner(self.terms, [chain], 0, None))
+        target = next(iter(mapping.values())).vars
+        if any(value.vars != target for value in mapping.values()):
+            raise ValueError("substitution values must share a variable tuple")
+        images = {}
+        for i, v in enumerate(self.vars):
             if v in mapping:
-                images.append((Powers(mapping[v]), None, 0))
-            elif v in position:
-                images.append(position[v])
-            else:
+                images[i] = (Powers(mapping[v]), None, 0)
+            elif v not in target:
                 raise ValueError(f"variable {v!r} not among {target}")
         return _compose(self, target, images)
 
@@ -611,61 +603,47 @@ def denominator_lcm(*polys: MultiPoly) -> int:
     return lcm(*{x.denominator for p in polys for c in p.terms.values() for x in (c.re, c.im)})
 
 
-def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
-    """The sum over the terms c * prod x_i**k_i of p of
-    c * prod num_i[k_i] * den_i[top_i - k_i], over `target`.
-
-    images[i] is one of two kinds. A triple (num_i, den_i, top_i) holds
-    the Powers of the numerator and denominator of the image of x_i and
-    the degree top_i of the common denominator den_i**top_i; no k_i
-    exceeds top_i, and a polynomial image has top_i = 0 and no den_i. An
-    int is the position in `target` of the variable x_i keeps.
-
-    Horner's rule over the mapped variables: p is split by its exponent k
-    on one mapped variable, each part is composed over the variables left,
-    and num[k] * den[top - k] multiplies that sum once. The largest image
-    (by |num| * |den|, |num| when top is 0; ties by index) is split
-    first: its powers multiply once per distinct exponent, and the
-    variables split later, whose powers multiply once per part, have the
-    smaller images."""
-    n = len(p.vars)
-    units = variable_keys(target)
-    # each kept variable's byte in a key of p and its key in target
-    kept = [(i + 1, units[t]) for i, t in enumerate(images) if isinstance(t, int)]
-    mapped = [i for i, t in enumerate(images) if not isinstance(t, int)]
-    mapped.sort(key=lambda i: -_image_size(images[i]))  # stable: ties keep index order
-    places = [i + 1 for i in mapped]
-    groups: Dict[Exponents, Dict[int, GaussianRational]] = {}
-    for k, c in p.terms.items():
-        fields = k.to_bytes(n + 1, "big")
-        rest = 0
-        for at, unit in kept:
-            rest += fields[at] * unit
-        # the key and the moved exponents together give back k, so no two
-        # terms of p share a slot
-        groups.setdefault(tuple([fields[at] for at in places]), {})[rest] = c
-    if not mapped:
-        return _poly(target, groups.get((), {}))
-    return _poly(target, _horner(target, [images[i] for i in mapped], 0, groups, groups))
-
-
-def _subs_one(terms: Mapping[int, GaussianRational], width: int, idx: int,
-              value: MultiPoly) -> Dict[int, GaussianRational]:
-    """The terms of the polynomial `terms` over `width` variables with
-    variable idx replaced by `value`, which lives over the same variables:
-    the sum over the exponents e of idx of (the terms with exponent e, that
-    exponent set to 0) * value**e, one product per distinct e."""
-    shift = 8 * (width - 1 - idx)
-    unit = (1 << 8 * width) + (1 << shift)
-    groups: Dict[int, Dict[int, GaussianRational]] = {}
+def _moved(terms: Mapping[int, GaussianRational], src: Tuple[str, ...],
+           dst: Tuple[str, ...]) -> Dict[int, GaussianRational]:
+    """The terms, keyed over src, rekeyed over dst by the runs of _moves."""
+    n, m = len(src), len(dst)
+    runs = _moves(src, dst)
+    out: Dict[int, GaussianRational] = {}
     for k, c in terms.items():
-        e = k >> shift & 255
-        groups.setdefault(e, {})[k - e * unit] = c
-    pows = Powers(value)
-    acc: Dict[int, GaussianRational] = {}
-    for e, part in groups.items():
-        _add_into(acc, _product(part, pows[e].terms, None) if e else part)
-    return acc
+        key = k >> 8 * n << 8 * m
+        for shift, mask, to in runs:
+            key |= (k >> shift & mask) << to
+        out[key] = c
+    return out
+
+
+def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
+    """p with each mapped variable x_i replaced by its image, over
+    `target`: the sum over the terms c * prod x_i**k_i of p of
+    c * prod num_i[k_i] * den_i[top_i - k_i] times the kept variables.
+
+    images maps the index i in p.vars of each mapped variable to a triple
+    (num_i, den_i, top_i): the Powers of its image's numerator and
+    denominator and the degree top_i of the common denominator
+    den_i**top_i, which no k_i exceeds; a polynomial image has top_i = 0
+    and no den_i. Every other variable of p is kept and moves to the
+    position of its name in `target`, which must hold those p uses.
+
+    `_horner` splits the largest image (by |num| * |den|, |num| when top
+    is 0; ties by index) first: its powers multiply once per distinct
+    exponent, and the variables split later, whose powers multiply once
+    per part, have the smaller images."""
+    order = sorted(images, key=lambda i: (-_image_size(images[i]), i))
+    terms = _horner(p.terms, [_chain(len(p.vars), i, images[i]) for i in order], 0,
+                    None if target == p.vars else (p.vars, target))
+    return _poly(target, dict(terms) if terms is p.terms else terms)
+
+
+def _chain(width: int, idx: int, image):
+    """A level of `_horner`: the field shift of variable idx in a key over
+    width variables, its key as a monomial, and its image's triple."""
+    shift = 8 * (width - 1 - idx)
+    return (shift, (1 << 8 * width) + (1 << shift), *image)
 
 
 def _image_size(image) -> int:
@@ -673,31 +651,34 @@ def _image_size(image) -> int:
     return len(num[1].terms) * (len(den[1].terms) if top else 1)
 
 
-def _horner(target: Tuple[str, ...], chains, level: int,
-            groups: Dict[Exponents, Dict[int, GaussianRational]],
-            keys: Iterable[Exponents]) -> Dict[int, GaussianRational]:
-    """The terms of _compose over chains[level:] for the groups of p under
-    `keys`, which agree before `level`. A module-level function, not a
-    closure, so a call leaves no reference cycle holding the Powers caches."""
-    num, den, top = chains[level]
-    if level + 1 == len(chains):
-        # the keys agree everywhere else, so each exponent names one group
-        parts = ((key[level], groups[key]) for key in keys)
-    else:
-        split: Dict[int, list] = {}
-        for key in keys:
-            split.setdefault(key[level], []).append(key)
-        parts = ((k, _horner(target, chains, level + 1, groups, part))
-                 for k, part in split.items())
-    acc: Dict[int, GaussianRational] = {}
-    for k, terms in parts:
-        term = _poly(target, terms)
-        if k:
-            term = term * num[k]
-        if top > k:
-            term = term * den[top - k]
-        _add_into(acc, term.terms)
-    return acc
+def _horner(terms: Dict[int, GaussianRational], chains, level: int,
+            move: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]]) -> Dict[int, GaussianRational]:
+    """The terms of _compose over chains[level:] for `terms`, whose
+    exponents on the variables of chains[:level] are 0: Horner's rule,
+    one mapped variable per level. The terms are split by its exponent k
+    with a shift and a mask, each part is composed over the levels left
+    and multiplied once by num[k] * den[top - k]. A part with every mapped
+    exponent split off is rekeyed by move, a (src, dst) pair of variable
+    tuples, or returned as it is when move is None (`terms` itself when
+    there is no level). A module-level function, not a closure, so a
+    call leaves no reference cycle holding the Powers caches."""
+    if level == len(chains):
+        return terms if move is None else _moved(terms, *move)
+    shift, unit, num, den, top = chains[level]
+    split: Dict[int, Dict[int, GaussianRational]] = {}
+    for k, c in terms.items():
+        e = k >> shift & 255
+        split.setdefault(e, {})[k - e * unit] = c
+    acc: Optional[Dict[int, GaussianRational]] = None
+    for e, part in split.items():
+        part = _horner(part, chains, level + 1, move)
+        if e:
+            part = _product(part, num[e].terms, None)
+        if top > e:
+            part = _product(part, den[top - e].terms, None)
+        # each part is a fresh dict, so the first takes in the others
+        acc = part if acc is None else _add_into(acc, part)
+    return {} if acc is None else acc
 
 
 def conjugation_pairing(holo_vars: Sequence[str], anti_vars: Sequence[str]) -> Dict[str, str]:
@@ -868,20 +849,15 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
     if missing:
         raise ValueError(f"no assignment for variable {missing[0]!r}")
 
-    target: Optional[Tuple[str, ...]] = None
-    for value in assignment.values():
-        if isinstance(value, (MultiPoly, RationalFunction)):
-            if target is None:
-                target = value.vars
-            elif value.vars != target:
-                raise ValueError("assignment values must share a variable tuple")
-    if target is None:
-        target = p.vars
-    # compose over the used variables only: _compose reads every image it gets
-    q = p.with_vars(used)
-    images = []
+    universes = {value.vars for value in assignment.values()
+                 if isinstance(value, (MultiPoly, RationalFunction))}
+    if len(universes) > 1:
+        raise ValueError("assignment values must share a variable tuple")
+    target = universes.pop() if universes else p.vars
+    # images for the used variables only; the others have exponent 0 throughout
+    images = {}
     den_total = MultiPoly.const(target, 1)
-    for i, v in enumerate(used):
+    for v in used:
         value = assignment[v]
         if isinstance(value, MultiPoly):
             value = RationalFunction(value)
@@ -889,11 +865,11 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
             value = RationalFunction.from_scalar(target, value)
         elif not isinstance(value, RationalFunction):
             raise TypeError(f"assignment for {v!r} is not a rational function")
-        top = q.degree(v)
+        top = p.degree(v)
         den_pows = Powers(value.den)
-        images.append((Powers(value.num), den_pows, top))
+        images[p.vars.index(v)] = (Powers(value.num), den_pows, top)
         den_total = den_total * den_pows[top]
-    return RationalFunction(_compose(q, target, images), den_total)
+    return RationalFunction(_compose(p, target, images), den_total)
 
 
 def series_expand(nums: Sequence[MultiPoly], den: MultiPoly, cutoff: int) -> List[MultiPoly]:

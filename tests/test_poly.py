@@ -169,22 +169,45 @@ SRC4 = ("a", "b", "c", "d")
 TARGET5 = ("d", "t", "b", "a", "c")
 
 
+def image_specs(target):
+    """target and one entry per variable of SRC4: None keeps it, (num,)
+    maps it to a polynomial and (num, den) to a rational function."""
+    nums = polys(target, max_terms=3, max_exp=2)
+    dens = polys(target, max_terms=2, max_exp=1).filter(bool)
+    entry = st.one_of(st.none(), st.tuples(nums), st.tuples(nums, dens))
+    return st.tuples(st.just(target), st.lists(entry, min_size=4, max_size=4))
+
+
+P4 = MultiPoly(SRC4, {(2, 0, 1, 0): 3, (0, 1, 0, 2): I, (1, 1, 1, 1): Fraction(1, 2), (0,) * 4: 5})
+
+
 @settings(max_examples=80, deadline=None)
-@given(polys(SRC4, max_terms=5, max_exp=2), st.data())
-def test_compose_matches_the_per_group_chains(p, data):
-    images = []
-    for v in SRC4:
-        kind = data.draw(st.sampled_from(["kept", "poly", "rational"]))
-        if kind == "kept":
-            images.append(TARGET5.index(v))
+@given(polys(SRC4, max_terms=5, max_exp=2),
+       st.sampled_from([TARGET5, SRC4]).flatmap(image_specs))
+@example(P4, (TARGET5, [None] * 4))  # every variable kept
+@example(P4, (SRC4, [None, (MultiPoly.var(SRC4, "a") + 1,), None,  # the same universe
+                     (MultiPoly.var(SRC4, "b") * I, MultiPoly.var(SRC4, "c") - 2)]))
+def test_compose_matches_the_per_group_chains(p, spec):
+    target, entries = spec
+    images, mapped = [], {}  # chain_compose's list and _compose's dict of images
+    for i, (v, entry) in enumerate(zip(SRC4, entries)):
+        if entry is None:
+            images.append(target.index(v))
             continue
-        num = Powers(data.draw(polys(TARGET5, max_terms=3, max_exp=2)))
-        if kind == "poly":
-            images.append((num, None, 0))
+        if len(entry) == 1:
+            image = (Powers(entry[0]), None, 0)
         else:
-            den = Powers(data.draw(polys(TARGET5, max_terms=2, max_exp=1).filter(bool)))
-            images.append((num, den, p.degree(v)))
-    assert tubes.poly._compose(p, TARGET5, images) == chain_compose(p, TARGET5, images)
+            image = (Powers(entry[0]), Powers(entry[1]), p.degree(v))
+        images.append(image)
+        mapped[i] = image
+    assert tubes.poly._compose(p, target, mapped) == chain_compose(p, target, images)
+
+
+def test_subs_poly_that_maps_no_variable_of_p_copies_its_terms():
+    p = MultiPoly(VARS, {(1, 2, 0): 3, (0, 0, 1): I})
+    out = p.subs_poly({"w": MultiPoly.var(VARS, "x")})
+    assert out == p
+    assert out.terms is not p.terms
 
 
 @settings(max_examples=60, deadline=None)
