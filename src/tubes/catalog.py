@@ -17,11 +17,9 @@ kinds, tags and claims.
 
 from __future__ import annotations
 
-import difflib
 import fnmatch
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -31,6 +29,7 @@ from . import interchange as io
 from .fields import HoloField, VectorField
 from .normal_form import GraphSurface, MapFamily
 from .poly import MultiPoly, RationalFunction, conjugation_pairing
+from .record import Record
 from .relations import RelationContext
 from .scalars import GaussianRational, I
 from .symmetry import ComplexLine, Hypersurface, TransitivityWitness, violated_constraint
@@ -73,8 +72,7 @@ def _fields(cls, universe):
 
 # ---------------------------------------------------------------- structures
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     id: str
     tag: str  # "source" | "derived" | "direct"
     claim: str
@@ -85,8 +83,7 @@ class Fixture:
         return _KIND_OF[type(self.payload)][0]
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(Record):
     name: str
     expr: MultiPoly  # the domain is {expr > 0} (plus side constraints)
     constraints: Tuple[Tuple[MultiPoly, str], ...]
@@ -103,13 +100,11 @@ class DomainSpec:
         return violated_constraint(((self.expr, "gt"),) + self.constraints, self.probe) is None
 
 
-@dataclass(frozen=True)
-class FieldBasis:
+class FieldBasis(Record):
     fields: Tuple[VectorField, ...]
 
 
-@dataclass(frozen=True)
-class GoldenTable:
+class GoldenTable(Record):
     dim: int
     entries: Tuple[Tuple[int, int, Tuple[Tuple[int, Fraction], ...]], ...]
     # 1-based indices; omitted pairs are zero, lower triangle by antisymmetry
@@ -118,16 +113,14 @@ class GoldenTable:
         return {(i, j): dict(combo) for i, j, combo in self.entries}
 
 
-@dataclass(frozen=True)
-class IsoSpan:
+class IsoSpan(Record):
     vectors: Tuple[Tuple[Fraction, ...], ...]
     z1_index: int
     z4_index: int
     s_indices: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RationalMapFixture:
+class RationalMapFixture(Record):
     components: Tuple[Tuple[str, RationalFunction], ...]
     source_graph: str  # fixture id of the GraphSurface
     target: MultiPoly
@@ -137,20 +130,17 @@ class RationalMapFixture:
     origin_image: Optional[Tuple[GaussianRational, ...]] = None
 
 
-@dataclass(frozen=True)
-class WitnessFixture:
+class WitnessFixture(Record):
     witness: TransitivityWitness
     base: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class LineFixture:
+class LineFixture(Record):
     line: ComplexLine
     domain_id: str
 
 
-@dataclass(frozen=True)
-class BridgeInfo:
+class BridgeInfo(Record):
     """Parameter match between the linear normal-form isotropy family and
     the cubic isotropy family under the rational coordinate change."""
     u_scale: Fraction
@@ -160,8 +150,7 @@ class BridgeInfo:
     map_id: str
 
 
-@dataclass(frozen=True)
-class SliceInfo:
+class SliceInfo(Record):
     """Parameter restriction of the full family onto its isotropy part."""
     family: str
     reduces_to: str
@@ -169,8 +158,7 @@ class SliceInfo:
     assignments: Tuple[Tuple[str, MultiPoly], ...]
 
 
-@dataclass(frozen=True)
-class AlphaFamilyInfo:
+class AlphaFamilyInfo(Record):
     parameter: str
     samples: Tuple[Fraction, ...]
     sample_ids: Tuple[str, ...]
@@ -885,6 +873,7 @@ def registry() -> Dict[str, Fixture]:
 def get(fixture_id: str) -> Fixture:
     table = registry()
     if fixture_id not in table:
+        import difflib
         near = difflib.get_close_matches(fixture_id, table.keys(), n=5, cutoff=0.4)
         raise KeyError(f"unknown fixture {fixture_id!r}; near matches: {near}")
     return table[fixture_id]

@@ -16,7 +16,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +29,7 @@ from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_ch
                           verify_family_invariance, verify_group_law,
                           verify_map_conjugation, verify_surface_map)
 from .poly import MAX_DEGREE, MultiPoly, merge_vars
+from .record import Record
 from .scalars import GaussianRational
 from .symmetry import (Hypersurface, LieAlgebraPresentation,
                        affine_symmetry_algebra, is_nilpotent, line_in_domain_check,
@@ -66,8 +66,7 @@ EXPECTED_DIMS = {
 NO_ORBIT_SURFACES = {"surface.table.2.sphere", "surface.table.2.cubic"}
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     id: str
     claim: str
     verdict: str  # PASS | FAIL | UNRESOLVED
@@ -75,8 +74,7 @@ class Check:
     provenance: str
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     version: str
     command: str
     checks: Tuple[Check, ...]
@@ -824,7 +822,7 @@ COMMANDS = {
 
 def emit(report: Report, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(asdict(report), indent=1))
+        print(json.dumps({**vars(report), "checks": [vars(c) for c in report.checks]}, indent=1))
         return
     for c in report.checks:
         print(f"[{c.verdict}] {c.id}: {c.claim}" + (f"  ({c.details})" if c.details else ""))

@@ -10,12 +10,12 @@ free of conjugated variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .linalg import det_exact, rref_rows
 from .poly import MultiPoly, poly_sum
+from .record import Record
 from .scalars import GaussianRational
 
 
@@ -23,8 +23,7 @@ from .scalars import GaussianRational
 Gradient = Tuple[Tuple[int, MultiPoly], ...]
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record):
     variables: Tuple[str, ...]
     components: Tuple[MultiPoly, ...]
 

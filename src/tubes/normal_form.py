@@ -12,7 +12,6 @@ graph and every perturbation of its numerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -20,14 +19,14 @@ from .fields import HoloField
 from .linalg import invert_gaussian_matrix, lowest_terms
 from .poly import (Exponents, MultiPoly, Powers, RationalFunction, conjugation_pairing,
                    denominator_lcm, poly_sum, series_expand, substitute)
+from .record import Record
 from .relations import RelationContext
 from .scalars import I, ZERO, GaussianRational
 
 
 # ------------------------------------------------------------- bidegree data
 
-@dataclass(frozen=True)
-class BidegreeSeries:
+class BidegreeSeries(Record):
     """Truncated expansion of a real-analytic defining function, split
     into bihomogeneous parts F_{k,l} in (w', conj w')."""
 
@@ -54,8 +53,7 @@ class BidegreeSeries:
                 raise AssertionError(f"reality fails between parts {(k, l)} and {(l, k)}")
 
 
-@dataclass(frozen=True)
-class TraceOperator:
+class TraceOperator(Record):
     """Second-order operator sum g_ab d^2/dw_a d(conj w_b).
 
     The Hermitian matrix is normalized so that the operator printed for
@@ -101,8 +99,7 @@ def trace_from_levi(f11: MultiPoly, holo_vars: Sequence[str],
 
 # ------------------------------------------------------------- graph surfaces
 
-@dataclass(frozen=True)
-class GraphSurface:
+class GraphSurface(Record):
     """Hypersurface solved for one complex coordinate.
 
     The solved coordinate is w = U + iV with exactly one of U, V the free
@@ -199,8 +196,7 @@ def defining_series(surface: GraphSurface, cutoff: int,
     return out
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(Record):
     cutoff: int
     conditions: Tuple[Tuple[str, bool, str], ...]
     classical_trace3: bool
@@ -321,8 +317,7 @@ def map_at_origin(phi: Mapping[str, RationalFunction],
 
 # ----------------------------------------------------------------- families
 
-@dataclass(frozen=True)
-class MapFamily:
+class MapFamily(Record):
     """Parametrized polynomial self-map family.
 
     Components are polynomials over variables + params; only the stored
@@ -337,7 +332,7 @@ class MapFamily:
     params: Tuple[str, ...]
     components: Tuple[MultiPoly, ...]
     identity: Tuple[Tuple[str, Fraction], ...]
-    relations: RelationContext = field(default_factory=RelationContext)
+    relations: RelationContext = RelationContext()
     constraints: Tuple[Tuple[str, str], ...] = ()
     composition: Tuple[Tuple[str, RationalFunction], ...] = ()
     composition_primed: Tuple[str, ...] = ()
@@ -380,8 +375,7 @@ class MapFamily:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class InvarianceResult:
+class InvarianceResult(Record):
     ok: bool
     multiplier: Optional[MultiPoly]
     fixes_point: Optional[bool]
@@ -446,8 +440,7 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
     return InvarianceResult(ok, MultiPoly(fam.params, multiplier) if ok else None, fixes, residual)
 
 
-@dataclass(frozen=True)
-class GroupLawResult:
+class GroupLawResult(Record):
     status: str  # "ok" | "failed" | "unresolved"
     detail: str
 

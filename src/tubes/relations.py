@@ -14,16 +14,15 @@ system is confluent and reduced forms are unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from .poly import MultiPoly, Powers, poly_sum
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RelationContext:
-    radicals: Tuple[Tuple[str, MultiPoly], ...] = field(default_factory=tuple)
-    unit_pairs: Tuple[Tuple[str, str], ...] = field(default_factory=tuple)
+class RelationContext(Record):
+    radicals: Tuple[Tuple[str, MultiPoly], ...] = ()
+    unit_pairs: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
         adjoined = self.adjoined_symbols()

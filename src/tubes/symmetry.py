@@ -12,7 +12,6 @@ transitivity witnesses) stays in exact arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -22,12 +21,12 @@ from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
                      rank_at)
 from .poly import (MultiPoly, RationalFunction, _poly, coefficient_columns, poly_sum,
                    substitute, variable_keys)
+from .record import Record
 from .relations import RelationContext
 from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _gr
 
 
-@dataclass(frozen=True)
-class Hypersurface:
+class Hypersurface(Record):
     """Zero set of a polynomial with a chosen basepoint and side constraints.
 
     The defining polynomial must have real coefficients. Constraints are
@@ -87,8 +86,7 @@ def satisfies(value: Rational, sense: str) -> bool:
 
 # --------------------------------------------------------------- presentations
 
-@dataclass(frozen=True)
-class LieAlgebraPresentation:
+class LieAlgebraPresentation(Record):
     """Ordered basis of vector fields plus the full structure tensor.
 
     structure[i][j] is the coefficient tuple of [B_i, B_j] in the basis,
@@ -96,14 +94,13 @@ class LieAlgebraPresentation:
     otherwise); antisymmetry is enforced at construction and the Jacobi
     identity is checked by verify(). A presentation built by from_fields
     keeps the brackets [B_i, B_j], i < j, that it solved for, and verify
-    reads them; they are not an init field, so a copy with another basis
-    (dataclasses.replace) starts without them.
+    reads them; they are not a field (not compared, not printed), so a
+    presentation constructed directly starts without them.
     """
 
     basis: Tuple[VectorField, ...]
     structure: Tuple[Tuple[Tuple[Rational, ...], ...], ...]
-    brackets: Optional[Tuple[VectorField, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
+    brackets = None  # Optional[Tuple[VectorField, ...]], set by from_fields
 
     @property
     def dim(self) -> int:
@@ -269,16 +266,14 @@ def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]
 
 # ----------------------------------------------------------------- orbit test
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(Record):
     point: Tuple[Fraction, ...]
     rejected: Optional[str]
     rank: Optional[int]
     open_orbit: bool
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     algebra_dim: int
     determinant: Optional[MultiPoly]
     all_minors_zero: bool
@@ -314,8 +309,7 @@ def open_orbit_report(algebra: LieAlgebraPresentation, surface: Hypersurface,
 
 # ---------------------------------------------------------- Grassmannian scan
 
-@dataclass(frozen=True)
-class ChartOutcome:
+class ChartOutcome(Record):
     pivots: Tuple[int, ...]
     status: str  # "solved" | "empty" | "unresolved"
     free_vars: Tuple[str, ...] = ()
@@ -327,8 +321,7 @@ class ChartOutcome:
     rows: Tuple[Tuple[MultiPoly, ...], ...] = ()
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     charts: Tuple[ChartOutcome, ...]
 
     @property
@@ -550,8 +543,7 @@ def _eval_poly_gaussian(p: MultiPoly, assignment: Mapping[str, GaussianRational]
 
 # ------------------------------------------------------- transitivity witness
 
-@dataclass(frozen=True)
-class TransitivityWitness:
+class TransitivityWitness(Record):
     """Parameter assignment sending a fixed base point to a symbolic target.
 
     The assignment maps each family parameter to a rational function of
@@ -591,8 +583,7 @@ def verify_transitivity_witness(witness: TransitivityWitness,
 
 # ------------------------------------------------- nil-ball obstruction check
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(Record):
     passed: bool
     conditions: Tuple[Tuple[str, bool, str], ...]
     induction_depth: int
@@ -683,15 +674,13 @@ def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,
 
 # ----------------------------------------------------------- complex lines
 
-@dataclass(frozen=True)
-class ComplexLine:
+class ComplexLine(Record):
     point: Tuple[GaussianRational, ...]
     direction: Tuple[GaussianRational, ...]
     name: str = ""
 
 
-@dataclass(frozen=True)
-class LineVerdict:
+class LineVerdict(Record):
     verdict: str  # "contained" | "not_contained" | "unresolved"
     value: Optional[Fraction]
     detail: str
