@@ -231,7 +231,7 @@ def _surfaces() -> List[Fixture]:
     return out
 
 
-def _domains(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
+def _domains(reg: Mapping[str, Fixture]) -> List[Fixture]:
     """Each domain is a side of its source surface P = 0 under the surface's
     constraints: {P > 0} for an id ending in .gt, {-P > 0} for .lt."""
     data = [
@@ -266,7 +266,7 @@ def _domains(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
     ]
     out = []
     for fid, probe, levi, src, text in data:
-        surface = surfaces[src]
+        surface = reg[src].payload
         side = 1 if fid.endswith(".gt") else -1
         tag = "derived" if fid == "domain.D.lt" else "source"
         spec = DomainSpec(fid.split(".", 1)[1], surface.defining * side, surface.constraints,
@@ -593,7 +593,7 @@ def _families() -> List[Fixture]:
     return out
 
 
-def _graphs(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
+def _graphs(reg: Mapping[str, Fixture]) -> List[Fixture]:
     w1, w2, w3, w1b, w2b, w3b = _vars(WG)
     out = []
 
@@ -629,16 +629,16 @@ def _graphs(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
     zh, za = ZV[:3], ZA[:3]
     for fid, sid, text in (("graph.tube.3", "surface.table.3", "x4 = x1 x2 + x3^2 + x1^3"),
                            ("graph.tube.quadric", "surface.quadric.half", "x4 = x1 x2 + x3^2")):
-        height = (x4 - surfaces[sid].defining).with_vars(XV[:3])
+        height = (x4 - reg[sid].payload.defining).with_vars(XV[:3])
         out.append(Fixture(fid, "direct", f"real tube over {text} solved for z4",
                            GraphSurface(zh, za, "s", "z4", "z4b",
                                         RationalFunction(_tube(height, zh + za)), None, fid)))
     return out
 
 
-def _maps(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
+def _maps(reg: Mapping[str, Fixture]) -> List[Fixture]:
     def tube(sid):
-        return _tube(surfaces[sid].defining)
+        return _tube(reg[sid].payload.defining)
 
     out = []
     one4 = MultiPoly.const(W4, 1)
@@ -737,7 +737,8 @@ def _maps(surfaces: Mapping[str, Hypersurface]) -> List[Fixture]:
     return out
 
 
-def _witnesses(fam_d: MapFamily, fam_c: MapFamily) -> List[Fixture]:
+def _witnesses(reg: Mapping[str, Fixture]) -> List[Fixture]:
+    fam_d, fam_c = reg["family.affine.D"].payload, reg["family.affine.C"].payload
     out = []
     tvars = ("x1_0", "x2_0", "x3_0", "x4_0")
     uni = tvars + ("rho",)
@@ -803,10 +804,10 @@ def _lines() -> List[Fixture]:
          "affine complex line z1 = 1, z2 + z3 = 0, z4 = 1 inside the outer domain"),
         ("line.D.lt", (1, 0, 1, 0), (0, 1, -1, 0), "domain.D.lt",
          "affine complex line z1 = 1, z2 + z3 = 1, z4 = 0 inside the inner domain"),
-        ("line.C.gt", (0, 0, 0, 1), (1, 0, 0, 0), "domain.C.gt",
-         "affine complex line z2 = z3 = 0, z4 = 1; the main inequality restricts to 1"),
-        ("line.C.lt", (0, 0, 0, -1), (1, 0, 0, 0), "domain.C.lt",
-         "affine complex line z2 = z3 = 0, z4 = -1; the main inequality restricts to 1"),
+        ("line.C.gt", (1, 0, 0, 1), (0, 1, 0, 1), "domain.C.gt",
+         "affine complex line z1 = 1, z3 = 0, z4 = z2 + 1; both inequalities restrict to 1"),
+        ("line.C.lt", (1, 0, 0, -1), (0, 1, 0, 1), "domain.C.lt",
+         "affine complex line z1 = 1, z3 = 0, z4 = z2 - 1; both inequalities restrict to 1"),
     ]
     out = []
     for fid, point, direction, dom, text in data:
@@ -846,28 +847,58 @@ def _bridges_and_slices() -> List[Fixture]:
 
 # ----------------------------------------------------------------- registry
 
+# The builder of each group of fixtures, under the first dotted field of its
+# ids; it reads other groups through the registry that it is given.
+_BUILDER = {"surface": lambda reg: _surfaces(), "domain": _domains,
+            "isospan": lambda reg: _iso_spans(), "family": lambda reg: _families(),
+            "graph": _graphs, "map": _maps, "witness": _witnesses, "line": lambda reg: _lines()}
+_BUILDER["basis"] = _BUILDER["table"] = lambda reg: _bases_and_tables()
+_BUILDER["bridge"] = _BUILDER["slice"] = lambda reg: _bridges_and_slices()
+
+
+class Registry(Mapping[str, Fixture]):
+    """The in-code fixtures. Looking up an id builds its group on first use
+    and no other group; membership of any string never raises. Iteration
+    and length build every group. A builder that yields an id outside its
+    group, or an id twice, raises RuntimeError."""
+
+    def __init__(self):
+        self._fixtures: Dict[str, Fixture] = {}
+        self._built = set()
+
+    def _build(self, fid) -> None:
+        build = _BUILDER.get(fid.partition(".")[0]) if isinstance(fid, str) else None
+        if build is None or build in self._built:
+            return
+        group: Dict[str, Fixture] = {}
+        for fx in build(self):
+            if _BUILDER.get(fx.id.partition(".")[0]) is not build:
+                raise RuntimeError(f"fixture id {fx.id} is outside the group of its builder")
+            if fx.id in group:
+                raise RuntimeError(f"duplicate fixture id {fx.id}")
+            group[fx.id] = fx
+        self._built.add(build)
+        self._fixtures.update(group)
+
+    def __getitem__(self, fid: str) -> Fixture:
+        fx = self._fixtures.get(fid)
+        if fx is None:
+            self._build(fid)
+            fx = self._fixtures[fid]
+        return fx
+
+    def __iter__(self):
+        for prefix in _BUILDER:
+            self._build(prefix)
+        return iter(self._fixtures)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 @lru_cache(maxsize=1)
-def registry() -> Dict[str, Fixture]:
-    fixtures = _surfaces()
-    surfaces = {fx.id: fx.payload for fx in fixtures}
-    fixtures.extend(_domains(surfaces))
-    fixtures.extend(_bases_and_tables())
-    fixtures.extend(_iso_spans())
-    families = _families()
-    fixtures.extend(families)
-    fixtures.extend(_graphs(surfaces))
-    fixtures.extend(_maps(surfaces))
-    by_id = {fx.id: fx for fx in families}
-    fixtures.extend(_witnesses(by_id["family.affine.D"].payload,
-                               by_id["family.affine.C"].payload))
-    fixtures.extend(_lines())
-    fixtures.extend(_bridges_and_slices())
-    table: Dict[str, Fixture] = {}
-    for fx in fixtures:
-        if fx.id in table:
-            raise RuntimeError(f"duplicate fixture id {fx.id}")
-        table[fx.id] = fx
-    return table
+def registry() -> Registry:
+    return Registry()
 
 
 def get(fixture_id: str) -> Fixture:
@@ -1012,9 +1043,9 @@ def export_tree(path) -> int:
     for fid in list_ids():
         fx = get(fid)
         obj = fixture_to_obj(fx)
-        (root / f"{fid}.json").write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+        (root / f"{fid}.json").write_text(io.to_json(obj, sort_keys=True) + "\n")
         index.append({"id": fx.id, "kind": obj["kind"], "tag": fx.tag, "claim": fx.claim})
-    (root / "index.json").write_text(json.dumps({"fixtures": index}, indent=1) + "\n")
+    (root / "index.json").write_text(io.to_json({"fixtures": index}) + "\n")
     return len(index)
 
 

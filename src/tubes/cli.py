@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
@@ -22,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import catalog
 from .catalog import Fixture
 from .fields import VectorField, linear_combination, minors_scan, rank_at
+from .interchange import to_json
 from .linalg import poly_div_exact, rref_rows
 from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_check,
                           defining_series, infinitesimal_generators,
@@ -593,12 +593,20 @@ def cmd_lines(args, reg) -> List[Check]:
         fx = reg[fid]
         payload = fx.payload
         domain = _fixture(reg, payload.domain_id).payload
-        verdict = line_in_domain_check(payload.line, domain.expr, "gt")
+        inequalities = [("the main inequality", domain.expr, "gt")] + [
+            (f"{e} {'>' if s == 'gt' else '<'} 0", e, s) for e, s in domain.constraints]
+        said = []
+        for name, expr, sense in inequalities:
+            verdict = line_in_domain_check(payload.line, expr, sense)
+            said.append(f"{name}: {verdict.detail}")
+            if verdict.verdict != "contained":  # name only the first that fails
+                said = said[-1:]
+                break
         checks.append(check_of(
             f"lines.{fid}",
-            "the affine complex line reduces the defining inequality to a positive "
-            "constant (contained)",
-            verdict.verdict == "contained", verdict.detail, prov(fx)))
+            "the affine complex line reduces the defining inequality and every side "
+            "constraint of its domain to constants of the right sign (contained)",
+            verdict.verdict == "contained", "; ".join(said), prov(fx)))
     return checks
 
 
@@ -822,7 +830,7 @@ COMMANDS = {
 
 def emit(report: Report, as_json: bool) -> None:
     if as_json:
-        print(json.dumps({**vars(report), "checks": [vars(c) for c in report.checks]}, indent=1))
+        print(to_json({**vars(report), "checks": [vars(c) for c in report.checks]}))
         return
     for c in report.checks:
         print(f"[{c.verdict}] {c.id}: {c.claim}" + (f"  ({c.details})" if c.details else ""))

@@ -10,14 +10,53 @@ serialization is canonical.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
-from typing import Dict, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Dict, List, Mapping
 
 from .fields import HoloField, VectorField
 from .normal_form import GraphSurface, MapFamily
 from .poly import MultiPoly, RationalFunction
 from .relations import RelationContext
 from .scalars import GaussianRational
+
+
+def to_json(obj, sort_keys: bool = False) -> str:
+    """Exactly json.dumps(obj, indent=1, sort_keys=sort_keys), whose indented
+    form runs json's pure-Python encoder. Here strings take its C escaper and
+    ints int.__repr__, as json does; only empty containers, dicts with a
+    non-string key and other scalars go through json.dumps."""
+    out: List[str] = []
+    _put_json(obj, sort_keys, "\n", out)
+    return "".join(out)
+
+
+def _put_json(obj, sort_keys: bool, newline: str, out: List[str]) -> None:
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + " "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _put_json(value, sort_keys, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        inner = newline + " "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()) if sort_keys else obj.items():
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _put_json(value, sort_keys, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple, dict)):
+        out.append(json.dumps(obj, indent=1, sort_keys=sort_keys).replace("\n", newline))
+    else:
+        out.append(json.dumps(obj))
 
 
 def frac_to_str(x) -> str:

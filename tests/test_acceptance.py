@@ -291,9 +291,11 @@ def test_criterion_10_lines():
     for fid in ("line.D.gt", "line.D.lt", "line.C.gt", "line.C.lt"):
         fx = catalog.get(fid)
         domain = catalog.get(fx.payload.domain_id).payload
-        verdict = line_in_domain_check(fx.payload.line, domain.expr, "gt")
-        ok = ok and verdict.verdict == "contained"
-        values.append(f"{fid}: {verdict.verdict} ({verdict.value})")
+        assert domain.constraints, fid  # every line domain has the wall x1 > 0
+        for expr, sense in ((domain.expr, "gt"),) + domain.constraints:
+            verdict = line_in_domain_check(fx.payload.line, expr, sense)
+            ok = ok and verdict.verdict == "contained"
+            values.append(f"{fid} {expr} {sense} 0: {verdict.verdict} ({verdict.value})")
     _verdict(10, ok, "; ".join(values))
 
 

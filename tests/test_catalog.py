@@ -1,6 +1,7 @@
 """Fixture store integrity: round-trips, probes, ids, tags."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -144,3 +145,109 @@ def test_sympy_oracle_script_passes():
     summary = re.search(r"^(\d+) ok, (\d+) failed$", proc.stdout, re.MULTILINE)
     assert summary is not None, proc.stdout[-2000:]
     assert summary.group(2) == "0" and int(summary.group(1)) >= 53
+
+
+# ------------------------------------------------------------ lazy registry
+
+@pytest.fixture
+def built_groups(monkeypatch):
+    """Wrap every group builder of the in-code registry; the list holds the
+    groups built since, each named by its prefixes joined with '/'. The
+    registry is rebuilt from the real builders afterwards."""
+    built = []
+    names = {}
+    for prefix, build in catalog._BUILDER.items():
+        names[build] = names.get(build, ()) + (prefix,)
+
+    def recorded(build):
+        return lambda reg: built.append("/".join(sorted(names[build]))) or build(reg)
+    wrapped = {build: recorded(build) for build in names}
+    monkeypatch.setattr(catalog, "_BUILDER",
+                        {prefix: wrapped[build] for prefix, build in catalog._BUILDER.items()})
+    monkeypatch.delenv("TUBES_FIXTURES", raising=False)
+    catalog.registry.cache_clear()
+    yield built
+    catalog.registry.cache_clear()
+
+
+def test_fresh_start_up_builds_no_fixture_group():
+    """`import tubes.cli` plus `catalog.active_registry()` in a fresh
+    interpreter, with every builder replaced by one that raises."""
+    code = ("from tubes import catalog\n"
+            "def boom(reg):\n"
+            "    raise AssertionError('a fixture group was built')\n"
+            "catalog._BUILDER = dict.fromkeys(catalog._BUILDER, boom)\n"
+            "import tubes.cli\n"
+            "reg = catalog.active_registry()\n"
+            "print('a/b.json' in reg, 'nowhere' in reg)\n")
+    env = {k: v for k, v in os.environ.items() if k != "TUBES_FIXTURES"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("argv, groups", [
+    (["verify-map", "--id", "map.cm.D"], ["graph", "map", "surface"]),
+    (["table", "--case", "D"], ["basis/table"]),
+    (["normal-form", "--case", "D"], ["graph", "surface"]),
+    (["symmetry", "--surface", "surface.table.1m"], ["surface"]),
+    (["witness", "--id", "witness.D.gt"], ["family", "witness"]),
+])
+def test_commands_build_only_the_groups_they_read(argv, groups, built_groups, capsys):
+    from tubes import cli
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert sorted(built_groups) == groups
+
+
+def test_lookups_build_at_most_their_own_group(built_groups):
+    reg = catalog.active_registry()
+    for text in ("", "fixtures/surface.table.3.json", "nowhere.D", "surface", 3, None):
+        assert text not in reg and reg.get(text) is None
+    assert built_groups == ["surface"]
+    assert reg["map.cm.C"].kind == "rational_map"
+    assert built_groups == ["surface", "map"]
+    assert "bridge.isotropy.D" in reg and "slice.isotropy.D" in reg
+    assert built_groups == ["surface", "map", "bridge/slice"]
+
+
+def test_full_iteration_yields_every_committed_id(built_groups):
+    committed = [e["id"] for e in json.loads((ROOT / "fixtures" / "index.json").read_text())
+                 ["fixtures"]]
+    reg = catalog.registry()
+    assert len(committed) == 71 and len(reg) == 71
+    assert sorted(reg) == sorted(committed) == catalog.list_ids()
+    assert sorted(built_groups) == ["basis/table", "bridge/slice", "domain", "family", "graph",
+                                    "isospan", "line", "map", "surface", "witness"]
+
+
+def test_cache_clear_gives_an_unbuilt_registry(built_groups):
+    first = catalog.active_registry()
+    assert len(first) == 71 and len(built_groups) == 10
+    catalog.registry.cache_clear()
+    second = catalog.active_registry()
+    assert second is not first and second is catalog.active_registry()
+    assert len(built_groups) == 10
+    assert second["line.D.gt"] == first["line.D.gt"] and built_groups[10:] == ["line"]
+
+
+@pytest.mark.parametrize("stray, message", [
+    ("surface.table.3", "fixture id surface.table.3 is outside the group of its builder"),
+    ("line.D.gt", "duplicate fixture id line.D.gt"),
+])
+def test_a_builder_must_keep_to_its_group_and_yield_each_id_once(
+        stray, message, built_groups, monkeypatch):
+    lines = catalog._lines
+
+    def strayed():
+        out = lines()
+        return out + [catalog.Fixture(stray, "direct", "a stray", out[0].payload)]
+    monkeypatch.setattr(catalog, "_lines", strayed)
+    reg = catalog.active_registry()
+    with pytest.raises(RuntimeError, match=message):
+        reg["line.C.gt"]
+    with pytest.raises(RuntimeError, match=message):
+        "line.C.gt" in reg  # a failed build leaves nothing behind
+    assert "line.C.gt" not in reg._fixtures and "domain.C.gt" in reg

@@ -353,6 +353,34 @@ def test_commands_decode_only_the_fixtures_they_read(argv, decodes, monkeypatch,
     assert len(decoded) == len(set(decoded)) == decodes, decoded
 
 
+def test_lines_fail_on_a_side_constraint(tmp_path, monkeypatch, capsys):
+    """The C lines as first catalogued, from (0,0,0,+-1) along (1,0,0,0):
+    they reduce the main inequality to 1, but x1 sweeps all of R, so the
+    wall x1 > 0 of their domains fails and `lines` says so."""
+    tree = tmp_path / "tree"
+    shutil.copytree(FIXTURES, tree)
+    for side in ("gt", "lt"):
+        path = tree / f"line.C.{side}.json"
+        obj = json.loads(path.read_text())
+        obj["payload"]["point"] = ["0", "0", "0", "1" if side == "gt" else "-1"]
+        obj["payload"]["direction"] = ["1", "0", "0", "0"]
+        path.write_text(json.dumps(obj))
+    monkeypatch.setenv("TUBES_FIXTURES", str(tree))
+    code, report = run_json(["lines"], capsys)
+    assert code == 1
+    verdicts = {c["id"]: (c["verdict"], c["details"]) for c in report["checks"]}
+    for side in ("gt", "lt"):
+        verdict, details = verdicts.pop(f"lines.line.C.{side}")
+        assert verdict == "FAIL"
+        assert details.startswith("x1 > 0: restriction is not constant"), details
+    assert [v for v, _ in verdicts.values()] == ["PASS", "PASS"]
+    monkeypatch.delenv("TUBES_FIXTURES")
+    code, report = run_json(["lines"], capsys)
+    assert code == 0 and report["summary"] == {"pass": 4, "fail": 0, "unresolved": 0}
+    assert all(c["details"] == "the main inequality: restriction is the constant 1; "
+               "x1 > 0: restriction is the constant 1" for c in report["checks"])
+
+
 def test_non_real_series_is_a_reality_fail(monkeypatch, capsys):
     """A series that breaks the reality pairing is reported as the
     normal_form.reality FAIL (exit 1), not raised."""

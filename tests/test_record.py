@@ -141,10 +141,10 @@ def test_presentation_brackets_are_neither_compared_nor_printed():
 
 
 def test_startup_imports_no_dataclasses_inspect_or_difflib():
-    """A fresh `import tubes.cli` plus the first registry build loads none
-    of them; only modules added after start-up count."""
+    """A fresh `import tubes.cli` plus a build of every registry group
+    loads none of them; only modules added after start-up count."""
     code = ("import sys; before = set(sys.modules); import tubes.cli; "
-            "from tubes import catalog; catalog.active_registry(); "
+            "from tubes import catalog; len(catalog.active_registry()); "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     env = {k: v for k, v in os.environ.items() if k != "TUBES_FIXTURES"}
     env["PYTHONPATH"] = str(ROOT / "src")
