@@ -858,9 +858,10 @@ _BUILDER["bridge"] = _BUILDER["slice"] = lambda reg: _bridges_and_slices()
 
 class Registry(Mapping[str, Fixture]):
     """The in-code fixtures. Looking up an id builds its group on first use
-    and no other group; membership of any string never raises. Iteration
-    and length build every group. A builder that yields an id outside its
-    group, or an id twice, raises RuntimeError."""
+    and no other group, and so does listing a group's ids; membership of
+    any string never raises. Iteration and length build every group. A
+    builder that yields an id outside its group, or an id twice, raises
+    RuntimeError."""
 
     def __init__(self):
         self._fixtures: Dict[str, Fixture] = {}
@@ -886,6 +887,12 @@ class Registry(Mapping[str, Fixture]):
             self._build(fid)
             fx = self._fixtures[fid]
         return fx
+
+    def group_ids(self, group: str) -> List[str]:
+        """The sorted ids whose first dotted field is `group`; builds no
+        other group."""
+        self._build(group)
+        return sorted(fid for fid in self._fixtures if fid.partition(".")[0] == group)
 
     def __iter__(self):
         for prefix in _BUILDER:
@@ -1100,6 +1107,10 @@ class FixtureTree(Mapping[str, Fixture]):
                     tree=True)
             self._decoded[fid] = fx
         return fx
+
+    def group_ids(self, group: str) -> List[str]:
+        """The sorted ids whose first dotted field is `group`, from the index."""
+        return sorted(fid for fid in self._kinds if fid.partition(".")[0] == group)
 
     def __contains__(self, fid) -> bool:
         return fid in self._kinds

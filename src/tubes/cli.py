@@ -127,7 +127,7 @@ def _surface(reg, ident: str) -> Tuple[Hypersurface, str]:
 
 
 def _domains_for_surface(reg, surface_id: str):
-    domains = (reg[fid] for fid in sorted(reg) if fid.startswith("domain."))
+    domains = (reg[fid] for fid in reg.group_ids("domain"))
     return [fx for fx in domains if fx.payload.source_surface == surface_id]
 
 

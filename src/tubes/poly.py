@@ -19,9 +19,11 @@ OverflowError before it starts, so a field never carries into the next.
 Exponent tuples appear only at the public edges: the constructor,
 `coeff`, `sorted_terms` and `leading`.
 
-Every substitution (`subs_poly`, `substitute`) is one Horner routine
-over term keys, `_horner`, which splits the terms by one mapped
-variable's exponent per level with a shift and a mask. `_compose` takes
+Every substitution (`subs_poly`, `subs_each`, `substitute`) is one
+Horner routine over term keys, `_horner`, which splits the terms by one
+mapped variable's exponent per level with a shift and a mask.
+`subs_each` puts one value in for one variable of many polynomials,
+through one power cache; `_compose` takes
 images for the mapped variables only, {index in p: (Powers of the
 numerator, Powers of the denominator, top degree)}; every other variable
 is kept and moves into the target universe by the runs of `_moves`.
@@ -309,16 +311,13 @@ class MultiPoly:
         unmapped variables of self must exist there and map to themselves.
 
         One variable of self mapped to a value over self's own variables
-        skips the argument checks and goes straight to `_horner` with one
-        chain: the terms are split by that variable's exponent k and each
-        part is multiplied once by the value's k-th power."""
+        skips the argument checks and goes to `subs_each`."""
         if not mapping:
             return self
         if len(mapping) == 1:
             (name, value), = mapping.items()
             if value.vars == self.vars and name in self.vars:
-                chain = _chain(len(self.vars), self.vars.index(name), (Powers(value), None, 0))
-                return _poly(self.vars, _horner(self.terms, [chain], 0, None))
+                return subs_each([self], name, value)[0]
         target = next(iter(mapping.values())).vars
         if any(value.vars != target for value in mapping.values()):
             raise ValueError("substitution values must share a variable tuple")
@@ -484,7 +483,7 @@ class Powers:
     __slots__ = ("_pows",)
 
     def __init__(self, base: MultiPoly):
-        self._pows = [MultiPoly.const(base.vars, 1), base]
+        self._pows = [_poly(base.vars, {0: ONE}), base]
 
     def __getitem__(self, k: int) -> MultiPoly:
         pows = self._pows
@@ -493,6 +492,25 @@ class Powers:
             pows.append(pows[top] * pows[1])
             top += 1
         return pows[k]
+
+
+def subs_each(polys: Sequence[MultiPoly], name: str, value: MultiPoly) -> List[MultiPoly]:
+    """Each of polys, all over value's variables, with the variable `name`
+    replaced by value: through one `Powers` of value and one `_horner`
+    chain for them all. A poly in which `name` does not occur is returned
+    as it is, the same object."""
+    variables = value.vars
+    idx = variables.index(name)
+    chain = [_chain(len(variables), idx, (Powers(value), None, 0))]
+    mask = _field_mask(len(variables), (idx,))
+    out = []
+    for p in polys:
+        if p.vars != variables:
+            raise ValueError(f"variable mismatch: {variables} vs {p.vars}")
+        if any(k & mask for k in p.terms):
+            p = _poly(variables, _horner(p.terms, chain, 0, None))
+        out.append(p)
+    return out
 
 
 def _poly(variables: Tuple[str, ...], terms: Dict[int, GaussianRational]) -> MultiPoly:

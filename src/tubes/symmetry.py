@@ -4,14 +4,20 @@ The central computation is the linear solve behind affine_symmetry_algebra:
 an affine field X = (Ax + b) . d/dx is tangent to {P = 0} along the surface
 exactly when X(P) = c P for a constant c, and collecting monomial
 coefficients of X(P) - c P gives an exact rational kernel problem in the
-n^2 + n + 1 unknowns (A, b, c). Everything downstream (structure
-constants, orbit ranks, Grassmannian chart scans, nilpotency and the
-transitivity witnesses) stays in exact arithmetic.
+n^2 + n + 1 unknowns (A, b, c). Its structure constants are read off the
+integer kernel vectors: the bracket of two affine fields is the commutator
+of their (n+1) x (n+1) matrices, again a kernel vector, whose coordinates
+sit at the columns where one basis vector alone is nonzero. Fields given
+as polynomials (stored bases) are expanded by one elimination instead
+(LieAlgebraPresentation.from_fields). Everything downstream (orbit ranks,
+Grassmannian chart scans, nilpotency and the transitivity witnesses) stays
+in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -20,10 +26,10 @@ from . import linalg
 from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
                      rank_at)
 from .poly import (MultiPoly, RationalFunction, _poly, coefficient_columns, poly_sum,
-                   substitute, variable_keys)
+                   subs_each, substitute, variable_keys)
 from .record import Record
 from .relations import RelationContext
-from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _gr
+from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _div, _gr
 
 
 class Hypersurface(Record):
@@ -86,21 +92,21 @@ def satisfies(value: Rational, sense: str) -> bool:
 
 # --------------------------------------------------------------- presentations
 
+_CLOSURE = ("closure failure: [B_{}, B_{}] is outside the span; "
+            "this indicates a bug in the basis computation")
+
+
 class LieAlgebraPresentation(Record):
     """Ordered basis of vector fields plus the full structure tensor.
 
     structure[i][j] is the coefficient tuple of [B_i, B_j] in the basis,
     with canonical rational entries (int when integral, Fraction
-    otherwise); antisymmetry is enforced at construction and the Jacobi
-    identity is checked by verify(). A presentation built by from_fields
-    keeps the brackets [B_i, B_j], i < j, that it solved for, and verify
-    reads them; they are not a field (not compared, not printed), so a
-    presentation constructed directly starts without them.
+    otherwise). verify() checks antisymmetry, the Jacobi identity and the
+    tensor against the brackets of the basis fields.
     """
 
     basis: Tuple[VectorField, ...]
     structure: Tuple[Tuple[Tuple[Rational, ...], ...], ...]
-    brackets = None  # Optional[Tuple[VectorField, ...]], set by from_fields
 
     @property
     def dim(self) -> int:
@@ -108,25 +114,23 @@ class LieAlgebraPresentation(Record):
 
     @classmethod
     def from_fields(cls, basis: Sequence[VectorField]) -> "LieAlgebraPresentation":
+        """The presentation of any bracket-closed basis: each bracket of
+        two basis fields is expanded in the basis (`expand_in_fields`)."""
         basis = tuple(basis)
         dim = len(basis)
         zero_row = (0,) * dim
         rows: List[List[Tuple[Rational, ...]]] = [[zero_row] * dim for _ in range(dim)]
         pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        brackets = tuple(lie_bracket(basis[i], basis[j]) for i, j in pairs)
+        brackets = [lie_bracket(basis[i], basis[j]) for i, j in pairs]
         for (i, j), coeffs in zip(pairs, expand_in_fields(brackets, basis)):
             if coeffs is None:
-                raise RuntimeError(
-                    f"closure failure: [B_{i}, B_{j}] is outside the span; "
-                    "this indicates a bug in the basis computation")
+                raise RuntimeError(_CLOSURE.format(i, j))
             if not all(c.is_real() for c in coeffs):
                 raise RuntimeError("structure constants must be rational")
             rat = tuple(c.re for c in coeffs)
             rows[i][j] = rat
             rows[j][i] = tuple(-x for x in rat)
-        algebra = cls(basis, tuple(tuple(r) for r in rows))
-        object.__setattr__(algebra, "brackets", brackets)
-        return algebra
+        return cls(basis, tuple(tuple(r) for r in rows))
 
     @cached_property
     def nonzero_structure(self):
@@ -166,10 +170,8 @@ class LieAlgebraPresentation(Record):
         it. Each sum runs over the nonzero constants c_ij^l only, into one
         coordinate vector per triple.
 
-        The brackets [B_i, B_j], i < j, are the ones from_fields solved
-        for when it built self; any other presentation brackets its own
-        basis here. Either way each is compared with the combination of
-        the basis that the tensor names."""
+        Each bracket [B_i, B_j], i < j, of the basis fields is then
+        compared with the combination of the basis that the tensor names."""
         dim = self.dim
         structure = self.structure
         for i in range(dim):
@@ -187,11 +189,8 @@ class LieAlgebraPresentation(Record):
             if any(total):
                 raise AssertionError("Jacobi identity fails on the tensor")
         # bracket identity against the actual fields
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        brackets = self.brackets
-        if brackets is None:
-            brackets = [lie_bracket(self.basis[i], self.basis[j]) for i, j in pairs]
-        for (i, j), br in zip(pairs, brackets):
+        for i, j in itertools.combinations(range(dim), 2):
+            br = lie_bracket(self.basis[i], self.basis[j])
             expect = self.field_from_coords(structure[i][j])
             for a, b in zip(br.components, expect.components):
                 if a != b:
@@ -215,7 +214,11 @@ def expand_in_fields(xs: Sequence[VectorField], basis: Sequence[VectorField]):
 # ------------------------------------------------------- symmetry computation
 
 def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
-    """All affine fields X with X(P) = c P, as a verified presentation."""
+    """All affine fields X with X(P) = c P, as a presentation.
+
+    The kernel vectors of the tangency solve are the basis, each read as
+    the field x -> A x + b (A row-major, then b, then c); the structure
+    tensor is read off those integer vectors (`_affine_structure`)."""
     p = surface.defining
     names = p.vars
     n = len(names)
@@ -241,7 +244,72 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
                                     zip(keys, [vec[n * n + i]] + vec[n * i:n * i + n]) if c})
                       for i in range(n))
         fields.append(VectorField(tuple(names), comps))
-    return LieAlgebraPresentation.from_fields(fields)
+    return LieAlgebraPresentation(tuple(fields), _affine_structure(kernel, n))
+
+
+def _affine_structure(kernel: Sequence[Sequence[int]], n: int):
+    """The structure tensor of the affine fields of these integer vectors
+    (A row-major, then b, then the multiplier c; n coordinates), as
+    LieAlgebraPresentation.structure holds it.
+
+    With M_X the (n+1) x (n+1) matrix [[A, b], [0, 0]] of X = A x + b,
+    [X, Y]_i = X(Y_i) - Y(X_i) is the field of M_Y M_X - M_X M_Y, that is
+    (CA - AC, Cb - Ad) for Y = C x + d, with c = 0; for kernel vectors it
+    is again one. It is computed on sparse int vectors. Each vector is the
+    only one nonzero at some column (every free column of kernel_basis is
+    one), so a bracket's coordinate on it is the bracket's entry there
+    divided by the vector's, an int when the division is exact
+    (`scalars._div`). The coordinates recombined must give the bracket
+    back exactly; otherwise the span is not closed and the closure
+    RuntimeError of from_fields is raised (de Graaf, Lie Algebras: Theory
+    and Algorithms, ch. 1)."""
+    dim = len(kernel)
+    sparse = [{col: x for col, x in enumerate(vec) if x} for vec in kernel]
+    seen = Counter(col for vec in sparse for col in vec)
+    # one column of each vector where no other vector is nonzero:
+    # {column: (the vector's index, its entry there)}
+    owner = {}
+    for a, vec in enumerate(sparse):
+        col = next((col for col in vec if seen[col] == 1), None)
+        if col is None:
+            raise ValueError("a vector is nonzero at no column of its own")
+        owner[col] = (a, vec[col])
+    # the flat index of entry (r, k) of the augmented matrix, k = n being b
+    index = [[n * r + k for k in range(n)] + [n * n + r] for r in range(n)]
+    # per vector: its entries (r, k, x), and row k as the pairs (column, x)
+    entries, rows = [], []
+    for vec in sparse:
+        ent, by_row = [], {}
+        for col, x in vec.items():
+            r, k = divmod(col, n) if col < n * n else (col - n * n, n)
+            if r < n:  # not the multiplier
+                ent.append((r, k, x))
+                by_row.setdefault(r, []).append((k, x))
+        entries.append(ent)
+        rows.append(by_row)
+    zero_row = (0,) * dim
+    structure: List[List[Tuple[Rational, ...]]] = [[zero_row] * dim for _ in range(dim)]
+    for i, j in itertools.combinations(range(dim), 2):
+        w: Dict[int, int] = {}
+        for ent, by_row, sign in ((entries[j], rows[i], 1), (entries[i], rows[j], -1)):
+            for r, k, x in ent:
+                for col, y in by_row.get(k, ()):
+                    at = index[r][col]
+                    w[at] = w.get(at, 0) + sign * x * y
+        w = {col: x for col, x in w.items() if x}
+        coords: List[Rational] = [0] * dim
+        back: Dict[int, Rational] = {}
+        for col, y in w.items():
+            if col in owner:
+                a, x = owner[col]
+                c = coords[a] = _div(y, x)
+                for at, x in sparse[a].items():
+                    back[at] = back.get(at, 0) + c * x
+        if {col: x for col, x in back.items() if x} != w:
+            raise RuntimeError(_CLOSURE.format(i, j))
+        structure[i][j] = tuple(coords)
+        structure[j][i] = tuple(-c for c in coords)
+    return tuple(tuple(row) for row in structure)
 
 
 def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]]:
@@ -389,22 +457,20 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
         if pick is None:
             return ChartOutcome(pivots, "unresolved", residual=tuple(e for e, _ in eqs))
         var, c = pick
-        rest = e - MultiPoly.var(tvars, var) * c
-        expr = rest * (ONE / c) * (-1)
+        expr = (e - MultiPoly.var(tvars, var) * c) * (-ONE / c)
         steps.append((var, expr))
-        # e itself becomes c * expr + rest = 0; only a changed equation
-        # can have become a nonzero constant
+        # e itself becomes c * (var - expr) = 0; subs_each returns an
+        # equation without var as it is, and only a changed equation can
+        # have become a nonzero constant
+        del eqs[n]
         left = []
-        for q, stuck in eqs:
-            if q is e:
-                continue
-            if q.degree(var):
-                q = q.subs_poly({var: expr})
-                if not q:
+        for (q, stuck), new in zip(eqs, subs_each([q for q, _ in eqs], var, expr)):
+            if new is not q:
+                if not new:
                     continue
-                if q.degree() == 0:
+                if new.degree() == 0:
                     return ChartOutcome(pivots, "empty")
-                stuck = False
+                q, stuck = new, False
             left.append((q, stuck))
         eqs = left
 

@@ -111,6 +111,20 @@ def test_unknown_id_reports_near_matches():
         catalog.get("domain.D.gtt")
 
 
+@pytest.mark.parametrize("source", ["registry", "committed tree"])
+def test_group_ids_list_one_group_in_order(source):
+    reg = _fixtures(source)
+    for group in ("domain", "basis", "table", "nowhere"):
+        assert reg.group_ids(group) == sorted(fid for fid in reg
+                                              if fid.startswith(group + "."))
+    assert len(reg.group_ids("domain")) == 14
+
+
+def test_group_ids_of_a_tree_decode_nothing():
+    tree = catalog.load_tree(ROOT / "fixtures")
+    assert len(tree.group_ids("domain")) == 14 and tree._decoded == {}
+
+
 def test_export_and_load_tree(tmp_path):
     count = catalog.export_tree(tmp_path)
     assert count == len(catalog.list_ids())
@@ -194,6 +208,7 @@ def test_fresh_start_up_builds_no_fixture_group():
     (["normal-form", "--case", "D"], ["graph", "surface"]),
     (["symmetry", "--surface", "surface.table.1m"], ["surface"]),
     (["witness", "--id", "witness.D.gt"], ["family", "witness"]),
+    (["orbits", "--surface", "surface.table.1p"], ["domain", "surface"]),
 ])
 def test_commands_build_only_the_groups_they_read(argv, groups, built_groups, capsys):
     from tubes import cli

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tubes.poly
 from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc,
-                        poly_sum, series_expand, substitute)
+                        poly_sum, series_expand, subs_each, substitute)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
@@ -138,6 +138,23 @@ def test_subs_poly_one_variable_skips_the_composer(monkeypatch):
     p.subs_poly({"x": y + 1, "y": y})
     p.subs_poly({"x": MultiPoly.var(("x", "y", "z", "w"), "w")})
     assert len(calls) == 2
+
+
+def test_subs_each_equals_the_composer_and_returns_untouched_polys_as_they_are():
+    rng = random.Random(23)
+    for _ in range(60):
+        name = rng.choice(VARS)
+        other = next(v for v in VARS if v != name)
+        value = random_poly(rng, VARS, max_degree=2, max_terms=3, complex_coeffs=True)
+        polys = [random_poly(rng, VARS, max_degree=3, max_terms=5) for _ in range(5)]
+        for p, out in zip(polys, subs_each(polys, name, value)):
+            assert out == p.subs_poly({name: value})
+            # a second variable mapped to itself goes through the composer
+            assert out == p.subs_poly({name: value, other: MultiPoly.var(VARS, other)})
+            assert (out is p) == (name not in p.used_vars())
+    x = MultiPoly.var(VARS, "x")
+    with pytest.raises(ValueError, match="variable mismatch"):
+        subs_each([x, MultiPoly.var(("x", "y"), "x")], "x", x)
 
 
 def test_subs_poly_rejects_an_unmapped_variable_missing_from_the_target():

@@ -127,10 +127,10 @@ def test_verify_rejects_a_rescaled_basis_field():
         doubled.verify()
 
 
-def test_verify_reuses_the_brackets_of_from_fields(monkeypatch):
-    """verify compares the tensor with the brackets from_fields solved for
-    and computes none; one constructed directly brackets its basis."""
-    alg = LieAlgebraPresentation.from_fields(algebra("surface.table.3").basis)
+def test_verify_brackets_its_own_basis(monkeypatch):
+    """verify brackets every pair of basis fields itself, whether the
+    tensor was solved for (from_fields) or read off the kernel vectors."""
+    alg = algebra("surface.table.3")
     calls = []
 
     def counting(x, y):
@@ -138,10 +138,91 @@ def test_verify_reuses_the_brackets_of_from_fields(monkeypatch):
         return lie_bracket(x, y)
 
     monkeypatch.setattr(symmetry, "lie_bracket", counting)
-    alg.verify()
-    assert calls == []
-    LieAlgebraPresentation(alg.basis, alg.structure).verify()
-    assert len(calls) == alg.dim * (alg.dim - 1) // 2
+    solved = LieAlgebraPresentation.from_fields(alg.basis)
+    calls.clear()
+    for presentation in (alg, solved):
+        presentation.verify()
+    assert len(calls) == alg.dim * (alg.dim - 1)
+
+
+HYPERSURFACES = ("surface.quadric.half", "surface.table.1m", "surface.table.1p",
+                 "surface.table.2.cubic", "surface.table.2.sphere", "surface.table.3",
+                 "surface.table.4.a0", "surface.table.4.a1", "surface.table.4.a112",
+                 "surface.table.4.am1", "surface.table.5", "surface.table.6",
+                 "surface.tube.6.realified")
+
+
+def test_hypersurfaces_names_every_catalogued_hypersurface():
+    assert sorted(fid for fid in catalog.list_ids("surface.*")
+                  if catalog.get(fid).kind == "hypersurface") == list(HYPERSURFACES)
+
+
+@pytest.mark.parametrize("fid", HYPERSURFACES)
+def test_affine_structure_equals_the_tensor_solved_from_the_fields(fid):
+    """The tensor read off the kernel vectors is the one from_fields solves
+    for, entry types included (repr tells an int from a Fraction)."""
+    alg = algebra(fid)
+    assert repr(alg.structure) == repr(LieAlgebraPresentation.from_fields(alg.basis).structure)
+
+
+def _affine_fields(vectors, names):
+    """The field x -> A x + b of each vector (A row-major, then b, then c)."""
+    n = len(names)
+    xs = [MultiPoly.var(names, v) for v in names]
+    return [VectorField(names, tuple(
+        sum((x * a for x, a in zip(xs, vec[n * i:n * i + n]) if a),
+            MultiPoly.const(names, vec[n * n + i])) for i in range(n))) for vec in vectors]
+
+
+def test_affine_structure_reads_fractional_coordinates():
+    """sl2 as H' = 2 x1 d/dx1 - 2 x2 d/dx2, X = x2 d/dx1, Y = x1 d/dx2:
+    [X, Y] = -H'/2, a Fraction, and each tensor entry is from_fields'."""
+    vectors = [[2, 0, 0, -2, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]]
+    structure = symmetry._affine_structure(vectors, 2)
+    assert structure[1][2] == (Fraction(-1, 2), 0, 0)
+    assert type(structure[1][2][1]) is int
+    solved = LieAlgebraPresentation.from_fields(_affine_fields(vectors, ("x1", "x2")))
+    assert repr(structure) == repr(solved.structure)
+    LieAlgebraPresentation(solved.basis, structure).verify()
+
+
+def test_affine_structure_of_zero_and_one_dimensional_spans():
+    assert symmetry._affine_structure([], 2) == () == LieAlgebraPresentation.from_fields(
+        []).structure
+    euler = [[1, 0, 0, 1, 0, 0, 2]]  # x1 d/dx1 + x2 d/dx2, multiplier 2
+    assert symmetry._affine_structure(euler, 2) == (((0,),),)
+    LieAlgebraPresentation(tuple(_affine_fields(euler, ("x1", "x2"))), (((0,),),)).verify()
+
+
+def test_a_span_that_is_not_bracket_closed_raises_the_closure_error():
+    with pytest.raises(RuntimeError, match=r"closure failure: \[B_0, B_1\] is outside the span"):
+        symmetry._affine_structure([[0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]], 2)
+    with pytest.raises(ValueError, match="nonzero at no column of its own"):
+        symmetry._affine_structure([[0, 1, 0, 0, 0, 0, 0]] * 2, 2)
+
+
+@pytest.mark.parametrize("fid", ["surface.table.3", "surface.quadric.half"])
+def test_a_kernel_minus_one_vector_fails_exactly_where_from_fields_does(fid, monkeypatch):
+    """Dropping one kernel vector leaves a span whose brackets may leave it:
+    affine_symmetry_algebra then raises the closure error from_fields
+    raises on the same fields, and otherwise gives the same tensor."""
+    full = algebra(fid).basis
+    kernel_basis = symmetry.linalg.kernel_basis
+    outcomes = []
+    for drop in range(len(full)):
+        monkeypatch.setattr(symmetry.linalg, "kernel_basis",
+                            lambda m: [v for i, v in enumerate(kernel_basis(m)) if i != drop])
+        try:
+            want = LieAlgebraPresentation.from_fields(full[:drop] + full[drop + 1:]).structure
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as got:
+                algebra(fid)
+            assert str(got.value) == str(exc) and str(exc).startswith("closure failure")
+            outcomes.append("open")
+        else:
+            assert algebra(fid).structure == want
+            outcomes.append("closed")
+    assert {"open", "closed"} <= set(outcomes)
 
 
 def test_verify_jacobi_agrees_with_dense_oracle():
