@@ -34,7 +34,10 @@ trusted `_poly`, which takes over a dict the engine built. Sums of many
 polynomials accumulate into one dict (`poly_sum`, `_add_into`).
 
 Rational functions are unreduced num/den pairs. Equality is decided by
-cross-multiplication; no multivariate gcd is ever computed.
+cross-multiplication; no multivariate gcd is ever computed. Their
+truncated expansions (`series_expand`) share one inverse of the
+denominator, built coefficient by coefficient from the recurrence of a
+power series reciprocal, in plain (re, im) parts like `_product`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, GaussianRational, ScalarLike, _canon, _gr
+from .scalars import ONE, ZERO, GaussianRational, ScalarLike, _canon, _div, _gr
 
 # an exponent tuple, as the public edges take and give monomials
 Exponents = Tuple[int, ...]
@@ -894,28 +897,62 @@ def series_expand(nums: Sequence[MultiPoly], den: MultiPoly, cutoff: int) -> Lis
     """Truncated Taylor expansions at the origin of num/den through
     `cutoff`, one for each num in nums, all over one inverse of den.
 
-    Requires den(0) != 0. Multiplying each result back by den agrees
+    Requires den(0) = c0 != 0. Multiplying each result back by den agrees
     with its num through total degree cutoff.
 
-    The inverse is taken once, over the coefficient ring of den: with
-    E = c0 - den, each E**k has order >= k, so through the cutoff
-    c0**(cutoff+1) / den = sum_k E**k * c0**(cutoff-k). Each num is then
-    one truncated product with that sum, and the one division, by
-    c0**(cutoff+1), comes last.
+    The inverse is taken once, over the coefficient ring of den, by the
+    coefficient recurrence of a power series reciprocal (Knuth, TAOCP
+    Vol. 2, 4.7): A = c0**(cutoff+1) / den through the cutoff has
+    A[0] = c0**cutoff and c0 * A[m] = -sum_t den[t] * A[m - t] over the
+    nonconstant terms t of den. Each A[m] is pushed forward to the keys
+    m + t once it is final, so no key is ever subtracted, and the sums
+    are kept by degree, each degree final before the next is read. Only
+    the monomials reachable from 1 by multiplying terms of den are
+    visited. Each sum runs in plain (re, im) int/Fraction parts, and
+    each A[m] is one exact division by c0, so an integer den keeps int
+    entries. Each num is then one truncated product with A, and the one
+    division, by c0**(cutoff+1), comes last.
     """
     c0 = den.const_coeff()
     if not c0:
         raise ValueError("singular expansion point: denominator vanishes at 0")
-    e_poly = (c0 - den).truncate(cutoff)
-    scales = [ONE]
-    for _ in range(cutoff + 1):
-        scales.append(scales[-1] * c0)
-    inv = MultiPoly.const(den.vars, scales[cutoff])
-    acc = MultiPoly.const(den.vars, 1)
-    for k in range(1, cutoff + 1):
-        acc = mul_trunc(acc, e_poly, cutoff)
-        if acc.is_zero():
-            break
-        inv = inv + acc * scales[cutoff - k]
-    scale = ONE / scales[cutoff + 1]
-    return [mul_trunc(num.truncate(cutoff), inv, cutoff) * scale for num in nums]
+    shift = 8 * len(den.vars)
+    # the negated nonconstant terms of den through the cutoff, by degree:
+    # (key, total degree, re, im)
+    tails = sorted((k, k >> shift, -c.re, -c.im) for k, c in den.terms.items()
+                   if 0 < k < cutoff + 1 << shift)
+    a, b = c0.re, c0.im
+    norm = a * a + b * b
+    lead = c0 ** (cutoff + 1)
+    # levels[d]: c0 * A[m] in (re, im) parts for each key m of degree d reached
+    levels: List[Dict[int, list]] = [{} for _ in range(cutoff + 1)]
+    levels[0][0] = [lead.re, lead.im]
+    inv: Dict[int, GaussianRational] = {}
+    for d, level in enumerate(levels):
+        for m, (re, im) in level.items():
+            if b:
+                re, im = _div(re * a + im * b, norm), _div(im * a - re * b, norm)
+            else:
+                re, im = _div(re, a), _div(im, a)
+            if not (re or im):
+                continue
+            inv[m] = _gr(re, im)
+            for t, dt, tr, ti in tails:
+                if d + dt > cutoff:
+                    break
+                if im or ti:
+                    pr = re * tr - im * ti
+                    pi = re * ti + im * tr
+                else:
+                    pr = re * tr
+                    pi = 0
+                out = levels[d + dt]
+                s = out.get(m + t)
+                if s is None:
+                    out[m + t] = [pr, pi]
+                else:
+                    s[0] += pr
+                    s[1] += pi
+    inverse = _poly(den.vars, inv)
+    scale = ONE / lead
+    return [mul_trunc(num.truncate(cutoff), inverse, cutoff) * scale for num in nums]

@@ -91,7 +91,7 @@ def test_criterion_03_normal_form():
         series = defining_series(graph, 8)[0]
         tr = trace_from_levi(series.part(1, 1), WHOLO, WANTI)
         report = chern_moser_check(series, tr)
-        failed = report.failed_names()
+        failed = tuple(name for name, ok, _ in report.conditions if not ok)
         ok = ok and not failed
         details.append(f"{case}: {failed or 'pass'}")
     graph = catalog.get("graph.cm.D").payload
@@ -106,7 +106,8 @@ def test_criterion_03_normal_form():
                              RationalFunction(graph.im_part.num + bump, graph.im_part.den))
     series_p = defining_series(perturbed, 8)[0]
     tr = trace_from_levi(series_p.part(1, 1), WHOLO, WANTI)
-    control = "tr F22 = 0" in chern_moser_check(series_p, tr).failed_names()
+    control = "tr F22 = 0" in [name for name, ok, _ in chern_moser_check(series_p, tr).conditions
+                               if not ok]
     ok = ok and control
     details.append(f"perturbation control fails tr F22: {control}")
     _verdict(3, ok, "; ".join(details))

@@ -404,6 +404,22 @@ def test_non_real_series_is_a_reality_fail(monkeypatch, capsys):
     assert verdicts["normal_form.reality.D"] == "FAIL"
 
 
+@pytest.mark.parametrize("case", ["D", "C"])
+def test_perturbation_control_fails_when_the_bump_vanishes(monkeypatch, capsys, case):
+    """The control is live: with the graph's own series in place of the
+    perturbed one it reports FAIL."""
+    expand = cli.defining_series
+    monkeypatch.setattr(cli, "defining_series",
+                        lambda graph, cutoff, bumps: [expand(graph, cutoff)[0]] * 2)
+    code = cli.main(["--json", "normal-form", "--case", case])
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    control = checks[f"normal_form.{case}.perturbation_control"]
+    assert control["verdict"] == "FAIL"
+    assert control["details"] == "perturbed series unexpectedly passed"
+    assert [c["id"] for c in checks.values() if c["verdict"] == "FAIL"] == [control["id"]]
+
+
 def test_engine_key_error_is_not_a_usage_error(monkeypatch):
     def broken(*args):
         raise KeyError("engine bug")

@@ -9,7 +9,7 @@ import tubes.poly
 from tubes import catalog
 from tubes.fields import lie_bracket
 from tubes.linalg import rref_rows
-from tubes.normal_form import (GraphSurface, MapFamily, chern_moser_check,
+from tubes.normal_form import (BidegreeSeries, GraphSurface, MapFamily, chern_moser_check,
                                defining_series, infinitesimal_generators,
                                map_at_origin, trace_from_levi,
                                verify_family_invariance, verify_group_law,
@@ -18,6 +18,8 @@ from tubes.poly import MultiPoly, RationalFunction, series_expand, substitute
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 from tubes.symmetry import LieAlgebraPresentation, expand_in_fields
+
+from oracles import fraction_series
 
 WG = ("w1", "w2", "w3", "w1b", "w2b", "w3b")
 W1, W2, W3, W1B, W2B, W3B = (MultiPoly.var(WG, n) for n in WG)
@@ -30,6 +32,11 @@ def graph(case):
 
 def tube_rho(case):
     return catalog.get(f"map.cm.{case}").payload.target
+
+
+def failed_names(report):
+    """The names of the conditions a NormalFormReport fails."""
+    return tuple(name for name, ok, _ in report.conditions if not ok)
 
 
 # ------------------------------------------------------------------- series
@@ -66,6 +73,51 @@ def test_series_reality_and_origin():
         series = defining_series(graph(case), 8)[0]
         series.verify_reality()
         assert series.part(0, 0).is_zero()
+
+
+def mirrored_parts():
+    """The graph-D parts with a real (3,1) + (1,3) pair added, so that
+    both sides of that mirror pair are present."""
+    parts = dict(defining_series(graph("D"), 8)[0].parts)
+    parts[(3, 1)] = W1**3 * W2B * (2 + I)
+    parts[(1, 3)] = W1B**3 * W2 * (2 - I)
+    return parts
+
+
+def verify_reality(parts):
+    BidegreeSeries(8, ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"), parts).verify_reality()
+
+
+def test_reality_check_passes_on_a_real_mirror_pair():
+    verify_reality(mirrored_parts())
+
+
+@pytest.mark.parametrize("side", [(3, 1), (1, 3)])
+def test_reality_check_catches_either_side_of_a_pair_perturbed(side):
+    parts = mirrored_parts()
+    parts[side] = parts[side] + W1**2 * W3 * W1B
+    with pytest.raises(AssertionError, match="reality fails"):
+        verify_reality(parts)
+
+
+@pytest.mark.parametrize("side", [(3, 1), (1, 3), (2, 3), (3, 2)])
+def test_reality_check_catches_either_side_of_a_pair_dropped(side):
+    parts = mirrored_parts()
+    del parts[side]
+    with pytest.raises(AssertionError, match="reality fails"):
+        verify_reality(parts)
+
+
+@pytest.mark.parametrize("case", ["D", "C"])
+@pytest.mark.parametrize("cutoff", [6, 8, 10, 12, 14, 40])
+def test_series_expand_of_the_graphs_matches_the_fraction_series(case, cutoff):
+    """The recurrence inverse on the two catalogued denominators, for the
+    graph's numerator and the control's bump, against the frozen
+    geometric series over the field of fractions."""
+    g = graph(case).im_part
+    bump = W1**2 * W1B * W2B + W1B**2 * W1 * W2
+    assert series_expand([g.num, bump], g.den, cutoff) == [
+        fraction_series(RationalFunction(num, g.den), cutoff) for num in (g.num, bump)]
 
 
 def test_hermitian_quadric_series_only_11_part():
@@ -108,14 +160,14 @@ def test_chern_moser_conditions_pass(case):
     series = defining_series(graph(case), 8)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     report = chern_moser_check(series, tr)
-    assert not report.failed_names(), report.failed_names()
+    assert not failed_names(report), failed_names(report)
     assert report.classical_trace3
 
 
 def test_chern_moser_quadric_vacuous():
     series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
-    assert not chern_moser_check(series, tr).failed_names()
+    assert not failed_names(chern_moser_check(series, tr))
 
 
 def test_chern_moser_perturbation_control():
@@ -126,8 +178,7 @@ def test_chern_moser_perturbation_control():
                              RationalFunction(g.im_part.num + bump * 256, g.im_part.den))
     series = defining_series(perturbed, 8)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
-    report = chern_moser_check(series, tr)
-    assert "tr F22 = 0" in report.failed_names()
+    assert "tr F22 = 0" in failed_names(chern_moser_check(series, tr))
 
 
 @pytest.mark.parametrize("case", ["D", "C"])

@@ -236,6 +236,34 @@ def test_series_expand_matches_the_fraction_series(num, den, c0, cutoff):
         assert series_expand([num], d, cutoff) == [fraction_series(f, cutoff)]
 
 
+def divides(s, t):
+    return all(a <= b for a, b in zip(s, t))
+
+
+@st.composite
+def antichain_dens(draw, variables=("x", "y", "z", "t")):
+    """A denominator over four variables with a real or non-real constant
+    term and two to four nonconstant terms, no one of which divides
+    another, with Fraction and non-real coefficients."""
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(variables)).filter(any),
+                          min_size=2, max_size=4, unique=True)
+                 .filter(lambda ms: not any(divides(s, t) for s in ms for t in ms if s != t)))
+    terms = {m: draw(small_scalar().filter(bool)) for m in monos}
+    terms[(0,) * len(variables)] = draw(st.one_of(small_part(5).filter(bool),
+                                                  small_scalar().filter(lambda c: c.im)))
+    return MultiPoly(variables, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(antichain_dens(), st.integers(0, 6))
+def test_series_expand_over_antichain_denominators_matches_the_fraction_series(den, cutoff):
+    nums = [MultiPoly.const(den.vars, 1), den - den.const_coeff()]
+    expansions = series_expand(nums, den, cutoff)
+    assert expansions == [fraction_series(RationalFunction(num, den), cutoff) for num in nums]
+    for num, expansion in zip(nums, expansions):
+        assert mul_trunc(expansion, den, cutoff) == num.truncate(cutoff)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(polys(UV, max_terms=4, max_exp=3), min_size=1, max_size=3),
        polys(UV, max_terms=3, max_exp=2), small_scalar().filter(bool), st.integers(0, 6))
