@@ -308,7 +308,7 @@ def cmd_normal_form(args, reg) -> List[Check]:
         "classical third-power trace condition on the (3,3) part (reported separately)",
         report.classical_trace3, "", prov(fx)))
 
-    control_failed = not tr.apply(perturbed.part(2, 2)).is_zero()
+    control_failed = not tr.apply(perturbed.stored(2, 2)).is_zero()
     checks.append(check_of(
         f"normal_form.{case}.perturbation_control",
         "perturbing the (2,2) data breaks the first trace condition (negative control)",

@@ -8,7 +8,12 @@ rational group laws, and infinitesimal generators. All checks are
 polynomial identities after clearing denominators; series truncation
 appears only in series_expand, which defining_series calls once for a
 graph and every perturbation of its numerator, so the denominator is
-inverted once, by the coefficient recurrence of its reciprocal.
+inverted once, by the coefficient recurrence of its reciprocal. The
+series is kept as N times the true one, for the real rational N that
+series_expand returns: every normal-form condition is a zero test or a
+reality test, which a nonzero real factor does not change, so nothing
+divides by N except the true parts a caller asks for (BidegreeSeries.part)
+and the residual a failed trace condition prints.
 """
 
 from __future__ import annotations
@@ -22,39 +27,56 @@ from .poly import (Exponents, MultiPoly, Powers, RationalFunction, conjugation_p
                    denominator_lcm, poly_sum, series_expand, substitute)
 from .record import Record
 from .relations import RelationContext
-from .scalars import I, ZERO, GaussianRational
+from .scalars import I, ZERO, GaussianRational, Rational
 
 
 # ------------------------------------------------------------- bidegree data
 
 class BidegreeSeries(Record):
     """Truncated expansion of a real-analytic defining function, split
-    into bihomogeneous parts F_{k,l} in (w', conj w')."""
+    into bihomogeneous parts F_{k,l} in (w', conj w').
+
+    `parts` holds scale * F_kl, keyed by (k, l), for one nonzero real
+    rational scale (the N of series_expand). Zero and reality tests read
+    the stored multiples as they are (`stored`); `part` gives the true
+    F_kl."""
 
     cutoff: int
     holo_vars: Tuple[str, ...]
     anti_vars: Tuple[str, ...]
     parts: Mapping[Tuple[int, int], MultiPoly]
+    scale: Rational = 1
 
     @property
     def pairing(self) -> Dict[str, str]:
         return conjugation_pairing(self.holo_vars, self.anti_vars)
 
-    def part(self, k: int, l: int) -> MultiPoly:
+    def stored(self, k: int, l: int) -> MultiPoly:
+        """scale * F_kl, as kept in `parts`."""
         got = self.parts.get((k, l))
         if got is not None:
             return got
         return MultiPoly.zero(self.holo_vars + self.anti_vars)
 
+    def part(self, k: int, l: int) -> MultiPoly:
+        """The true F_kl, by one exact division of the stored part."""
+        return self.unscaled(self.stored(k, l))
+
+    def unscaled(self, p: MultiPoly) -> MultiPoly:
+        """p / scale: the true value of something computed linearly from
+        the stored parts, such as a trace of one."""
+        return p if self.scale == 1 else p * Fraction(1, self.scale)
+
     def verify_reality(self) -> None:
         """Raise AssertionError unless conj F_kl = F_lk for every part.
         Conjugation is an involution, so each mirror pair is checked once:
-        (k, l) with k > l is skipped when (l, k) is present."""
+        (k, l) with k > l is skipped when (l, k) is present. The scale is
+        real, so the stored multiples are compared as they are."""
         pairing = self.pairing
         for (k, l), poly in self.parts.items():
             if k > l and (l, k) in self.parts:
                 continue
-            if poly.conjugate(pairing) != self.part(l, k):
+            if poly.conjugate(pairing) != self.stored(l, k):
                 raise AssertionError(f"reality fails between parts {(k, l)} and {(l, k)}")
 
 
@@ -174,13 +196,15 @@ def defining_series(surface: GraphSurface, cutoff: int,
     bumped expansion is the graph's plus that of bump/den, which is exact
     because the expansion is linear in the numerator. So are its parts:
     only the parts of bump/den are split, and each is added to a copy of
-    the graph's parts, a part that cancels being dropped. The vanishing
-    of each constant part is verified. Reality of the split is a reported
-    check (BidegreeSeries.verify_reality), not a precondition."""
+    the graph's parts, a part that cancels being dropped. Every series
+    keeps the N * F_kl that series_expand gives, with N as its scale;
+    nothing is divided here. The vanishing of each constant part is
+    verified. Reality of the split is a reported check
+    (BidegreeSeries.verify_reality), not a precondition."""
     if surface.im_part is None:
         raise ValueError("defining_series expects the normal-form graph pattern")
     g = surface.im_part
-    expansion, *deltas = series_expand([g.num, *bumps], g.den, cutoff)
+    scale, (expansion, *deltas) = series_expand([g.num, *bumps], g.den, cutoff)
     graph_parts = expansion.bidegree_split(surface.holo_vars, surface.anti_vars)
     all_parts = [graph_parts]
     for delta in deltas:
@@ -194,8 +218,8 @@ def defining_series(surface: GraphSurface, cutoff: int,
         all_parts.append(parts)
     out = []
     for parts in all_parts:
-        series = BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, parts)
-        if not series.part(0, 0).is_zero():
+        series = BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, parts, scale)
+        if (0, 0) in parts:
             raise ValueError("defining function does not vanish at the origin")
         out.append(series)
     return out
@@ -218,23 +242,27 @@ def chern_moser_check(series: BidegreeSeries, tr: TraceOperator) -> NormalFormRe
     (k,1) vanish for k >= 2, tr F22 = 0, tr^2 F32 = 0 and tr^2 F33 = 0.
     The classical third trace power on F33 is reported separately and is
     not assumed equivalent to the square condition.
+
+    Each condition is a zero test, which the series' real scale does not
+    change, so each reads the stored scale * F_kl; tr is linear, so a
+    failed trace condition prints its residual divided by the scale,
+    which is the trace of the true part.
     """
     if series.cutoff < MIN_CM_CUTOFF:
         raise ValueError(f"chern_moser_check needs cutoff >= {MIN_CM_CUTOFF}")
     conditions: List[Tuple[str, bool, str]] = []
 
-    bad = [k for k in range(series.cutoff + 1) if not series.part(k, 0).is_zero()]
+    bad = [k for k in range(series.cutoff + 1) if series.parts.get((k, 0))]
     conditions.append(("pure parts (k,0) vanish", not bad,
                        f"nonzero at k={bad}" if bad else ""))
-    bad = [k for k in range(2, series.cutoff) if not series.part(k, 1).is_zero()]
+    bad = [k for k in range(2, series.cutoff) if series.parts.get((k, 1))]
     conditions.append(("parts (k,1) vanish for k >= 2", not bad,
                        f"nonzero at k={bad}" if bad else ""))
-    t22 = tr.apply(series.part(2, 2))
-    conditions.append(("tr F22 = 0", t22.is_zero(), "" if t22.is_zero() else str(t22)))
-    t32 = tr.apply(tr.apply(series.part(3, 2)))
-    conditions.append(("tr^2 F32 = 0", t32.is_zero(), "" if t32.is_zero() else str(t32)))
-    t33 = tr.apply(tr.apply(series.part(3, 3)))
-    conditions.append(("tr^2 F33 = 0", t33.is_zero(), "" if t33.is_zero() else str(t33)))
+    t22 = tr.apply(series.stored(2, 2))
+    t32 = tr.apply(tr.apply(series.stored(3, 2)))
+    t33 = tr.apply(tr.apply(series.stored(3, 3)))
+    for name, t in (("tr F22 = 0", t22), ("tr^2 F32 = 0", t32), ("tr^2 F33 = 0", t33)):
+        conditions.append((name, t.is_zero(), "" if t.is_zero() else str(series.unscaled(t))))
     t333 = tr.apply(t33)
     return NormalFormReport(series.cutoff, tuple(conditions), t333.is_zero())
 

@@ -37,7 +37,10 @@ Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed. Their
 truncated expansions (`series_expand`) share one inverse of the
 denominator, built coefficient by coefficient from the recurrence of a
-power series reciprocal, in plain (re, im) parts like `_product`.
+power series reciprocal, in plain (re, im) parts like `_product`. They
+come back as N times the true expansions, for one real rational N that
+is returned with them and never divided back here: N is a power of
+den(0), or of |den(0)|^2, and an integer for an integer denominator.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, GaussianRational, ScalarLike, _canon, _div, _gr
+from .scalars import ONE, ZERO, GaussianRational, Rational, ScalarLike, _canon, _div, _gr
 
 # an exponent tuple, as the public edges take and give monomials
 Exponents = Tuple[int, ...]
@@ -893,25 +896,31 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
     return RationalFunction(_compose(p, target, images), den_total)
 
 
-def series_expand(nums: Sequence[MultiPoly], den: MultiPoly, cutoff: int) -> List[MultiPoly]:
+def series_expand(nums: Sequence[MultiPoly], den: MultiPoly,
+                  cutoff: int) -> Tuple[Rational, List[MultiPoly]]:
     """Truncated Taylor expansions at the origin of num/den through
-    `cutoff`, one for each num in nums, all over one inverse of den.
+    `cutoff`, one for each num in nums, all over one inverse of den,
+    each kept as an exact multiple N * (num/den) of the true expansion.
 
-    Requires den(0) = c0 != 0. Multiplying each result back by den agrees
-    with its num through total degree cutoff.
+    Returns (N, [N * expansion of num/den for num in nums]). N is a
+    nonzero real rational: c0**(cutoff+1) for a real c0 = den(0), and
+    |c0|**(2 * (cutoff+1)) = (c0 * conj c0)**(cutoff+1) otherwise, so N
+    is an integer when c0 is a Gaussian integer. A real N keeps every
+    zero test and every reality test of a result; dividing a result by
+    N gives the true expansion. Requires c0 != 0. Multiplying each
+    result back by den agrees with N * num through total degree cutoff.
 
     The inverse is taken once, over the coefficient ring of den, by the
     coefficient recurrence of a power series reciprocal (Knuth, TAOCP
-    Vol. 2, 4.7): A = c0**(cutoff+1) / den through the cutoff has
-    A[0] = c0**cutoff and c0 * A[m] = -sum_t den[t] * A[m - t] over the
-    nonconstant terms t of den. Each A[m] is pushed forward to the keys
-    m + t once it is final, so no key is ever subtracted, and the sums
-    are kept by degree, each degree final before the next is read. Only
-    the monomials reachable from 1 by multiplying terms of den are
-    visited. Each sum runs in plain (re, im) int/Fraction parts, and
-    each A[m] is one exact division by c0, so an integer den keeps int
-    entries. Each num is then one truncated product with A, and the one
-    division, by c0**(cutoff+1), comes last.
+    Vol. 2, 4.7): A = N / den through the cutoff has A[0] = N / c0 and
+    c0 * A[m] = -sum_t den[t] * A[m - t] over the nonconstant terms t
+    of den. Each A[m] is pushed forward to the keys m + t once it is
+    final, so no key is ever subtracted, and the sums are kept by
+    degree, each degree final before the next is read. Only the
+    monomials reachable from 1 by multiplying terms of den are visited.
+    Each sum runs in plain (re, im) int/Fraction parts, and each A[m] is
+    one exact division by c0, so an integer den keeps int entries. Each
+    num is then one truncated product with A; nothing is divided after.
     """
     c0 = den.const_coeff()
     if not c0:
@@ -923,10 +932,10 @@ def series_expand(nums: Sequence[MultiPoly], den: MultiPoly, cutoff: int) -> Lis
                    if 0 < k < cutoff + 1 << shift)
     a, b = c0.re, c0.im
     norm = a * a + b * b
-    lead = c0 ** (cutoff + 1)
+    scale = _canon((norm if b else a) ** (cutoff + 1))
     # levels[d]: c0 * A[m] in (re, im) parts for each key m of degree d reached
     levels: List[Dict[int, list]] = [{} for _ in range(cutoff + 1)]
-    levels[0][0] = [lead.re, lead.im]
+    levels[0][0] = [scale, 0]
     inv: Dict[int, GaussianRational] = {}
     for d, level in enumerate(levels):
         for m, (re, im) in level.items():
@@ -954,5 +963,4 @@ def series_expand(nums: Sequence[MultiPoly], den: MultiPoly, cutoff: int) -> Lis
                     s[0] += pr
                     s[1] += pi
     inverse = _poly(den.vars, inv)
-    scale = ONE / lead
-    return [mul_trunc(num.truncate(cutoff), inverse, cutoff) * scale for num in nums]
+    return scale, [mul_trunc(num.truncate(cutoff), inverse, cutoff) for num in nums]

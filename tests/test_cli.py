@@ -391,9 +391,9 @@ def test_non_real_series_is_a_reality_fail(monkeypatch, capsys):
     expand = normal_form.series_expand
 
     def non_real(nums, den, cutoff):
-        graph, *rest = expand(nums, den, cutoff)
+        scale, (graph, *rest) = expand(nums, den, cutoff)
         w1, w1b = MultiPoly.var(den.vars, "w1"), MultiPoly.var(den.vars, "w1b")
-        return [graph + w1**2 * w1b**2 * I, *rest]
+        return scale, [graph + w1**2 * w1b**2 * I, *rest]
 
     monkeypatch.setattr(normal_form, "series_expand", non_real)
     code = cli.main(["--json", "normal-form", "--case", "D"])

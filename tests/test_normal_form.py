@@ -62,10 +62,14 @@ def test_series_multiply_back():
     g = graph("D")
     series = defining_series(g, 8)[0]
     total = MultiPoly.zero(WG)
-    for part in series.parts.values():
-        total = total + part
+    for k, l in series.parts:
+        total = total + series.part(k, l)
     from tubes.poly import mul_trunc
     assert mul_trunc(total, g.im_part.den, 8) == g.im_part.num.truncate(8)
+    stored = MultiPoly.zero(WG)
+    for part in series.parts.values():
+        stored = stored + part
+    assert stored == total * series.scale
 
 
 def test_series_reality_and_origin():
@@ -116,8 +120,88 @@ def test_series_expand_of_the_graphs_matches_the_fraction_series(case, cutoff):
     geometric series over the field of fractions."""
     g = graph(case).im_part
     bump = W1**2 * W1B * W2B + W1B**2 * W1 * W2
-    assert series_expand([g.num, bump], g.den, cutoff) == [
-        fraction_series(RationalFunction(num, g.den), cutoff) for num in (g.num, bump)]
+    scale, expansions = series_expand([g.num, bump], g.den, cutoff)
+    assert scale == g.den.const_coeff().re ** (cutoff + 1)
+    assert expansions == [fraction_series(RationalFunction(num, g.den), cutoff) * scale
+                          for num in (g.num, bump)]
+
+
+def oracle_parts(g, cutoff):
+    """The true bidegree parts of a graph, from the frozen fraction series."""
+    f = fraction_series(g.im_part, cutoff)
+    return f.bidegree_split(g.holo_vars, g.anti_vars)
+
+
+@pytest.mark.parametrize("case", ["D", "C"])
+@pytest.mark.parametrize("cutoff", [8, 10, 12, 14])
+def test_scaled_parts_match_the_fraction_series_split(case, cutoff):
+    """The series keeps scale * F_kl; `part` divides it back to the true
+    F_kl, which the frozen fraction series gives part for part."""
+    g = graph(case)
+    series = defining_series(g, cutoff)[0]
+    want = oracle_parts(g, cutoff)
+    assert set(series.parts) == set(want)
+    assert series.scale == g.im_part.den.const_coeff().re ** (cutoff + 1)
+    for (k, l), part in want.items():
+        assert series.part(k, l) == part
+        assert series.stored(k, l) == part * series.scale
+
+
+def bumped_graph(g, bump):
+    return GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var, g.solved_conj,
+                        None, RationalFunction(g.im_part.num + bump, g.im_part.den))
+
+
+BUMP22 = W1**2 * W1B * W2B + W1B**2 * W1 * W2
+BUMP32 = W1 * W2 * W1B * W2B * (W1 + W1B)
+
+
+@pytest.mark.parametrize("bump, fails", [(BUMP22, "tr F22 = 0"), (BUMP32, "tr^2 F32 = 0")])
+@pytest.mark.parametrize("cutoff", [8, 14])
+def test_failed_trace_details_print_the_true_residual(bump, fails, cutoff):
+    """A real (2,2) or (3,2)+(2,3) bump on graph D fails a trace condition;
+    its detail is the trace of the true part, as the frozen fraction
+    series gives it, not that of the stored multiple."""
+    g = graph("D")
+    perturbed = bumped_graph(g, bump * g.im_part.den.const_coeff())
+    series = defining_series(perturbed, cutoff)[0]
+    assert series.scale != 1
+    want = oracle_parts(perturbed, cutoff)
+    zero = MultiPoly.zero(WG)
+    tr = trace_from_levi(want[(1, 1)], g.holo_vars, g.anti_vars)
+    expected = {"tr F22 = 0": tr.apply(want.get((2, 2), zero)),
+                "tr^2 F32 = 0": tr.apply(tr.apply(want.get((3, 2), zero)))}
+    report = chern_moser_check(series, trace_from_levi(series.part(1, 1), g.holo_vars,
+                                                       g.anti_vars))
+    details = {name: (ok, detail) for name, ok, detail in report.conditions}
+    assert not details[fails][0] and details[fails][1]
+    for name, t in expected.items():
+        assert details[name] == (t.is_zero(), "" if t.is_zero() else str(t))
+
+
+@pytest.mark.parametrize("cutoff", [8, 14])
+def test_non_real_denominator_constant_gives_a_real_scale(cutoff):
+    """Graph D with num and den both times 1 + 2i: the same function over a
+    denominator with a non-real constant term. The scale is |c0|**(2(cutoff+1)),
+    a positive rational, and the true parts and the verdicts are plain D's."""
+    g = graph("D")
+    unit = 1 + 2 * I
+    twisted = GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var,
+                           g.solved_conj, None,
+                           RationalFunction(g.im_part.num * unit, g.im_part.den * unit))
+    bump = W1**2 * W1B**2 * I  # not real
+    series, perturbed = defining_series(twisted, cutoff, [bump])
+    plain = defining_series(g, cutoff)[0]
+    assert isinstance(series.scale, (int, Fraction)) and series.scale > 0
+    assert series.scale == (256 * 256 * 5) ** (cutoff + 1)
+    assert set(series.parts) == set(plain.parts)
+    for k, l in plain.parts:
+        assert series.part(k, l) == plain.part(k, l)
+    series.verify_reality()
+    tr = trace_from_levi(series.part(1, 1), g.holo_vars, g.anti_vars)
+    assert chern_moser_check(series, tr) == chern_moser_check(plain, tr)
+    with pytest.raises(AssertionError, match="reality fails"):
+        perturbed.verify_reality()
 
 
 def test_hermitian_quadric_series_only_11_part():
@@ -173,9 +257,7 @@ def test_chern_moser_quadric_vacuous():
 def test_chern_moser_perturbation_control():
     g = graph("D")
     bump = W1**2 * W1B * W2B + W1B**2 * W1 * W2
-    perturbed = GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var,
-                             g.solved_conj, None,
-                             RationalFunction(g.im_part.num + bump * 256, g.im_part.den))
+    perturbed = bumped_graph(g, bump * 256)
     series = defining_series(perturbed, 8)[0]
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     assert "tr F22 = 0" in failed_names(chern_moser_check(series, tr))
@@ -210,8 +292,9 @@ def test_bumped_parts_equal_a_full_split_of_the_bumped_expansion(case, cutoff):
     # the first bump cancels the graph's (1,1) part, the second changes others
     for bump, cancels in ((-g.im_part.num.truncate(2), True),
                           ((W1**2 * W1B * W2B + W1B**2 * W1 * W2) * den0, False)):
-        expansion, delta = series_expand([g.im_part.num, bump], g.im_part.den, cutoff)
+        scale, (expansion, delta) = series_expand([g.im_part.num, bump], g.im_part.den, cutoff)
         control = defining_series(g, cutoff, [bump])[1]
+        assert control.scale == scale
         assert control.parts == (expansion + delta).bidegree_split(holo, anti)
         assert ((1, 1) in control.parts) != cancels
 

@@ -233,7 +233,14 @@ def test_subs_poly_that_maps_no_variable_of_p_copies_its_terms():
 def test_series_expand_matches_the_fraction_series(num, den, c0, cutoff):
     for d in (den - den.const_coeff() + c0, MultiPoly.const(UV, c0)):  # E = 0 for the second
         f = RationalFunction(num, d)
-        assert series_expand([num], d, cutoff) == [fraction_series(f, cutoff)]
+        scale = expected_scale(c0, cutoff)
+        assert series_expand([num], d, cutoff) == (scale, [fraction_series(f, cutoff) * scale])
+
+
+def expected_scale(c0, cutoff):
+    """The N of series_expand: c0**(cutoff+1) for a real c0, else
+    |c0|**(2(cutoff+1))."""
+    return ((c0 * c0.conjugate()).re if c0.im else c0.re) ** (cutoff + 1)
 
 
 def divides(s, t):
@@ -258,10 +265,12 @@ def antichain_dens(draw, variables=("x", "y", "z", "t")):
 @given(antichain_dens(), st.integers(0, 6))
 def test_series_expand_over_antichain_denominators_matches_the_fraction_series(den, cutoff):
     nums = [MultiPoly.const(den.vars, 1), den - den.const_coeff()]
-    expansions = series_expand(nums, den, cutoff)
-    assert expansions == [fraction_series(RationalFunction(num, den), cutoff) for num in nums]
+    scale, expansions = series_expand(nums, den, cutoff)
+    assert scale == expected_scale(den.const_coeff(), cutoff)
+    assert expansions == [fraction_series(RationalFunction(num, den), cutoff) * scale
+                          for num in nums]
     for num, expansion in zip(nums, expansions):
-        assert mul_trunc(expansion, den, cutoff) == num.truncate(cutoff)
+        assert mul_trunc(expansion, den, cutoff) == num.truncate(cutoff) * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,10 +278,11 @@ def test_series_expand_over_antichain_denominators_matches_the_fraction_series(d
        polys(UV, max_terms=3, max_exp=2), small_scalar().filter(bool), st.integers(0, 6))
 def test_series_expand_over_one_inverse_equals_each_expansion_alone(nums, den, c0, cutoff):
     den = den - den.const_coeff() + c0
-    shared = series_expand(nums, den, cutoff)
-    assert shared == [series_expand([num], den, cutoff)[0] for num in nums]
+    scale, shared = series_expand(nums, den, cutoff)
+    assert scale == expected_scale(c0, cutoff)
+    assert shared == [series_expand([num], den, cutoff)[1][0] for num in nums]
     for num, expansion in zip(nums, shared):
-        assert mul_trunc(expansion, den, cutoff) == num.truncate(cutoff)
+        assert mul_trunc(expansion, den, cutoff) == num.truncate(cutoff) * scale
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,7 +362,7 @@ def test_substitute_denominator_product_contract():
 def test_series_geometric():
     w = MultiPoly.var(("w",), "w")
     f = RationalFunction(MultiPoly.const(("w",), 1), 1 - w)
-    assert series_expand([f.num], f.den, 3) == [1 + w + w**2 + w**3]
+    assert series_expand([f.num], f.den, 3) == (1, [1 + w + w**2 + w**3])
 
 
 def test_series_singular_point():
@@ -369,7 +379,8 @@ def test_series_multiply_back_randomized():
         den = random_poly(rng, variables, max_degree=3, max_terms=3)
         den = den - MultiPoly.const(variables, den.const_coeff()) + 1  # den(0) = 1
         cutoff = 5
-        expansion, = series_expand([num], den, cutoff)
+        scale, (expansion,) = series_expand([num], den, cutoff)
+        assert scale == 1
         back = mul_trunc(expansion, den, cutoff)
         assert back == num.truncate(cutoff)
 
