@@ -12,8 +12,11 @@ decodes only the fixtures it reads), and then catalog.export_tree. The
 script then prints each function or method defined under src/tubes/
 (dunder methods, lambdas and comprehensions left out) that the sweep
 never entered, as module.qualname, and their count. Such a function is
-reached only from tests or from nothing. The exit code is 1 when the
-script lists any function and 0 when it lists none.
+reached only from tests or from nothing. Last it prints each catalogued
+fixture id that no invocation reads, on either catalog, and their count:
+a claim that no command-line sweep checks. The exit code is 1 when the
+script lists any function and 0 when it lists none; unread fixture ids
+do not change it.
 
 Standard library only. The interpreter runs with PYTHONHASHSEED=0, as in
 the benchmark, so that set iteration order is the same in every run.
@@ -61,12 +64,16 @@ def _defined():
 
 def sweep(cli, catalog, invocations, tree, export_dir):
     """Run every invocation on the in-code catalog and on the fixture tree,
-    then the export; returns the code objects entered."""
-    entered = set()
+    then the export; returns the code objects entered and the fixture ids
+    the invocations looked up."""
+    entered, read = set(), set()
+    lookups = {catalog.Registry.__getitem__.__code__, catalog.FixtureTree.__getitem__.__code__}
 
     def profile(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
+            if frame.f_code in lookups:
+                read.add(frame.f_locals["fid"])
 
     def run(argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -82,10 +89,11 @@ def sweep(cli, catalog, invocations, tree, export_dir):
                 run(argv)
         finally:
             del os.environ["TUBES_FIXTURES"]
+        invoked = set(read)  # the export below reads every id
         catalog.export_tree(export_dir)
     finally:
         sys.setprofile(None)
-    return entered
+    return entered, invoked
 
 
 def main() -> int:
@@ -103,12 +111,15 @@ def main() -> int:
     invocations = [("--json",) + tuple(key.split()) for key in EXPECTED] + list(EXTRA)
     os.environ.pop("TUBES_FIXTURES", None)
     with tempfile.TemporaryDirectory() as tmp:
-        entered = sweep(cli, catalog, invocations, str(REPO / "fixtures"), tmp)
+        entered, read = sweep(cli, catalog, invocations, str(REPO / "fixtures"), tmp)
     seen = {(Path(c.co_filename).name, c.co_firstlineno, c.co_name) for c in entered
             if Path(c.co_filename).resolve().parent == PACKAGE}
     unreached = sorted(name for key, name in _defined().items() if key not in seen)
+    unread = [fid for fid in catalog.list_ids() if fid not in read]
     print("\n".join(unreached + [f"{len(unreached)} functions under src/tubes/ not entered "
-                                 f"by {2 * len(invocations) + 1} sweep steps"]))
+                                 f"by {2 * len(invocations) + 1} sweep steps"]
+                     + unread + [f"{len(unread)} fixture ids not read by "
+                                 f"{2 * len(invocations)} invocations"]))
     return 1 if unreached else 0
 
 

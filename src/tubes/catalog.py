@@ -63,6 +63,11 @@ def _tube(p: MultiPoly, universe=ZF) -> MultiPoly:
     return p.subs_poly({x: _x(universe, x[1:]) for x in p.vars})
 
 
+def point_text(point) -> str:
+    """A point as the catalog's claims print it: (1,0,-1/2,1)."""
+    return "(" + ",".join(map(str, point)) + ")"
+
+
 def _fields(cls, universe):
     """A builder of `cls` fields over `universe` from keyword components;
     the components it is not given are zero."""
@@ -640,6 +645,9 @@ def _maps(reg: Mapping[str, Fixture]) -> List[Fixture]:
     def tube(sid):
         return _tube(reg[sid].payload.defining)
 
+    def basepoint(sid):
+        return tuple(map(GaussianRational.coerce, reg[sid].payload.basepoint))
+
     out = []
     one4 = MultiPoly.const(W4, 1)
     W1, W2, W3, W4_ = _vars(W4)
@@ -658,12 +666,13 @@ def _maps(reg: Mapping[str, Fixture]) -> List[Fixture]:
                + RationalFunction(160*W3, (W1 + 4)**2)
                + RationalFunction(MultiPoly.const(W4, 11), one4)),
     )
+    origin_d = basepoint("surface.table.6")
     out.append(Fixture(
         "map.cm.D", "source",
         "rational change of coordinates carrying the normal-form graph onto the "
-        "quartic-degenerate tube surface; sends the origin to (1,0,1,1)",
+        f"quartic-degenerate tube surface; sends the origin to {point_text(origin_d)}",
         RationalMapFixture(phi_d, "graph.cm.D", tube("surface.table.6"), ZV, ZA, True,
-                           tuple(map(GaussianRational.coerce, (1, 0, 1, 1))))))
+                           origin_d)))
 
     phi_c = (
         ("z1", RationalFunction(W1 + 1, one4)),
@@ -674,12 +683,13 @@ def _maps(reg: Mapping[str, Fixture]) -> List[Fixture]:
         ("z4", RationalFunction(W4_*(-I) + W2, one4)
                + RationalFunction(W1*(10*W2 - (W1 + 2)*W4_*I) * Fraction(1, 20), one4)),
     )
+    origin_c = basepoint("surface.table.5")
     out.append(Fixture(
         "map.cm.C", "source",
         "rational change of coordinates carrying the normal-form graph onto the cubic "
-        "tube surface; sends the origin to (1,0,0,0)",
+        f"tube surface; sends the origin to {point_text(origin_c)}",
         RationalMapFixture(phi_c, "graph.cm.C", tube("surface.table.5"), ZV, ZA, True,
-                           tuple(map(GaussianRational.coerce, (1, 0, 0, 0))))))
+                           origin_c)))
 
     Z1, Z2, Z3, Z4 = _vars(ZV)
     onez = MultiPoly.const(ZV, 1)
@@ -738,85 +748,69 @@ def _maps(reg: Mapping[str, Fixture]) -> List[Fixture]:
 
 
 def _witnesses(reg: Mapping[str, Fixture]) -> List[Fixture]:
-    fam_d, fam_c = reg["family.affine.D"].payload, reg["family.affine.C"].payload
-    out = []
+    """Each witness moves the probe of the domain its id names to an arbitrary
+    target of that domain, modulo rho^2 = d: d is the domain's expression at
+    the target, times x1 in the cubic case."""
     tvars = ("x1_0", "x2_0", "x3_0", "x4_0")
     uni = tvars + ("rho",)
     x10, x20, x30, x40, rho = _vars(uni)
-
-    def rf(num, den=None):
-        return RationalFunction(num, den)
-
-    d_gt = x40**2 - x10*x20 - x10**2*x30
-    ctx = RelationContext(radicals=(("rho", d_gt),))
-    out.append(Fixture(
-        "witness.D.gt", "source",
-        "parameters sending the base point (1,0,0,1) to an arbitrary target of the outer "
-        "quartic-degenerate domain, modulo rho^2 = x4^2 - x1 x2 - x1^2 x3 at the target",
-        WitnessFixture(TransitivityWitness(
-            fam_d, tvars,
-            {"q": rf(x10), "r": rf(rho, x10), "t": rf(x40 - rho, rho),
-             "s": rf(-x10**2*x30, d_gt)},
-            ctx, "witness.D.gt"), (Fraction(1), Fraction(0), Fraction(0), Fraction(1)))))
-
-    d_lt = x10*x20 + x10**2*x30 - x40**2
-    ctx = RelationContext(radicals=(("rho", d_lt),))
-    out.append(Fixture(
-        "witness.D.lt", "derived",
-        "parameters sending the base point (1,1,0,0) to an arbitrary target of the inner "
-        "quartic-degenerate domain (oracle script, witnesses section)",
-        WitnessFixture(TransitivityWitness(
-            fam_d, tvars,
-            {"q": rf(x10), "r": rf(rho, x10), "t": rf(x40, rho),
-             "s": rf(-x10**2*x30, d_lt)},
-            ctx, "witness.D.lt"), (Fraction(1), Fraction(1), Fraction(0), Fraction(0)))))
-
-    c_gt = x10*x40 - x10**2*x20 - x10**2*x30**2
-    ctx = RelationContext(radicals=(("rho", c_gt),))
-    out.append(Fixture(
-        "witness.C.gt", "derived",
-        "parameters sending the base point (1,0,0,1) to an arbitrary target of the upper "
-        "cubic domain (oracle script, witnesses section)",
-        WitnessFixture(TransitivityWitness(
-            fam_c, tvars,
-            {"q": rf(x10), "r": rf(rho, x10), "s": rf(x10*x30, rho),
-             "t": rf(x10**2*x20, c_gt)},
-            ctx, "witness.C.gt"), (Fraction(1), Fraction(0), Fraction(0), Fraction(1)))))
-
-    c_lt = x10**2*x20 + x10**2*x30**2 - x10*x40
-    ctx = RelationContext(radicals=(("rho", c_lt),))
-    out.append(Fixture(
-        "witness.C.lt", "derived",
-        "parameters sending the base point (1,0,0,-1) to an arbitrary target of the lower "
-        "cubic domain (oracle script, witnesses section)",
-        WitnessFixture(TransitivityWitness(
-            fam_c, tvars,
-            {"q": rf(x10), "r": rf(rho, x10), "s": rf(x10*x30, rho),
-             "t": rf(x10**2*x20, c_lt)},
-            ctx, "witness.C.lt"), (Fraction(1), Fraction(0), Fraction(0), Fraction(-1)))))
+    rf = RationalFunction
+    data = [
+        ("witness.D.gt", "source", "family.affine.D",
+         "the outer quartic-degenerate domain, modulo rho^2 = x4^2 - x1 x2 - x1^2 x3 at the "
+         "target",
+         lambda d: {"q": rf(x10), "r": rf(rho, x10), "t": rf(x40 - rho, rho),
+                    "s": rf(-x10**2*x30, d)}),
+        ("witness.D.lt", "derived", "family.affine.D",
+         "the inner quartic-degenerate domain (oracle script, witnesses section)",
+         lambda d: {"q": rf(x10), "r": rf(rho, x10), "t": rf(x40, rho),
+                    "s": rf(-x10**2*x30, d)}),
+        ("witness.C.gt", "derived", "family.affine.C",
+         "the upper cubic domain (oracle script, witnesses section)",
+         lambda d: {"q": rf(x10), "r": rf(rho, x10), "s": rf(x10*x30, rho),
+                    "t": rf(x10**2*x20, d)}),
+        ("witness.C.lt", "derived", "family.affine.C",
+         "the lower cubic domain (oracle script, witnesses section)",
+         lambda d: {"q": rf(x10), "r": rf(rho, x10), "s": rf(x10*x30, rho),
+                    "t": rf(x10**2*x20, d)}),
+    ]
+    out = []
+    for fid, tag, family, text, assignment in data:
+        domain = reg["domain." + fid.split(".", 1)[1]].payload
+        d = domain.expr.rename_vars(dict(zip(XV, tvars))).with_vars(uni)
+        if family == "family.affine.C":
+            d = d * x10
+        witness = TransitivityWitness(reg[family].payload, tvars, assignment(d),
+                                      RelationContext(radicals=(("rho", d),)), fid)
+        out.append(Fixture(
+            fid, tag,
+            f"parameters sending the base point {point_text(domain.probe)} to an arbitrary "
+            f"target of {text}", WitnessFixture(witness, domain.probe)))
     return out
 
 
 def _lines() -> List[Fixture]:
+    """Each line lies in the domain its id names."""
     g = GaussianRational.coerce
     data = [
-        ("line.D.gt", (1, 0, 0, 1), (0, 1, -1, 0), "domain.D.gt",
+        ("line.D.gt", (1, 0, 0, 1), (0, 1, -1, 0),
          "affine complex line z1 = 1, z2 + z3 = 0, z4 = 1 inside the outer domain"),
-        ("line.D.lt", (1, 0, 1, 0), (0, 1, -1, 0), "domain.D.lt",
+        ("line.D.lt", (1, 0, 1, 0), (0, 1, -1, 0),
          "affine complex line z1 = 1, z2 + z3 = 1, z4 = 0 inside the inner domain"),
-        ("line.C.gt", (1, 0, 0, 1), (0, 1, 0, 1), "domain.C.gt",
+        ("line.C.gt", (1, 0, 0, 1), (0, 1, 0, 1),
          "affine complex line z1 = 1, z3 = 0, z4 = z2 + 1; both inequalities restrict to 1"),
-        ("line.C.lt", (1, 0, 0, -1), (0, 1, 0, 1), "domain.C.lt",
+        ("line.C.lt", (1, 0, 0, -1), (0, 1, 0, 1),
          "affine complex line z1 = 1, z3 = 0, z4 = z2 - 1; both inequalities restrict to 1"),
     ]
     out = []
-    for fid, point, direction, dom, text in data:
+    for fid, point, direction, text in data:
         out.append(Fixture(
             fid, "source",
             text + "; witnesses that the domain contains an affine complex line and is "
                    "therefore not Kobayashi-hyperbolic",
             LineFixture(ComplexLine(tuple(g(p) for p in point),
-                                    tuple(g(d) for d in direction), fid), dom)))
+                                    tuple(g(d) for d in direction), fid),
+                        "domain." + fid.split(".", 1)[1])))
     return out
 
 

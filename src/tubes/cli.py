@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
-from .catalog import Fixture
+from .catalog import Fixture, RationalMapFixture
 from .fields import VectorField, linear_combination, minors_scan, rank_at
 from .interchange import to_json
 from .linalg import poly_div_exact, rref_rows
@@ -344,26 +344,31 @@ def cmd_verify_map(args, reg) -> List[Check]:
     return checks
 
 
-def _tube_rho(reg, case: str) -> MultiPoly:
-    source = {"D": "map.cm.D", "C": "map.cm.C"}[case]
-    return _fixture(reg, source).payload.target
+# the isotropy families of the cubic case's basepoint
+C_ISOTROPY = ("family.isotropy.C.scale", "family.isotropy.C.shear", "family.circle.C")
+
+
+def _cm_map(reg, case: str) -> RationalMapFixture:
+    """The map.cm fixture of a case: its target is the tube surface rho and
+    its origin image the basepoint."""
+    return _fixture(reg, f"map.cm.{case}").payload
 
 
 def cmd_isotropy(args, reg) -> List[Check]:
     case = args.case
-    rho = _tube_rho(reg, case)
+    cm = _cm_map(reg, case)
+    rho, point = cm.target, cm.origin_image
     checks = []
     if case == "D":
         fx = _fixture(reg, "family.isotropy.D")
         fam: MapFamily = fx.payload
-        res = verify_family_invariance(fam, rho, catalog.ZV, catalog.ZA,
-                                       fixed_point=(1, 0, 1, 1))
+        res = verify_family_invariance(fam, rho, catalog.ZV, catalog.ZA, fixed_point=point)
         checks.append(check_of("isotropy.D.invariance",
                                "isotropy family preserves the tube surface symbolically",
                                res.ok, f"multiplier {res.multiplier}", prov(fx)))
         checks.append(check_of("isotropy.D.fixed_point",
-                               "family fixes the basepoint (1,0,1,1) identically",
-                               bool(res.fixes_point), "", prov(fx)))
+                               f"family fixes the basepoint {catalog.point_text(point)} "
+                               "identically", bool(res.fixes_point), "", prov(fx)))
         gens = infinitesimal_generators(fam)
         dim, _ = _generator_span(gens, _fixture(reg, "basis.Z.D").payload.fields)
         checks.append(check_of("isotropy.D.dimension",
@@ -391,9 +396,8 @@ def cmd_isotropy(args, reg) -> List[Check]:
         checks.append(_graph_family_check(reg, "family.isotropy.D.w", "graph.cm.D",
                                           "isotropy.D.w_graph"))
     else:
-        for fid, point in (("family.isotropy.C.scale", (1, 0, 0, 0)),
-                           ("family.isotropy.C.shear", (1, 0, 0, 0)),
-                           ("family.circle.C", (1, 0, 0, 0))):
+        gens = []
+        for fid in C_ISOTROPY:
             fx = _fixture(reg, fid)
             res = verify_family_invariance(fx.payload, rho, catalog.ZV, catalog.ZA,
                                            fixed_point=point)
@@ -401,14 +405,12 @@ def cmd_isotropy(args, reg) -> List[Check]:
                                    f"{fid} preserves the tube and fixes the basepoint",
                                    res.ok and bool(res.fixes_point),
                                    f"multiplier {res.multiplier}", prov(fx)))
+            gens.extend(infinitesimal_generators(fx.payload))
         bad = _fixture(reg, "family.circle.C.printed")
         res = verify_family_invariance(bad.payload, rho, catalog.ZV, catalog.ZA)
         checks.append(check_of("isotropy.C.printed_circle_control",
                                "the circle action with the printed sign fails invariance "
                                "(negative control)", not res.ok, "", prov(bad)))
-        gens = []
-        for fid in ("family.isotropy.C.scale", "family.isotropy.C.shear", "family.circle.C"):
-            gens.extend(infinitesimal_generators(_fixture(reg, fid).payload))
         dim, _ = _generator_span(gens, _fixture(reg, "basis.Z.C").payload.fields)
         checks.append(check_of("isotropy.C.dimension",
                                "isotropy group has dimension 3",
@@ -473,7 +475,7 @@ def _slice_check(reg, slice_fx: Fixture) -> Check:
 
 def cmd_group(args, reg) -> List[Check]:
     case = args.case
-    rho = _tube_rho(reg, case)
+    rho = _cm_map(reg, case).target
     checks = []
     zbasis = list(_fixture(reg, f"basis.Z.{case}").payload.fields)
     if case == "D":
@@ -501,7 +503,7 @@ def cmd_group(args, reg) -> List[Check]:
                                "imaginary translations preserve the tube",
                                rest.ok, "", prov(tfx)))
         gen_sources.append((prov(tfx), infinitesimal_generators(tfx.payload)))
-        for fid in ("family.isotropy.C.shear", "family.circle.C"):
+        for fid in C_ISOTROPY[1:]:  # the scaling is among the affine generators
             gfx = _fixture(reg, fid)
             gen_sources.append((prov(gfx), infinitesimal_generators(gfx.payload)))
         law_fx = afx
@@ -588,7 +590,7 @@ def cmd_witness(args, reg) -> List[Check]:
 
 def cmd_lines(args, reg) -> List[Check]:
     checks = []
-    for fid in sorted(k for k in reg if k.startswith("line.")):
+    for fid in reg.group_ids("line"):
         fx = reg[fid]
         payload = fx.payload
         domain = _fixture(reg, payload.domain_id).payload
@@ -692,7 +694,7 @@ def cmd_classify(args, reg) -> List[Check]:
                 if fixture_id.startswith("basis.") else affine_symmetry_algebra(payload))
         return algebra_cache[fixture_id]
 
-    for fid in sorted(k for k in reg if k.startswith("domain.")):
+    for fid in reg.group_ids("domain"):
         fx = reg[fid]
         spec = fx.payload
         if fid.startswith("domain.H."):
@@ -736,8 +738,8 @@ def cmd_classify(args, reg) -> List[Check]:
             ok == fx.payload.expected, "", prov(fx)))
 
     # transitivity witnesses for the four new domains
-    for wid in ("witness.D.gt", "witness.D.lt", "witness.C.gt", "witness.C.lt"):
-        fx = _fixture(reg, wid)
+    for wid in reg.group_ids("witness"):
+        fx = reg[wid]
         ok = verify_transitivity_witness(fx.payload.witness, fx.payload.base)
         checks.append(check_of(f"classify.{wid}",
                                "the group moves the base point to an arbitrary "

@@ -27,7 +27,7 @@ from .poly import (Exponents, MultiPoly, Powers, RationalFunction, conjugation_p
                    denominator_lcm, poly_sum, series_expand, substitute)
 from .record import Record
 from .relations import RelationContext
-from .scalars import I, ZERO, GaussianRational, Rational
+from .scalars import I, ZERO, GaussianRational, Rational, ScalarLike
 
 
 # ------------------------------------------------------------- bidegree data
@@ -411,14 +411,12 @@ class InvarianceResult(Record):
     fixes_point: Optional[bool]
     residual: Optional[MultiPoly]
 
-    def __bool__(self) -> bool:
-        return self.ok and self.fixes_point is not False
-
 
 def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
                              holo_vars: Sequence[str] = (),
                              anti_vars: Sequence[str] = (),
-                             fixed_point: Optional[Sequence[Fraction]] = None) -> InvarianceResult:
+                             fixed_point: Optional[Sequence[ScalarLike]] = None
+                             ) -> InvarianceResult:
     """Exact invariance rho(fam(z), conj fam(conj z)) = m(params) * rho.
 
     The multiplier is found per parameter monomial by a scalar solve;
@@ -473,9 +471,6 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
 class GroupLawResult(Record):
     status: str  # "ok" | "failed" | "unresolved"
     detail: str
-
-    def __bool__(self) -> bool:
-        return self.status == "ok"
 
 
 def verify_group_law(fam: MapFamily) -> GroupLawResult:

@@ -314,16 +314,9 @@ class MultiPoly:
 
     def subs_poly(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Polynomial substitution. Values must share one variable tuple;
-        unmapped variables of self must exist there and map to themselves.
-
-        One variable of self mapped to a value over self's own variables
-        skips the argument checks and goes to `subs_each`."""
+        unmapped variables of self must exist there and map to themselves."""
         if not mapping:
             return self
-        if len(mapping) == 1:
-            (name, value), = mapping.items()
-            if value.vars == self.vars and name in self.vars:
-                return subs_each([self], name, value)[0]
         target = next(iter(mapping.values())).vars
         if any(value.vars != target for value in mapping.values()):
             raise ValueError("substitution values must share a variable tuple")

@@ -591,20 +591,16 @@ def scan_covers_subspace(scan: ScanResult, rows: Sequence[Sequence[object]]) -> 
         if chart.status == "empty":
             return False
         if chart.status == "unresolved":
-            return all(not _eval_poly_gaussian(e, values) for e in chart.residual)
+            return all(not e.eval_at({v: values.get(v, ZERO) for v in e.vars})
+                       for e in chart.residual)
         solved = dict(chart.solution)
         for name, value in values.items():
             if name in solved:
-                got = _eval_poly_gaussian(solved[name], values)
+                got = solved[name].eval_at({v: values.get(v, ZERO) for v in solved[name].vars})
                 if got != value:
                     return False
         return True
     return False
-
-
-def _eval_poly_gaussian(p: MultiPoly, assignment: Mapping[str, GaussianRational]):
-    point = {v: assignment.get(v, ZERO) for v in p.vars}
-    return p.eval_at(point)
 
 
 # ------------------------------------------------------- transitivity witness

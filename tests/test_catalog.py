@@ -207,8 +207,10 @@ def test_fresh_start_up_builds_no_fixture_group():
     (["table", "--case", "D"], ["basis/table"]),
     (["normal-form", "--case", "D"], ["graph", "surface"]),
     (["symmetry", "--surface", "surface.table.1m"], ["surface"]),
-    (["witness", "--id", "witness.D.gt"], ["family", "witness"]),
+    (["witness", "--id", "witness.D.gt"], ["domain", "family", "surface", "witness"]),
     (["orbits", "--surface", "surface.table.1p"], ["domain", "surface"]),
+    (["lines"], ["domain", "line", "surface"]),
+    (["classify"], ["basis/table", "domain", "family", "graph", "map", "surface", "witness"]),
 ])
 def test_commands_build_only_the_groups_they_read(argv, groups, built_groups, capsys):
     from tubes import cli

@@ -120,24 +120,10 @@ def test_subs_poly_moves_kept_variables_into_the_target(p, extra, point):
 @settings(max_examples=80, deadline=None)
 @given(polys(max_terms=6), polys(max_terms=3, max_exp=2), st.sampled_from(VARS))
 def test_subs_poly_one_variable_path_equals_the_composer(p, image, name):
-    # a second variable mapped to itself sends the same substitution
-    # through the general composer
+    # mapping a second variable to itself changes nothing
     other = next(v for v in VARS if v != name)
     general = p.subs_poly({name: image, other: MultiPoly.var(VARS, other)})
     assert p.subs_poly({name: image}).terms == general.terms
-
-
-def test_subs_poly_one_variable_skips_the_composer(monkeypatch):
-    calls = []
-    compose = tubes.poly._compose
-    monkeypatch.setattr(tubes.poly, "_compose", lambda *args: calls.append(args) or compose(*args))
-    x, y = (MultiPoly.var(VARS, n) for n in ("x", "y"))
-    p = x * x * y + x + 3
-    assert p.subs_poly({"x": y + 1}) == (y + 1) * (y + 1) * y + y + 4
-    assert calls == []
-    p.subs_poly({"x": y + 1, "y": y})
-    p.subs_poly({"x": MultiPoly.var(("x", "y", "z", "w"), "w")})
-    assert len(calls) == 2
 
 
 def test_subs_each_equals_the_composer_and_returns_untouched_polys_as_they_are():
