@@ -207,13 +207,14 @@ def _surfaces() -> List[Fixture]:
         add(fid, "source",
             f"quartic family member alpha = {alpha}; affine symmetry dimension 4",
             x4 - x1*x2 - x3**2 - x1**2*x3 - x1**4 * alpha, (0, 0, 0, 0))
+    bp5, bp6 = (1, 0, 0, 0), (1, 0, 1, 1)
     add("surface.table.5", "source",
-        "cubic case x4 = x1 x2 + x1 x3^2 with basepoint (1,0,0,0); dimension 4",
-        x4 - x1*x2 - x1*x3**2, (1, 0, 0, 0), (gtx1,), irred=True)
+        f"cubic case x4 = x1 x2 + x1 x3^2 with basepoint {point_text(bp5)}; dimension 4",
+        x4 - x1*x2 - x1*x3**2, bp5, (gtx1,), irred=True)
     table6 = add("surface.table.6", "source",
-                 "quartic-degenerate case x4^2 = x1 x2 + x1^2 x3, x1 > 0, basepoint (1,0,1,1); "
-                 "dimension 4",
-                 x4**2 - x1*x2 - x1**2*x3, (1, 0, 1, 1), (gtx1,), irred=True)
+                 "quartic-degenerate case x4^2 = x1 x2 + x1^2 x3, x1 > 0, "
+                 f"basepoint {point_text(bp6)}; dimension 4",
+                 x4**2 - x1*x2 - x1**2*x3, bp6, (gtx1,), irred=True)
     add("surface.quadric.half", "derived",
         "indefinite quadric x4 = x1 x2 + x3^2 restricted to x1 > 0, the boundary of the "
         "half-domains; its wall-preserving subalgebra has dimension 5",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -97,16 +96,18 @@ _CLOSURE = ("closure failure: [B_{}, B_{}] is outside the span; "
 
 
 class LieAlgebraPresentation(Record):
-    """Ordered basis of vector fields plus the full structure tensor.
+    """Ordered basis of vector fields plus the sparse structure tensor.
 
-    structure[i][j] is the coefficient tuple of [B_i, B_j] in the basis,
-    with canonical rational entries (int when integral, Fraction
-    otherwise). verify() checks antisymmetry, the Jacobi identity and the
-    tensor against the brackets of the basis fields.
+    structure[i][j] lists the pairs (k, c_ij^k) of [B_i, B_j] =
+    sum_k c_ij^k B_k with c_ij^k != 0, by ascending k, each c canonical
+    (int when integral, Fraction otherwise); structure[j][i] is its
+    negation and structure[i][i] is (). verify() checks antisymmetry, the
+    Jacobi identity and the tensor against the brackets of the basis
+    fields.
     """
 
     basis: Tuple[VectorField, ...]
-    structure: Tuple[Tuple[Tuple[Rational, ...], ...], ...]
+    structure: Tuple[Tuple[Tuple[Tuple[int, Rational], ...], ...], ...]
 
     @property
     def dim(self) -> int:
@@ -117,33 +118,24 @@ class LieAlgebraPresentation(Record):
         """The presentation of any bracket-closed basis: each bracket of
         two basis fields is expanded in the basis (`expand_in_fields`)."""
         basis = tuple(basis)
-        dim = len(basis)
-        zero_row = (0,) * dim
-        rows: List[List[Tuple[Rational, ...]]] = [[zero_row] * dim for _ in range(dim)]
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        pairs = list(itertools.combinations(range(len(basis)), 2))
         brackets = [lie_bracket(basis[i], basis[j]) for i, j in pairs]
+        upper = {}
         for (i, j), coeffs in zip(pairs, expand_in_fields(brackets, basis)):
             if coeffs is None:
                 raise RuntimeError(_CLOSURE.format(i, j))
             if not all(c.is_real() for c in coeffs):
                 raise RuntimeError("structure constants must be rational")
-            rat = tuple(c.re for c in coeffs)
-            rows[i][j] = rat
-            rows[j][i] = tuple(-x for x in rat)
-        return cls(basis, tuple(tuple(r) for r in rows))
-
-    @cached_property
-    def nonzero_structure(self):
-        """nonzero_structure[i][j] lists the pairs (k, c_ij^k) with c_ij^k != 0."""
-        return tuple(tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
-                     for row in self.structure)
+            upper[i, j] = tuple((k, c.re) for k, c in enumerate(coeffs) if c.re)
+        return cls(basis, _antisymmetric(len(basis), upper))
 
     def bracket_coords(self, u: Sequence[object], v: Sequence[object]) -> list:
         """Coordinates of [u, v] for coordinate vectors of GaussianRationals,
         or of polynomials over one variable tuple, which give polynomials;
-        each coordinate sums the nonzero structure constants' terms once."""
+        each coordinate sums the terms of the (sparse) structure constants
+        once."""
         parts: List[list] = [[] for _ in range(self.dim)]
-        for ui, row in zip(u, self.nonzero_structure):
+        for ui, row in zip(u, self.structure):
             if not ui:
                 continue
             for vj, entry in zip(v, row):
@@ -156,9 +148,6 @@ class LieAlgebraPresentation(Record):
             return [poly_sum(u[0].vars, p) for p in parts]
         return [sum(p, ZERO) for p in parts]
 
-    def field_from_coords(self, coords: Sequence[object]) -> VectorField:
-        return linear_combination(list(coords), list(self.basis))
-
     def verify(self) -> None:
         """Check antisymmetry and the Jacobi identity of the tensor, then
         the tensor against the brackets of the basis fields.
@@ -167,8 +156,8 @@ class LieAlgebraPresentation(Record):
         J(i, j, k) = c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m is
         alternating in (i, j, k): it changes sign when two indices swap
         and vanishes when two are equal. So the triples i < j < k cover
-        it. Each sum runs over the nonzero constants c_ij^l only, into one
-        coordinate vector per triple.
+        it. Each sum runs over the pairs (l, c_ij^l) of the tensor, into
+        one coordinate vector per triple.
 
         Each bracket [B_i, B_j], i < j, of the basis fields is then
         compared with the combination of the basis that the tensor names."""
@@ -176,22 +165,22 @@ class LieAlgebraPresentation(Record):
         structure = self.structure
         for i in range(dim):
             for j in range(i, dim):
-                if any(a != -b for a, b in zip(structure[i][j], structure[j][i])):
+                if structure[j][i] != tuple((k, -c) for k, c in structure[i][j]):
                     raise AssertionError("structure tensor is not antisymmetric")
-        # Jacobi on the tensor, over the nonzero (l, c_ij^l) of each (i, j)
-        nonzero = self.nonzero_structure
+        # Jacobi on the tensor, over the pairs (l, c_ij^l) of each (i, j)
         for i, j, k in itertools.combinations(range(dim), 3):
             total = [0] * dim
             for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, c in nonzero[a][b]:
-                    for m, c2 in nonzero[l][d]:
+                for l, c in structure[a][b]:
+                    for m, c2 in structure[l][d]:
                         total[m] += c * c2
             if any(total):
                 raise AssertionError("Jacobi identity fails on the tensor")
         # bracket identity against the actual fields
         for i, j in itertools.combinations(range(dim), 2):
             br = lie_bracket(self.basis[i], self.basis[j])
-            expect = self.field_from_coords(structure[i][j])
+            coords = dict(structure[i][j])
+            expect = linear_combination([coords.get(k, 0) for k in range(dim)], self.basis)
             for a, b in zip(br.components, expect.components):
                 if a != b:
                     raise AssertionError(f"structure tensor wrong at ({i},{j})")
@@ -259,7 +248,8 @@ def _affine_structure(kernel: Sequence[Sequence[int]], n: int):
     only one nonzero at some column (every free column of kernel_basis is
     one), so a bracket's coordinate on it is the bracket's entry there
     divided by the vector's, an int when the division is exact
-    (`scalars._div`). The coordinates recombined must give the bracket
+    (`scalars._div`), and only those nonzero coordinates are kept, by
+    ascending index. The coordinates recombined must give the bracket
     back exactly; otherwise the span is not closed and the closure
     RuntimeError of from_fields is raised (de Graaf, Lie Algebras: Theory
     and Algorithms, ch. 1)."""
@@ -287,8 +277,7 @@ def _affine_structure(kernel: Sequence[Sequence[int]], n: int):
                 by_row.setdefault(r, []).append((k, x))
         entries.append(ent)
         rows.append(by_row)
-    zero_row = (0,) * dim
-    structure: List[List[Tuple[Rational, ...]]] = [[zero_row] * dim for _ in range(dim)]
+    upper = {}
     for i, j in itertools.combinations(range(dim), 2):
         w: Dict[int, int] = {}
         for ent, by_row, sign in ((entries[j], rows[i], 1), (entries[i], rows[j], -1)):
@@ -297,7 +286,7 @@ def _affine_structure(kernel: Sequence[Sequence[int]], n: int):
                     at = index[r][col]
                     w[at] = w.get(at, 0) + sign * x * y
         w = {col: x for col, x in w.items() if x}
-        coords: List[Rational] = [0] * dim
+        coords: Dict[int, Rational] = {}
         back: Dict[int, Rational] = {}
         for col, y in w.items():
             if col in owner:
@@ -307,9 +296,18 @@ def _affine_structure(kernel: Sequence[Sequence[int]], n: int):
                     back[at] = back.get(at, 0) + c * x
         if {col: x for col, x in back.items() if x} != w:
             raise RuntimeError(_CLOSURE.format(i, j))
-        structure[i][j] = tuple(coords)
-        structure[j][i] = tuple(-c for c in coords)
-    return tuple(tuple(row) for row in structure)
+        upper[i, j] = tuple(sorted(coords.items()))
+    return _antisymmetric(dim, upper)
+
+
+def _antisymmetric(dim: int, upper: Mapping[Tuple[int, int], tuple]):
+    """The structure tensor with these entries (i, j), i < j, their
+    negations at (j, i) and () everywhere else."""
+    rows = [[()] * dim for _ in range(dim)]
+    for (i, j), entry in upper.items():
+        rows[i][j] = entry
+        rows[j][i] = tuple((k, -c) for k, c in entry)
+    return tuple(tuple(row) for row in rows)
 
 
 def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]]:
@@ -521,13 +519,14 @@ def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
     Algorithms, ch. 1).
 
     Row a is e_{p_a} + sum_j t_{a,j} e_j over the nonpivots j, so each
-    coordinate of the bracket w of rows a < b is a sum of c_ij^k * u_i * v_j
-    with every u_i, v_j equal to 1 or one variable, and each residual
+    coordinate of the bracket w of rows a < b is a sum of c_ij^k * u_i * v_j,
+    over the pairs (k, c_ij^k) of the sparse tensor, with every u_i, v_j
+    equal to 1 or one variable, and each residual
     w_j - sum_q w_{p_q} * t_{q,j} has degree at most 3. A monomial is keyed
     by its term key over tvars, the sum of its variables' keys
     (`poly.variable_keys`), the coefficients are summed as ints and
     Fractions, and one GaussianRational is built per surviving term."""
-    structure = algebra.nonzero_structure
+    structure = algebra.structure
     nonpivots = [j for j in range(algebra.dim) if j not in pivots]
     width = len(nonpivots)
     units = variable_keys(tvars)
@@ -681,12 +680,11 @@ def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,
 
     conditions: List[Tuple[str, bool, str]] = []
 
-    br = algebra.bracket_coords(unit(z1_idx), unit(z4_idx))
-    ok_a = all(br[i] == (-1 if i == z4_idx else 0) for i in range(dim))
-    conditions.append(("a: [Z1, Z4] = -Z4", ok_a, "" if ok_a else f"got {br}"))
+    z1_row = algebra.structure[z1_idx]
+    ok_a = z1_row[z4_idx] == ((z4_idx, -1),)
+    conditions.append(("a: [Z1, Z4] = -Z4", ok_a, "" if ok_a else f"got {z1_row[z4_idx]}"))
 
-    bad = [s for s in sorted(s_set)
-           if not in_s(algebra.bracket_coords(unit(z1_idx), unit(s)))]
+    bad = [s for s in sorted(s_set) if any(k not in s_set for k, _ in z1_row[s])]
     conditions.append(("b: [Z1, S] inside S", not bad, f"escapes at {bad}" if bad else ""))
 
     iso_vecs = [[GaussianRational.coerce(x) for x in v] for v in iso]

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the determinant
 oracle is a cofactor expansion, the rank and kernel oracles are plain
 fraction Gauss-Jordan elimination, the Jacobi oracle sums the structure
-tensor densely over every index, series results are checked by
+tensor densely over every index (`dense_structure` unpacks the engine's
+sparse tensor for such sums), series results are checked by
 multiplying back rather than re-expanding, and a field's tangency to a
 surface is certified by solving X(P) = Q P for a polynomial multiplier Q
 instead of through the kernel solve of affine_symmetry_algebra. The
@@ -95,9 +96,22 @@ def fraction_kernel(matrix: Sequence[Sequence[Fraction]]) -> List[List[Fraction]
     return basis
 
 
+def dense_structure(structure) -> List[List[List]]:
+    """The dense dim x dim x dim lists of a sparse structure tensor, whose
+    entry (i, j) lists the pairs (k, c_ij^k) with c_ij^k != 0; every
+    constant it omits is 0."""
+    dim = len(structure)
+    dense = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, row in enumerate(structure):
+        for j, entry in enumerate(row):
+            for k, c in entry:
+                dense[i][j][k] = c
+    return dense
+
+
 def jacobi_holds(structure) -> bool:
-    """The Jacobi identity of a structure tensor, summed over all dim**5
-    index tuples."""
+    """The Jacobi identity of a dense structure tensor, summed over all
+    dim**5 index tuples."""
     dim = len(structure)
     for i in range(dim):
         for j in range(dim):

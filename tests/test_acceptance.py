@@ -26,7 +26,7 @@ from tubes.symmetry import (LieAlgebraPresentation, affine_symmetry_algebra,
                             non_nilpotent_transitive_obstruction,
                             subalgebra_scan, verify_transitivity_witness)
 
-from oracles import cofactor_det, random_poly
+from oracles import cofactor_det, dense_structure, random_poly
 
 ZF_ANTI = ("z1b", "z2b", "z3b", "z4b")
 WHOLO = ("w1", "w2", "w3")
@@ -73,11 +73,12 @@ def test_criterion_02_golden_tables():
         fields = list(catalog.get(f"basis.Z.{case}").payload.fields)
         algebra = LieAlgebraPresentation.from_fields(fields)
         golden = catalog.get(f"table.golden.{case}").payload.coeff_map()
+        table = dense_structure(algebra.structure)
         for i in range(10):
             for j in range(i + 1, 10):
                 want = golden.get((i + 1, j + 1), {})
                 expect = tuple(Fraction(want.get(k + 1, 0)) for k in range(10))
-                if algebra.structure[i][j] != expect:
+                if tuple(table[i][j]) != expect:
                     diffs += 1
     _verdict(2, diffs == 0,
              f"both 10x10 commutation tables match entry-for-entry ({diffs} diffs)")
@@ -209,18 +210,20 @@ def test_criterion_07_obstruction():
         cert = non_nilpotent_transitive_obstruction(
             algebra, list(iso.vectors), iso.z1_index, iso.z4_index, list(iso.s_indices))
         ok = ok and cert.passed
-    # perturbed control
+    # perturbed control: the D tensor with the marked bracket [Z1, Z4] wiped
     fields = list(catalog.get("basis.Z.D").payload.fields)
     algebra = LieAlgebraPresentation.from_fields(fields)
     iso = catalog.get("isospan.D").payload
-    structure = [[algebra.structure[i][j] for j in range(10)] for i in range(10)]
-    zero = tuple(Fraction(0) for _ in range(10))
-    structure[iso.z1_index][iso.z4_index] = zero
-    structure[iso.z4_index][iso.z1_index] = zero
+    z1, z4 = iso.z1_index, iso.z4_index
+    structure = [list(row) for row in algebra.structure]
+    structure[z1][z4] = structure[z4][z1] = ()
+    perturbed = LieAlgebraPresentation(algebra.basis, tuple(map(tuple, structure)))
+    changed = {(i, j) for i in range(10) for j in range(10)
+               if perturbed.structure[i][j] != algebra.structure[i][j]}
     cert = non_nilpotent_transitive_obstruction(
-        LieAlgebraPresentation(algebra.basis, tuple(tuple(r) for r in structure)),
-        list(iso.vectors), iso.z1_index, iso.z4_index, list(iso.s_indices))
-    control = not cert.passed and not cert.conditions[0][1]
+        perturbed, list(iso.vectors), z1, z4, list(iso.s_indices))
+    control = (changed == {(z1, z4), (z4, z1)} and not cert.passed
+               and not cert.conditions[0][1])
     ok = ok and control
     _verdict(7, ok, "conditions (a)-(e) pass for both cases; perturbed control fails (a)")
 

@@ -43,6 +43,33 @@ def test_table_subcommand(capsys):
     assert len(entry_checks) == 45
 
 
+@pytest.mark.parametrize("argv,check_id,owner,method", [
+    (["symmetry", "--surface", "surface.table.3"], "symmetry.structure.surface.table.3",
+     "tubes.symmetry.LieAlgebraPresentation", "verify"),
+    (["normal-form", "--case", "C"], "normal_form.reality.C",
+     "tubes.normal_form.BidegreeSeries", "verify_reality"),
+])
+def test_a_failed_check_states_the_claim_of_the_passed_one(argv, check_id, owner, method,
+                                                           monkeypatch, capsys):
+    """A check states one claim whatever its verdict; the exception's
+    text is its FAIL detail."""
+    def check(report):
+        return next(c for c in report["checks"] if c["id"] == check_id)
+
+    passed = check(run_json(argv, capsys)[1])
+
+    def broken(self):
+        raise AssertionError("broken on purpose")
+
+    monkeypatch.setattr(f"{owner}.{method}", broken)
+    code, report = run_json(argv, capsys)
+    failed = check(report)
+    assert code == 1
+    assert (passed["verdict"], failed["verdict"]) == ("PASS", "FAIL")
+    assert failed["claim"] == passed["claim"]
+    assert failed["details"] == "broken on purpose"
+
+
 def test_classify_has_fourteen_domain_records(capsys):
     code, report = run_json(["classify"], capsys)
     assert code == 0

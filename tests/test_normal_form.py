@@ -19,7 +19,7 @@ from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 from tubes.symmetry import LieAlgebraPresentation, expand_in_fields
 
-from oracles import fraction_series
+from oracles import dense_structure, fraction_series
 
 WG = ("w1", "w2", "w3", "w1b", "w2b", "w3b")
 W1, W2, W3, W1B, W2B, W3B = (MultiPoly.var(WG, n) for n in WG)
@@ -700,13 +700,14 @@ def test_generator_structure_constants_match_golden_table():
     z_algebra = LieAlgebraPresentation.from_fields(zb)
     gen_algebra = LieAlgebraPresentation.from_fields(gens)
     m = [list(expand_in_fields([g], zb)[0]) for g in gens]
+    gen_table, z_table = dense_structure(gen_algebra.structure), dense_structure(z_algebra.structure)
     dim = 10
     for a in range(dim):
         for b in range(dim):
             # [G_a, G_b] in the Z basis, two ways
             direct = [GaussianRational(0)] * dim
             for d in range(dim):
-                c = gen_algebra.structure[a][b][d]
+                c = gen_table[a][b][d]
                 if c:
                     for g_ in range(dim):
                         direct[g_] = direct[g_] + m[d][g_] * c
@@ -719,7 +720,7 @@ def test_generator_structure_constants_match_golden_table():
                         continue
                     prod = m[a][e] * m[b][f]
                     for g_ in range(dim):
-                        cc = z_algebra.structure[e][f][g_]
+                        cc = z_table[e][f][g_]
                         if cc:
                             via_table[g_] = via_table[g_] + prod * cc
             assert direct == via_table, (a, b)

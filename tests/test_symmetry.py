@@ -23,8 +23,8 @@ from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
                             open_orbit_report, scan_covers_subspace,
                             subalgebra_scan, verify_transitivity_witness)
 
-from oracles import (chart_rows_from_solution, first_written_pivot, jacobi_holds,
-                     random_poly, realify, tangency_multiplier)
+from oracles import (chart_rows_from_solution, dense_structure, first_written_pivot,
+                     jacobi_holds, random_poly, realify, tangency_multiplier)
 
 XV = ("x1", "x2", "x3", "x4")
 X1, X2, X3, X4 = (MultiPoly.var(XV, n) for n in XV)
@@ -80,22 +80,21 @@ def test_sphere_algebra_equals_rotation_span():
         assert expand_in_fields([b], rotations)[0] is not None
 
 
-def _frozen(structure):
-    return tuple(tuple(tuple(entry) for entry in row) for row in structure)
+def _sparse(dense):
+    """The sparse form of a dense tensor: entry (i, j) lists the pairs
+    (k, c) with c = dense[i][j][k] != 0."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
+                 for row in dense)
 
 
-def _retensored(alg, structure):
-    return LieAlgebraPresentation(alg.basis, _frozen(structure))
-
-
-def _tensor_lists(alg):
-    return [[list(entry) for entry in row] for row in alg.structure]
+def _retensored(alg, dense):
+    return LieAlgebraPresentation(alg.basis, _sparse(dense))
 
 
 def test_verify_rejects_a_one_sided_entry():
     alg = algebra("surface.table.3")
     alg.verify()
-    t = _tensor_lists(alg)
+    t = dense_structure(alg.structure)
     assert t[0][1][3] == -1 and t[1][0][3] == 1
     t[0][1][3] = 1
     with pytest.raises(AssertionError, match="structure tensor is not antisymmetric"):
@@ -107,7 +106,7 @@ def test_verify_rejects_an_antisymmetric_change_that_breaks_jacobi():
     dim = alg.dim
     for i, j, l in itertools.product(range(dim), repeat=3):
         if i < j:
-            t = _tensor_lists(alg)
+            t = dense_structure(alg.structure)
             t[i][j][l] += 1
             t[j][i][l] -= 1
             if not jacobi_holds(t):
@@ -120,7 +119,7 @@ def test_verify_rejects_an_antisymmetric_change_that_breaks_jacobi():
 
 def test_verify_rejects_a_rescaled_basis_field():
     alg = algebra("surface.table.3")
-    assert alg.structure[0][1] == (0, 0, 0, -1, 0)
+    assert alg.structure[0][1] == ((3, -1),)
     doubled = LieAlgebraPresentation(
         (linear_combination([2], alg.basis[:1]),) + alg.basis[1:], alg.structure)
     with pytest.raises(AssertionError, match=r"structure tensor wrong at \(0,1\)"):
@@ -165,6 +164,38 @@ def test_affine_structure_equals_the_tensor_solved_from_the_fields(fid):
     assert repr(alg.structure) == repr(LieAlgebraPresentation.from_fields(alg.basis).structure)
 
 
+def _assert_canonical(structure):
+    """Entry (i, j) lists (k, c) by ascending k, each c a nonzero int, or
+    a Fraction that is not integral; (j, i) is its negation, (i, i) is ()."""
+    dim = len(structure)
+    assert all(len(row) == dim for row in structure)
+    for i, j in itertools.product(range(dim), repeat=2):
+        entry = structure[i][j]
+        ks = [k for k, _ in entry]
+        assert ks == sorted(set(ks)) and all(0 <= k < dim for k in ks), (i, j)
+        for _, c in entry:
+            assert c and (type(c) is int or type(c) is Fraction and c.denominator != 1), (i, j)
+        assert structure[j][i] == tuple((k, -c) for k, c in entry), (i, j)
+    assert all(structure[i][i] == () for i in range(dim))
+
+
+FIELD_BASES = ("basis.Z.C", "basis.Z.D") + tuple(catalog.list_ids("basis.half_pseudo_ball.*"))
+
+
+def test_field_bases_include_both_half_pseudo_balls():
+    assert len(FIELD_BASES) == 4
+
+
+@pytest.mark.parametrize("source", HYPERSURFACES + FIELD_BASES)
+def test_structure_tensor_is_in_canonical_sparse_form(source):
+    if source in FIELD_BASES:
+        alg = LieAlgebraPresentation.from_fields(catalog.get(source).payload.fields)
+    else:
+        alg = algebra(source)
+    assert alg.dim > 1
+    _assert_canonical(alg.structure)
+
+
 def _affine_fields(vectors, names):
     """The field x -> A x + b of each vector (A row-major, then b, then c)."""
     n = len(names)
@@ -176,11 +207,13 @@ def _affine_fields(vectors, names):
 
 def test_affine_structure_reads_fractional_coordinates():
     """sl2 as H' = 2 x1 d/dx1 - 2 x2 d/dx2, X = x2 d/dx1, Y = x1 d/dx2:
-    [X, Y] = -H'/2, a Fraction, and each tensor entry is from_fields'."""
+    [H', X] = -4 X, an int, [X, Y] = -H'/2, a Fraction, and each tensor entry
+    is from_fields'."""
     vectors = [[2, 0, 0, -2, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]]
     structure = symmetry._affine_structure(vectors, 2)
-    assert structure[1][2] == (Fraction(-1, 2), 0, 0)
-    assert type(structure[1][2][1]) is int
+    assert structure[1][2] == ((0, Fraction(-1, 2)),)
+    assert structure[0][1] == ((1, -4),) and type(structure[0][1][0][1]) is int
+    _assert_canonical(structure)
     solved = LieAlgebraPresentation.from_fields(_affine_fields(vectors, ("x1", "x2")))
     assert repr(structure) == repr(solved.structure)
     LieAlgebraPresentation(solved.basis, structure).verify()
@@ -190,8 +223,8 @@ def test_affine_structure_of_zero_and_one_dimensional_spans():
     assert symmetry._affine_structure([], 2) == () == LieAlgebraPresentation.from_fields(
         []).structure
     euler = [[1, 0, 0, 1, 0, 0, 2]]  # x1 d/dx1 + x2 d/dx2, multiplier 2
-    assert symmetry._affine_structure(euler, 2) == (((0,),),)
-    LieAlgebraPresentation(tuple(_affine_fields(euler, ("x1", "x2"))), (((0,),),)).verify()
+    assert symmetry._affine_structure(euler, 2) == (((),),)
+    LieAlgebraPresentation(tuple(_affine_fields(euler, ("x1", "x2"))), (((),),)).verify()
 
 
 def test_a_span_that_is_not_bracket_closed_raises_the_closure_error():
@@ -240,7 +273,7 @@ def test_verify_jacobi_agrees_with_dense_oracle():
             l = rng.randrange(dim)
             t[i][j][l], t[j][i][l] = c, -c
         zero = VectorField(XV, (MultiPoly.zero(XV),) * 4)
-        alg = LieAlgebraPresentation((zero,) * dim, _frozen(t))
+        alg = LieAlgebraPresentation((zero,) * dim, _sparse(t))
         holds = jacobi_holds(t)
         outcomes.add(holds)
         if holds:
@@ -461,13 +494,13 @@ def test_bracket_coords_against_dense_sum_and_evaluation():
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             dense[i][j][k], dense[j][i][k] = c, -c
     algebras = [algebra(fid) for fid in ("surface.table.1m", "surface.quadric.half")]
-    algebras.append(LieAlgebraPresentation((None,) * 4, _frozen(dense)))
+    algebras.append(LieAlgebraPresentation((None,) * 4, _sparse(dense)))
     for alg in algebras:
         for _ in range(4):
             u, v = ([random_poly(rng, vs, complex_coeffs=True) if rng.random() < 0.7
                      else zero for _ in range(alg.dim)] for _ in range(2))
             w = alg.bracket_coords(u, v)
-            assert w == _dense_bracket(alg.structure, u, v, zero)
+            assert w == _dense_bracket(dense_structure(alg.structure), u, v, zero)
             for _ in range(3):
                 point = {n: GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                                              rng.randint(-2, 2)) for n in vs}
@@ -517,7 +550,7 @@ def test_chart_system_equals_generic_residuals_on_a_random_tensor(seed):
             if rng.random() < 0.4:
                 c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 dense[i][j][k], dense[j][i][k] = c, -c
-    _assert_chart_systems_match_generic(LieAlgebraPresentation((None,) * m, _frozen(dense)))
+    _assert_chart_systems_match_generic(LieAlgebraPresentation((None,) * m, _sparse(dense)))
 
 
 # SHA-256 of each scan, over its charts in order: pivots, status, sorted
@@ -623,16 +656,21 @@ def test_obstruction_certificate(case):
 
 
 def test_obstruction_perturbed_control():
+    """The D tensor with the marked bracket [Z1, Z4] wiped, in the sparse
+    form, differs from the original at (z1, z4) and (z4, z1) only, and
+    fails condition (a) where the original certificate passes."""
     alg = _case_algebra("D")
     iso = catalog.get("isospan.D").payload
-    dim = alg.dim
-    structure = [[alg.structure[i][j] for j in range(dim)] for i in range(dim)]
-    zero = tuple(Fraction(0) for _ in range(dim))
-    structure[iso.z1_index][iso.z4_index] = zero
-    structure[iso.z4_index][iso.z1_index] = zero
-    perturbed = LieAlgebraPresentation(alg.basis, tuple(tuple(r) for r in structure))
-    cert = non_nilpotent_transitive_obstruction(
-        perturbed, list(iso.vectors), iso.z1_index, iso.z4_index, list(iso.s_indices))
+    z1, z4 = iso.z1_index, iso.z4_index
+    args = (list(iso.vectors), z1, z4, list(iso.s_indices))
+    assert non_nilpotent_transitive_obstruction(alg, *args).passed
+    structure = [list(row) for row in alg.structure]
+    structure[z1][z4] = structure[z4][z1] = ()
+    perturbed = LieAlgebraPresentation(alg.basis, tuple(map(tuple, structure)))
+    changed = {(i, j) for i, j in itertools.product(range(alg.dim), repeat=2)
+               if perturbed.structure[i][j] != alg.structure[i][j]}
+    assert changed == {(z1, z4), (z4, z1)}
+    cert = non_nilpotent_transitive_obstruction(perturbed, *args)
     assert not cert.passed
     assert not cert.conditions[0][1]  # condition (a) fails
 
