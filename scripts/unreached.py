@@ -3,7 +3,9 @@
 
     python3 scripts/unreached.py
 
-The sweep runs in-process through tubes.cli.main, under sys.setprofile:
+The sweep imports tubes and then runs in-process through tubes.cli.main,
+all under sys.setprofile, so that functions run only at import (the codec
+builders of tubes.interchange among them) count as entered. It runs
 every invocation in the verdict table of perfbench/expected.py with
 --json, an orbit report with --probes and --random-probes and symmetry
 with --verbose as a text report, all of them once on the in-code catalog
@@ -62,12 +64,11 @@ def _defined():
     return out
 
 
-def sweep(cli, catalog, invocations, tree, export_dir):
-    """Run every invocation on the in-code catalog and on the fixture tree,
-    then the export; returns the code objects entered and the fixture ids
-    the invocations looked up."""
-    entered, read = set(), set()
-    lookups = {catalog.Registry.__getitem__.__code__, catalog.FixtureTree.__getitem__.__code__}
+def sweep(invocations, tree, export_dir):
+    """Import tubes, run every invocation on the in-code catalog and on the
+    fixture tree, then the export; returns the catalog module, the code
+    objects entered and the fixture ids the invocations looked up."""
+    entered, read, lookups = set(), set(), set()
 
     def profile(frame, event, arg):
         if event == "call":
@@ -81,6 +82,12 @@ def sweep(cli, catalog, invocations, tree, export_dir):
 
     sys.setprofile(profile)
     try:
+        import tubes.cli as cli
+        from tubes import catalog
+        if Path(cli.__file__).resolve().parent != PACKAGE:
+            raise SystemExit(f"imported tubes from {cli.__file__}, not from {PACKAGE}")
+        lookups.update((catalog.Registry.__getitem__.__code__,
+                        catalog.FixtureTree.__getitem__.__code__))
         for argv in invocations:
             run(argv)
         os.environ["TUBES_FIXTURES"] = tree
@@ -93,7 +100,7 @@ def sweep(cli, catalog, invocations, tree, export_dir):
         catalog.export_tree(export_dir)
     finally:
         sys.setprofile(None)
-    return entered, invoked
+    return catalog, entered, invoked
 
 
 def main() -> int:
@@ -103,15 +110,13 @@ def main() -> int:
     sys.path.insert(0, str(REPO / "perfbench"))
     sys.path.insert(0, str(REPO / "src"))
     from expected import EXPECTED
-    import tubes.cli as cli
-    from tubes import catalog
-    if Path(cli.__file__).resolve().parent != PACKAGE:
-        raise SystemExit(f"imported tubes from {cli.__file__}, not from {PACKAGE}")
+    if "tubes" in sys.modules:
+        raise SystemExit("tubes was imported before the sweep")
 
     invocations = [("--json",) + tuple(key.split()) for key in EXPECTED] + list(EXTRA)
     os.environ.pop("TUBES_FIXTURES", None)
     with tempfile.TemporaryDirectory() as tmp:
-        entered, read = sweep(cli, catalog, invocations, str(REPO / "fixtures"), tmp)
+        catalog, entered, read = sweep(invocations, str(REPO / "fixtures"), tmp)
     seen = {(Path(c.co_filename).name, c.co_firstlineno, c.co_name) for c in entered
             if Path(c.co_filename).resolve().parent == PACKAGE}
     unreached = sorted(name for key, name in _defined().items() if key not in seen)

@@ -26,6 +26,8 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import interchange as io
+from .interchange import (FAMILY, FIELD, FLAG, FRAC, GAUSS, GRAPH, INT, POLY, RATFUN, RELATIONS,
+                          TEXT, optional, pairs, record, row, seq)
 from .fields import HoloField, VectorField
 from .normal_form import GraphSurface, MapFamily
 from .poly import MultiPoly, RationalFunction, conjugation_pairing
@@ -428,8 +430,10 @@ def _iso_spans() -> List[Fixture]:
     ]
 
 
-def _families() -> List[Fixture]:
+def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
     out = []
+    bp_d = point_text(reg["surface.table.6"].payload.basepoint)
+    bp_c = point_text(reg["surface.table.5"].payload.basepoint)
 
     # affine family, quartic-degenerate case (acts on the base in R^4)
     u = XV + ("q", "r", "s", "t")
@@ -484,7 +488,7 @@ def _families() -> List[Fixture]:
                   (z1 + a1*I, z2 + a2*I, z3 + a3*I, z4 + a4*I),
                   tuple((f"a{k}", Fraction(0)) for k in range(1, 5)))))
 
-    # isotropy family at (1,0,1,1), quartic-degenerate case
+    # isotropy family at the basepoint of surface.table.6, quartic-degenerate case
     u = ZV + ("r", "u", "v")
     z1, z2, z3, z4, r, uu, v = _vars(u)
     comps = (
@@ -497,7 +501,7 @@ def _families() -> List[Fixture]:
     )
     out.append(Fixture(
         "family.isotropy.D", "source",
-        "three-parameter isotropy of the basepoint (1,0,1,1) on the quartic-degenerate "
+        f"three-parameter isotropy of the basepoint {bp_d} on the quartic-degenerate "
         "tube; preserves the tube with multiplier r^2 and fixes the basepoint",
         MapFamily("isotropy.D", ZV, ("r", "u", "v"),
                   comps,
@@ -549,7 +553,7 @@ def _families() -> List[Fixture]:
     z1, z2, z3, z4, r = _vars(u)
     out.append(Fixture(
         "family.isotropy.C.scale", "source",
-        "scaling isotropy of (1,0,0,0) on the cubic tube, multiplier r^2",
+        f"scaling isotropy of {bp_c} on the cubic tube, multiplier r^2",
         MapFamily("isotropy.C.scale", ZV, ("r",),
                   (z1, r**2*z2, r*z3, r**2*z4),
                   (("r", Fraction(1)),), constraints=(("r", "nonzero"),))))
@@ -557,7 +561,7 @@ def _families() -> List[Fixture]:
     z1, z2, z3, z4, uu = _vars(u)
     out.append(Fixture(
         "family.isotropy.C.shear", "source",
-        "shear isotropy of (1,0,0,0) on the cubic tube, multiplier 1",
+        f"shear isotropy of {bp_c} on the cubic tube, multiplier 1",
         MapFamily("isotropy.C.shear", ZV, ("u",),
                   (z1, z2 + uu*(z1 - 1)*I, z3, z4 + uu*(z1**2 - 1)*Fraction(1, 2)*I),
                   (("u", Fraction(0)),))))
@@ -845,18 +849,18 @@ def _bridges_and_slices() -> List[Fixture]:
 # The builder of each group of fixtures, under the first dotted field of its
 # ids; it reads other groups through the registry that it is given.
 _BUILDER = {"surface": lambda reg: _surfaces(), "domain": _domains,
-            "isospan": lambda reg: _iso_spans(), "family": lambda reg: _families(),
+            "isospan": lambda reg: _iso_spans(), "family": _families,
             "graph": _graphs, "map": _maps, "witness": _witnesses, "line": lambda reg: _lines()}
 _BUILDER["basis"] = _BUILDER["table"] = lambda reg: _bases_and_tables()
 _BUILDER["bridge"] = _BUILDER["slice"] = lambda reg: _bridges_and_slices()
 
 
 class Registry(Mapping[str, Fixture]):
-    """The in-code fixtures. Looking up an id builds its group on first use
-    and no other group, and so does listing a group's ids; membership of
-    any string never raises. Iteration and length build every group. A
-    builder that yields an id outside its group, or an id twice, raises
-    RuntimeError."""
+    """The in-code fixtures. Looking up an id builds its group on first use,
+    with the groups its builder reads and no other, and so does listing a
+    group's ids; membership of any string never raises. Iteration and
+    length build every group. A builder that yields an id outside its
+    group, or an id twice, raises RuntimeError."""
 
     def __init__(self):
         self._fixtures: Dict[str, Fixture] = {}
@@ -918,110 +922,52 @@ def list_ids(pattern: str = "*") -> List[str]:
 
 # ------------------------------------------------------------- serialization
 
-def _constraints_to_obj(constraints):
-    return [{"expr": io.poly_to_obj(e), "sense": sense} for e, sense in constraints]
+_POINT = seq(FRAC)
+_CONSTRAINTS = seq(record(tuple, ("expr", POLY), ("sense", TEXT)))
 
-
-def _constraints_from_obj(obj):
-    return tuple((io.poly_from_obj(c["expr"]), c["sense"]) for c in obj)
-
-
-# The one table of fixture kinds: name, payload type, encoder, decoder. The
-# codecs look up interchange functions as `io.` attributes at call time, so
-# that a wrapper installed on that module sees every call.
+# The one table of fixture kinds: name, payload type and the payload's JSON
+# codec, whose spec gives one (JSON key, codec) pair per payload field, in
+# field order, for both directions (see interchange.record).
 _KINDS = (
-    ("hypersurface", Hypersurface,
-     lambda p: {"poly": io.poly_to_obj(p.defining),
-                "basepoint": [io.frac_to_str(b) for b in p.basepoint],
-                "constraints": _constraints_to_obj(p.constraints),
-                "assert_irreducible": p.assert_irreducible, "name": p.name},
-     lambda obj: Hypersurface(io.poly_from_obj(obj["poly"]),
-                              tuple(io.frac_from_str(b) for b in obj["basepoint"]),
-                              _constraints_from_obj(obj["constraints"]),
-                              obj.get("assert_irreducible", False), obj.get("name", ""))),
-    ("domain", DomainSpec,
-     lambda p: {"name": p.name, "expr": io.poly_to_obj(p.expr),
-                "constraints": _constraints_to_obj(p.constraints),
-                "probe": [io.frac_to_str(x) for x in p.probe],
-                "levi_type": p.levi_type, "source_surface": p.source_surface},
-     lambda obj: DomainSpec(obj["name"], io.poly_from_obj(obj["expr"]),
-                            _constraints_from_obj(obj["constraints"]),
-                            tuple(io.frac_from_str(x) for x in obj["probe"]),
-                            obj["levi_type"], obj["source_surface"])),
-    ("field_basis", FieldBasis,
-     lambda p: {"fields": [io.field_to_obj(f) for f in p.fields]},
-     lambda obj: FieldBasis(tuple(io.field_from_obj(f) for f in obj["fields"]))),
-    ("golden_table", GoldenTable,
-     lambda p: {"dim": p.dim,
-                "entries": [[i, j, {str(k): io.frac_to_str(c) for k, c in combo}]
-                            for i, j, combo in p.entries]},
-     lambda obj: GoldenTable(obj["dim"], tuple(
-         (i, j, tuple((int(k), io.frac_from_str(c)) for k, c in combo.items()))
-         for i, j, combo in obj["entries"]))),
-    ("iso_span", IsoSpan,
-     lambda p: {"vectors": [[io.frac_to_str(x) for x in vec] for vec in p.vectors],
-                "z1_index": p.z1_index, "z4_index": p.z4_index,
-                "s_indices": list(p.s_indices)},
-     lambda obj: IsoSpan(tuple(tuple(io.frac_from_str(x) for x in vec) for vec in obj["vectors"]),
-                         obj["z1_index"], obj["z4_index"], tuple(obj["s_indices"]))),
-    ("map_family", MapFamily,
-     lambda p: io.family_to_obj(p), lambda obj: io.family_from_obj(obj)),
-    ("graph_surface", GraphSurface,
-     lambda p: io.graph_to_obj(p), lambda obj: io.graph_from_obj(obj)),
-    ("rational_map", RationalMapFixture,
-     lambda p: {"components": {name: io.ratfun_to_obj(rf) for name, rf in p.components},
-                "source_graph": p.source_graph, "target": io.poly_to_obj(p.target),
-                "target_holo": list(p.target_holo), "target_anti": list(p.target_anti),
-                "expected": p.expected,
-                "origin_image": None if p.origin_image is None
-                else [io.gauss_to_obj(c) for c in p.origin_image]},
-     lambda obj: RationalMapFixture(
-         tuple((name, io.ratfun_from_obj(rf)) for name, rf in obj["components"].items()),
-         obj["source_graph"], io.poly_from_obj(obj["target"]),
-         tuple(obj["target_holo"]), tuple(obj["target_anti"]), obj["expected"],
-         None if obj.get("origin_image") is None
-         else tuple(io.gauss_from_obj(c) for c in obj["origin_image"]))),
-    ("witness", WitnessFixture,
-     lambda p: {"family": io.family_to_obj(p.witness.family),
-                "target_vars": list(p.witness.target_vars),
-                "assignment": {k: io.ratfun_to_obj(v) for k, v in p.witness.assignment.items()},
-                "context": io.relations_to_obj(p.witness.context),
-                "name": p.witness.name, "base": [io.frac_to_str(b) for b in p.base]},
-     lambda obj: WitnessFixture(
-         TransitivityWitness(io.family_from_obj(obj["family"]), tuple(obj["target_vars"]),
-                             {k: io.ratfun_from_obj(v) for k, v in obj["assignment"].items()},
-                             io.relations_from_obj(obj["context"]), obj.get("name", "")),
-         tuple(io.frac_from_str(b) for b in obj["base"]))),
-    ("line", LineFixture,
-     lambda p: {"point": [io.gauss_to_obj(c) for c in p.line.point],
-                "direction": [io.gauss_to_obj(c) for c in p.line.direction],
-                "name": p.line.name, "domain": p.domain_id},
-     lambda obj: LineFixture(ComplexLine(tuple(io.gauss_from_obj(c) for c in obj["point"]),
-                                         tuple(io.gauss_from_obj(c) for c in obj["direction"]),
-                                         obj.get("name", "")), obj["domain"])),
-    ("bridge", BridgeInfo,
-     lambda p: {"u_scale": io.frac_to_str(p.u_scale), "v_scale": io.frac_to_str(p.v_scale),
-                "w_family": p.w_family, "z_family": p.z_family, "map": p.map_id},
-     lambda obj: BridgeInfo(io.frac_from_str(obj["u_scale"]), io.frac_from_str(obj["v_scale"]),
-                            obj["w_family"], obj["z_family"], obj["map"])),
-    ("derived_slice", SliceInfo,
-     lambda p: {"family": p.family, "reduces_to": p.reduces_to,
-                "slice_params": list(p.slice_params),
-                "assignments": {k: io.poly_to_obj(v) for k, v in p.assignments}},
-     lambda obj: SliceInfo(obj["family"], obj["reduces_to"], tuple(obj["slice_params"]),
-                           tuple((k, io.poly_from_obj(v))
-                                 for k, v in obj["assignments"].items()))),
-    ("alpha_family", AlphaFamilyInfo,
-     lambda p: {"parameter": p.parameter,
-                "samples": [io.frac_to_str(s) for s in p.samples],
-                "sample_ids": list(p.sample_ids),
-                "target": p.target, "sign_rule": p.sign_rule},
-     lambda obj: AlphaFamilyInfo(obj["parameter"],
-                                 tuple(io.frac_from_str(s) for s in obj["samples"]),
-                                 tuple(obj["sample_ids"]), obj["target"], obj["sign_rule"])),
+    ("hypersurface", Hypersurface, record(
+        Hypersurface, ("poly", POLY), ("basepoint", _POINT), ("constraints", _CONSTRAINTS),
+        ("assert_irreducible", FLAG), ("name", TEXT))),
+    ("domain", DomainSpec, record(
+        DomainSpec, ("name", TEXT), ("expr", POLY), ("constraints", _CONSTRAINTS),
+        ("probe", _POINT), ("levi_type", TEXT), ("source_surface", TEXT))),
+    ("field_basis", FieldBasis, record(FieldBasis, ("fields", seq(FIELD)))),
+    ("golden_table", GoldenTable, record(
+        GoldenTable, ("dim", INT), ("entries", seq(row(INT, INT, pairs(FRAC, key=(str, int))))))),
+    ("iso_span", IsoSpan, record(IsoSpan, ("vectors", seq(_POINT)), ("z1_index", INT),
+                                 ("z4_index", INT), ("s_indices", seq(INT)))),
+    ("map_family", MapFamily, FAMILY),
+    ("graph_surface", GraphSurface, GRAPH),
+    ("rational_map", RationalMapFixture, record(
+        RationalMapFixture, ("components", pairs(RATFUN)), ("source_graph", TEXT),
+        ("target", POLY), ("target_holo", seq(TEXT)), ("target_anti", seq(TEXT)),
+        ("expected", FLAG), ("origin_image", optional(seq(GAUSS))))),
+    ("witness", WitnessFixture, record(
+        WitnessFixture, (None, record(TransitivityWitness, ("family", FAMILY),
+                                      ("target_vars", seq(TEXT)),
+                                      ("assignment", pairs(RATFUN, into=dict)),
+                                      ("context", RELATIONS), ("name", TEXT))),
+        ("base", _POINT))),
+    ("line", LineFixture, record(
+        LineFixture, (None, record(ComplexLine, ("point", seq(GAUSS)),
+                                   ("direction", seq(GAUSS)), ("name", TEXT))),
+        ("domain", TEXT))),
+    ("bridge", BridgeInfo, record(
+        BridgeInfo, ("u_scale", FRAC), ("v_scale", FRAC), ("w_family", TEXT),
+        ("z_family", TEXT), ("map", TEXT))),
+    ("derived_slice", SliceInfo, record(
+        SliceInfo, ("family", TEXT), ("reduces_to", TEXT), ("slice_params", seq(TEXT)),
+        ("assignments", pairs(POLY)))),
+    ("alpha_family", AlphaFamilyInfo, record(
+        AlphaFamilyInfo, ("parameter", TEXT), ("samples", _POINT), ("sample_ids", seq(TEXT)),
+        ("target", TEXT), ("sign_rule", TEXT))),
 )
-_KIND_OF = {cls: (name, encode) for name, cls, encode, _ in _KINDS}
-_DECODER = {name: decode for name, _, _, decode in _KINDS}
+_KIND_OF = {cls: (name, encode) for name, cls, (encode, _) in _KINDS}
+_DECODER = {name: decode for name, _, (_, decode) in _KINDS}
 
 
 def fixture_to_obj(fx: Fixture):
@@ -1034,7 +980,7 @@ def fixture_from_obj(obj) -> Fixture:
     decode = _DECODER.get(obj["kind"])
     if decode is None:
         raise ValueError(f"cannot deserialize fixture kind {obj['kind']!r}")
-    return Fixture(obj["id"], obj["tag"], obj["claim"], decode(obj["payload"]))
+    return Fixture(*(TEXT[1](obj[key]) for key in ("id", "tag", "claim")), decode(obj["payload"]))
 
 
 def export_tree(path) -> int:
@@ -1043,10 +989,9 @@ def export_tree(path) -> int:
     root.mkdir(parents=True, exist_ok=True)
     index = []
     for fid in list_ids():
-        fx = get(fid)
-        obj = fixture_to_obj(fx)
+        obj = fixture_to_obj(get(fid))
         (root / f"{fid}.json").write_text(io.to_json(obj, sort_keys=True) + "\n")
-        index.append({"id": fx.id, "kind": obj["kind"], "tag": fx.tag, "claim": fx.claim})
+        index.append({key: value for key, value in obj.items() if key != "payload"})
     (root / "index.json").write_text(io.to_json({"fixtures": index}) + "\n")
     return len(index)
 

@@ -6,12 +6,17 @@ rational coefficient `c: "p/q"` or a Gaussian one `re`/`im`. Rationals
 are always decimal-digit strings, never floats: frac_from_str refuses
 anything else. Terms are emitted in graded-lexicographic order so
 serialization is canonical.
+
+Every other JSON shape is one codec, an (encode, decode) pair built from
+a single spec (pickler combinators, Kennedy, JFP 14(6), 2004); each
+decoder raises TypeError on a JSON value of the wrong type.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Mapping
 
@@ -59,6 +64,13 @@ def _put_json(obj, sort_keys: bool, newline: str, out: List[str]) -> None:
         out.append(json.dumps(obj))
 
 
+def _typed(obj, kind):
+    """obj if its type is `kind` (so a bool is no int), else a TypeError."""
+    if type(obj) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {obj!r:.60}")
+    return obj
+
+
 def frac_to_str(x) -> str:
     return str(Fraction(x))
 
@@ -97,7 +109,9 @@ def poly_to_obj(p: MultiPoly) -> Dict:
 def poly_from_obj(obj: Mapping) -> MultiPoly:
     terms = {tuple(record["e"]): gauss_from_obj(record["c"] if "c" in record else record)
              for record in obj["terms"]}
-    return MultiPoly(tuple(obj["vars"]), terms)
+    names = _typed(obj["vars"], list)
+    "".join(names)  # a TypeError unless every name is a str
+    return MultiPoly(tuple(names), terms)
 
 
 def ratfun_to_obj(f: RationalFunction) -> Dict:
@@ -108,90 +122,130 @@ def ratfun_from_obj(obj: Mapping) -> RationalFunction:
     return RationalFunction(poly_from_obj(obj["num"]), poly_from_obj(obj["den"]))
 
 
-def field_to_obj(f: VectorField) -> Dict:
-    return {
-        "variables": list(f.variables),
-        "holomorphic": isinstance(f, HoloField),
-        "components": [poly_to_obj(c) for c in f.components],
-    }
+# ------------------------------------------------------------------ codecs
+
+# each encoder is the type itself, which returns a value of that type as it is
+TEXT, INT, FLAG = ((kind, partial(_typed, kind=kind)) for kind in (str, int, bool))
+FRAC = (frac_to_str, frac_from_str)
+GAUSS = (gauss_to_obj, gauss_from_obj)
+RATFUN = (ratfun_to_obj, ratfun_from_obj)
+# looked up by name at run time, so that a wrapper installed on this module
+# sees every call
+POLY = (lambda p: poly_to_obj(p), lambda obj: poly_from_obj(obj))
 
 
-def field_from_obj(obj: Mapping) -> VectorField:
-    cls = HoloField if obj.get("holomorphic") else VectorField
-    return cls(tuple(obj["variables"]), tuple(poly_from_obj(c) for c in obj["components"]))
+def seq(codec):
+    """A JSON list of `codec` values, decoded as a tuple."""
+    encode, decode = codec
+    return (lambda values: [encode(v) for v in values],
+            lambda obj: tuple([decode(v) for v in _typed(obj, list)]))
 
 
-def relations_to_obj(ctx: RelationContext) -> Dict:
-    return {
-        "radicals": [{"symbol": sym, "square": poly_to_obj(d)} for sym, d in ctx.radicals],
-        "unit_pairs": [[c, cb] for c, cb in ctx.unit_pairs],
-    }
+def row(*codecs):
+    """A JSON list with one value per codec, decoded as a tuple."""
+    def decode(obj):
+        if len(_typed(obj, list)) != len(codecs):
+            raise ValueError(f"expected a list of {len(codecs)} values, got {len(obj)}")
+        return tuple(dec(v) for (_, dec), v in zip(codecs, obj))
+    return (lambda values: [enc(v) for (enc, _), v in zip(codecs, values)], decode)
 
 
-def relations_from_obj(obj: Mapping) -> RelationContext:
-    return RelationContext(
-        radicals=tuple((r["symbol"], poly_from_obj(r["square"])) for r in obj.get("radicals", ())),
-        unit_pairs=tuple((a, b) for a, b in obj.get("unit_pairs", ())),
-    )
+def pairs(codec, key=TEXT, into=tuple):
+    """A JSON object of `codec` values under `key`-coded names, decoded as
+    `into` (tuple or dict) of its (name, value) pairs in the JSON's order."""
+    (encode_key, decode_key), (encode, decode) = key, codec
+    return (lambda items: {encode_key(k): encode(v) for k, v in
+                           (items.items() if isinstance(items, dict) else items)},
+            lambda obj: into([(decode_key(k), decode(v)) for k, v in _typed(obj, dict).items()]))
+
+
+def optional(codec):
+    """`codec`, or JSON null for None."""
+    encode, decode = codec
+    return (lambda value: None if value is None else encode(value),
+            lambda obj: None if obj is None else decode(obj))
+
+
+def record(cls, *spec):
+    """A JSON object for a Record `cls`, or a plain tuple if cls is tuple:
+    `spec` holds one (JSON key, codec) pair per field, in field order, and
+    a key of None inlines that field's record codec. A key missing from the
+    JSON gives its field the Record default (KeyError if it has none);
+    keys outside the spec are ignored."""
+    if cls is tuple:
+        names, defaults, build = range(len(spec)), {}, lambda *values: values
+    else:
+        names, defaults, build = cls._fields, cls._defaults, cls
+        if len(spec) != len(names):
+            raise TypeError(f"{cls.__name__} has {len(names)} fields, its codec spec {len(spec)}")
+    fallback = {key: defaults[name] for (key, _), name in zip(spec, names) if name in defaults}
+
+    def encode(value):
+        out = {}
+        for (key, (enc, _)), name in zip(spec, names):
+            part = enc(value[name] if cls is tuple else getattr(value, name))
+            if key is None:
+                out.update(part)
+            else:
+                out[key] = part
+        return out
+
+    def decode(obj):
+        _typed(obj, dict)
+        return build(*[dec(obj) if key is None else dec(obj[key]) if key in obj else fallback[key]
+                       for key, (_, dec) in spec])
+    return encode, decode
+
+
+RELATIONS = record(RelationContext,
+                   ("radicals", seq(record(tuple, ("symbol", TEXT), ("square", POLY)))),
+                   ("unit_pairs", seq(row(TEXT, TEXT))))
+
+_FIELD = record(tuple, ("variables", seq(TEXT)), ("holomorphic", FLAG), ("components", seq(POLY)))
+
+
+def _field(variables, holomorphic, components) -> VectorField:
+    return (HoloField if holomorphic else VectorField)(variables, components)
+
+
+FIELD = (lambda f: _FIELD[0]((f.variables, isinstance(f, HoloField), f.components)),
+         lambda obj: _field(*_FIELD[1](obj)))
+
+GRAPH = record(GraphSurface, ("holo_vars", seq(TEXT)), ("anti_vars", seq(TEXT)),
+               ("slice_var", TEXT), ("solved_var", TEXT), ("solved_conj", TEXT),
+               ("re_part", optional(RATFUN)), ("im_part", optional(RATFUN)), ("name", TEXT))
+
+
+class _NotPolynomial(ValueError):
+    pass
+
+
+def _polynomial(f: RationalFunction) -> MultiPoly:
+    if not f.is_polynomial():
+        raise _NotPolynomial(f"needs polynomial components, got the denominator {f.den}")
+    return f.num
+
+
+# a family's components are polynomials, written as rational functions
+_FAMILY = record(MapFamily, ("name", TEXT), ("variables", seq(TEXT)), ("params", seq(TEXT)),
+                 ("components", seq((lambda p: ratfun_to_obj(RationalFunction(p)),
+                                     lambda obj: _polynomial(ratfun_from_obj(obj))))),
+                 ("identity", pairs(FRAC)), ("relations", RELATIONS),
+                 ("constraints", pairs(TEXT)), ("composition", pairs(RATFUN)),
+                 ("composition_primed", seq(TEXT)))
 
 
 def family_to_obj(fam: MapFamily) -> Dict:
-    return {
-        "name": fam.name,
-        "variables": list(fam.variables),
-        "params": list(fam.params),
-        "components": [ratfun_to_obj(RationalFunction(c)) for c in fam.components],
-        "identity": {p: frac_to_str(v) for p, v in fam.identity},
-        "relations": relations_to_obj(fam.relations),
-        "constraints": {p: text for p, text in fam.constraints},
-        "composition": {p: ratfun_to_obj(law) for p, law in fam.composition},
-        "composition_primed": list(fam.composition_primed),
-    }
+    return _FAMILY[0](fam)
 
 
 def family_from_obj(obj: Mapping) -> MapFamily:
-    components = []
-    for c in obj["components"]:
-        rf = ratfun_from_obj(c)
-        if not rf.is_polynomial():
-            raise ValueError(f"map family {obj['name']!r} needs polynomial components, "
-                             f"got the denominator {rf.den}")
-        components.append(rf.num)
-    return MapFamily(
-        name=obj["name"],
-        variables=tuple(obj["variables"]),
-        params=tuple(obj["params"]),
-        components=tuple(components),
-        identity=tuple((p, frac_from_str(v)) for p, v in obj["identity"].items()),
-        relations=relations_from_obj(obj.get("relations", {})),
-        constraints=tuple(sorted(obj.get("constraints", {}).items())),
-        composition=tuple((p, ratfun_from_obj(law))
-                          for p, law in obj.get("composition", {}).items()),
-        composition_primed=tuple(obj.get("composition_primed", ())),
-    )
+    """The family a family_to_obj object names; a component with a
+    denominator is a ValueError that names the family."""
+    try:
+        return _FAMILY[1](obj)
+    except _NotPolynomial as exc:
+        raise ValueError(f"map family {obj['name']!r} {exc}") from None
 
 
-def graph_to_obj(g: GraphSurface) -> Dict:
-    return {
-        "name": g.name,
-        "holo_vars": list(g.holo_vars),
-        "anti_vars": list(g.anti_vars),
-        "slice_var": g.slice_var,
-        "solved_var": g.solved_var,
-        "solved_conj": g.solved_conj,
-        "re_part": None if g.re_part is None else ratfun_to_obj(g.re_part),
-        "im_part": None if g.im_part is None else ratfun_to_obj(g.im_part),
-    }
-
-
-def graph_from_obj(obj: Mapping) -> GraphSurface:
-    return GraphSurface(
-        holo_vars=tuple(obj["holo_vars"]),
-        anti_vars=tuple(obj["anti_vars"]),
-        slice_var=obj["slice_var"],
-        solved_var=obj["solved_var"],
-        solved_conj=obj["solved_conj"],
-        re_part=None if obj["re_part"] is None else ratfun_from_obj(obj["re_part"]),
-        im_part=None if obj["im_part"] is None else ratfun_from_obj(obj["im_part"]),
-        name=obj.get("name", ""),
-    )
+FAMILY = (lambda fam: family_to_obj(fam), lambda obj: family_from_obj(obj))

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from tubes import catalog
+from tubes import catalog, interchange
+from tubes.record import Record
+from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +25,60 @@ def test_every_fixture_round_trips_bit_exactly():
         text = json.dumps(obj, sort_keys=True)
         back = catalog.fixture_from_obj(json.loads(text))
         assert json.dumps(catalog.fixture_to_obj(back), sort_keys=True) == text, fid
+
+
+def _changed_fields(old, new):
+    """(record, field name) of each field in which two records differ,
+    looking into fields that hold records of one type."""
+    out = []
+    for name in old._fields:
+        a, b = getattr(old, name), getattr(new, name)
+        if a == b:
+            continue
+        if isinstance(a, Record) and type(a) is type(b):
+            out += _changed_fields(a, b)
+        else:
+            out.append((new, name))
+    return out
+
+
+def test_a_missing_key_decodes_to_its_default_or_fails_to_read(tmp_path):
+    """Each committed fixture with any one key removed, from the fixture or
+    from its payload: reading it either raises FixtureError or gives the
+    fixture back with at most the field of that key changed, to the
+    field's Record default."""
+    path, defaulted = tmp_path / "fixture.json", set()
+    for source in sorted((ROOT / "fixtures").glob("*.json")):
+        if source.name == "index.json":
+            continue
+        obj = json.loads(source.read_text())
+        whole = catalog.fixture_from_obj(obj)
+        payload = obj["payload"]
+        cuts = [({k: v for k, v in obj.items() if k != key}, key) for key in obj]
+        cuts += [({**obj, "payload": {k: v for k, v in payload.items() if k != key}}, key)
+                 for key in payload]
+        for cut, key in cuts:
+            path.write_text(json.dumps(cut))
+            try:
+                fx = catalog.read_fixture(path)
+            except catalog.FixtureError:
+                continue
+            changed = _changed_fields(whole, fx)
+            assert len(changed) <= 1, (source.name, key, changed)
+            for rec, name in changed:
+                assert getattr(rec, name) == type(rec)._defaults.get(name, ...), (source.name, key)
+            defaulted.add((obj["kind"], key))
+    assert defaulted == {
+        ("hypersurface", "constraints"), ("hypersurface", "assert_irreducible"),
+        ("hypersurface", "name"), ("graph_surface", "name"), ("map_family", "relations"),
+        ("map_family", "constraints"), ("map_family", "composition"),
+        ("map_family", "composition_primed"), ("rational_map", "origin_image"),
+        ("witness", "name"), ("line", "name")}
+
+
+def test_a_codec_spec_names_every_field():
+    with pytest.raises(TypeError, match="RelationContext has 2 fields, its codec spec 1"):
+        interchange.record(RelationContext, ("radicals", interchange.seq(interchange.TEXT)))
 
 
 def test_ids_unique_and_tagged():

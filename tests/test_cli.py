@@ -202,6 +202,16 @@ def _other_id(obj):
     obj["id"] = "witness.C.lt"
 
 
+def _set(*path, value):
+    """An edit that sets the payload value at `path` to `value`."""
+    def edit(obj):
+        holder = obj["payload"]
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = value
+    return edit
+
+
 # fixture trees {tmp}/<name>: a copy of fixtures/ with one fixture edited
 BAD_TREES = {
     "ge": ("domain.H.gt", _unknown_sense),
@@ -216,6 +226,13 @@ BAD_TREES = {
     "floatprobe": ("domain.Bp.gt", _float_probe),
     "nonreal": ("surface.table.6", _non_real_term),
     "hugeexp": ("surface.table.6", _huge_exponent),
+    "nullindex": ("isospan.C", _set("z4_index", value=None)),
+    "nullname": ("map.cm.C", _set("target_holo", 2, value=None)),
+    "floatname": ("map.case3.printed.reversed", _set("target_anti", 0, value=1.5)),
+    "dictprobe": ("domain.Np.gt", _set("probe", value={})),
+    "intsource": ("domain.Bm.gt", _set("source_surface", value=-1)),
+    "listfield": ("basis.Z.D", _set("fields", 0, value=[])),
+    "strvars": ("surface.table.6", _set("poly", "vars", value="wxyz")),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -299,6 +316,20 @@ BAD_INDEXES = {
      "OverflowError: total degree 301 of the term (300, 0, 1, 0) exceeds 255"),
     (["normal-form", "--case", "D", "--cutoff", "252"], "--cutoff must be at most 251, got 252"),
     (["normal-form", "--case", "C", "--cutoff", "252"], "--cutoff must be at most 251, got 252"),
+    (["TUBES_FIXTURES={tmp}/nullindex", "nilpotency", "--case", "C"],
+     "'{tmp}/nullindex': TypeError: expected int, got None"),
+    (["TUBES_FIXTURES={tmp}/nullname", "verify-map", "--id", "map.cm.C"],
+     "'{tmp}/nullname': TypeError: expected str, got None"),
+    (["TUBES_FIXTURES={tmp}/floatname", "verify-map", "--id", "map.case3.printed.reversed"],
+     "'{tmp}/floatname': TypeError: expected str, got 1.5"),
+    (["TUBES_FIXTURES={tmp}/dictprobe", "classify"],
+     "'{tmp}/dictprobe': TypeError: expected list, got {{}}"),
+    (["TUBES_FIXTURES={tmp}/intsource", "classify"],
+     "'{tmp}/intsource': TypeError: expected str, got -1"),
+    (["TUBES_FIXTURES={tmp}/listfield", "table", "--case", "D"],
+     "'{tmp}/listfield': TypeError: expected dict, got []"),
+    (["TUBES_FIXTURES={tmp}/strvars", "symmetry", "--surface", "surface.table.6"],
+     "'{tmp}/strvars': TypeError: expected list, got 'wxyz'"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
