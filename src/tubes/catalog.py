@@ -99,9 +99,15 @@ class DomainSpec(Record):
     source_surface: str
 
     def __post_init__(self):
-        for _, sense in self.constraints:
+        if len(self.probe) != len(self.expr.vars):
+            raise ValueError(f"the probe has {len(self.probe)} coordinates, "
+                             f"but the domain has the variables {self.expr.vars}")
+        for expr, sense in self.constraints:
             if sense not in ("gt", "lt"):
                 raise ValueError(f"unknown constraint sense {sense!r}")
+            if expr.vars != self.expr.vars:
+                raise ValueError(f"the constraint {expr} is over {expr.vars}, "
+                                 f"not over the domain variables {self.expr.vars}")
 
     def probe_inside(self) -> bool:
         return violated_constraint(((self.expr, "gt"),) + self.constraints, self.probe) is None

@@ -13,10 +13,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .linalg import det_exact, rref_rows
+from .linalg import _rref, det_exact
 from .poly import MultiPoly, poly_sum
 from .record import Record
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _div
 
 
 # the pairs (j, dp/dx_j) with a nonzero derivative, in variable order
@@ -88,7 +88,8 @@ def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) 
 
 def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
     """Exact rank of the evaluated component matrix at a point; 0 for no
-    fields."""
+    fields. The point is coerced once; a matrix of real values is
+    eliminated over Q, any other over the Gaussian rationals."""
     if not fields:
         return 0
     base = fields[0]
@@ -96,7 +97,10 @@ def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
         raise ValueError("point dimension does not match field variables")
     values = {v: GaussianRational.coerce(x) for v, x in zip(base.variables, point)}
     # rows are fields; rank is the same either way
-    return len(rref_rows([[c.eval_at(values) for c in f.components] for f in fields]))
+    rows = [[c.eval_at(values) for c in f.components] for f in fields]
+    if any(x.im for row in rows for x in row):
+        return len(_rref(rows)[1])
+    return len(_rref([[x.re for x in row] for row in rows], div=_div)[1])
 
 
 def minors_scan(fields: Sequence[VectorField]) -> List[MultiPoly]:

@@ -1,50 +1,67 @@
 """Exact linear algebra.
 
-Every linear system over the Gaussian rationals goes through one
-Gauss-Jordan core, _rref, which clears a column only over the support of
-the pivot row: kernel_basis reads one null vector per free column off its
-reduced rows, rref_rows keeps its nonzero rows, invert_gaussian_matrix
-runs it on [A | I], and solve_columns runs it once on
-[columns | t_1 ... t_T] with pivots restricted to the columns, so one
-elimination answers every target t_i of a shared coefficient matrix.
-det_exact, over polynomial entries, where a division is an exact
-polynomial division and costly, eliminates fraction-free (Bareiss).
-lowest_terms cancels the gcd of a rational function whose denominator
-uses one variable, by Euclid's algorithm on coefficient lists.
+Every linear system goes through one Gauss-Jordan core, _rref, whose
+division is a parameter: GaussianRational true division by default, and
+scalars._div over plain int/Fraction entries, which the tangency solve
+(kernel_basis), the pointwise rank of real fields (fields.rank_at) and
+the lower central series (symmetry.is_nilpotent) run over Q. It clears a
+column only over the support of the pivot row: kernel_basis reads one
+null vector per free column off its reduced rows, rref_rows keeps its
+nonzero rows, invert_gaussian_matrix runs it on [A | I], and
+solve_columns runs it once on [columns | t_1 ... t_T] with pivots
+restricted to the columns, so one elimination answers every target t_i
+of a shared coefficient matrix. det_exact, over polynomial entries,
+where a division is an exact polynomial division (poly.poly_div_exact)
+and costly, eliminates fraction-free (Bareiss). lowest_terms cancels the
+gcd of a rational function whose denominator uses one variable, by
+Euclid's algorithm on coefficient lists.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import truediv
 from typing import List, Optional, Sequence
 
-from .poly import MultiPoly, RationalFunction, poly_sum
-from .scalars import ONE, ZERO, GaussianRational
+# poly_div_exact works on term dicts, so it lives in poly; det_exact and the
+# callers of linalg.poly_div_exact use it from here
+from .poly import MultiPoly, RationalFunction, poly_div_exact
+from .scalars import ONE, ZERO, GaussianRational, _div
 
 
 def kernel_basis(matrix) -> List[List[int]]:
     """Basis of the exact null space of a matrix of rationals (int,
     Fraction or real GaussianRational entries).
 
-    One vector per free column of the reduced rows, in column order: 1 at
-    that column, 0 at the other free columns and the negated reduced
-    entries at the pivot columns, scaled to primitive integer form with
-    positive leading entry. The count always equals #columns - rank.
-    Raises ValueError when the null space has no rational basis.
+    The entries are read as int/Fraction values up front, a real
+    GaussianRational as its real part, and eliminated over Q (`_rref`
+    dividing with scalars._div). One vector per free column of the
+    reduced rows, in column order: 1 at that column, 0 at the other free
+    columns and the negated reduced entries at the pivot columns, scaled
+    to primitive integer form with positive leading entry. The count
+    always equals #columns - rank. Raises ValueError for a non-real
+    entry.
     """
-    work, pivots = _rref([[GaussianRational.coerce(x) for x in row] for row in matrix])
+    work, pivots = _rref([[_real(x) for x in row] for row in matrix], div=_div)
     n = len(work[0]) if work else 0
     basis = []
     for fc in sorted(set(range(n)) - set(pivots)):
-        vec = [ZERO] * n
-        vec[fc] = ONE
+        vec = [0] * n
+        vec[fc] = 1
         for row, pc in zip(work, pivots):
             vec[pc] = -row[fc]
-        if any(x.im for x in vec):
-            raise ValueError("the null space is not defined over the rationals")
-        scale = lcm(*(x.re.denominator for x in vec))
-        basis.append(_primitive([x.re.numerator * (scale // x.re.denominator) for x in vec]))
+        scale = lcm(*(x.denominator for x in vec))
+        basis.append(_primitive([x.numerator * (scale // x.denominator) for x in vec]))
     return basis
+
+
+def _real(x):
+    """An int, Fraction or real GaussianRational entry as an int/Fraction."""
+    if type(x) is GaussianRational:
+        if x.im:
+            raise ValueError(f"kernel_basis needs rational entries, got {x}")
+        return x.re
+    return x
 
 
 def _primitive(ints: List[int]) -> List[int]:
@@ -56,14 +73,18 @@ def _primitive(ints: List[int]) -> List[int]:
     return [x // g for x in ints]
 
 
-def _rref(rows: Sequence[Sequence[GaussianRational]], limit: Optional[int] = None):
-    """Gauss-Jordan elimination over the Gaussian rationals, pivoting only
-    in the first `limit` columns (in all of them when limit is None).
+def _rref(rows: Sequence[Sequence], limit: Optional[int] = None, div=truediv):
+    """Gauss-Jordan elimination, pivoting only in the first `limit`
+    columns (in all of them when limit is None), over the entries' own
+    ring: GaussianRationals with the default true division, or plain
+    int/Fraction values with div=scalars._div, which keeps an exact
+    quotient an int.
 
-    Every entry must already be a GaussianRational; none is coerced.
-    Returns (reduced rows, pivot columns); row i < len(pivots) has a 1 in
-    column pivots[i] and zeros in every other pivot column, and the rows
-    past the rank are zero in the first `limit` columns. Clearing a column
+    No entry is coerced; `div(x, pivot)` normalises a pivot row whose
+    pivot is not 1, and the rest is `-`, `*` and truth tests. Returns
+    (reduced rows, pivot columns); row i < len(pivots) has a 1 in column
+    pivots[i] and zeros in every other pivot column, and the rows past
+    the rank are zero in the first `limit` columns. Clearing a column
     skips the entries where the pivot row is zero. Sizes in this package
     are small, so pivots need no magnitude heuristics.
     """
@@ -79,8 +100,8 @@ def _rref(rows: Sequence[Sequence[GaussianRational]], limit: Optional[int] = Non
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pv = work[r][c]
-        if pv != ONE:
-            work[r] = [x / pv if x else x for x in work[r]]
+        if pv != 1:
+            work[r] = [div(x, pv) if x else x for x in work[r]]
         top = work[r]
         support = [j for j, b in enumerate(top) if b]
         for row in work:
@@ -130,24 +151,6 @@ def invert_gaussian_matrix(matrix: Sequence[Sequence[GaussianRational]]):
 
 
 # ------------------------------------------------------------------ polynomial
-
-def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact division f / g; raises if g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q_terms = []
-    rem = f
-    g_exps, g_coeff = g.leading()
-    while not rem.is_zero():
-        r_exps, r_coeff = rem.leading()
-        q_exps = tuple(a - b for a, b in zip(r_exps, g_exps))
-        if any(k < 0 for k in q_exps):
-            raise ValueError("inexact polynomial division")
-        q_term = MultiPoly(f.vars, {q_exps: r_coeff / g_coeff})
-        q_terms.append(q_term)
-        rem = rem - q_term * g
-    return poly_sum(f.vars, q_terms)
-
 
 def lowest_terms(rf: RationalFunction) -> RationalFunction:
     """rf in lowest terms when its denominator uses exactly one variable

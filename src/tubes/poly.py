@@ -31,7 +31,10 @@ is kept and moves into the target universe by the runs of `_moves`.
 Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
 trusted `_poly`, which takes over a dict the engine built. Sums of many
-polynomials accumulate into one dict (`poly_sum`, `_add_into`).
+polynomials accumulate into one dict (`poly_sum`, `_add_into`), and an
+exact division works on one remainder dict (`poly_div_exact`). A point
+value (`eval_at`) is read straight off the term keys, without building
+a polynomial.
 
 Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed. Their
@@ -358,11 +361,42 @@ class MultiPoly:
         return _poly(rest, {k: c for k, c in acc.items() if c})
 
     def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
-        rest = self.specialize(point)
-        missing = rest.used_vars()
-        if missing:
-            raise ValueError(f"no value supplied for variable {missing[0]!r}")
-        return rest.const_coeff()
+        """The value of self at a point, a mapping that must hold every
+        used variable (others are ignored). Each term's exponent fields
+        are read off its key and its (re, im) parts multiplied by one
+        power table per used variable; no polynomial is built. Raises
+        ValueError naming the first used variable, in variable order,
+        that the point lacks."""
+        n = len(self.vars)
+        seen = 0
+        for k in self.terms:
+            seen |= k
+        # (field shift, powers of the value as (re, im) parts) per used variable
+        tables = []
+        for i, v in enumerate(self.vars):
+            shift = 8 * (n - 1 - i)
+            if seen >> shift & 255:
+                if v not in point:
+                    raise ValueError(f"no value supplied for variable {v!r}")
+                value = GaussianRational.coerce(point[v])
+                tables.append((shift, [None, (value.re, value.im)]))
+        total_re = total_im = 0
+        for k, c in self.terms.items():
+            re, im = c.re, c.im
+            for shift, pows in tables:
+                e = k >> shift & 255
+                if e:
+                    while len(pows) <= e:
+                        (a, b), (p, q) = pows[-1], pows[1]
+                        pows.append((a * p - b * q, a * q + b * p) if b or q else (a * p, 0))
+                    x, y = pows[e]
+                    if im or y:
+                        re, im = re * x - im * y, re * y + im * x
+                    else:
+                        re = re * x
+            total_re += re
+            total_im += im
+        return _gr(_canon(total_re), _canon(total_im))
 
     def truncate(self, cutoff: int) -> "MultiPoly":
         # total degree <= cutoff exactly when the key is below this one
@@ -722,6 +756,47 @@ def mul_trunc(a: MultiPoly, b: MultiPoly, cutoff: int) -> MultiPoly:
     return _poly(a.vars, _product(a.terms, b.terms, cutoff + 1 << 8 * len(a.vars)))
 
 
+def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Exact division f / g. Raises ZeroDivisionError when g is zero,
+    ValueError when the variable tuples differ or g does not divide f.
+
+    The remainder is a copy of f's terms, worked in place: each quotient
+    term divides the remainder's leading key (one max) by g's, after a
+    check, field by field, that g's leading monomial divides it, and then
+    subtracts itself times g's other terms from the remainder, whose
+    leading term it cancels exactly. Every key it touches is below the
+    leading one, so the loop ends."""
+    if not g.terms:
+        raise ZeroDivisionError("polynomial division by zero")
+    f._check_same_vars(g)
+    n = len(f.vars)
+    top = max(g.terms)
+    lead = g.terms[top]
+    # the nonzero exponent fields of g's leading monomial, as (shift, exponent)
+    fields = [(s, top >> s & 255) for s in range(0, 8 * n, 8) if top >> s & 255]
+    # the other terms of g, keyed relative to its leading monomial
+    tail = [(k - top, c) for k, c in g.terms.items() if k != top]
+    rem = dict(f.terms)
+    quotient: Dict[int, GaussianRational] = {}
+    while rem:
+        k = max(rem)
+        if any(k >> s & 255 < e for s, e in fields):
+            raise ValueError("inexact polynomial division")
+        q = quotient[k - top] = rem.pop(k) / lead
+        for offset, c in tail:
+            key = k + offset
+            s = rem.get(key)
+            if s is None:
+                rem[key] = -(q * c)
+            else:
+                s = s - q * c
+                if s:
+                    rem[key] = s
+                else:
+                    del rem[key]
+    return _poly(f.vars, quotient)
+
+
 def _top_byte(key: int) -> int:
     """The total degree of a term key: its top nonzero byte, or 0."""
     return key >> (key.bit_length() - 1 & ~7) if key else 0
@@ -738,7 +813,9 @@ def _product(a_terms: Mapping[int, GaussianRational],
     term of that degree; below the bound, the key of a product of two
     terms is the sum of their keys. A factor that is one term with
     coefficient 1 only shifts the keys of the other, whose coefficients
-    are kept. Otherwise each coefficient's (re, im) parts are read once
+    are kept, and any other one-term factor shifts them and scales each
+    coefficient by its own (a field has no zero divisors, so no term
+    cancels). Otherwise each coefficient's (re, im) parts are read once
     and every term pair is multiplied and summed in plain int/Fraction
     arithmetic; a real pair skips the imaginary products. One
     GaussianRational is built per nonzero output term, in first-seen
@@ -756,6 +833,8 @@ def _product(a_terms: Mapping[int, GaussianRational],
             if unit == ONE:
                 return {k + shift: c for k, c in other.items()
                         if limit is None or k + shift < limit}
+            return {k + shift: c * unit for k, c in other.items()
+                    if limit is None or k + shift < limit}
     b_items = [(k, c.re, c.im) for k, c in b_terms.items()]
     acc: Dict[int, list] = {}
     for k1, c1 in a_terms.items():

@@ -28,7 +28,7 @@ from .poly import (MultiPoly, RationalFunction, _poly, coefficient_columns, poly
                    subs_each, substitute, variable_keys)
 from .record import Record
 from .relations import RelationContext
-from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _div, _gr
+from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _div, _gr, rat
 
 
 class Hypersurface(Record):
@@ -130,10 +130,10 @@ class LieAlgebraPresentation(Record):
         return cls(basis, _antisymmetric(len(basis), upper))
 
     def bracket_coords(self, u: Sequence[object], v: Sequence[object]) -> list:
-        """Coordinates of [u, v] for coordinate vectors of GaussianRationals,
-        or of polynomials over one variable tuple, which give polynomials;
-        each coordinate sums the terms of the (sparse) structure constants
-        once."""
+        """Coordinates of [u, v] for coordinate vectors of scalars (ints,
+        Fractions or GaussianRationals, summed from 0), or of polynomials
+        over one variable tuple, which give polynomials; each coordinate
+        sums the terms of the (sparse) structure constants once."""
         parts: List[list] = [[] for _ in range(self.dim)]
         for ui, row in zip(u, self.structure):
             if not ui:
@@ -146,7 +146,7 @@ class LieAlgebraPresentation(Record):
                     parts[k].append(prod * c)
         if isinstance(u[0], MultiPoly):
             return [poly_sum(u[0].vars, p) for p in parts]
-        return [sum(p, ZERO) for p in parts]
+        return [sum(p, 0) for p in parts]
 
     def verify(self) -> None:
         """Check antisymmetry and the Jacobi identity of the tensor, then
@@ -311,9 +311,11 @@ def _antisymmetric(dim: int, upper: Mapping[Tuple[int, int], tuple]):
 
 
 def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]]:
-    """Lower central series: returns (nilpotent?, series dimensions)."""
+    """Lower central series: returns (nilpotent?, series dimensions).
+    Each term is spanned by the brackets of the int unit vectors with
+    the previous term's basis, reduced over Q."""
     dim = algebra.dim
-    unit = [[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]
+    unit = [[int(i == j) for j in range(dim)] for i in range(dim)]
     current = unit
     dims = [dim]
     while True:
@@ -321,7 +323,8 @@ def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]
         for e in unit:
             for v in current:
                 brackets.append(algebra.bracket_coords(e, v))
-        nxt = linalg.rref_rows(brackets)
+        work, pivots = linalg._rref(brackets, div=_div)
+        nxt = work[:len(pivots)]
         dims.append(len(nxt))
         if not nxt:
             return True, tuple(dims)
@@ -673,7 +676,7 @@ def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,
     outside = [i for i in range(dim) if i not in s_set]
 
     def unit(i):
-        return [ONE if j == i else ZERO for j in range(dim)]
+        return [int(j == i) for j in range(dim)]
 
     def in_s(vec) -> bool:
         return all(not vec[i] for i in outside)
@@ -687,7 +690,7 @@ def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,
     bad = [s for s in sorted(s_set) if any(k not in s_set for k, _ in z1_row[s])]
     conditions.append(("b: [Z1, S] inside S", not bad, f"escapes at {bad}" if bad else ""))
 
-    iso_vecs = [[GaussianRational.coerce(x) for x in v] for v in iso]
+    iso_vecs = [[rat(x) for x in v] for v in iso]
     bad = [n for n, w in enumerate(iso_vecs)
            if not in_s(algebra.bracket_coords(w, unit(z4_idx)))]
     conditions.append(("c: [iso, Z4] inside S", not bad, f"escapes for iso[{bad}]" if bad else ""))

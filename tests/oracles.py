@@ -10,9 +10,11 @@ surface is certified by solving X(P) = Q P for a polynomial multiplier Q
 instead of through the kernel solve of affine_symmetry_algebra. The
 scan's one-sweep pivot pick is checked against its first form, which
 tries each variable in turn for degree 1 and a constant `diff`, and
-`MultiPoly.specialize` against the term loop `eval_at` had before it
-became specialize's full case, and `MultiPoly.__str__` against the loop
-that zipped every term against all variable names. A solved scan
+`MultiPoly.specialize` and `MultiPoly.eval_at` against the term loop
+`eval_at` had before it became specialize's full case, exact division
+against its first loop, which built a new remainder polynomial at every
+step, and `MultiPoly.__str__` against the loop that zipped every term
+against all variable names. A solved scan
 chart's kept rows are checked against their rebuild from its solution.
 The Horner composition of `tubes.poly` is checked against the per-group
 product chains it replaced, the scaled series inversion against the
@@ -28,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from tubes.fields import VectorField
 from tubes.linalg import solve_columns
-from tubes.poly import MultiPoly, RationalFunction
+from tubes.poly import MultiPoly, RationalFunction, poly_sum
 from tubes.scalars import I, ONE, ZERO, GaussianRational
 
 
@@ -210,6 +212,26 @@ def eval_terms(p: MultiPoly, point) -> GaussianRational:
                 acc = acc * vals[i] ** k
         total = total + acc
     return total
+
+
+def div_exact_terms(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """poly_div_exact before it worked in place, frozen: each quotient
+    term is read off the leading terms, and the remainder becomes the
+    new polynomial rem - q_term * g."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q_terms = []
+    rem = f
+    g_exps, g_coeff = g.leading()
+    while not rem.is_zero():
+        r_exps, r_coeff = rem.leading()
+        q_exps = tuple(a - b for a, b in zip(r_exps, g_exps))
+        if any(k < 0 for k in q_exps):
+            raise ValueError("inexact polynomial division")
+        q_term = MultiPoly(f.vars, {q_exps: r_coeff / g_coeff})
+        q_terms.append(q_term)
+        rem = rem - q_term * g
+    return poly_sum(f.vars, q_terms)
 
 
 def str_terms(p: MultiPoly) -> str:

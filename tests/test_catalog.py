@@ -111,6 +111,21 @@ def test_every_domain_probe_inside():
         assert catalog.get(fid).payload.probe_inside(), fid
 
 
+def test_a_domain_refuses_a_probe_or_constraint_off_its_variables():
+    spec = catalog.get("domain.D.gt").payload
+
+    def domain(constraints, probe):
+        return catalog.DomainSpec(spec.name, spec.expr, constraints, probe, spec.levi_type,
+                                  spec.source_surface)
+
+    with pytest.raises(ValueError, match="the probe has 3 coordinates"):
+        domain(spec.constraints, spec.probe[:3])
+    wider = spec.expr.with_vars(spec.expr.vars + ("t",))
+    with pytest.raises(ValueError, match=r"is over \('x1', 'x2', 'x3', 'x4', 't'\)"):
+        domain(((wider, "gt"),), spec.probe)
+    assert domain(((spec.expr, "gt"),), spec.probe).probe_inside()
+
+
 def _fixtures(source):
     return catalog.registry() if source == "registry" else catalog.load_tree(ROOT / "fixtures")
 

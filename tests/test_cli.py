@@ -233,6 +233,7 @@ BAD_TREES = {
     "intsource": ("domain.Bm.gt", _set("source_surface", value=-1)),
     "listfield": ("basis.Z.D", _set("fields", 0, value=[])),
     "strvars": ("surface.table.6", _set("poly", "vars", value="wxyz")),
+    "shortprobe": ("domain.D.gt", _set("probe", value=["1", "0", "0"])),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -330,6 +331,9 @@ BAD_INDEXES = {
      "'{tmp}/listfield': TypeError: expected dict, got []"),
     (["TUBES_FIXTURES={tmp}/strvars", "symmetry", "--surface", "surface.table.6"],
      "'{tmp}/strvars': TypeError: expected list, got 'wxyz'"),
+    (["TUBES_FIXTURES={tmp}/shortprobe", "classify"],
+     "'{tmp}/shortprobe': ValueError: the probe has 3 coordinates, "
+     "but the domain has the variables ('x1', 'x2', 'x3', 'x4')"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")

@@ -15,10 +15,10 @@ from tubes.fields import VectorField
 from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis, lowest_terms,
                           poly_div_exact, rref_rows, solve_columns)
 from tubes.poly import MultiPoly, RationalFunction, poly_sum
-from tubes.scalars import ONE, ZERO, GaussianRational
+from tubes.scalars import ONE, ZERO, GaussianRational, _div
 from tubes.symmetry import affine_symmetry_algebra, expand_in_fields
 
-from oracles import cofactor_det, fraction_kernel, fraction_rank, random_poly
+from oracles import cofactor_det, div_exact_terms, fraction_kernel, fraction_rank, random_poly
 
 
 def test_kernel_zero_matrix():
@@ -75,6 +75,54 @@ def test_kernel_normalisation_matches_fraction_oracle(rational):
             assert all(type(x) is int for x in vec)
             assert gcd(*(int(x) for x in vec)) == 1
             assert next(x for x in vec if x) > 0
+
+
+@pytest.mark.parametrize("form", ["int", "fraction", "mixed", "gaussian"])
+def test_kernel_takes_every_rational_entry_type(form):
+    """int, Fraction, int-and-Fraction and real GaussianRational entries
+    of one matrix give the fraction oracle's basis."""
+    rng = random.Random(4409)
+    for _ in range(60):
+        rows = _kernel_case(rng, rational=form != "int")
+        if form == "int":
+            given = [[int(x) for x in row] for row in rows]
+        elif form == "fraction":
+            given = rows
+        elif form == "mixed":
+            given = [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
+                     for row in rows]
+        else:
+            given = [[GaussianRational(x) for x in row] for row in rows]
+        assert kernel_basis(given) == fraction_kernel(rows)
+
+
+def test_kernel_refuses_a_non_real_entry():
+    with pytest.raises(ValueError, match="rational entries"):
+        kernel_basis([[1, GaussianRational(0, 1)], [2, 3]])
+    with pytest.raises(ValueError, match="rational entries"):
+        kernel_basis([[0, 0], [0, GaussianRational(1, -1)]])
+
+
+def test_rref_over_q_equals_the_gaussian_elimination():
+    """_rref with div=scalars._div on int/Fraction rows and the default
+    Gaussian division on the same rows coerced reduce alike."""
+    rng = random.Random(7211)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.choice([0, 0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5),
+                                                                rng.randint(1, 4))])
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2:
+            rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+        limit = rng.choice([None, rng.randint(0, ncols)])
+        work, pivots = linalg._rref(rows, limit, div=_div)
+        g_work, g_pivots = linalg._rref([[GaussianRational(x) for x in row] for row in rows],
+                                        limit)
+        assert pivots == g_pivots
+        assert work == g_work
+        assert all(type(x) in (int, Fraction) for row in work for x in row)
+        if limit is None:
+            assert len(pivots) == fraction_rank(rows)
 
 
 def test_kernel_matches_fraction_oracle_on_every_catalogued_surface(monkeypatch):
@@ -190,6 +238,8 @@ def test_poly_div_exact_and_inexact():
     assert poly_div_exact(f, x + y) == (x - y) * (x + 2)
     with pytest.raises(ValueError):
         poly_div_exact(x * y + 1, x + y)
+    # the quotients of det_exact's Bareiss steps, against the first loop
+    assert poly_div_exact(f, (x - y) * (x + 2)) == div_exact_terms(f, (x - y) * (x + 2))
 
 
 XYZ = ("x", "y", "z")

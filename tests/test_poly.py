@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 import tubes.poly
 from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc,
-                        poly_sum, series_expand, subs_each, substitute)
+                        poly_div_exact, poly_sum, series_expand, subs_each, substitute)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
-from oracles import chain_compose, eval_terms, fraction_series, random_poly, str_terms
+from oracles import (chain_compose, div_exact_terms, eval_terms, fraction_series, random_poly,
+                     str_terms)
 
 VARS = ("x", "y", "z")
 
@@ -62,8 +63,33 @@ def test_a_monic_monomial_factor_shifts_the_exponents(p, exps, cutoff):
                                for e, c in p.sorted_terms()})
     assert m * p == p * m == shifted
     assert mul_trunc(p, m, cutoff) == mul_trunc(m, p, cutoff) == shifted.truncate(cutoff)
-    # coefficient 2 takes the general loop
+    # coefficient 2 scales as it shifts
     assert (m * 2) * p == shifted * 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(max_terms=6), st.tuples(*[st.integers(0, 3)] * 3), small_scalar(),
+       st.integers(0, 8))
+def test_a_one_term_factor_equals_the_general_loop(p, exps, c, cutoff):
+    m = MultiPoly(VARS, {exps: c})
+    expected = MultiPoly(VARS, {tuple(a + b for a, b in zip(e, exps)): k * c
+                                for e, k in p.sorted_terms()})
+    assert m * p == p * m == expected
+    assert mul_trunc(p, m, cutoff) == mul_trunc(m, p, cutoff) == expected.truncate(cutoff)
+    # m + z has two terms, so its product with p runs the general loop;
+    # z's exponents stay clear of m's and p's
+    z = MultiPoly(VARS, {(4, 4, 4): 1})
+    assert (m + z) * p - z * p == expected
+
+
+def test_a_one_term_factor_keeps_the_degree_bound():
+    x, y = (MultiPoly.var(XY, n) for n in XY)
+    a = (x ** 200 + y) * 3
+    assert a * (x ** 55 * 2) == MultiPoly(XY, {(255, 0): 6, (55, 1): 6})
+    with pytest.raises(OverflowError, match=r"total degree 200 \+ 56 exceeds 255"):
+        a * (x ** 55 * y * 2)
+    with pytest.raises(OverflowError, match=r"total degree 56 \+ 200 exceeds 255"):
+        mul_trunc(x ** 55 * y * GaussianRational(0, 1), a, 10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,6 +316,61 @@ def test_eval_at_names_a_missing_used_variable():
     assert p.eval_at({"y": 2}) == 3  # unused x and z need no value
     with pytest.raises(ValueError, match="no value supplied for variable 'y'"):
         p.eval_at({"x": 1, "z": 1})
+    # with two missing, the first in variable order, not in term order
+    q = MultiPoly(VARS, {(0, 0, 3): 1, (1, 0, 0): 2, (0, 1, 0): 1})
+    for point in ({"y": 1}, {"y": 1, "w": 0}, {}):
+        with pytest.raises(ValueError, match="no value supplied for variable 'x'"):
+            q.eval_at(point)
+    with pytest.raises(ValueError, match="no value supplied for variable 'z'"):
+        q.eval_at({"x": 1, "y": 2})
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=6, max_exp=4),
+       st.tuples(*[st.one_of(small_scalar(), small_part(5))] * 3))
+def test_eval_at_equals_the_term_loop(p, point):
+    values = dict(zip(VARS, point))
+    assert p.eval_at(values) == eval_terms(p, values)
+    # extra names are ignored
+    assert p.eval_at({**values, "w": GaussianRational(0, 1)}) == eval_terms(p, values)
+
+
+def _two_terms(p):
+    return len(p.terms) >= 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=5), polys(max_terms=4).filter(_two_terms))
+def test_exact_division_gives_back_the_factor(f, g):
+    assert poly_div_exact(f * g, g) == div_exact_terms(f * g, g) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=5), polys(max_terms=3).filter(_two_terms))
+def test_division_agrees_with_the_first_loop_or_both_refuse(f, g):
+    try:
+        expected = div_exact_terms(f, g)
+    except ValueError:
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            poly_div_exact(f, g)
+    else:
+        assert poly_div_exact(f, g) == expected
+        assert expected * g == f
+
+
+def test_division_refusals():
+    x, y = (MultiPoly.var(XY, n) for n in XY)
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        poly_div_exact(x * y + 1, x + y)
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        poly_div_exact(x ** 2 + y, x + 1)
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        poly_div_exact(x, MultiPoly.zero(XY))
+    with pytest.raises(ValueError, match="variable mismatch"):
+        poly_div_exact(MultiPoly.var(("x",), "x"), x)
+    with pytest.raises(ValueError, match="variable mismatch"):
+        poly_div_exact(MultiPoly.zero(("x",)), x)
+    assert poly_div_exact(MultiPoly.zero(XY), x + y) == MultiPoly.zero(XY)
 
 
 @pytest.mark.parametrize("exps", [(-1, 0), (1.5, 0), (1.0, 0), (True, 0)])

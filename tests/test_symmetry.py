@@ -24,7 +24,8 @@ from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
                             subalgebra_scan, verify_transitivity_witness)
 
 from oracles import (chart_rows_from_solution, dense_structure, first_written_pivot,
-                     jacobi_holds, random_poly, realify, tangency_multiplier)
+                     fraction_rank, fraction_rref, jacobi_holds, random_poly, realify,
+                     tangency_multiplier)
 
 XV = ("x1", "x2", "x3", "x4")
 X1, X2, X3, X4 = (MultiPoly.var(XV, n) for n in XV)
@@ -323,6 +324,48 @@ def test_is_nilpotent_fixtures():
     pair = LieAlgebraPresentation.from_fields([zb[0], zb[3]])  # [Z1, Z4] = -Z4
     nil, dims = is_nilpotent(pair)
     assert not nil and dims[-1] == dims[-2] == 1
+
+
+def _series_dims_oracle(structure):
+    """The lower central series dimensions of a structure tensor, from
+    dense Fraction brackets and fraction_rank, one basis of each term kept
+    by plain Gauss-Jordan (oracles.fraction_rref)."""
+    dense = dense_structure(structure)
+    dim = len(dense)
+    current = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    dims = [dim]
+    while True:
+        brackets = [[sum((v[j] * dense[i][j][k] for j in range(dim)), Fraction(0))
+                     for k in range(dim)] for i in range(dim) for v in current]
+        rank = fraction_rank(brackets)
+        dims.append(rank)
+        if rank in (0, dims[-2]):
+            return rank == 0, tuple(dims)
+        current = fraction_rref(brackets)[0][:rank]
+
+
+def _upper_triangular_tensor(rng, dim):
+    """A random sparse tensor with c_ij^k = 0 unless k > max(i, j): its
+    brackets only raise the index, so its series reaches 0."""
+    upper = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        upper[i, j] = tuple((k, rng.choice([1, -2, Fraction(1, 3)]))
+                            for k in range(j + 1, dim) if rng.random() < 0.4)
+    return symmetry._antisymmetric(dim, upper)
+
+
+def test_is_nilpotent_series_matches_the_fraction_oracle():
+    for fid in ("basis.Z.D", "basis.Z.C"):
+        alg = LieAlgebraPresentation.from_fields(catalog.get(fid).payload.fields)
+        assert is_nilpotent(alg) == _series_dims_oracle(alg.structure), fid
+    rng = random.Random(3307)
+    field = VectorField(("a",), (MultiPoly.zero(("a",)),))
+    for _ in range(40):
+        dim = rng.randint(1, 7)
+        structure = _upper_triangular_tensor(rng, dim)
+        alg = LieAlgebraPresentation((field,) * dim, structure)
+        nil, dims = is_nilpotent(alg)
+        assert nil and (nil, dims) == _series_dims_oracle(structure)
 
 
 def test_open_orbit_report_case6():
