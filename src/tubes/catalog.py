@@ -132,6 +132,15 @@ class IsoSpan(Record):
     z4_index: int
     s_indices: Tuple[int, ...]
 
+    def __post_init__(self):
+        n = len(self.vectors[0]) if self.vectors else 0
+        if not n or any(len(v) != n for v in self.vectors):
+            raise ValueError(f"the span needs nonempty vectors of one length, got the lengths "
+                             f"{[len(v) for v in self.vectors]}")
+        for index in (self.z1_index, self.z4_index) + self.s_indices:
+            if not 0 <= index < n:
+                raise ValueError(f"the index {index} is outside the vectors' length {n}")
+
 
 class RationalMapFixture(Record):
     components: Tuple[Tuple[str, RationalFunction], ...]

@@ -540,6 +540,9 @@ def cmd_nilpotency(args, reg) -> List[Check]:
     algebra = LieAlgebraPresentation.from_fields(zbasis)
     iso_fx = _fixture(reg, f"isospan.{case}")
     iso = iso_fx.payload
+    if len(iso.vectors[0]) != algebra.dim:
+        raise UsageError(f"isospan.{case} has vectors of length {len(iso.vectors[0])}, "
+                         f"but the algebra of basis.Z.{case} has dimension {algebra.dim}")
     cert = non_nilpotent_transitive_obstruction(
         algebra, list(iso.vectors), iso.z1_index, iso.z4_index, list(iso.s_indices))
     checks = []
@@ -587,6 +590,9 @@ def cmd_lines(args, reg) -> List[Check]:
         fx = reg[fid]
         payload = fx.payload
         domain = _fixture(reg, payload.domain_id).payload
+        if len(payload.line.point) != len(domain.expr.vars):
+            raise UsageError(f"{fid} has {len(payload.line.point)} coordinates, but its domain "
+                             f"{payload.domain_id} has the variables {domain.expr.vars}")
         inequalities = [("the main inequality", domain.expr, "gt")] + [
             (f"{e} {'>' if s == 'gt' else '<'} 0", e, s) for e, s in domain.constraints]
         said = []

@@ -2,10 +2,12 @@
 
 Polynomials follow the shared interchange layout: an ordered `vars` list
 plus a `terms` list of records with exponent vector `e` and either a
-rational coefficient `c: "p/q"` or a Gaussian one `re`/`im`. Rationals
-are always decimal-digit strings, never floats: frac_from_str refuses
-anything else. Terms are emitted in graded-lexicographic order so
-serialization is canonical.
+rational coefficient `c: "p/q"` or a Gaussian one `re`/`im`. A rational
+is always a string of exactly the grammar -?[0-9]+ or -?[0-9]+/[0-9]+
+(ASCII digits, no sign on the denominator), the form frac_to_str writes;
+frac_from_str refuses anything else, a JSON float, an exponent, a decimal
+point, whitespace, '+' or '_' among them. Terms are emitted in
+graded-lexicographic order so serialization is canonical.
 
 Every other JSON shape is one codec, an (encode, decode) pair built from
 a single spec (pickler combinators, Kennedy, JFP 14(6), 2004); each
@@ -24,7 +26,7 @@ from .fields import HoloField, VectorField
 from .normal_form import GraphSurface, MapFamily
 from .poly import MultiPoly, RationalFunction
 from .relations import RelationContext
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _gr, frac_from_str
 
 
 def to_json(obj, sort_keys: bool = False) -> str:
@@ -72,15 +74,9 @@ def _typed(obj, kind):
 
 
 def frac_to_str(x) -> str:
+    if type(x) is int:
+        return int.__repr__(x)
     return str(Fraction(x))
-
-
-def frac_from_str(text) -> Fraction:
-    """The rational that a frac_to_str string names. Anything but a string
-    is a TypeError, so a JSON float never becomes a binary fraction."""
-    if not isinstance(text, str):
-        raise TypeError(f"a rational must be a 'p/q' string, got {text!r}")
-    return Fraction(text)
 
 
 def gauss_to_obj(c: GaussianRational):
@@ -93,8 +89,8 @@ def gauss_from_obj(obj) -> GaussianRational:
     """The number a gauss_to_obj value names: a rational string, or a
     dict with its "re" and, unless it is 0, its "im" string."""
     if isinstance(obj, dict):
-        return GaussianRational(frac_from_str(obj["re"]), frac_from_str(obj.get("im", "0")))
-    return GaussianRational(frac_from_str(obj))
+        return _gr(frac_from_str(obj["re"]), frac_from_str(obj.get("im", "0")))
+    return _gr(frac_from_str(obj), 0)
 
 
 def poly_to_obj(p: MultiPoly) -> Dict:
@@ -107,11 +103,12 @@ def poly_to_obj(p: MultiPoly) -> Dict:
 
 
 def poly_from_obj(obj: Mapping) -> MultiPoly:
-    terms = {tuple(record["e"]): gauss_from_obj(record["c"] if "c" in record else record)
-             for record in obj["terms"]}
     names = _typed(obj["vars"], list)
     "".join(names)  # a TypeError unless every name is a str
-    return MultiPoly(tuple(names), terms)
+    # the constructor checks each (exponents, coefficient) pair as it reads it
+    return MultiPoly(tuple(names), [
+        (record["e"], gauss_from_obj(record["c"] if "c" in record else record))
+        for record in obj["terms"]])
 
 
 def ratfun_to_obj(f: RationalFunction) -> Dict:

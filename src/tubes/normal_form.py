@@ -153,9 +153,12 @@ class GraphSurface(Record):
             raise ValueError(f"graph data must live over {expect}")
         if part.den.const_coeff() == ZERO:
             raise ValueError("graph denominator vanishes at the origin")
+        # num/den is invariant when num*conj(den) - conj(num)*den vanishes,
+        # that is, since conjugation is a ring involution, when X = num*conj(den)
+        # equals its own conjugate: one product instead of two
         pairing = self.pairing
-        if not (part.num * part.den.conjugate(pairing)
-                - part.num.conjugate(pairing) * part.den).is_zero():
+        cross = part.num * part.den.conjugate(pairing)
+        if cross != cross.conjugate(pairing):
             raise ValueError("graph data is not conjugation-invariant")
 
     @property

@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .scalars import ONE, ZERO, GaussianRational, Rational, ScalarLike, _canon, _div, _gr
 
@@ -64,16 +64,20 @@ MAX_DEGREE = 255
 class MultiPoly:
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Optional[Mapping[Exponents, ScalarLike]] = None):
-        """The polynomial over `variables` with these terms, keyed by
-        exponent tuples. Raises ValueError for an exponent tuple of the
+    def __init__(self, variables: Sequence[str],
+                 terms: Union[Mapping[Exponents, ScalarLike],
+                              List[Tuple[Sequence[int], ScalarLike]], None] = None):
+        """The polynomial over `variables` with these terms: a mapping from
+        exponent tuples to coefficients, or a list of (exponents, coefficient)
+        pairs, of which a later pair for the same exponents replaces an earlier
+        one, as in a dict. Raises ValueError for an exponent vector of the
         wrong width or with an entry that is not a nonnegative int, and
         OverflowError for a term of total degree above MAX_DEGREE."""
         self.vars: Tuple[str, ...] = _distinct(variables)
         clean: Dict[int, GaussianRational] = {}
         if terms:
             width = len(self.vars)
-            for exps, coeff in terms.items():
+            for exps, coeff in terms if type(terms) is list else terms.items():
                 exps = tuple(exps)
                 if len(exps) != width:
                     raise ValueError(f"exponent vector {exps} does not match variables {self.vars}")
@@ -89,9 +93,12 @@ class MultiPoly:
                 if degree > MAX_DEGREE:
                     raise OverflowError(f"total degree {degree} of the term {exps} exceeds "
                                         f"{MAX_DEGREE}, the most a term key holds")
-                c = GaussianRational.coerce(coeff)
-                if c:
-                    clean[degree << 8 * width | int.from_bytes(fields, "big")] = c
+                c = coeff if type(coeff) is GaussianRational else GaussianRational.coerce(coeff)
+                key = degree << 8 * width | int.from_bytes(fields, "big")
+                if c.re or c.im:
+                    clean[key] = c
+                else:
+                    clean.pop(key, None)
         self.terms = clean
 
     # ---------------------------------------------------------------- basics

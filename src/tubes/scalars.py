@@ -36,14 +36,37 @@ def _div(x: Rational, y: Rational) -> Rational:
 
 
 def rat(value) -> Rational:
-    """Parse an exact canonical rational from an int, Fraction or 'p/q' string."""
+    """Parse an exact canonical rational from an int, Fraction or 'p/q' string
+    (read by frac_from_str)."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return _canon(value)
     if isinstance(value, int):
         return int(value)
     if isinstance(value, str):
-        return _canon(Fraction(value))
+        return frac_from_str(value)
     raise TypeError(f"cannot build an exact rational from {value!r}")
+
+
+def frac_from_str(text) -> Rational:
+    """The canonical rational that a string of the grammar -?[0-9]+ or
+    -?[0-9]+/[0-9]+ (ASCII digits) names, the form frac_to_str writes.
+    Any other string, with an exponent, a decimal point, whitespace, a '+'
+    or an '_' say, is a ValueError, and anything but a string a TypeError,
+    so a JSON float never becomes a binary fraction. A zero denominator is
+    the ZeroDivisionError of Fraction(p, 0)."""
+    if type(text) is not str:
+        raise TypeError(f"a rational must be a 'p/q' string, got {text!r}")
+    if text.isdigit() and text.isascii():  # most coefficients: no sign, no '/'
+        return int(text)
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
+        raise ValueError(f"a rational must be a 'p/q' string of ASCII digits, got {text!r:.60}")
+    if slash:
+        return _canon(Fraction(int(num), int(den)))
+    return int(num)
 
 
 class GaussianRational:
@@ -60,7 +83,7 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction, str)):
-            return GaussianRational(value)
+            return _gr(rat(value), 0)
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
     def is_real(self) -> bool:

@@ -742,6 +742,11 @@ class ComplexLine(Record):
     direction: Tuple[GaussianRational, ...]
     name: str = ""
 
+    def __post_init__(self):
+        if len(self.point) != len(self.direction):
+            raise ValueError(f"the line's point has {len(self.point)} coordinates, "
+                             f"its direction {len(self.direction)}")
+
 
 class LineVerdict(Record):
     verdict: str  # "contained" | "not_contained" | "unresolved"

@@ -19,7 +19,9 @@ chart's kept rows are checked against their rebuild from its solution.
 The Horner composition of `tubes.poly` is checked against the per-group
 product chains it replaced, the scaled series inversion against the
 geometric series in E / c0 it replaced, and brackets, which read cached
-jacobians, against fields applied one product per variable.
+jacobians, against fields applied one product per variable. GraphSurface's
+one-product invariance test is checked against the two products it took
+before.
 """
 
 from __future__ import annotations
@@ -295,6 +297,13 @@ def fraction_series(f: RationalFunction, cutoff: int) -> MultiPoly:
             break
         inv = inv + acc * (-1) ** (k % 2)
     return (f.num.truncate(cutoff) * inv).truncate(cutoff) * (ONE / c0)
+
+
+def invariant_by_two_products(part: RationalFunction, pairing) -> bool:
+    """GraphSurface's conjugation-invariance test before it took one
+    product, frozen: num * conj(den) - conj(num) * den vanishes."""
+    return (part.num * part.den.conjugate(pairing)
+            - part.num.conjugate(pairing) * part.den).is_zero()
 
 
 def random_poly(rng, variables, max_degree=2, max_terms=4, complex_coeffs=False) -> MultiPoly:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,6 +203,17 @@ def _other_id(obj):
     obj["id"] = "witness.C.lt"
 
 
+def _longer_span(obj):
+    # eleven entries per vector, one more than the algebra's dimension
+    for vector in obj["payload"]["vectors"]:
+        vector.append("0")
+
+
+def _short_line(obj):
+    for key in ("point", "direction"):
+        del obj["payload"][key][-1]
+
+
 def _set(*path, value):
     """An edit that sets the payload value at `path` to `value`."""
     def edit(obj):
@@ -234,6 +246,13 @@ BAD_TREES = {
     "listfield": ("basis.Z.D", _set("fields", 0, value=[])),
     "strvars": ("surface.table.6", _set("poly", "vars", value="wxyz")),
     "shortprobe": ("domain.D.gt", _set("probe", value=["1", "0", "0"])),
+    "emptyvec": ("isospan.C", _set("vectors", 1, value=[])),
+    "farindex": ("isospan.C", _set("s_indices", 0, value=17)),
+    "longspan": ("isospan.C", _longer_span),
+    "shortpoint": ("line.C.gt", _set("point", value=["1", "0", "0"])),
+    "shortline": ("line.C.gt", _short_line),
+    "expcoef": ("surface.table.6", _set("poly", "terms", 0, "c", value="1e5000000")),
+    "decprobe": ("domain.Bp.gt", _set("probe", 0, value="1.5")),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -334,6 +353,24 @@ BAD_INDEXES = {
     (["TUBES_FIXTURES={tmp}/shortprobe", "classify"],
      "'{tmp}/shortprobe': ValueError: the probe has 3 coordinates, "
      "but the domain has the variables ('x1', 'x2', 'x3', 'x4')"),
+    (["TUBES_FIXTURES={tmp}/emptyvec", "nilpotency", "--case", "C"],
+     "'{tmp}/emptyvec': ValueError: the span needs nonempty vectors of one length, "
+     "got the lengths [10, 0, 10]"),
+    (["TUBES_FIXTURES={tmp}/farindex", "nilpotency", "--case", "C"],
+     "'{tmp}/farindex': ValueError: the index 17 is outside the vectors' length 10"),
+    (["TUBES_FIXTURES={tmp}/longspan", "nilpotency", "--case", "C"],
+     "isospan.C has vectors of length 11, but the algebra of basis.Z.C has dimension 10"),
+    (["TUBES_FIXTURES={tmp}/shortpoint", "lines"],
+     "'{tmp}/shortpoint': ValueError: the line's point has 3 coordinates, its direction 4"),
+    (["TUBES_FIXTURES={tmp}/shortline", "lines"],
+     "line.C.gt has 3 coordinates, but its domain domain.C.gt has the variables "
+     "('x1', 'x2', 'x3', 'x4')"),
+    (["TUBES_FIXTURES={tmp}/expcoef", "symmetry", "--surface", "surface.table.6"],
+     "'{tmp}/expcoef': ValueError: a rational must be a 'p/q' string of ASCII digits, "
+     "got '1e5000000'"),
+    (["TUBES_FIXTURES={tmp}/decprobe", "classify"],
+     "'{tmp}/decprobe': ValueError: a rational must be a 'p/q' string of ASCII digits, "
+     "got '1.5'"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
@@ -358,6 +395,21 @@ def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, ca
     message = message.format(tmp=tmp_path)
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in captured.err
+
+
+def test_an_exponent_is_refused_before_it_is_expanded(tmp_path, capsys):
+    """Fraction("1e5000000") builds 10**5000000, which took seconds; the
+    reader refuses the string as it reads it."""
+    path = tmp_path / "surface.table.6.json"
+    obj = json.loads((FIXTURES / path.name).read_text())
+    BAD_TREES["expcoef"][1](obj)
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert cli.main(["symmetry", "--surface", str(path)]) == 64
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        f"error: cannot read a fixture from {str(path)!r}: ValueError: a rational must be "
+        "a 'p/q' string of ASCII digits, got '1e5000000'\n")
 
 
 def _tree_with_unreadable_witness(tmp_path, monkeypatch):

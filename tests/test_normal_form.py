@@ -1,6 +1,7 @@
 """Bidegree series, trace conditions, coordinate changes, families."""
 
 import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 from tubes.symmetry import LieAlgebraPresentation, expand_in_fields
 
-from oracles import dense_structure, fraction_series
+from oracles import dense_structure, fraction_series, invariant_by_two_products
 
 WG = ("w1", "w2", "w3", "w1b", "w2b", "w3b")
 W1, W2, W3, W1B, W2B, W3B = (MultiPoly.var(WG, n) for n in WG)
@@ -215,6 +216,44 @@ def test_graph_numerator_and_denominator_are_real():
         pairing = g.pairing
         assert g.im_part.den.conjugate(pairing) == g.im_part.den
         assert g.im_part.num.conjugate(pairing) == g.im_part.num
+
+
+def _graph_perturbations(part, rng):
+    """(num, den) pairs of `part` with one term of num or of den dropped, or
+    its coefficient moved by a seeded real or non-real amount."""
+    for side in ("num", "den"):
+        poly = getattr(part, side)
+        for exps, c in poly.sorted_terms():
+            delta = GaussianRational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
+                                     rng.choice((0, 0, 1, -1)))
+            for new_c in (0, c + delta):
+                terms = dict(poly.sorted_terms())
+                terms[exps] = new_c
+                moved = MultiPoly(poly.vars, terms)
+                yield (moved, part.den) if side == "num" else (part.num, moved)
+
+
+@pytest.mark.parametrize("fid", catalog.list_ids("graph.*"))
+def test_one_product_invariance_agrees_with_the_two_product_oracle(fid):
+    g = catalog.get(fid).payload
+    part = g.im_part if g.re_part is None else g.re_part
+    rng = random.Random(fid)
+    verdicts = set()
+    for num, den in _graph_perturbations(part, rng):
+        if not den.const_coeff():
+            continue  # refused for its denominator before invariance is tested
+        moved = RationalFunction(num, den)
+        expected = invariant_by_two_products(moved, g.pairing)
+        try:
+            GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var, g.solved_conj,
+                         *((moved, None) if g.im_part is None else (None, moved)))
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "graph data is not conjugation-invariant"
+            accepted = False
+        assert accepted == expected, (num, den)
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 # -------------------------------------------------------------------- trace

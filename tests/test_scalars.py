@@ -1,14 +1,16 @@
 """Canonical parts of GaussianRational: int when integral, Fraction
-otherwise, never float or bool, and values equal to a Fraction-pair oracle."""
+otherwise, never float or bool, and values equal to a Fraction-pair oracle;
+and the one rational reader, frac_from_str, against Fraction(text)."""
 
 import operator
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubes.scalars import GaussianRational
+from tubes.scalars import GaussianRational, frac_from_str, rat
 
 from oracles import (pair, pair_add, pair_conjugate, pair_div, pair_mul, pair_pow,
                      pair_sub)
@@ -96,3 +98,40 @@ def test_floats_and_bools_never_become_parts():
         GaussianRational(1) * 0.5
     z = GaussianRational(True, False)
     assert type(z.re) is int and type(z.im) is int
+
+
+# the grammar frac_to_str writes, -?[0-9]+ or -?[0-9]+/[0-9]+, with the
+# signs, leading zeros, zeros and unreduced quotients it never writes
+READABLE = ["0", "-0", "7", "-7", "007", "-007", "0/5", "-0/5", "2/4", "-2/4", "4/2", "12/1",
+            "10/15", "1" + "0" * 3999, "-" + "9" * 4000 + "/3", "3/" + "7" * 4000]
+
+
+@pytest.mark.parametrize("text", READABLE, ids=lambda text: text[:12])
+def test_reader_matches_fraction_and_is_canonical(text):
+    value = frac_from_str(text)
+    assert value == Fraction(text)
+    assert type(value) is (int if Fraction(text).denominator == 1 else Fraction)
+    assert rat(text) == value and type(rat(text)) is type(value)
+
+
+# each of these but the last seven is a Fraction(text), which decoded before
+@pytest.mark.parametrize("text", ["1e3", "1e5000000", "1.5", "1.", ".5", " 1", "1 ", "\t1",
+                                  "+1", "1_0", "\u0663", "1/\u0663", "", "-", "/2", "1/",
+                                  "1/-2", "1/+2", "--1"])
+def test_reader_refuses_every_other_string(text):
+    with pytest.raises(ValueError, match="a rational must be a 'p/q' string of ASCII digits"):
+        frac_from_str(text)
+    with pytest.raises(ValueError):
+        rat(text)
+
+
+@pytest.mark.parametrize("value", [-1.0, 1, None, ["1"]])
+def test_reader_refuses_a_non_string(value):
+    message = f"a rational must be a 'p/q' string, got {value!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        frac_from_str(value)
+
+
+def test_reader_keeps_the_zero_denominator_error():
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+        frac_from_str("1/0")
