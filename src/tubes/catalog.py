@@ -12,7 +12,9 @@ here, each tagged with its provenance class:
 Claims describe the mathematical assertion each fixture participates
 in. Fixtures are immutable after load and serialize one file per id
 under a fixtures/ tree (see export_tree), with an index listing ids,
-kinds, tags and claims.
+kinds, tags and claims. Every rational in a payload is canonical (see
+scalars), integral ones plain ints, so a fixture built here and the
+decode of its exported file hold the same values of the same types.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .normal_form import GraphSurface, MapFamily
 from .poly import MultiPoly, RationalFunction, conjugation_pairing
 from .record import Record
 from .relations import RelationContext
-from .scalars import GaussianRational, I
+from .scalars import GaussianRational, I, Rational
 from .symmetry import ComplexLine, Hypersurface, TransitivityWitness, violated_constraint
 
 # coordinate universes used throughout the catalog
@@ -94,7 +96,7 @@ class DomainSpec(Record):
     name: str
     expr: MultiPoly  # the domain is {expr > 0} (plus side constraints)
     constraints: Tuple[Tuple[MultiPoly, str], ...]
-    probe: Tuple[Fraction, ...]
+    probe: Tuple[Rational, ...]
     levi_type: str
     source_surface: str
 
@@ -119,15 +121,32 @@ class FieldBasis(Record):
 
 class GoldenTable(Record):
     dim: int
-    entries: Tuple[Tuple[int, int, Tuple[Tuple[int, Fraction], ...]], ...]
+    entries: Tuple[Tuple[int, int, Tuple[Tuple[int, Rational], ...]], ...]
     # 1-based indices; omitted pairs are zero, lower triangle by antisymmetry
 
-    def coeff_map(self) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
+    def __post_init__(self):
+        seen = set()
+        for i, j, combo in self.entries:
+            if not (type(i) is int and type(j) is int and 1 <= i < j <= self.dim):
+                raise ValueError(f"the entry ({i}, {j}) is not an upper-triangle pair of "
+                                 f"generators 1..{self.dim}")
+            if (i, j) in seen:
+                raise ValueError(f"the pair ({i}, {j}) has two entries")
+            seen.add((i, j))
+            keys = [k for k, _ in combo]
+            for k in keys:
+                if not (type(k) is int and 1 <= k <= self.dim):
+                    raise ValueError(f"the entry ({i}, {j}) names the generator {k}, "
+                                     f"outside 1..{self.dim}")
+            if len(set(keys)) != len(keys):
+                raise ValueError(f"the entry ({i}, {j}) names a generator twice")
+
+    def coeff_map(self) -> Dict[Tuple[int, int], Dict[int, Rational]]:
         return {(i, j): dict(combo) for i, j, combo in self.entries}
 
 
 class IsoSpan(Record):
-    vectors: Tuple[Tuple[Fraction, ...], ...]
+    vectors: Tuple[Tuple[Rational, ...], ...]
     z1_index: int
     z4_index: int
     s_indices: Tuple[int, ...]
@@ -151,10 +170,20 @@ class RationalMapFixture(Record):
     expected: bool
     origin_image: Optional[Tuple[GaussianRational, ...]] = None
 
+    def __post_init__(self):
+        holo, anti = self.target_holo, self.target_anti
+        if len(holo) != len(anti) or self.target.vars != holo + anti:
+            raise ValueError(f"the target is over {self.target.vars}, not over the "
+                             f"holomorphic {holo} and antiholomorphic {anti} variables")
+        names = tuple(name for name, _ in self.components)
+        if names != holo:
+            raise ValueError(f"the components give {names}, not the target's "
+                             f"holomorphic variables {holo}")
+
 
 class WitnessFixture(Record):
     witness: TransitivityWitness
-    base: Tuple[Fraction, ...]
+    base: Tuple[Rational, ...]
 
 
 class LineFixture(Record):
@@ -165,8 +194,8 @@ class LineFixture(Record):
 class BridgeInfo(Record):
     """Parameter match between the linear normal-form isotropy family and
     the cubic isotropy family under the rational coordinate change."""
-    u_scale: Fraction
-    v_scale: Fraction
+    u_scale: Rational
+    v_scale: Rational
     w_family: str
     z_family: str
     map_id: str
@@ -182,7 +211,7 @@ class SliceInfo(Record):
 
 class AlphaFamilyInfo(Record):
     parameter: str
-    samples: Tuple[Fraction, ...]
+    samples: Tuple[Rational, ...]
     sample_ids: Tuple[str, ...]
     target: str
     sign_rule: str
@@ -195,7 +224,7 @@ def _surfaces() -> List[Fixture]:
     out = []
 
     def add(fid, tag, claim, poly, bp, cons=(), irred=False):
-        surface = Hypersurface(poly, tuple(Fraction(b) for b in bp), tuple(cons), irred, fid)
+        surface = Hypersurface(poly, bp, tuple(cons), irred, fid)
         out.append(Fixture(fid, tag, claim, surface))
         return surface
 
@@ -217,10 +246,8 @@ def _surfaces() -> List[Fixture]:
     add("surface.table.3", "source",
         "cubic graph x4 = x1 x2 + x3^2 + x1^3; affine symmetry dimension 5",
         x4 - x1*x2 - x3**2 - x1**3, (0, 0, 0, 0))
-    for fid, alpha in (("surface.table.4.a0", Fraction(0)),
-                       ("surface.table.4.a112", Fraction(1, 12)),
-                       ("surface.table.4.a1", Fraction(1)),
-                       ("surface.table.4.am1", Fraction(-1))):
+    for fid, alpha in (("surface.table.4.a0", 0), ("surface.table.4.a112", Fraction(1, 12)),
+                       ("surface.table.4.a1", 1), ("surface.table.4.am1", -1)):
         add(fid, "source",
             f"quartic family member alpha = {alpha}; affine symmetry dimension 4",
             x4 - x1*x2 - x3**2 - x1**2*x3 - x1**4 * alpha, (0, 0, 0, 0))
@@ -247,7 +274,7 @@ def _surfaces() -> List[Fixture]:
         "surface.table.4", "source",
         "the quartic one-parameter family x4 = x1 x2 + x3^2 + x1^2 x3 + alpha x1^4; the "
         "normal-form target carries |w1|^4 with the sign of alpha - 1/12",
-        AlphaFamilyInfo("alpha", (Fraction(0), Fraction(1, 12), Fraction(1)),
+        AlphaFamilyInfo("alpha", (0, Fraction(1, 12), 1),
                         ("surface.table.4.a0", "surface.table.4.a112", "surface.table.4.a1"),
                         "2 Im w4 = w1*conj(w2) + w2*conj(w1) + |w3|^2 +/- |w1|^4",
                         "sign(alpha - 1/12)")))
@@ -293,7 +320,7 @@ def _domains(reg: Mapping[str, Fixture]) -> List[Fixture]:
         side = 1 if fid.endswith(".gt") else -1
         tag = "derived" if fid == "domain.D.lt" else "source"
         spec = DomainSpec(fid.split(".", 1)[1], surface.defining * side, surface.constraints,
-                          tuple(Fraction(p) for p in probe), levi, src)
+                          probe, levi, src)
         out.append(Fixture(fid, tag,
                            f"{text}; the interior probe satisfies the inequalities exactly",
                            spec))
@@ -359,11 +386,6 @@ C_TABLE_ENTRIES = (
 )
 
 
-def _golden(entries) -> GoldenTable:
-    return GoldenTable(10, tuple((i, j, tuple((k, Fraction(c)) for k, c in combo))
-                                 for i, j, combo in entries))
-
-
 def _bases_and_tables() -> List[Fixture]:
     z_basis_d = _z_basis_d()
     out = [
@@ -376,10 +398,10 @@ def _bases_and_tables() -> List[Fixture]:
         Fixture("table.golden.D", "source",
                 "upper-triangle commutation table of the ten-generator basis, "
                 "quartic-degenerate case; 45 entries, omitted ones zero",
-                _golden(D_TABLE_ENTRIES)),
+                GoldenTable(10, D_TABLE_ENTRIES)),
         Fixture("table.golden.C", "source",
                 "upper-triangle commutation table of the ten-generator basis, cubic case",
-                _golden(C_TABLE_ENTRIES)),
+                GoldenTable(10, C_TABLE_ENTRIES)),
     ]
     x = _vars(XV)
     x1, x2, x3, x4 = x
@@ -428,8 +450,8 @@ def _bases_and_tables() -> List[Fixture]:
 
 
 def _iso_spans() -> List[Fixture]:
-    def vec(entries: Mapping[int, int]) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(entries.get(k, 0)) for k in range(1, 11))
+    def vec(entries: Mapping[int, int]) -> Tuple[int, ...]:
+        return tuple(entries.get(k, 0) for k in range(1, 11))
 
     d = IsoSpan((vec({8: 1}), vec({9: 1, 5: -1, 6: 2}), vec({10: 1, 7: 1})),
                 z1_index=0, z4_index=3, s_indices=(1, 2, 4, 5, 6, 7, 8, 9))
@@ -446,6 +468,10 @@ def _iso_spans() -> List[Fixture]:
 
 
 def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
+    # name-keyed pairs (identities, constraints, and the slice assignments and
+    # witness parameters below) are listed in name order, the order in which
+    # the exported JSON objects keep them, so that a decoded fixture equals
+    # the one built here
     out = []
     bp_d = point_text(reg["surface.table.6"].payload.basepoint)
     bp_c = point_text(reg["surface.table.5"].payload.basepoint)
@@ -470,7 +496,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "multiplier q^2 r^2; composition law derived by the oracle script",
         MapFamily("affine.D", XV, ("q", "r", "s", "t"),
                   comps,
-                  (("q", Fraction(1)), ("r", Fraction(1)), ("s", Fraction(0)), ("t", Fraction(0))),
+                  (("q", 1), ("r", 1), ("s", 0), ("t", 0)),
                   constraints=(("q", "positive"), ("r", "nonzero")),
                   composition=law, composition_primed=primed)))
 
@@ -489,7 +515,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "composition law derived by the oracle script",
         MapFamily("affine.C", XV, ("q", "r", "s", "t"),
                   comps,
-                  (("q", Fraction(1)), ("r", Fraction(1)), ("s", Fraction(0)), ("t", Fraction(0))),
+                  (("q", 1), ("r", 1), ("s", 0), ("t", 0)),
                   constraints=(("q", "positive"), ("r", "nonzero")),
                   composition=law, composition_primed=primed)))
 
@@ -501,7 +527,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "imaginary translations z_j + i a_j, under which every tube is invariant",
         MapFamily("translations", ZV, ("a1", "a2", "a3", "a4"),
                   (z1 + a1*I, z2 + a2*I, z3 + a3*I, z4 + a4*I),
-                  tuple((f"a{k}", Fraction(0)) for k in range(1, 5)))))
+                  tuple((f"a{k}", 0) for k in range(1, 5)))))
 
     # isotropy family at the basepoint of surface.table.6, quartic-degenerate case
     u = ZV + ("r", "u", "v")
@@ -520,7 +546,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "tube; preserves the tube with multiplier r^2 and fixes the basepoint",
         MapFamily("isotropy.D", ZV, ("r", "u", "v"),
                   comps,
-                  (("r", Fraction(1)), ("u", Fraction(0)), ("v", Fraction(0))),
+                  (("r", 1), ("u", 0), ("v", 0)),
                   constraints=(("r", "nonzero"),))))
 
     # full ten-parameter family, quartic-degenerate case
@@ -542,10 +568,8 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "quartic-degenerate tube domains; preserves the tube with multiplier q^2 r^2",
         MapFamily("full.D", ZV, pnames,
                   comps,
-                  (("q", Fraction(1)), ("r", Fraction(1)), ("s", Fraction(0)),
-                   ("t", Fraction(0)), ("u", Fraction(0)), ("v", Fraction(0)),
-                   ("a1", Fraction(0)), ("a2", Fraction(0)), ("a3", Fraction(0)),
-                   ("a4", Fraction(0))),
+                  (("a1", 0), ("a2", 0), ("a3", 0), ("a4", 0),
+                   ("q", 1), ("r", 1), ("s", 0), ("t", 0), ("u", 0), ("v", 0)),
                   constraints=(("q", "positive"), ("r", "nonzero")))))
 
     # linear isotropy in normal-form coordinates, quartic-degenerate case
@@ -560,7 +584,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "linear isotropy in the normal-form coordinates, quartic-degenerate case",
         MapFamily("isotropy.D.w", W4, ("r", "mu", "nu"),
                   comps,
-                  (("r", Fraction(1)), ("mu", Fraction(0)), ("nu", Fraction(0))),
+                  (("mu", 0), ("nu", 0), ("r", 1)),
                   constraints=(("r", "nonzero"),))))
 
     # cubic-case isotropy pieces
@@ -571,7 +595,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         f"scaling isotropy of {bp_c} on the cubic tube, multiplier r^2",
         MapFamily("isotropy.C.scale", ZV, ("r",),
                   (z1, r**2*z2, r*z3, r**2*z4),
-                  (("r", Fraction(1)),), constraints=(("r", "nonzero"),))))
+                  (("r", 1),), constraints=(("r", "nonzero"),))))
     u = ZV + ("u",)
     z1, z2, z3, z4, uu = _vars(u)
     out.append(Fixture(
@@ -579,7 +603,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         f"shear isotropy of {bp_c} on the cubic tube, multiplier 1",
         MapFamily("isotropy.C.shear", ZV, ("u",),
                   (z1, z2 + uu*(z1 - 1)*I, z3, z4 + uu*(z1**2 - 1)*Fraction(1, 2)*I),
-                  (("u", Fraction(0)),))))
+                  (("u", 0),))))
 
     # circle action on the cubic tube: corrected sign, and the printed form
     u = ZV + ("c", "cb")
@@ -592,7 +616,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "(oracle script, circle_action section)",
         MapFamily("circle.C", ZV, ("c", "cb"),
                   (z1, z2 + (1 - c**2)*z3**2*Fraction(1, 2), c*z3, z4),
-                  (("c", Fraction(1)), ("cb", Fraction(1))),
+                  (("c", 1), ("cb", 1)),
                   relations=ctx, constraints=(("c", "unit"),))))
     out.append(Fixture(
         "family.circle.C.printed", "source",
@@ -600,7 +624,7 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "invariance except at c^2 = 1 and is kept as a negative fixture",
         MapFamily("circle.C.printed", ZV, ("c", "cb"),
                   (z1, z2 + (c**2 - 1)*z3**2*Fraction(1, 2), c*z3, z4),
-                  (("c", Fraction(1)), ("cb", Fraction(1))),
+                  (("c", 1), ("cb", 1)),
                   relations=ctx, constraints=(("c", "unit"),))))
 
     # linear isotropy in normal-form coordinates, cubic case
@@ -611,10 +635,9 @@ def _families(reg: Mapping[str, Fixture]) -> List[Fixture]:
         "linear isotropy in the normal-form coordinates, cubic case",
         MapFamily("isotropy.C.w", W4, ("r", "u", "c", "cb"),
                   (w1, r**2*(w2 + uu*w1*I), r*c*w3, r**2*w4),
-                  (("r", Fraction(1)), ("u", Fraction(0)),
-                   ("c", Fraction(1)), ("cb", Fraction(1))),
+                  (("c", 1), ("cb", 1), ("r", 1), ("u", 0)),
                   relations=RelationContext(unit_pairs=(("c", "cb"),)),
-                  constraints=(("r", "nonzero"), ("c", "unit")))))
+                  constraints=(("c", "unit"), ("r", "nonzero")))))
     return out
 
 
@@ -779,12 +802,12 @@ def _witnesses(reg: Mapping[str, Fixture]) -> List[Fixture]:
         ("witness.D.gt", "source", "family.affine.D",
          "the outer quartic-degenerate domain, modulo rho^2 = x4^2 - x1 x2 - x1^2 x3 at the "
          "target",
-         lambda d: {"q": rf(x10), "r": rf(rho, x10), "t": rf(x40 - rho, rho),
-                    "s": rf(-x10**2*x30, d)}),
+         lambda d: {"q": rf(x10), "r": rf(rho, x10), "s": rf(-x10**2*x30, d),
+                    "t": rf(x40 - rho, rho)}),
         ("witness.D.lt", "derived", "family.affine.D",
          "the inner quartic-degenerate domain (oracle script, witnesses section)",
-         lambda d: {"q": rf(x10), "r": rf(rho, x10), "t": rf(x40, rho),
-                    "s": rf(-x10**2*x30, d)}),
+         lambda d: {"q": rf(x10), "r": rf(rho, x10), "s": rf(-x10**2*x30, d),
+                    "t": rf(x40, rho)}),
         ("witness.C.gt", "derived", "family.affine.C",
          "the upper cubic domain (oracle script, witnesses section)",
          lambda d: {"q": rf(x10), "r": rf(rho, x10), "s": rf(x10*x30, rho),
@@ -840,9 +863,8 @@ def _bridges_and_slices() -> List[Fixture]:
     one = MultiPoly.const(pr, 1)
     zero = MultiPoly.zero(pr)
     assignments = (
-        ("q", one), ("r", r), ("s", zero), ("t", zero),
-        ("u", u), ("v", v),
         ("a1", zero), ("a2", 2*v - u), ("a3", 2*u), ("a4", v),
+        ("q", one), ("r", r), ("s", zero), ("t", zero), ("u", u), ("v", v),
     )
     return [
         Fixture("bridge.isotropy.D", "source",
@@ -952,7 +974,7 @@ _KINDS = (
         ("probe", _POINT), ("levi_type", TEXT), ("source_surface", TEXT))),
     ("field_basis", FieldBasis, record(FieldBasis, ("fields", seq(FIELD)))),
     ("golden_table", GoldenTable, record(
-        GoldenTable, ("dim", INT), ("entries", seq(row(INT, INT, pairs(FRAC, key=(str, int))))))),
+        GoldenTable, ("dim", INT), ("entries", seq(row(INT, INT, pairs(FRAC, key=FRAC)))))),
     ("iso_span", IsoSpan, record(IsoSpan, ("vectors", seq(_POINT)), ("z1_index", INT),
                                  ("z4_index", INT), ("s_indices", seq(INT)))),
     ("map_family", MapFamily, FAMILY),

@@ -15,7 +15,6 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -30,7 +29,7 @@ from .normal_form import (MIN_CM_CUTOFF, GraphSurface, MapFamily, chern_moser_ch
                           verify_map_conjugation, verify_surface_map)
 from .poly import MAX_DEGREE, MultiPoly, merge_vars
 from .record import Record
-from .scalars import GaussianRational
+from .scalars import GaussianRational, Rational, _div, frac_from_str
 from .symmetry import (Hypersurface, LieAlgebraPresentation,
                        affine_symmetry_algebra, is_nilpotent, line_in_domain_check,
                        non_nilpotent_transitive_obstruction,
@@ -131,9 +130,9 @@ def _domains_for_surface(reg, surface_id: str):
     return [fx for fx in domains if fx.payload.source_surface == surface_id]
 
 
-def _parse_probe(text: str, width: int) -> Tuple[Fraction, ...]:
+def _parse_probe(text: str, width: int) -> Tuple[Rational, ...]:
     try:
-        point = tuple(Fraction(part) for part in text.split(","))
+        point = tuple(frac_from_str(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"probe {text!r} is not a comma-separated list of rationals") from None
     if len(point) != width:
@@ -141,9 +140,9 @@ def _parse_probe(text: str, width: int) -> Tuple[Fraction, ...]:
     return point
 
 
-def _random_probe(rng: random.Random, surface: Hypersurface) -> Optional[Tuple[Fraction, ...]]:
+def _random_probe(rng: random.Random, surface: Hypersurface) -> Optional[Tuple[Rational, ...]]:
     for _ in range(200):
-        point = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        point = tuple(_div(rng.randint(-12, 12), rng.randint(1, 4))
                       for _ in surface.variables)
         if surface.point_on_surface(point):
             continue
@@ -244,6 +243,9 @@ def cmd_table(args, reg) -> List[Check]:
     fields = list(_fixture(reg, f"basis.Z.{case}").payload.fields)
     golden_fx = _fixture(reg, f"table.golden.{case}")
     dim = golden_fx.payload.dim
+    if dim != len(fields):
+        raise UsageError(f"table.golden.{case} has dimension {dim}, but basis.Z.{case} "
+                         f"has {len(fields)} fields")
     golden = golden_fx.payload.coeff_map()
     algebra = LieAlgebraPresentation.from_fields(fields)
     checks = []
@@ -748,7 +750,7 @@ def cmd_classify(args, reg) -> List[Check]:
     # the half-domain subalgebra drops rank on its wall
     basis_fx = _fixture(reg, "basis.half_pseudo_ball.quadric")
     fields = list(basis_fx.payload.fields)
-    wall_rank = rank_at(fields, [Fraction(0), Fraction(0), Fraction(0), Fraction(2)])
+    wall_rank = rank_at(fields, [0, 0, 0, 2])
     checks.append(check_of(
         "classify.H.wall_rank_drop",
         "the five-field family is of full rank on the half-domains but drops rank on "

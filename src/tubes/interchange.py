@@ -6,7 +6,9 @@ rational coefficient `c: "p/q"` or a Gaussian one `re`/`im`. A rational
 is always a string of exactly the grammar -?[0-9]+ or -?[0-9]+/[0-9]+
 (ASCII digits, no sign on the denominator), the form frac_to_str writes;
 frac_from_str refuses anything else, a JSON float, an exponent, a decimal
-point, whitespace, '+' or '_' among them. Terms are emitted in
+point, whitespace, '+' or '_' among them. The golden-table generator
+keys and the coordinates of `tubes orbits --probes` follow the same
+grammar, read by the same frac_from_str. Terms are emitted in
 graded-lexicographic order so serialization is canonical.
 
 Every other JSON shape is one codec, an (encode, decode) pair built from
@@ -17,7 +19,6 @@ decoder raises TypeError on a JSON value of the wrong type.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Mapping
@@ -76,7 +77,7 @@ def _typed(obj, kind):
 def frac_to_str(x) -> str:
     if type(x) is int:
         return int.__repr__(x)
-    return str(Fraction(x))
+    return str(x)
 
 
 def gauss_to_obj(c: GaussianRational):

@@ -175,11 +175,8 @@ class GraphSurface(Record):
         fv = self.free_vars
         s = MultiPoly.var(fv, self.slice_var)
         if self.im_part is not None:
-            u_num, den = s, MultiPoly.const(fv, 1)
-            v_num, v_den = self.im_part.num.with_vars(fv), self.im_part.den.with_vars(fv)
-            u_num = u_num * v_den
-            den = v_den
-            v = v_num
+            den = self.im_part.den.with_vars(fv)
+            u_num, v = s * den, self.im_part.num.with_vars(fv)
         else:
             u_num, den = self.re_part.num.with_vars(fv), self.re_part.den.with_vars(fv)
             v = s * den
@@ -364,7 +361,7 @@ class MapFamily(Record):
     variables: Tuple[str, ...]
     params: Tuple[str, ...]
     components: Tuple[MultiPoly, ...]
-    identity: Tuple[Tuple[str, Fraction], ...]
+    identity: Tuple[Tuple[str, Rational], ...]
     relations: RelationContext = RelationContext()
     constraints: Tuple[Tuple[str, str], ...] = ()
     composition: Tuple[Tuple[str, RationalFunction], ...] = ()
@@ -444,9 +441,8 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
     images.update((name, comp.with_vars(universe))
                   for name, comp in zip(fam.variables, fam.components))
 
-    image = surface.with_vars(universe).subs_poly(images)
-    image = fam.relations.reduce_poly(image)
     rho = surface.with_vars(universe)
+    image = fam.relations.reduce_poly(rho.subs_poly(images))
     lead_exps, lead_coeff = rho.leading()
 
     multiplier: Dict[Exponents, GaussianRational] = {}

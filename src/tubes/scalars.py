@@ -3,7 +3,12 @@
 A rational is held in canonical form: a plain int when it is integral and
 a fractions.Fraction (gcd 1, positive denominator, never denominator 1)
 otherwise. Integral values stay machine-cheap Python ints, and Fraction
-objects appear only where a denominator really occurs. GaussianRational
+objects appear only where a denominator really occurs. Rationals are
+canonical from where they are built or read: the catalog writes integral
+values as ints, and frac_from_str reads every rational that comes from
+outside (fixture files, golden-table keys, `tubes orbits --probes`), so a
+catalogued payload and the decode of its export are equal and of the same
+types leaf for leaf. GaussianRational
 is a thin exact complex layer whose re and im parts are such canonical
 rationals. No floating point enters anywhere in this package: a part is
 never a float or a bool, and division goes through Fraction, never

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -42,7 +41,7 @@ class Hypersurface(Record):
     """
 
     defining: MultiPoly
-    basepoint: Tuple[Fraction, ...]
+    basepoint: Tuple[Rational, ...]
     constraints: Tuple[Tuple[MultiPoly, str], ...] = ()
     assert_irreducible: bool = False
     name: str = ""
@@ -336,7 +335,7 @@ def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]
 # ----------------------------------------------------------------- orbit test
 
 class ProbeRecord(Record):
-    point: Tuple[Fraction, ...]
+    point: Tuple[Rational, ...]
     rejected: Optional[str]
     rank: Optional[int]
     open_orbit: bool
@@ -351,7 +350,7 @@ class OrbitReport(Record):
 
 
 def open_orbit_report(algebra: LieAlgebraPresentation, surface: Hypersurface,
-                      probes: Sequence[Sequence[Fraction]]) -> OrbitReport:
+                      probes: Sequence[Sequence[Rational]]) -> OrbitReport:
     """Determinant / minor analysis of the algebra's pointwise rank."""
     n = len(surface.variables)
     fields = list(algebra.basis)
@@ -360,7 +359,6 @@ def open_orbit_report(algebra: LieAlgebraPresentation, surface: Hypersurface,
     all_zero = minor is not None and minor.is_zero()
     records = []
     for point in probes:
-        point = tuple(Fraction(x) for x in point)
         if surface.point_on_surface(point):
             records.append(ProbeRecord(point, "probe lies on the surface", None, False))
             continue
@@ -622,12 +620,10 @@ class TransitivityWitness(Record):
 
 
 def verify_transitivity_witness(witness: TransitivityWitness,
-                                base: Sequence[Fraction]) -> bool:
+                                base: Sequence[Rational]) -> bool:
     """Exact check that family(params(target)) maps `base` to the target."""
     fam = witness.family
-    full_assignment: Dict[str, object] = {}
-    for v, value in zip(fam.variables, base):
-        full_assignment[v] = Fraction(value)
+    full_assignment: Dict[str, object] = dict(zip(fam.variables, base))
     for p in fam.params:
         if p not in witness.assignment:
             raise ValueError(f"witness assigns no value to parameter {p!r}")
@@ -655,7 +651,7 @@ class ObstructionCertificate(Record):
 
 
 def non_nilpotent_transitive_obstruction(algebra: LieAlgebraPresentation,
-                                         iso: Sequence[Sequence[Fraction]],
+                                         iso: Sequence[Sequence[Rational]],
                                          z1_idx: int, z4_idx: int,
                                          s_idx: Sequence[int],
                                          depth: int = 3) -> ObstructionCertificate:
@@ -750,7 +746,7 @@ class ComplexLine(Record):
 
 class LineVerdict(Record):
     verdict: str  # "contained" | "not_contained" | "unresolved"
-    value: Optional[Fraction]
+    value: Optional[Rational]
     detail: str
 
 

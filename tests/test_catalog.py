@@ -25,6 +25,7 @@ def test_every_fixture_round_trips_bit_exactly():
         text = json.dumps(obj, sort_keys=True)
         back = catalog.fixture_from_obj(json.loads(text))
         assert json.dumps(catalog.fixture_to_obj(back), sort_keys=True) == text, fid
+        assert repr(back.payload) == repr(fx.payload), fid
 
 
 def _changed_fields(old, new):

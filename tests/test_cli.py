@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tubes import cli
+from tubes import catalog, cli
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -121,6 +122,23 @@ def test_orbits_of_a_zero_dimensional_algebra_fail_at_rank_0(tmp_path, capsys):
     assert len(fails) == 1 and fails[0].endswith("(rank 0)")
 
 
+def test_random_probes_are_canonical_rationals_of_the_same_draws():
+    class Recorded(random.Random):
+        def randint(self, a, b):
+            draw = super().randint(a, b)
+            self.draws.append(draw)
+            return draw
+
+    surface = catalog.get("surface.table.6").payload
+    rng = Recorded(7)
+    rng.draws = []
+    for _ in range(30):
+        point = cli._random_probe(rng, surface)
+        pairs = list(zip(rng.draws[-8::2], rng.draws[-7::2]))
+        assert point == tuple(Fraction(a, b) for a, b in pairs)
+        assert [type(x) for x in point] == [int if a % b == 0 else Fraction for a, b in pairs]
+
+
 def test_negative_random_probe_count_is_a_usage_error(capsys):
     code = cli.main(["orbits", "--surface", "surface.table.1m", "--random-probes", "-1"])
     captured = capsys.readouterr()
@@ -214,6 +232,19 @@ def _short_line(obj):
         del obj["payload"][key][-1]
 
 
+def _extra_entry(obj):
+    obj["payload"]["entries"].append([11, 12, {"3": "1"}])
+
+
+def _repeated_entry(obj):
+    obj["payload"]["entries"].append(obj["payload"]["entries"][0])
+
+
+def _renamed_component(obj):
+    comps = obj["payload"]["components"]
+    obj["payload"]["components"] = {("q1" if k == "z1" else k): v for k, v in comps.items()}
+
+
 def _set(*path, value):
     """An edit that sets the payload value at `path` to `value`."""
     def edit(obj):
@@ -253,6 +284,18 @@ BAD_TREES = {
     "shortline": ("line.C.gt", _short_line),
     "expcoef": ("surface.table.6", _set("poly", "terms", 0, "c", value="1e5000000")),
     "decprobe": ("domain.Bp.gt", _set("probe", 0, value="1.5")),
+    "bigdim": ("table.golden.C", _set("dim", value=11)),
+    "smalldim": ("table.golden.D", _set("dim", value=3)),
+    "extraentry": ("table.golden.C", _extra_entry),
+    # the first entry of table.golden.D is [1, 4, {"4": "-1"}]
+    "arabickey": ("table.golden.D", _set("entries", 0, 2, value={"\u0664": "-1"})),
+    "pluskey": ("table.golden.D", _set("entries", 0, 2, value={" +4": "-1"})),
+    "ratkey": ("table.golden.D", _set("entries", 0, 2, value={"3/2": "-1"})),
+    "twicekey": ("table.golden.D", _set("entries", 0, 2, value={"4": "-1", "04": "5"})),
+    "twiceentry": ("table.golden.D", _repeated_entry),
+    "antiname": ("map.case3.derived", _set("target_anti", 0, value="q1b")),
+    "targetvar": ("map.case3.derived", _set("target", "vars", 0, value="q1")),
+    "compname": ("map.case3.derived", _renamed_component),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -371,6 +414,41 @@ BAD_INDEXES = {
     (["TUBES_FIXTURES={tmp}/decprobe", "classify"],
      "'{tmp}/decprobe': ValueError: a rational must be a 'p/q' string of ASCII digits, "
      "got '1.5'"),
+    (["orbits", "--surface", "surface.table.6", "--probes", "1e5000,0,1,1"],
+     "probe '1e5000,0,1,1' is not a comma-separated list of rationals"),
+    (["orbits", "--surface", "surface.table.6", "--probes", "1.5,0,1,1"],
+     "probe '1.5,0,1,1' is not a comma-separated list of rationals"),
+    (["orbits", "--surface", "surface.table.6", "--probes", "+1,0,1,1"],
+     "probe '+1,0,1,1' is not a comma-separated list of rationals"),
+    (["TUBES_FIXTURES={tmp}/bigdim", "table", "--case", "C"],
+     "table.golden.C has dimension 11, but basis.Z.C has 10 fields"),
+    (["TUBES_FIXTURES={tmp}/smalldim", "table", "--case", "D"],
+     "'{tmp}/smalldim': ValueError: the entry (1, 4) is not an upper-triangle pair of "
+     "generators 1..3"),
+    (["TUBES_FIXTURES={tmp}/extraentry", "table", "--case", "C"],
+     "'{tmp}/extraentry': ValueError: the entry (11, 12) is not an upper-triangle pair of "
+     "generators 1..10"),
+    (["TUBES_FIXTURES={tmp}/arabickey", "table", "--case", "D"],
+     "'{tmp}/arabickey': ValueError: a rational must be a 'p/q' string of ASCII digits, "
+     "got '\u0664'"),
+    (["TUBES_FIXTURES={tmp}/pluskey", "table", "--case", "D"],
+     "'{tmp}/pluskey': ValueError: a rational must be a 'p/q' string of ASCII digits, "
+     "got ' +4'"),
+    (["TUBES_FIXTURES={tmp}/ratkey", "table", "--case", "D"],
+     "'{tmp}/ratkey': ValueError: the entry (1, 4) names the generator 3/2, outside 1..10"),
+    (["TUBES_FIXTURES={tmp}/twicekey", "table", "--case", "D"],
+     "'{tmp}/twicekey': ValueError: the entry (1, 4) names a generator twice"),
+    (["TUBES_FIXTURES={tmp}/twiceentry", "table", "--case", "D"],
+     "'{tmp}/twiceentry': ValueError: the pair (1, 4) has two entries"),
+    (["TUBES_FIXTURES={tmp}/antiname", "verify-map", "--id", "map.case3.derived"],
+     "'{tmp}/antiname': ValueError: the target is over ('z1', 'z2', 'z3', 'z4', 'z1b', "
+     "'z2b', 'z3b', 'z4b'), not over the holomorphic ('z1', 'z2', 'z3', 'z4') and "
+     "antiholomorphic ('q1b', 'z2b', 'z3b', 'z4b') variables"),
+    (["TUBES_FIXTURES={tmp}/targetvar", "verify-map", "--id", "map.case3.derived"],
+     "'{tmp}/targetvar': ValueError: the target is over ('q1', 'z2', "),
+    (["TUBES_FIXTURES={tmp}/compname", "verify-map", "--id", "map.case3.derived"],
+     "'{tmp}/compname': ValueError: the components give ('q1', 'z2', 'z3', 'z4'), not the "
+     "target's holomorphic variables ('z1', 'z2', 'z3', 'z4')"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
@@ -410,6 +488,11 @@ def test_an_exponent_is_refused_before_it_is_expanded(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: cannot read a fixture from {str(path)!r}: ValueError: a rational must be "
         "a 'p/q' string of ASCII digits, got '1e5000000'\n")
+    start = time.perf_counter()
+    assert cli.main(["orbits", "--surface", "surface.table.6",
+                     "--probes", "1e5000,0,1,1"]) == 64
+    assert time.perf_counter() - start < 0.5
+    assert "is not a comma-separated list of rationals" in capsys.readouterr().err
 
 
 def _tree_with_unreadable_witness(tmp_path, monkeypatch):

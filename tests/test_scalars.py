@@ -2,14 +2,17 @@
 otherwise, never float or bool, and values equal to a Fraction-pair oracle;
 and the one rational reader, frac_from_str, against Fraction(text)."""
 
+import ast
 import operator
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubes import scalars as scalars_module
 from tubes.scalars import GaussianRational, frac_from_str, rat
 
 from oracles import (pair, pair_add, pair_conjugate, pair_div, pair_mul, pair_pow,
@@ -135,3 +138,18 @@ def test_reader_refuses_a_non_string(value):
 def test_reader_keeps_the_zero_denominator_error():
     with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
         frac_from_str("1/0")
+
+
+def test_fraction_is_built_from_a_pair_outside_scalars():
+    """A one-argument Fraction(x) outside scalars either re-boxes a rational
+    that is already canonical or parses a string past frac_from_str."""
+    found = []
+    for path in sorted(Path(scalars_module.__file__).parent.glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "Fraction" and (len(node.args) != 2 or node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
