@@ -1,22 +1,34 @@
 #!/usr/bin/env python3
-"""Standalone sympy oracle for the catalog's derived fixtures.
+"""Standalone sympy oracle for the committed fixture tree.
 
-Everything the engine later consumes as a DERIVED fixture is computed
-here first, with sympy only (no imports from the package), and printed.
-The script also re-derives the catalogued source claims (commutation
-tables, expansion terms, invariance identities) so that any transcription
-typo in the catalog data is caught by an independent tool.
+Every catalogued object checked here is read from the fixture tree: the
+fixtures/ directory next to this script, or the directory that the
+TUBES_FIXTURES environment variable names, the same variable the package
+reads. The script uses json and sympy only and imports nothing from the
+package, so it checks exactly the bytes the engine decodes, independently
+of the engine's arithmetic. It re-derives the catalogued claims
+(commutation tables, composition laws, witnesses, invariance identities,
+coordinate changes, expansion terms, symmetry dimensions) and names each
+fixture it checks in the check's name, every derived fixture among them.
 
-Run:  python scripts/derive_fixtures.py
+The only mathematics stated here are source claims that no fixture
+holds: the expected symmetry dimensions and the hyperplane, the printed
+expansion terms of the quartic-case graph, the walls x1 + x3 = 0 and
+x1 = 0 of the half-domains, and the case-3 counterexample.
+
+Run:  python scripts/derive_fixtures.py      (exit 1 if any check fails)
 """
 
 from __future__ import annotations
 
+import itertools
+import json
+import os
 import sys
-from fractions import Fraction
+from pathlib import Path
 
 import sympy as sp
-from sympy import I, Rational, expand, simplify, sqrt, symbols
+from sympy import I, Rational, expand, simplify, sqrt
 
 PASS = []
 FAIL = []
@@ -27,577 +39,414 @@ def check(name, ok, detail=""):
     print(f"[{'ok' if ok else 'FAIL'}] {name}" + (f"  {detail}" if detail and not ok else ""))
 
 
+# ------------------------------------------------------------ fixture reader
+
+TREE = Path(os.environ.get("TUBES_FIXTURES") or Path(__file__).resolve().parents[1] / "fixtures")
+THETA = sp.Symbol("theta", real=True)
+
+
+def load(fid):
+    """The payload of fixture `fid` of the tree."""
+    return json.loads((TREE / f"{fid}.json").read_text())["payload"]
+
+
+def ids(kind):
+    """The ids of the tree's fixtures of one kind, from its index."""
+    index = json.loads((TREE / "index.json").read_text())["fixtures"]
+    return [e["id"] for e in index if e["kind"] == kind]
+
+
+def sym(name):
+    # every coordinate and parameter is real; a conjugate coordinate is a
+    # symbol of its own, so conjugate() conjugates the coefficients only
+    return sp.Symbol(name, real=True)
+
+
+def syms(names):
+    return [sym(v) for v in names]
+
+
+def gauss(obj):
+    """A rational "p/q", or a Gaussian rational {"re": ..., "im": ...}."""
+    if isinstance(obj, str):
+        return Rational(obj)
+    return Rational(obj["re"]) + I * Rational(obj.get("im", "0"))
+
+
+def poly(obj):
+    """A term list over `vars`: each term a coefficient times x**e."""
+    xs = syms(obj["vars"])
+    return sp.Add(*[gauss(t["c"] if "c" in t else t) * sp.Mul(*[x**k for x, k in zip(xs, t["e"])])
+                    for t in obj["terms"]])
+
+
+def ratfun(obj):
+    return poly(obj["num"]) / poly(obj["den"])
+
+
+def relations(ctx):
+    """A radical (s, d) as sqrt(d), a unit pair (c, cb) as exp(±i theta)."""
+    out = {sym(r["symbol"]): sqrt(poly(r["square"])) for r in ctx["radicals"]}
+    for c, cb in ctx["unit_pairs"]:
+        out.update({sym(c): sp.exp(I * THETA), sym(cb): sp.exp(-I * THETA)})
+    return out
+
+
+def family(fam):
+    """(variables, parameters, components) of a map family, by id or payload."""
+    fam = load(fam) if isinstance(fam, str) else fam
+    rel = relations(fam["relations"])
+    return (syms(fam["variables"]), syms(fam["params"]),
+            [ratfun(c).subs(rel) for c in fam["components"]])
+
+
+def fields(fid):
+    """(coordinates, component lists) of a field basis."""
+    fs = load(fid)["fields"]
+    return syms(fs[0]["variables"]), [[poly(c) for c in f["components"]] for f in fs]
+
+
+def surface(sid):
+    """(polynomial, its variables, payload) of a hypersurface."""
+    s = load(sid)
+    return poly(s["poly"]), syms(s["poly"]["vars"]), s
+
+
 # ---------------------------------------------------------------- utilities
+
+def zero(e):
+    return expand(sp.numer(sp.together(e))) == 0
+
+
+def tube(P, xs, holo, anti):
+    """P at x_j = (holo_j + anti_j) / 2."""
+    return P.subs({x: (a + b) / 2 for x, a, b in zip(xs, holo, anti)}, simultaneous=True)
+
+
+def conj(e, holo, anti):
+    """The conjugate of e over the holomorphic coordinates `holo`."""
+    return e.conjugate().subs(dict(zip(holo, anti)), simultaneous=True)
+
+
+def multiplier(lhs, rho, coords):
+    """The m, free of `coords`, with lhs = m * rho identically, or None."""
+    lhs, rho = expand(lhs), expand(rho)
+    mono, c = sp.Poly(rho, *coords).terms()[0]
+    m = simplify(sp.Poly(lhs, *coords).coeff_monomial(mono) / c)
+    return m if simplify(expand(lhs - m * rho)) == 0 else None
+
 
 def bracket(X, Y, coords):
     """Lie bracket of fields given as lists of components."""
-    out = []
-    for i in range(len(coords)):
-        xi = sum(X[j] * sp.diff(Y[i], coords[j]) for j in range(len(coords)))
-        yi = sum(Y[j] * sp.diff(X[i], coords[j]) for j in range(len(coords)))
-        out.append(expand(xi - yi))
-    return out
+    return [expand(sum(X[j] * sp.diff(Y[i], coords[j]) - Y[j] * sp.diff(X[i], coords[j])
+                       for j in range(len(coords))))
+            for i in range(len(coords))]
 
 
-def in_span(vec, basis_vectors, coords=None):
-    """Solve vec = sum c_k basis_k for constant c_k; returns dict or None.
-
-    Component identities are split into per-monomial coefficient
-    equations so the solve involves the c_k only.
-    """
-    if coords is None:
-        coords = [z1, z2, z3, z4]
-    cs = symbols(f"c0:{len(basis_vectors)}")
+def in_span(vec, basis, coords):
+    """Constants c_k with vec = sum c_k basis_k, or None."""
+    cs = sp.symbols(f"c0:{len(basis)}")
     eqs = []
     for i in range(len(vec)):
-        expr = expand(vec[i] - sum(c * b[i] for c, b in zip(cs, basis_vectors)))
-        if expr == 0:
-            continue
-        for coeff in sp.Poly(expr, *coords).coeffs():
-            eqs.append(coeff)
-    if not eqs:
-        return {c: 0 for c in cs}
-    sol = sp.solve(eqs, cs, dict=True)
+        e = expand(vec[i] - sum(c * b[i] for c, b in zip(cs, basis)))
+        eqs += sp.Poly(e, *coords).coeffs() if e != 0 else []
+    sol = sp.solve(eqs, cs, dict=True) if eqs else [{}]
     if not sol:
         return None
-    s = sol[0]
-    zero_free = {c: 0 for c in cs}
-    out = {c: sp.sympify(s.get(c, 0)).subs(zero_free) for c in cs}
-    resid = [expand(vec[i] - sum(out[c] * b[i] for c, b in zip(cs, basis_vectors)))
-             for i in range(len(vec))]
-    if any(r != 0 for r in resid):
-        return None
-    return out
+    out = {c: sp.sympify(sol[0].get(c, 0)).subs({c: 0 for c in cs}) for c in cs}
+    ok = all(expand(vec[i] - sum(out[c] * b[i] for c, b in zip(cs, basis))) == 0
+             for i in range(len(vec)))
+    return out if ok else None
+
+
+def tangent(field, g, xs):
+    """The field X satisfies X(g) = c g for a constant c."""
+    return multiplier(sum(f * sp.diff(g, x) for f, x in zip(field, xs)), g, xs) is not None
 
 
 # ============================================================ section 1: tables
 
-z1, z2, z3, z4 = symbols("z1 z2 z3 z4")
-ZC = [z1, z2, z3, z4]
-
-
-def d_case_fields():
-    Z = [None] * 11
-    Z[1] = [z1, z2, 0, z4]
-    Z[2] = [0, z1, -1, 0]
-    Z[3] = [0, 2 * z4, 0, z1]
-    Z[4] = [I, 0, 0, I]
-    Z[5] = [0, I, 0, 0]
-    Z[6] = [0, 0, I, 0]
-    Z[7] = [0, 2 * I, 0, I]
-    Z[8] = [0, 2 * (z1 + z2 - z4), 2 * (z3 - 1), z4 - z1]
-    Z[9] = [0, I * z1**2, -2 * I * z1, 0]
-    Z[10] = [0, 2 * I * (z1**2 - 2 * z1 * z4), -4 * I * (z1 - z4), -I * z1**2]
-    return Z
-
-
-def c_case_fields():
-    Z = [None] * 11
-    Z[1] = [z1, 0, 0, z4]
-    Z[2] = [0, -2 * z3, 1, 0]
-    Z[3] = [0, 1, 0, z1]
-    Z[4] = [I, 0, 0, 0]
-    Z[5] = [0, I, 0, 0]
-    Z[6] = [0, 0, I, 0]
-    Z[7] = [0, 0, 0, I]
-    Z[8] = [0, 2 * z2, z3, 2 * z4]
-    Z[9] = [0, 2 * I * z1, 0, I * z1**2]
-    Z[10] = [0, -I * z3**2, I * z3, 0]
-    return Z
-
-
-D_TABLE = {
-    (1, 4): {4: -1}, (1, 5): {5: -1}, (1, 7): {7: -1}, (1, 9): {9: 1}, (1, 10): {10: 1},
-    (2, 4): {5: -1}, (2, 8): {2: 2},
-    (3, 4): {7: -1}, (3, 7): {5: -2}, (3, 8): {3: 1}, (3, 10): {9: -2},
-    (4, 9): {2: -2}, (4, 10): {3: 2},
-    (5, 8): {5: 2}, (6, 8): {6: 2},
-    (7, 8): {7: 1}, (7, 10): {2: 4},
-    (8, 9): {9: -2}, (8, 10): {10: -1},
-}
-
-C_TABLE = {
-    (1, 4): {4: -1}, (1, 7): {7: -1}, (1, 9): {9: 1},
-    (2, 6): {5: 2}, (2, 8): {2: 1}, (2, 10): {6: 1},
-    (3, 4): {7: -1}, (3, 8): {3: 2},
-    (4, 9): {3: -2},
-    (5, 8): {5: 2},
-    (6, 8): {6: 1}, (6, 10): {2: -1},
-    (7, 8): {7: 2},
-    (8, 9): {9: -2},
-}
-
-
-def verify_table(Z, table, label):
-    ok = True
-    for i in range(1, 11):
-        for j in range(i + 1, 11):
-            got = bracket(Z[i], Z[j], ZC)
-            want = table.get((i, j), {})
-            expect = [expand(sum(coef * Z[k][m] for k, coef in want.items()))
-                      for m in range(4)]
-            if any(expand(g - e) != 0 for g, e in zip(got, expect)):
-                ok = False
-                print(f"    table {label} mismatch at ({i},{j}): {got}")
-    check(f"commutation table {label} (45 upper entries)", ok)
+def verify_table(case):
+    coords, Z = fields(f"basis.Z.{case}")
+    gold = load(f"table.golden.{case}")
+    table = {(i, j): {int(k): Rational(c) for k, c in combo.items()}
+             for i, j, combo in gold["entries"]}
+    n = gold["dim"]
+    bad = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+           if any(expand(g - sum(c * Z[k - 1][m] for k, c in table.get((i, j), {}).items()))
+                  for m, g in enumerate(bracket(Z[i - 1], Z[j - 1], coords)))]
+    check(f"table.golden.{case}: brackets of basis.Z.{case} "
+          f"({n * (n - 1) // 2} upper entries)", n == len(Z) and not bad, f"mismatch at {bad}")
 
 
 # ===================================================== section 2: case 3 map
 
 def case3_map():
-    x1, x2, x3, x4, y1 = symbols("x1 x2 x3 x4 y1", real=True)
-    a, b = symbols("a b")
-    # real part of (x1 + i y1)**2 and **3
-    re_sq = x1**2 - y1**2
-    re_cu = x1**3 - 3 * x1 * y1**2
-    rho_target = (x4 + b * re_cu) - x1 * (x2 + a * re_sq) - x3**2
-    rho_source = x4 - x1 * x2 - x3**2 - x1**3
-    sol = sp.solve(sp.Poly(expand(rho_target - rho_source), x1, y1).coeffs(), [a, b], dict=True)
+    """Solve for the shear z2 + a z1^2, z4 + b z1^3 carrying the tube over
+    surface.table.3 onto the tube over surface.quadric.half."""
+    P3, xs, _ = surface("surface.table.3")
+    Pq, _, _ = surface("surface.quadric.half")
+    x1, x2, x3, x4 = xs
+    y1, a, b = sym("y1"), sp.Symbol("a"), sp.Symbol("b")
+    re_sq, re_cu = x1**2 - y1**2, x1**3 - 3 * x1 * y1**2  # Re z1^2, Re z1^3
+    resid = expand(Pq.subs({x2: x2 + a * re_sq, x4: x4 + b * re_cu}, simultaneous=True) - P3)
+    sol = sp.solve(sp.Poly(resid, x1, y1).coeffs(), [a, b], dict=True)
     check("case-3 coefficients solve to a=3/2, b=1/2",
-          sol and sol[0][a] == Rational(3, 2) and sol[0][b] == Rational(1, 2), str(sol))
-    # printed pair (-3/2, -1/2): fails the cubic->quadric identity,
-    # but verifies in the reverse direction (quadric tube -> cubic tube).
-    resid_printed = expand(rho_target.subs({a: Rational(-3, 2), b: Rational(-1, 2)}) - rho_source)
-    check("printed pair fails cubic->quadric identity", resid_printed != 0)
-    rho_cubic_of_image = (x4 - Rational(1, 2) * re_cu) - x1 * (x2 - Rational(3, 2) * re_sq) \
-        - x3**2 - x1**3
-    resid_reverse = expand(rho_cubic_of_image - (x4 - x1 * x2 - x3**2))
-    check("printed pair verifies quadric->cubic identity", resid_reverse == 0, str(resid_reverse))
+          sol == [{a: Rational(3, 2), b: Rational(1, 2)}], str(sol))
+    if not sol:
+        return
+    z = syms(["z1", "z2", "z3", "z4"])
+
+    def shear(s):
+        return [z[0], z[1] + s * sol[0][a] * z[0]**2, z[2], z[3] + s * sol[0][b] * z[0]**3]
+    for mid, s in (("map.case3.derived", 1), ("map.case3.printed", -1),
+                   ("map.case3.printed.reversed", -1)):
+        m = load(mid)
+        comps = [ratfun(m["components"][k]) for k in m["target_holo"]]
+        check(f"{mid}: the shear with {'the solved' if s > 0 else 'the negated'} coefficients",
+              all(zero(c - w) for c, w in zip(comps, shear(s))), str(comps))
 
 
-# ========================================= section 3: composition laws (G, C)
+# ================================================ section 3: map identities
+
+MAP_TARGETS = {"map.cm.D": "surface.table.6", "map.cm.C": "surface.table.5",
+               "map.case3.derived": "surface.quadric.half",
+               "map.case3.printed": "surface.quadric.half",
+               "map.case3.printed.reversed": "surface.table.3",
+               "map.quadric.to.Bminus": "surface.table.1m"}
+
+
+def map_identities():
+    """Each map's stored target is the tube over its surface P = 0. The
+    identity itself is checked on P, in the sparse polynomial ring over
+    Q(i): expanding it as sympy expressions takes far longer. With
+    x_k = Re z_k = U_k / V_k, P(x) times the product of the V_k, each to
+    the degree of P in x_k, is a polynomial; it must vanish on the source
+    graph, w4 = W / D put in homogeneously in D, exactly when the map is
+    expected to verify."""
+    for mid, sid in MAP_TARGETS.items():
+        m, (P, xs, _) = load(mid), surface(sid)
+        check(f"{mid}: the stored target is the tube over {sid}", expand(
+            poly(m["target"]) - tube(P, xs, syms(m["target_holo"]), syms(m["target_anti"]))) == 0)
+        g = load(m["source_graph"])
+        holo = syms(g["holo_vars"] + [g["solved_var"]])
+        anti = syms(g["anti_vars"] + [g["solved_conj"]])
+        n = len(holo)
+        R, *_ = sp.ring(holo + anti, sp.QQ_I)
+
+        def bar(p):  # conjugate the coefficients, swap holo and anti exponents
+            return R({e[n:] + e[:n]: sp.QQ_I(c.x, -c.y) for e, c in p.items()})
+        comps = [sp.cancel(ratfun(m["components"][k])) for k in m["target_holo"]]
+        U, V = [], []
+        for a, b in (map(R, sp.fraction(c)) for c in comps):
+            U.append(a * bar(b) + bar(a) * b)
+            V.append(2 * b * bar(b))
+        pP, num = sp.Poly(P, *xs), R(0)
+        for mono, c in pP.terms():
+            term = R(c)
+            for u, v, k, x in zip(U, V, mono, xs):
+                term *= u**k * v**(pP.degree(x) - k)
+            num += term
+        part = g["im_part"] or g["re_part"]
+        N, D, w4b = R(poly(part["num"])), R(poly(part["den"])), R(anti[-1])
+        W = w4b * D + 2 * I * N if g["im_part"] else 2 * N - w4b * D
+        by_degree = {}
+        for e, c in num.items():
+            by_degree[e[n - 1]] = by_degree.get(e[n - 1], R(0)) + R({e[:n - 1] + (0,) + e[n:]: c})
+        top = max(by_degree, default=0)
+        holds = sum((p * W**j * D**(top - j) for j, p in by_degree.items()), R(0)) == 0
+        verb = "carries" if m["expected"] else "does NOT carry"
+        check(f"{mid}: {verb} {m['source_graph']} into the tube over {sid}",
+              holds == m["expected"])
+        if m["origin_image"] is not None:
+            origin = {v: 0 for v in holo[:-1] + anti[:-1]}
+            w0 = (I * ratfun(part) if g["im_part"] else ratfun(part)).subs(origin)
+            at0 = [c.subs({**origin, holo[-1]: w0}) for c in comps]
+            want = [gauss(c) for c in m["origin_image"]]
+            check(f"{mid}: sends the origin to {tuple(want)}", at0 == want, str(at0))
+
+
+# ========================================= section 4: composition laws (G, C)
 
 def composition_laws():
-    x = sp.Matrix(symbols("x1:5", real=True))
-    q, r, s, t = symbols("q r s t", real=True)
-    q2, r2, s2, t2 = symbols("qp rp sp tp", real=True)
-
-    def g_map(q, r, s, t, x):
-        return sp.Matrix([
-            q * x[0],
-            q * r**2 * (s + t**2) * x[0] + q * r**2 * x[1] + 2 * q * r**2 * t * x[3],
-            r**2 * x[2] - r**2 * s,
-            q * r * t * x[0] + q * r * x[3],
-        ])
-
-    inner = g_map(q2, r2, s2, t2, x)
-    composite = g_map(q, r, s, t, inner)
-    law = g_map(q * q2, r * r2, s2 + s / r2**2, t2 + t / r2, x)
-    ok = all(simplify(a - b) == 0 for a, b in zip(composite, law))
-    check("composition law for the quartic-case affine family", ok)
-
-    def c_map(q, r, s, t, x):
-        return sp.Matrix([
-            q * x[0],
-            r**2 * (x[1] - 2 * s * x[2] + t),
-            r * (x[2] + s),
-            q * r**2 * (x[3] + s**2 * x[0] + t * x[0]),
-        ])
-
-    composite = c_map(q, r, s, t, c_map(q2, r2, s2, t2, x))
-    law = c_map(q * q2, r * r2, s2 + s / r2, t2 - 2 * s * s2 / r2 + t / r2**2, x)
-    ok = all(simplify(a - b) == 0 for a, b in zip(composite, law))
-    check("composition law for the cubic-case affine family", ok)
+    for fid in ("family.affine.D", "family.affine.C"):
+        fam = load(fid)
+        xs, ps, comps = family(fam)
+        primed = syms(fam["composition_primed"])
+        law = {sym(p): ratfun(f) for p, f in fam["composition"].items()}
+        inner = [c.subs(dict(zip(ps, primed)), simultaneous=True) for c in comps]
+        composite = [c.subs(dict(zip(xs, inner)), simultaneous=True) for c in comps]
+        check(f"{fid}: the stored composition law",
+              bool(law) and all(zero(a - c.subs(law, simultaneous=True))
+                                for a, c in zip(composite, comps)))
 
 
-# ================================================= section 4: witnesses
+# ================================================= section 5: witnesses
 
 def witnesses():
-    x10, x20, x30, x40 = symbols("x10 x20 x30 x40", real=True, positive=False)
-    q, r, s, t = symbols("q r s t")
-
-    def g_map(q, r, s, t, x):
-        return [
-            q * x[0],
-            q * r**2 * (s + t**2) * x[0] + q * r**2 * x[1] + 2 * q * r**2 * t * x[3],
-            r**2 * x[2] - r**2 * s,
-            q * r * t * x[0] + q * r * x[3],
-        ]
-
-    d = (x40**2 - x10 * x20 - x10**2 * x30)
-    rho = sqrt(d)
-    subs = {q: x10, r: rho / x10, t: x40 / rho - 1, s: -x10**2 * x30 / d}
-    img = [simplify(c.subs(subs)) for c in g_map(q, r, s, t, [1, 0, 0, 1])]
-    ok = all(simplify(a - b) == 0 for a, b in zip(img, [x10, x20, x30, x40]))
-    check("transitivity witness, quartic case, upper side (base (1,0,0,1))", ok, str(img))
-
-    d2 = (x10 * x20 + x10**2 * x30 - x40**2)
-    rho2 = sqrt(d2)
-    subs2 = {q: x10, r: rho2 / x10, t: x40 / rho2, s: -x10**2 * x30 / d2}
-    img2 = [simplify(c.subs(subs2)) for c in g_map(q, r, s, t, [1, 1, 0, 0])]
-    ok = all(simplify(a - b) == 0 for a, b in zip(img2, [x10, x20, x30, x40]))
-    check("transitivity witness, quartic case, lower side (base (1,1,0,0))", ok, str(img2))
-
-    def c_map(q, r, s, t, x):
-        return [
-            q * x[0],
-            r**2 * (x[1] - 2 * s * x[2] + t),
-            r * (x[2] + s),
-            q * r**2 * (x[3] + s**2 * x[0] + t * x[0]),
-        ]
-
-    d3 = x10 * x40 - x10**2 * x20 - x10**2 * x30**2
-    rho3 = sqrt(d3)
-    subs3 = {q: x10, r: rho3 / x10, s: x10 * x30 / rho3, t: x20 * x10**2 / d3}
-    img3 = [simplify(c.subs(subs3)) for c in c_map(q, r, s, t, [1, 0, 0, 1])]
-    ok = all(simplify(a - b) == 0 for a, b in zip(img3, [x10, x20, x30, x40]))
-    check("transitivity witness, cubic case, upper side (base (1,0,0,1))", ok, str(img3))
-
-    d4 = x10**2 * x20 + x10**2 * x30**2 - x10 * x40
-    rho4 = sqrt(d4)
-    subs4 = {q: x10, r: rho4 / x10, s: x10 * x30 / rho4, t: x20 * x10**2 / d4}
-    img4 = [simplify(c.subs(subs4)) for c in c_map(q, r, s, t, [1, 0, 0, -1])]
-    ok = all(simplify(a - b) == 0 for a, b in zip(img4, [x10, x20, x30, x40]))
-    check("transitivity witness, cubic case, lower side (base (1,0,0,-1))", ok, str(img4))
+    for wid in ids("witness"):
+        w = load(wid)
+        xs, _, comps = family(w["family"])
+        rel = relations(w["context"])
+        values = {sym(p): ratfun(f).subs(rel) for p, f in w["assignment"].items()}
+        base = [Rational(b) for b in w["base"]]
+        values.update(zip(xs, base))
+        img = [simplify(c.subs(values, simultaneous=True)) for c in comps]
+        ok = all(simplify(a - t) == 0 for a, t in zip(img, syms(w["target_vars"])))
+        check(f"{wid}: sends the base point {tuple(base)} to the target", ok, str(img))
 
 
-# ============================== section 5: half-pseudo-ball subalgebra (dim 5)
+# ======================== section 6: half-domain subalgebras (dim 5) and walls
 
 def half_pseudo_ball():
-    x1, x2, x3, x4 = symbols("x1:5", real=True)
-    X = [x1, x2, x3, x4]
-    P = x4 - x1**2 - x2**2 + x3**2  # indefinite quadric, minus-sign case
-    wall = x1 + x3
-    basis = [
-        [x3, 0, x1, 0],
-        [x1 - x3, x2, -(x1 - x3), 2 * x4],
-        [x2, -(x1 + x3), -x2, 0],
-        [1, 0, -1, 2 * (x1 + x3)],
-        [0, 1, 0, 2 * x2],
-    ]
-    ok = True
-    for f in basis:
-        xp = expand(sum(f[i] * sp.diff(P, X[i]) for i in range(4)))
-        quot = sp.simplify(xp / P) if xp != 0 else sp.Integer(0)
-        if xp != 0 and (not quot.is_constant() or expand(xp - quot * P) != 0):
-            ok = False
-        # wall tangency: X(x1 + x3) must be a constant multiple of the wall
-        xw = expand(sum(f[i] * sp.diff(wall, X[i]) for i in range(4)))
-        if xw != 0:
-            qw = sp.simplify(xw / wall)
-            if not qw.is_constant() or expand(xw - qw * wall) != 0:
-                ok = False
-    check("half-pseudo-ball basis: tangent to quadric and to the wall", ok)
-    closed = True
-    for i in range(5):
-        for j in range(i + 1, 5):
-            br = bracket(basis[i], basis[j], X)
-            if in_span(br, basis, coords=X) is None:
-                closed = False
-                print(f"    bracket ({i},{j}) escapes span: {br}")
-    check("half-pseudo-ball basis: closed under bracket (dim 5)", closed)
-    coeff_rows = []
-    monos = [sp.Integer(1), x1, x2, x3, x4]
-    for f in basis:
-        row = []
-        for comp in f:
-            p = sp.Poly(comp, x1, x2, x3, x4)
-            row.extend(p.coeff_monomial(m) for m in monos)
-        coeff_rows.append(row)
-    check("half-pseudo-ball basis: 5 independent fields", sp.Matrix(coeff_rows).rank() == 5)
+    x1, _, x3, _ = syms(["x1", "x2", "x3", "x4"])
+    for bid, sid, wall in (("basis.half_pseudo_ball.1m", "surface.table.1m", x1 + x3),
+                           ("basis.half_pseudo_ball.quadric", "surface.quadric.half", x1)):
+        P, xs, _ = surface(sid)
+        coords, basis = fields(bid)
+        check(f"{bid}: tangent to {sid} and to the wall {wall} = 0",
+              coords == xs and all(tangent(f, g, xs) for f in basis for g in (P, wall)))
+        escapes = [(i, j) for i, j in itertools.combinations(range(len(basis)), 2)
+                   if in_span(bracket(basis[i], basis[j], xs), basis, xs) is None]
+        check(f"{bid}: closed under bracket", not escapes, f"escaping brackets {escapes}")
+        monos = [sp.Integer(1)] + xs
+        rows = [[sp.Poly(c, *xs).coeff_monomial(m) for c in f for m in monos] for f in basis]
+        check(f"{bid}: 5 independent fields", len(basis) == sp.Matrix(rows).rank() == 5)
 
 
-# ===================================== section 6: circle action (cubic case)
+# ========================== section 7: families preserving tubes and graphs
 
-def circle_action():
-    x1r, y1r, x2r, y2r, x3r, y3r, x4r, y4r = symbols("rx1 ry1 rx2 ry2 rx3 ry3 rx4 ry4", real=True)
-    th = symbols("theta", real=True)
-    zz = [x1r + I * y1r, x2r + I * y2r, x3r + I * y3r, x4r + I * y4r]
-
-    def rho_c(z):
-        xs = [sp.re(zc) for zc in z]
-        return xs[3] - xs[0] * xs[1] - xs[0] * xs[2]**2
-
-    printed = [zz[0], zz[1] + (sp.exp(2 * I * th) - 1) * zz[2]**2 / 2, sp.exp(I * th) * zz[2], zz[3]]
-    corrected = [zz[0], zz[1] + (1 - sp.exp(2 * I * th)) * zz[2]**2 / 2, sp.exp(I * th) * zz[2], zz[3]]
-    res_printed = simplify(sp.expand_complex(rho_c(printed) - rho_c(zz)))
-    res_corrected = simplify(sp.expand_complex(rho_c(corrected) - rho_c(zz)))
-    check("printed circle action does NOT preserve the cubic-case tube", res_printed != 0)
-    check("sign-corrected circle action preserves the cubic-case tube", res_corrected == 0,
-          str(res_corrected))
-
-
-# ============================ section 7: isotropy and full group, quartic case
-
-def tube_rho_d(z, zb):
-    xs = [(z[i] + zb[i]) / 2 for i in range(4)]
-    return xs[3]**2 - xs[0] * xs[1] - xs[0]**2 * xs[2]
-
-
-def iso_d_components(zv, r, u, v):
-    z1, z2, z3, z4 = zv
-    return [
-        z1,
-        -2 * v**2 * z1**3 + I * (-2 * v + 4 * v * r + u) * z1**2 - 4 * I * v * r * z1 * z4
-        + 2 * (v**2 + r**2 - r) * z1 + r**2 * z2 + 2 * (r - r**2) * z4 + 2 * I * v - I * u,
-        2 * v**2 * z1**2 - I * (2 * u + 4 * v * r) * z1 + r**2 * z3 + 4 * I * v * r * z4
-        - r**2 + 1 - 2 * v**2 + 2 * I * u,
-        -I * v * z1**2 + (1 - r) * z1 + r * z4 + I * v,
-    ]
-
-
-def full_d_components(zv, params):
-    z1, z2, z3, z4 = zv
-    q, r, s, t, u, v, a1, a2, a3, a4 = params
-    return [
-        q * z1 + I * a1,
-        -2 * q * v**2 * z1**3 + I * q * (-2 * v + 4 * v * r - 2 * v * t + u) * z1**2
-        - 4 * I * q * v * r * z1 * z4
-        + q * (2 * v**2 + 2 * r**2 - 2 * r - 2 * t * r + 2 * t + s + t**2) * z1
-        + q * r**2 * z2 + 2 * q * (r - r**2 + t * r) * z4 + I * a2,
-        2 * v**2 * z1**2 - 2 * I * (2 * v * r + u) * z1 + r**2 * z3 + 4 * I * v * r * z4
-        - r**2 - 2 * v**2 - s + 1 + I * a3,
-        -I * q * v * z1**2 + q * (t - r + 1) * z1 + q * r * z4 + I * a4,
-    ]
+def preserves(fid, sid, fixes=False, expected=True):
+    """Check that the map family `fid` preserves the tube over surface
+    `sid` by a multiplier (or, expected False, that it does not), and with
+    `fixes` set that it fixes the surface's basepoint identically."""
+    P, xs, s = surface(sid)
+    zs, _, comps = family(fid)
+    zbs = [sym(v.name + "b") for v in zs]
+    m = multiplier(tube(P, xs, comps, [conj(c, zs, zbs) for c in comps]),
+                   tube(P, xs, zs, zbs), zs + zbs)
+    verb = "preserves" if expected else "does NOT preserve"
+    check(f"{fid}: {verb} the tube over {sid}" + (f" (multiplier {m})" if m else ""),
+          (m is not None and m != 0) == expected)
+    if fixes:
+        bp = [Rational(b) for b in s["basepoint"]]
+        check(f"{fid}: fixes the basepoint {tuple(bp)} of {sid} identically",
+              [simplify(c.subs(dict(zip(zs, bp)), simultaneous=True)) for c in comps] == bp)
 
 
 def isotropy_and_full_group():
-    zs = list(symbols("z1:5", real=True))
-    zbs = list(symbols("zb1:5", real=True))
-    r, u, v = symbols("r u v", real=True)
-    comps = iso_d_components(zs, r, u, v)
-    comps_bar = [c.subs(dict(zip(zs, zbs))).conjugate() for c in comps]
-    lhs = tube_rho_d(comps, comps_bar)
-    resid = expand(lhs - r**2 * tube_rho_d(zs, zbs))
-    check("isotropy family preserves the quartic tube with multiplier r^2", resid == 0)
-    fixed = [simplify(c.subs(dict(zip(zs, [1, 0, 1, 1])))) for c in comps]
-    check("isotropy family fixes the basepoint (1,0,1,1) identically",
-          fixed == [1, 0, 1, 1], str(fixed))
+    preserves("family.isotropy.D", "surface.table.6", fixes=True)
+    preserves("family.full.D", "surface.table.6")
+    sl = load("slice.isotropy.D")
+    _, _, full = family(sl["family"])
+    _, _, iso = family(sl["reduces_to"])
+    assign = {sym(p): poly(e) for p, e in sl["assignments"].items()}
+    check(f"slice.isotropy.D: {sl['family']} restricted equals {sl['reduces_to']}",
+          all(expand(a.subs(assign, simultaneous=True) - b) == 0 for a, b in zip(full, iso)))
 
-    params = symbols("q r s t u v a1 a2 a3 a4", real=True)
-    q = params[0]
-    comps = full_d_components(zs, params)
-    comps_bar = [c.subs(dict(zip(zs, zbs))).conjugate() for c in comps]
-    resid = expand(tube_rho_d(comps, comps_bar) - q**2 * params[1]**2 * tube_rho_d(zs, zbs))
-    check("full 10-parameter family preserves the quartic tube with multiplier q^2 r^2",
-          resid == 0)
-
-    # isotropy slice of the full family: q=1, s=t=0, a1=0, a2=2v-u, a3=2u, a4=v
-    rr, uu, vv = symbols("r u v", real=True)
-    slice_subs = {params[0]: 1, params[2]: 0, params[3]: 0,
-                  params[6]: 0, params[7]: 2 * vv - uu, params[8]: 2 * uu, params[9]: vv,
-                  params[1]: rr, params[4]: uu, params[5]: vv}
-    sliced = [expand(c.subs(slice_subs)) for c in full_d_components(zs, params)]
-    iso = [expand(c) for c in iso_d_components(zs, rr, uu, vv)]
-    check("isotropy slice of the full family equals the isotropy family",
-          all(expand(a - b) == 0 for a, b in zip(sliced, iso)))
-
-
-# ======================= section 8: cubic-case isotropy pieces and w-families
 
 def cubic_isotropy():
-    zs = list(symbols("z1:5", real=True))
-    zbs = list(symbols("zb1:5", real=True))
-
-    def rho_c(z, zb):
-        xs = [(z[i] + zb[i]) / 2 for i in range(4)]
-        return xs[3] - xs[0] * xs[1] - xs[0] * xs[2]**2
-
-    r, u = symbols("r u", real=True)
-    scale = [zs[0], r**2 * zs[1], r * zs[2], r**2 * zs[3]]
-    shear = [zs[0], zs[1] + I * u * (zs[0] - 1), zs[2], zs[3] + I * u * (zs[0]**2 - 1) / 2]
-    for name, comps, mult in [("scaling isotropy", scale, r**2), ("shear isotropy", shear, 1)]:
-        comps_bar = [c.subs(dict(zip(zs, zbs))).conjugate() for c in comps]
-        resid = expand(rho_c(comps, comps_bar) - mult * rho_c(zs, zbs))
-        check(f"cubic-case {name} preserves the tube", resid == 0)
-        fixed = [simplify(c.subs(dict(zip(zs, [1, 0, 0, 0])))) for c in comps]
-        check(f"cubic-case {name} fixes (1,0,0,0)", fixed == [1, 0, 0, 0], str(fixed))
+    for fid in ("family.isotropy.C.scale", "family.isotropy.C.shear"):
+        preserves(fid, "surface.table.5", fixes=True)
 
 
-def w_linear_families():
-    # quartic case: the linear family preserves Im w4 * Dd = Nd
-    w1, w2, w3, wb1, wb2, wb3 = symbols("w1 w2 w3 wb1 wb2 wb3", real=True)
-    r, mu, nu = symbols("r mu nu", real=True)
-    Dd = (11 * w1 * wb1 + 24 * w1 + 24 * wb1 + 16) * (5 * w1 * wb1 + 16)
-    big = (48 * w1 * w3 * wb3 + 25 * w1**2 * wb3**2 + 16 * w3 * wb3
-           + 36 * w1 * wb1 * w3 * wb3
-           + 2 * (11 * w1 * wb1 + 24 * w1 + 24 * wb1 + 16) * w1 * wb2)
-    Nd = 4 * (big + big.subs({w1: wb1, wb1: w1, w3: wb3, wb3: w3, wb2: w2}, simultaneous=True))
-    f2 = (I * mu - nu**2 / 2) * w1 + r**2 * w2 + I * nu * r * w3
-    f3 = I * nu * w1 + r * w3
-    sub = {w2: f2, w3: f3,
-           wb2: f2.subs({w1: wb1, w2: wb2, w3: wb3}, simultaneous=True).conjugate(),
-           wb3: f3.subs({w1: wb1, w3: wb3}, simultaneous=True).conjugate()}
-    resid = expand(Nd.subs(sub, simultaneous=True) - r**2 * Nd)
-    check("quartic-case w-linear family scales the graph numerator by r^2", resid == 0)
-
-    # cubic case
-    th = symbols("theta", real=True)
-    u = symbols("u", real=True)
-    DC = (2 + w1) * (2 + wb1) * (20 - w1 * wb1)
-    bigc = (4 * w3 * wb3 * (1 + w1) + 2 * w2 * w1 * wb1 + wb2 * w1**2 * wb1
-            + 4 * wb2 * w1 + 2 * wb2 * w1**2)
-    NC = 5 * (bigc + bigc.subs({w1: wb1, wb1: w1, w2: wb2, wb2: w2, w3: wb3, wb3: w3},
-                               simultaneous=True))
-    g2 = r**2 * (w2 + I * u * w1)
-    g3 = r * sp.exp(I * th) * w3
-    sub = {w2: g2, w3: g3,
-           wb2: g2.subs({w1: wb1, w2: wb2}, simultaneous=True).conjugate(),
-           wb3: g3.subs({w3: wb3}, simultaneous=True).conjugate()}
-    resid = simplify(expand(NC.subs(sub, simultaneous=True) - r**2 * NC))
-    check("cubic-case w-linear family scales the graph numerator by r^2", resid == 0)
+def circle_action():
+    preserves("family.circle.C", "surface.table.5")
+    preserves("family.circle.C.printed", "surface.table.5", expected=False)
+    # the generator d/dtheta at theta = 0 of the circle action
+    _, _, comps = family("family.circle.C")
+    _, Zc = fields("basis.Z.C")
+    gen = [sp.diff(c, THETA).subs(THETA, 0) for c in comps]
+    check("family.circle.C: its generator is the tenth basis.Z.C field",
+          all(expand(a - b) == 0 for a, b in zip(gen, Zc[9])), str(gen))
 
 
-# ===================== section 9: expansion terms of the quartic-case graph
+def graph_families():
+    """A linear family preserves the graph Im w4 = N/D: the cross-multiplied
+    (w4 - w4b) D - 2 i N transforms by a multiplier."""
+    for fid, gid in (("family.isotropy.D.w", "graph.cm.D"), ("family.isotropy.C.w", "graph.cm.C")):
+        g = load(gid)
+        holo = syms(g["holo_vars"] + [g["solved_var"]])
+        anti = syms(g["anti_vars"] + [g["solved_conj"]])
+        rho = (holo[-1] - anti[-1]) * poly(g["im_part"]["den"]) - 2 * I * poly(g["im_part"]["num"])
+        ws, _, comps = family(fid)
+        values = {**dict(zip(ws, comps)), **dict(zip(anti, [conj(c, ws, anti) for c in comps]))}
+        m = multiplier(rho.subs(values, simultaneous=True), rho, holo + anti)
+        check(f"{fid}: preserves the graph of {gid} (multiplier {m})", m is not None and m != 0)
+
+
+# ===================== section 8: expansion terms of the quartic-case graph
 
 def impterms():
-    w1, w2, w3, wb1, wb2, wb3 = symbols("w1 w2 w3 wb1 wb2 wb3", real=True)
-    WS = [w1, w2, w3, wb1, wb2, wb3]
-    Dd = expand((11 * w1 * wb1 + 24 * w1 + 24 * wb1 + 16) * (5 * w1 * wb1 + 16))
-    big = (48 * w1 * w3 * wb3 + 25 * w1**2 * wb3**2 + 16 * w3 * wb3
-           + 36 * w1 * wb1 * w3 * wb3
-           + 2 * (11 * w1 * wb1 + 24 * w1 + 24 * wb1 + 16) * w1 * wb2)
-    Nd = expand(4 * (big + big.subs({w1: wb1, wb1: w1, w3: wb3, wb3: w3, wb2: w2},
-                                    simultaneous=True)))
+    g = load("graph.cm.D")
+    WS = syms(g["holo_vars"] + g["anti_vars"])
+    w1, w2, w3, wb1, wb2, wb3 = WS
+    N, D = poly(g["im_part"]["num"]), poly(g["im_part"]["den"])
+
+    def parts(expr, keep):
+        p = sp.Poly(expand(expr), *WS)
+        return expand(sum(c * sp.prod(v**k for v, k in zip(WS, mono))
+                          for mono, c in zip(p.monoms(), p.coeffs()) if keep(mono)))
 
     def trunc(expr, deg):
-        p = sp.Poly(expand(expr), *WS)
-        keep = 0
-        for mono, coeff in zip(p.monoms(), p.coeffs()):
-            if sum(mono) <= deg:
-                keep += coeff * sp.prod(v**m for v, m in zip(WS, mono))
-        return expand(keep)
+        return parts(expr, lambda mono: sum(mono) <= deg)
+
+    def bidegree(expr, k, l):
+        return parts(expr, lambda mono: (sum(mono[:3]), sum(mono[3:])) == (k, l))
 
     cutoff = 7
-    E = expand(Dd - 256) / 256
-    inv = 1
-    acc = 1
+    d0 = D.subs({v: 0 for v in WS})
+    E = expand(D - d0) / d0
+    inv = acc = 1
     for k in range(1, cutoff + 1):
         acc = trunc(acc * E, cutoff)
         inv = inv + (-1) ** k * acc
-    F = trunc(Nd * inv, cutoff) / 256
-
-    def bidegree(expr, k, l):
-        p = sp.Poly(expand(expr), *WS)
-        out = 0
-        for mono, coeff in zip(p.monoms(), p.coeffs()):
-            hk = mono[0] + mono[1] + mono[2]
-            al = mono[3] + mono[4] + mono[5]
-            if hk == k and al == l:
-                out += coeff * sp.prod(v**m for v, m in zip(WS, mono))
-        return expand(out)
-
+    F = trunc(N * inv, cutoff) / d0
     F11 = bidegree(F, 1, 1)
-    check("graph expansion part (1,1)",
+    check("graph.cm.D expansion part (1,1)",
           expand(F11 - (w3 * wb3 / 2 + w1 * wb2 / 2 + wb1 * w2 / 2)) == 0, str(F11))
     F22 = bidegree(F, 2, 2)
     want22 = (Rational(-5, 32) * (w1**2 * wb1 * wb2 + wb1**2 * w1 * w2)
               + Rational(25, 64) * (w1**2 * wb3**2 + wb1**2 * w3**2)
               + Rational(5, 8) * w1 * wb1 * w3 * wb3)
-    check("graph expansion part (2,2)", expand(F22 - want22) == 0, str(F22))
+    check("graph.cm.D expansion part (2,2)", expand(F22 - want22) == 0, str(F22))
     F32 = bidegree(F, 3, 2)
     want32 = (Rational(-75, 128) * w1**3 * wb3**2
               - Rational(75, 64) * w1**2 * w3 * wb1 * wb3
               - Rational(75, 128) * w1 * w3**2 * wb1**2)
-    check("graph expansion part (3,2)", expand(F32 - want32) == 0, str(F32))
+    check("graph.cm.D expansion part (3,2)", expand(F32 - want32) == 0, str(F32))
     F33 = bidegree(F, 3, 3)
     want33 = (Rational(25, 512) * (w1**3 * wb1**2 * wb2 + wb1**3 * w1**2 * w2)
               + Rational(175, 128) * (w1**3 * wb1 * wb3**2 + wb1**3 * w1 * w3**2)
               + Rational(1425, 512) * w1**2 * wb1**2 * w3 * wb3)
-    check("graph expansion part (3,3)", expand(F33 - want33) == 0, str(F33))
+    check("graph.cm.D expansion part (3,3)", expand(F33 - want33) == 0, str(F33))
 
-    tr = lambda e: 2 * (sp.diff(e, w1, wb2) + sp.diff(e, w2, wb1) + sp.diff(e, w3, wb3))
+    def tr(e):
+        return 2 * (sp.diff(e, w1, wb2) + sp.diff(e, w2, wb1) + sp.diff(e, w3, wb3))
     check("trace conditions: tr F22 = tr^2 F32 = tr^2 F33 = 0",
           expand(tr(F22)) == 0 and expand(tr(tr(F32))) == 0 and expand(tr(tr(F33))) == 0)
-    for k in range(0, cutoff + 1):
-        if bidegree(F, k, 0) != 0:
-            check(f"pure part ({k},0) vanishes", False)
-    for k in range(2, cutoff):
-        if bidegree(F, k, 1) != 0:
-            check(f"part ({k},1) vanishes", False)
-    check("pure and (k,1) parts vanish through the cutoff", True)
+    nonzero = [(k, 0) for k in range(cutoff + 1) if bidegree(F, k, 0) != 0]
+    nonzero += [(k, 1) for k in range(2, cutoff) if bidegree(F, k, 1) != 0]
+    check("graph.cm.D pure and (k,1) parts vanish through the cutoff", not nonzero, str(nonzero))
 
 
-# =============================== section 10: the two rational normal-form maps
-
-def phi_d(w1, w2, w3, w4):
-    return [
-        (11 * w1 + 4) / (w1 + 4),
-        -96 * I * (4 * I * w2 - 5 * I * w3 + 11 * w4) / (5 * w1 + 20)
-        + 1600 * I * (4 * I * w2 - 5 * I * w3 - 6 * I * w3**2 + 6 * w4) / (5 * w1 + 20) ** 2
-        - 1280 * w3**2 / (w1 + 4) ** 3 + 24 * I * w4,
-        32 * I * (2 * I * w2 + 3 * w4) / (5 * w1 + 20) - 32 * w3**2 / (w1 + 4) ** 2
-        - 4 * I * w4 + 1,
-        -8 * (6 * w3 + 5) / (w1 + 4) + 160 * w3 / (w1 + 4) ** 2 + 11,
-    ]
-
-
-def phi_c(w1, w2, w3, w4):
-    return [
-        w1 + 1,
-        w2 - I * w1 * w4 / 10 - 2 * w3**2 / (w1 + 2) ** 2,
-        2 * w3 / (w1 + 2),
-        -I * w4 + w2 + w1 * (10 * w2 - I * (w1 + 2) * w4) / 20,
-    ]
-
-
-def coordinate_change_d():
-    w1, w2, w3, wb1, wb2, wb3, s, v4 = symbols("w1 w2 w3 wb1 wb2 wb3 s v4", real=True)
-    Dd = (11 * w1 * wb1 + 24 * w1 + 24 * wb1 + 16) * (5 * w1 * wb1 + 16)
-    big = (48 * w1 * w3 * wb3 + 25 * w1**2 * wb3**2 + 16 * w3 * wb3
-           + 36 * w1 * wb1 * w3 * wb3
-           + 2 * (11 * w1 * wb1 + 24 * w1 + 24 * wb1 + 16) * w1 * wb2)
-    Nd = 4 * (big + big.subs({w1: wb1, wb1: w1, w3: wb3, wb3: w3, wb2: w2},
-                             simultaneous=True))
-    F = Nd / Dd
-    w4 = s + I * F
-    wb4 = s - I * F
-    phi = phi_d(w1, w2, w3, v4)
-    z = [c.subs(v4, w4) for c in phi]
-    zb = [c.conjugate().subs({w1: wb1, w2: wb2, w3: wb3}, simultaneous=True).subs(v4, wb4)
-          for c in phi]
-    rho = tube_rho_d(z, zb)
-    numer = sp.numer(sp.together(rho))
-    check("quartic-case coordinate change maps the graph onto the tube",
-          expand(numer) == 0)
-    at0 = [simplify(c.subs({w1: 0, w2: 0, w3: 0, s: 0})) for c in z]
-    check("quartic-case change sends the origin to (1,0,1,1)", at0 == [1, 0, 1, 1], str(at0))
-
-
-def coordinate_change_c():
-    w1, w2, w3, wb1, wb2, wb3, s, v4 = symbols("w1 w2 w3 wb1 wb2 wb3 s v4", real=True)
-    DC = (2 + w1) * (2 + wb1) * (20 - w1 * wb1)
-    bigc = (4 * w3 * wb3 * (1 + w1) + 2 * w2 * w1 * wb1 + wb2 * w1**2 * wb1
-            + 4 * wb2 * w1 + 2 * wb2 * w1**2)
-    NC = 5 * (bigc + bigc.subs({w1: wb1, wb1: w1, w2: wb2, wb2: w2, w3: wb3, wb3: w3},
-                               simultaneous=True))
-    F = NC / DC
-    w4 = s + I * F
-    wb4 = s - I * F
-    phi = phi_c(w1, w2, w3, v4)
-    z = [c.subs(v4, w4) for c in phi]
-    zb = [c.conjugate().subs({w1: wb1, w2: wb2, w3: wb3}, simultaneous=True).subs(v4, wb4)
-          for c in phi]
-    xs = [(a + b) / 2 for a, b in zip(z, zb)]
-    rho = xs[3] - xs[0] * xs[1] - xs[0] * xs[2]**2
-    numer = sp.numer(sp.together(rho))
-    check("cubic-case coordinate change maps the graph onto the tube", expand(numer) == 0)
-    at0 = [simplify(c.subs({w1: 0, w2: 0, w3: 0, s: 0})) for c in z]
-    check("cubic-case change sends the origin to (1,0,0,0)", at0 == [1, 0, 0, 0], str(at0))
-
-
-# ============================= section 11: isotropy parameter bridge (quartic)
+# ============================= section 9: isotropy parameter bridge (quartic)
 
 def isotropy_bridge():
-    w1, w2, w3, w4 = symbols("w1 w2 w3 w4", real=True)
-    r, mu, nu = symbols("r mu nu", real=True)
-    iw = [w1,
-          (I * mu - nu**2 / 2) * w1 + r**2 * w2 + I * nu * r * w3,
-          I * nu * w1 + r * w3,
-          r**2 * w4]
-    lhs = [c.subs({w1: iw[0], w2: iw[1], w3: iw[2], w4: iw[3]}, simultaneous=True)
-           for c in phi_d(w1, w2, w3, w4)]
-    zz = phi_d(w1, w2, w3, w4)
-    rhs = iso_d_components(zz, r, Rational(16, 25) * mu, Rational(2, 5) * nu)
-    ok = True
-    for a, b in zip(lhs, rhs):
-        numer = expand(sp.numer(sp.together(a - b)))
-        if numer != 0:
-            ok = False
-    check("isotropy bridge: change-of-coordinates conjugation with u=16mu/25, v=2nu/5", ok)
+    br = load("bridge.isotropy.D")
+    ws, (r, mu, nu), wf = family(br["w_family"])
+    zs, zp, zf = family(br["z_family"])
+    m = load(br["map"])
+    phi = [ratfun(m["components"][k]) for k in m["target_holo"]]
+    params = dict(zip(zp, (r, Rational(br["u_scale"]) * mu, Rational(br["v_scale"]) * nu)))
+    lhs = [c.subs(dict(zip(ws, wf)), simultaneous=True) for c in phi]
+    rhs = [c.subs({**dict(zip(zs, phi)), **params}, simultaneous=True) for c in zf]
+    check(f"bridge.isotropy.D: {br['map']} conjugates {br['w_family']} into {br['z_family']} "
+          f"with u = {br['u_scale']} mu, v = {br['v_scale']} nu",
+          all(zero(a - b) for a, b in zip(lhs, rhs)))
 
 
-# ============================== section 12: affine symmetry algebra dimensions
+# ======================== section 10: surfaces, domains and symmetry dimensions
 
 def symmetry_dimension(P, xs):
     n = len(xs)
@@ -607,40 +456,59 @@ def symmetry_dimension(P, xs):
     comps = a * sp.Matrix(xs) + b
     expr = expand(sum(comps[i] * sp.diff(P, xs[i]) for i in range(n)) - c * P)
     unknowns = list(a) + list(b) + [c]
-    poly = sp.Poly(expr, *xs)
-    rows = []
-    for coeff in poly.coeffs():
-        rows.append([sp.diff(coeff, u) for u in unknowns])
-    mat = sp.Matrix(rows)
+    mat = sp.Matrix([[sp.diff(coeff, u) for u in unknowns]
+                     for coeff in sp.Poly(expr, *xs).coeffs()])
     # the multiplier unknown is determined by (A, b), so the kernel
     # dimension equals the number of independent tangent fields
     return len(unknowns) - mat.rank()
 
 
+EXPECTED_DIMS = {
+    "surface.table.1p": 7, "surface.table.1m": 7, "surface.table.2.sphere": 6,
+    "surface.table.2.cubic": 3, "surface.table.3": 5, "surface.table.4.a0": 4,
+    "surface.table.4.a112": 4, "surface.table.4.a1": 4, "surface.table.4.am1": 4,
+    "surface.table.5": 4, "surface.table.6": 4, "surface.quadric.half": 7,
+}
+
+
 def dimensions():
-    x1, x2, x3, x4 = symbols("x1:5", real=True)
-    xs = [x1, x2, x3, x4]
-    cases = [
-        ("case 1 (+)", x4 - x1**2 - x2**2 - x3**2, 7),
-        ("case 1 (-)", x4 - x1**2 - x2**2 + x3**2, 7),
-        ("case 2 sphere", x1**2 + x2**2 + x3**2 + x4**2 - 1, 6),
-        ("case 2 cubic (as printed)", x1**2 + x2**2 + x3**3 + x4**2 - 1, 3),
-        ("case 3", x4 - x1 * x2 - x3**2 - x1**3, 5),
-        ("case 4 alpha=0", x4 - x1 * x2 - x3**2 - x1**2 * x3, 4),
-        ("case 4 alpha=1/12", x4 - x1 * x2 - x3**2 - x1**2 * x3 - Rational(1, 12) * x1**4, 4),
-        ("case 4 alpha=1", x4 - x1 * x2 - x3**2 - x1**2 * x3 - x1**4, 4),
-        ("case 4 alpha=-1", x4 - x1 * x2 - x3**2 - x1**2 * x3 + x1**4, 4),
-        ("case 5", x4 - x1 * x2 - x1 * x3**2, 4),
-        ("case 6", x4**2 - x1 * x2 - x1**2 * x3, 4),
-        ("hyperplane", x4, 16),
-        ("half-pseudo-ball quadric", x4 - x1 * x2 - x3**2, 7),
-    ]
-    for name, P, want in cases:
+    for sid, want in EXPECTED_DIMS.items():
+        P, xs, _ = surface(sid)
         got = symmetry_dimension(P, xs)
-        check(f"affine symmetry dimension, {name} = {want}", got == want, f"got {got}")
+        check(f"{sid}: affine symmetry dimension {want}", got == want, f"got {got}")
+    xs = syms(["x1", "x2", "x3", "x4"])
+    got = symmetry_dimension(xs[3], xs)
+    check("the hyperplane x4 = 0: affine symmetry dimension 16", got == 16, f"got {got}")
 
 
-# ===================== section 13: case-3 subalgebra with somewhere-full rank
+def surfaces_and_domains():
+    for sid in ids("hypersurface"):
+        P, _, s = surface(sid)
+        if s["assert_irreducible"]:
+            _, factors = sp.factor_list(P, gaussian=True)
+            check(f"{sid}: irreducible over Q(i)", [k for _, k in factors] == [1], str(factors))
+    P6, xs6, s6 = surface("surface.table.6")
+    P8, xs8, s8 = surface("surface.tube.6.realified")
+    check("surface.tube.6.realified: surface.table.6 over the 8 real coordinates",
+          xs8 == xs6 + syms(["y1", "y2", "y3", "y4"]) and expand(P8 - P6) == 0
+          and s8["basepoint"] == s6["basepoint"] + ["0"] * 4
+          and [expand(poly(c["expr"]) - poly(d["expr"])) == 0 and c["sense"] == d["sense"]
+               for c, d in zip(s8["constraints"], s6["constraints"])]
+          == [True] * len(s6["constraints"]) == [True] * len(s8["constraints"]))
+    for did in ids("domain"):
+        d = load(did)
+        P, xs, s = surface(d["source_surface"])
+        side = 1 if did.endswith(".gt") else -1
+        probe = dict(zip(xs, [Rational(p) for p in d["probe"]]))
+        sides = [(poly(d["expr"]), "gt")] + [(poly(c["expr"]), c["sense"])
+                                             for c in d["constraints"]]
+        inside = all((e.subs(probe) > 0) if sense == "gt" else (e.subs(probe) < 0)
+                     for e, sense in sides)
+        same = expand(sides[0][0] - side * P) == 0 and d["constraints"] == s["constraints"]
+        check(f"{did}: a side of {d['source_surface']}, with an interior probe", same and inside)
+
+
+# ===================== section 11: case-3 subalgebra with somewhere-full rank
 
 def case3_subalgebra_counterexample():
     """A closed 4-dim subalgebra of the case-3 symmetry algebra whose
@@ -649,22 +517,13 @@ def case3_subalgebra_counterexample():
     sides, so the classification is unaffected, but the blanket claim
     that every 4-dim subalgebra is nowhere of full rank is not literally
     true. Recorded here as independent evidence."""
-    x1, x2, x3, x4 = symbols("x1:5", real=True)
-    X = [x1, x2, x3, x4]
-    P = x4 - x1 * x2 - x3**2 - x1**3
-    B1 = [-1, 3 * x1, 0, -x2]
-    B2 = [0, 1, 0, x1]
-    B3 = [0, 0, 1, 2 * x3]
-    B4 = [2 * x1, 4 * x2, 3 * x3, 6 * x4]
-    sub = [B1, B2, B3, B4]
-    tangent = all(
-        expand(sum(f[i] * sp.diff(P, X[i]) for i in range(4))) in (0,)
-        or sp.simplify(sum(f[i] * sp.diff(P, X[i]) for i in range(4)) / P).is_constant()
-        for f in sub)
-    check("case-3 counterexample: four fields tangent to the surface", tangent)
-    closed = all(in_span(bracket(a, b, X), sub, coords=X) is not None
-                 for a in sub for b in sub)
-    check("case-3 counterexample: span is bracket-closed", closed)
+    P, X, _ = surface("surface.table.3")
+    x1, x2, x3, x4 = X
+    sub = [[-1, 3 * x1, 0, -x2], [0, 1, 0, x1], [0, 0, 1, 2 * x3], [2 * x1, 4 * x2, 3 * x3, 6 * x4]]
+    check("case-3 counterexample: four fields tangent to surface.table.3",
+          all(tangent(f, P, X) for f in sub))
+    check("case-3 counterexample: span is bracket-closed",
+          all(in_span(bracket(a, b, X), sub, X) is not None for a in sub for b in sub))
     det = sp.Matrix(4, 4, lambda i, j: sub[j][i]).det()
     check("case-3 counterexample: determinant equals -6 * P",
           expand(det + 6 * P) == 0, str(expand(det)))
@@ -673,21 +532,21 @@ def case3_subalgebra_counterexample():
 # ------------------------------------------------------------------------ main
 
 def main():
-    verify_table(d_case_fields(), D_TABLE, "quartic case")
-    verify_table(c_case_fields(), C_TABLE, "cubic case")
+    verify_table("D")
+    verify_table("C")
     case3_map()
+    map_identities()
     composition_laws()
     witnesses()
     half_pseudo_ball()
     circle_action()
     isotropy_and_full_group()
     cubic_isotropy()
-    w_linear_families()
+    graph_families()
     impterms()
-    coordinate_change_d()
-    coordinate_change_c()
     isotropy_bridge()
     dimensions()
+    surfaces_and_domains()
     case3_subalgebra_counterexample()
     print(f"\n{len(PASS)} ok, {len(FAIL)} failed")
     if FAIL:

@@ -5,8 +5,9 @@ probe point and witness consumed by the verification commands lives
 here, each tagged with its provenance class:
 
 * source  - transcribed from the catalogued classification source;
-* derived - produced by the standalone oracle script
-            (scripts/derive_fixtures.py) before the engine consumed it;
+* derived - first produced by the standalone sympy oracle
+            (scripts/derive_fixtures.py), which re-checks it in the
+            committed tree (or the TUBES_FIXTURES tree);
 * direct  - trivially checkable constructions.
 
 Claims describe the mathematical assertion each fixture participates

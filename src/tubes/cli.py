@@ -111,6 +111,15 @@ def _fixture(reg, fid: str) -> Fixture:
     return reg[fid]
 
 
+def _presentation(fx: Fixture) -> LieAlgebraPresentation:
+    """The presentation of a stored field basis; a basis that is not
+    closed under bracket is bad input, not a FAIL."""
+    try:
+        return LieAlgebraPresentation.from_fields(list(fx.payload.fields))
+    except ValueError as exc:
+        raise UsageError(f"{fx.id}: {exc}") from None
+
+
 def _surface(reg, ident: str) -> Tuple[Hypersurface, str]:
     if ident in reg:
         fx = reg[ident]
@@ -240,14 +249,15 @@ def cmd_orbits(args, reg) -> List[Check]:
 
 def cmd_table(args, reg) -> List[Check]:
     case = args.case
-    fields = list(_fixture(reg, f"basis.Z.{case}").payload.fields)
+    basis_fx = _fixture(reg, f"basis.Z.{case}")
+    fields = basis_fx.payload.fields
     golden_fx = _fixture(reg, f"table.golden.{case}")
     dim = golden_fx.payload.dim
     if dim != len(fields):
         raise UsageError(f"table.golden.{case} has dimension {dim}, but basis.Z.{case} "
                          f"has {len(fields)} fields")
     golden = golden_fx.payload.coeff_map()
-    algebra = LieAlgebraPresentation.from_fields(fields)
+    algebra = _presentation(basis_fx)
     checks = []
     diffs = 0
     for i in range(dim):
@@ -538,8 +548,7 @@ def _lift_family_to_z(fam: MapFamily) -> MapFamily:
 
 def cmd_nilpotency(args, reg) -> List[Check]:
     case = args.case
-    zbasis = list(_fixture(reg, f"basis.Z.{case}").payload.fields)
-    algebra = LieAlgebraPresentation.from_fields(zbasis)
+    algebra = _presentation(_fixture(reg, f"basis.Z.{case}"))
     iso_fx = _fixture(reg, f"isospan.{case}")
     iso = iso_fx.payload
     if len(iso.vectors[0]) != algebra.dim:
@@ -687,12 +696,12 @@ def cmd_classify(args, reg) -> List[Check]:
 
     def algebra_for(fixture_id: str) -> LieAlgebraPresentation:
         """The affine symmetry algebra of a surface, or the presentation of
-        a stored basis (raises if it is not closed), built once per call."""
+        a stored basis (a usage error if it is not closed), built once per call."""
         if fixture_id not in algebra_cache:
-            payload = _fixture(reg, fixture_id).payload
+            fx = _fixture(reg, fixture_id)
             algebra_cache[fixture_id] = (
-                LieAlgebraPresentation.from_fields(list(payload.fields))
-                if fixture_id.startswith("basis.") else affine_symmetry_algebra(payload))
+                _presentation(fx) if fixture_id.startswith("basis.")
+                else affine_symmetry_algebra(fx.payload))
         return algebra_cache[fixture_id]
 
     for fid in reg.group_ids("domain"):

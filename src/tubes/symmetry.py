@@ -90,8 +90,8 @@ def satisfies(value: Rational, sense: str) -> bool:
 
 # --------------------------------------------------------------- presentations
 
-_CLOSURE = ("closure failure: [B_{}, B_{}] is outside the span; "
-            "this indicates a bug in the basis computation")
+_OUTSIDE = "[B_{}, B_{}] is outside the span"
+_CLOSURE = "closure failure: " + _OUTSIDE + "; this indicates a bug in the basis computation"
 
 
 class LieAlgebraPresentation(Record):
@@ -115,16 +115,19 @@ class LieAlgebraPresentation(Record):
     @classmethod
     def from_fields(cls, basis: Sequence[VectorField]) -> "LieAlgebraPresentation":
         """The presentation of any bracket-closed basis: each bracket of
-        two basis fields is expanded in the basis (`expand_in_fields`)."""
+        two basis fields is expanded in the basis (`expand_in_fields`). A
+        given basis that is not closed, or whose structure constants are
+        not rational, is bad input: ValueError, naming the pair."""
         basis = tuple(basis)
         pairs = list(itertools.combinations(range(len(basis)), 2))
         brackets = [lie_bracket(basis[i], basis[j]) for i, j in pairs]
         upper = {}
         for (i, j), coeffs in zip(pairs, expand_in_fields(brackets, basis)):
             if coeffs is None:
-                raise RuntimeError(_CLOSURE.format(i, j))
+                raise ValueError("the basis is not closed under bracket: "
+                                 + _OUTSIDE.format(i, j))
             if not all(c.is_real() for c in coeffs):
-                raise RuntimeError("structure constants must be rational")
+                raise ValueError(f"[B_{i}, B_{j}] has structure constants that are not rational")
             upper[i, j] = tuple((k, c.re) for k, c in enumerate(coeffs) if c.re)
         return cls(basis, _antisymmetric(len(basis), upper))
 
@@ -250,8 +253,9 @@ def _affine_structure(kernel: Sequence[Sequence[int]], n: int):
     (`scalars._div`), and only those nonzero coordinates are kept, by
     ascending index. The coordinates recombined must give the bracket
     back exactly; otherwise the span is not closed and the closure
-    RuntimeError of from_fields is raised (de Graaf, Lie Algebras: Theory
-    and Algorithms, ch. 1)."""
+    RuntimeError is raised: the kernel of a tangency solve is always
+    closed, so this is a fault of the engine, not of its input (de Graaf,
+    Lie Algebras: Theory and Algorithms, ch. 1)."""
     dim = len(kernel)
     sparse = [{col: x for col, x in enumerate(vec) if x} for vec in kernel]
     seen = Counter(col for vec in sparse for col in vec)
@@ -617,6 +621,14 @@ class TransitivityWitness(Record):
     assignment: Mapping[str, RationalFunction]
     context: RelationContext
     name: str = ""
+
+    def __post_init__(self):
+        over = self.target_vars + self.context.adjoined_symbols()
+        for sym, square in self.context.radicals:
+            foreign = [v for v in square.vars if v not in over]
+            if foreign:
+                raise ValueError(f"the radicand of {sym!r} names the variables {foreign}, "
+                                 f"outside the target variables {self.target_vars}")
 
 
 def verify_transitivity_witness(witness: TransitivityWitness,

@@ -1,8 +1,10 @@
 """Fixture store integrity: round-trips, probes, ids, tags."""
 
+import ast
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -223,14 +225,78 @@ def test_committed_fixture_tree_matches_export(tmp_path):
         assert (tmp_path / name).read_bytes() == (ROOT / "fixtures" / name).read_bytes(), name
 
 
-def test_sympy_oracle_script_passes():
+# ------------------------------------------------------------ sympy oracle
+
+ORACLE = ROOT / "scripts" / "derive_fixtures.py"
+
+
+def _run_oracle(tree=None):
+    """The oracle script run on the committed tree, or on `tree` through
+    TUBES_FIXTURES."""
     import sympy  # noqa: F401  (a missing oracle fails here instead of skipping)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "derive_fixtures.py")],
-                          capture_output=True, text=True, timeout=600)
+    env = {k: v for k, v in os.environ.items() if k != "TUBES_FIXTURES"}
+    if tree is not None:
+        env["TUBES_FIXTURES"] = str(tree)
+    return subprocess.run([sys.executable, str(ORACLE)], capture_output=True, text=True,
+                          env=env, timeout=600)
+
+
+@pytest.fixture(scope="module")
+def oracle_run():
+    return _run_oracle()
+
+
+def _index():
+    return json.loads((ROOT / "fixtures" / "index.json").read_text())["fixtures"]
+
+
+def test_sympy_oracle_script_passes(oracle_run):
+    proc = oracle_run
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     summary = re.search(r"^(\d+) ok, (\d+) failed$", proc.stdout, re.MULTILINE)
     assert summary is not None, proc.stdout[-2000:]
-    assert summary.group(2) == "0" and int(summary.group(1)) >= 53
+    assert summary.group(2) == "0" and int(summary.group(1)) >= 86
+
+
+def test_the_oracle_checks_every_derived_fixture(oracle_run):
+    named = set(re.findall(r"[\w.]+", oracle_run.stdout))
+    derived = [e["id"] for e in _index() if e["tag"] == "derived"]
+    assert len(derived) == 13 and set(derived) <= named, sorted(set(derived) - named)
+
+
+def test_every_cited_oracle_section_is_a_function_of_the_script():
+    tree = ast.parse(ORACLE.read_text())
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    cited = {name for e in _index()
+             for name in re.findall(r"\(oracle script, (\w+) section\)", e["claim"])}
+    assert len(cited) == 5 and cited <= functions, sorted(cited - functions)
+
+
+def test_the_oracle_imports_nothing_from_the_package():
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLE.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "sympy" in imported
+    assert not [name for name in imported if name.split(".")[0] == "tubes"]
+
+
+def test_the_oracle_fails_on_a_negated_golden_coefficient(tmp_path):
+    """Negative control: the tree with the first coefficient of
+    table.golden.D negated, read through TUBES_FIXTURES."""
+    tree = tmp_path / "fixtures"
+    shutil.copytree(ROOT / "fixtures", tree)
+    path = tree / "table.golden.D.json"
+    obj = json.loads(path.read_text())
+    assert obj["payload"]["entries"][0] == [1, 4, {"4": "-1"}]
+    obj["payload"]["entries"][0][2]["4"] = "1"
+    path.write_text(json.dumps(obj))
+    proc = _run_oracle(tree)
+    assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert re.findall(r"^\[FAIL\] (\S+)", proc.stdout, re.MULTILINE) == ["table.golden.D:"]
 
 
 # ------------------------------------------------------------ lazy registry

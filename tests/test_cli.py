@@ -245,6 +245,18 @@ def _renamed_component(obj):
     obj["payload"]["components"] = {("q1" if k == "z1" else k): v for k, v in comps.items()}
 
 
+def _raised_exponent(field, component):
+    """An edit that adds 7 to the first exponent of the first term of one
+    component of one field of a basis."""
+    def edit(obj):
+        obj["payload"]["fields"][field]["components"][component]["terms"][0]["e"][0] += 7
+    return edit
+
+
+def _foreign_radicand(obj):
+    obj["payload"]["context"]["radicals"][0]["square"]["vars"][0] = "q9"
+
+
 def _set(*path, value):
     """An edit that sets the payload value at `path` to `value`."""
     def edit(obj):
@@ -296,6 +308,10 @@ BAD_TREES = {
     "antiname": ("map.case3.derived", _set("target_anti", 0, value="q1b")),
     "targetvar": ("map.case3.derived", _set("target", "vars", 0, value="q1")),
     "compname": ("map.case3.derived", _renamed_component),
+    # field 8 of basis.Z.D has the z2 component 2 z1 + 2 z2 - 2 z4
+    "notclosed": ("basis.Z.D", _raised_exponent(7, 1)),
+    "hpbopen": ("basis.half_pseudo_ball.quadric", _raised_exponent(0, 0)),
+    "foreignrad": ("witness.C.lt", _foreign_radicand),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -449,6 +465,18 @@ BAD_INDEXES = {
     (["TUBES_FIXTURES={tmp}/compname", "verify-map", "--id", "map.case3.derived"],
      "'{tmp}/compname': ValueError: the components give ('q1', 'z2', 'z3', 'z4'), not the "
      "target's holomorphic variables ('z1', 'z2', 'z3', 'z4')"),
+    (["TUBES_FIXTURES={tmp}/notclosed", "table", "--case", "D"],
+     "basis.Z.D: the basis is not closed under bracket: [B_0, B_7] is outside the span"),
+    (["TUBES_FIXTURES={tmp}/notclosed", "nilpotency", "--case", "D"],
+     "basis.Z.D: the basis is not closed under bracket: [B_0, B_7] is outside the span"),
+    (["TUBES_FIXTURES={tmp}/hpbopen", "classify"],
+     "basis.half_pseudo_ball.quadric: the basis is not closed under bracket: [B_0, B_2] is "
+     "outside the span"),
+    (["TUBES_FIXTURES={tmp}/foreignrad", "witness", "--id", "witness.C.lt"],
+     "'{tmp}/foreignrad': ValueError: the radicand of 'rho' names the variables ['q9'], "
+     "outside the target variables ('x1_0', 'x2_0', 'x3_0', 'x4_0')"),
+    (["TUBES_FIXTURES={tmp}/foreignrad", "classify"],
+     "'{tmp}/foreignrad': ValueError: the radicand of 'rho' names the variables ['q9'], "),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
