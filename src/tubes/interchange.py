@@ -106,10 +106,13 @@ def poly_to_obj(p: MultiPoly) -> Dict:
 def poly_from_obj(obj: Mapping) -> MultiPoly:
     names = _typed(obj["vars"], list)
     "".join(names)  # a TypeError unless every name is a str
+    terms = []
+    for record in obj["terms"]:
+        c = record["c"] if "c" in record else record
+        # a real coefficient goes to the constructor as a plain rational
+        terms.append((record["e"], frac_from_str(c) if type(c) is str else gauss_from_obj(c)))
     # the constructor checks each (exponents, coefficient) pair as it reads it
-    return MultiPoly(tuple(names), [
-        (record["e"], gauss_from_obj(record["c"] if "c" in record else record))
-        for record in obj["terms"]])
+    return MultiPoly(tuple(names), terms)
 
 
 def ratfun_to_obj(f: RationalFunction) -> Dict:

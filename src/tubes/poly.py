@@ -1,10 +1,17 @@
 """Sparse exact multivariate polynomials and rational functions.
 
-A polynomial stores an ordered variable tuple and a dict mapping term
-keys to nonzero GaussianRational coefficients. Binary operations insist
-that the variable tuples match exactly; the package juggles several
-coordinate systems (x, z, w and their conjugates) and silent mixing would
-be a correctness hazard.
+A polynomial stores an ordered variable tuple and two term dicts that
+map term keys to nonzero canonical rationals: `re_terms`, the real
+parts of its coefficients, and `im_terms`, the imaginary parts, empty
+for a real polynomial. Every operation works part by part and skips an
+empty imaginary part, so a polynomial costs what the ring of its data
+costs. GaussianRational is the scalar of the public edges only (`coeff`,
+`const_coeff`, `leading`, `sorted_terms`, `lone_linear_terms`,
+`coefficient_lists`, `coefficient_columns`, `eval_at`, `__str__`, and
+`terms`, which boxes every coefficient for code outside the package).
+Binary operations insist that the variable tuples match exactly; the
+package juggles several coordinate systems (x, z, w and their
+conjugates) and silent mixing would be a correctness hazard.
 
 A term key packs the exponents of a monomial into one int (Monagan &
 Pearce, CASC 2007): over n variables, the exponent of variable i is the
@@ -30,17 +37,17 @@ is kept and moves into the target universe by the runs of `_moves`.
 
 Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
-trusted `_poly`, which takes over a dict the engine built. Sums of many
-polynomials accumulate into one dict (`poly_sum`, `_add_into`), and an
-exact division works on one remainder dict (`poly_div_exact`). A point
-value (`eval_at`) is read straight off the term keys, without building
-a polynomial.
+trusted `_poly`, which takes over dicts the engine built. Sums of many
+polynomials accumulate into one dict per part (`poly_sum`, `_add_into`),
+and an exact division works on one remainder dict per part
+(`poly_div_exact`). A point value (`eval_at`) is read straight off the
+term keys, without building a polynomial.
 
 Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed. Their
 truncated expansions (`series_expand`) share one inverse of the
 denominator, built coefficient by coefficient from the recurrence of a
-power series reciprocal, in plain (re, im) parts like `_product`. They
+power series reciprocal, in plain (re, im) parts. They
 come back as N times the true expansions, for one real rational N that
 is returned with them and never divided back here: N is a power of
 den(0), or of |den(0)|^2, and an integer for an integer denominator.
@@ -51,33 +58,55 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import ONE, ZERO, GaussianRational, Rational, ScalarLike, _canon, _div, _gr
+from .scalars import ZERO, GaussianRational, Rational, ScalarLike, _canon, _div, _gr
 
 # an exponent tuple, as the public edges take and give monomials
 Exponents = Tuple[int, ...]
+# one part of a polynomial: {term key: nonzero canonical rational}
+Terms = Dict[int, Rational]
 # the largest total degree a term key holds
 MAX_DEGREE = 255
+# the imaginary part of every real polynomial: one shared, read-only empty part
+_NO_TERMS = MappingProxyType({})
+
+
+def _items(re_terms: Terms, im_terms: Terms) -> Iterator[Tuple[int, Rational, Rational]]:
+    """(key, re, im) per term: the keys of re_terms, then those only in im_terms."""
+    for k, c in re_terms.items():
+        yield k, c, im_terms.get(k, 0) if im_terms else 0
+    for k, c in im_terms.items():
+        if k not in re_terms:
+            yield k, 0, c
+
+
+def _boxed(p: MultiPoly) -> Dict[int, GaussianRational]:
+    """{term key: coefficient} of p, each coefficient boxed."""
+    return {k: _gr(re, im) for k, re, im in _items(p.re_terms, p.im_terms)}
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "re_terms", "im_terms")
 
     def __init__(self, variables: Sequence[str],
                  terms: Union[Mapping[Exponents, ScalarLike],
                               List[Tuple[Sequence[int], ScalarLike]], None] = None):
         """The polynomial over `variables` with these terms: a mapping from
         exponent tuples to coefficients, or a list of (exponents, coefficient)
-        pairs, of which a later pair for the same exponents replaces an earlier
-        one, as in a dict. Raises ValueError for an exponent vector of the
-        wrong width or with an entry that is not a nonnegative int, and
-        OverflowError for a term of total degree above MAX_DEGREE."""
+        pairs in which no exponent vector occurs twice. Raises ValueError for
+        an exponent vector of the wrong width, with an entry that is not a
+        nonnegative int, or listed twice, and OverflowError for a term of
+        total degree above MAX_DEGREE."""
         self.vars: Tuple[str, ...] = _distinct(variables)
-        clean: Dict[int, GaussianRational] = {}
+        re: Terms = {}
+        im: Terms = {}
         if terms:
             width = len(self.vars)
-            for exps, coeff in terms if type(terms) is list else terms.items():
+            listed = type(terms) is list
+            seen = set()
+            for exps, coeff in terms if listed else terms.items():
                 exps = tuple(exps)
                 if len(exps) != width:
                     raise ValueError(f"exponent vector {exps} does not match variables {self.vars}")
@@ -93,13 +122,21 @@ class MultiPoly:
                 if degree > MAX_DEGREE:
                     raise OverflowError(f"total degree {degree} of the term {exps} exceeds "
                                         f"{MAX_DEGREE}, the most a term key holds")
-                c = coeff if type(coeff) is GaussianRational else GaussianRational.coerce(coeff)
                 key = degree << 8 * width | int.from_bytes(fields, "big")
-                if c.re or c.im:
-                    clean[key] = c
-                else:
-                    clean.pop(key, None)
-        self.terms = clean
+                if listed:
+                    if key in seen:
+                        raise ValueError(f"exponent vector {exps} is listed twice")
+                    seen.add(key)
+                r, i = _parts(coeff)
+                if r:
+                    re[key] = r
+                if i:
+                    im[key] = i
+        self.re_terms = re
+        self.im_terms = im or _NO_TERMS
+
+    # {term key: GaussianRational}, boxed on each read, for code outside the package
+    terms = property(_boxed)
 
     # ---------------------------------------------------------------- basics
 
@@ -109,9 +146,8 @@ class MultiPoly:
 
     @staticmethod
     def const(variables: Sequence[str], value: ScalarLike) -> "MultiPoly":
-        v = tuple(variables)
-        c = GaussianRational.coerce(value)
-        return _poly(v, {0: c} if c else {})
+        r, i = _parts(value)
+        return _poly(tuple(variables), {0: r} if r else {}, {0: i} if i else {})
 
     @staticmethod
     def var(variables: Sequence[str], name: str) -> "MultiPoly":
@@ -119,23 +155,25 @@ class MultiPoly:
         if name not in v:
             raise ValueError(f"variable {name!r} not among {v}")
         n = len(v)
-        return _poly(v, {(1 << 8 * n) + (1 << 8 * (n - 1 - v.index(name))): ONE})
+        return _poly(v, {(1 << 8 * n) + (1 << 8 * (n - 1 - v.index(name))): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.re_terms and not self.im_terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.re_terms) or bool(self.im_terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.vars == other.vars and self.terms == other.terms
+            return (self.vars == other.vars and self.re_terms == other.re_terms
+                    and self.im_terms == other.im_terms)
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self == MultiPoly.const(self.vars, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.re_terms.items()),
+                     frozenset(self.im_terms.items())))
 
     def _check_same_vars(self, other: "MultiPoly") -> None:
         if self.vars != other.vars:
@@ -149,12 +187,16 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_vars(other)
-        return _poly(self.vars, _add_into(dict(self.terms), other.terms))
+        ai, bi = self.im_terms, other.im_terms
+        return _poly(self.vars, _add_into(dict(self.re_terms), other.re_terms),
+                     _add_into(dict(ai), bi) if ai or bi else {})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
+        im = self.im_terms
+        return _poly(self.vars, {e: -c for e, c in self.re_terms.items()},
+                     {e: -c for e, c in im.items()} if im else {})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -168,14 +210,20 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.coerce(other)
-            if not c:
+            r, i = _parts(other)
+            if i:
+                return _poly(self.vars, *_product(self.re_terms, self.im_terms,
+                                                  {0: r} if r else {}, {0: i}, None))
+            if not r:
                 return MultiPoly.zero(self.vars)
-            return _poly(self.vars, {e: k * c for e, k in self.terms.items()})
+            im = self.im_terms
+            return _poly(self.vars, _shifted(self.re_terms, 0, r, None),
+                         _shifted(im, 0, r, None) if im else {})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_vars(other)
-        return _poly(self.vars, _product(self.terms, other.terms, None))
+        return _poly(self.vars, *_product(self.re_terms, self.im_terms,
+                                          other.re_terms, other.im_terms, None))
 
     __rmul__ = __mul__
 
@@ -196,7 +244,7 @@ class MultiPoly:
     def used_vars(self) -> Tuple[str, ...]:
         # a field of the OR of all keys is nonzero where some key's is
         seen = 0
-        for k in self.terms:
+        for k in [*self.re_terms, *self.im_terms]:
             seen |= k
         n = len(self.vars)
         return tuple(v for i, v in enumerate(self.vars) if seen >> 8 * (n - 1 - i) & 255)
@@ -204,17 +252,18 @@ class MultiPoly:
     def degree(self, name: Optional[str] = None) -> int:
         """The total degree of self, or its degree in the variable `name`;
         0 for the zero polynomial."""
-        if not self.terms:
+        if not self:
             return 0
         n = len(self.vars)
+        keys = _keys(self)
         if name is None:
-            return max(self.terms) >> 8 * n
+            return max(keys) >> 8 * n
         shift = 8 * (n - 1 - self.vars.index(name))
-        return max(k >> shift & 255 for k in self.terms)
+        return max(k >> shift & 255 for k in keys)
 
     def is_real(self) -> bool:
         """Whether every coefficient is real."""
-        return all(c.is_real() for c in self.terms.values())
+        return not self.im_terms
 
     def coeff(self, exps: Exponents) -> GaussianRational:
         exps = tuple(exps)
@@ -224,22 +273,26 @@ class MultiPoly:
             key = int.from_bytes(bytes((sum(exps), *exps)), "big")
         except ValueError:  # no term key holds this monomial
             return ZERO
-        return self.terms.get(key, ZERO)
+        return _gr(self.re_terms.get(key, 0), self.im_terms.get(key, 0))
 
     def const_coeff(self) -> GaussianRational:
-        return self.terms.get(0, ZERO)
+        return _gr(self.re_terms.get(0, 0), self.im_terms.get(0, 0))
 
     def sorted_terms(self) -> List[Tuple[Exponents, GaussianRational]]:
         """Terms in graded-lexicographic order, highest first."""
         n = len(self.vars)
+        if not self.im_terms:
+            return [(tuple(k.to_bytes(n + 1, "big")[1:]), _gr(c, 0))
+                    for k, c in sorted(self.re_terms.items(), reverse=True)]
         return [(tuple(k.to_bytes(n + 1, "big")[1:]), c)
-                for k, c in sorted(self.terms.items(), reverse=True)]
+                for k, c in sorted(_boxed(self).items(), reverse=True)]
 
     def leading(self) -> Tuple[Exponents, GaussianRational]:
-        if not self.terms:
+        if not self:
             raise ValueError("zero polynomial has no leading term")
-        k = max(self.terms)
-        return tuple(k.to_bytes(len(self.vars) + 1, "big")[1:]), self.terms[k]
+        k = max(_keys(self))
+        return (tuple(k.to_bytes(len(self.vars) + 1, "big")[1:]),
+                _gr(self.re_terms.get(k, 0), self.im_terms.get(k, 0)))
 
     def lone_linear_terms(self) -> Dict[str, GaussianRational]:
         """{v: c} for each variable v that occurs in one term of self only,
@@ -249,11 +302,11 @@ class MultiPoly:
         lows = int.from_bytes(b"\x01" * n, "big")
         seen = repeated = 0
         linear = {}
-        for k, c in self.terms.items():
+        for k, re, im in _items(self.re_terms, self.im_terms):
             x = k & fields
             if k >> 8 * n == 1:
                 # one field holds 1: x is the low bit of its byte
-                linear[x] = c
+                linear[x] = (re, im)
             # the low bit of each byte, set where the byte is nonzero
             x |= x >> 4
             x |= x >> 2
@@ -261,7 +314,7 @@ class MultiPoly:
             x &= lows
             repeated |= seen & x
             seen |= x
-        return {self.vars[n - 1 - (x.bit_length() - 1) // 8]: c
+        return {self.vars[n - 1 - (x.bit_length() - 1) // 8]: _gr(*c)
                 for x, c in linear.items() if not x & repeated}
 
     def coefficient_lists(self, name: str) -> Dict[int, List[GaussianRational]]:
@@ -272,7 +325,7 @@ class MultiPoly:
         shift = 8 * (len(self.vars) - 1 - self.vars.index(name))
         unit = (1 << 8 * len(self.vars)) + (1 << shift)
         grouped: Dict[int, Dict[int, GaussianRational]] = {}
-        for k, c in self.terms.items():
+        for k, c in _boxed(self).items():
             e = k >> shift & 255
             grouped.setdefault(k - e * unit, {})[e] = c
         lists = {}
@@ -290,8 +343,8 @@ class MultiPoly:
         `name` that coefficient_lists gives; zero entries are skipped."""
         v = tuple(variables)
         unit = variable_keys(v)[v.index(name)]
-        return _poly(v, {rest + e * unit: c for rest, part in lists.items()
-                         for e, c in enumerate(part) if c})
+        terms = [(rest + e * unit, c) for rest, part in lists.items() for e, c in enumerate(part)]
+        return _poly(v, {k: c.re for k, c in terms if c.re}, {k: c.im for k, c in terms if c.im})
 
     # ------------------------------------------------------------- calculus
 
@@ -299,12 +352,15 @@ class MultiPoly:
         shift = 8 * (len(self.vars) - 1 - self.vars.index(name))
         unit = (1 << 8 * len(self.vars)) + (1 << shift)
         # distinct keys stay distinct, so no two terms meet
-        terms = {}
-        for k, c in self.terms.items():
-            e = k >> shift & 255
-            if e:
-                terms[k - unit] = c * e
-        return _poly(self.vars, terms)
+        parts = []
+        for terms in (self.re_terms, self.im_terms):
+            out = {}
+            for k, c in terms.items():
+                e = k >> shift & 255
+                if e:
+                    out[k - unit] = c * e if type(c) is int else _canon(c * e)
+            parts.append(out)
+        return _poly(self.vars, *parts)
 
     # ------------------------------------------------------- transformations
 
@@ -317,10 +373,12 @@ class MultiPoly:
         for v in self.used_vars():
             if v not in newvars:
                 raise ValueError(f"variable {v!r} is used but absent from {newvars}")
-        return _poly(newvars, _moved(self.terms, self.vars, newvars))
+        return _poly(newvars, _moved(self.re_terms, self.vars, newvars),
+                     _moved(self.im_terms, self.vars, newvars))
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        return _poly(_distinct(mapping.get(v, v) for v in self.vars), dict(self.terms))
+        return _poly(_distinct(mapping.get(v, v) for v in self.vars),
+                     dict(self.re_terms), dict(self.im_terms))
 
     def subs_poly(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Polynomial substitution. Values must share one variable tuple;
@@ -343,29 +401,35 @@ class MultiPoly:
         result lives over the remaining variables, in order. Names that
         are not variables of self are ignored."""
         n = len(self.vars)
-        # each fixed variable's field shift and the powers of its value
-        fixed = [(8 * (n - 1 - i), [ONE, GaussianRational.coerce(values[v])])
-                 for i, v in enumerate(self.vars) if v in values]
+        tables = [(8 * (n - 1 - i), [None, _parts(values[v])])
+                  for i, v in enumerate(self.vars) if v in values]
         rest = tuple(v for v in self.vars if v not in values)
         m = len(rest)
         runs = _moves(self.vars, rest)
-        acc: Dict[int, GaussianRational] = {}
-        for k, c in self.terms.items():
-            degree = k >> 8 * n
-            for shift, pows in fixed:
-                e = k >> shift & 255
-                if e:
-                    while len(pows) <= e:
-                        pows.append(pows[-1] * pows[1])
-                    c = c * pows[e]
-                    degree -= e
-            if c:
+        acc_re: Terms = {}
+        acc_im: Terms = {}
+        for side, terms in enumerate((self.re_terms, self.im_terms)):
+            for k, c in terms.items():
+                re, im = (0, c) if side else (c, 0)
+                degree = k >> 8 * n
+                for shift, pows in tables:
+                    e = k >> shift & 255
+                    if e:
+                        if len(pows) <= e:
+                            _extend(pows, e)
+                        x, y = pows[e]
+                        re, im = (re * x - im * y, re * y + im * x) if im or y else (re * x, 0)
+                        degree -= e
                 key = degree << 8 * m
                 for shift, mask, to in runs:
                     key |= (k >> shift & mask) << to
-                s = acc.get(key)
-                acc[key] = c if s is None else s + c
-        return _poly(rest, {k: c for k, c in acc.items() if c})
+                if re:
+                    s = acc_re.get(key)
+                    acc_re[key] = re if s is None else s + re
+                if im:
+                    s = acc_im.get(key)
+                    acc_im[key] = im if s is None else s + im
+        return _poly(rest, _canonical(acc_re), _canonical(acc_im))
 
     def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
         """The value of self at a point, a mapping that must hold every
@@ -374,9 +438,14 @@ class MultiPoly:
         power table per used variable; no polynomial is built. Raises
         ValueError naming the first used variable, in variable order,
         that the point lacks."""
+        re_terms, im_terms = self.re_terms, self.im_terms
+        if not re_terms and not im_terms:
+            return ZERO
         n = len(self.vars)
         seen = 0
-        for k in self.terms:
+        for k in re_terms:
+            seen |= k
+        for k in im_terms:
             seen |= k
         # (field shift, powers of the value as (re, im) parts) per used variable
         tables = []
@@ -385,30 +454,20 @@ class MultiPoly:
             if seen >> shift & 255:
                 if v not in point:
                     raise ValueError(f"no value supplied for variable {v!r}")
-                value = GaussianRational.coerce(point[v])
-                tables.append((shift, [None, (value.re, value.im)]))
-        total_re = total_im = 0
-        for k, c in self.terms.items():
-            re, im = c.re, c.im
-            for shift, pows in tables:
-                e = k >> shift & 255
-                if e:
-                    while len(pows) <= e:
-                        (a, b), (p, q) = pows[-1], pows[1]
-                        pows.append((a * p - b * q, a * q + b * p) if b or q else (a * p, 0))
-                    x, y = pows[e]
-                    if im or y:
-                        re, im = re * x - im * y, re * y + im * x
-                    else:
-                        re = re * x
-            total_re += re
-            total_im += im
-        return _gr(_canon(total_re), _canon(total_im))
+                tables.append((shift, [None, _parts(point[v])]))
+        re, im = _part_value(re_terms, tables)
+        if im_terms:
+            # the imaginary part's value, times i
+            x, y = _part_value(im_terms, tables)
+            re, im = re - y, im + x
+        return _gr(_canon(re), _canon(im))
 
     def truncate(self, cutoff: int) -> "MultiPoly":
         # total degree <= cutoff exactly when the key is below this one
         limit = cutoff + 1 << 8 * len(self.vars)
-        return _poly(self.vars, {k: c for k, c in self.terms.items() if k < limit})
+        im = self.im_terms
+        return _poly(self.vars, {k: c for k, c in self.re_terms.items() if k < limit},
+                     {k: c for k, c in im.items() if k < limit} if im else {})
 
     # ----------------------------------------------------- conjugation, split
 
@@ -428,17 +487,11 @@ class MultiPoly:
         unpaired = [v for v in self.used_vars() if v not in pairing]
         if unpaired:
             raise ValueError(f"unpaired variables in conjugation: {unpaired}")
-        n = len(self.vars)
         # the pairing is an involution, so each variable moves to the
         # position of its partner
-        runs = _moves(self.vars, tuple(pairing.get(v, v) for v in self.vars))
-        terms: Dict[int, GaussianRational] = {}
-        for k, c in self.terms.items():
-            key = k >> 8 * n << 8 * n
-            for shift, mask, to in runs:
-                key |= (k >> shift & mask) << to
-            terms[key] = c.conjugate()
-        return _poly(self.vars, terms)
+        swapped = tuple(pairing.get(v, v) for v in self.vars)
+        return _poly(self.vars, _moved(self.re_terms, self.vars, swapped),
+                     {k: -c for k, c in _moved(self.im_terms, self.vars, swapped).items()})
 
     def bidegree_split(self, holo_vars: Sequence[str], anti_vars: Sequence[str]):
         """Split into bihomogeneous parts keyed by (holo degree, anti degree)."""
@@ -455,11 +508,16 @@ class MultiPoly:
         # it; no partial sum exceeds the total degree, so none carries
         lows = int.from_bytes(b"\x01" * n, "big")
         at = 8 * max(n - 1, 0)
-        parts: Dict[Tuple[int, int], Dict[int, GaussianRational]] = {}
-        for k, c in self.terms.items():
-            h = (k & hmask) * lows >> at & 255
-            parts.setdefault((h, (k >> 8 * n) - h), {})[k] = c
-        return {key: _poly(self.vars, terms) for key, terms in parts.items()}
+        parts: Dict[Tuple[int, int], Tuple[Terms, Terms]] = {}
+        for side, terms in enumerate((self.re_terms, self.im_terms)):
+            for k, c in terms.items():
+                h = (k & hmask) * lows >> at & 255
+                key = (h, (k >> 8 * n) - h)
+                part = parts.get(key)
+                if part is None:
+                    part = parts[key] = ({}, {})
+                part[side][k] = c
+        return {key: _poly(self.vars, *part) for key, part in parts.items()}
 
     def split_by_vars(self, group: Sequence[str]):
         """Group terms by their exponents in `group`; values are polynomials
@@ -469,17 +527,19 @@ class MultiPoly:
         idxs = [self.vars.index(v) for v in group]
         gmask = _field_mask(n, idxs)
         # under the group's fields of a key: (their exponent tuple, their
-        # key as a monomial, the stripped terms)
-        parts: Dict[int, Tuple[Exponents, int, Dict[int, GaussianRational]]] = {}
-        for k, c in self.terms.items():
-            g = k & gmask
-            part = parts.get(g)
-            if part is None:
-                fields = g.to_bytes(n, "big")
-                part = parts[g] = (tuple(fields[i] for i in idxs), g + (sum(fields) << 8 * n), {})
-            # the key and the stripped exponents together give back k
-            part[2][k - part[1]] = c
-        return {key: _poly(self.vars, terms) for key, _, terms in parts.values()}
+        # key as a monomial, the stripped real and imaginary parts)
+        parts: Dict[int, Tuple[Exponents, int, Terms, Terms]] = {}
+        for side, terms in enumerate((self.re_terms, self.im_terms), 2):
+            for k, c in terms.items():
+                g = k & gmask
+                part = parts.get(g)
+                if part is None:
+                    fields = g.to_bytes(n, "big")
+                    part = parts[g] = (tuple(fields[i] for i in idxs),
+                                       g + (sum(fields) << 8 * n), {}, {})
+                # the key and the stripped exponents together give back k
+                part[side][k - part[1]] = c
+        return {key: _poly(self.vars, re, im) for key, _, re, im in parts.values()}
 
     # ---------------------------------------------------------------- output
 
@@ -487,15 +547,19 @@ class MultiPoly:
         """The terms, highest first, each as its coefficient times the
         variables it uses. A key's variables are read off its nonzero
         exponent fields, highest (variable 0) first, so a term costs its
-        own variables, not all of self's."""
-        if not self.terms:
+        own variables, not all of self's. A real coefficient prints as
+        its rational."""
+        if not self:
             return "0"
         n = len(self.vars)
         names = self.vars[::-1]  # names[b] owns the exponent field at byte b
         fields = (1 << 8 * n) - 1
+        re_terms, im_terms = self.re_terms, self.im_terms
         bits = []
-        for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
+        for k in sorted(_keys(self), reverse=True):
+            c = re_terms.get(k, 0)
+            if im_terms and k in im_terms:
+                c = _gr(c, im_terms[k])
             x = k & fields
             factors = []
             while x:
@@ -506,7 +570,7 @@ class MultiPoly:
             mono = "*".join(factors)
             if not mono:
                 bits.append(str(c))
-            elif c == ONE:
+            elif c == 1:
                 bits.append(mono)
             else:
                 bits.append(f"{c}*{mono}")
@@ -523,7 +587,7 @@ class Powers:
     __slots__ = ("_pows",)
 
     def __init__(self, base: MultiPoly):
-        self._pows = [_poly(base.vars, {0: ONE}), base]
+        self._pows = [_poly(base.vars, {0: 1}), base]
 
     def __getitem__(self, k: int) -> MultiPoly:
         pows = self._pows
@@ -547,20 +611,66 @@ def subs_each(polys: Sequence[MultiPoly], name: str, value: MultiPoly) -> List[M
     for p in polys:
         if p.vars != variables:
             raise ValueError(f"variable mismatch: {variables} vs {p.vars}")
-        if any(k & mask for k in p.terms):
-            p = _poly(variables, _horner(p.terms, chain, 0, None))
+        if any(k & mask for k in [*p.re_terms, *p.im_terms]):
+            p = _poly(variables, *_horner(p.re_terms, p.im_terms, chain, 0, None))
         out.append(p)
     return out
 
 
-def _poly(variables: Tuple[str, ...], terms: Dict[int, GaussianRational]) -> MultiPoly:
-    """Trusted constructor: takes over `terms`, whose keys must be term
-    keys over `variables` and whose coefficients must be nonzero
-    GaussianRationals, without checking either."""
+def _poly(variables: Tuple[str, ...], re_terms: Terms,
+          im_terms: Optional[Terms] = None) -> MultiPoly:
+    """Trusted constructor: takes over the parts, unchecked: term keys over
+    `variables` to nonzero canonical rationals, im_terms empty or None."""
     p = object.__new__(MultiPoly)
     p.vars = variables
-    p.terms = terms
+    p.re_terms = re_terms
+    p.im_terms = im_terms or _NO_TERMS
     return p
+
+
+def _parts(value: ScalarLike) -> Tuple[Rational, Rational]:
+    """The canonical (re, im) parts of a scalar, boxing no int or Fraction."""
+    kind = type(value)
+    if kind is int:
+        return value, 0
+    if kind is not GaussianRational:
+        if kind is Fraction:
+            return _canon(value), 0
+        value = GaussianRational.coerce(value)
+    return value.re, value.im
+
+
+def _keys(p: MultiPoly):
+    """The term keys of p."""
+    return p.re_terms.keys() | p.im_terms.keys() if p.im_terms else p.re_terms.keys()
+
+
+def _part_value(terms: Terms, tables) -> Tuple[Rational, Rational]:
+    """The (re, im) value of one part at a point given by tables, a
+    (field shift, [None, (re, im) of the value, ...]) pair per variable."""
+    total_re = total_im = 0
+    for k, c in terms.items():
+        re, im = c, 0
+        for shift, pows in tables:
+            e = k >> shift & 255
+            if e:
+                if len(pows) <= e:
+                    _extend(pows, e)
+                x, y = pows[e]
+                if im or y:
+                    re, im = re * x - im * y, re * y + im * x
+                else:
+                    re = re * x
+        total_re += re
+        total_im += im
+    return total_re, total_im
+
+
+def _extend(pows: List, e: int) -> None:
+    """Extend a table [None, (re, im) of a value, its square, ...] to e."""
+    while len(pows) <= e:
+        (a, b), (x, y) = pows[-1], pows[1]
+        pows.append((a * x - b * y, a * y + b * x) if b or y else (a * x, 0))
 
 
 def _distinct(variables: Iterable[str]) -> Tuple[str, ...]:
@@ -612,22 +722,36 @@ def coefficient_columns(columns: Sequence[Sequence[MultiPoly]]) -> List[List[Gau
     monomial) that occurs in any of them, in first-seen order, ZERO where
     the column has no such term."""
     support: Dict[Tuple[int, int], int] = {}
+    # each column's boxed coefficients under (position, key)
+    boxed = []
     for column in columns:
+        col = {}
         for i, p in enumerate(column):
-            for k in p.terms:
-                support.setdefault((i, k), len(support))
+            re_terms, im_terms = p.re_terms, p.im_terms
+            for k, c in re_terms.items():
+                col[i, k] = _gr(c, im_terms.get(k, 0) if im_terms else 0)
+            for k, c in im_terms.items():
+                if k not in re_terms:
+                    col[i, k] = _gr(0, c)
+        for key in col:
+            if key not in support:
+                support[key] = len(support)
+        boxed.append(col)
     out = []
-    for column in columns:
+    for col in boxed:
         coords = [ZERO] * len(support)
-        for i, p in enumerate(column):
-            for k, c in p.terms.items():
-                coords[support[(i, k)]] = c
+        for key, z in col.items():
+            coords[support[key]] = z
         out.append(coords)
     return out
 
 
-def _add_into(acc: Dict[int, GaussianRational],
-              terms: Mapping[int, GaussianRational]) -> Dict[int, GaussianRational]:
+def _canonical(acc: Dict[int, Rational]) -> Terms:
+    """The nonzero plain int/Fraction sums of acc, in canonical form."""
+    return {k: v if type(v) is int else _canon(v) for k, v in acc.items() if v}
+
+
+def _add_into(acc: Terms, terms: Terms) -> Terms:
     """Add terms into the dict acc in place, dropping sums that cancel;
     returns acc."""
     for e, c in terms.items():
@@ -637,36 +761,51 @@ def _add_into(acc: Dict[int, GaussianRational],
         else:
             s = s + c
             if s:
-                acc[e] = s
+                acc[e] = s if type(s) is int else _canon(s)
             else:
                 del acc[e]
     return acc
 
 
+def _shifted(terms: Terms, shift: int, u: Rational, limit: Optional[int]) -> Terms:
+    """terms times the term u * (monomial of key shift), below limit: keys
+    only move, and a field has no zero divisors, so no term cancels."""
+    if u == 1:
+        return {k + shift: c for k, c in terms.items() if limit is None or k + shift < limit}
+    return {k + shift: x if type(x := c * u) is int else _canon(x) for k, c in terms.items()
+            if limit is None or k + shift < limit}
+
+
 def poly_sum(variables: Sequence[str], polys: Iterable[MultiPoly]) -> MultiPoly:
-    """The sum of polys, all over `variables`, accumulated in one dict."""
+    """The sum of polys, all over `variables`, in one dict per part."""
     v = tuple(variables)
-    acc: Dict[int, GaussianRational] = {}
+    acc_re: Terms = {}
+    acc_im: Terms = {}
     for p in polys:
         if p.vars != v:
             raise ValueError(f"variable mismatch: {v} vs {p.vars}")
-        _add_into(acc, p.terms)
-    return _poly(v, acc)
+        if p.re_terms:
+            _add_into(acc_re, p.re_terms)
+        if p.im_terms:
+            _add_into(acc_im, p.im_terms)
+    return _poly(v, acc_re, acc_im)
 
 
 def denominator_lcm(*polys: MultiPoly) -> int:
     """The least common multiple of the denominators of the real and
     imaginary parts of every coefficient of polys: multiplied by it, each
     has Gaussian-integer coefficients."""
-    return lcm(*{x.denominator for p in polys for c in p.terms.values() for x in (c.re, c.im)})
+    return lcm(*{x.denominator for p in polys for terms in (p.re_terms, p.im_terms)
+                 for x in terms.values()})
 
 
-def _moved(terms: Mapping[int, GaussianRational], src: Tuple[str, ...],
-           dst: Tuple[str, ...]) -> Dict[int, GaussianRational]:
+def _moved(terms: Terms, src: Tuple[str, ...], dst: Tuple[str, ...]) -> Terms:
     """The terms, keyed over src, rekeyed over dst by the runs of _moves."""
+    if not terms:
+        return {}
     n, m = len(src), len(dst)
     runs = _moves(src, dst)
-    out: Dict[int, GaussianRational] = {}
+    out: Terms = {}
     for k, c in terms.items():
         key = k >> 8 * n << 8 * m
         for shift, mask, to in runs:
@@ -692,9 +831,10 @@ def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
     exponent, and the variables split later, whose powers multiply once
     per part, have the smaller images."""
     order = sorted(images, key=lambda i: (-_image_size(images[i]), i))
-    terms = _horner(p.terms, [_chain(len(p.vars), i, images[i]) for i in order], 0,
-                    None if target == p.vars else (p.vars, target))
-    return _poly(target, dict(terms) if terms is p.terms else terms)
+    re, im = _horner(p.re_terms, p.im_terms, [_chain(len(p.vars), i, images[i]) for i in order],
+                     0, None if target == p.vars else (p.vars, target))
+    return _poly(target, dict(re) if re is p.re_terms else re,
+                 dict(im) if im is p.im_terms else im)
 
 
 def _chain(width: int, idx: int, image):
@@ -706,37 +846,58 @@ def _chain(width: int, idx: int, image):
 
 def _image_size(image) -> int:
     num, den, top = image
-    return len(num[1].terms) * (len(den[1].terms) if top else 1)
+    return len(_keys(num[1])) * (len(_keys(den[1])) if top else 1)
 
 
-def _horner(terms: Dict[int, GaussianRational], chains, level: int,
-            move: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]]) -> Dict[int, GaussianRational]:
-    """The terms of _compose over chains[level:] for `terms`, whose
-    exponents on the variables of chains[:level] are 0: Horner's rule,
-    one mapped variable per level. The terms are split by its exponent k
-    with a shift and a mask, each part is composed over the levels left
-    and multiplied once by num[k] * den[top - k]. A part with every mapped
-    exponent split off is rekeyed by move, a (src, dst) pair of variable
-    tuples, or returned as it is when move is None (`terms` itself when
-    there is no level). A module-level function, not a closure, so a
-    call leaves no reference cycle holding the Powers caches."""
-    if level == len(chains):
-        return terms if move is None else _moved(terms, *move)
-    shift, unit, num, den, top = chains[level]
-    split: Dict[int, Dict[int, GaussianRational]] = {}
+def _split(terms: Terms, shift: int, unit: int) -> Dict[int, Terms]:
+    """One part grouped by the exponent at this field shift, taken off
+    each key (unit is the variable's key)."""
+    parts: Dict[int, Terms] = {}
     for k, c in terms.items():
         e = k >> shift & 255
-        split.setdefault(e, {})[k - e * unit] = c
-    acc: Optional[Dict[int, GaussianRational]] = None
-    for e, part in split.items():
-        part = _horner(part, chains, level + 1, move)
+        part = parts.get(e)
+        if part is None:
+            part = parts[e] = {}
+        part[k - e * unit] = c
+    return parts
+
+
+def _horner(re_terms: Terms, im_terms: Terms, chains, level: int,
+            move: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]]) -> Tuple[Terms, Terms]:
+    """The parts of _compose over chains[level:] for a polynomial with
+    these parts, whose exponents on the variables of chains[:level] are 0:
+    Horner's rule, one mapped variable per level. The terms are split by
+    its exponent k with a shift and a mask, each part is composed over the
+    levels left and multiplied once by num[k] * den[top - k]. A part with
+    every mapped exponent split off is rekeyed by move, a (src, dst) pair
+    of variable tuples, or returned as it is when move is None (the given
+    dicts themselves when there is no level). A module-level function,
+    not a closure, so a call leaves no reference cycle holding the Powers
+    caches."""
+    if level == len(chains):
+        if move is None:
+            return re_terms, im_terms
+        return _moved(re_terms, *move), _moved(im_terms, *move)
+    shift, unit, num, den, top = chains[level]
+    re_parts = _split(re_terms, shift, unit)
+    im_parts = _split(im_terms, shift, unit) if im_terms else {}
+    acc_re = acc_im = None
+    for e in {**re_parts, **im_parts} if im_parts else re_parts:
+        pr, pi = _horner(re_parts.get(e, {}), im_parts.get(e, {}), chains, level + 1, move)
         if e:
-            part = _product(part, num[e].terms, None)
+            factor = num[e]
+            pr, pi = _product(pr, pi, factor.re_terms, factor.im_terms, None)
         if top > e:
-            part = _product(part, den[top - e].terms, None)
+            factor = den[top - e]
+            pr, pi = _product(pr, pi, factor.re_terms, factor.im_terms, None)
         # each part is a fresh dict, so the first takes in the others
-        acc = part if acc is None else _add_into(acc, part)
-    return {} if acc is None else acc
+        if acc_re is None:
+            acc_re, acc_im = pr, pi
+        else:
+            _add_into(acc_re, pr)
+            if pi:
+                _add_into(acc_im, pi)
+    return ({}, {}) if acc_re is None else (acc_re, acc_im)
 
 
 def conjugation_pairing(holo_vars: Sequence[str], anti_vars: Sequence[str]) -> Dict[str, str]:
@@ -760,48 +921,64 @@ def mul_trunc(a: MultiPoly, b: MultiPoly, cutoff: int) -> MultiPoly:
     """Product truncated to total degree <= cutoff."""
     a._check_same_vars(b)
     # total degree <= cutoff exactly when the key is below this one
-    return _poly(a.vars, _product(a.terms, b.terms, cutoff + 1 << 8 * len(a.vars)))
+    return _poly(a.vars, *_product(a.re_terms, a.im_terms, b.re_terms, b.im_terms,
+                                   cutoff + 1 << 8 * len(a.vars)))
 
 
 def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact division f / g. Raises ZeroDivisionError when g is zero,
     ValueError when the variable tuples differ or g does not divide f.
 
-    The remainder is a copy of f's terms, worked in place: each quotient
-    term divides the remainder's leading key (one max) by g's, after a
-    check, field by field, that g's leading monomial divides it, and then
-    subtracts itself times g's other terms from the remainder, whose
-    leading term it cancels exactly. Every key it touches is below the
-    leading one, so the loop ends."""
-    if not g.terms:
+    The remainder is a copy of f's parts, worked in place in plain
+    int/Fraction sums: each quotient term divides the remainder's leading
+    key (one max) by g's, after a check, field by field, that g's leading
+    monomial divides it, and then subtracts itself times g's other terms
+    from the remainder, whose leading term it cancels exactly. Every key
+    it touches is below the leading one, so the loop ends."""
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f._check_same_vars(g)
     n = len(f.vars)
-    top = max(g.terms)
-    lead = g.terms[top]
+    top = max(_keys(g))
+    lr, li = g.re_terms.get(top, 0), g.im_terms.get(top, 0)
+    norm = lr * lr + li * li
     # the nonzero exponent fields of g's leading monomial, as (shift, exponent)
     fields = [(s, top >> s & 255) for s in range(0, 8 * n, 8) if top >> s & 255]
     # the other terms of g, keyed relative to its leading monomial
-    tail = [(k - top, c) for k, c in g.terms.items() if k != top]
-    rem = dict(f.terms)
-    quotient: Dict[int, GaussianRational] = {}
-    while rem:
-        k = max(rem)
+    tail = [(k - top, re, im) for k, re, im in _items(g.re_terms, g.im_terms) if k != top]
+    rem_re, rem_im = dict(f.re_terms), dict(f.im_terms)
+    q_re: Terms = {}
+    q_im: Terms = {}
+    while rem_re or rem_im:
+        k = max(rem_re.keys() | rem_im.keys()) if rem_im else max(rem_re)
         if any(k >> s & 255 < e for s, e in fields):
             raise ValueError("inexact polynomial division")
-        q = quotient[k - top] = rem.pop(k) / lead
-        for offset, c in tail:
-            key = k + offset
-            s = rem.get(key)
-            if s is None:
-                rem[key] = -(q * c)
+        a, b = rem_re.pop(k, 0), rem_im.pop(k, 0)
+        if li:
+            qr, qi = _div(a * lr + b * li, norm), _div(b * lr - a * li, norm)
+        else:
+            qr, qi = _div(a, lr), _div(b, lr)
+        if qr:
+            q_re[k - top] = qr
+        if qi:
+            q_im[k - top] = qi
+        for offset, cr, ci in tail:
+            if qi or ci:
+                _take(rem_re, k + offset, qr * cr - qi * ci)
+                _take(rem_im, k + offset, qr * ci + qi * cr)
             else:
-                s = s - q * c
-                if s:
-                    rem[key] = s
-                else:
-                    del rem[key]
-    return _poly(f.vars, quotient)
+                _take(rem_re, k + offset, qr * cr)
+    return _poly(f.vars, q_re, q_im)
+
+
+def _take(rem: Dict[int, Rational], key: int, x: Rational) -> None:
+    """Subtract x from rem[key] in place, dropping a sum that cancels."""
+    if x:
+        s = rem.get(key, 0) - x
+        if s:
+            rem[key] = s
+        else:
+            del rem[key]
 
 
 def _top_byte(key: int) -> int:
@@ -809,62 +986,75 @@ def _top_byte(key: int) -> int:
     return key >> (key.bit_length() - 1 & ~7) if key else 0
 
 
-def _product(a_terms: Mapping[int, GaussianRational],
-             b_terms: Mapping[int, GaussianRational],
-             limit: Optional[int]) -> Dict[int, GaussianRational]:
-    """Terms of the product of two term dicts, keeping the keys below
-    limit (all terms when limit is None).
+def _product(ar: Terms, ai: Terms, br: Terms, bi: Terms,
+             limit: Optional[int]) -> Tuple[Terms, Terms]:
+    """The (re, im) parts of the product of the polynomials with parts
+    (ar, ai) and (br, bi), keeping the keys below limit (all terms when
+    limit is None).
 
     Raises OverflowError before it starts when the degrees of the two
     highest keys sum above MAX_DEGREE, even if a limit would drop every
     term of that degree; below the bound, the key of a product of two
-    terms is the sum of their keys. A factor that is one term with
-    coefficient 1 only shifts the keys of the other, whose coefficients
-    are kept, and any other one-term factor shifts them and scales each
-    coefficient by its own (a field has no zero divisors, so no term
-    cancels). Otherwise each coefficient's (re, im) parts are read once
-    and every term pair is multiplied and summed in plain int/Fraction
-    arithmetic; a real pair skips the imaginary products. One
-    GaussianRational is built per nonzero output term, in first-seen
-    order.
-    """
-    if not a_terms or not b_terms:
-        return {}
-    da, db = _top_byte(max(a_terms)), _top_byte(max(b_terms))
+    terms is the sum of their keys. re = ar br - ai bi and im = ar bi +
+    ai br (Knuth, TAOCP Vol. 2, 4.6.4) take one real product per pair of
+    nonempty parts: one for real times real, two for real times complex,
+    at most four for complex times complex."""
+    if not (ar or ai) or not (br or bi):
+        return {}, {}
+    # the highest key of each factor, over whichever parts it has
+    ka = max(max(ar), max(ai)) if ar and ai else max(ar or ai)
+    kb = max(max(br), max(bi)) if br and bi else max(br or bi)
+    da, db = _top_byte(ka), _top_byte(kb)
     if da + db > MAX_DEGREE:
         raise OverflowError(f"polynomial product: total degree {da} + {db} exceeds "
                             f"{MAX_DEGREE}, the most a term key holds")
-    for mono, other in ((b_terms, a_terms), (a_terms, b_terms)):
-        if len(mono) == 1:
-            (shift, unit), = mono.items()
-            if unit == ONE:
-                return {k + shift: c for k, c in other.items()
-                        if limit is None or k + shift < limit}
-            return {k + shift: c * unit for k, c in other.items()
-                    if limit is None or k + shift < limit}
-    b_items = [(k, c.re, c.im) for k, c in b_terms.items()]
-    acc: Dict[int, list] = {}
-    for k1, c1 in a_terms.items():
+    if not ai and not bi:
+        return _real_product(ar, br, limit), {}
+    return _combine(ar, br, ai, bi, True, limit), _combine(ar, bi, ai, br, False, limit)
+
+
+def _combine(x1: Terms, y1: Terms, x2: Terms, y2: Terms, subtract: bool,
+             limit: Optional[int]) -> Terms:
+    """x1 y1 - x2 y2 when subtract, else x1 y1 + x2 y2: one real product
+    per pair of nonempty factors, two summed before canonical form."""
+    if not (x2 and y2):
+        return _real_product(x1, y1, limit) if x1 and y1 else {}
+    if not (x1 and y1):
+        out = _real_product(x2, y2, limit)
+        return {k: -c for k, c in out.items()} if subtract else out
+    return _canonical(_mac(_mac({}, x1, y1, limit, False), x2, y2, limit, subtract))
+
+
+def _real_product(a: Terms, b: Terms, limit: Optional[int]) -> Terms:
+    """The product of two real parts below limit: a one-term factor
+    shifts and scales the other (`_shifted`), else every pair is summed."""
+    if len(b) == 1:
+        (shift, u), = b.items()
+        return _shifted(a, shift, u, limit)
+    if len(a) == 1:
+        (shift, u), = a.items()
+        return _shifted(b, shift, u, limit)
+    return _canonical(_mac({}, a, b, limit, False))
+
+
+def _mac(acc: Dict[int, Rational], a: Terms, b: Terms, limit: Optional[int],
+         negate: bool) -> Dict[int, Rational]:
+    """Add a * b, or -(a * b) when negate, over the keys below limit into
+    acc, in plain sums that `_canonical` cleans; returns acc."""
+    b_items = list(b.items())
+    get = acc.get
+    for k1, c1 in a.items():
+        if negate:
+            c1 = -c1
         row = b_items
         if limit is not None:
             room = limit - k1
             row = [t for t in b_items if t[0] < room]
-        r1, i1 = c1.re, c1.im
-        for k2, r2, i2 in row:
+        for k2, c2 in row:
             k = k1 + k2
-            if i1 or i2:
-                re = r1 * r2 - i1 * i2
-                im = r1 * i2 + i1 * r2
-            else:
-                re = r1 * r2
-                im = 0
-            s = acc.get(k)
-            if s is None:
-                acc[k] = [re, im]
-            else:
-                s[0] += re
-                s[1] += im
-    return {k: _gr(_canon(re), _canon(im)) for k, (re, im) in acc.items() if re or im}
+            s = get(k)
+            acc[k] = c1 * c2 if s is None else s + c1 * c2
+    return acc
 
 
 class RationalFunction:
@@ -1001,21 +1191,21 @@ def series_expand(nums: Sequence[MultiPoly], den: MultiPoly,
     one exact division by c0, so an integer den keeps int entries. Each
     num is then one truncated product with A; nothing is divided after.
     """
-    c0 = den.const_coeff()
-    if not c0:
+    a, b = den.re_terms.get(0, 0), den.im_terms.get(0, 0)
+    if not (a or b):
         raise ValueError("singular expansion point: denominator vanishes at 0")
     shift = 8 * len(den.vars)
     # the negated nonconstant terms of den through the cutoff, by degree:
     # (key, total degree, re, im)
-    tails = sorted((k, k >> shift, -c.re, -c.im) for k, c in den.terms.items()
+    tails = sorted((k, k >> shift, -re, -im) for k, re, im in _items(den.re_terms, den.im_terms)
                    if 0 < k < cutoff + 1 << shift)
-    a, b = c0.re, c0.im
     norm = a * a + b * b
     scale = _canon((norm if b else a) ** (cutoff + 1))
     # levels[d]: c0 * A[m] in (re, im) parts for each key m of degree d reached
     levels: List[Dict[int, list]] = [{} for _ in range(cutoff + 1)]
     levels[0][0] = [scale, 0]
-    inv: Dict[int, GaussianRational] = {}
+    inv_re: Terms = {}
+    inv_im: Terms = {}
     for d, level in enumerate(levels):
         for m, (re, im) in level.items():
             if b:
@@ -1024,7 +1214,10 @@ def series_expand(nums: Sequence[MultiPoly], den: MultiPoly,
                 re, im = _div(re, a), _div(im, a)
             if not (re or im):
                 continue
-            inv[m] = _gr(re, im)
+            if re:
+                inv_re[m] = re
+            if im:
+                inv_im[m] = im
             for t, dt, tr, ti in tails:
                 if d + dt > cutoff:
                     break
@@ -1041,5 +1234,5 @@ def series_expand(nums: Sequence[MultiPoly], den: MultiPoly,
                 else:
                     s[0] += pr
                     s[1] += pi
-    inverse = _poly(den.vars, inv)
+    inverse = _poly(den.vars, inv_re, inv_im)
     return scale, [mul_trunc(num.truncate(cutoff), inverse, cutoff) for num in nums]

@@ -10,9 +10,11 @@ outside (fixture files, golden-table keys, `tubes orbits --probes`), so a
 catalogued payload and the decode of its export are equal and of the same
 types leaf for leaf. GaussianRational
 is a thin exact complex layer whose re and im parts are such canonical
-rationals. No floating point enters anywhere in this package: a part is
-never a float or a bool, and division goes through Fraction, never
-through int / int.
+rationals. It lives at the edges: a polynomial holds the real and the
+imaginary parts of its coefficients as two dicts of rationals and boxes
+a coefficient only to hand it out (poly.py). No floating point enters
+anywhere in this package: a part is never a float or a bool, and
+division goes through Fraction, never through int / int.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .poly import (MultiPoly, RationalFunction, _poly, coefficient_columns, poly
                    subs_each, substitute, variable_keys)
 from .record import Record
 from .relations import RelationContext
-from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _div, _gr, rat
+from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _div, rat
 
 
 class Hypersurface(Record):
@@ -231,7 +231,7 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
     keys = [0] + variable_keys(names)
     fields = []
     for vec in kernel:
-        comps = tuple(_poly(names, {k: _gr(c, 0) for k, c in
+        comps = tuple(_poly(names, {k: c for k, c in
                                     zip(keys, [vec[n * n + i]] + vec[n * i:n * i + n]) if c})
                       for i in range(n))
         fields.append(VectorField(tuple(names), comps))
@@ -529,8 +529,8 @@ def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
     equal to 1 or one variable, and each residual
     w_j - sum_q w_{p_q} * t_{q,j} has degree at most 3. A monomial is keyed
     by its term key over tvars, the sum of its variables' keys
-    (`poly.variable_keys`), the coefficients are summed as ints and
-    Fractions, and one GaussianRational is built per surviving term."""
+    (`poly.variable_keys`), and the coefficients are summed as ints and
+    Fractions, each surviving sum put in canonical form."""
     structure = algebra.structure
     nonpivots = [j for j in range(algebra.dim) if j not in pivots]
     width = len(nonpivots)
@@ -556,7 +556,7 @@ def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
                     for key, c in w[p].items():
                         if c:
                             r[key + t] = r.get(key + t, 0) - c
-                terms = {key: _gr(_canon(c), 0) for key, c in r.items() if c}
+                terms = {key: _canon(c) for key, c in r.items() if c}
                 if terms:
                     eqs.append(_poly(tvars, terms))
     return eqs

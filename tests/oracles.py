@@ -21,7 +21,10 @@ product chains it replaced, the scaled series inversion against the
 geometric series in E / c0 it replaced, and brackets, which read cached
 jacobians, against fields applied one product per variable. GraphSurface's
 one-product invariance test is checked against the two products it took
-before.
+before. The products of the split real and imaginary term dicts are
+checked against the boxed product loop they replaced, and their sums,
+conjugates and specializations against plain loops over boxed
+coefficients.
 """
 
 from __future__ import annotations
@@ -304,6 +307,79 @@ def invariant_by_two_products(part: RationalFunction, pairing) -> bool:
     product, frozen: num * conj(den) - conj(num) * den vanishes."""
     return (part.num * part.den.conjugate(pairing)
             - part.num.conjugate(pairing) * part.den).is_zero()
+
+
+def boxed_product(a_terms, b_terms, limit=None):
+    """tubes.poly._product over {term key: GaussianRational} dicts, as it
+    was before polynomials held real and imaginary parts apart, frozen
+    (its degree check left out): a one-term factor shifts and scales the
+    other, and otherwise each coefficient's parts are read once, every
+    term pair is multiplied and summed in plain parts and one
+    GaussianRational is built per nonzero output term."""
+    if not a_terms or not b_terms:
+        return {}
+    for mono, other in ((b_terms, a_terms), (a_terms, b_terms)):
+        if len(mono) == 1:
+            (shift, unit), = mono.items()
+            if unit == ONE:
+                return {k + shift: c for k, c in other.items()
+                        if limit is None or k + shift < limit}
+            return {k + shift: c * unit for k, c in other.items()
+                    if limit is None or k + shift < limit}
+    b_items = [(k, c.re, c.im) for k, c in b_terms.items()]
+    acc = {}
+    for k1, c1 in a_terms.items():
+        row = b_items
+        if limit is not None:
+            room = limit - k1
+            row = [t for t in b_items if t[0] < room]
+        r1, i1 = c1.re, c1.im
+        for k2, r2, i2 in row:
+            k = k1 + k2
+            if i1 or i2:
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+            else:
+                re = r1 * r2
+                im = 0
+            s = acc.get(k)
+            if s is None:
+                acc[k] = [re, im]
+            else:
+                s[0] += re
+                s[1] += im
+    return {k: GaussianRational(re, im) for k, (re, im) in acc.items() if re or im}
+
+
+def boxed_sum(a_terms, b_terms, sign=1):
+    """a + sign * b over {term key: GaussianRational} dicts."""
+    out = dict(a_terms)
+    for k, c in b_terms.items():
+        out[k] = out.get(k, ZERO) + c * sign
+    return {k: c for k, c in out.items() if c}
+
+
+def _key(exps) -> int:
+    return int.from_bytes(bytes((sum(exps), *exps)), "big")
+
+
+def boxed_conjugate(p: MultiPoly, pairing):
+    """The terms of p.conjugate(pairing), one exponent tuple at a time."""
+    partner = [p.vars.index(pairing.get(v, v)) for v in p.vars]
+    return {_key(tuple(e[partner[i]] for i in range(len(e)))): c.conjugate()
+            for e, c in p.sorted_terms()}
+
+
+def boxed_specialize(p: MultiPoly, values):
+    """The terms of p.specialize(values), one exponent tuple at a time."""
+    out = {}
+    for e, c in p.sorted_terms():
+        for v, k in zip(p.vars, e):
+            if v in values:
+                c = c * GaussianRational.coerce(values[v]) ** k
+        key = _key(tuple(k for v, k in zip(p.vars, e) if v not in values))
+        out[key] = out.get(key, ZERO) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def random_poly(rng, variables, max_degree=2, max_terms=4, complex_coeffs=False) -> MultiPoly:

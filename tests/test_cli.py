@@ -240,6 +240,11 @@ def _repeated_entry(obj):
     obj["payload"]["entries"].append(obj["payload"]["entries"][0])
 
 
+def _twice_listed_term(obj):
+    # the z2 numerator starts with its -3/2 z1^2 term; a second z1^2 goes first
+    obj["payload"]["components"]["z2"]["num"]["terms"].insert(0, {"c": "7", "e": [2, 0, 0, 0]})
+
+
 def _renamed_component(obj):
     comps = obj["payload"]["components"]
     obj["payload"]["components"] = {("q1" if k == "z1" else k): v for k, v in comps.items()}
@@ -308,6 +313,7 @@ BAD_TREES = {
     "antiname": ("map.case3.derived", _set("target_anti", 0, value="q1b")),
     "targetvar": ("map.case3.derived", _set("target", "vars", 0, value="q1")),
     "compname": ("map.case3.derived", _renamed_component),
+    "twiceterm": ("map.case3.printed", _twice_listed_term),
     # field 8 of basis.Z.D has the z2 component 2 z1 + 2 z2 - 2 z4
     "notclosed": ("basis.Z.D", _raised_exponent(7, 1)),
     "hpbopen": ("basis.half_pseudo_ball.quadric", _raised_exponent(0, 0)),
@@ -477,6 +483,8 @@ BAD_INDEXES = {
      "outside the target variables ('x1_0', 'x2_0', 'x3_0', 'x4_0')"),
     (["TUBES_FIXTURES={tmp}/foreignrad", "classify"],
      "'{tmp}/foreignrad': ValueError: the radicand of 'rho' names the variables ['q9'], "),
+    (["TUBES_FIXTURES={tmp}/twiceterm", "verify-map", "--id", "map.case3.printed"],
+     "'{tmp}/twiceterm': ValueError: exponent vector (2, 0, 0, 0) is listed twice"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")

@@ -394,10 +394,9 @@ def test_surface_map_products_run_on_gaussian_integers(mid, monkeypatch):
     product = tubes.poly._product
     seen = []
 
-    def spying(a_terms, b_terms, cutoff):
-        seen.extend(x for terms in (a_terms, b_terms) for c in terms.values()
-                    for x in (c.re, c.im) if type(x) is Fraction)
-        return product(a_terms, b_terms, cutoff)
+    def spying(ar, ai, br, bi, limit):
+        seen.extend(x for part in (ar, ai, br, bi) for x in part.values() if type(x) is Fraction)
+        return product(ar, ai, br, bi, limit)
 
     monkeypatch.setattr(tubes.poly, "_product", spying)
     ok, _ = verify_surface_map(source, payload.target, payload.target_holo,

@@ -15,8 +15,8 @@ from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, merge_v
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
-from oracles import (chain_compose, div_exact_terms, eval_terms, fraction_series, random_poly,
-                     str_terms)
+from oracles import (boxed_conjugate, boxed_product, boxed_specialize, boxed_sum, chain_compose,
+                     div_exact_terms, eval_terms, fraction_series, random_poly, str_terms)
 
 VARS = ("x", "y", "z")
 
@@ -37,6 +37,65 @@ def polys(draw, variables=VARS, max_terms=4, max_exp=3):
         exps = tuple(draw(st.integers(0, max_exp)) for _ in variables)
         terms[exps] = draw(small_scalar())
     return MultiPoly(variables, terms)
+
+
+@st.composite
+def ring_polys(draw, variables=VARS):
+    """Polynomials whose coefficients are all real, all imaginary, each
+    one or the other, or complex; one-term ones often, with coefficient
+    1 half the time."""
+    kind = draw(st.sampled_from(["real", "imaginary", "mixed", "complex"]))
+    count = draw(st.sampled_from([0, 1, 1, 2, 3, 5]))
+    terms = {}
+    for _ in range(count):
+        exps = tuple(draw(st.integers(0, 3)) for _ in variables)
+        re, im = draw(small_part(5)), draw(small_part(3))
+        if kind == "real" or kind == "mixed" and draw(st.booleans()):
+            im = 0
+        elif kind != "complex":
+            re = 0
+        terms[exps] = GaussianRational(re, im)
+    if count == 1 and draw(st.booleans()):
+        terms = {exps: 1}
+    return MultiPoly(variables, terms)
+
+
+def ring_scalars():
+    return st.one_of(small_part(5), small_scalar())
+
+
+def stored_canonically(p: MultiPoly) -> bool:
+    """Every stored part is a nonzero int or a Fraction that is not one."""
+    return all(type(c) is int and c or type(c) is Fraction and c.denominator != 1
+               for part in (p.re_terms, p.im_terms) for c in part.values())
+
+
+PAIRED = {"x": "y", "y": "x", "z": "z"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_polys(), ring_polys(), st.integers(0, 8), ring_scalars(), st.sampled_from(VARS),
+       ring_scalars(), ring_scalars())
+def test_split_parts_agree_with_the_boxed_oracle(a, b, cutoff, c, name, value, other):
+    """Products, truncated products, scalar multiples, sums, differences,
+    conjugates, specializations and point values of the real and
+    imaginary term dicts equal those of the boxed coefficients."""
+    limit = cutoff + 1 << 8 * len(VARS)
+    cases = {
+        "mul": (a * b, boxed_product(a.terms, b.terms)),
+        "mul_trunc": (mul_trunc(a, b, cutoff), boxed_product(a.terms, b.terms, limit)),
+        "scalar": (a * c, boxed_product(a.terms, {0: GaussianRational.coerce(c)} if c else {})),
+        "add": (a + b, boxed_sum(a.terms, b.terms)),
+        "sub": (a - b, boxed_sum(a.terms, b.terms, -1)),
+        "conjugate": (a.conjugate(PAIRED), boxed_conjugate(a, PAIRED)),
+        "specialize": (a.specialize({name: value}), boxed_specialize(a, {name: value})),
+    }
+    for case, (got, want) in cases.items():
+        assert got.terms == want, case
+        assert stored_canonically(got), case
+        assert got.is_real() == all(z.is_real() for z in want.values()), case
+    point = {"x": value, "y": other, "z": c}
+    assert a.eval_at(point) == eval_terms(a, point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,7 +295,8 @@ def test_subs_poly_that_maps_no_variable_of_p_copies_its_terms():
     p = MultiPoly(VARS, {(1, 2, 0): 3, (0, 0, 1): I})
     out = p.subs_poly({"w": MultiPoly.var(VARS, "x")})
     assert out == p
-    assert out.terms is not p.terms
+    assert (out.re_terms, out.im_terms) == (p.re_terms, p.im_terms)
+    assert out.re_terms is not p.re_terms and out.im_terms is not p.im_terms
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,6 +437,15 @@ def test_division_refusals():
 def test_constructor_rejects_bad_exponents(exps):
     with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
         MultiPoly(("x", "y"), {exps: 1})
+
+
+def test_constructor_refuses_an_exponent_vector_listed_twice():
+    # a zero first entry, or an equal second one, is still a second listing
+    for first in (7, 0, Fraction(-3, 2)):
+        with pytest.raises(ValueError, match=r"exponent vector \(2, 0\) is listed twice"):
+            MultiPoly(("x", "y"), [([2, 0], first), ((0, 1), 1), ((2, 0), Fraction(-3, 2))])
+    assert MultiPoly(("x", "y"), [((2, 0), 7), ((0, 2), 7)]) == MultiPoly(
+        ("x", "y"), {(2, 0): 7, (0, 2): 7})
 
 
 @settings(max_examples=60, deadline=None)
@@ -546,11 +615,13 @@ def test_variable_mismatch_raises():
 
 # dict methods that change their receiver
 MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "__delitem__"}
+# the term dicts of a MultiPoly, and the boxed view of them
+TERM_DICTS = {"terms", "re_terms", "im_terms"}
 
 
 def _term_dict_writes(path):
-    """Lines of `path` that assign, delete or mutate `<expr>.terms` or
-    `<expr>.terms[...]`."""
+    """Lines of `path` that assign, delete or mutate `<expr>.re_terms`,
+    `<expr>.im_terms` or `<expr>.terms`, or an item of one."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
@@ -562,25 +633,41 @@ def _term_dict_writes(path):
             written = node
         else:
             continue
-        if isinstance(written, ast.Attribute) and written.attr == "terms":
+        if isinstance(written, ast.Attribute) and written.attr in TERM_DICTS:
             lines.append(node.lineno)
     return lines
 
 
 def _term_dict_names(path):
-    """Lines of `path` that name `<expr>.terms` at all."""
+    """Lines of `path` that name `<expr>.re_terms`, `<expr>.im_terms` or
+    `<expr>.terms` at all."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and node.attr == "terms"]
+            if isinstance(node, ast.Attribute) and node.attr in TERM_DICTS]
 
 
 def test_only_poly_module_writes_term_dicts():
     """poly.py builds every term dict, and no other module of the package
-    even reads one: term keys are packed ints that only poly.py decodes."""
+    even reads one, or the boxed `terms` view: term keys are packed ints
+    that only poly.py decodes."""
     package = Path(tubes.poly.__file__).parent
     assert _term_dict_writes(package / "poly.py"), "the scan should see the writes in poly.py"
     names = {path.name: _term_dict_names(path) for path in sorted(package.glob("*.py"))
              if path.name != "poly.py"}
     assert {name: lines for name, lines in names.items() if lines} == {}
+
+
+def test_the_inner_loops_box_no_coefficient():
+    """The product, the Horner composer, the sum and the series inverse
+    run on the rationals of the term dicts: none names GaussianRational
+    or its trusted builder _gr."""
+    tree = ast.parse(Path(tubes.poly.__file__).read_text())
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    loops = ("_product", "_combine", "_real_product", "_mac", "_shifted", "_canonical", "_horner",
+             "_split", "_add_into", "series_expand")
+    named = {name: sorted({node.id for node in ast.walk(bodies[name])
+                           if isinstance(node, ast.Name)} & {"GaussianRational", "_gr"})
+             for name in loops}
+    assert named == {name: [] for name in loops}
 
 
 XY = ("x", "y")
