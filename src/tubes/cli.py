@@ -433,10 +433,11 @@ def cmd_isotropy(args, reg) -> List[Check]:
 
 
 def _generator_span(gens, basis) -> Tuple[int, List[int]]:
-    """The dimension of the span of the generators that lie in the span of
-    the basis fields, and the positions of the generators that do not."""
+    """The dimension of the real span of the generators that lie in the
+    real span of the basis fields, and the positions of the generators
+    that do not."""
     coords = expand_in_fields(gens, basis)
-    inside = [list(c) for c in coords if c is not None]
+    inside = [c for c in coords if c is not None]
     return len(rref_rows(inside)), [i for i, c in enumerate(coords) if c is None]
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .linalg import _rref, det_exact
+from .linalg import _rref, complex_block, det_exact
 from .poly import MultiPoly, poly_sum
 from .record import Record
-from .scalars import GaussianRational, _div
 
 
 # the pairs (j, dp/dx_j) with a nonzero derivative, in variable order
@@ -88,19 +87,19 @@ def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) 
 
 def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
     """Exact rank of the evaluated component matrix at a point; 0 for no
-    fields. The point is coerced once; a matrix of real values is
-    eliminated over Q, any other over the Gaussian rationals."""
+    fields. A matrix of real values is eliminated over Q, any other as
+    its real block form (linalg.complex_block), of twice its rank."""
     if not fields:
         return 0
     base = fields[0]
     if len(point) != len(base.variables):
         raise ValueError("point dimension does not match field variables")
-    values = {v: GaussianRational.coerce(x) for v, x in zip(base.variables, point)}
+    values = dict(zip(base.variables, point))
     # rows are fields; rank is the same either way
     rows = [[c.eval_at(values) for c in f.components] for f in fields]
     if any(x.im for row in rows for x in row):
-        return len(_rref(rows)[1])
-    return len(_rref([[x.re for x in row] for row in rows], div=_div)[1])
+        return len(_rref(complex_block(rows))[1]) // 2
+    return len(_rref([[x.re for x in row] for row in rows])[1])
 
 
 def minors_scan(fields: Sequence[VectorField]) -> List[MultiPoly]:

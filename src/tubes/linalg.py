@@ -1,48 +1,43 @@
 """Exact linear algebra.
 
-Every linear system goes through one Gauss-Jordan core, _rref, whose
-division is a parameter: GaussianRational true division by default, and
-scalars._div over plain int/Fraction entries, which the tangency solve
-(kernel_basis), the pointwise rank of real fields (fields.rank_at) and
-the lower central series (symmetry.is_nilpotent) run over Q. It clears a
-column only over the support of the pivot row: kernel_basis reads one
-null vector per free column off its reduced rows, rref_rows keeps its
-nonzero rows, invert_gaussian_matrix runs it on [A | I], and
+Every linear system goes through one Gauss-Jordan core, _rref, over Q
+(int/Fraction entries, scalars._div). The unknowns of every solve are
+real, so complex data enters as the real and imaginary coordinates of
+poly.coefficient_columns; invert_gaussian_matrix and fields.rank_at at a
+non-real point, whose unknowns are complex, eliminate the real block form
+of their matrix (complex_block). _rref clears a column only over the
+support of the pivot row: kernel_basis reads one null vector per free
+column off its reduced rows, rref_rows keeps its nonzero rows, and
 solve_columns runs it once on [columns | t_1 ... t_T] with pivots
 restricted to the columns, so one elimination answers every target t_i
 of a shared coefficient matrix. det_exact, over polynomial entries,
 where a division is an exact polynomial division (poly.poly_div_exact)
 and costly, eliminates fraction-free (Bareiss). lowest_terms cancels the
 gcd of a rational function whose denominator uses one variable, by
-Euclid's algorithm on coefficient lists.
+Euclid's algorithm over Q(i)[x].
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import truediv
 from typing import List, Optional, Sequence
 
 # poly_div_exact works on term dicts, so it lives in poly; det_exact and the
 # callers of linalg.poly_div_exact use it from here
 from .poly import MultiPoly, RationalFunction, poly_div_exact
-from .scalars import ONE, ZERO, GaussianRational, _div
+from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _div, _gr
 
 
-def kernel_basis(matrix) -> List[List[int]]:
-    """Basis of the exact null space of a matrix of rationals (int,
-    Fraction or real GaussianRational entries).
+def kernel_basis(matrix: Sequence[Sequence[Rational]]) -> List[List[int]]:
+    """Basis of the exact null space of a matrix of int/Fraction entries.
 
-    The entries are read as int/Fraction values up front, a real
-    GaussianRational as its real part, and eliminated over Q (`_rref`
-    dividing with scalars._div). One vector per free column of the
-    reduced rows, in column order: 1 at that column, 0 at the other free
-    columns and the negated reduced entries at the pivot columns, scaled
-    to primitive integer form with positive leading entry. The count
-    always equals #columns - rank. Raises ValueError for a non-real
-    entry.
+    One vector per free column of the reduced rows (`_rref`), in column
+    order: 1 at that column, 0 at the other free columns and the negated
+    reduced entries at the pivot columns, scaled to primitive integer
+    form with positive leading entry. The count always equals #columns -
+    rank.
     """
-    work, pivots = _rref([[_real(x) for x in row] for row in matrix], div=_div)
+    work, pivots = _rref(matrix)
     n = len(work[0]) if work else 0
     basis = []
     for fc in sorted(set(range(n)) - set(pivots)):
@@ -55,15 +50,6 @@ def kernel_basis(matrix) -> List[List[int]]:
     return basis
 
 
-def _real(x):
-    """An int, Fraction or real GaussianRational entry as an int/Fraction."""
-    if type(x) is GaussianRational:
-        if x.im:
-            raise ValueError(f"kernel_basis needs rational entries, got {x}")
-        return x.re
-    return x
-
-
 def _primitive(ints: List[int]) -> List[int]:
     """A nonzero integer vector divided by the gcd of its entries, signed
     so that its leading nonzero entry is positive."""
@@ -73,18 +59,15 @@ def _primitive(ints: List[int]) -> List[int]:
     return [x // g for x in ints]
 
 
-def _rref(rows: Sequence[Sequence], limit: Optional[int] = None, div=truediv):
-    """Gauss-Jordan elimination, pivoting only in the first `limit`
-    columns (in all of them when limit is None), over the entries' own
-    ring: GaussianRationals with the default true division, or plain
-    int/Fraction values with div=scalars._div, which keeps an exact
-    quotient an int.
+def _rref(rows: Sequence[Sequence[Rational]], limit: Optional[int] = None):
+    """Gauss-Jordan elimination over Q of int/Fraction rows, pivoting
+    only in the first `limit` columns (in all of them when limit is None).
 
-    No entry is coerced; `div(x, pivot)` normalises a pivot row whose
-    pivot is not 1, and the rest is `-`, `*` and truth tests. Returns
-    (reduced rows, pivot columns); row i < len(pivots) has a 1 in column
-    pivots[i] and zeros in every other pivot column, and the rows past
-    the rank are zero in the first `limit` columns. Clearing a column
+    scalars._div normalises a pivot row whose pivot is not 1; the rest is
+    `-`, `*` and truth tests, so an integral entry may be left a Fraction.
+    Returns (reduced rows, pivot columns); row i < len(pivots) has a 1 in
+    column pivots[i] and zeros in every other pivot column, and the rows
+    past the rank are zero in the first `limit` columns. Clearing a column
     skips the entries where the pivot row is zero. Sizes in this package
     are small, so pivots need no magnitude heuristics.
     """
@@ -101,7 +84,7 @@ def _rref(rows: Sequence[Sequence], limit: Optional[int] = None, div=truediv):
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pv = work[r][c]
         if pv != 1:
-            work[r] = [div(x, pv) if x else x for x in work[r]]
+            work[r] = [_div(x, pv) if x else x for x in work[r]]
         top = work[r]
         support = [j for j, b in enumerate(top) if b]
         for row in work:
@@ -114,40 +97,53 @@ def _rref(rows: Sequence[Sequence], limit: Optional[int] = None, div=truediv):
     return work, pivots
 
 
-def rref_rows(rows: Sequence[Sequence[GaussianRational]]) -> List[List[GaussianRational]]:
-    """Reduced row-echelon basis of the row span (zero rows dropped)."""
+def rref_rows(rows: Sequence[Sequence[Rational]]) -> List[List[Rational]]:
+    """Reduced row-echelon basis of the row span over Q (zero rows
+    dropped), its entries canonical."""
     work, pivots = _rref(rows)
-    return work[:len(pivots)]
+    return [[_canon(x) for x in row] for row in work[:len(pivots)]]
 
 
-def solve_columns(columns: Sequence[Sequence[GaussianRational]],
-                  targets: Sequence[Sequence[GaussianRational]]
-                  ) -> List[Optional[List[GaussianRational]]]:
-    """Solve sum_i x_i * columns[i] = t exactly for every t in targets,
-    by one elimination of [columns | t_1 ... t_T] pivoting in the columns
-    only. The answer for t is None when a row past the rank is nonzero in
-    t's column (it reads 0 = 1), else the solution on the pivot rows."""
+def solve_columns(columns: Sequence[Sequence[Rational]],
+                  targets: Sequence[Sequence[Rational]]) -> List[Optional[List[Rational]]]:
+    """Solve sum_i x_i * columns[i] = t over Q exactly for every t in
+    targets, by one elimination of [columns | t_1 ... t_T] pivoting in the
+    columns only. The answer for t is None when a row past the rank is
+    nonzero in t's column (it reads 0 = 1), else the canonical solution on
+    the pivot rows."""
     ncols = len(columns)
     work, pivots = _rref(list(zip(*columns, *targets)), ncols)
-    answers: List[Optional[List[GaussianRational]]] = []
+    answers: List[Optional[List[Rational]]] = []
     for t in range(ncols, ncols + len(targets)):
         solution = None
         if not any(row[t] for row in work[len(pivots):]):
-            solution = [ZERO] * ncols
+            solution = [0] * ncols
             for row, c in zip(work, pivots):
-                solution[c] = row[t]
+                solution[c] = _canon(row[t])
         answers.append(solution)
     return answers
 
 
+def complex_block(rows: Sequence[Sequence[GaussianRational]]) -> List[List[Rational]]:
+    """The real 2m x 2n matrix [[A, -B], [B, A]] of an m x n matrix A + iB:
+    it maps (x, y) to (u, v) exactly when A + iB maps x + iy to u + iv, so
+    its rank is twice the complex rank."""
+    return ([[z.re for z in row] + [-z.im for z in row] for row in rows]
+            + [[z.im for z in row] + [z.re for z in row] for row in rows])
+
+
 def invert_gaussian_matrix(matrix: Sequence[Sequence[GaussianRational]]):
-    """Exact inverse of a square GaussianRational matrix, or None."""
+    """Exact inverse of a square GaussianRational matrix A + iB, or None.
+
+    The inverse X + iY solves AX - BY = I, BX + AY = 0: one elimination
+    over Q of complex_block(A + iB) augmented with [I; 0]."""
     n = len(matrix)
-    work, pivots = _rref([list(matrix[i]) + [ONE if i == j else ZERO for j in range(n)]
-                          for i in range(n)])
-    if pivots != list(range(n)):
+    work, pivots = _rref([row + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(complex_block(matrix))], 2 * n)
+    if len(pivots) != 2 * n:
         return None
-    return [row[n:] for row in work]
+    return [[_gr(_canon(x), _canon(y)) for x, y in zip(work[i][2 * n:], work[n + i][2 * n:])]
+            for i in range(n)]
 
 
 # ------------------------------------------------------------------ polynomial

@@ -7,8 +7,9 @@ for a real polynomial. Every operation works part by part and skips an
 empty imaginary part, so a polynomial costs what the ring of its data
 costs. GaussianRational is the scalar of the public edges only (`coeff`,
 `const_coeff`, `leading`, `sorted_terms`, `lone_linear_terms`,
-`coefficient_lists`, `coefficient_columns`, `eval_at`, `__str__`, and
-`terms`, which boxes every coefficient for code outside the package).
+`coefficient_lists`, `eval_at`, `__str__`, and `terms`, which boxes
+every coefficient for code outside the package); `coefficient_columns`
+hands the linear solves the parts themselves, as real coordinates.
 Binary operations insist that the variable tuples match exactly; the
 package juggles several coordinate systems (x, z, w and their
 conjugates) and silent mixing would be a correctness hazard.
@@ -716,32 +717,32 @@ def _moves(src: Tuple[str, ...], dst: Tuple[str, ...]) -> Tuple[Tuple[int, int, 
     return tuple(runs)
 
 
-def coefficient_columns(columns: Sequence[Sequence[MultiPoly]]) -> List[List[GaussianRational]]:
-    """The coordinates of each column, a sequence of polynomials, over the
-    monomials the columns use: one coordinate per (position in the column,
-    monomial) that occurs in any of them, in first-seen order, ZERO where
-    the column has no such term."""
-    support: Dict[Tuple[int, int], int] = {}
-    # each column's boxed coefficients under (position, key)
-    boxed = []
+def coefficient_columns(columns: Sequence[Sequence[MultiPoly]]) -> List[List[Rational]]:
+    """The real coordinates of each column, a sequence of polynomials:
+    one rational per (position in the column, part, monomial) that occurs
+    in any of them, the part being the real or the imaginary part of a
+    coefficient, in first-seen order, 0 where the column has no such
+    term. Real weights combine the columns exactly when they combine
+    these coordinates."""
+    support: Dict[Tuple[int, int, int], int] = {}
+    # each column's parts under (position, part, key)
+    parts = []
     for column in columns:
         col = {}
         for i, p in enumerate(column):
-            re_terms, im_terms = p.re_terms, p.im_terms
-            for k, c in re_terms.items():
-                col[i, k] = _gr(c, im_terms.get(k, 0) if im_terms else 0)
-            for k, c in im_terms.items():
-                if k not in re_terms:
-                    col[i, k] = _gr(0, c)
+            for k, c in p.re_terms.items():
+                col[i, 0, k] = c
+            for k, c in p.im_terms.items():
+                col[i, 1, k] = c
         for key in col:
             if key not in support:
                 support[key] = len(support)
-        boxed.append(col)
+        parts.append(col)
     out = []
-    for col in boxed:
-        coords = [ZERO] * len(support)
-        for key, z in col.items():
-            coords[support[key]] = z
+    for col in parts:
+        coords = [0] * len(support)
+        for key, c in col.items():
+            coords[support[key]] = c
         out.append(coords)
     return out
 

@@ -12,7 +12,8 @@ types leaf for leaf. GaussianRational
 is a thin exact complex layer whose re and im parts are such canonical
 rationals. It lives at the edges: a polynomial holds the real and the
 imaginary parts of its coefficients as two dicts of rationals and boxes
-a coefficient only to hand it out (poly.py). No floating point enters
+a coefficient only to hand it out (poly.py), and every linear solve runs
+over the rationals on those parts (linalg.py). No floating point enters
 anywhere in this package: a part is never a float or a bool, and
 division goes through Fraction, never through int / int.
 """

@@ -115,9 +115,9 @@ class LieAlgebraPresentation(Record):
     @classmethod
     def from_fields(cls, basis: Sequence[VectorField]) -> "LieAlgebraPresentation":
         """The presentation of any bracket-closed basis: each bracket of
-        two basis fields is expanded in the basis (`expand_in_fields`). A
-        given basis that is not closed, or whose structure constants are
-        not rational, is bad input: ValueError, naming the pair."""
+        two basis fields is expanded in the basis over Q
+        (`expand_in_fields`). A given basis that is not closed over the
+        reals is bad input: ValueError, naming the pair."""
         basis = tuple(basis)
         pairs = list(itertools.combinations(range(len(basis)), 2))
         brackets = [lie_bracket(basis[i], basis[j]) for i, j in pairs]
@@ -126,9 +126,7 @@ class LieAlgebraPresentation(Record):
             if coeffs is None:
                 raise ValueError("the basis is not closed under bracket: "
                                  + _OUTSIDE.format(i, j))
-            if not all(c.is_real() for c in coeffs):
-                raise ValueError(f"[B_{i}, B_{j}] has structure constants that are not rational")
-            upper[i, j] = tuple((k, c.re) for k, c in enumerate(coeffs) if c.re)
+            upper[i, j] = tuple((k, c) for k, c in enumerate(coeffs) if c)
         return cls(basis, _antisymmetric(len(basis), upper))
 
     def bracket_coords(self, u: Sequence[object], v: Sequence[object]) -> list:
@@ -189,12 +187,14 @@ class LieAlgebraPresentation(Record):
 
 
 def expand_in_fields(xs: Sequence[VectorField], basis: Sequence[VectorField]):
-    """For each x in xs, its coefficient tuple in span(basis), or None if
-    x is outside; one elimination serves every x.
+    """For each x in xs, its tuple of rational coefficients in the real
+    span of the basis, or None if x is outside; one elimination serves
+    every x.
 
-    The fields' monomial-coordinate columns run over the support of the
-    basis and every x together, so a term of x that no basis field has
-    leaves x outside the span."""
+    The fields' real coordinate columns (poly.coefficient_columns) run
+    over the support of the basis and every x together, so a term of x
+    that no basis field has leaves x outside the span, and so does i
+    times a basis field."""
     fields = list(basis) + list(xs)
     columns = coefficient_columns([f.components for f in fields])
     n = len(fields) - len(xs)
@@ -224,7 +224,7 @@ def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
     if not p.is_real():
         raise ValueError("affine symmetry solve expects a real defining polynomial")
     # one row per monomial of the unknown polynomials, one column per unknown
-    matrix = [list(row) for row in zip(*coefficient_columns([(q,) for q in unknown_polys]))]
+    matrix = list(zip(*coefficient_columns([(q,) for q in unknown_polys])))
 
     kernel = linalg.kernel_basis(matrix)
     # component i is vec[n*n + i] + sum_j vec[n*i + j] * x_j, over int entries
@@ -326,7 +326,7 @@ def is_nilpotent(algebra: LieAlgebraPresentation) -> Tuple[bool, Tuple[int, ...]
         for e in unit:
             for v in current:
                 brackets.append(algebra.bracket_coords(e, v))
-        work, pivots = linalg._rref(brackets, div=_div)
+        work, pivots = linalg._rref(brackets)
         nxt = work[:len(pivots)]
         dims.append(len(nxt))
         if not nxt:
@@ -569,10 +569,10 @@ def _linear_pivot(e: MultiPoly) -> Optional[Tuple[str, GaussianRational]]:
     return min(e.lone_linear_terms().items(), default=None)
 
 
-def chart_coordinates_of_subspace(rows: Sequence[Sequence[object]]):
-    """RREF a subspace basis and return (pivot columns, value map for the
-    corresponding chart variables)."""
-    reduced = linalg.rref_rows([[GaussianRational.coerce(x) for x in row] for row in rows])
+def chart_coordinates_of_subspace(rows: Sequence[Sequence[Rational]]):
+    """RREF a subspace basis of rational rows and return (pivot columns,
+    value map for the corresponding chart variables)."""
+    reduced = linalg.rref_rows(rows)
     pivots = []
     for row in reduced:
         lead = next(i for i, x in enumerate(row) if x)
@@ -586,7 +586,7 @@ def chart_coordinates_of_subspace(rows: Sequence[Sequence[object]]):
     return tuple(pivots), values
 
 
-def scan_covers_subspace(scan: ScanResult, rows: Sequence[Sequence[object]]) -> bool:
+def scan_covers_subspace(scan: ScanResult, rows: Sequence[Sequence[Rational]]) -> bool:
     """True when the scan's outcome for the subspace's chart contains it."""
     pivots, values = chart_coordinates_of_subspace(rows)
     for chart in scan.charts:

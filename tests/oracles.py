@@ -7,7 +7,8 @@ tensor densely over every index (`dense_structure` unpacks the engine's
 sparse tensor for such sums), series results are checked by
 multiplying back rather than re-expanding, and a field's tangency to a
 surface is certified by solving X(P) = Q P for a polynomial multiplier Q
-instead of through the kernel solve of affine_symmetry_algebra. The
+with the fraction elimination, instead of through tubes.linalg and the
+kernel solve of affine_symmetry_algebra. The
 scan's one-sweep pivot pick is checked against its first form, which
 tries each variable in turn for degree 1 and a constant `diff`, and
 `MultiPoly.specialize` and `MultiPoly.eval_at` against the term loop
@@ -24,7 +25,9 @@ one-product invariance test is checked against the two products it took
 before. The products of the split real and imaginary term dicts are
 checked against the boxed product loop they replaced, and their sums,
 conjugates and specializations against plain loops over boxed
-coefficients.
+coefficients. The solves of tubes.linalg, which run over Q on real
+coordinates, are checked against the Gaussian-rational elimination they
+replaced (`gaussian_rref`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from tubes.fields import VectorField
-from tubes.linalg import solve_columns
 from tubes.poly import MultiPoly, RationalFunction, poly_sum
 from tubes.scalars import I, ONE, ZERO, GaussianRational
 
@@ -72,6 +74,37 @@ def fraction_rref(matrix: Sequence[Sequence[Fraction]]):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def gaussian_rref(rows: Sequence[Sequence[GaussianRational]], limit: Optional[int] = None):
+    """Gauss-Jordan elimination over the Gaussian rationals, pivoting only
+    in the first `limit` columns: tubes.linalg._rref as it was while it
+    also eliminated GaussianRational entries with true division, frozen.
+    Returns (reduced rows, pivot columns)."""
+    work = [list(row) for row in rows]
+    nrows = len(work)
+    pivots: List[int] = []
+    r = 0
+    for c in range((len(work[0]) if work else 0) if limit is None else limit):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pv = work[r][c]
+        if pv != 1:
+            work[r] = [x / pv if x else x for x in work[r]]
+        top = work[r]
+        support = [j for j, b in enumerate(top) if b]
+        for row in work:
+            f = row[c]
+            if f and row is not top:
+                for j in support:
+                    row[j] -= f * top[j]
+        pivots.append(c)
+        r += 1
+    return work, pivots
 
 
 def fraction_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -449,18 +482,26 @@ def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[MultiPoly]:
     xp = apply_field(x, p)
     monomials = _monomials_up_to(len(p.vars), max(0, xp.degree() - p.degree()))
     products = [MultiPoly(p.vars, {mono: 1}) * p for mono in monomials]
+    # Q = sum (x_k + i y_k) m_k for real x, y: the unknowns weigh the products
+    # m_k P and i m_k P, read as the real and imaginary parts of their coefficients
     support = {}
     for q in products + [xp]:
         for e, _ in q.sorted_terms():
             support.setdefault(e, len(support))
 
     def column(q):
-        col = [ZERO] * len(support)
+        col = [Fraction(0)] * (2 * len(support))
         for e, c in q.sorted_terms():
-            col[support[e]] = c
+            col[2 * support[e]], col[2 * support[e] + 1] = c.re, c.im
         return col
 
-    solution = solve_columns([column(q) for q in products], [column(xp)])[0]
-    if solution is None:
+    columns = [column(q) for q in products] + [column(q * I) for q in products]
+    rows, pivots = fraction_rref(list(zip(*columns, column(xp))))
+    n = len(columns)
+    if n in pivots:
         return None
-    return MultiPoly(p.vars, dict(zip(monomials, solution)))
+    weights = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        weights[c] = row[n]
+    return MultiPoly(p.vars, {mono: GaussianRational(x, y) for mono, x, y
+                              in zip(monomials, weights, weights[len(monomials):])})

@@ -258,6 +258,17 @@ def _raised_exponent(field, component):
     return edit
 
 
+def _times_i(field):
+    """An edit that multiplies every coefficient of one field of a basis
+    by i."""
+    def edit(obj):
+        for component in obj["payload"]["fields"][field]["components"]:
+            for term in component["terms"]:
+                re, im = (term.pop("c"), "0") if "c" in term else (term["re"], term["im"])
+                term["re"], term["im"] = str(-Fraction(im)), re
+    return edit
+
+
 def _foreign_radicand(obj):
     obj["payload"]["context"]["radicals"][0]["square"]["vars"][0] = "q9"
 
@@ -318,6 +329,7 @@ BAD_TREES = {
     "notclosed": ("basis.Z.D", _raised_exponent(7, 1)),
     "hpbopen": ("basis.half_pseudo_ball.quadric", _raised_exponent(0, 0)),
     "foreignrad": ("witness.C.lt", _foreign_radicand),
+    "timesi": ("basis.Z.D", _times_i(7)),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -485,6 +497,9 @@ BAD_INDEXES = {
      "'{tmp}/foreignrad': ValueError: the radicand of 'rho' names the variables ['q9'], "),
     (["TUBES_FIXTURES={tmp}/twiceterm", "verify-map", "--id", "map.case3.printed"],
      "'{tmp}/twiceterm': ValueError: exponent vector (2, 0, 0, 0) is listed twice"),
+    # [B_1, i B_7] = i [B_1, B_7] lies in the complex span of the edited basis, not in its real span
+    (["TUBES_FIXTURES={tmp}/timesi", "table", "--case", "D"],
+     "basis.Z.D: the basis is not closed under bracket: [B_1, B_7] is outside the span"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
@@ -509,6 +524,27 @@ def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, ca
     message = message.format(tmp=tmp_path)
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", ["D", "C"])
+def test_a_basis_field_times_i_is_outside_the_real_span(case, tmp_path, monkeypatch, capsys):
+    """The automorphism algebra is a real Lie algebra: with field 7 of the
+    case's basis multiplied by i, the isotropy and group generators no
+    longer lie in its span, and the checks that say so fail."""
+    fid = f"basis.Z.{case}"
+    shutil.copytree(FIXTURES, tmp_path / "tree")
+    path = tmp_path / "tree" / f"{fid}.json"
+    obj = json.loads(path.read_text())
+    _times_i(7)(obj)
+    path.write_text(json.dumps(obj))
+    monkeypatch.setenv("TUBES_FIXTURES", str(tmp_path / "tree"))
+    failed = set()
+    for command in ("isotropy", "group"):
+        code, report = run_json([command, "--case", case], capsys)
+        assert code == 1
+        failed |= {c["id"] for c in report["checks"] if c["verdict"] == "FAIL"}
+    assert failed == {f"isotropy.{case}.dimension", f"group.{case}.generators",
+                      f"group.{case}.generator_membership"}
 
 
 def test_an_exponent_is_refused_before_it_is_expanded(tmp_path, capsys):

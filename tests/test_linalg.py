@@ -11,14 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tubes import catalog, linalg
-from tubes.fields import VectorField
+from tubes.fields import VectorField, linear_combination, rank_at
 from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis, lowest_terms,
                           poly_div_exact, rref_rows, solve_columns)
-from tubes.poly import MultiPoly, RationalFunction, poly_sum
+from tubes.poly import MultiPoly, RationalFunction, coefficient_columns, poly_sum
 from tubes.scalars import ONE, ZERO, GaussianRational, _div
 from tubes.symmetry import affine_symmetry_algebra, expand_in_fields
 
-from oracles import cofactor_det, div_exact_terms, fraction_kernel, fraction_rank, random_poly
+from oracles import (cofactor_det, div_exact_terms, fraction_kernel, fraction_rank,
+                     gaussian_rref, random_poly)
 
 
 def test_kernel_zero_matrix():
@@ -77,10 +78,10 @@ def test_kernel_normalisation_matches_fraction_oracle(rational):
             assert next(x for x in vec if x) > 0
 
 
-@pytest.mark.parametrize("form", ["int", "fraction", "mixed", "gaussian"])
+@pytest.mark.parametrize("form", ["int", "fraction", "mixed"])
 def test_kernel_takes_every_rational_entry_type(form):
-    """int, Fraction, int-and-Fraction and real GaussianRational entries
-    of one matrix give the fraction oracle's basis."""
+    """int, Fraction and int-and-Fraction entries of one matrix give the
+    fraction oracle's basis."""
     rng = random.Random(4409)
     for _ in range(60):
         rows = _kernel_case(rng, rational=form != "int")
@@ -88,41 +89,10 @@ def test_kernel_takes_every_rational_entry_type(form):
             given = [[int(x) for x in row] for row in rows]
         elif form == "fraction":
             given = rows
-        elif form == "mixed":
+        else:
             given = [[int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
                      for row in rows]
-        else:
-            given = [[GaussianRational(x) for x in row] for row in rows]
         assert kernel_basis(given) == fraction_kernel(rows)
-
-
-def test_kernel_refuses_a_non_real_entry():
-    with pytest.raises(ValueError, match="rational entries"):
-        kernel_basis([[1, GaussianRational(0, 1)], [2, 3]])
-    with pytest.raises(ValueError, match="rational entries"):
-        kernel_basis([[0, 0], [0, GaussianRational(1, -1)]])
-
-
-def test_rref_over_q_equals_the_gaussian_elimination():
-    """_rref with div=scalars._div on int/Fraction rows and the default
-    Gaussian division on the same rows coerced reduce alike."""
-    rng = random.Random(7211)
-    for _ in range(60):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
-        rows = [[rng.choice([0, 0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5),
-                                                                rng.randint(1, 4))])
-                 for _ in range(ncols)] for _ in range(nrows)]
-        if nrows > 2:
-            rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
-        limit = rng.choice([None, rng.randint(0, ncols)])
-        work, pivots = linalg._rref(rows, limit, div=_div)
-        g_work, g_pivots = linalg._rref([[GaussianRational(x) for x in row] for row in rows],
-                                        limit)
-        assert pivots == g_pivots
-        assert work == g_work
-        assert all(type(x) in (int, Fraction) for row in work for x in row)
-        if limit is None:
-            assert len(pivots) == fraction_rank(rows)
 
 
 def test_kernel_matches_fraction_oracle_on_every_catalogued_surface(monkeypatch):
@@ -138,8 +108,8 @@ def test_kernel_matches_fraction_oracle_on_every_catalogued_surface(monkeypatch)
     assert len(captured) == len(surfaces) and "surface.tube.6.realified" in surfaces
     assert max((len(m), len(m[0])) for m in captured) == (39, 73)
     for fid, matrix in zip(surfaces, captured):
-        rational = [[x.re for x in row] for row in matrix]
-        assert kernel_basis(matrix) == fraction_kernel(rational), fid
+        assert all(type(x) in (int, Fraction) for row in matrix for x in row), fid
+        assert kernel_basis(matrix) == fraction_kernel(matrix), fid
 
 
 def test_det_diag():
@@ -315,20 +285,16 @@ def test_lowest_terms_agrees_with_sympy_cancel(mid, degrees):
 
 
 def test_solve_columns_consistency():
-    cols = [[GaussianRational(1), GaussianRational(0)],
-            [GaussianRational(1), GaussianRational(1)]]
-    target = [GaussianRational(3), GaussianRational(2)]
-    sol = solve_columns(cols, [target])[0]
-    assert sol is not None
-    assert sol[0] == GaussianRational(1) and sol[1] == GaussianRational(2)
-    assert solve_columns([[GaussianRational(0), GaussianRational(0)]],
-                         [[GaussianRational(1), GaussianRational(0)]])[0] is None
+    sol = solve_columns([[1, 0], [1, 1]], [[3, 2]])[0]
+    assert sol == [1, 2] and all(type(x) is int for x in sol)
+    assert solve_columns([[0, 0]], [[1, 0]])[0] is None
+    assert solve_columns([[Fraction(1, 2)]], [[1]]) == [[2]]
 
 
 def test_rref_rows_span():
-    rows = [[GaussianRational(1), GaussianRational(2)],
-            [GaussianRational(2), GaussianRational(4)]]
-    assert len(rref_rows(rows)) == 1
+    assert rref_rows([[1, 2], [2, 4]]) == [[1, 2]]
+    reduced = rref_rows([[Fraction(1, 2), Fraction(3, 2)], [1, 1]])
+    assert reduced == [[1, 0], [0, 1]] and all(type(x) is int for row in reduced for x in row)
 
 
 def _random_gaussian(rng):
@@ -336,30 +302,32 @@ def _random_gaussian(rng):
     return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), im)
 
 
-def _random_matrix(rng, nrows, ncols, rank_cap=None):
-    """Random Gaussian-rational matrix; with rank_cap, the rows past the
-    first rank_cap are combinations of earlier rows."""
+def _random_rational(rng):
+    return _div(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_matrix(rng, nrows, ncols, rank_cap=None, entry=_random_rational):
+    """Random matrix of entry(rng) values, canonical rationals by default;
+    with rank_cap, the rows past the first rank_cap are combinations of
+    earlier rows."""
     rows = []
     for i in range(nrows):
         if rank_cap is not None and i >= rank_cap:
-            a, b = _random_gaussian(rng), _random_gaussian(rng)
+            a, b = entry(rng), entry(rng)
             rows.append([a * x + b * y for x, y in zip(rows[0], rows[rng.randrange(i)])])
         else:
-            rows.append([_random_gaussian(rng) for _ in range(ncols)])
+            rows.append([entry(rng) for _ in range(ncols)])
     return rows
+
+
+def _canonical(xs):
+    """Every value an int, or a Fraction that is not integral."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1) for x in xs)
 
 
 def _matmul(a, b):
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO)
              for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def _realified(matrix):
-    """The real form [[Re, -Im], [Im, Re]]; its rank is twice the
-    complex rank, so fraction_rank serves as an independent oracle."""
-    top = [[x.re for x in row] + [-x.im for x in row] for row in matrix]
-    bottom = [[x.im for x in row] + [x.re for x in row] for row in matrix]
-    return top + bottom
 
 
 def test_invert_gaussian_matrix_random():
@@ -381,7 +349,7 @@ def test_invert_gaussian_matrix_random():
             assert _matmul(a, inv) == identity
             assert _matmul(inv, a) == identity
             if n > 1:
-                singular = _random_matrix(rng, n, n, rank_cap=n - 1)
+                singular = _random_matrix(rng, n, n, rank_cap=n - 1, entry=_random_gaussian)
                 assert invert_gaussian_matrix(singular) is None
 
 
@@ -392,18 +360,18 @@ def test_solve_columns_random_against_rank_oracle():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 4)
         matrix = _random_matrix(rng, nrows, ncols, rank_cap=rng.randint(1, ncols))
         if trial % 2:
-            x = [_random_gaussian(rng) for _ in range(ncols)]
-            target = [sum((a * b for a, b in zip(row, x)), ZERO) for row in matrix]
+            x = [_random_rational(rng) for _ in range(ncols)]
+            target = [sum(a * b for a, b in zip(row, x)) for row in matrix]
         else:
-            target = [_random_gaussian(rng) for _ in range(nrows)]
+            target = [_random_rational(rng) for _ in range(nrows)]
         columns = [[row[j] for row in matrix] for j in range(ncols)]
         sol = solve_columns(columns, [target])[0]
         augmented = [row + [t] for row, t in zip(matrix, target)]
-        inconsistent = fraction_rank(_realified(augmented)) > fraction_rank(_realified(matrix))
-        assert (sol is None) == inconsistent
+        assert (sol is None) == (fraction_rank(augmented) > fraction_rank(matrix))
         if sol is not None:
+            assert _canonical(sol)
             for row, t in zip(matrix, target):
-                assert sum((a * b for a, b in zip(row, sol)), ZERO) == t
+                assert sum(a * b for a, b in zip(row, sol)) == t
         outcomes.add(sol is None)
     assert outcomes == {True, False}
 
@@ -416,15 +384,15 @@ def test_rref_rows_rank_against_fraction_oracle():
                 for _ in range(nrows)]
         if nrows > 2:
             real[-1] = [a - 2 * b for a, b in zip(real[0], real[1])]
-        reduced = rref_rows([[GaussianRational(x) for x in row] for row in real])
+        reduced = rref_rows(real)
         assert len(reduced) == fraction_rank(real)
+        assert all(_canonical(row) for row in reduced)
         pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
         assert pivots == sorted(set(pivots))
         for i, p in enumerate(pivots):
-            assert [row[p] for row in reduced] == [ONE if k == i else ZERO
-                                                   for k in range(len(reduced))]
-        complex_rows = _random_matrix(rng, nrows, ncols, rank_cap=rng.randint(1, nrows))
-        assert 2 * len(rref_rows(complex_rows)) == fraction_rank(_realified(complex_rows))
+            assert [row[p] for row in reduced] == [int(k == i) for k in range(len(reduced))]
+        capped = _random_matrix(rng, nrows, ncols, rank_cap=rng.randint(1, nrows))
+        assert len(rref_rows(capped)) == fraction_rank(capped)
 
 
 def test_solve_columns_batched_against_single_targets_and_rank_oracle():
@@ -432,30 +400,31 @@ def test_solve_columns_batched_against_single_targets_and_rank_oracle():
     mixed = 0
     for _ in range(30):
         nrows, ncols = rng.randint(2, 6), rng.randint(1, 4)
-        columns = [[_random_gaussian(rng) for _ in range(nrows)] for _ in range(ncols)]
+        columns = [[_random_rational(rng) for _ in range(nrows)] for _ in range(ncols)]
         for j in range(1, ncols):
             if rng.random() < 0.4:  # a column dependent on earlier ones
-                a, b = _random_gaussian(rng), _random_gaussian(rng)
+                a, b = _random_rational(rng), _random_rational(rng)
                 columns[j] = [a * x + b * y for x, y in zip(columns[0], columns[rng.randrange(j)])]
         targets = []
         for _ in range(rng.randint(1, 5)):
             if rng.random() < 0.5:
-                x = [_random_gaussian(rng) for _ in range(ncols)]
-                targets.append([sum((col[i] * c for col, c in zip(columns, x)), ZERO)
+                x = [_random_rational(rng) for _ in range(ncols)]
+                targets.append([sum(col[i] * c for col, c in zip(columns, x))
                                 for i in range(nrows)])
             else:
-                targets.append([_random_gaussian(rng) for _ in range(nrows)])
+                targets.append([_random_rational(rng) for _ in range(nrows)])
         answers = solve_columns(columns, targets)
         assert len(answers) == len(targets)
         matrix = [[col[i] for col in columns] for i in range(nrows)]
-        rank = fraction_rank(_realified(matrix))
+        rank = fraction_rank(matrix)
         for target, answer in zip(targets, answers):
             assert answer == solve_columns(columns, [target])[0]
             augmented = [row + [t] for row, t in zip(matrix, target)]
-            assert (answer is None) == (fraction_rank(_realified(augmented)) > rank)
+            assert (answer is None) == (fraction_rank(augmented) > rank)
             if answer is not None:
+                assert _canonical(answer)
                 for row, t in zip(matrix, target):
-                    assert sum((a * b for a, b in zip(row, answer)), ZERO) == t
+                    assert sum(a * b for a, b in zip(row, answer)) == t
         mixed += len({answer is None for answer in answers}) == 2
     assert mixed >= 5
 
@@ -463,9 +432,8 @@ def test_solve_columns_batched_against_single_targets_and_rank_oracle():
 def test_solve_columns_inconsistent_targets_do_not_clear_each_other():
     # without pivoting in the columns only, the first target would pivot
     # in row 1 and clear the second's only entry past the rank
-    g = GaussianRational
-    answers = solve_columns([[g(1), g(0)]], [[g(0), g(1)], [g(0), g(2)], [g(3), g(0)]])
-    assert answers == [None, None, [g(3)]]
+    answers = solve_columns([[1, 0]], [[0, 1], [0, 2], [3, 0]])
+    assert answers == [None, None, [3]]
 
 
 def test_expand_in_fields_term_outside_the_basis_support():
@@ -475,7 +443,90 @@ def test_expand_in_fields_term_outside_the_basis_support():
     basis = [VectorField(vs, (x, zero)), VectorField(vs, (zero, one))]
     outside = VectorField(vs, (x + y, zero))  # y d/dx: no basis field has it
     inside = VectorField(vs, (x * 2, one * 3))
-    assert expand_in_fields([outside, inside, outside], basis) == [
-        None, (GaussianRational(2), GaussianRational(3)), None]
+    answers = expand_in_fields([outside, inside, outside], basis)
+    assert answers == [None, (2, 3), None] and all(type(x) is int for x in answers[1])
     assert expand_in_fields([outside], basis) == [None]
     assert expand_in_fields([], basis) == []
+
+
+def _gaussian_solve(columns, targets):
+    """solve_columns over the Gaussian rationals, through the frozen
+    gaussian_rref: the complex weights of each target, or None."""
+    ncols = len(columns)
+    work, pivots = gaussian_rref(list(zip(*columns, *targets)), ncols)
+    answers = []
+    for t in range(ncols, ncols + len(targets)):
+        answer = None
+        if not any(row[t] for row in work[len(pivots):]):
+            answer = [ZERO] * ncols
+            for row, c in zip(work, pivots):
+                answer[c] = row[t]
+        answers.append(answer)
+    return answers
+
+
+def _boxed_columns(columns):
+    """The complex coordinates of columns of polynomials, one per
+    (position, monomial) that any of them uses."""
+    support = sorted({(i, e) for column in columns for i, p in enumerate(column)
+                      for e, _ in p.sorted_terms()})
+    return [[column[i].coeff(e) for i, e in support] for column in columns]
+
+
+def test_real_solves_agree_with_the_frozen_gaussian_elimination():
+    """solve_columns on real coordinates, rank_at at non-real values and
+    invert_gaussian_matrix agree with the Gaussian-rational elimination
+    that every solve ran before it ran over Q."""
+    rng = random.Random(4040)
+    xy = ("x", "y")
+    kinds = set()
+    for _ in range(40):
+        # columns of two polynomials, real or complex, independent over C
+        ncols = rng.randint(1, 3)
+        columns = [tuple(random_poly(rng, xy, complex_coeffs=rng.random() < 0.5)
+                         for _ in range(2)) for _ in range(ncols)]
+        if len(gaussian_rref(_boxed_columns(columns))[1]) < ncols:
+            continue
+        # targets: a real combination, one with a non-real weight, a random pair
+        weights = [[_random_rational(rng) for _ in range(ncols)] for _ in range(2)]
+        weights[1][rng.randrange(ncols)] += GaussianRational(0, rng.choice([-2, 1, 3]))
+        targets = [tuple(poly_sum(xy, [col[i] * w for col, w in zip(columns, ws)])
+                         for i in range(2)) for ws in weights]
+        targets.append(tuple(random_poly(rng, xy, complex_coeffs=True) for _ in range(2)))
+        coords = coefficient_columns(columns + targets)
+        assert all(type(x) in (int, Fraction) for col in coords for x in col)
+        got = solve_columns(coords[:ncols], coords[ncols:])
+        boxed = _boxed_columns(columns + targets)
+        want = _gaussian_solve(boxed[:ncols], boxed[ncols:])
+        for answer, frozen in zip(got, want):
+            if frozen is not None and all(c.is_real() for c in frozen):
+                assert answer == frozen
+                kinds.add("real")
+            else:
+                assert answer is None
+                kinds.add("none" if frozen is None else "non-real")
+    assert kinds == {"real", "non-real", "none"}
+
+    nonreal = 0
+    for _ in range(40):
+        fields = [VectorField(xy, tuple(random_poly(rng, xy, complex_coeffs=True)
+                                        for _ in range(2))) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:  # a complex combination of the others
+            fields.append(linear_combination([_random_gaussian(rng) for _ in fields], fields))
+        point = [_random_rational(rng) for _ in xy]
+        values = [[c.eval_at(dict(zip(xy, point))) for c in f.components] for f in fields]
+        nonreal += any(not x.is_real() for row in values for x in row)
+        assert rank_at(fields, point) == len(gaussian_rref(values)[1])
+    assert nonreal >= 30
+
+    singular = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            a = _random_matrix(rng, n, n, rank_cap=rng.choice([None, max(n - 1, 1)]),
+                               entry=_random_gaussian)
+            work, pivots = gaussian_rref([row + [ONE if i == j else ZERO for j in range(n)]
+                                          for i, row in enumerate(a)])
+            frozen = [row[n:] for row in work] if pivots == list(range(n)) else None
+            singular += frozen is None
+            assert invert_gaussian_matrix(a) == frozen
+    assert singular >= 5

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tubes.linalg
 import tubes.poly
 from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc,
                         poly_div_exact, poly_sum, series_expand, subs_each, substitute)
@@ -656,18 +657,38 @@ def test_only_poly_module_writes_term_dicts():
     assert {name: lines for name, lines in names.items() if lines} == {}
 
 
+def _functions(module):
+    """The module-level functions of a module, by name."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_the_inner_loops_box_no_coefficient():
     """The product, the Horner composer, the sum and the series inverse
     run on the rationals of the term dicts: none names GaussianRational
     or its trusted builder _gr."""
-    tree = ast.parse(Path(tubes.poly.__file__).read_text())
-    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    bodies = _functions(tubes.poly)
     loops = ("_product", "_combine", "_real_product", "_mac", "_shifted", "_canonical", "_horner",
              "_split", "_add_into", "series_expand")
     named = {name: sorted({node.id for node in ast.walk(bodies[name])
                            if isinstance(node, ast.Name)} & {"GaussianRational", "_gr"})
              for name in loops}
     assert named == {name: [] for name in loops}
+
+
+def test_the_linear_solves_run_over_q():
+    """linalg's one elimination core takes no division parameter, and it,
+    the solves built on it and the coordinates they read name no
+    Gaussian-rational box: every entry is an int or a Fraction."""
+    linalg = _functions(tubes.linalg)
+    solves = [linalg[name] for name in ("_rref", "kernel_basis", "solve_columns", "rref_rows")]
+    solves.append(_functions(tubes.poly)["coefficient_columns"])
+    named = {node.name: sorted({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                               & {"GaussianRational", "_gr", "ZERO", "ONE", "truediv"})
+             for node in solves}
+    assert named == {node.name: [] for node in solves}
+    args = linalg["_rref"].args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["rows", "limit"]
 
 
 XY = ("x", "y")
