@@ -95,12 +95,11 @@ def gauss_from_obj(obj) -> GaussianRational:
 
 
 def poly_to_obj(p: MultiPoly) -> Dict:
-    terms = []
-    for exps, coeff in p.sorted_terms():
-        # a real coefficient goes under "c", a complex one's parts into the record
-        c = gauss_to_obj(coeff)
-        terms.append({"e": list(exps), "c": c} if isinstance(c, str) else {"e": list(exps), **c})
-    return {"vars": list(p.vars), "terms": terms}
+    # a real coefficient goes under "c", a complex one's parts into the record
+    return {"vars": list(p.vars),
+            "terms": [{"e": list(exps), "re": frac_to_str(re), "im": frac_to_str(im)} if im
+                      else {"e": list(exps), "c": frac_to_str(re)}
+                      for exps, re, im in p.sorted_terms()]}
 
 
 def poly_from_obj(obj: Mapping) -> MultiPoly:

@@ -6,10 +6,11 @@ parts of its coefficients, and `im_terms`, the imaginary parts, empty
 for a real polynomial. Every operation works part by part and skips an
 empty imaginary part, so a polynomial costs what the ring of its data
 costs. GaussianRational is the scalar of the public edges only (`coeff`,
-`const_coeff`, `leading`, `sorted_terms`, `lone_linear_terms`,
-`coefficient_lists`, `eval_at`, `__str__`, and `terms`, which boxes
-every coefficient for code outside the package); `coefficient_columns`
-hands the linear solves the parts themselves, as real coordinates.
+`const_coeff`, `leading`, `coefficient_lists`, `eval_at`, `__str__`,
+and `terms`, which boxes every coefficient for code outside the
+package); `sorted_terms` hands out each coefficient as its (re, im)
+parts, and `coefficient_columns` hands the linear solves the parts
+themselves, as real coordinates.
 Binary operations insist that the variable tuples match exactly; the
 package juggles several coordinate systems (x, z, w and their
 conjugates) and silent mixing would be a correctness hazard.
@@ -30,11 +31,10 @@ Exponent tuples appear only at the public edges: the constructor,
 Every substitution (`subs_poly`, `subs_each`, `substitute`) is one
 Horner routine over term keys, `_horner`, which splits the terms by one
 mapped variable's exponent per level with a shift and a mask.
-`subs_each` puts one value in for one variable of many polynomials,
-through one power cache; `_compose` takes
-images for the mapped variables only, {index in p: (Powers of the
-numerator, Powers of the denominator, top degree)}; every other variable
-is kept and moves into the target universe by the runs of `_moves`.
+`_compose` takes images for the mapped variables only, {index in p:
+(Powers of the numerator, Powers of the denominator, top degree)}; every
+other variable is kept and moves into the target universe by the runs
+of `_moves`.
 
 Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
@@ -43,6 +43,13 @@ polynomials accumulate into one dict per part (`poly_sum`, `_add_into`),
 and an exact division works on one remainder dict per part
 (`poly_div_exact`). A point value (`eval_at`) is read straight off the
 term keys, without building a polynomial.
+
+The Grassmannian chart scan of symmetry.py runs on bare real parts, and
+two helpers here serve it: `linear_pivot` finds an equation's pivot
+among its keys of degree 1, and `subs_each` puts one value in for one
+variable of many parts, through one power cache, returning a part that
+lacks the variable as it is. Both take and give {term key: rational}
+dicts; the scan wraps with `_poly` only what its outcome keeps.
 
 Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed. Their
@@ -279,14 +286,16 @@ class MultiPoly:
     def const_coeff(self) -> GaussianRational:
         return _gr(self.re_terms.get(0, 0), self.im_terms.get(0, 0))
 
-    def sorted_terms(self) -> List[Tuple[Exponents, GaussianRational]]:
-        """Terms in graded-lexicographic order, highest first."""
+    def sorted_terms(self) -> List[Tuple[Exponents, Rational, Rational]]:
+        """Terms in graded-lexicographic order, highest first, each as its
+        exponents and the real and imaginary parts of its coefficient."""
         n = len(self.vars)
-        if not self.im_terms:
-            return [(tuple(k.to_bytes(n + 1, "big")[1:]), _gr(c, 0))
-                    for k, c in sorted(self.re_terms.items(), reverse=True)]
-        return [(tuple(k.to_bytes(n + 1, "big")[1:]), c)
-                for k, c in sorted(_boxed(self).items(), reverse=True)]
+        re_terms, im_terms = self.re_terms, self.im_terms
+        if not im_terms:
+            return [(tuple(k.to_bytes(n + 1, "big")[1:]), c, 0)
+                    for k, c in sorted(re_terms.items(), reverse=True)]
+        return [(tuple(k.to_bytes(n + 1, "big")[1:]), re_terms.get(k, 0), im_terms.get(k, 0))
+                for k in sorted(_keys(self), reverse=True)]
 
     def leading(self) -> Tuple[Exponents, GaussianRational]:
         if not self:
@@ -294,29 +303,6 @@ class MultiPoly:
         k = max(_keys(self))
         return (tuple(k.to_bytes(len(self.vars) + 1, "big")[1:]),
                 _gr(self.re_terms.get(k, 0), self.im_terms.get(k, 0)))
-
-    def lone_linear_terms(self) -> Dict[str, GaussianRational]:
-        """{v: c} for each variable v that occurs in one term of self only,
-        that term being c * v."""
-        n = len(self.vars)
-        fields = (1 << 8 * n) - 1
-        lows = int.from_bytes(b"\x01" * n, "big")
-        seen = repeated = 0
-        linear = {}
-        for k, re, im in _items(self.re_terms, self.im_terms):
-            x = k & fields
-            if k >> 8 * n == 1:
-                # one field holds 1: x is the low bit of its byte
-                linear[x] = (re, im)
-            # the low bit of each byte, set where the byte is nonzero
-            x |= x >> 4
-            x |= x >> 2
-            x |= x >> 1
-            x &= lows
-            repeated |= seen & x
-            seen |= x
-        return {self.vars[n - 1 - (x.bit_length() - 1) // 8]: _gr(*c)
-                for x, c in linear.items() if not x & repeated}
 
     def coefficient_lists(self, name: str) -> Dict[int, List[GaussianRational]]:
         """self as a polynomial in `name` over the other variables: for each
@@ -599,21 +585,47 @@ class Powers:
         return pows[k]
 
 
-def subs_each(polys: Sequence[MultiPoly], name: str, value: MultiPoly) -> List[MultiPoly]:
-    """Each of polys, all over value's variables, with the variable `name`
-    replaced by value: through one `Powers` of value and one `_horner`
-    chain for them all. A poly in which `name` does not occur is returned
-    as it is, the same object."""
-    variables = value.vars
+def linear_pivot(terms: Terms, variables: Tuple[str, ...]) -> Optional[Tuple[str, int, Rational]]:
+    """(name, key, c) for the variable of smallest name, in string order,
+    that occurs in one term of the real part `terms` over `variables`
+    only, that term being c * name with key `key`; None when there is
+    none. Only the keys of total degree 1 are candidates, and a candidate
+    whose name beats the best so far is taken when no other key has a
+    nonzero exponent field for its variable."""
+    n = len(variables)
+    top = 8 * n
+    best = None
+    for k, c in terms.items():
+        if k >> top == 1:
+            # the one nonzero exponent field holds 1, so low is its low bit
+            low = k - (1 << top)
+            name = variables[n - 1 - (low.bit_length() - 1) // 8]
+            if best is None or name < best[0]:
+                field = 255 * low
+                for j in terms:
+                    if j & field and j != k:
+                        break
+                else:
+                    best = name, k, c
+    return best
+
+
+def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
+              value: Terms) -> List[Terms]:
+    """Each of parts, real parts over `variables`, with the variable `name`
+    replaced by the real polynomial whose part is value: through one
+    `Powers` of value and one `_horner` chain for them all. A part in
+    which `name` does not occur is returned as it is, the same dict."""
+    width = len(variables)
     idx = variables.index(name)
-    chain = [_chain(len(variables), idx, (Powers(value), None, 0))]
-    mask = _field_mask(len(variables), (idx,))
+    chain = [_chain(width, idx, (Powers(_poly(variables, value)), None, 0))]
+    field = _field_mask(width, (idx,))
     out = []
-    for p in polys:
-        if p.vars != variables:
-            raise ValueError(f"variable mismatch: {variables} vs {p.vars}")
-        if any(k & mask for k in [*p.re_terms, *p.im_terms]):
-            p = _poly(variables, *_horner(p.re_terms, p.im_terms, chain, 0, None))
+    for p in parts:
+        for k in p:
+            if k & field:
+                p = _horner(p, _NO_TERMS, chain, 0, None)[0]
+                break
         out.append(p)
     return out
 

@@ -23,11 +23,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
                      rank_at)
-from .poly import (MultiPoly, RationalFunction, _poly, coefficient_columns, poly_sum,
-                   subs_each, substitute, variable_keys)
+from .poly import (MultiPoly, RationalFunction, Terms, _poly, coefficient_columns,
+                   linear_pivot, poly_sum, subs_each, substitute, variable_keys)
 from .record import Record
 from .relations import RelationContext
-from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _div, rat
+from .scalars import ZERO, GaussianRational, Rational, _canon, _div, rat
 
 
 class Hypersurface(Record):
@@ -406,17 +406,19 @@ def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
     Each affine chart pins k pivot coordinates to the identity and leaves
     the rest as unknowns; closure of the span under bracket produces
     polynomial equations (`_chart_system`, straight from the structure
-    constants), solved by repeated elimination (`_scan_chart`). One sweep
-    over the terms of the first equation that has one finds its pivot: the
-    smallest name, in string order, of a variable occurring in a single
-    term c * var with c constant. It is substituted into the equations that
-    contain it. A nonzero constant equation makes the chart empty; charts
-    whose systems do not successively linearize are reported UNRESOLVED
-    with their residual equations. Only a chart that ends solved
-    back-substitutes its eliminations, once, into its solution and builds
-    its basis rows, which it keeps (`ChartOutcome.rows`). A solved chart
-    is rechecked by bracketing those rows through the generic
-    `bracket_coords`, independently of how the system was built.
+    constants), solved by repeated elimination (`_scan_chart`) on their
+    bare real term dicts. The pivot of the first equation that has one
+    (`poly.linear_pivot`, over its keys of degree 1) is the smallest
+    name, in string order, of a variable occurring in a single term
+    c * var with c constant. It is substituted into the equations that
+    contain it (`poly.subs_each`). A nonzero constant equation makes the
+    chart empty; charts whose systems do not successively linearize are
+    reported UNRESOLVED with their residual equations. Only a chart that
+    ends solved back-substitutes its eliminations, once, into its
+    solution and builds its basis rows, which it keeps
+    (`ChartOutcome.rows`). A solved chart is rechecked by bracketing those
+    rows through the generic `bracket_coords`, independently of how the
+    system was built.
     """
     m = algebra.dim
     if not 0 < k < m:
@@ -430,48 +432,53 @@ def subalgebra_scan(algebra: LieAlgebraPresentation, k: int) -> ScanResult:
 def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]) -> ChartOutcome:
     """The outcome of the chart with these pivots.
 
-    Each elimination is recorded as (var, expr) and substituted into the
-    equations only; after it, only the equations it changed are tested
-    for a nonzero constant. Most charts end empty or UNRESOLVED and read
-    nothing else. A chart that ends solved back-substitutes once, last
-    step first, and only then builds its rows over its free variables: a
-    later expr never contains an earlier var, so this gives the
-    polynomials that substituting every elimination into the solution so
-    far would."""
+    The equations are real term dicts {term key: rational} over the
+    chart variables from `_chart_system` to the outcome; a polynomial is
+    built only for what the outcome keeps: the residuals of an
+    UNRESOLVED chart, and a solved chart's eliminations. Each elimination
+    is recorded as (var, expr) and substituted into the equations only;
+    after it, only the equations it changed are tested for a nonzero
+    constant, the term key 0 alone. Most charts end empty or UNRESOLVED
+    and read nothing else. A chart that ends solved back-substitutes
+    once, last step first, and only then builds its rows over its free
+    variables: a later expr never contains an earlier var, so this gives
+    the polynomials that substituting every elimination into the
+    solution so far would."""
     m = algebra.dim
     nonpivots = [j for j in range(m) if j not in pivots]
     tvars = tuple(f"t{a}_{j}" for a in range(k) for j in nonpivots)
 
-    # each equation with a mark: True once _linear_pivot found no pivot in
+    # each equation with a mark: True once linear_pivot found no pivot in
     # it; an equation that elimination leaves untouched keeps its mark
     eqs = [(e, False) for e in _chart_system(algebra, pivots, tvars)]
-    # every equation is nonzero, so degree 0 means a nonzero constant
-    if any(e.degree() == 0 for e, _ in eqs):
+    # every equation is nonzero, so one with the key 0 alone is a nonzero constant
+    if any(len(e) == 1 and 0 in e for e, _ in eqs):
         return ChartOutcome(pivots, "empty")
-    steps: List[Tuple[str, MultiPoly]] = []
+    steps: List[Tuple[str, Terms]] = []
     while eqs:
         pick = None
         for n, (e, stuck) in enumerate(eqs):
             if not stuck:
-                pick = _linear_pivot(e)
+                pick = linear_pivot(e, tvars)
                 if pick:
                     break
                 eqs[n] = (e, True)
         if pick is None:
-            return ChartOutcome(pivots, "unresolved", residual=tuple(e for e, _ in eqs))
-        var, c = pick
-        expr = (e - MultiPoly.var(tvars, var) * c) * (-ONE / c)
+            return ChartOutcome(pivots, "unresolved",
+                                residual=tuple(_poly(tvars, e) for e, _ in eqs))
+        var, key, c = pick
+        # e = c * var + rest = 0 solves to var = -rest / c
+        expr = {t: _div(-x, c) for t, x in e.items() if t != key}
         steps.append((var, expr))
-        # e itself becomes c * (var - expr) = 0; subs_each returns an
-        # equation without var as it is, and only a changed equation can
-        # have become a nonzero constant
+        # subs_each returns an equation without var as it is, and only a
+        # changed equation can have become a nonzero constant
         del eqs[n]
         left = []
-        for (q, stuck), new in zip(eqs, subs_each([q for q, _ in eqs], var, expr)):
+        for (q, stuck), new in zip(eqs, subs_each([q for q, _ in eqs], tvars, var, expr)):
             if new is not q:
                 if not new:
                     continue
-                if new.degree() == 0:
+                if len(new) == 1 and 0 in new:
                     return ChartOutcome(pivots, "empty")
                 q, stuck = new, False
             left.append((q, stuck))
@@ -482,11 +489,12 @@ def _scan_chart(algebra: LieAlgebraPresentation, k: int, pivots: Tuple[int, ...]
     # variables
     solution: Dict[str, MultiPoly] = {}
     for var, expr in reversed(steps):
+        expr = _poly(tvars, expr)
         later = {v: solution[v] for v in expr.used_vars() if v in solution}
         solution[var] = expr.subs_poly(later) if later else expr
     # every variable left unsolved stands in its own row entry
     free = tuple(sorted(v for v in tvars if v not in solution))
-    entries = {v: MultiPoly.var(free, v) for v in free}
+    entries = {v: _poly(free, {unit: 1}) for v, unit in zip(free, variable_keys(free))}
     entries.update((v, expr.with_vars(free)) for v, expr in solution.items())
     rows = tuple(tuple(MultiPoly.const(free, int(j == p)) if j in pivots else entries[f"t{a}_{j}"]
                        for j in range(m))
@@ -517,11 +525,11 @@ def _residuals(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
 
 
 def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
-                  tvars: Tuple[str, ...]) -> List[MultiPoly]:
-    """The closure equations of the chart with these pivots: `_residuals`
-    of its rows, the same equations in the same order, read straight off
-    the structure constants (de Graaf, Lie Algebras: Theory and
-    Algorithms, ch. 1).
+                  tvars: Tuple[str, ...]) -> List[Terms]:
+    """The closure equations of the chart with these pivots, as real term
+    dicts over tvars: those of `_residuals` of its rows, the same
+    equations in the same order, read straight off the structure
+    constants (de Graaf, Lie Algebras: Theory and Algorithms, ch. 1).
 
     Row a is e_{p_a} + sum_j t_{a,j} e_j over the nonpivots j, so each
     coordinate of the bracket w of rows a < b is a sum of c_ij^k * u_i * v_j,
@@ -558,15 +566,8 @@ def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
                             r[key + t] = r.get(key + t, 0) - c
                 terms = {key: _canon(c) for key, c in r.items() if c}
                 if terms:
-                    eqs.append(_poly(tvars, terms))
+                    eqs.append(terms)
     return eqs
-
-
-def _linear_pivot(e: MultiPoly) -> Optional[Tuple[str, GaussianRational]]:
-    """(var, c) for the smallest name var occurring in one term of e only,
-    that term being c * var; None when there is none."""
-    # names are distinct, so min never compares two coefficients
-    return min(e.lone_linear_terms().items(), default=None)
 
 
 def chart_coordinates_of_subspace(rows: Sequence[Sequence[Rational]]):

@@ -9,8 +9,9 @@ multiplying back rather than re-expanding, and a field's tangency to a
 surface is certified by solving X(P) = Q P for a polynomial multiplier Q
 with the fraction elimination, instead of through tubes.linalg and the
 kernel solve of affine_symmetry_algebra. The
-scan's one-sweep pivot pick is checked against its first form, which
-tries each variable in turn for degree 1 and a constant `diff`, and
+scan's pivot pick is checked against its first form, which tries each
+variable in turn for degree 1 and a constant `diff`, the scan's chart
+loop on term dicts against its MultiPoly loop (`frozen_scan_chart`),
 `MultiPoly.specialize` and `MultiPoly.eval_at` against the term loop
 `eval_at` had before it became specialize's full case, exact division
 against its first loop, which built a new remainder polynomial at every
@@ -39,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 from tubes.fields import VectorField
 from tubes.poly import MultiPoly, RationalFunction, poly_sum
 from tubes.scalars import I, ONE, ZERO, GaussianRational
+from tubes.symmetry import ChartOutcome, _residuals
 
 
 def cofactor_det(matrix) -> MultiPoly:
@@ -204,6 +206,11 @@ def pair_pow(x, k: int):
     return out
 
 
+def boxed_terms(p: MultiPoly) -> List[Tuple[Tuple[int, ...], GaussianRational]]:
+    """p.sorted_terms() with each coefficient boxed from its two parts."""
+    return [(e, GaussianRational(re, im)) for e, re, im in p.sorted_terms()]
+
+
 def first_written_pivot(e: MultiPoly):
     """The scan's pivot pick as first written, frozen: over
     sorted(e.used_vars()), the first variable of degree 1 in e whose
@@ -238,12 +245,69 @@ def chart_rows_from_solution(chart, algebra_dim: int) -> List[List[MultiPoly]]:
     return rows
 
 
+def frozen_scan_chart(algebra, k: int, pivots: Tuple[int, ...]):
+    """The ChartOutcome of one Grassmannian chart by the scan loop on
+    MultiPoly equations that symmetry._scan_chart ran before it worked on
+    bare term dicts, frozen. Its equations are the generic closure
+    residuals of the chart rows (symmetry._residuals), its pivot pick is
+    first_written_pivot, and each elimination goes into every equation
+    that uses its variable by MultiPoly.subs_poly."""
+    m = algebra.dim
+    nonpivots = [j for j in range(m) if j not in pivots]
+    tvars = tuple(f"t{a}_{j}" for a in range(k) for j in nonpivots)
+    chart_rows = [[MultiPoly.const(tvars, int(j == p)) if j in pivots
+                   else MultiPoly.var(tvars, f"t{a}_{j}") for j in range(m)]
+                  for a, p in enumerate(pivots)]
+    eqs = [(e, False) for e in _residuals(algebra, pivots, tvars, chart_rows)]
+    if any(e.degree() == 0 for e, _ in eqs):
+        return ChartOutcome(pivots, "empty")
+    steps = []
+    while eqs:
+        pick = None
+        for n, (e, stuck) in enumerate(eqs):
+            if not stuck:
+                pick = first_written_pivot(e)
+                if pick:
+                    break
+                eqs[n] = (e, True)
+        if pick is None:
+            return ChartOutcome(pivots, "unresolved", residual=tuple(e for e, _ in eqs))
+        var, c = pick
+        expr = (e - MultiPoly.var(tvars, var) * c) * (-ONE / c)
+        steps.append((var, expr))
+        del eqs[n]
+        left = []
+        for q, stuck in eqs:
+            if var in q.used_vars():
+                q = q.subs_poly({var: expr})
+                if not q:
+                    continue
+                if q.degree() == 0:
+                    return ChartOutcome(pivots, "empty")
+                stuck = False
+            left.append((q, stuck))
+        eqs = left
+    solution = {}
+    for var, expr in reversed(steps):
+        later = {v: solution[v] for v in expr.used_vars() if v in solution}
+        solution[var] = expr.subs_poly(later) if later else expr
+    free = tuple(sorted(v for v in tvars if v not in solution))
+    entries = {v: MultiPoly.var(free, v) for v in free}
+    entries.update((v, expr.with_vars(free)) for v, expr in solution.items())
+    rows = tuple(tuple(MultiPoly.const(free, int(j == p)) if j in pivots else entries[f"t{a}_{j}"]
+                       for j in range(m))
+                 for a, p in enumerate(pivots))
+    verified = all(e.is_zero() for e in _residuals(algebra, pivots, free, rows))
+    return ChartOutcome(pivots, "solved", free, tuple(sorted(solution.items())), (),
+                        verified, rows)
+
+
 def eval_terms(p: MultiPoly, point) -> GaussianRational:
     """The value of p at a point (a dict over p.vars; absent names read
     as 0) by the term loop eval_at had before specialize, frozen."""
     vals = [GaussianRational.coerce(point.get(v, 0)) for v in p.vars]
     total = ZERO
-    for e, c in p.sorted_terms():
+    for e, c in boxed_terms(p):
         acc = c
         for i, k in enumerate(e):
             if k:
@@ -278,7 +342,7 @@ def str_terms(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     bits = []
-    for e, c in p.sorted_terms():
+    for e, c in boxed_terms(p):
         mono = "*".join(
             f"{v}^{k}" if k > 1 else v
             for v, k in zip(p.vars, e) if k
@@ -301,7 +365,7 @@ def chain_compose(p: MultiPoly, target, images) -> MultiPoly:
     kept = [(i, t) for i, t in enumerate(images) if isinstance(t, int)]
     mapped = [i for i, t in enumerate(images) if not isinstance(t, int)]
     groups = {}
-    for e, c in p.sorted_terms():
+    for e, c in boxed_terms(p):
         moved = [0] * len(target)
         for i, t in kept:
             moved[t] = e[i]
@@ -400,13 +464,13 @@ def boxed_conjugate(p: MultiPoly, pairing):
     """The terms of p.conjugate(pairing), one exponent tuple at a time."""
     partner = [p.vars.index(pairing.get(v, v)) for v in p.vars]
     return {_key(tuple(e[partner[i]] for i in range(len(e)))): c.conjugate()
-            for e, c in p.sorted_terms()}
+            for e, c in boxed_terms(p)}
 
 
 def boxed_specialize(p: MultiPoly, values):
     """The terms of p.specialize(values), one exponent tuple at a time."""
     out = {}
-    for e, c in p.sorted_terms():
+    for e, c in boxed_terms(p):
         for v, k in zip(p.vars, e):
             if v in values:
                 c = c * GaussianRational.coerce(values[v]) ** k
@@ -448,8 +512,8 @@ def realify(z: VectorField) -> VectorField:
     for comp in z.components:
         g = comp.subs_poly(images)
         terms = g.sorted_terms()
-        re_comps.append(MultiPoly(real_vars, {e: c.re for e, c in terms}))
-        im_comps.append(MultiPoly(real_vars, {e: c.im for e, c in terms}))
+        re_comps.append(MultiPoly(real_vars, {e: re for e, re, _ in terms}))
+        im_comps.append(MultiPoly(real_vars, {e: im for e, _, im in terms}))
     return VectorField(real_vars, tuple(re_comps + im_comps))
 
 
@@ -486,13 +550,13 @@ def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[MultiPoly]:
     # m_k P and i m_k P, read as the real and imaginary parts of their coefficients
     support = {}
     for q in products + [xp]:
-        for e, _ in q.sorted_terms():
+        for e, _, _ in q.sorted_terms():
             support.setdefault(e, len(support))
 
     def column(q):
         col = [Fraction(0)] * (2 * len(support))
-        for e, c in q.sorted_terms():
-            col[2 * support[e]], col[2 * support[e] + 1] = c.re, c.im
+        for e, re, im in q.sorted_terms():
+            col[2 * support[e]], col[2 * support[e] + 1] = re, im
         return col
 
     columns = [column(q) for q in products] + [column(q * I) for q in products]

@@ -256,10 +256,10 @@ def test_lowest_terms_of_a_zero_numerator_is_zero_over_a_constant():
 
 
 def _to_sympy(p, symbols):
-    return sum((sympy.Rational(c.re.numerator, c.re.denominator)
-                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+    return sum((sympy.Rational(re.numerator, re.denominator)
+                + sympy.I * sympy.Rational(im.numerator, im.denominator))
                * sympy.Mul(*(s**k for s, k in zip(symbols, e)))
-               for e, c in p.sorted_terms())
+               for e, re, im in p.sorted_terms())
 
 
 @pytest.mark.parametrize("mid, degrees", [("map.cm.D", (1, 3, 2, 2)),
@@ -469,7 +469,7 @@ def _boxed_columns(columns):
     """The complex coordinates of columns of polynomials, one per
     (position, monomial) that any of them uses."""
     support = sorted({(i, e) for column in columns for i, p in enumerate(column)
-                      for e, _ in p.sorted_terms()})
+                      for e, _, _ in p.sorted_terms()})
     return [[column[i].coeff(e) for i, e in support] for column in columns]
 
 

@@ -20,7 +20,7 @@ from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 from tubes.symmetry import LieAlgebraPresentation, expand_in_fields
 
-from oracles import dense_structure, fraction_series, invariant_by_two_products
+from oracles import boxed_terms, dense_structure, fraction_series, invariant_by_two_products
 
 WG = ("w1", "w2", "w3", "w1b", "w2b", "w3b")
 W1, W2, W3, W1B, W2B, W3B = (MultiPoly.var(WG, n) for n in WG)
@@ -223,11 +223,11 @@ def _graph_perturbations(part, rng):
     its coefficient moved by a seeded real or non-real amount."""
     for side in ("num", "den"):
         poly = getattr(part, side)
-        for exps, c in poly.sorted_terms():
+        for exps, c in boxed_terms(poly):
             delta = GaussianRational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
                                      rng.choice((0, 0, 1, -1)))
             for new_c in (0, c + delta):
-                terms = dict(poly.sorted_terms())
+                terms = dict(boxed_terms(poly))
                 terms[exps] = new_c
                 moved = MultiPoly(poly.vars, terms)
                 yield (moved, part.den) if side == "num" else (part.num, moved)

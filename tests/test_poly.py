@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 import tubes.linalg
 import tubes.poly
+import tubes.symmetry
 from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc,
                         poly_div_exact, poly_sum, series_expand, subs_each, substitute)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
-from oracles import (boxed_conjugate, boxed_product, boxed_specialize, boxed_sum, chain_compose,
-                     div_exact_terms, eval_terms, fraction_series, random_poly, str_terms)
+from oracles import (boxed_conjugate, boxed_product, boxed_specialize, boxed_sum, boxed_terms,
+                     chain_compose, div_exact_terms, eval_terms, fraction_series, random_poly,
+                     str_terms)
 
 VARS = ("x", "y", "z")
 
@@ -120,7 +122,7 @@ def test_mul_trunc_is_truncated_product(a, b, cutoff):
 def test_a_monic_monomial_factor_shifts_the_exponents(p, exps, cutoff):
     m = MultiPoly(VARS, {exps: 1})
     shifted = MultiPoly(VARS, {tuple(a + b for a, b in zip(e, exps)): c
-                               for e, c in p.sorted_terms()})
+                               for e, c in boxed_terms(p)})
     assert m * p == p * m == shifted
     assert mul_trunc(p, m, cutoff) == mul_trunc(m, p, cutoff) == shifted.truncate(cutoff)
     # coefficient 2 scales as it shifts
@@ -133,7 +135,7 @@ def test_a_monic_monomial_factor_shifts_the_exponents(p, exps, cutoff):
 def test_a_one_term_factor_equals_the_general_loop(p, exps, c, cutoff):
     m = MultiPoly(VARS, {exps: c})
     expected = MultiPoly(VARS, {tuple(a + b for a, b in zip(e, exps)): k * c
-                                for e, k in p.sorted_terms()})
+                                for e, k in boxed_terms(p)})
     assert m * p == p * m == expected
     assert mul_trunc(p, m, cutoff) == mul_trunc(m, p, cutoff) == expected.truncate(cutoff)
     # m + z has two terms, so its product with p runs the general loop;
@@ -217,16 +219,14 @@ def test_subs_each_equals_the_composer_and_returns_untouched_polys_as_they_are()
     for _ in range(60):
         name = rng.choice(VARS)
         other = next(v for v in VARS if v != name)
-        value = random_poly(rng, VARS, max_degree=2, max_terms=3, complex_coeffs=True)
+        value = random_poly(rng, VARS, max_degree=2, max_terms=3)
         polys = [random_poly(rng, VARS, max_degree=3, max_terms=5) for _ in range(5)]
-        for p, out in zip(polys, subs_each(polys, name, value)):
-            assert out == p.subs_poly({name: value})
+        parts = [p.re_terms for p in polys]
+        for p, part, out in zip(polys, parts, subs_each(parts, VARS, name, value.re_terms)):
+            assert out == p.subs_poly({name: value}).re_terms
             # a second variable mapped to itself goes through the composer
-            assert out == p.subs_poly({name: value, other: MultiPoly.var(VARS, other)})
-            assert (out is p) == (name not in p.used_vars())
-    x = MultiPoly.var(VARS, "x")
-    with pytest.raises(ValueError, match="variable mismatch"):
-        subs_each([x, MultiPoly.var(("x", "y"), "x")], "x", x)
+            assert out == p.subs_poly({name: value, other: MultiPoly.var(VARS, other)}).re_terms
+            assert (out is part) == (name not in p.used_vars())
 
 
 def test_subs_poly_rejects_an_unmapped_variable_missing_from_the_target():
@@ -676,6 +676,25 @@ def test_the_inner_loops_box_no_coefficient():
     assert named == {name: [] for name in loops}
 
 
+def test_the_chart_scan_boxes_no_coefficient():
+    """The chart scan, from its equations through its pivot search and
+    its substitutions, runs on the rationals of bare term dicts: none
+    names a Gaussian-rational box, the boxed constants ONE and ZERO, or
+    MultiPoly.var."""
+    symmetry, poly = _functions(tubes.symmetry), _functions(tubes.poly)
+    bodies = {"_scan_chart": symmetry["_scan_chart"], "_chart_system": symmetry["_chart_system"],
+              "linear_pivot": poly["linear_pivot"], "subs_each": poly["subs_each"]}
+    named = {}
+    for name, body in bodies.items():
+        nodes = list(ast.walk(body))
+        found = {node.id for node in nodes if isinstance(node, ast.Name)}
+        found &= {"GaussianRational", "_gr", "ONE", "ZERO"}
+        found |= {"MultiPoly.var" for node in nodes if isinstance(node, ast.Attribute)
+                  and node.attr == "var" and getattr(node.value, "id", None) == "MultiPoly"}
+        named[name] = sorted(found)
+    assert named == {name: [] for name in bodies}
+
+
 def test_the_linear_solves_run_over_q():
     """linalg's one elimination core takes no division parameter, and it,
     the solves built on it and the coordinates they read name no
@@ -728,7 +747,7 @@ def test_public_edges_give_back_the_exponent_tuples_in_graded_lex_order(terms):
     p = MultiPoly(WXYZ, terms)
     expected = sorted(((e, GaussianRational.coerce(c)) for e, c in terms.items() if c),
                       key=lambda t: (sum(t[0]), t[0]), reverse=True)
-    assert p.sorted_terms() == expected
+    assert p.sorted_terms() == [(e, c.re, c.im) for e, c in expected]
     if expected:
         assert p.leading() == expected[0]
     assert all(p.coeff(e) == c for e, c in expected)
@@ -745,15 +764,15 @@ def test_key_moves_match_the_exponent_tuples(terms, universe, name):
     moved = p.with_vars(universe)
     assert moved == MultiPoly(universe, {
         tuple(e[WXYZ.index(v)] if v in WXYZ else 0 for v in universe): c
-        for e, c in p.sorted_terms()})
+        for e, c in boxed_terms(p)})
     assert moved.with_vars(WXYZ) == p
     pairing = {"w": "y", "y": "w", "x": "x", "z": "z"}
     assert p.conjugate(pairing) == MultiPoly(WXYZ, {(e[2], e[1], e[0], e[3]): c.conjugate()
-                                                   for e, c in p.sorted_terms()})
+                                                   for e, c in boxed_terms(p)})
     parts = p.bidegree_split(("w", "z"), ("x", "y"))
-    assert parts == {key: MultiPoly(WXYZ, {e: c for e, c in p.sorted_terms()
+    assert parts == {key: MultiPoly(WXYZ, {e: c for e, c in boxed_terms(p)
                                            if (e[0] + e[3], e[1] + e[2]) == key})
-                     for key in {(e[0] + e[3], e[1] + e[2]) for e, _ in p.sorted_terms()}}
+                     for key in {(e[0] + e[3], e[1] + e[2]) for e, _, _ in p.sorted_terms()}}
     lists = p.coefficient_lists(name)
     assert MultiPoly.from_coefficient_lists(WXYZ, name, lists) == p
     assert all(part[-1] and len(part) - 1 <= p.degree(name) for part in lists.values())

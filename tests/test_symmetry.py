@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from tubes import catalog, symmetry
 from tubes.fields import VectorField, lie_bracket, linear_combination, minors_scan, rank_at
 from tubes.linalg import rref_rows
-from tubes.poly import MultiPoly, merge_vars
+from tubes.poly import MultiPoly, linear_pivot, merge_vars, poly_sum, variable_keys
 from tubes.scalars import GaussianRational
 from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
-                            _chart_system, _linear_pivot, _residuals,
+                            _chart_system, _residuals,
                             affine_symmetry_algebra, expand_in_fields,
                             is_nilpotent,
                             line_in_domain_check,
@@ -24,6 +24,7 @@ from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
                             subalgebra_scan, verify_transitivity_witness)
 
 from oracles import (chart_rows_from_solution, dense_structure, first_written_pivot,
+                     frozen_scan_chart,
                      fraction_rank, fraction_rref, jacobi_holds, random_poly, realify,
                      tangency_multiplier)
 
@@ -493,9 +494,70 @@ def test_scan_permuted_basis_same_subspaces():
             assert scan_covers_subspace(scan_b, reexpressed)
 
 
+def _unimodular(rng, n):
+    """A seeded n x n integer matrix with entries in -2..2 and
+    determinant 1 or -1, an element of GL_n(Z)."""
+    while True:
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        # the determinant by fraction elimination
+        work, det = [[Fraction(x) for x in row] for row in a], Fraction(1)
+        for c in range(n):
+            r = next((r for r in range(c, n) if work[r][c]), None)
+            if r is None:
+                det = 0
+                break
+            if r != c:
+                work[c], work[r], det = work[r], work[c], -det
+            det *= work[c][c]
+            for r in range(c + 1, n):
+                f = work[r][c] / work[c][c]
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+        if abs(det) == 1:
+            return a
+
+
+@pytest.mark.parametrize("fid", sorted(f for f in catalog.list_ids("surface.*")
+                                       if catalog.get(f).kind == "hypersurface"
+                                       and len(surf(f).variables) <= 5))
+def test_symmetry_dimension_and_series_survive_affine_changes_and_negation(fid):
+    """Metamorphic relations: for P(x) = 0 and y with x = A y + b, A in
+    GL_n(Z), the surface P(A y + b) = 0 has an isomorphic affine symmetry
+    algebra, and so has -P = 0; neither the dimension nor the lower
+    central series may move. Three seeded changes per surface, each
+    sending a random integer point y0 to the basepoint."""
+    s = surf(fid)
+    names, p = s.variables, s.defining
+    expected = algebra(fid)
+    expected = (expected.dim, is_nilpotent(expected))
+    rng = random.Random(fid)
+    changed = [Hypersurface(-p, s.basepoint)]
+    for _ in range(3):
+        a = _unimodular(rng, len(names))
+        y0 = [rng.randint(-2, 2) for _ in names]
+        b = [x - sum(c * y for c, y in zip(row, y0)) for x, row in zip(s.basepoint, a)]
+        images = {v: poly_sum(names, [MultiPoly.const(names, bi),
+                                      *(MultiPoly.var(names, w) * c for w, c in zip(names, row))])
+                  for v, row, bi in zip(names, a, b)}
+        changed.append(Hypersurface(p.subs_poly(images), tuple(y0)))
+    for t in changed:
+        alg = affine_symmetry_algebra(t)
+        assert (alg.dim, is_nilpotent(alg)) == expected, (fid, t.defining)
+
+
 # names whose string order differs from their index order
 PICK_VARS = ("t0_2", "t0_10", "t1_3", "t0_1", "t10_0")
 PICK_UNITS = [tuple(int(i == j) for i in range(len(PICK_VARS))) for j in range(len(PICK_VARS))]
+
+
+def _pivot(e):
+    """linear_pivot on the real part of e, its key checked and dropped:
+    (name, c) or None, in the form first_written_pivot gives."""
+    pick = linear_pivot(e.re_terms, e.vars)
+    if pick is None:
+        return None
+    name, key, c = pick
+    assert key == variable_keys(e.vars)[e.vars.index(name)]
+    return name, GaussianRational(c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -504,23 +566,23 @@ PICK_UNITS = [tuple(int(i == j) for i in range(len(PICK_VARS))) for j in range(l
                        st.integers(-3, 3).filter(bool), max_size=6))
 def test_linear_pivot_matches_first_written_rule(terms):
     e = MultiPoly(PICK_VARS, terms)
-    assert _linear_pivot(e) == first_written_pivot(e)
+    assert _pivot(e) == first_written_pivot(e)
 
 
 def test_linear_pivot_uses_string_order():
     t = {v: MultiPoly.var(PICK_VARS, v) for v in PICK_VARS}
-    assert _linear_pivot(t["t0_2"] + t["t0_10"] * 3) == ("t0_10", GaussianRational(3))
-    assert _linear_pivot(t["t0_2"] * 5 + t["t0_10"] * t["t1_3"] + t["t0_10"]) == \
+    assert _pivot(t["t0_2"] + t["t0_10"] * 3) == ("t0_10", GaussianRational(3))
+    assert _pivot(t["t0_2"] * 5 + t["t0_10"] * t["t1_3"] + t["t0_10"]) == \
         ("t0_2", GaussianRational(5))
-    assert _linear_pivot(t["t0_2"] * t["t0_2"] + t["t0_10"] * t["t1_3"]) is None
+    assert _pivot(t["t0_2"] * t["t0_2"] + t["t0_10"] * t["t1_3"]) is None
 
 
 def test_linear_pivot_sees_a_variable_again_at_another_exponent():
     # exponents 1 and 2 share no bit, so each exponent field must be
     # tested for nonzero, not AND-ed with the fields seen before
     t = {v: MultiPoly.var(PICK_VARS, v) for v in PICK_VARS}
-    assert _linear_pivot(t["t0_1"] + t["t0_1"] ** 2 * t["t1_3"]) is None
-    assert _linear_pivot(t["t0_1"] * 2 + t["t0_10"] + t["t0_10"] ** 2) == \
+    assert _pivot(t["t0_1"] + t["t0_1"] ** 2 * t["t1_3"]) is None
+    assert _pivot(t["t0_1"] * 2 + t["t0_10"] + t["t0_10"] ** 2) == \
         ("t0_1", GaussianRational(2))
 
 
@@ -568,8 +630,8 @@ def _assert_chart_systems_match_generic(alg):
                     for a, p in enumerate(pivots)]
             fast = _chart_system(alg, pivots, tvars)
             generic = _residuals(alg, pivots, tvars, rows)
-            assert [(e.vars, e.terms) for e in fast] == [(e.vars, e.terms) for e in generic], \
-                (k, pivots)
+            assert all(e.vars == tvars and e.is_real() for e in generic)
+            assert fast == [e.re_terms for e in generic], (k, pivots)
 
 
 SCAN_SURFACES = sorted(f for f in catalog.list_ids("surface.*")
@@ -585,18 +647,55 @@ def test_chart_system_equals_generic_residuals(fid):
     _assert_chart_systems_match_generic(algebra(fid))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_chart_system_equals_generic_residuals_on_a_random_tensor(seed):
-    # antisymmetric, sparse, with Fraction constants; Jacobi does not matter
+def _random_tensor_algebra(seed, m=6):
+    """A presentation of no fields over a seeded random tensor:
+    antisymmetric, sparse, with Fraction constants; Jacobi does not matter."""
     rng = random.Random(seed)
-    m = 6
     dense = [[[0] * m for _ in range(m)] for _ in range(m)]
     for i, j in itertools.combinations(range(m), 2):
         for k in range(m):
             if rng.random() < 0.4:
                 c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 dense[i][j][k], dense[j][i][k] = c, -c
-    _assert_chart_systems_match_generic(LieAlgebraPresentation((None,) * m, _sparse(dense)))
+    return LieAlgebraPresentation((None,) * m, _sparse(dense))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chart_system_equals_generic_residuals_on_a_random_tensor(seed):
+    _assert_chart_systems_match_generic(_random_tensor_algebra(seed))
+
+
+def _chart_printout(chart):
+    """Every field of a ChartOutcome in printed form, with the type of
+    every coefficient part of its polynomials."""
+    polys = [*chart.residual, *(p for _, p in chart.solution), *(p for r in chart.rows for p in r)]
+    return (chart.pivots, chart.status, chart.free_vars, chart.closure_verified,
+            [str(e) for e in chart.residual], [(v, str(p)) for v, p in chart.solution],
+            [[str(p) for p in row] for row in chart.rows],
+            [type(x) for p in polys for _, re, im in p.sorted_terms() for x in (re, im)])
+
+
+def _assert_scan_equals_frozen_loop(alg):
+    """_scan_chart on term dicts gives, for every chart of every k, the
+    ChartOutcome of the frozen MultiPoly loop, field for field and
+    residual string for residual string."""
+    m = alg.dim
+    for k in range(1, m):
+        for pivots in itertools.combinations(range(m), k):
+            chart = symmetry._scan_chart(alg, k, pivots)
+            frozen = frozen_scan_chart(alg, k, pivots)
+            assert chart == frozen, (k, pivots)
+            assert _chart_printout(chart) == _chart_printout(frozen), (k, pivots)
+
+
+@pytest.mark.parametrize("fid", SCAN_SURFACES)
+def test_scan_equals_the_frozen_multipoly_loop(fid):
+    _assert_scan_equals_frozen_loop(algebra(fid))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scan_equals_the_frozen_multipoly_loop_on_a_random_tensor(seed):
+    _assert_scan_equals_frozen_loop(_random_tensor_algebra(seed))
 
 
 # SHA-256 of each scan, over its charts in order: pivots, status, sorted
