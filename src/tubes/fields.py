@@ -14,8 +14,9 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .linalg import _rref, complex_block, det_exact
-from .poly import MultiPoly, poly_sum
+from .poly import MultiPoly, poly_sum, product_sum, values_at
 from .record import Record
+from .scalars import _gr
 
 
 # the pairs (j, dp/dx_j) with a nonzero derivative, in variable order
@@ -62,18 +63,16 @@ class HoloField(VectorField):
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """[X, Y], whose component i is X(Y_i) - Y(X_i) = sum_j X_j dY_i/dx_j -
+    sum_j Y_j dX_i/dx_j, with the derivatives read from the cached
+    jacobians. Each component is one `poly.product_sum` of those pairs,
+    for real and complex components alike."""
     if x.variables != y.variables or x.carrier != y.carrier:
         raise ValueError("variable mismatch in Lie bracket")
-    # [X, Y]_i = X(Y_i) - Y(X_i), with the derivatives read from the jacobians
-    return VectorField(x.variables, tuple(_along(x, dy) - _along(y, dx)
-                                          for dx, dy in zip(x.jacobian, y.jacobian)))
-
-
-def _along(field: VectorField, gradient: Gradient) -> MultiPoly:
-    """The derivative sum_j X_j dp/dx_j of some p along the field, from
-    the gradient of p."""
-    comps = field.components
-    return poly_sum(field.carrier, [comps[j] * d for j, d in gradient if comps[j]])
+    xs, ys, carrier = x.components, y.components, x.carrier
+    return VectorField(x.variables, tuple(
+        product_sum(carrier, [(xs[j], d) for j, d in dy], [(ys[j], d) for j, d in dx])
+        for dx, dy in zip(x.jacobian, y.jacobian)))
 
 
 def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) -> VectorField:
@@ -87,19 +86,24 @@ def linear_combination(coeffs: Sequence[object], fields: Sequence[VectorField]) 
 
 def rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
     """Exact rank of the evaluated component matrix at a point; 0 for no
-    fields. A matrix of real values is eliminated over Q, any other as
-    its real block form (linalg.complex_block), of twice its rank."""
+    fields. Every component is evaluated by one `poly.values_at`, whose
+    power tables all the fields share. A matrix of real values is
+    eliminated over Q, any other as its real block form
+    (linalg.complex_block), of twice its rank. Raises ValueError when the
+    point's dimension is not the fields', or when a component uses a
+    parameter the point does not give."""
     if not fields:
         return 0
     base = fields[0]
-    if len(point) != len(base.variables):
+    n = len(base.variables)
+    if len(point) != n:
         raise ValueError("point dimension does not match field variables")
-    values = dict(zip(base.variables, point))
-    # rows are fields; rank is the same either way
-    rows = [[c.eval_at(values) for c in f.components] for f in fields]
-    if any(x.im for row in rows for x in row):
-        return len(_rref(complex_block(rows))[1]) // 2
-    return len(_rref([[x.re for x in row] for row in rows])[1])
+    values = values_at([c for f in fields for c in f.components], dict(zip(base.variables, point)))
+    # rows are fields, as (re, im) pairs; rank is the same either way
+    rows = [values[at:at + n] for at in range(0, len(values), n)]
+    if any(im for _, im in values):
+        return len(_rref(complex_block([[_gr(*z) for z in row] for row in rows]))[1]) // 2
+    return len(_rref([[re for re, _ in row] for row in rows])[1])
 
 
 def minors_scan(fields: Sequence[VectorField]) -> List[MultiPoly]:

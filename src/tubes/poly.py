@@ -9,8 +9,9 @@ costs. GaussianRational is the scalar of the public edges only (`coeff`,
 `const_coeff`, `leading`, `coefficient_lists`, `eval_at`, `__str__`,
 and `terms`, which boxes every coefficient for code outside the
 package); `sorted_terms` hands out each coefficient as its (re, im)
-parts, and `coefficient_columns` hands the linear solves the parts
-themselves, as real coordinates.
+parts, `values_at` the (re, im) parts of values at a point, and
+`coefficient_columns` and `tangency_rows` hand the linear solves the
+parts themselves, as real coordinates.
 Binary operations insist that the variable tuples match exactly; the
 package juggles several coordinate systems (x, z, w and their
 conjugates) and silent mixing would be a correctness hazard.
@@ -28,7 +29,7 @@ OverflowError before it starts, so a field never carries into the next.
 Exponent tuples appear only at the public edges: the constructor,
 `coeff`, `sorted_terms` and `leading`.
 
-Every substitution (`subs_poly`, `subs_each`, `substitute`) is one
+Every substitution of polynomials (`subs_poly`, `substitute`) is one
 Horner routine over term keys, `_horner`, which splits the terms by one
 mapped variable's exponent per level with a shift and a mask.
 `_compose` takes images for the mapped variables only, {index in p:
@@ -40,16 +41,24 @@ Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
 trusted `_poly`, which takes over dicts the engine built. Sums of many
 polynomials accumulate into one dict per part (`poly_sum`, `_add_into`),
-and an exact division works on one remainder dict per part
-(`poly_div_exact`). A point value (`eval_at`) is read straight off the
-term keys, without building a polynomial.
+and so do sums of products (`product_sum`, which builds each component
+of a Lie bracket); an exact division works on one remainder dict per
+part (`poly_div_exact`). Point values (`values_at`, and `eval_at` for
+one polynomial) are read straight off the term keys, through one power
+table per used variable shared by every polynomial evaluated, without
+building a polynomial.
 
 The Grassmannian chart scan of symmetry.py runs on bare real parts, and
 two helpers here serve it: `linear_pivot` finds an equation's pivot
 among its keys of degree 1, and `subs_each` puts one value in for one
-variable of many parts, through one power cache, returning a part that
-lacks the variable as it is. Both take and give {term key: rational}
-dicts; the scan wraps with `_poly` only what its outcome keeps.
+variable of many parts, one multiply-accumulate per part against one
+list of the value's powers, returning a part that lacks the variable as
+it is. Both take and give {term key: rational} dicts; the scan wraps
+with `_poly` only what its outcome keeps. The tangency solve of
+`affine_symmetry_algebra` reads its rows straight off the defining
+polynomial's terms (`tangency_rows`). Every loop that builds terms of a
+higher degree raises OverflowError before it builds one above
+MAX_DEGREE.
 
 Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed. Their
@@ -420,34 +429,10 @@ class MultiPoly:
 
     def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
         """The value of self at a point, a mapping that must hold every
-        used variable (others are ignored). Each term's exponent fields
-        are read off its key and its (re, im) parts multiplied by one
-        power table per used variable; no polynomial is built. Raises
+        used variable (others are ignored), by `values_at`. Raises
         ValueError naming the first used variable, in variable order,
         that the point lacks."""
-        re_terms, im_terms = self.re_terms, self.im_terms
-        if not re_terms and not im_terms:
-            return ZERO
-        n = len(self.vars)
-        seen = 0
-        for k in re_terms:
-            seen |= k
-        for k in im_terms:
-            seen |= k
-        # (field shift, powers of the value as (re, im) parts) per used variable
-        tables = []
-        for i, v in enumerate(self.vars):
-            shift = 8 * (n - 1 - i)
-            if seen >> shift & 255:
-                if v not in point:
-                    raise ValueError(f"no value supplied for variable {v!r}")
-                tables.append((shift, [None, _parts(point[v])]))
-        re, im = _part_value(re_terms, tables)
-        if im_terms:
-            # the imaginary part's value, times i
-            x, y = _part_value(im_terms, tables)
-            re, im = re - y, im + x
-        return _gr(_canon(re), _canon(im))
+        return _gr(*values_at((self,), point)[0])
 
     def truncate(self, cutoff: int) -> "MultiPoly":
         # total degree <= cutoff exactly when the key is below this one
@@ -613,21 +598,83 @@ def linear_pivot(terms: Terms, variables: Tuple[str, ...]) -> Optional[Tuple[str
 def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
               value: Terms) -> List[Terms]:
     """Each of parts, real parts over `variables`, with the variable `name`
-    replaced by the real polynomial whose part is value: through one
-    `Powers` of value and one `_horner` chain for them all. A part in
-    which `name` does not occur is returned as it is, the same dict."""
+    replaced by the real polynomial whose part is value. A part in which
+    `name` occurs is one multiply-accumulate: each term c * m * name**e
+    adds c times the terms of value**e, shifted by m, into one dict that
+    one `_canonical` cleans. The powers of value are one list, shared by
+    all the parts and grown on demand. A part in which `name` does not
+    occur is returned as it is, the same dict. Raises OverflowError
+    before it builds a term above MAX_DEGREE."""
     width = len(variables)
-    idx = variables.index(name)
-    chain = [_chain(width, idx, (Powers(_poly(variables, value)), None, 0))]
-    field = _field_mask(width, (idx,))
+    shift = 8 * (width - 1 - variables.index(name))
+    unit = (1 << 8 * width) + (1 << shift)
+    field = 255 << shift
+    top = 8 * width
+    # a term's total degree grows by this much per unit of its exponent of name
+    grow = (max(value) >> top) - 1 if value else -1
+    pows = [{0: 1}, value]
     out = []
     for p in parts:
         for k in p:
             if k & field:
-                p = _horner(p, _NO_TERMS, chain, 0, None)[0]
                 break
-        out.append(p)
+        else:
+            out.append(p)
+            continue
+        acc: Dict[int, Rational] = {}
+        get = acc.get
+        for k, c in p.items():
+            e = k >> shift & 255
+            if not e:
+                s = get(k)
+                acc[k] = c if s is None else s + c
+                continue
+            if grow > 0 and (k >> top) + e * grow > MAX_DEGREE:
+                raise OverflowError(f"substitution: total degree {(k >> top) + e * grow} "
+                                    f"exceeds {MAX_DEGREE}, the most a term key holds")
+            while len(pows) <= e:
+                pows.append(_real_product(pows[-1], value, None))
+            base = k - e * unit
+            for kv, cv in pows[e].items():
+                key = base + kv
+                s = get(key)
+                acc[key] = c * cv if s is None else s + c * cv
+        out.append(_canonical(acc))
     return out
+
+
+def tangency_rows(p: MultiPoly) -> List[List[Rational]]:
+    """The rows of the tangency solve of `symmetry.affine_symmetry_algebra`
+    for the real part of p over n variables: one row per monomial of the
+    polynomials x_j dp/dx_i (unknown a_ij, column n * i + j), dp/dx_i
+    (unknown b_i, column n * n + i) and -p (unknown c, column n * n + n),
+    in first-seen order, holding their coefficients there and 0
+    elsewhere. Each is read straight off p's terms: the term c * m of p
+    gives c * e_i at m / x_i * x_j and at m / x_i, e_i being the exponent
+    of x_i in m, and -c at m. No two terms meet in one cell, and no key
+    rises above p's degree."""
+    n = len(p.vars)
+    units = variable_keys(p.vars)
+    width = n * n + n + 1
+    rows: Dict[int, List[Rational]] = {}
+
+    def row(key: int) -> List[Rational]:
+        r = rows.get(key)
+        if r is None:
+            r = rows[key] = [0] * width
+        return r
+
+    for k, c in p.re_terms.items():
+        row(k)[width - 1] = -c
+        for i, unit in enumerate(units):
+            e = k >> 8 * (n - 1 - i) & 255
+            if e:
+                d = c * e if type(c) is int else _canon(c * e)
+                base = k - unit
+                row(base)[n * n + i] = d
+                for j, other in enumerate(units):
+                    row(base + other)[n * i + j] = d
+    return list(rows.values())
 
 
 def _poly(variables: Tuple[str, ...], re_terms: Terms,
@@ -656,6 +703,47 @@ def _parts(value: ScalarLike) -> Tuple[Rational, Rational]:
 def _keys(p: MultiPoly):
     """The term keys of p."""
     return p.re_terms.keys() | p.im_terms.keys() if p.im_terms else p.re_terms.keys()
+
+
+def values_at(polys: Sequence[MultiPoly],
+              point: Mapping[str, ScalarLike]) -> List[Tuple[Rational, Rational]]:
+    """The canonical (re, im) parts of the value of each of polys, all
+    over one variable tuple, at a point, a mapping that must hold every
+    variable some of them uses (others are ignored). Each term's exponent
+    fields are read off its key and its parts multiplied out of one power
+    table per used variable, shared by all the polys; no polynomial is
+    built, and a real point and real polys give im parts 0 throughout.
+    Raises ValueError naming the first variable, in variable order, that
+    some poly uses and the point lacks."""
+    if not polys:
+        return []
+    variables = polys[0].vars
+    seen = 0
+    for p in polys:
+        if p.vars != variables:
+            raise ValueError(f"variable mismatch: {variables} vs {p.vars}")
+        for k in p.re_terms:
+            seen |= k
+        for k in p.im_terms:
+            seen |= k
+    n = len(variables)
+    # (field shift, powers of the value as (re, im) parts) per used variable
+    tables = []
+    for i, v in enumerate(variables):
+        shift = 8 * (n - 1 - i)
+        if seen >> shift & 255:
+            if v not in point:
+                raise ValueError(f"no value supplied for variable {v!r}")
+            tables.append((shift, [None, _parts(point[v])]))
+    out = []
+    for p in polys:
+        re, im = _part_value(p.re_terms, tables)
+        if p.im_terms:
+            # the imaginary part's value, times i
+            x, y = _part_value(p.im_terms, tables)
+            re, im = re - y, im + x
+        out.append((_canon(re), _canon(im)))
+    return out
 
 
 def _part_value(terms: Terms, tables) -> Tuple[Rational, Rational]:
@@ -1014,16 +1102,54 @@ def _product(ar: Terms, ai: Terms, br: Terms, bi: Terms,
     at most four for complex times complex."""
     if not (ar or ai) or not (br or bi):
         return {}, {}
-    # the highest key of each factor, over whichever parts it has
+    _check_degrees(ar, ai, br, bi)
+    if not ai and not bi:
+        return _real_product(ar, br, limit), {}
+    return _combine(ar, br, ai, bi, True, limit), _combine(ar, bi, ai, br, False, limit)
+
+
+def _check_degrees(ar: Terms, ai: Terms, br: Terms, bi: Terms) -> None:
+    """Raise OverflowError when the degrees of the highest keys of two
+    nonzero polynomials, given by their parts, sum above MAX_DEGREE."""
     ka = max(max(ar), max(ai)) if ar and ai else max(ar or ai)
     kb = max(max(br), max(bi)) if br and bi else max(br or bi)
     da, db = _top_byte(ka), _top_byte(kb)
     if da + db > MAX_DEGREE:
         raise OverflowError(f"polynomial product: total degree {da} + {db} exceeds "
                             f"{MAX_DEGREE}, the most a term key holds")
-    if not ai and not bi:
-        return _real_product(ar, br, limit), {}
-    return _combine(ar, br, ai, bi, True, limit), _combine(ar, bi, ai, br, False, limit)
+
+
+def product_sum(variables: Sequence[str], added: Iterable[Tuple[MultiPoly, MultiPoly]],
+                subtracted: Iterable[Tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """The sum of a * b over the pairs (a, b) of added, minus that over
+    the pairs of subtracted, all polynomials over `variables`: one
+    multiply-accumulate dict per part, re += ar br - ai bi and im += ar bi
+    + ai br pair by pair (`_mac`, skipping empty parts, so real and
+    complex factors take one path), and one `_canonical` per part at the
+    end. Raises OverflowError before a pair whose product could hold a
+    term above MAX_DEGREE, as `_product` does."""
+    v = tuple(variables)
+    acc_re: Dict[int, Rational] = {}
+    acc_im: Dict[int, Rational] = {}
+    for negate, pairs in ((False, added), (True, subtracted)):
+        for a, b in pairs:
+            if a.vars != v or b.vars != v:
+                raise ValueError(f"variable mismatch: {v} vs {a.vars} and {b.vars}")
+            ar, ai, br, bi = a.re_terms, a.im_terms, b.re_terms, b.im_terms
+            if not (ar or ai) or not (br or bi):
+                continue
+            _check_degrees(ar, ai, br, bi)
+            if br:
+                if ar:
+                    _mac(acc_re, ar, br, None, negate)
+                if ai:
+                    _mac(acc_im, ai, br, None, negate)
+            if bi:
+                if ai:
+                    _mac(acc_re, ai, bi, None, not negate)
+                if ar:
+                    _mac(acc_im, ar, bi, None, negate)
+    return _poly(v, _canonical(acc_re), _canonical(acc_im))
 
 
 def _combine(x1: Terms, y1: Terms, x2: Terms, y2: Terms, subtract: bool,

@@ -24,7 +24,8 @@ from . import linalg
 from .fields import (VectorField, lie_bracket, linear_combination, minors_scan,
                      rank_at)
 from .poly import (MultiPoly, RationalFunction, Terms, _poly, coefficient_columns,
-                   linear_pivot, poly_sum, subs_each, substitute, variable_keys)
+                   linear_pivot, poly_sum, subs_each, substitute, tangency_rows,
+                   variable_keys)
 from .record import Record
 from .relations import RelationContext
 from .scalars import ZERO, GaussianRational, Rational, _canon, _div, rat
@@ -207,26 +208,20 @@ def expand_in_fields(xs: Sequence[VectorField], basis: Sequence[VectorField]):
 def affine_symmetry_algebra(surface: Hypersurface) -> LieAlgebraPresentation:
     """All affine fields X with X(P) = c P, as a presentation.
 
-    The kernel vectors of the tangency solve are the basis, each read as
-    the field x -> A x + b (A row-major, then b, then c); the structure
-    tensor is read off those integer vectors (`_affine_structure`)."""
+    The rows of the tangency solve come straight off P's terms
+    (`poly.tangency_rows`). Its kernel vectors are the basis, each read
+    as the field x -> A x + b (A row-major, then b, then c); the
+    structure tensor is read off those integer vectors
+    (`_affine_structure`)."""
     p = surface.defining
     names = p.vars
     n = len(names)
-    gradients = [p.diff(v) for v in names]
-    unknown_polys: List[MultiPoly] = []
-    for i in range(n):
-        for j in range(n):
-            unknown_polys.append(MultiPoly.var(names, names[j]) * gradients[i])
-    unknown_polys.extend(gradients)
-    unknown_polys.append(-p)
-
     if not p.is_real():
         raise ValueError("affine symmetry solve expects a real defining polynomial")
-    # one row per monomial of the unknown polynomials, one column per unknown
-    matrix = list(zip(*coefficient_columns([(q,) for q in unknown_polys])))
-
-    kernel = linalg.kernel_basis(matrix)
+    # one row per monomial of x_j dP/dx_i, dP/dx_i and -P, one column per
+    # unknown; the reduced rows, and so the kernel, do not depend on the
+    # order of the rows
+    kernel = linalg.kernel_basis(tangency_rows(p))
     # component i is vec[n*n + i] + sum_j vec[n*i + j] * x_j, over int entries
     keys = [0] + variable_keys(names)
     fields = []

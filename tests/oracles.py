@@ -28,7 +28,13 @@ checked against the boxed product loop they replaced, and their sums,
 conjugates and specializations against plain loops over boxed
 coefficients. The solves of tubes.linalg, which run over Q on real
 coordinates, are checked against the Gaussian-rational elimination they
-replaced (`gaussian_rref`).
+replaced (`gaussian_rref`). The four algebra-layer kernels that now run
+on term dicts are checked against the MultiPoly routes they replaced,
+frozen: the bracket as a `poly_sum` of products (`frozen_lie_bracket`),
+the tangency matrix of affine_symmetry_algebra built from products and
+`coefficient_columns` (`frozen_tangency_matrix`), the scan's `subs_each`
+as one Horner level (`frozen_subs_each`), and `rank_at` on one value per
+component (`frozen_rank_at`).
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
+from tubes import linalg
 from tubes.fields import VectorField
-from tubes.poly import MultiPoly, RationalFunction, poly_sum
+from tubes.poly import (_NO_TERMS, MultiPoly, Powers, RationalFunction, _chain, _field_mask,
+                        _horner, _poly, coefficient_columns, poly_sum)
 from tubes.scalars import I, ONE, ZERO, GaussianRational
 from tubes.symmetry import ChartOutcome, _residuals
 
@@ -569,3 +577,82 @@ def tangency_multiplier(x: VectorField, p: MultiPoly) -> Optional[MultiPoly]:
         weights[c] = row[n]
     return MultiPoly(p.vars, {mono: GaussianRational(x, y) for mono, x, y
                               in zip(monomials, weights, weights[len(monomials):])})
+
+
+def canonical(values) -> bool:
+    """Every value is a nonzero int, or a Fraction that is not an integer:
+    the one form in which the engine stores a rational."""
+    return all(type(c) is int and c or type(c) is Fraction and c.denominator != 1
+               for c in values)
+
+
+def frozen_lie_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """lie_bracket before it summed its products in one dict per part,
+    frozen: component i is the poly_sum of the MultiPoly products X_j *
+    dY_i/dx_j minus that of the products Y_j * dX_i/dx_j, read from the
+    cached jacobians."""
+    if x.variables != y.variables or x.carrier != y.carrier:
+        raise ValueError("variable mismatch in Lie bracket")
+
+    def along(field, gradient):
+        comps = field.components
+        return poly_sum(field.carrier, [comps[j] * d for j, d in gradient if comps[j]])
+
+    return VectorField(x.variables, tuple(along(x, dy) - along(y, dx)
+                                          for dx, dy in zip(x.jacobian, y.jacobian)))
+
+
+def frozen_tangency_matrix(p: MultiPoly) -> List[List]:
+    """The tangency matrix of affine_symmetry_algebra before it read the
+    rows off P's terms, frozen: the n^2 + n + 1 polynomials x_j dP/dx_i,
+    dP/dx_i and -P built by MultiPoly products, their real coordinate
+    columns (coefficient_columns) transposed into one row per monomial."""
+    names = p.vars
+    n = len(names)
+    gradients = [p.diff(v) for v in names]
+    unknown_polys = [MultiPoly.var(names, names[j]) * gradients[i]
+                     for i in range(n) for j in range(n)]
+    unknown_polys += gradients + [-p]
+    return [list(row) for row in zip(*coefficient_columns([(q,) for q in unknown_polys]))]
+
+
+def frozen_subs_each(parts, variables, name, value):
+    """subs_each before its multiply-accumulate, frozen: one Powers of the
+    value and one level of tubes.poly's Horner composer for every part
+    that holds the variable; a part without it comes back as it is."""
+    width = len(variables)
+    idx = variables.index(name)
+    chain = [_chain(width, idx, (Powers(_poly(variables, value)), None, 0))]
+    field = _field_mask(width, (idx,))
+    out = []
+    for part in parts:
+        if any(k & field for k in part):
+            part = _horner(part, _NO_TERMS, chain, 0, None)[0]
+        out.append(part)
+    return out
+
+
+def frozen_rank_at(fields: Sequence[VectorField], point: Sequence[object]) -> int:
+    """rank_at before it shared one power table among all the fields,
+    frozen: each component is evaluated on its own, here by the boxed term
+    loop eval_terms after eval_at's check that the point gives every
+    variable the component uses, and the rows go to linalg as rank_at
+    gave them."""
+    if not fields:
+        return 0
+    base = fields[0]
+    if len(point) != len(base.variables):
+        raise ValueError("point dimension does not match field variables")
+    values = dict(zip(base.variables, point))
+    rows = []
+    for f in fields:
+        row = []
+        for c in f.components:
+            for v in c.used_vars():
+                if v not in values:
+                    raise ValueError(f"no value supplied for variable {v!r}")
+            row.append(eval_terms(c, values))
+        rows.append(row)
+    if any(x.im for row in rows for x in row):
+        return len(linalg._rref(linalg.complex_block(rows))[1]) // 2
+    return len(linalg._rref([[x.re for x in row] for row in rows])[1])

@@ -269,6 +269,18 @@ def _times_i(field):
     return edit
 
 
+def _times_three(field):
+    """An edit that multiplies every coefficient of one field of a basis
+    by 3."""
+    def edit(obj):
+        for component in obj["payload"]["fields"][field]["components"]:
+            for term in component["terms"]:
+                for key in ("c", "re", "im"):
+                    if key in term:
+                        term[key] = str(3 * Fraction(term[key]))
+    return edit
+
+
 def _foreign_radicand(obj):
     obj["payload"]["context"]["radicals"][0]["square"]["vars"][0] = "q9"
 
@@ -889,3 +901,41 @@ def test_map_origin_reads_the_components_in_lowest_terms(edit, expected, tmp_pat
     code, failed, _ = _run_on_edited_tree(tmp_path, monkeypatch, capsys,
                                           ["verify-map", "--id", "map.cm.C"], {"map.cm.C": edit})
     assert failed == expected and code == (1 if expected else 0)
+
+
+def _verdicts(argv, capsys):
+    """The exit code and {check id: verdict} of one --json invocation."""
+    code, report = run_json(argv, capsys)
+    return code, {c["id"]: c["verdict"] for c in report["checks"]}
+
+
+def test_scaling_a_basis_field_keeps_the_verdicts_that_do_not_pin_it(tmp_path, monkeypatch,
+                                                                     capsys):
+    """Metamorphic relation (on fixture trees read through TUBES_FIXTURES):
+    field 7 of basis.Z.D times 3 spans the same real algebra, so
+    `isotropy` and `group` keep every verdict, while `table` FAILs,
+    because the golden table pins the basis itself; its brackets run over
+    the complex fields of the basis. Times i, the field leaves the real
+    span, and `group` FAILs (`table` then refuses the basis as not
+    closed, a usage error tested above)."""
+    commands = {name: [name, "--case", "D"] for name in ("isotropy", "group", "table")}
+    monkeypatch.setenv("TUBES_FIXTURES", str(FIXTURES))
+    before = {name: _verdicts(argv, capsys) for name, argv in commands.items()}
+    assert all(code == 0 for code, _ in before.values())
+    for name, edit in (("three", _times_three(7)), ("i", _times_i(7))):
+        tree = tmp_path / name
+        shutil.copytree(FIXTURES, tree)
+        path = tree / "basis.Z.D.json"
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        monkeypatch.setenv("TUBES_FIXTURES", str(tree))
+        if name == "three":
+            for command in ("isotropy", "group"):
+                assert _verdicts(commands[command], capsys) == before[command], command
+            code, table = _verdicts(commands["table"], capsys)
+            assert code == 1 and "FAIL" in table.values()
+            assert table.keys() == before["table"][1].keys()
+        else:
+            code, group = _verdicts(commands["group"], capsys)
+            assert code == 1 and "FAIL" in group.values()

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubes import catalog
 from tubes.fields import (HoloField, VectorField, lie_bracket, linear_combination,
                           minors_scan, rank_at)
 from tubes.poly import MultiPoly
-from tubes.scalars import I
+from tubes.scalars import GaussianRational, I
+from tubes.symmetry import affine_symmetry_algebra
 
-from oracles import apply_field, random_poly, realify, tangency_multiplier
+from oracles import (apply_field, canonical, frozen_lie_bracket, frozen_rank_at, random_poly,
+                     realify, tangency_multiplier)
 
 XV = ("x1", "x2", "x3", "x4")
 X1, X2, X3, X4 = (MultiPoly.var(XV, n) for n in XV)
@@ -210,3 +213,94 @@ def test_minors_scan_commutes_with_evaluation():
 def test_rank_at_dimension_mismatch():
     with pytest.raises(ValueError):
         rank_at([vf(x1=X1)], [1, 2])
+
+
+# ------------------------------------------- the kernels against their frozen routes
+
+HYPERSURFACES = sorted(f for f in catalog.list_ids("surface.*")
+                       if catalog.get(f).kind == "hypersurface")
+BASES = catalog.list_ids("basis.*")
+
+
+def _catalogued_bases():
+    """(id, basis fields) of every catalogued hypersurface's affine
+    symmetry algebra and of every catalogued field basis."""
+    out = [(fid, affine_symmetry_algebra(catalog.get(fid).payload).basis)
+           for fid in HYPERSURFACES]
+    return out + [(fid, catalog.get(fid).payload.fields) for fid in BASES]
+
+
+def _assert_same_bracket(x, y):
+    got, want = lie_bracket(x, y), frozen_lie_bracket(x, y)
+    assert got == want
+    for comp in got.components:
+        assert canonical([*comp.re_terms.values(), *comp.im_terms.values()]), comp
+
+
+def test_lie_bracket_equals_the_frozen_multipoly_route_on_the_catalog():
+    for _, basis in _catalogued_bases():
+        for x in basis:
+            for y in basis:
+                _assert_same_bracket(x, y)
+
+
+def test_lie_bracket_equals_the_frozen_multipoly_route_on_random_fields():
+    """Rational and complex coefficients, one-term and zero components,
+    and components over a carrier wider than the field variables."""
+    rng = random.Random(43)
+    vs, carrier = ("a", "b", "c"), ("a", "b", "c", "s")
+    for _ in range(120):
+        over = rng.choice((vs, carrier))
+
+        def component():
+            kind = rng.randrange(5)
+            if kind == 0:
+                return MultiPoly.zero(over)
+            return random_poly(rng, over, max_degree=3, max_terms=1 if kind == 1 else 4,
+                               complex_coeffs=kind == 2)
+
+        x, y = (VectorField(vs, tuple(component() for _ in vs)) for _ in range(2))
+        _assert_same_bracket(x, y)
+
+
+def _points(rng, n):
+    """Seeded probe points: integer, rational and complex coordinates."""
+    return ([rng.randint(-3, 3) for _ in range(n)],
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)],
+            [GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)])
+
+
+def test_rank_at_equals_the_frozen_rows_on_the_catalog():
+    rng = random.Random(44)
+    for fid, basis in _catalogued_bases():
+        n = len(basis[0].variables)
+        points = list(_points(rng, n))
+        if fid in HYPERSURFACES:
+            points.append(list(catalog.get(fid).payload.basepoint))
+        for point in points:
+            assert rank_at(basis, point) == frozen_rank_at(basis, point), (fid, point)
+            assert rank_at(basis[:2], point) == frozen_rank_at(basis[:2], point), (fid, point)
+
+
+def test_rank_at_equals_the_frozen_rows_on_random_fields():
+    rng = random.Random(45)
+    vs = ("a", "b", "c")
+    for _ in range(80):
+        fields = [VectorField(vs, tuple(random_poly(rng, vs, max_degree=2,
+                                                    max_terms=rng.choice((1, 3)),
+                                                    complex_coeffs=rng.random() < 0.3)
+                                        for _ in vs))
+                  for _ in range(rng.randint(1, 4))]
+        for point in _points(rng, len(vs)):
+            assert rank_at(fields, point) == frozen_rank_at(fields, point)
+
+
+def test_rank_at_names_a_parameter_the_point_does_not_give():
+    carrier = ("x", "y", "s", "t")
+    x, y, s = (MultiPoly.var(carrier, v) for v in ("x", "y", "s"))
+    fields = [VectorField(("x", "y"), (x, y)), VectorField(("x", "y"), (s * y, x + 1))]
+    for rank in (rank_at, frozen_rank_at):
+        with pytest.raises(ValueError, match="no value supplied for variable 's'"):
+            rank(fields, [1, GaussianRational(0, 1)])
+    # the unused parameter t needs no value, and one without s is fine
+    assert rank_at(fields[:1], [1, 2]) == frozen_rank_at(fields[:1], [1, 2]) == 1

@@ -9,17 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tubes.fields
 import tubes.linalg
 import tubes.poly
 import tubes.symmetry
+from tubes import catalog
+from tubes.fields import VectorField, lie_bracket
 from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc,
-                        poly_div_exact, poly_sum, series_expand, subs_each, substitute)
+                        poly_div_exact, poly_sum, series_expand, subs_each, substitute,
+                        values_at)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
 from oracles import (boxed_conjugate, boxed_product, boxed_specialize, boxed_sum, boxed_terms,
-                     chain_compose, div_exact_terms, eval_terms, fraction_series, random_poly,
-                     str_terms)
+                     canonical, chain_compose, div_exact_terms, eval_terms, fraction_series,
+                     frozen_subs_each, random_poly, str_terms)
 
 VARS = ("x", "y", "z")
 
@@ -69,8 +73,7 @@ def ring_scalars():
 
 def stored_canonically(p: MultiPoly) -> bool:
     """Every stored part is a nonzero int or a Fraction that is not one."""
-    return all(type(c) is int and c or type(c) is Fraction and c.denominator != 1
-               for part in (p.re_terms, p.im_terms) for c in part.values())
+    return canonical([*p.re_terms.values(), *p.im_terms.values()])
 
 
 PAIRED = {"x": "y", "y": "x", "z": "z"}
@@ -227,6 +230,73 @@ def test_subs_each_equals_the_composer_and_returns_untouched_polys_as_they_are()
             # a second variable mapped to itself goes through the composer
             assert out == p.subs_poly({name: value, other: MultiPoly.var(VARS, other)}).re_terms
             assert (out is part) == (name not in p.used_vars())
+
+
+def _assert_subs_each_is_frozen(parts, variables, name, value):
+    got = subs_each(parts, variables, name, value)
+    assert got == frozen_subs_each(parts, variables, name, value)
+    for part, out in zip(parts, got):
+        assert canonical(out.values()), out
+        held = any(k >> 8 * (len(variables) - 1 - variables.index(name)) & 255 for k in part)
+        assert (out is part) == (not held)
+
+
+HYPERSURFACES = sorted(f for f in catalog.list_ids("surface.*")
+                       if catalog.get(f).kind == "hypersurface")
+
+
+@pytest.mark.parametrize("fid", HYPERSURFACES)
+def test_subs_each_equals_the_frozen_horner_level_on_the_catalog(fid):
+    """Each variable of a catalogued defining polynomial P replaced by the
+    derivative of P in the next variable, in P and its gradient."""
+    p = catalog.get(fid).payload.defining
+    names = p.vars
+    parts = [p.re_terms] + [p.diff(v).re_terms for v in names]
+    for i, name in enumerate(names):
+        value = p.diff(names[(i + 1) % len(names)]).re_terms
+        _assert_subs_each_is_frozen(parts, names, name, value)
+
+
+def test_subs_each_equals_the_frozen_horner_level_on_random_parts():
+    """Rational coefficients; values that are zero, constant, one term,
+    or hold the substituted variable itself."""
+    rng = random.Random(43)
+    for _ in range(150):
+        name = rng.choice(VARS)
+        kind = rng.randrange(4)
+        if kind == 0:
+            value = {}
+        elif kind == 1:
+            value = MultiPoly.const(VARS, Fraction(rng.randint(-5, 5), rng.randint(1, 3))).re_terms
+        else:
+            value = random_poly(rng, VARS, max_degree=2, max_terms=1 if kind == 2 else 4).re_terms
+        parts = [random_poly(rng, VARS, max_degree=4, max_terms=rng.choice((1, 6))).re_terms
+                 for _ in range(4)]
+        _assert_subs_each_is_frozen(parts, VARS, name, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ring_polys(), min_size=1, max_size=4), ring_scalars(), ring_scalars(),
+       ring_scalars())
+def test_values_at_equals_the_frozen_term_loop(polys, x, y, z):
+    """One shared power table gives each poly the value the boxed term
+    loop does, as canonical (re, im) parts."""
+    point = {"x": x, "y": y, "z": z}
+    got = values_at(polys, point)
+    assert [GaussianRational(re, im) for re, im in got] == [eval_terms(p, point) for p in polys]
+    assert canonical(c for pair in got for c in pair if c)
+
+
+def test_values_at_names_the_first_used_variable_the_point_lacks():
+    x, z = MultiPoly.var(VARS, "x"), MultiPoly.var(VARS, "z")
+    for polys in ([x, z], [z, x], [x * z]):
+        with pytest.raises(ValueError, match="no value supplied for variable 'x'"):
+            values_at(polys, {"y": 1})
+    # an unused variable needs no value, and no polys need no point
+    assert values_at([z * I + 1, MultiPoly.zero(VARS)], {"z": 2}) == [(1, 2), (0, 0)]
+    assert values_at([], {}) == []
+    with pytest.raises(ValueError, match="variable mismatch"):
+        values_at([x, MultiPoly.var(("x",), "x")], {"x": 1})
 
 
 def test_subs_poly_rejects_an_unmapped_variable_missing_from_the_target():
@@ -664,12 +734,15 @@ def _functions(module):
 
 
 def test_the_inner_loops_box_no_coefficient():
-    """The product, the Horner composer, the sum and the series inverse
-    run on the rationals of the term dicts: none names GaussianRational
-    or its trusted builder _gr."""
+    """The product, the Horner composer, the sum, the series inverse and
+    the algebra-layer kernels (the scan's substitution, the tangency rows,
+    the bracket's sum of products and the shared point values) run on the
+    rationals of the term dicts: none names GaussianRational or its
+    trusted builder _gr."""
     bodies = _functions(tubes.poly)
     loops = ("_product", "_combine", "_real_product", "_mac", "_shifted", "_canonical", "_horner",
-             "_split", "_add_into", "series_expand")
+             "_split", "_add_into", "series_expand", "subs_each", "tangency_rows",
+             "product_sum", "_check_degrees", "values_at", "_part_value")
     named = {name: sorted({node.id for node in ast.walk(bodies[name])
                            if isinstance(node, ast.Name)} & {"GaussianRational", "_gr"})
              for name in loops}
@@ -693,6 +766,17 @@ def test_the_chart_scan_boxes_no_coefficient():
                   and node.attr == "var" and getattr(node.value, "id", None) == "MultiPoly"}
         named[name] = sorted(found)
     assert named == {name: [] for name in bodies}
+
+
+def test_the_bracket_is_one_sum_of_products():
+    """lie_bracket builds each component by one poly.product_sum: it names
+    neither poly_sum nor the removed MultiPoly route _along."""
+    body = _functions(tubes.fields)["lie_bracket"]
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert "product_sum" in names
+    assert not names & {"poly_sum", "_along"}
+    assert not hasattr(tubes.fields, "_along")
 
 
 def test_the_linear_solves_run_over_q():
@@ -728,6 +812,32 @@ def test_products_reach_the_degree_bound_and_no_further():
     # the bound holds for a truncated product too, whatever the cutoff
     with pytest.raises(OverflowError):
         mul_trunc(a + 1, x ** 56, 10)
+
+
+def test_subs_each_reaches_the_degree_bound_and_no_further():
+    # x * y^253 has degree 254; x -> y^2 takes it to y^255
+    value = MultiPoly(XY, {(0, 2): 1}).re_terms
+    top = subs_each([MultiPoly(XY, {(1, 253): 3}).re_terms], XY, "x", value)[0]
+    assert top == MultiPoly(XY, {(0, 255): 3}).re_terms
+    with pytest.raises(OverflowError, match=r"substitution: total degree 256 exceeds 255"):
+        subs_each([MultiPoly(XY, {(1, 254): 3, (0, 1): 1}).re_terms], XY, "x", value)
+    # a value of degree 1 never raises a term's degree
+    linear = MultiPoly(XY, {(0, 1): 1, (0, 0): 2}).re_terms
+    assert len(subs_each([MultiPoly(XY, {(2, 253): 1}).re_terms], XY, "x", linear)[0]) == 3
+
+
+def test_lie_bracket_reaches_the_degree_bound_and_no_further():
+    x = MultiPoly.var(XY, "x")
+    zero = MultiPoly.zero(XY)
+    # [x^a d/dx, x^128 d/dy] = 128 x^(a + 127) d/dy: the product x^a * x^127
+    top = lie_bracket(VectorField(XY, (x ** 128, zero)), VectorField(XY, (zero, x ** 128)))
+    assert top.components == (zero, MultiPoly(XY, {(255, 0): 128}))
+    with pytest.raises(OverflowError, match=r"total degree 129 \+ 127 exceeds 255"):
+        lie_bracket(VectorField(XY, (x ** 129, zero)), VectorField(XY, (zero, x ** 128)))
+    # the guard looks at the factors' degrees, before any term cancels
+    with pytest.raises(OverflowError, match=r"total degree 129 \+ 128 exceeds 255"):
+        same = VectorField(XY, (x ** 129, x ** 129))
+        lie_bracket(same, same)
 
 
 def test_constructor_refuses_a_term_above_the_degree_bound():

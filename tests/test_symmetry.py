@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from tubes import catalog, symmetry
 from tubes.fields import VectorField, lie_bracket, linear_combination, minors_scan, rank_at
-from tubes.linalg import rref_rows
-from tubes.poly import MultiPoly, linear_pivot, merge_vars, poly_sum, variable_keys
+from tubes.linalg import kernel_basis, rref_rows
+from tubes.poly import (MultiPoly, linear_pivot, merge_vars, poly_sum, tangency_rows,
+                        variable_keys)
 from tubes.scalars import GaussianRational
 from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
                             _chart_system, _residuals,
@@ -24,7 +25,7 @@ from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
                             subalgebra_scan, verify_transitivity_witness)
 
 from oracles import (chart_rows_from_solution, dense_structure, first_written_pivot,
-                     frozen_scan_chart,
+                     frozen_scan_chart, frozen_tangency_matrix,
                      fraction_rank, fraction_rref, jacobi_holds, random_poly, realify,
                      tangency_multiplier)
 
@@ -516,21 +517,17 @@ def _unimodular(rng, n):
             return a
 
 
-@pytest.mark.parametrize("fid", sorted(f for f in catalog.list_ids("surface.*")
-                                       if catalog.get(f).kind == "hypersurface"
-                                       and len(surf(f).variables) <= 5))
-def test_symmetry_dimension_and_series_survive_affine_changes_and_negation(fid):
-    """Metamorphic relations: for P(x) = 0 and y with x = A y + b, A in
-    GL_n(Z), the surface P(A y + b) = 0 has an isomorphic affine symmetry
-    algebra, and so has -P = 0; neither the dimension nor the lower
-    central series may move. Three seeded changes per surface, each
-    sending a random integer point y0 to the basepoint."""
-    s = surf(fid)
+SMALL_HYPERSURFACES = sorted(f for f in catalog.list_ids("surface.*")
+                             if catalog.get(f).kind == "hypersurface"
+                             and len(surf(f).variables) <= 5)
+
+
+def _affine_changes(s, rng):
+    """Three seeded changes x = A y + b of the surface s, A in GL_n(Z),
+    each sending a random integer point y0 to the basepoint: a triple
+    (A, b, the hypersurface P(A y + b) = 0 with basepoint y0) per change."""
     names, p = s.variables, s.defining
-    expected = algebra(fid)
-    expected = (expected.dim, is_nilpotent(expected))
-    rng = random.Random(fid)
-    changed = [Hypersurface(-p, s.basepoint)]
+    out = []
     for _ in range(3):
         a = _unimodular(rng, len(names))
         y0 = [rng.randint(-2, 2) for _ in names]
@@ -538,10 +535,83 @@ def test_symmetry_dimension_and_series_survive_affine_changes_and_negation(fid):
         images = {v: poly_sum(names, [MultiPoly.const(names, bi),
                                       *(MultiPoly.var(names, w) * c for w, c in zip(names, row))])
                   for v, row, bi in zip(names, a, b)}
-        changed.append(Hypersurface(p.subs_poly(images), tuple(y0)))
+        out.append((a, b, Hypersurface(p.subs_poly(images), tuple(y0))))
+    return out
+
+
+@pytest.mark.parametrize("fid", SMALL_HYPERSURFACES)
+def test_symmetry_dimension_and_series_survive_affine_changes_and_negation(fid):
+    """Metamorphic relations: for P(x) = 0 and y with x = A y + b, A in
+    GL_n(Z), the surface P(A y + b) = 0 has an isomorphic affine symmetry
+    algebra, and so has -P = 0; neither the dimension nor the lower
+    central series may move. Three seeded changes per surface, each
+    sending a random integer point y0 to the basepoint."""
+    s = surf(fid)
+    expected = algebra(fid)
+    expected = (expected.dim, is_nilpotent(expected))
+    changed = [Hypersurface(-s.defining, s.basepoint)]
+    changed += [t for _, _, t in _affine_changes(s, random.Random(fid))]
     for t in changed:
         alg = affine_symmetry_algebra(t)
         assert (alg.dim, is_nilpotent(alg)) == expected, (fid, t.defining)
+
+
+# the surfaces whose algebra has an open orbit at some seeded probe below:
+# all but the two of table 2, whose `orbits` reports find none
+OPEN_ORBITS = set(SMALL_HYPERSURFACES) - {"surface.table.2.cubic", "surface.table.2.sphere"}
+
+
+@pytest.mark.parametrize("fid", SMALL_HYPERSURFACES)
+def test_rank_at_follows_a_probe_through_affine_changes(fid):
+    """Metamorphic relation: x = A y + b carries the affine symmetry
+    algebra of P to that of P(A y + b), so the rank of the fields at a
+    probe p equals the rank of the changed surface's fields at
+    A^-1 (p - b); an open-orbit probe keeps its open orbit. Seeded integer
+    probes and the basepoint, under the three changes of the dimension
+    test."""
+    s = surf(fid)
+    n = len(s.variables)
+    basis = algebra(fid).basis
+    rng = random.Random(fid + ".probes")
+    probes = [list(s.basepoint)] + [[rng.randint(-3, 3) for _ in range(n)] for _ in range(6)]
+    ranks = [rank_at(basis, p) for p in probes]
+    assert (n in ranks) == (fid in OPEN_ORBITS)
+    for a, b, changed in _affine_changes(s, random.Random(fid)):
+        moved = affine_symmetry_algebra(changed).basis
+        for p, rank in zip(probes, ranks):
+            work, _ = fraction_rref([row + [x - bi] for row, x, bi in zip(a, p, b)])
+            y = [row[n] for row in work]
+            assert [sum(c * yj for c, yj in zip(row, y)) + bi for row, bi in zip(a, b)] == p
+            assert changed.point_on_surface(y) == s.point_on_surface(p)
+            assert rank_at(moved, y) == rank, (fid, p, y)
+
+
+@pytest.mark.parametrize("fid", sorted(f for f in catalog.list_ids("surface.*")
+                                       if catalog.get(f).kind == "hypersurface"))
+def test_tangency_rows_equal_the_frozen_product_matrix_on_the_catalog(fid):
+    _assert_tangency_rows_are_frozen(surf(fid).defining)
+
+
+def test_tangency_rows_equal_the_frozen_product_matrix_on_random_polynomials():
+    """Rational coefficients, one-term polynomials and a constant term."""
+    rng = random.Random(43)
+    for _ in range(60):
+        names = ("a", "b", "c", "d")[:rng.randint(1, 4)]
+        _assert_tangency_rows_are_frozen(
+            random_poly(rng, names, max_degree=3, max_terms=rng.choice((1, 2, 6))))
+
+
+def _assert_tangency_rows_are_frozen(p):
+    """tangency_rows(p) holds the rows of the frozen product-built matrix,
+    in another order: the same values of the same types, so the same
+    kernel, and so the same basis and structure input."""
+    got, want = tangency_rows(p), frozen_tangency_matrix(p)
+
+    def typed(rows):
+        return sorted(tuple((x, type(x).__name__) for x in row) for row in rows)
+
+    assert typed(got) == typed(want)
+    assert kernel_basis(got) == kernel_basis(want)
 
 
 # names whose string order differs from their index order
