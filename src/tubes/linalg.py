@@ -14,7 +14,8 @@ of a shared coefficient matrix. det_exact, over polynomial entries,
 where a division is an exact polynomial division (poly.poly_div_exact)
 and costly, eliminates fraction-free (Bareiss). lowest_terms cancels the
 gcd of a rational function whose denominator uses one variable, by
-Euclid's algorithm over Q(i)[x].
+Euclid's algorithm over Q(i)[x], the one that poly also runs for the
+factor refinement of substitute.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
-# poly_div_exact works on term dicts, so it lives in poly; det_exact and the
-# callers of linalg.poly_div_exact use it from here
-from .poly import MultiPoly, RationalFunction, poly_div_exact
-from .scalars import ONE, ZERO, GaussianRational, Rational, _canon, _div, _gr
+# poly_div_exact works on term dicts and the univariate Euclid serves
+# substitute too, so both live in poly; det_exact, lowest_terms and the
+# callers of linalg.poly_div_exact use them from here
+from .poly import MultiPoly, RationalFunction, _monic, _udivmod, _ugcd, poly_div_exact
+from .scalars import GaussianRational, Rational, _canon, _div, _gr
 
 
 def kernel_basis(matrix: Sequence[Sequence[Rational]]) -> List[List[int]]:
@@ -154,10 +156,9 @@ def lowest_terms(rf: RationalFunction) -> RationalFunction:
 
     Read num as a polynomial in its other variables over Q(i)[x]; then
     gcd(num, den) is the gcd G of den and every coefficient of num, found
-    by Euclid's algorithm over Q(i)[x] (Brown, J. ACM 18, 1971; Knuth,
-    TAOCP Vol. 2, 4.6.1), which stops as soon as G is a constant. G is
-    made monic and divides num and den exactly, coefficient by
-    coefficient."""
+    by Euclid's algorithm over Q(i)[x] (poly._ugcd; Brown, J. ACM 18,
+    1971), which stops as soon as G is a constant. G is made monic and
+    divides num and den exactly, coefficient by coefficient."""
     used = rf.den.used_vars()
     if len(used) != 1:
         return rf
@@ -166,10 +167,7 @@ def lowest_terms(rf: RationalFunction) -> RationalFunction:
     parts = rf.num.coefficient_lists(x)
     g = den
     for part in parts.values():
-        a, b = part, g
-        while b:
-            a, b = b, _monic(_udivmod(a, b)[1])
-        g = a
+        g = _ugcd(part, g)
         if len(g) == 1:
             return rf
     g = _monic(g)
@@ -177,35 +175,6 @@ def lowest_terms(rf: RationalFunction) -> RationalFunction:
     return RationalFunction(MultiPoly.from_coefficient_lists(rf.vars, x, num),
                             MultiPoly.from_coefficient_lists(rf.vars, x,
                                                              {origin: _udivmod(den, g)[0]}))
-
-
-def _monic(a: List[GaussianRational]) -> List[GaussianRational]:
-    """A nonzero coefficient list divided by its leading coefficient; the
-    empty list (zero) unchanged."""
-    if not a or a[-1] == ONE:
-        return a
-    inv = ONE / a[-1]
-    return [c * inv for c in a]
-
-
-def _udivmod(a: List[GaussianRational], b: List[GaussianRational]):
-    """(quotient, remainder) of coefficient lists a by nonzero b, the
-    remainder with its high zero coefficients dropped."""
-    r = list(a)
-    n = len(b) - 1
-    inv = ONE / b[-1]
-    q = [ZERO] * max(len(a) - n, 0)
-    for i in range(len(a) - 1 - n, -1, -1):
-        c = r[i + n] * inv
-        if c:
-            q[i] = c
-            for j in range(n):
-                if b[j]:
-                    r[i + j] = r[i + j] - c * b[j]
-    del r[n:]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
 
 
 def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

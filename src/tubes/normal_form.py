@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .fields import HoloField
 from .linalg import invert_gaussian_matrix, lowest_terms
 from .poly import (Exponents, MultiPoly, Powers, RationalFunction, conjugation_pairing,
-                   denominator_lcm, poly_sum, series_expand, substitute)
+                   denominator_lcm, poly_sum, series_expand, specialize_each, substitute)
 from .record import Record
 from .relations import RelationContext
 from .scalars import I, ZERO, GaussianRational, Rational, ScalarLike
@@ -275,9 +275,13 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     """Exact check that phi maps the source graph into {target = 0}.
 
     Each component is first put in lowest terms (`lowest_terms`), since
-    `substitute` clears the product of the component denominators to the
-    powers the target needs and so carries every surplus factor through
-    the whole composition; the stored components are left as they are.
+    `substitute` clears the components' denominators to the powers the
+    target needs and so carries every surplus factor through the whole
+    composition; the stored components are left as they are. Over the
+    coprime basis of `substitute`, the components of a cm map, all over
+    powers of w1 + 4 (of its conjugate on the conjugate side), are
+    cleared by one power of w1 + 4 and one of its conjugate, the largest
+    that a term of the target needs, not by their product.
     The target, and the num and den of each reduced component, are then
     scaled by the lcm of their coefficient denominators (`denominator_lcm`),
     so the products run on Gaussian integers; this changes neither the
@@ -378,8 +382,8 @@ class MapFamily(Record):
         missing = [p for p in self.params if p not in ident]
         if missing:
             raise ValueError(f"no identity value for parameters {missing}")
-        for name, comp in zip(self.variables, self.components):
-            if comp.specialize(ident) != MultiPoly.var(self.variables, name):
+        for name, comp in zip(self.variables, specialize_each(self.components, ident)):
+            if comp != MultiPoly.var(self.variables, name):
                 raise ValueError("identity parameters do not give the identity map")
 
     @property
@@ -502,7 +506,7 @@ def verify_group_law(fam: MapFamily) -> GroupLawResult:
         # right unit: law(p, id') = p; left unit: law(id, p') = p'
         for side, values, unit in (("right", ident_primed, p), ("left", ident, rename[p])):
             # a denominator that vanishes at the identity raises ZeroDivisionError
-            val = RationalFunction(law[p].num.specialize(values), law[p].den.specialize(values))
+            val = RationalFunction(*specialize_each((law[p].num, law[p].den), values))
             if val != MultiPoly.var(val.vars, unit):
                 return GroupLawResult("failed", f"identity is not a {side} unit for {p}")
     return GroupLawResult("ok", "")
@@ -516,25 +520,29 @@ def verify_map_conjugation(phi: Mapping[str, RationalFunction],
     phi maps the inner family's coordinates to the outer family's; the
     param_map expresses each outer parameter as a polynomial in the
     inner parameters. This is conjugation equality written without
-    inverting phi.
+    inverting phi. Each component is first put in lowest terms
+    (`lowest_terms`), as in verify_surface_map, so that no surplus factor
+    of a stored component is composed.
     """
     universe = inner.variables + inner.params
     inner_images = {name: comp.with_vars(universe)
                     for name, comp in zip(inner.variables, inner.components)}
 
+    reduced: Dict[str, RationalFunction] = {}
     outer_assignment: Dict[str, object] = {}
     for name in outer.variables:
         if name not in phi:
             raise ValueError(f"phi provides no component for {name!r}")
-        outer_assignment[name] = phi[name].with_vars(universe)
+        reduced[name] = lowest_terms(phi[name])
+        outer_assignment[name] = reduced[name].with_vars(universe)
     for p in outer.params:
         if p not in param_map:
             raise ValueError(f"no parameter expression for {p!r}")
         outer_assignment[p] = param_map[p].with_vars(universe)
 
     for i, name in enumerate(outer.variables):
-        lhs_num = phi[name].num.subs_poly(inner_images)
-        lhs_den = phi[name].den.subs_poly(inner_images)
+        lhs_num = reduced[name].num.subs_poly(inner_images)
+        lhs_den = reduced[name].den.subs_poly(inner_images)
         rhs = substitute(outer.components[i], outer_assignment)
         diff = lhs_num * rhs.den - rhs.num * lhs_den
         if not diff.is_zero():
@@ -551,5 +559,6 @@ def infinitesimal_generators(fam: MapFamily) -> List[HoloField]:
     derivatives = [lambda comp, p=p: comp.diff(p) for p in fam.params if p not in unit_syms]
     derivatives += [lambda comp, c=c, cb=cb: (comp.diff(c) - comp.diff(cb)) * I
                     for c, cb in fam.relations.unit_pairs]
-    return [HoloField(fam.variables, tuple(d(comp).specialize(ident) for comp in fam.components))
+    return [HoloField(fam.variables, tuple(specialize_each([d(comp) for comp in fam.components],
+                                                           ident)))
             for d in derivatives]

@@ -6,9 +6,9 @@ parts of its coefficients, and `im_terms`, the imaginary parts, empty
 for a real polynomial. Every operation works part by part and skips an
 empty imaginary part, so a polynomial costs what the ring of its data
 costs. GaussianRational is the scalar of the public edges only (`coeff`,
-`const_coeff`, `leading`, `coefficient_lists`, `eval_at`, `__str__`,
-and `terms`, which boxes every coefficient for code outside the
-package); `sorted_terms` hands out each coefficient as its (re, im)
+`const_coeff`, `leading`, `eval_at`, `__str__`, and `terms`, which
+boxes every coefficient for code outside the package); `sorted_terms`
+and `coefficient_lists` hand out each coefficient as its (re, im)
 parts, `values_at` the (re, im) parts of values at a point, and
 `coefficient_columns` and `tangency_rows` hand the linear solves the
 parts themselves, as real coordinates.
@@ -35,7 +35,11 @@ mapped variable's exponent per level with a shift and a mask.
 `_compose` takes images for the mapped variables only, {index in p:
 (Powers of the numerator, Powers of the denominator, top degree)}; every
 other variable is kept and moves into the target universe by the runs
-of `_moves`.
+of `_moves`. `substitute` clears the least common denominator that a
+coprime basis of the image denominators gives (`_shared_bases`, by
+factor refinement of those in one variable): a base that one image
+denominator holds stays in its Horner level, and `_compose` groups the
+terms of p by their need of the bases that two or more share.
 
 Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
@@ -46,7 +50,8 @@ of a Lie bracket); an exact division works on one remainder dict per
 part (`poly_div_exact`). Point values (`values_at`, and `eval_at` for
 one polynomial) are read straight off the term keys, through one power
 table per used variable shared by every polynomial evaluated, without
-building a polynomial.
+building a polynomial; `specialize_each` sets variables to constants in
+many polynomials through such shared tables (`specialize` for one).
 
 The Grassmannian chart scan of symmetry.py runs on bare real parts, and
 two helpers here serve it: `linear_pivot` finds an equation's pivot
@@ -61,7 +66,10 @@ higher degree raises OverflowError before it builds one above
 MAX_DEGREE.
 
 Rational functions are unreduced num/den pairs. Equality is decided by
-cross-multiplication; no multivariate gcd is ever computed. Their
+cross-multiplication; no multivariate gcd is ever computed. The one gcd
+is univariate, over Q(i), on coefficient lists of (re, im) pairs
+(`_ugcd`), for linalg.lowest_terms and the factor refinement of
+`substitute`. Their
 truncated expansions (`series_expand`) share one inverse of the
 denominator, built coefficient by coefficient from the recurrence of a
 power series reciprocal, in plain (re, im) parts. They
@@ -74,7 +82,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -97,11 +105,6 @@ def _items(re_terms: Terms, im_terms: Terms) -> Iterator[Tuple[int, Rational, Ra
     for k, c in im_terms.items():
         if k not in re_terms:
             yield k, 0, c
-
-
-def _boxed(p: MultiPoly) -> Dict[int, GaussianRational]:
-    """{term key: coefficient} of p, each coefficient boxed."""
-    return {k: _gr(re, im) for k, re, im in _items(p.re_terms, p.im_terms)}
 
 
 class MultiPoly:
@@ -152,8 +155,9 @@ class MultiPoly:
         self.re_terms = re
         self.im_terms = im or _NO_TERMS
 
-    # {term key: GaussianRational}, boxed on each read, for code outside the package
-    terms = property(_boxed)
+    # {term key: GaussianRational}, boxed on each read; no package path reads
+    # it, only code outside the package (the benchmark's tracing wrappers)
+    terms = property(lambda p: {k: _gr(re, im) for k, re, im in _items(p.re_terms, p.im_terms)})
 
     # ---------------------------------------------------------------- basics
 
@@ -313,20 +317,21 @@ class MultiPoly:
         return (tuple(k.to_bytes(len(self.vars) + 1, "big")[1:]),
                 _gr(self.re_terms.get(k, 0), self.im_terms.get(k, 0)))
 
-    def coefficient_lists(self, name: str) -> Dict[int, List[GaussianRational]]:
+    def coefficient_lists(self, name: str) -> Dict[int, List[Tuple[Rational, Rational]]]:
         """self as a polynomial in `name` over the other variables: for each
         monomial m in the other variables, under a key that only
-        `from_coefficient_lists` reads, the coefficients of m * name**k,
-        lowest k first, with ZERO for an absent k and a nonzero last."""
+        `from_coefficient_lists` reads, the coefficients of m * name**k as
+        (re, im) parts, lowest k first, with (0, 0) for an absent k and a
+        nonzero last: the univariate lists of `_ugcd` and `_udivmod`."""
         shift = 8 * (len(self.vars) - 1 - self.vars.index(name))
         unit = (1 << 8 * len(self.vars)) + (1 << shift)
-        grouped: Dict[int, Dict[int, GaussianRational]] = {}
-        for k, c in _boxed(self).items():
+        grouped: Dict[int, Dict[int, Tuple[Rational, Rational]]] = {}
+        for k, re, im in _items(self.re_terms, self.im_terms):
             e = k >> shift & 255
-            grouped.setdefault(k - e * unit, {})[e] = c
+            grouped.setdefault(k - e * unit, {})[e] = re, im
         lists = {}
         for rest, part in grouped.items():
-            out = [ZERO] * (max(part) + 1)
+            out = [(0, 0)] * (max(part) + 1)
             for e, c in part.items():
                 out[e] = c
             lists[rest] = out
@@ -334,13 +339,15 @@ class MultiPoly:
 
     @staticmethod
     def from_coefficient_lists(variables: Sequence[str], name: str,
-                               lists: Mapping[int, Sequence[GaussianRational]]) -> "MultiPoly":
+                               lists: Mapping[int, Sequence[Tuple[Rational, Rational]]]
+                               ) -> "MultiPoly":
         """The polynomial over `variables` with the coefficient lists in
-        `name` that coefficient_lists gives; zero entries are skipped."""
+        `name` that coefficient_lists gives; zero parts are skipped."""
         v = tuple(variables)
         unit = variable_keys(v)[v.index(name)]
         terms = [(rest + e * unit, c) for rest, part in lists.items() for e, c in enumerate(part)]
-        return _poly(v, {k: c.re for k, c in terms if c.re}, {k: c.im for k, c in terms if c.im})
+        return _poly(v, {k: _canon(re) for k, (re, _) in terms if re},
+                     {k: _canon(im) for k, (_, im) in terms if im})
 
     # ------------------------------------------------------------- calculus
 
@@ -390,42 +397,13 @@ class MultiPoly:
                 images[i] = (Powers(mapping[v]), None, 0)
             elif v not in target:
                 raise ValueError(f"variable {v!r} not among {target}")
-        return _compose(self, target, images)
+        return _compose(self, target, images)[0]
 
     def specialize(self, values: Mapping[str, ScalarLike]) -> "MultiPoly":
         """Set the variables named in `values` to those constants; the
         result lives over the remaining variables, in order. Names that
-        are not variables of self are ignored."""
-        n = len(self.vars)
-        tables = [(8 * (n - 1 - i), [None, _parts(values[v])])
-                  for i, v in enumerate(self.vars) if v in values]
-        rest = tuple(v for v in self.vars if v not in values)
-        m = len(rest)
-        runs = _moves(self.vars, rest)
-        acc_re: Terms = {}
-        acc_im: Terms = {}
-        for side, terms in enumerate((self.re_terms, self.im_terms)):
-            for k, c in terms.items():
-                re, im = (0, c) if side else (c, 0)
-                degree = k >> 8 * n
-                for shift, pows in tables:
-                    e = k >> shift & 255
-                    if e:
-                        if len(pows) <= e:
-                            _extend(pows, e)
-                        x, y = pows[e]
-                        re, im = (re * x - im * y, re * y + im * x) if im or y else (re * x, 0)
-                        degree -= e
-                key = degree << 8 * m
-                for shift, mask, to in runs:
-                    key |= (k >> shift & mask) << to
-                if re:
-                    s = acc_re.get(key)
-                    acc_re[key] = re if s is None else s + re
-                if im:
-                    s = acc_im.get(key)
-                    acc_im[key] = im if s is None else s + im
-        return _poly(rest, _canonical(acc_re), _canonical(acc_im))
+        are not variables of self are ignored (`specialize_each`)."""
+        return specialize_each((self,), values)[0]
 
     def eval_at(self, point: Mapping[str, ScalarLike]) -> GaussianRational:
         """The value of self at a point, a mapping that must hold every
@@ -746,6 +724,53 @@ def values_at(polys: Sequence[MultiPoly],
     return out
 
 
+def specialize_each(polys: Sequence[MultiPoly],
+                    values: Mapping[str, ScalarLike]) -> List[MultiPoly]:
+    """Each of polys, all over one variable tuple, with the variables
+    named in `values` set to those constants, over the remaining
+    variables, in order; names that are not variables of them are
+    ignored. Each value is coerced once, into one power table per named
+    variable that all the polys share."""
+    if not polys:
+        return []
+    variables = polys[0].vars
+    n = len(variables)
+    tables = [(8 * (n - 1 - i), [None, _parts(values[v])])
+              for i, v in enumerate(variables) if v in values]
+    rest = tuple(v for v in variables if v not in values)
+    m = len(rest)
+    runs = _moves(variables, rest)
+    out = []
+    for p in polys:
+        if p.vars != variables:
+            raise ValueError(f"variable mismatch: {variables} vs {p.vars}")
+        acc_re: Terms = {}
+        acc_im: Terms = {}
+        for side, terms in enumerate((p.re_terms, p.im_terms)):
+            for k, c in terms.items():
+                re, im = (0, c) if side else (c, 0)
+                degree = k >> 8 * n
+                for shift, pows in tables:
+                    e = k >> shift & 255
+                    if e:
+                        if len(pows) <= e:
+                            _extend(pows, e)
+                        x, y = pows[e]
+                        re, im = (re * x - im * y, re * y + im * x) if im or y else (re * x, 0)
+                        degree -= e
+                key = degree << 8 * m
+                for shift, mask, to in runs:
+                    key |= (k >> shift & mask) << to
+                if re:
+                    s = acc_re.get(key)
+                    acc_re[key] = re if s is None else s + re
+                if im:
+                    s = acc_im.get(key)
+                    acc_im[key] = im if s is None else s + im
+        out.append(_poly(rest, _canonical(acc_re), _canonical(acc_im)))
+    return out
+
+
 def _part_value(terms: Terms, tables) -> Tuple[Rational, Rational]:
     """The (re, im) value of one part at a point given by tables, a
     (field shift, [None, (re, im) of the value, ...]) pair per variable."""
@@ -915,27 +940,63 @@ def _moved(terms: Terms, src: Tuple[str, ...], dst: Tuple[str, ...]) -> Terms:
     return out
 
 
-def _compose(p: MultiPoly, target: Tuple[str, ...], images) -> MultiPoly:
+def _compose(p: MultiPoly, target: Tuple[str, ...], images, shared=()):
     """p with each mapped variable x_i replaced by its image, over
     `target`: the sum over the terms c * prod x_i**k_i of p of
-    c * prod num_i[k_i] * den_i[top_i - k_i] times the kept variables.
+    c * prod num_i[k_i] * den_i[top_i - k_i] times the kept variables,
+    and, with shared bases, times prod B_j**(E_j - sum_i k_i e_ij).
+    Returns that composition and the tuple of the E_j.
 
     images maps the index i in p.vars of each mapped variable to a triple
-    (num_i, den_i, top_i): the Powers of its image's numerator and
-    denominator and the degree top_i of the common denominator
-    den_i**top_i, which no k_i exceeds; a polynomial image has top_i = 0
-    and no den_i. Every other variable of p is kept and moves to the
+    (num_i, den_i, top_i): the Powers of its image's numerator and of the
+    private part of its denominator and the degree top_i of den_i**top_i,
+    which no k_i exceeds; an image with a denominator 1 has top_i = 0 and
+    no den_i. Every other variable of p is kept and moves to the
     position of its name in `target`, which must hold those p uses.
+
+    shared holds a pair (Powers of B_j, {i: e_ij}) per base B_j that two
+    or more image denominators share, B_j**e_ij being its part in the
+    denominator of x_i. The need of B_j in a term is sum_i k_i e_ij and
+    E_j is the largest need of a term of p. The terms of equal needs form
+    one group, composed once by `_horner` over the same chains, so the
+    groups share the Powers of the images, and multiplied by
+    prod B_j**(E_j - need_j). With no shared base there is one group and
+    one `_horner` call.
 
     `_horner` splits the largest image (by |num| * |den|, |num| when top
     is 0; ties by index) first: its powers multiply once per distinct
     exponent, and the variables split later, whose powers multiply once
     per part, have the smaller images."""
     order = sorted(images, key=lambda i: (-_image_size(images[i]), i))
-    re, im = _horner(p.re_terms, p.im_terms, [_chain(len(p.vars), i, images[i]) for i in order],
-                     0, None if target == p.vars else (p.vars, target))
-    return _poly(target, dict(re) if re is p.re_terms else re,
-                 dict(im) if im is p.im_terms else im)
+    width = len(p.vars)
+    chains = [_chain(width, i, images[i]) for i in order]
+    move = None if target == p.vars else (p.vars, target)
+    if not shared:
+        re, im = _horner(p.re_terms, p.im_terms, chains, 0, move)
+        return _poly(target, dict(re) if re is p.re_terms else re,
+                     dict(im) if im is p.im_terms else im), ()
+    fields = [[(8 * (width - 1 - i), e) for i, e in exps.items()] for _, exps in shared]
+    groups: Dict[Tuple[int, ...], Tuple[Terms, Terms]] = {}
+    for side, terms in enumerate((p.re_terms, p.im_terms)):
+        for k, c in terms.items():
+            need = tuple([sum([(k >> s & 255) * e for s, e in f]) for f in fields])
+            group = groups.get(need)
+            if group is None:
+                group = groups[need] = ({}, {})
+            group[side][k] = c
+    tops = tuple(map(max, zip(*groups)))
+    acc_re: Terms = {}
+    acc_im: Terms = {}
+    for need, (re, im) in groups.items():
+        re, im = _horner(re, im, chains, 0, move)
+        for (pows, _), top, n in zip(shared, tops, need):
+            if top > n:
+                factor = pows[top - n]
+                re, im = _product(re, im, factor.re_terms, factor.im_terms, None)
+        _add_into(acc_re, re)
+        if im:
+            _add_into(acc_im, im)
+    return _poly(target, acc_re, acc_im), tops
 
 
 def _chain(width: int, idx: int, image):
@@ -1082,6 +1143,199 @@ def _take(rem: Dict[int, Rational], key: int, x: Rational) -> None:
             del rem[key]
 
 
+# A univariate polynomial over Q(i) is the list of its coefficients as
+# (re, im) pairs of rationals, lowest degree first, with a nonzero last;
+# [] is zero. The one Euclid of the package runs on these lists: the gcds
+# of linalg.lowest_terms and the factor refinement of `substitute`.
+
+def _cmul(x: Tuple[Rational, Rational], y: Tuple[Rational, Rational]) -> Tuple[Rational, Rational]:
+    """The product of two Gaussian rationals given as (re, im) pairs."""
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c) if b or d else (a * c, 0)
+
+
+def _cinv(x: Tuple[Rational, Rational]) -> Tuple[Rational, Rational]:
+    """The inverse of a nonzero Gaussian rational given as an (re, im) pair."""
+    a, b = x
+    if not b:
+        return _div(1, a), 0
+    norm = a * a + b * b
+    return _div(a, norm), _div(-b, norm)
+
+
+def _monic(a: list) -> list:
+    """A nonzero coefficient list divided by its leading coefficient; the
+    empty list (zero) unchanged."""
+    if not a or a[-1] == (1, 0):
+        return a
+    lead, lead_im = a[-1]
+    if not lead_im:
+        return [(_div(re, lead), _div(im, lead)) for re, im in a]
+    inv = _cinv(a[-1])
+    return [(_canon(re), _canon(im)) for re, im in (_cmul(c, inv) for c in a)]
+
+
+def _udivmod(a: list, b: list) -> Tuple[list, list]:
+    """(quotient, remainder) of coefficient lists a by nonzero b, the
+    remainder with its high zero coefficients dropped."""
+    r = list(a)
+    n = len(b) - 1
+    inv = _cinv(b[-1])
+    q = [(0, 0)] * max(len(a) - n, 0)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = _cmul(r[i + n], inv)
+        if c[0] or c[1]:
+            q[i] = c
+            for j in range(n):
+                y = b[j]
+                if y[0] or y[1]:
+                    (x0, x1), (t0, t1) = r[i + j], _cmul(c, y)
+                    r[i + j] = x0 - t0, x1 - t1
+    del r[n:]
+    while r and not (r[-1][0] or r[-1][1]):
+        r.pop()
+    return q, r
+
+
+def _ugcd(a: list, b: list) -> list:
+    """The monic gcd of two coefficient lists, b nonzero, by Euclid's
+    algorithm over Q(i)[x] with monic remainders (Knuth, TAOCP Vol. 2,
+    4.6.1); [(1, 0)] when they are coprime."""
+    while b:
+        a, b = b, _monic(_udivmod(a, b)[1])
+    return _monic(a)
+
+
+def _refine(polys: Sequence[list]) -> List[list]:
+    """Factor refinement (Bach, Driscoll & Shallit, J. Algorithms 15(2),
+    1993) of nonconstant monic coefficient lists: pairwise coprime monic
+    nonconstant lists such that each of polys is a product of powers of
+    them. A list joins the basis once it is coprime to every member. One
+    that a member b divides goes on as its quotient by b; one that shares
+    another factor g with b replaces b by g and b / g, and itself by
+    itself / g. Each step lowers the total degree, so the loop ends."""
+    basis: List[list] = []
+    todo = list(polys)
+    while todo:
+        f = todo.pop()
+        for i, b in enumerate(basis):
+            if f == b:
+                break
+            g = _ugcd(f, b)
+            if len(g) > 1:
+                rest = _udivmod(f, g)[0]
+                if len(g) == len(b):
+                    new = [rest]
+                else:
+                    del basis[i]
+                    new = [g, _udivmod(b, g)[0], rest]
+                todo += [h for h in new if len(h) > 1]
+                break
+        else:
+            basis.append(f)
+    return basis
+
+
+def _integral(a: list) -> list:
+    """A coefficient list scaled by a nonzero rational to coprime Gaussian
+    integers, so that powers of it multiply on integers."""
+    scale = lcm(*(x.denominator for c in a for x in c if type(x) is not int))
+    ints = [(re * scale, im * scale) for re, im in a] if scale > 1 else a
+    content = gcd(*(int(x) for c in ints for x in c))
+    return [(int(re) // content, int(im) // content) for re, im in ints]
+
+
+def _valuation(a: list, b: list) -> Tuple[int, list]:
+    """(e, a / b**e) for the largest e such that b**e divides a."""
+    e = 0
+    while len(a) >= len(b):
+        q, r = _udivmod(a, b)
+        if r:
+            break
+        a, e = q, e + 1
+    return e, a
+
+
+def _shared_bases(dens: Mapping[int, MultiPoly]):
+    """The bases that two or more of dens share, and each one's private
+    part: ([(base, {index: exponent})], {index: private part}), with
+    dens[i] its private part times base**exponent over the shared bases
+    that i holds.
+
+    The denominators that use one variable x are pooled by x. In a pool of
+    two or more, each is x**low times a list with a nonzero constant
+    term: x is a base of every one with low > 0, found by exponent
+    arithmetic, and the lists of positive degree are split by factor
+    refinement (`_refine`) into bases, each scaled to coprime Gaussian
+    integers. A denominator in two or more variables, or in none, is
+    private as it is, and so is one alone in its pool, with no list
+    built and no Euclid run."""
+    # pooled by the byte of the one exponent field their keys use
+    pools: Dict[int, List[int]] = {}
+    for i, den in dens.items():
+        seen = 0
+        for k in den.re_terms:
+            seen |= k
+        for k in den.im_terms:
+            seen |= k
+        seen &= (1 << 8 * len(den.vars)) - 1
+        at = seen.bit_length() - 1 >> 3
+        if seen and seen >> 8 * at << 8 * at == seen:
+            pools.setdefault(at, []).append(i)
+    shared = []
+    private = dens
+    for at, idxs in pools.items():
+        if len(idxs) < 2:
+            continue
+        variables = dens[idxs[0]].vars
+        shift = 8 * at
+        unit = (1 << 8 * len(variables)) + (1 << shift)
+        lows: Dict[int, int] = {}
+        lists: Dict[int, list] = {}
+        for i in idxs:
+            den = dens[i]
+            terms = [(k >> shift & 255, re, im) for k, re, im in _items(den.re_terms, den.im_terms)]
+            low = min(terms)[0]
+            out = [(0, 0)] * (max(terms)[0] - low + 1)
+            for e, re, im in terms:
+                out[e - low] = re, im
+            lows[i], lists[i] = low, out
+        found = []
+        held = {i: low for i, low in lows.items() if low}
+        if len(held) > 1:
+            found.append(([(0, 0), (1, 0)], held))
+            lows.update(dict.fromkeys(held, 0))
+        polys = [i for i in idxs if len(lists[i]) > 1]
+        if len(polys) > 1:
+            for base in _refine([_monic(lists[i]) for i in polys]):
+                base = _integral(base)
+                held = {}
+                for i in polys:
+                    e, rest = _valuation(lists[i], base)
+                    if e:
+                        held[i] = e, rest
+                if len(held) > 1:
+                    found.append((base, {i: e for i, (e, _) in held.items()}))
+                    lists.update((i, rest) for i, (_, rest) in held.items())
+        if not found:
+            continue
+        if private is dens:
+            private = dict(dens)
+        for base, exps in found:
+            shared.append((_upoly(variables, unit, 0, base), exps))
+            for i in exps:
+                private[i] = _upoly(variables, unit, lows[i], lists[i])
+    return shared, private
+
+
+def _upoly(variables: Tuple[str, ...], unit: int, low: int, a: list) -> MultiPoly:
+    """x**low times the coefficient list a in x, the variable whose key
+    is unit, over `variables`."""
+    re = {(e + low) * unit: _canon(c[0]) for e, c in enumerate(a) if c[0]}
+    im = {(e + low) * unit: _canon(c[1]) for e, c in enumerate(a) if c[1]}
+    return _poly(variables, re, im)
+
+
 def _top_byte(key: int) -> int:
     """The total degree of a term key: its top nonzero byte, or 0."""
     return key >> (key.bit_length() - 1 & ~7) if key else 0
@@ -1200,10 +1454,13 @@ class RationalFunction:
     """Quotient num/den of polynomials over a shared variable tuple.
 
     Never normalized to lowest terms in storage, and equality goes
-    through cross-multiplication. verify_surface_map reduces each map
-    component at use (linalg.lowest_terms) and then scales its num and
+    through cross-multiplication. verify_surface_map and
+    verify_map_conjugation reduce each map component at use
+    (linalg.lowest_terms), and verify_surface_map then scales its num and
     den by one integer to Gaussian-integer coefficients
-    (denominator_lcm), which changes neither its value nor its zeros."""
+    (denominator_lcm), which changes neither its value nor its zeros.
+    `substitute` leaves its result over the least common denominator of
+    a coprime basis of the image denominators, not over their product."""
 
     __slots__ = ("num", "den")
 
@@ -1273,8 +1530,20 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
     """Compose p with rational-function values for its variables.
 
     Every variable occurring in p must be assigned. The result is left
-    over the common denominator prod(den_v ** maxdeg_v), the product of
-    the assignment denominators, exactly as stated by the contract.
+    over the least common denominator that a coprime basis of the
+    assignment denominators gives, not over their product: factor
+    refinement (Bach, Driscoll & Shallit, "Factor refinement",
+    J. Algorithms 15(2), 1993) splits the denominators that use one
+    variable, pooled by that variable, into pairwise coprime bases B_j
+    with den_v = private_v * prod_j B_j**e_vj over the bases B_j that
+    two or more denominators share (`_shared_bases`); a denominator in
+    two or more variables is its own private part. With top_v the degree
+    of p in v and E_j the largest sum_v k_v e_vj over the terms prod
+    v**k_v of p, the result is over
+
+        prod_v private_v**top_v * prod_j B_j**E_j,
+
+    which is prod_v den_v**top_v when no base is shared.
     """
     used = p.used_vars()
     missing = [v for v in used if v not in assignment]
@@ -1286,9 +1555,8 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
     if len(universes) > 1:
         raise ValueError("assignment values must share a variable tuple")
     target = universes.pop() if universes else p.vars
-    # images for the used variables only; the others have exponent 0 throughout
-    images = {}
-    den_total = MultiPoly.const(target, 1)
+    # values for the used variables only; the others have exponent 0 throughout
+    values = {}
     for v in used:
         value = assignment[v]
         if isinstance(value, MultiPoly):
@@ -1297,11 +1565,25 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
             value = RationalFunction.from_scalar(target, value)
         elif not isinstance(value, RationalFunction):
             raise TypeError(f"assignment for {v!r} is not a rational function")
-        top = p.degree(v)
-        den_pows = Powers(value.den)
-        images[p.vars.index(v)] = (Powers(value.num), den_pows, top)
-        den_total = den_total * den_pows[top]
-    return RationalFunction(_compose(p, target, images), den_total)
+        values[p.vars.index(v)] = value
+    shared, private = _shared_bases({i: value.den for i, value in values.items()})
+    images = {}
+    den_total = MultiPoly.const(target, 1)
+    for i, value in values.items():
+        den = private[i]
+        if den.im_terms or den.re_terms != {0: 1}:
+            top = p.degree(p.vars[i])
+            den_pows = Powers(den)
+            images[i] = (Powers(value.num), den_pows, top)
+            den_total = den_total * den_pows[top]
+        else:
+            # a denominator 1 clears nothing
+            images[i] = (Powers(value.num), None, 0)
+    bases = [(Powers(base), exps) for base, exps in shared]
+    num, tops = _compose(p, target, images, bases)
+    for (pows, _), top in zip(bases, tops):
+        den_total = den_total * pows[top]
+    return RationalFunction(num, den_total)
 
 
 def series_expand(nums: Sequence[MultiPoly], den: MultiPoly,

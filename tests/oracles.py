@@ -19,7 +19,10 @@ step, and `MultiPoly.__str__` against the loop that zipped every term
 against all variable names. A solved scan
 chart's kept rows are checked against their rebuild from its solution.
 The Horner composition of `tubes.poly` is checked against the per-group
-product chains it replaced, the scaled series inversion against the
+product chains it replaced, `substitute` over the least common
+denominator of a coprime basis against the product of the assignment
+denominators it gave before (`product_substitute`), the scaled series
+inversion against the
 geometric series in E / c0 it replaced, and brackets, which read cached
 jacobians, against fields applied one product per variable. GraphSurface's
 one-product invariance test is checked against the two products it took
@@ -389,6 +392,27 @@ def chain_compose(p: MultiPoly, target, images) -> MultiPoly:
                 term = term * den[top - k]
         total = total + term
     return total
+
+
+def product_substitute(p: MultiPoly, assignment) -> RationalFunction:
+    """tubes.poly.substitute before the coprime basis, frozen: the result
+    over the product prod_v den_v**top_v of the assignment denominators,
+    top_v being the degree of p in v, its numerator the sum over the terms
+    c * prod_v v**k_v of p of c * prod_v num_v**k_v * den_v**(top_v - k_v),
+    one product chain per term. Every variable of p must be assigned a
+    RationalFunction, all of them over one variable tuple."""
+    values = {v: assignment[v] for v in p.vars}
+    target = next(iter(values.values())).vars
+    den = MultiPoly.const(target, 1)
+    for v, f in values.items():
+        den = den * f.den ** p.degree(v)
+    num = MultiPoly.zero(target)
+    for e, c in boxed_terms(p):
+        term = MultiPoly.const(target, c)
+        for (v, f), k in zip(values.items(), e):
+            term = term * f.num ** k * f.den ** (p.degree(v) - k)
+        num = num + term
+    return RationalFunction(num, den)
 
 
 def fraction_series(f: RationalFunction, cutoff: int) -> MultiPoly:

@@ -464,27 +464,30 @@ def test_surface_map_reduces_each_component_first():
     assert not ok and residual == MultiPoly.const(source.free_vars, 2 * I)
 
 
-def test_map_cm_D_check_stays_within_its_product_budget(monkeypatch):
-    """Cost guard for the reduction to lowest terms, the composition
-    order and the clearing power: the whole check makes 25,066 term
-    pairs, 15,126 in the composition and 9,940 in the cross-multiplication.
-    Composing the components as stored, with denominators of degree 6, 3
-    and 3 where lowest terms need 3, 2 and 2, costs 67,529; splitting the
-    mapped variables in index order instead of largest image first costs
-    38,546, and clearing den**(max j + max k) 45,521."""
-    payload = catalog.get("map.cm.D").payload
+@pytest.mark.parametrize("map_id, budget", [("map.cm.D", 4_000), ("map.cm.C", 1_250)])
+def test_cm_map_check_stays_within_its_product_budget(monkeypatch, map_id, budget):
+    """Cost guard for the reduction to lowest terms, the coprime basis of
+    `substitute` and the clearing power, counted as term pairs at
+    `poly._product`, which every product of the check goes through.
+    map.cm.D makes 3,620 (2,157 in the composition, 1,463 in the
+    cross-multiplication) and map.cm.C 1,111 (396 and 715). Over the
+    product of the component denominators, as before the coprime basis,
+    they made 25,066 (15,126 and 9,940) and 3,258 (1,487 and 1,771);
+    composing the map.cm.D components as stored, with denominators of
+    degree 6, 3 and 3 where lowest terms need 3, 2 and 2, makes 12,778."""
+    payload = catalog.get(map_id).payload
     source = catalog.get(payload.source_graph).payload
     pairs = []
-    mul = MultiPoly.__mul__
+    product = tubes.poly._product
 
-    def counting(a, b):
-        pairs.append(len(a.terms) * (len(b.terms) if isinstance(b, MultiPoly) else 1))
-        return mul(a, b)
+    def counting(ar, ai, br, bi, limit):
+        pairs.append(len(ar.keys() | ai.keys()) * len(br.keys() | bi.keys()))
+        return product(ar, ai, br, bi, limit)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(tubes.poly, "_product", counting)
     ok, _ = verify_surface_map(source, payload.target, payload.target_holo,
                                payload.target_anti, dict(payload.components))
-    assert ok and sum(pairs) <= 30_000
+    assert ok and sum(pairs) <= budget
 
 
 def test_engine_calls_leave_no_cyclic_garbage():

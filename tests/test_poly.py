@@ -23,7 +23,7 @@ from tubes.scalars import GaussianRational, I
 
 from oracles import (boxed_conjugate, boxed_product, boxed_specialize, boxed_sum, boxed_terms,
                      canonical, chain_compose, div_exact_terms, eval_terms, fraction_series,
-                     frozen_subs_each, random_poly, str_terms)
+                     frozen_subs_each, product_substitute, random_poly, str_terms)
 
 VARS = ("x", "y", "z")
 
@@ -359,7 +359,8 @@ def test_compose_matches_the_per_group_chains(p, spec):
             image = (Powers(entry[0]), Powers(entry[1]), p.degree(v))
         images.append(image)
         mapped[i] = image
-    assert tubes.poly._compose(p, target, mapped) == chain_compose(p, target, images)
+    # with no shared base, _compose gives one group and no base powers
+    assert tubes.poly._compose(p, target, mapped) == (chain_compose(p, target, images), ())
 
 
 def test_subs_poly_that_maps_no_variable_of_p_copies_its_terms():
@@ -555,15 +556,69 @@ def test_substitute_missing_variable():
         substitute(p, {"x": 1})
 
 
-def test_substitute_denominator_product_contract():
-    # den(result) is the product of assignment denominators by max degree
+def test_substitute_denominator_is_the_least_over_a_coprime_basis():
     x = MultiPoly.var(("x", "y"), "x")
     y = MultiPoly.var(("x", "y"), "y")
     w = MultiPoly.var(("w",), "w")
-    f = RationalFunction(MultiPoly.const(("w",), 1), w + 1)
-    g = RationalFunction(w, w - 1)
-    out = substitute(x**2 * y, {"x": f, "y": g})
+    one = MultiPoly.const(("w",), 1)
+    # coprime denominators: the product by max degree
+    out = substitute(x**2 * y, {"x": RationalFunction(one, w + 1),
+                                "y": RationalFunction(w, w - 1)})
     assert out.den == (w + 1) ** 2 * (w - 1)
+    # a shared factor: (w+1)^2 clears both terms, where the product is (w+1)^4
+    out = substitute(x**2 + y, {"x": RationalFunction(one, w + 1),
+                                "y": RationalFunction(w, (w + 1) ** 2)})
+    assert out.den == (w + 1) ** 2
+    assert out.num == w + 1  # 1 + w over (w+1)^2
+
+
+UVW = ("u", "v", "w")
+
+
+@st.composite
+def shared_factor_images(draw):
+    """Three images over UVW whose denominators share factors: each is a
+    constant times a product of powers of one or two random bases in u
+    (one of them often u itself), or a random denominator in u, v and w
+    with a v term, or 1; numerators are random polynomials in u, v, w."""
+    def base():
+        if draw(st.booleans()):
+            return MultiPoly.var(UVW, "u")
+        degree = draw(st.integers(1, 2))
+        lead = draw(small_scalar().filter(bool))
+        rest = draw(polys(("u",), max_terms=2, max_exp=degree - 1))
+        return MultiPoly.var(("u",), "u") ** degree * lead + rest
+    bases = [base().with_vars(UVW) for _ in range(draw(st.integers(1, 2)))]
+    images = []
+    for _ in VARS:
+        kind = draw(st.sampled_from(["powers", "powers", "powers", "multivariate", "one"]))
+        if kind == "powers":
+            den = MultiPoly.const(UVW, draw(small_scalar().filter(bool)))
+            for b in bases:
+                den = den * b ** draw(st.integers(0, 2))
+        elif kind == "multivariate":
+            # no drawn coefficient is 7, so the v term stays
+            den = draw(polys(UVW, max_terms=2, max_exp=1)) + MultiPoly.var(UVW, "v") * 7
+        else:
+            den = MultiPoly.const(UVW, 1)
+        images.append(RationalFunction(draw(polys(UVW, max_terms=3, max_exp=2)), den))
+    return dict(zip(VARS, images))
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys(max_terms=5), shared_factor_images(),
+       st.tuples(rationals(), rationals(), rationals()))
+def test_substitute_over_a_coprime_basis_equals_the_product_form(p, assignment, point):
+    out = substitute(p, assignment)
+    old = product_substitute(p, assignment)
+    assert out.num * old.den == old.num * out.den
+    assert all(out.den.degree(v) <= old.den.degree(v) for v in UVW)
+    at = dict(zip(UVW, point))
+    values = [f.den.eval_at(at) for f in assignment.values()]
+    if all(values):
+        assert out.den.eval_at(at)
+        x = {v: f.num.eval_at(at) / d for (v, f), d in zip(assignment.items(), values)}
+        assert out.num.eval_at(at) == p.eval_at(x) * out.den.eval_at(at)
 
 
 def test_series_geometric():
@@ -885,7 +940,7 @@ def test_key_moves_match_the_exponent_tuples(terms, universe, name):
                      for key in {(e[0] + e[3], e[1] + e[2]) for e, _, _ in p.sorted_terms()}}
     lists = p.coefficient_lists(name)
     assert MultiPoly.from_coefficient_lists(WXYZ, name, lists) == p
-    assert all(part[-1] and len(part) - 1 <= p.degree(name) for part in lists.values())
+    assert all(part[-1] != (0, 0) and len(part) - 1 <= p.degree(name) for part in lists.values())
 
 
 @st.composite
