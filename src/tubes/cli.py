@@ -293,8 +293,9 @@ def cmd_normal_form(args, reg) -> List[Check]:
     w2 = MultiPoly.var(g.num.vars, holo[1])
     w2b = MultiPoly.var(g.num.vars, pairing[holo[1]])
     bump = w1**2 * w1b * w2b + w1b**2 * w1 * w2
-    # the bump's expansion multiplies it by the inverse of den through the
-    # cutoff, and no term key holds a degree above MAX_DEGREE
+    # series_expand refuses only a cutoff above MAX_DEGREE, since no key it
+    # builds rises above the cutoff; this command keeps the stricter bound
+    # MAX_DEGREE less the bump's degree (251), the one its usage states
     top = MAX_DEGREE - bump.degree()
     if cutoff > top:
         raise UsageError(f"--cutoff must be at most {top}, got {cutoff}")

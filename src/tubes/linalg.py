@@ -12,10 +12,7 @@ solve_columns runs it once on [columns | t_1 ... t_T] with pivots
 restricted to the columns, so one elimination answers every target t_i
 of a shared coefficient matrix. det_exact, over polynomial entries,
 where a division is an exact polynomial division (poly.poly_div_exact)
-and costly, eliminates fraction-free (Bareiss). lowest_terms cancels the
-gcd of a rational function whose denominator uses one variable, by
-Euclid's algorithm over Q(i)[x], the one that poly also runs for the
-factor refinement of substitute.
+and costly, eliminates fraction-free (Bareiss).
 """
 
 from __future__ import annotations
@@ -23,10 +20,9 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import List, Optional, Sequence
 
-# poly_div_exact works on term dicts and the univariate Euclid serves
-# substitute too, so both live in poly; det_exact, lowest_terms and the
-# callers of linalg.poly_div_exact use them from here
-from .poly import MultiPoly, RationalFunction, _monic, _udivmod, _ugcd, poly_div_exact
+# poly_div_exact works on term dicts, so it lives in poly; det_exact and
+# the callers of linalg.poly_div_exact use it from here
+from .poly import MultiPoly, poly_div_exact
 from .scalars import GaussianRational, Rational, _canon, _div, _gr
 
 
@@ -61,15 +57,15 @@ def _primitive(ints: List[int]) -> List[int]:
     return [x // g for x in ints]
 
 
-def _rref(rows: Sequence[Sequence[Rational]], limit: Optional[int] = None):
+def _rref(rows: Sequence[Sequence[Rational]], width: Optional[int] = None):
     """Gauss-Jordan elimination over Q of int/Fraction rows, pivoting
-    only in the first `limit` columns (in all of them when limit is None).
+    only in the first `width` columns (in all of them when width is None).
 
     scalars._div normalises a pivot row whose pivot is not 1; the rest is
     `-`, `*` and truth tests, so an integral entry may be left a Fraction.
     Returns (reduced rows, pivot columns); row i < len(pivots) has a 1 in
     column pivots[i] and zeros in every other pivot column, and the rows
-    past the rank are zero in the first `limit` columns. Clearing a column
+    past the rank are zero in the first `width` columns. Clearing a column
     skips the entries where the pivot row is zero. Sizes in this package
     are small, so pivots need no magnitude heuristics.
     """
@@ -77,7 +73,7 @@ def _rref(rows: Sequence[Sequence[Rational]], limit: Optional[int] = None):
     nrows = len(work)
     pivots: List[int] = []
     r = 0
-    for c in range((len(work[0]) if work else 0) if limit is None else limit):
+    for c in range((len(work[0]) if work else 0) if width is None else width):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
@@ -149,33 +145,6 @@ def invert_gaussian_matrix(matrix: Sequence[Sequence[GaussianRational]]):
 
 
 # ------------------------------------------------------------------ polynomial
-
-def lowest_terms(rf: RationalFunction) -> RationalFunction:
-    """rf in lowest terms when its denominator uses exactly one variable
-    x; rf itself otherwise.
-
-    Read num as a polynomial in its other variables over Q(i)[x]; then
-    gcd(num, den) is the gcd G of den and every coefficient of num, found
-    by Euclid's algorithm over Q(i)[x] (poly._ugcd; Brown, J. ACM 18,
-    1971), which stops as soon as G is a constant. G is made monic and
-    divides num and den exactly, coefficient by coefficient."""
-    used = rf.den.used_vars()
-    if len(used) != 1:
-        return rf
-    x = used[0]
-    (origin, den), = rf.den.coefficient_lists(x).items()
-    parts = rf.num.coefficient_lists(x)
-    g = den
-    for part in parts.values():
-        g = _ugcd(part, g)
-        if len(g) == 1:
-            return rf
-    g = _monic(g)
-    num = {rest: _udivmod(part, g)[0] for rest, part in parts.items()}
-    return RationalFunction(MultiPoly.from_coefficient_lists(rf.vars, x, num),
-                            MultiPoly.from_coefficient_lists(rf.vars, x,
-                                                             {origin: _udivmod(den, g)[0]}))
-
 
 def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """The first nonzero maximal minor of an n x m polynomial matrix

@@ -7,13 +7,13 @@ rational coordinate changes, polynomial self-map families, their
 rational group laws, and infinitesimal generators. All checks are
 polynomial identities after clearing denominators; series truncation
 appears only in series_expand, which defining_series calls once for a
-graph and every perturbation of its numerator, so the denominator is
-inverted once, by the coefficient recurrence of its reciprocal. The
-series is kept as N times the true one, for the real rational N that
-series_expand returns: every normal-form condition is a zero test or a
-reality test, which a nonzero real factor does not change, so nothing
-divides by N except the true parts a caller asks for (BidegreeSeries.part)
-and the residual a failed trace condition prints.
+graph and every perturbation of its numerator, and which expands each
+numerator over the denominator by the coefficient recurrence of a power
+series quotient. The series is kept as N times the true one, for the
+real rational N that series_expand returns: every normal-form condition
+is a zero test or a reality test, which a nonzero real factor does not
+change, so nothing divides by N except the true parts a caller asks for
+(BidegreeSeries.part) and the residual a failed trace condition prints.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
-from .linalg import invert_gaussian_matrix, lowest_terms
+from .linalg import invert_gaussian_matrix
 from .poly import (Exponents, MultiPoly, Powers, RationalFunction, conjugation_pairing,
-                   denominator_lcm, poly_sum, series_expand, specialize_each, substitute)
+                   denominator_lcm, lowest_terms, poly_sum, series_expand, specialize_each,
+                   substitute)
 from .record import Record
 from .relations import RelationContext
 from .scalars import I, ZERO, GaussianRational, Rational, ScalarLike
@@ -192,7 +193,7 @@ def defining_series(surface: GraphSurface, cutoff: int,
     variables are those of num. Returns the graph's series, then one
     series per bump.
 
-    All expansions share one inverse of den (one series_expand call): a
+    All expansions come from one series_expand call, with one scale: a
     bumped expansion is the graph's plus that of bump/den, which is exact
     because the expansion is linear in the numerator. So are its parts:
     only the parts of bump/den are split, and each is added to a copy of

@@ -8,8 +8,8 @@ empty imaginary part, so a polynomial costs what the ring of its data
 costs. GaussianRational is the scalar of the public edges only (`coeff`,
 `const_coeff`, `leading`, `eval_at`, `__str__`, and `terms`, which
 boxes every coefficient for code outside the package); `sorted_terms`
-and `coefficient_lists` hand out each coefficient as its (re, im)
-parts, `values_at` the (re, im) parts of values at a point, and
+hands out each coefficient as its (re, im) parts, `values_at` the
+(re, im) parts of values at a point, and
 `coefficient_columns` and `tangency_rows` hand the linear solves the
 parts themselves, as real coordinates.
 Binary operations insist that the variable tuples match exactly; the
@@ -65,17 +65,24 @@ polynomial's terms (`tangency_rows`). Every loop that builds terms of a
 higher degree raises OverflowError before it builds one above
 MAX_DEGREE.
 
+Every product of two polynomials (`_product`) and every sum of products
+(`product_sum`) is one multiply-accumulate over the pairs of nonempty
+(re, im) parts (`_mac`), but for a one-term real factor, which shifts
+and scales the other (`_shifted`).
+
 Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed. The one gcd
 is univariate, over Q(i), on coefficient lists of (re, im) pairs
-(`_ugcd`), for linalg.lowest_terms and the factor refinement of
-`substitute`. Their
-truncated expansions (`series_expand`) share one inverse of the
-denominator, built coefficient by coefficient from the recurrence of a
-power series reciprocal, in plain (re, im) parts. They
-come back as N times the true expansions, for one real rational N that
-is returned with them and never divided back here: N is a power of
-den(0), or of |den(0)|^2, and an integer for an integer denominator.
+(`_ugcd`), for `lowest_terms` and the factor refinement of
+`substitute`; `_ulists` and `_from_ulists` convert between those lists
+and polynomials, and no other module reads them. Truncated expansions
+of rational functions (`series_expand`) run the coefficient recurrence
+of a power series quotient once per numerator, in plain (re, im) parts,
+seeded with that numerator; no inverse of the denominator is built and
+no truncated product taken. They come back as N times the true
+expansions, for one real rational N that is returned with them and
+never divided back here: N is a power of den(0), or of |den(0)|^2, and
+an integer for an integer denominator.
 """
 
 from __future__ import annotations
@@ -232,19 +239,13 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             r, i = _parts(other)
-            if i:
-                return _poly(self.vars, *_product(self.re_terms, self.im_terms,
-                                                  {0: r} if r else {}, {0: i}, None))
-            if not r:
-                return MultiPoly.zero(self.vars)
-            im = self.im_terms
-            return _poly(self.vars, _shifted(self.re_terms, 0, r, None),
-                         _shifted(im, 0, r, None) if im else {})
+            return _poly(self.vars, *_product(self.re_terms, self.im_terms,
+                                              {0: r} if r else {}, {0: i} if i else {}))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_vars(other)
         return _poly(self.vars, *_product(self.re_terms, self.im_terms,
-                                          other.re_terms, other.im_terms, None))
+                                          other.re_terms, other.im_terms))
 
     __rmul__ = __mul__
 
@@ -316,38 +317,6 @@ class MultiPoly:
         k = max(_keys(self))
         return (tuple(k.to_bytes(len(self.vars) + 1, "big")[1:]),
                 _gr(self.re_terms.get(k, 0), self.im_terms.get(k, 0)))
-
-    def coefficient_lists(self, name: str) -> Dict[int, List[Tuple[Rational, Rational]]]:
-        """self as a polynomial in `name` over the other variables: for each
-        monomial m in the other variables, under a key that only
-        `from_coefficient_lists` reads, the coefficients of m * name**k as
-        (re, im) parts, lowest k first, with (0, 0) for an absent k and a
-        nonzero last: the univariate lists of `_ugcd` and `_udivmod`."""
-        shift = 8 * (len(self.vars) - 1 - self.vars.index(name))
-        unit = (1 << 8 * len(self.vars)) + (1 << shift)
-        grouped: Dict[int, Dict[int, Tuple[Rational, Rational]]] = {}
-        for k, re, im in _items(self.re_terms, self.im_terms):
-            e = k >> shift & 255
-            grouped.setdefault(k - e * unit, {})[e] = re, im
-        lists = {}
-        for rest, part in grouped.items():
-            out = [(0, 0)] * (max(part) + 1)
-            for e, c in part.items():
-                out[e] = c
-            lists[rest] = out
-        return lists
-
-    @staticmethod
-    def from_coefficient_lists(variables: Sequence[str], name: str,
-                               lists: Mapping[int, Sequence[Tuple[Rational, Rational]]]
-                               ) -> "MultiPoly":
-        """The polynomial over `variables` with the coefficient lists in
-        `name` that coefficient_lists gives; zero parts are skipped."""
-        v = tuple(variables)
-        unit = variable_keys(v)[v.index(name)]
-        terms = [(rest + e * unit, c) for rest, part in lists.items() for e, c in enumerate(part)]
-        return _poly(v, {k: _canon(re) for k, (re, _) in terms if re},
-                     {k: _canon(im) for k, (_, im) in terms if im})
 
     # ------------------------------------------------------------- calculus
 
@@ -491,6 +460,40 @@ class MultiPoly:
                 part[side][k - part[1]] = c
         return {key: _poly(self.vars, re, im) for key, _, re, im in parts.values()}
 
+    def split_squares(self, name: str) -> Dict[int, "MultiPoly"]:
+        """self grouped by j = e // 2, e being the exponent of `name` in a
+        term: {j: the terms with that j, each with name**(2 * j) taken off
+        its key}. Within a group no two keys meet."""
+        shift = 8 * (len(self.vars) - 1 - self.vars.index(name))
+        unit = 2 * ((1 << 8 * len(self.vars)) + (1 << shift))
+        parts: Dict[int, Tuple[Terms, Terms]] = {}
+        for side, terms in enumerate((self.re_terms, self.im_terms)):
+            for k, c in terms.items():
+                j = (k >> shift & 255) // 2
+                part = parts.get(j)
+                if part is None:
+                    part = parts[j] = ({}, {})
+                part[side][k - j * unit] = c
+        return {j: _poly(self.vars, *part) for j, part in parts.items()}
+
+    def cancel_pair(self, a: str, b: str) -> "MultiPoly":
+        """self under a * b = 1: each term with a**m * b**m taken off its
+        key, m being the smaller of its exponents of a and b, into one dict
+        per part, where terms that meet are summed and a zero sum dropped."""
+        n = len(self.vars)
+        sa = 8 * (n - 1 - self.vars.index(a))
+        sb = 8 * (n - 1 - self.vars.index(b))
+        pair = (2 << 8 * n) + (1 << sa) + (1 << sb)
+        parts = []
+        for terms in (self.re_terms, self.im_terms):
+            acc: Dict[int, Rational] = {}
+            for k, c in terms.items():
+                key = k - min(k >> sa & 255, k >> sb & 255) * pair
+                s = acc.get(key)
+                acc[key] = c if s is None else s + c
+            parts.append(_canonical(acc))
+        return _poly(self.vars, *parts)
+
     # ---------------------------------------------------------------- output
 
     def __str__(self) -> str:
@@ -611,7 +614,7 @@ def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
                 raise OverflowError(f"substitution: total degree {(k >> top) + e * grow} "
                                     f"exceeds {MAX_DEGREE}, the most a term key holds")
             while len(pows) <= e:
-                pows.append(_real_product(pows[-1], value, None))
+                pows.append(_product(pows[-1], {}, value, {})[0])
             base = k - e * unit
             for kv, cv in pows[e].items():
                 key = base + kv
@@ -893,13 +896,12 @@ def _add_into(acc: Terms, terms: Terms) -> Terms:
     return acc
 
 
-def _shifted(terms: Terms, shift: int, u: Rational, limit: Optional[int]) -> Terms:
-    """terms times the term u * (monomial of key shift), below limit: keys
-    only move, and a field has no zero divisors, so no term cancels."""
+def _shifted(terms: Terms, shift: int, u: Rational) -> Terms:
+    """terms times the term u * (monomial of key shift): keys only move,
+    and a field has no zero divisors, so no term cancels."""
     if u == 1:
-        return {k + shift: c for k, c in terms.items() if limit is None or k + shift < limit}
-    return {k + shift: x if type(x := c * u) is int else _canon(x) for k, c in terms.items()
-            if limit is None or k + shift < limit}
+        return {k + shift: c for k, c in terms.items()}
+    return {k + shift: x if type(x := c * u) is int else _canon(x) for k, c in terms.items()}
 
 
 def poly_sum(variables: Sequence[str], polys: Iterable[MultiPoly]) -> MultiPoly:
@@ -992,7 +994,7 @@ def _compose(p: MultiPoly, target: Tuple[str, ...], images, shared=()):
         for (pows, _), top, n in zip(shared, tops, need):
             if top > n:
                 factor = pows[top - n]
-                re, im = _product(re, im, factor.re_terms, factor.im_terms, None)
+                re, im = _product(re, im, factor.re_terms, factor.im_terms)
         _add_into(acc_re, re)
         if im:
             _add_into(acc_im, im)
@@ -1048,10 +1050,10 @@ def _horner(re_terms: Terms, im_terms: Terms, chains, level: int,
         pr, pi = _horner(re_parts.get(e, {}), im_parts.get(e, {}), chains, level + 1, move)
         if e:
             factor = num[e]
-            pr, pi = _product(pr, pi, factor.re_terms, factor.im_terms, None)
+            pr, pi = _product(pr, pi, factor.re_terms, factor.im_terms)
         if top > e:
             factor = den[top - e]
-            pr, pi = _product(pr, pi, factor.re_terms, factor.im_terms, None)
+            pr, pi = _product(pr, pi, factor.re_terms, factor.im_terms)
         # each part is a fresh dict, so the first takes in the others
         if acc_re is None:
             acc_re, acc_im = pr, pi
@@ -1077,14 +1079,6 @@ def merge_vars(*groups: Iterable[str]) -> Tuple[str, ...]:
             if v not in seen:
                 seen.append(v)
     return tuple(seen)
-
-
-def mul_trunc(a: MultiPoly, b: MultiPoly, cutoff: int) -> MultiPoly:
-    """Product truncated to total degree <= cutoff."""
-    a._check_same_vars(b)
-    # total degree <= cutoff exactly when the key is below this one
-    return _poly(a.vars, *_product(a.re_terms, a.im_terms, b.re_terms, b.im_terms,
-                                   cutoff + 1 << 8 * len(a.vars)))
 
 
 def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -1146,7 +1140,36 @@ def _take(rem: Dict[int, Rational], key: int, x: Rational) -> None:
 # A univariate polynomial over Q(i) is the list of its coefficients as
 # (re, im) pairs of rationals, lowest degree first, with a nonzero last;
 # [] is zero. The one Euclid of the package runs on these lists: the gcds
-# of linalg.lowest_terms and the factor refinement of `substitute`.
+# of lowest_terms and the factor refinement of `substitute`. _ulists and
+# _from_ulists are the one conversion between them and polynomials.
+
+def _ulists(p: MultiPoly, name: str) -> Dict[int, list]:
+    """p as a polynomial in `name` over its other variables: for each
+    monomial m in those, under m's key, the coefficient list in `name` of
+    the terms m * name**k, with (0, 0) for an absent k."""
+    shift = 8 * (len(p.vars) - 1 - p.vars.index(name))
+    unit = (1 << 8 * len(p.vars)) + (1 << shift)
+    grouped: Dict[int, Dict[int, Tuple[Rational, Rational]]] = {}
+    for k, re, im in _items(p.re_terms, p.im_terms):
+        e = k >> shift & 255
+        grouped.setdefault(k - e * unit, {})[e] = re, im
+    lists = {}
+    for rest, part in grouped.items():
+        out = [(0, 0)] * (max(part) + 1)
+        for e, c in part.items():
+            out[e] = c
+        lists[rest] = out
+    return lists
+
+
+def _from_ulists(variables: Tuple[str, ...], name: str, lists: Mapping[int, list]) -> MultiPoly:
+    """The polynomial over `variables` whose _ulists in `name` are lists;
+    zero parts are skipped."""
+    unit = variable_keys(variables)[variables.index(name)]
+    terms = [(rest + e * unit, c) for rest, part in lists.items() for e, c in enumerate(part)]
+    return _poly(variables, {k: _canon(re) for k, (re, _) in terms if re},
+                 {k: _canon(im) for k, (_, im) in terms if im})
+
 
 def _cmul(x: Tuple[Rational, Rational], y: Tuple[Rational, Rational]) -> Tuple[Rational, Rational]:
     """The product of two Gaussian rationals given as (re, im) pairs."""
@@ -1204,6 +1227,32 @@ def _ugcd(a: list, b: list) -> list:
     while b:
         a, b = b, _monic(_udivmod(a, b)[1])
     return _monic(a)
+
+
+def lowest_terms(rf: RationalFunction) -> RationalFunction:
+    """rf in lowest terms when its denominator uses exactly one variable
+    x; rf itself otherwise.
+
+    Read num as a polynomial in its other variables over Q(i)[x]; then
+    gcd(num, den) is the gcd G of den and every coefficient of num, found
+    by Euclid's algorithm over Q(i)[x] (`_ugcd`; Brown, J. ACM 18, 1971),
+    which stops as soon as G is a constant. G is made monic and divides
+    num and den exactly, coefficient by coefficient."""
+    used = rf.den.used_vars()
+    if len(used) != 1:
+        return rf
+    x = used[0]
+    den = _ulists(rf.den, x)[0]
+    parts = _ulists(rf.num, x)
+    g = den
+    for part in parts.values():
+        g = _ugcd(part, g)
+        if len(g) == 1:
+            return rf
+    g = _monic(g)
+    num = {rest: _udivmod(part, g)[0] for rest, part in parts.items()}
+    return RationalFunction(_from_ulists(rf.vars, x, num),
+                            _from_ulists(rf.vars, x, {0: _udivmod(den, g)[0]}))
 
 
 def _refine(polys: Sequence[list]) -> List[list]:
@@ -1288,18 +1337,14 @@ def _shared_bases(dens: Mapping[int, MultiPoly]):
         if len(idxs) < 2:
             continue
         variables = dens[idxs[0]].vars
-        shift = 8 * at
-        unit = (1 << 8 * len(variables)) + (1 << shift)
+        name = variables[len(variables) - 1 - at]
         lows: Dict[int, int] = {}
         lists: Dict[int, list] = {}
         for i in idxs:
-            den = dens[i]
-            terms = [(k >> shift & 255, re, im) for k, re, im in _items(den.re_terms, den.im_terms)]
-            low = min(terms)[0]
-            out = [(0, 0)] * (max(terms)[0] - low + 1)
-            for e, re, im in terms:
-                out[e - low] = re, im
-            lows[i], lists[i] = low, out
+            # the one list of a polynomial in name alone, x**low taken off
+            a = _ulists(dens[i], name)[0]
+            low = next(e for e, c in enumerate(a) if c != (0, 0))
+            lows[i], lists[i] = low, a[low:]
         found = []
         held = {i: low for i, low in lows.items() if low}
         if len(held) > 1:
@@ -1322,18 +1367,10 @@ def _shared_bases(dens: Mapping[int, MultiPoly]):
         if private is dens:
             private = dict(dens)
         for base, exps in found:
-            shared.append((_upoly(variables, unit, 0, base), exps))
+            shared.append((_from_ulists(variables, name, {0: base}), exps))
             for i in exps:
-                private[i] = _upoly(variables, unit, lows[i], lists[i])
+                private[i] = _from_ulists(variables, name, {0: [(0, 0)] * lows[i] + lists[i]})
     return shared, private
-
-
-def _upoly(variables: Tuple[str, ...], unit: int, low: int, a: list) -> MultiPoly:
-    """x**low times the coefficient list a in x, the variable whose key
-    is unit, over `variables`."""
-    re = {(e + low) * unit: _canon(c[0]) for e, c in enumerate(a) if c[0]}
-    im = {(e + low) * unit: _canon(c[1]) for e, c in enumerate(a) if c[1]}
-    return _poly(variables, re, im)
 
 
 def _top_byte(key: int) -> int:
@@ -1341,25 +1378,28 @@ def _top_byte(key: int) -> int:
     return key >> (key.bit_length() - 1 & ~7) if key else 0
 
 
-def _product(ar: Terms, ai: Terms, br: Terms, bi: Terms,
-             limit: Optional[int]) -> Tuple[Terms, Terms]:
+def _product(ar: Terms, ai: Terms, br: Terms, bi: Terms) -> Tuple[Terms, Terms]:
     """The (re, im) parts of the product of the polynomials with parts
-    (ar, ai) and (br, bi), keeping the keys below limit (all terms when
-    limit is None).
+    (ar, ai) and (br, bi).
 
     Raises OverflowError before it starts when the degrees of the two
-    highest keys sum above MAX_DEGREE, even if a limit would drop every
-    term of that degree; below the bound, the key of a product of two
-    terms is the sum of their keys. re = ar br - ai bi and im = ar bi +
-    ai br (Knuth, TAOCP Vol. 2, 4.6.4) take one real product per pair of
-    nonempty parts: one for real times real, two for real times complex,
-    at most four for complex times complex."""
+    highest keys sum above MAX_DEGREE; below the bound, the key of a
+    product of two terms is the sum of their keys. A one-term real factor
+    shifts and scales each part of the other (`_shifted`); any other pair
+    is one multiply-accumulate (`_mac`) and one `_canonical` per part."""
     if not (ar or ai) or not (br or bi):
         return {}, {}
     _check_degrees(ar, ai, br, bi)
-    if not ai and not bi:
-        return _real_product(ar, br, limit), {}
-    return _combine(ar, br, ai, bi, True, limit), _combine(ar, bi, ai, br, False, limit)
+    if not bi and len(br) == 1:
+        (shift, u), = br.items()
+        return _shifted(ar, shift, u), _shifted(ai, shift, u) if ai else {}
+    if not ai and len(ar) == 1:
+        (shift, u), = ar.items()
+        return _shifted(br, shift, u), _shifted(bi, shift, u) if bi else {}
+    acc_re: Dict[int, Rational] = {}
+    acc_im: Dict[int, Rational] = {}
+    _mac(acc_re, acc_im, ar, ai, br, bi, False)
+    return _canonical(acc_re), _canonical(acc_im)
 
 
 def _check_degrees(ar: Terms, ai: Terms, br: Terms, bi: Terms) -> None:
@@ -1377,11 +1417,9 @@ def product_sum(variables: Sequence[str], added: Iterable[Tuple[MultiPoly, Multi
                 subtracted: Iterable[Tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
     """The sum of a * b over the pairs (a, b) of added, minus that over
     the pairs of subtracted, all polynomials over `variables`: one
-    multiply-accumulate dict per part, re += ar br - ai bi and im += ar bi
-    + ai br pair by pair (`_mac`, skipping empty parts, so real and
-    complex factors take one path), and one `_canonical` per part at the
-    end. Raises OverflowError before a pair whose product could hold a
-    term above MAX_DEGREE, as `_product` does."""
+    multiply-accumulate dict per part, pair by pair (`_mac`), and one
+    `_canonical` per part at the end. Raises OverflowError before a pair
+    whose product could hold a term above MAX_DEGREE, as `_product` does."""
     v = tuple(variables)
     acc_re: Dict[int, Rational] = {}
     acc_im: Dict[int, Rational] = {}
@@ -1390,64 +1428,35 @@ def product_sum(variables: Sequence[str], added: Iterable[Tuple[MultiPoly, Multi
             if a.vars != v or b.vars != v:
                 raise ValueError(f"variable mismatch: {v} vs {a.vars} and {b.vars}")
             ar, ai, br, bi = a.re_terms, a.im_terms, b.re_terms, b.im_terms
-            if not (ar or ai) or not (br or bi):
-                continue
-            _check_degrees(ar, ai, br, bi)
-            if br:
-                if ar:
-                    _mac(acc_re, ar, br, None, negate)
-                if ai:
-                    _mac(acc_im, ai, br, None, negate)
-            if bi:
-                if ai:
-                    _mac(acc_re, ai, bi, None, not negate)
-                if ar:
-                    _mac(acc_im, ar, bi, None, negate)
+            if (ar or ai) and (br or bi):
+                _check_degrees(ar, ai, br, bi)
+                _mac(acc_re, acc_im, ar, ai, br, bi, negate)
     return _poly(v, _canonical(acc_re), _canonical(acc_im))
 
 
-def _combine(x1: Terms, y1: Terms, x2: Terms, y2: Terms, subtract: bool,
-             limit: Optional[int]) -> Terms:
-    """x1 y1 - x2 y2 when subtract, else x1 y1 + x2 y2: one real product
-    per pair of nonempty factors, two summed before canonical form."""
-    if not (x2 and y2):
-        return _real_product(x1, y1, limit) if x1 and y1 else {}
-    if not (x1 and y1):
-        out = _real_product(x2, y2, limit)
-        return {k: -c for k, c in out.items()} if subtract else out
-    return _canonical(_mac(_mac({}, x1, y1, limit, False), x2, y2, limit, subtract))
-
-
-def _real_product(a: Terms, b: Terms, limit: Optional[int]) -> Terms:
-    """The product of two real parts below limit: a one-term factor
-    shifts and scales the other (`_shifted`), else every pair is summed."""
-    if len(b) == 1:
-        (shift, u), = b.items()
-        return _shifted(a, shift, u, limit)
-    if len(a) == 1:
-        (shift, u), = a.items()
-        return _shifted(b, shift, u, limit)
-    return _canonical(_mac({}, a, b, limit, False))
-
-
-def _mac(acc: Dict[int, Rational], a: Terms, b: Terms, limit: Optional[int],
-         negate: bool) -> Dict[int, Rational]:
-    """Add a * b, or -(a * b) when negate, over the keys below limit into
-    acc, in plain sums that `_canonical` cleans; returns acc."""
-    b_items = list(b.items())
-    get = acc.get
-    for k1, c1 in a.items():
-        if negate:
-            c1 = -c1
-        row = b_items
-        if limit is not None:
-            room = limit - k1
-            row = [t for t in b_items if t[0] < room]
-        for k2, c2 in row:
-            k = k1 + k2
-            s = get(k)
-            acc[k] = c1 * c2 if s is None else s + c1 * c2
-    return acc
+def _mac(acc_re: Dict[int, Rational], acc_im: Dict[int, Rational], ar: Terms, ai: Terms,
+         br: Terms, bi: Terms, negate: bool) -> None:
+    """Add (ar + i ai)(br + i bi), or its negative when negate, into acc_re
+    and acc_im in plain sums that `_canonical` cleans: re += ar br - ai bi
+    and im += ar bi + ai br (Knuth, TAOCP Vol. 2, 4.6.4), one real product
+    per pair of nonempty parts, so real and complex factors take one path:
+    one pair for real times real, two for real times complex, at most four
+    for complex times complex."""
+    pairs = ((acc_re, ar, br, negate),)
+    if ai or bi:
+        pairs += ((acc_re, ai, bi, not negate), (acc_im, ar, bi, negate),
+                  (acc_im, ai, br, negate))
+    for acc, a, b, neg in pairs:
+        if a and b:
+            b_items = list(b.items())
+            get = acc.get
+            for k1, c1 in a.items():
+                if neg:
+                    c1 = -c1
+                for k2, c2 in b_items:
+                    k = k1 + k2
+                    s = get(k)
+                    acc[k] = c1 * c2 if s is None else s + c1 * c2
 
 
 class RationalFunction:
@@ -1456,7 +1465,7 @@ class RationalFunction:
     Never normalized to lowest terms in storage, and equality goes
     through cross-multiplication. verify_surface_map and
     verify_map_conjugation reduce each map component at use
-    (linalg.lowest_terms), and verify_surface_map then scales its num and
+    (`lowest_terms`), and verify_surface_map then scales its num and
     den by one integer to Gaussian-integer coefficients
     (denominator_lcm), which changes neither its value nor its zeros.
     `substitute` leaves its result over the least common denominator of
@@ -1589,29 +1598,34 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
 def series_expand(nums: Sequence[MultiPoly], den: MultiPoly,
                   cutoff: int) -> Tuple[Rational, List[MultiPoly]]:
     """Truncated Taylor expansions at the origin of num/den through
-    `cutoff`, one for each num in nums, all over one inverse of den,
-    each kept as an exact multiple N * (num/den) of the true expansion.
+    `cutoff`, one for each num in nums, all over den's variables, each
+    kept as an exact multiple N * (num/den) of the true expansion.
 
     Returns (N, [N * expansion of num/den for num in nums]). N is a
     nonzero real rational: c0**(cutoff+1) for a real c0 = den(0), and
     |c0|**(2 * (cutoff+1)) = (c0 * conj c0)**(cutoff+1) otherwise, so N
     is an integer when c0 is a Gaussian integer. A real N keeps every
     zero test and every reality test of a result; dividing a result by
-    N gives the true expansion. Requires c0 != 0. Multiplying each
-    result back by den agrees with N * num through total degree cutoff.
+    N gives the true expansion. Multiplying each result back by den
+    agrees with N * num through total degree cutoff. Raises ValueError
+    when c0 = 0 or a num is over other variables, and OverflowError
+    before it starts when cutoff exceeds MAX_DEGREE; no key it builds
+    has a degree above the cutoff.
 
-    The inverse is taken once, over the coefficient ring of den, by the
-    coefficient recurrence of a power series reciprocal (Knuth, TAOCP
-    Vol. 2, 4.7): A = N / den through the cutoff has A[0] = N / c0 and
-    c0 * A[m] = -sum_t den[t] * A[m - t] over the nonconstant terms t
-    of den. Each A[m] is pushed forward to the keys m + t once it is
-    final, so no key is ever subtracted, and the sums are kept by
-    degree, each degree final before the next is read. Only the
-    monomials reachable from 1 by multiplying terms of den are visited.
-    Each sum runs in plain (re, im) int/Fraction parts, and each A[m] is
-    one exact division by c0, so an integer den keeps int entries. Each
-    num is then one truncated product with A; nothing is divided after.
+    Each quotient Q = N * num / den is one run of the coefficient
+    recurrence of a power series quotient (Knuth, TAOCP Vol. 2, 4.7):
+    c0 * Q[m] = N * num[m] - sum_t den[t] * Q[m - t] over the
+    nonconstant terms t of den, seeded with N * num through the cutoff.
+    Each Q[m] is pushed forward to the keys m + t once it is final, so
+    no key is ever subtracted, and the sums are kept by degree, each
+    degree final before the next is read. Only the monomials reachable
+    from num's by multiplying terms of den are visited. Each sum runs in
+    plain (re, im) int/Fraction parts, and each Q[m] is one exact
+    division by c0, so an integer num and den keep int entries.
     """
+    if cutoff > MAX_DEGREE:
+        raise OverflowError(f"series cutoff {cutoff} exceeds {MAX_DEGREE}, "
+                            f"the most a term key holds")
     a, b = den.re_terms.get(0, 0), den.im_terms.get(0, 0)
     if not (a or b):
         raise ValueError("singular expansion point: denominator vanishes at 0")
@@ -1622,38 +1636,43 @@ def series_expand(nums: Sequence[MultiPoly], den: MultiPoly,
                    if 0 < k < cutoff + 1 << shift)
     norm = a * a + b * b
     scale = _canon((norm if b else a) ** (cutoff + 1))
-    # levels[d]: c0 * A[m] in (re, im) parts for each key m of degree d reached
-    levels: List[Dict[int, list]] = [{} for _ in range(cutoff + 1)]
-    levels[0][0] = [scale, 0]
-    inv_re: Terms = {}
-    inv_im: Terms = {}
-    for d, level in enumerate(levels):
-        for m, (re, im) in level.items():
-            if b:
-                re, im = _div(re * a + im * b, norm), _div(im * a - re * b, norm)
-            else:
-                re, im = _div(re, a), _div(im, a)
-            if not (re or im):
-                continue
-            if re:
-                inv_re[m] = re
-            if im:
-                inv_im[m] = im
-            for t, dt, tr, ti in tails:
-                if d + dt > cutoff:
-                    break
-                if im or ti:
-                    pr = re * tr - im * ti
-                    pi = re * ti + im * tr
+    out = []
+    for num in nums:
+        num._check_same_vars(den)
+        # levels[d]: c0 * Q[m] in (re, im) parts for each key m of degree d reached
+        levels: List[Dict[int, list]] = [{} for _ in range(cutoff + 1)]
+        seed = num.truncate(cutoff)
+        for k, re, im in _items(seed.re_terms, seed.im_terms):
+            levels[k >> shift][k] = [scale * re, scale * im]
+        q_re: Terms = {}
+        q_im: Terms = {}
+        for d, level in enumerate(levels):
+            for m, (re, im) in level.items():
+                if b:
+                    re, im = _div(re * a + im * b, norm), _div(im * a - re * b, norm)
                 else:
-                    pr = re * tr
-                    pi = 0
-                out = levels[d + dt]
-                s = out.get(m + t)
-                if s is None:
-                    out[m + t] = [pr, pi]
-                else:
-                    s[0] += pr
-                    s[1] += pi
-    inverse = _poly(den.vars, inv_re, inv_im)
-    return scale, [mul_trunc(num.truncate(cutoff), inverse, cutoff) for num in nums]
+                    re, im = _div(re, a), _div(im, a)
+                if not (re or im):
+                    continue
+                if re:
+                    q_re[m] = re
+                if im:
+                    q_im[m] = im
+                for t, dt, tr, ti in tails:
+                    if d + dt > cutoff:
+                        break
+                    if im or ti:
+                        pr = re * tr - im * ti
+                        pi = re * ti + im * tr
+                    else:
+                        pr = re * tr
+                        pi = 0
+                    after = levels[d + dt]
+                    s = after.get(m + t)
+                    if s is None:
+                        after[m + t] = [pr, pi]
+                    else:
+                        s[0] += pr
+                        s[1] += pi
+        out.append(_poly(den.vars, q_re, q_im))
+    return scale, out

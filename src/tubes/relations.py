@@ -9,7 +9,11 @@ Two relation shapes are supported:
 
 Reduction rewrites each term independently (s**k -> d**(k//2) * s**(k%2),
 and c**a * cbar**b -> c**(a-m) * cbar**(b-m) with m = min(a, b)), so the
-system is confluent and reduced forms are unique.
+system is confluent and reduced forms are unique. Both rewrites move
+term keys: the unit pair by one rekeying into one dict per part
+(`MultiPoly.cancel_pair`), the radical by taking s**(2 * (k//2)) off the
+keys (`MultiPoly.split_squares`) before one product by d**(k//2) per
+distinct k//2 > 0.
 """
 
 from __future__ import annotations
@@ -44,27 +48,13 @@ class RelationContext(Record):
         for sym, d in self.radicals:
             if sym not in out.vars or out.degree(sym) < 2:
                 continue
-            # s**k -> d**(k//2) * s**(k%2), one product per distinct k
+            # s**k -> d**(k//2) * s**(k%2): s**(2 * (k//2)) leaves the key,
+            # and one product by d**(k//2) per distinct k//2 > 0
             d_pows = Powers(d.with_vars(out.vars))
-            s = MultiPoly.var(out.vars, sym)
-            parts = []
-            for (k,), part in out.split_by_vars([sym]).items():
-                if k % 2:
-                    part = part * s
-                parts.append(part * d_pows[k // 2] if k > 1 else part)
-            out = poly_sum(out.vars, parts)
+            out = poly_sum(out.vars, [part * d_pows[j] if j else part
+                                      for j, part in out.split_squares(sym).items()])
         for c_name, cb_name in self.unit_pairs:
-            if c_name not in out.vars or cb_name not in out.vars:
-                continue
-            # c**a * cbar**b -> c**(a-m) * cbar**(b-m), m = min(a, b)
-            c_pows = Powers(MultiPoly.var(out.vars, c_name))
-            cb_pows = Powers(MultiPoly.var(out.vars, cb_name))
-            parts = []
-            for (a, b), part in out.split_by_vars([c_name, cb_name]).items():
-                if a > b:
-                    part = part * c_pows[a - b]
-                elif b > a:
-                    part = part * cb_pows[b - a]
-                parts.append(part)
-            out = poly_sum(out.vars, parts)
+            if c_name in out.vars and cb_name in out.vars:
+                # c**a * cbar**b -> c**(a-m) * cbar**(b-m), m = min(a, b)
+                out = out.cancel_pair(c_name, cb_name)
         return out

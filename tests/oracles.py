@@ -23,7 +23,11 @@ product chains it replaced, `substitute` over the least common
 denominator of a coprime basis against the product of the assignment
 denominators it gave before (`product_substitute`), the scaled series
 inversion against the
-geometric series in E / c0 it replaced, and brackets, which read cached
+geometric series in E / c0 it replaced, its quotient recurrence against
+the reciprocal-then-truncated-product route it replaced
+(`reciprocal_series`), the relation rewrites by key shifts against the
+split-and-multiply route they replaced (`split_reduce_poly`), and
+brackets, which read cached
 jacobians, against fields applied one product per variable. GraphSurface's
 one-product invariance test is checked against the two products it took
 before. The products of the split real and imaginary term dicts are
@@ -50,7 +54,7 @@ from tubes import linalg
 from tubes.fields import VectorField
 from tubes.poly import (_NO_TERMS, MultiPoly, Powers, RationalFunction, _chain, _field_mask,
                         _horner, _poly, coefficient_columns, poly_sum)
-from tubes.scalars import I, ONE, ZERO, GaussianRational
+from tubes.scalars import I, ONE, ZERO, GaussianRational, _canon, _div
 from tubes.symmetry import ChartOutcome, _residuals
 
 
@@ -431,6 +435,80 @@ def fraction_series(f: RationalFunction, cutoff: int) -> MultiPoly:
     return (f.num.truncate(cutoff) * inv).truncate(cutoff) * (ONE / c0)
 
 
+def reciprocal_series(nums: Sequence[MultiPoly], den: MultiPoly, cutoff: int):
+    """series_expand before it ran the quotient recurrence once per
+    numerator, frozen: (N, [N * expansion of num/den]) from one inverse
+    A = N / den through the cutoff, built by the reciprocal recurrence
+    c0 * A[m] = -sum_t den[t] * A[m - t] in plain (re, im) parts, and
+    then one truncated product of each truncated num with A."""
+    a, b = den.re_terms.get(0, 0), den.im_terms.get(0, 0)
+    shift = 8 * len(den.vars)
+    terms = {k: [c, 0] for k, c in den.re_terms.items()}
+    for k, c in den.im_terms.items():
+        terms.setdefault(k, [0, 0])[1] = c
+    tails = sorted((k, k >> shift, -re, -im) for k, (re, im) in terms.items()
+                   if 0 < k < cutoff + 1 << shift)
+    norm = a * a + b * b
+    scale = _canon((norm if b else a) ** (cutoff + 1))
+    levels = [{} for _ in range(cutoff + 1)]
+    levels[0][0] = [scale, 0]
+    inv_re, inv_im = {}, {}
+    for d, level in enumerate(levels):
+        for m, (re, im) in level.items():
+            if b:
+                re, im = _div(re * a + im * b, norm), _div(im * a - re * b, norm)
+            else:
+                re, im = _div(re, a), _div(im, a)
+            if not (re or im):
+                continue
+            if re:
+                inv_re[m] = re
+            if im:
+                inv_im[m] = im
+            for t, dt, tr, ti in tails:
+                if d + dt > cutoff:
+                    break
+                pr, pi = re * tr - im * ti, re * ti + im * tr
+                s = levels[d + dt].setdefault(m + t, [0, 0])
+                s[0] += pr
+                s[1] += pi
+    inverse = _poly(den.vars, inv_re, inv_im)
+    return scale, [(num.truncate(cutoff) * inverse).truncate(cutoff) for num in nums]
+
+
+def split_reduce_poly(ctx, p: MultiPoly) -> MultiPoly:
+    """RelationContext.reduce_poly before its rewrites moved term keys,
+    frozen: p split by the adjoined symbols' exponents (split_by_vars),
+    each part multiplied back by a power of a symbol, or of the radical's
+    value, and the parts summed."""
+    out = p
+    for sym, d in ctx.radicals:
+        if sym not in out.vars or out.degree(sym) < 2:
+            continue
+        d_pows = Powers(d.with_vars(out.vars))
+        s = MultiPoly.var(out.vars, sym)
+        parts = []
+        for (k,), part in out.split_by_vars([sym]).items():
+            if k % 2:
+                part = part * s
+            parts.append(part * d_pows[k // 2] if k > 1 else part)
+        out = poly_sum(out.vars, parts)
+    for c_name, cb_name in ctx.unit_pairs:
+        if c_name not in out.vars or cb_name not in out.vars:
+            continue
+        c_pows = Powers(MultiPoly.var(out.vars, c_name))
+        cb_pows = Powers(MultiPoly.var(out.vars, cb_name))
+        parts = []
+        for (a, b), part in out.split_by_vars([c_name, cb_name]).items():
+            if a > b:
+                part = part * c_pows[a - b]
+            elif b > a:
+                part = part * cb_pows[b - a]
+            parts.append(part)
+        out = poly_sum(out.vars, parts)
+    return out
+
+
 def invariant_by_two_products(part: RationalFunction, pairing) -> bool:
     """GraphSurface's conjugation-invariance test before it took one
     product, frozen: num * conj(den) - conj(num) * den vanishes."""
@@ -438,7 +516,7 @@ def invariant_by_two_products(part: RationalFunction, pairing) -> bool:
             - part.num.conjugate(pairing) * part.den).is_zero()
 
 
-def boxed_product(a_terms, b_terms, limit=None):
+def boxed_product(a_terms, b_terms):
     """tubes.poly._product over {term key: GaussianRational} dicts, as it
     was before polynomials held real and imaginary parts apart, frozen
     (its degree check left out): a one-term factor shifts and scales the
@@ -451,19 +529,13 @@ def boxed_product(a_terms, b_terms, limit=None):
         if len(mono) == 1:
             (shift, unit), = mono.items()
             if unit == ONE:
-                return {k + shift: c for k, c in other.items()
-                        if limit is None or k + shift < limit}
-            return {k + shift: c * unit for k, c in other.items()
-                    if limit is None or k + shift < limit}
+                return {k + shift: c for k, c in other.items()}
+            return {k + shift: c * unit for k, c in other.items()}
     b_items = [(k, c.re, c.im) for k, c in b_terms.items()]
     acc = {}
     for k1, c1 in a_terms.items():
-        row = b_items
-        if limit is not None:
-            room = limit - k1
-            row = [t for t in b_items if t[0] < room]
         r1, i1 = c1.re, c1.im
-        for k2, r2, i2 in row:
+        for k2, r2, i2 in b_items:
             k = k1 + k2
             if i1 or i2:
                 re = r1 * r2 - i1 * i2

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from tubes import catalog, linalg
 from tubes.fields import VectorField, linear_combination, rank_at
-from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis, lowest_terms,
-                          poly_div_exact, rref_rows, solve_columns)
-from tubes.poly import MultiPoly, RationalFunction, coefficient_columns, poly_sum
+from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis, poly_div_exact,
+                          rref_rows, solve_columns)
+from tubes.poly import MultiPoly, RationalFunction, coefficient_columns, lowest_terms, poly_sum
 from tubes.scalars import ONE, ZERO, GaussianRational, _div
 from tubes.symmetry import affine_symmetry_algebra, expand_in_fields
 

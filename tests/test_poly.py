@@ -15,15 +15,16 @@ import tubes.poly
 import tubes.symmetry
 from tubes import catalog
 from tubes.fields import VectorField, lie_bracket
-from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, merge_vars, mul_trunc,
-                        poly_div_exact, poly_sum, series_expand, subs_each, substitute,
-                        values_at)
+from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, _from_ulists, _ulists,
+                        merge_vars, poly_div_exact, poly_sum, series_expand, subs_each,
+                        substitute, values_at)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
 from oracles import (boxed_conjugate, boxed_product, boxed_specialize, boxed_sum, boxed_terms,
                      canonical, chain_compose, div_exact_terms, eval_terms, fraction_series,
-                     frozen_subs_each, product_substitute, random_poly, str_terms)
+                     frozen_subs_each, product_substitute, random_poly, reciprocal_series,
+                     split_reduce_poly, str_terms)
 
 VARS = ("x", "y", "z")
 
@@ -80,16 +81,14 @@ PAIRED = {"x": "y", "y": "x", "z": "z"}
 
 
 @settings(max_examples=300, deadline=None)
-@given(ring_polys(), ring_polys(), st.integers(0, 8), ring_scalars(), st.sampled_from(VARS),
-       ring_scalars(), ring_scalars())
-def test_split_parts_agree_with_the_boxed_oracle(a, b, cutoff, c, name, value, other):
-    """Products, truncated products, scalar multiples, sums, differences,
-    conjugates, specializations and point values of the real and
-    imaginary term dicts equal those of the boxed coefficients."""
-    limit = cutoff + 1 << 8 * len(VARS)
+@given(ring_polys(), ring_polys(), ring_scalars(), st.sampled_from(VARS), ring_scalars(),
+       ring_scalars())
+def test_split_parts_agree_with_the_boxed_oracle(a, b, c, name, value, other):
+    """Products, scalar multiples, sums, differences, conjugates,
+    specializations and point values of the real and imaginary term dicts
+    equal those of the boxed coefficients."""
     cases = {
         "mul": (a * b, boxed_product(a.terms, b.terms)),
-        "mul_trunc": (mul_trunc(a, b, cutoff), boxed_product(a.terms, b.terms, limit)),
         "scalar": (a * c, boxed_product(a.terms, {0: GaussianRational.coerce(c)} if c else {})),
         "add": (a + b, boxed_sum(a.terms, b.terms)),
         "sub": (a - b, boxed_sum(a.terms, b.terms, -1)),
@@ -116,8 +115,8 @@ def test_ring_axioms(a, b, c):
 
 @settings(max_examples=80, deadline=None)
 @given(polys(max_terms=6), polys(max_terms=6), st.integers(0, 10))
-def test_mul_trunc_is_truncated_product(a, b, cutoff):
-    assert mul_trunc(a, b, cutoff) == (a * b).truncate(cutoff)
+def test_a_truncated_product_needs_only_the_truncated_factors(a, b, cutoff):
+    assert (a.truncate(cutoff) * b.truncate(cutoff)).truncate(cutoff) == (a * b).truncate(cutoff)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,7 +126,7 @@ def test_a_monic_monomial_factor_shifts_the_exponents(p, exps, cutoff):
     shifted = MultiPoly(VARS, {tuple(a + b for a, b in zip(e, exps)): c
                                for e, c in boxed_terms(p)})
     assert m * p == p * m == shifted
-    assert mul_trunc(p, m, cutoff) == mul_trunc(m, p, cutoff) == shifted.truncate(cutoff)
+    assert (p * m).truncate(cutoff) == (m * p).truncate(cutoff) == shifted.truncate(cutoff)
     # coefficient 2 scales as it shifts
     assert (m * 2) * p == shifted * 2
 
@@ -140,7 +139,7 @@ def test_a_one_term_factor_equals_the_general_loop(p, exps, c, cutoff):
     expected = MultiPoly(VARS, {tuple(a + b for a, b in zip(e, exps)): k * c
                                 for e, k in boxed_terms(p)})
     assert m * p == p * m == expected
-    assert mul_trunc(p, m, cutoff) == mul_trunc(m, p, cutoff) == expected.truncate(cutoff)
+    assert (p * m).truncate(cutoff) == (m * p).truncate(cutoff) == expected.truncate(cutoff)
     # m + z has two terms, so its product with p runs the general loop;
     # z's exponents stay clear of m's and p's
     z = MultiPoly(VARS, {(4, 4, 4): 1})
@@ -154,7 +153,7 @@ def test_a_one_term_factor_keeps_the_degree_bound():
     with pytest.raises(OverflowError, match=r"total degree 200 \+ 56 exceeds 255"):
         a * (x ** 55 * y * 2)
     with pytest.raises(OverflowError, match=r"total degree 56 \+ 200 exceeds 255"):
-        mul_trunc(x ** 55 * y * GaussianRational(0, 1), a, 10)
+        (x ** 55 * y * GaussianRational(0, 1)) * a
 
 
 @settings(max_examples=60, deadline=None)
@@ -414,19 +413,72 @@ def test_series_expand_over_antichain_denominators_matches_the_fraction_series(d
     assert expansions == [fraction_series(RationalFunction(num, den), cutoff) * scale
                           for num in nums]
     for num, expansion in zip(nums, expansions):
-        assert mul_trunc(expansion, den, cutoff) == num.truncate(cutoff) * scale
+        assert (expansion * den).truncate(cutoff) == num.truncate(cutoff) * scale
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(polys(UV, max_terms=4, max_exp=3), min_size=1, max_size=3),
        polys(UV, max_terms=3, max_exp=2), small_scalar().filter(bool), st.integers(0, 6))
-def test_series_expand_over_one_inverse_equals_each_expansion_alone(nums, den, c0, cutoff):
+def test_series_expand_of_many_numerators_equals_each_expansion_alone(nums, den, c0, cutoff):
     den = den - den.const_coeff() + c0
     scale, shared = series_expand(nums, den, cutoff)
     assert scale == expected_scale(c0, cutoff)
     assert shared == [series_expand([num], den, cutoff)[1][0] for num in nums]
     for num, expansion in zip(nums, shared):
-        assert mul_trunc(expansion, den, cutoff) == num.truncate(cutoff) * scale
+        assert (expansion * den).truncate(cutoff) == num.truncate(cutoff) * scale
+
+
+def stored_types(p: MultiPoly):
+    """The type of every stored value of p, by part and key."""
+    return ({k: type(c) for k, c in p.re_terms.items()},
+            {k: type(c) for k, c in p.im_terms.items()})
+
+
+def assert_same_series(got, want):
+    """Two (N, expansions) results are equal, value for value and type for
+    type: a canonical int is never a Fraction on one side only."""
+    assert got == want
+    assert type(got[0]) is type(want[0])
+    assert [stored_types(p) for p in got[1]] == [stored_types(p) for p in want[1]]
+
+
+GRAPH_IDS = sorted(fid for fid in catalog.registry().keys() if fid.startswith("graph."))
+
+
+@pytest.mark.parametrize("fid", GRAPH_IDS)
+def test_series_expand_equals_the_reciprocal_route_on_every_graph(fid):
+    """The quotient recurrence gives the scale and the expansions that the
+    frozen route (one inverse, then a truncated product per numerator)
+    gave, on the graph function of every graph fixture, alone and with
+    the normal-form command's bump, at every cutoff from 6 to 14."""
+    graph = catalog.get(fid).payload
+    f = graph.im_part if graph.im_part is not None else graph.re_part
+    v = f.num.vars
+    (h1, h2), pairing = graph.holo_vars[:2], graph.pairing
+    w1, w2, w1b, w2b = (MultiPoly.var(v, name) for name in (h1, h2, pairing[h1], pairing[h2]))
+    bump = (w1**2 * w1b * w2b + w1b**2 * w1 * w2) * f.den.const_coeff()
+    for cutoff in range(6, 15):
+        for nums in ([f.num], [f.num, bump], [f.num + bump]):
+            assert_same_series(series_expand(nums, f.den, cutoff),
+                               reciprocal_series(nums, f.den, cutoff))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ring_polys(), min_size=1, max_size=3), ring_polys(),
+       st.one_of(small_part(5).filter(bool), small_scalar().filter(lambda c: c.im)),
+       st.integers(0, 8))
+def test_series_expand_equals_the_reciprocal_route(nums, den, c0, cutoff):
+    """The same on drawn numerators and denominators: real, imaginary and
+    complex coefficients, and a real or a non-real den(0)."""
+    den = den - den.const_coeff() + c0
+    assert_same_series(series_expand(nums, den, cutoff), reciprocal_series(nums, den, cutoff))
+
+
+def test_series_expand_refuses_a_cutoff_above_the_degree_bound():
+    x = MultiPoly.var(XY, "x")
+    assert series_expand([x ** 255], 1 - x, MAX_DEGREE) == (1, [x ** 255])
+    with pytest.raises(OverflowError, match=r"series cutoff 256 exceeds 255"):
+        series_expand([x], 1 - x, MAX_DEGREE + 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -643,7 +695,7 @@ def test_series_multiply_back_randomized():
         cutoff = 5
         scale, (expansion,) = series_expand([num], den, cutoff)
         assert scale == 1
-        back = mul_trunc(expansion, den, cutoff)
+        back = (expansion * den).truncate(cutoff)
         assert back == num.truncate(cutoff)
 
 
@@ -725,6 +777,23 @@ def test_relation_unit_pair_reduction():
     assert ctx.reduce_poly(c * cb) == MultiPoly.const(vs, 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(ring_polys(("a", "s", "c", "cb")), polys(("a",), max_terms=3, max_exp=2),
+       st.booleans())
+def test_reduce_poly_equals_the_split_route(p, d, radical_first):
+    """The rewrites by key shifts equal the frozen route that split p by
+    the symbols' exponents and multiplied each part back, value for value
+    and type for type; a radical and a unit pair together, in either
+    order of adjoined variables."""
+    p = p * p  # exponents up to 6, so every rewrite has work
+    ctx = RelationContext(radicals=(("s", d),), unit_pairs=(("c", "cb"),))
+    if not radical_first:
+        p = p.with_vars(("cb", "c", "s", "a"))
+    got, want = ctx.reduce_poly(p), split_reduce_poly(ctx, p)
+    assert got == want
+    assert stored_types(got) == stored_types(want)
+
+
 def test_relation_rejects_radical_mentioning_adjoined():
     vs = ("a", "rho")
     rho = MultiPoly.var(vs, "rho")
@@ -782,6 +851,29 @@ def test_only_poly_module_writes_term_dicts():
     assert {name: lines for name, lines in names.items() if lines} == {}
 
 
+def test_no_module_imports_a_private_name_of_poly():
+    """poly.py keeps its private helpers, the univariate coefficient lists
+    of its one Euclid among them, to itself: no other module of the
+    package imports a `_` name from tubes.poly or reads one off the module,
+    but the trusted constructor `_poly`."""
+    package = Path(tubes.poly.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        names = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("poly", 1),
+                                                                                ("tubes.poly", 0)):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "poly":
+                names.append(node.attr)
+        private = sorted({name for name in names if name.startswith("_") and name != "_poly"})
+        if private:
+            found[path.name] = private
+    assert found == {}
+
+
 def _functions(module):
     """The module-level functions of a module, by name."""
     tree = ast.parse(Path(module.__file__).read_text())
@@ -789,15 +881,15 @@ def _functions(module):
 
 
 def test_the_inner_loops_box_no_coefficient():
-    """The product, the Horner composer, the sum, the series inverse and
+    """The product, the Horner composer, the sum, the series quotient and
     the algebra-layer kernels (the scan's substitution, the tangency rows,
     the bracket's sum of products and the shared point values) run on the
     rationals of the term dicts: none names GaussianRational or its
     trusted builder _gr."""
     bodies = _functions(tubes.poly)
-    loops = ("_product", "_combine", "_real_product", "_mac", "_shifted", "_canonical", "_horner",
-             "_split", "_add_into", "series_expand", "subs_each", "tangency_rows",
-             "product_sum", "_check_degrees", "values_at", "_part_value")
+    loops = ("_product", "_mac", "_shifted", "_canonical", "_horner", "_split", "_add_into",
+             "series_expand", "subs_each", "tangency_rows", "product_sum", "_check_degrees",
+             "values_at", "_part_value")
     named = {name: sorted({node.id for node in ast.walk(bodies[name])
                            if isinstance(node, ast.Name)} & {"GaussianRational", "_gr"})
              for name in loops}
@@ -846,7 +938,7 @@ def test_the_linear_solves_run_over_q():
              for node in solves}
     assert named == {node.name: [] for node in solves}
     args = linalg["_rref"].args
-    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["rows", "limit"]
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["rows", "width"]
 
 
 XY = ("x", "y")
@@ -864,9 +956,6 @@ def test_products_reach_the_degree_bound_and_no_further():
         a * (x ** 55 * y)
     with pytest.raises(OverflowError, match=r"total degree 128 \+ 128"):
         x ** 256
-    # the bound holds for a truncated product too, whatever the cutoff
-    with pytest.raises(OverflowError):
-        mul_trunc(a + 1, x ** 56, 10)
 
 
 def test_subs_each_reaches_the_degree_bound_and_no_further():
@@ -938,8 +1027,8 @@ def test_key_moves_match_the_exponent_tuples(terms, universe, name):
     assert parts == {key: MultiPoly(WXYZ, {e: c for e, c in boxed_terms(p)
                                            if (e[0] + e[3], e[1] + e[2]) == key})
                      for key in {(e[0] + e[3], e[1] + e[2]) for e, _, _ in p.sorted_terms()}}
-    lists = p.coefficient_lists(name)
-    assert MultiPoly.from_coefficient_lists(WXYZ, name, lists) == p
+    lists = _ulists(p, name)
+    assert _from_ulists(WXYZ, name, lists) == p
     assert all(part[-1] != (0, 0) and len(part) - 1 <= p.degree(name) for part in lists.values())
 
 
