@@ -278,11 +278,12 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     Each component is first put in lowest terms (`lowest_terms`), since
     `substitute` clears the components' denominators to the powers the
     target needs and so carries every surplus factor through the whole
-    composition; the stored components are left as they are. Over the
-    coprime basis of `substitute`, the components of a cm map, all over
-    powers of w1 + 4 (of its conjugate on the conjugate side), are
-    cleared by one power of w1 + 4 and one of its conjugate, the largest
-    that a term of the target needs, not by their product.
+    composition; the stored components are left as they are. The
+    components of a cm map, all over powers of w1 + 4 (of its conjugate
+    on the conjugate side), share the least of them as a base in
+    `substitute`, so they are cleared by one power of w1 + 4 and one of
+    its conjugate, the largest that a term of the target needs, not by
+    their product.
     The target, and the num and den of each reduced component, are then
     scaled by the lcm of their coefficient denominators (`denominator_lcm`),
     so the products run on Gaussian integers; this changes neither the

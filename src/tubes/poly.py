@@ -35,11 +35,13 @@ mapped variable's exponent per level with a shift and a mask.
 `_compose` takes images for the mapped variables only, {index in p:
 (Powers of the numerator, Powers of the denominator, top degree)}; every
 other variable is kept and moves into the target universe by the runs
-of `_moves`. `substitute` clears the least common denominator that a
-coprime basis of the image denominators gives (`_shared_bases`, by
-factor refinement of those in one variable): a base that one image
-denominator holds stays in its Horner level, and `_compose` groups the
-terms of p by their need of the bases that two or more share.
+of `_moves`. `substitute` pools the image denominators that use one
+variable by it (`_shared_bases`): in each pool, the member of least
+degree is a base, shared when it divides two or more members, and each
+member's quotient by its power of the base stays in its Horner level.
+`_compose` groups the terms of p by their need of the shared bases.
+Only powers of a least member are shared: (w+1)(w-1) with (w+1)**2
+shares nothing and stays over the product of the two.
 
 Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
@@ -68,21 +70,22 @@ MAX_DEGREE.
 Every product of two polynomials (`_product`) and every sum of products
 (`product_sum`) is one multiply-accumulate over the pairs of nonempty
 (re, im) parts (`_mac`), but for a one-term real factor, which shifts
-and scales the other (`_shifted`).
+and scales the other (`_shifted`). A constant factor, a scalar multiple
+among them, skips the degree check, since it raises no degree.
 
 Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed. The one gcd
 is univariate, over Q(i), on coefficient lists of (re, im) pairs
-(`_ugcd`), for `lowest_terms` and the factor refinement of
-`substitute`; `_ulists` and `_from_ulists` convert between those lists
-and polynomials, and no other module reads them. Truncated expansions
-of rational functions (`series_expand`) run the coefficient recurrence
-of a power series quotient once per numerator, in plain (re, im) parts,
-seeded with that numerator; no inverse of the denominator is built and
-no truncated product taken. They come back as N times the true
-expansions, for one real rational N that is returned with them and
-never divided back here: N is a power of den(0), or of |den(0)|^2, and
-an integer for an integer denominator.
+(`_ugcd`), for `lowest_terms`, and the trial divisions of
+`_shared_bases` run on the same lists; `_ulists` and `_from_ulists`
+convert between those lists and polynomials, and no other module reads
+them. Truncated expansions of rational functions (`series_expand`) run
+the coefficient recurrence of a power series quotient once per
+numerator, in plain (re, im) parts, seeded with that numerator; no
+inverse of the denominator is built and no truncated product taken.
+They come back as N times the true expansions, for one real rational N
+that is returned with them and never divided back here: N is a power
+of den(0), or of |den(0)|^2, and an integer for an integer denominator.
 """
 
 from __future__ import annotations
@@ -1140,7 +1143,7 @@ def _take(rem: Dict[int, Rational], key: int, x: Rational) -> None:
 # A univariate polynomial over Q(i) is the list of its coefficients as
 # (re, im) pairs of rationals, lowest degree first, with a nonzero last;
 # [] is zero. The one Euclid of the package runs on these lists: the gcds
-# of lowest_terms and the factor refinement of `substitute`. _ulists and
+# of lowest_terms and the trial divisions of `_shared_bases`. _ulists and
 # _from_ulists are the one conversion between them and polynomials.
 
 def _ulists(p: MultiPoly, name: str) -> Dict[int, list]:
@@ -1255,36 +1258,6 @@ def lowest_terms(rf: RationalFunction) -> RationalFunction:
                             _from_ulists(rf.vars, x, {0: _udivmod(den, g)[0]}))
 
 
-def _refine(polys: Sequence[list]) -> List[list]:
-    """Factor refinement (Bach, Driscoll & Shallit, J. Algorithms 15(2),
-    1993) of nonconstant monic coefficient lists: pairwise coprime monic
-    nonconstant lists such that each of polys is a product of powers of
-    them. A list joins the basis once it is coprime to every member. One
-    that a member b divides goes on as its quotient by b; one that shares
-    another factor g with b replaces b by g and b / g, and itself by
-    itself / g. Each step lowers the total degree, so the loop ends."""
-    basis: List[list] = []
-    todo = list(polys)
-    while todo:
-        f = todo.pop()
-        for i, b in enumerate(basis):
-            if f == b:
-                break
-            g = _ugcd(f, b)
-            if len(g) > 1:
-                rest = _udivmod(f, g)[0]
-                if len(g) == len(b):
-                    new = [rest]
-                else:
-                    del basis[i]
-                    new = [g, _udivmod(b, g)[0], rest]
-                todo += [h for h in new if len(h) > 1]
-                break
-        else:
-            basis.append(f)
-    return basis
-
-
 def _integral(a: list) -> list:
     """A coefficient list scaled by a nonzero rational to coprime Gaussian
     integers, so that powers of it multiply on integers."""
@@ -1311,65 +1284,41 @@ def _shared_bases(dens: Mapping[int, MultiPoly]):
     dens[i] its private part times base**exponent over the shared bases
     that i holds.
 
-    The denominators that use one variable x are pooled by x. In a pool of
-    two or more, each is x**low times a list with a nonzero constant
-    term: x is a base of every one with low > 0, found by exponent
-    arithmetic, and the lists of positive degree are split by factor
-    refinement (`_refine`) into bases, each scaled to coprime Gaussian
-    integers. A denominator in two or more variables, or in none, is
-    private as it is, and so is one alone in its pool, with no list
-    built and no Euclid run."""
-    # pooled by the byte of the one exponent field their keys use
-    pools: Dict[int, List[int]] = {}
+    The denominators that use one variable are pooled by it. In a pool of
+    two or more, the base is the member of least degree (the first such),
+    scaled to coprime Gaussian integers, and every member is divided by
+    it as often as it goes (`_valuation`): the base is shared when two or
+    more members hold it, and each quotient is that member's private
+    part. A denominator in two or more variables, or in none, is private
+    as it is, and so is one alone in its pool or holding no shared base.
+    Only powers of the least member are shared: (w+1)(w-1) with
+    (w+1)**2 shares nothing."""
+    pools: Dict[str, List[int]] = {}
     for i, den in dens.items():
-        seen = 0
-        for k in den.re_terms:
-            seen |= k
-        for k in den.im_terms:
-            seen |= k
-        seen &= (1 << 8 * len(den.vars)) - 1
-        at = seen.bit_length() - 1 >> 3
-        if seen and seen >> 8 * at << 8 * at == seen:
-            pools.setdefault(at, []).append(i)
+        used = den.used_vars()
+        if len(used) == 1:
+            pools.setdefault(used[0], []).append(i)
     shared = []
     private = dens
-    for at, idxs in pools.items():
+    for name, idxs in pools.items():
         if len(idxs) < 2:
             continue
-        variables = dens[idxs[0]].vars
-        name = variables[len(variables) - 1 - at]
-        lows: Dict[int, int] = {}
-        lists: Dict[int, list] = {}
-        for i in idxs:
-            # the one list of a polynomial in name alone, x**low taken off
-            a = _ulists(dens[i], name)[0]
-            low = next(e for e, c in enumerate(a) if c != (0, 0))
-            lows[i], lists[i] = low, a[low:]
-        found = []
-        held = {i: low for i, low in lows.items() if low}
-        if len(held) > 1:
-            found.append(([(0, 0), (1, 0)], held))
-            lows.update(dict.fromkeys(held, 0))
-        polys = [i for i in idxs if len(lists[i]) > 1]
-        if len(polys) > 1:
-            for base in _refine([_monic(lists[i]) for i in polys]):
-                base = _integral(base)
-                held = {}
-                for i in polys:
-                    e, rest = _valuation(lists[i], base)
-                    if e:
-                        held[i] = e, rest
-                if len(held) > 1:
-                    found.append((base, {i: e for i, (e, _) in held.items()}))
-                    lists.update((i, rest) for i, (_, rest) in held.items())
-        if not found:
+        lists = {i: _ulists(dens[i], name)[0] for i in idxs}
+        base = _integral(min(lists.values(), key=len))
+        held = {}
+        for i, a in lists.items():
+            e, rest = _valuation(a, base)
+            if e:
+                held[i] = e, rest
+        if len(held) < 2:
             continue
         if private is dens:
             private = dict(dens)
-        for base, exps in found:
-            shared.append((_from_ulists(variables, name, {0: base}), exps))
-            for i in exps:
-                private[i] = _from_ulists(variables, name, {0: [(0, 0)] * lows[i] + lists[i]})
+        variables = dens[idxs[0]].vars
+        shared.append((_from_ulists(variables, name, {0: base}),
+                       {i: e for i, (e, _) in held.items()}))
+        for i, (_, rest) in held.items():
+            private[i] = _from_ulists(variables, name, {0: rest})
     return shared, private
 
 
@@ -1383,13 +1332,15 @@ def _product(ar: Terms, ai: Terms, br: Terms, bi: Terms) -> Tuple[Terms, Terms]:
     (ar, ai) and (br, bi).
 
     Raises OverflowError before it starts when the degrees of the two
-    highest keys sum above MAX_DEGREE; below the bound, the key of a
-    product of two terms is the sum of their keys. A one-term real factor
+    highest keys sum above MAX_DEGREE, which a constant factor never
+    makes, so it is not checked; below the bound, the key of a product of
+    two terms is the sum of their keys. A one-term real factor
     shifts and scales each part of the other (`_shifted`); any other pair
     is one multiply-accumulate (`_mac`) and one `_canonical` per part."""
     if not (ar or ai) or not (br or bi):
         return {}, {}
-    _check_degrees(ar, ai, br, bi)
+    if not (_is_constant(br, bi) or _is_constant(ar, ai)):
+        _check_degrees(ar, ai, br, bi)
     if not bi and len(br) == 1:
         (shift, u), = br.items()
         return _shifted(ar, shift, u), _shifted(ai, shift, u) if ai else {}
@@ -1400,6 +1351,12 @@ def _product(ar: Terms, ai: Terms, br: Terms, bi: Terms) -> Tuple[Terms, Terms]:
     acc_im: Dict[int, Rational] = {}
     _mac(acc_re, acc_im, ar, ai, br, bi, False)
     return _canonical(acc_re), _canonical(acc_im)
+
+
+def _is_constant(re: Terms, im: Terms) -> bool:
+    """Whether the nonzero polynomial with these parts is a constant:
+    at most one term per part, each of key 0."""
+    return len(re) + len(im) <= 2 and not any(re) and not any(im)
 
 
 def _check_degrees(ar: Terms, ai: Terms, br: Terms, bi: Terms) -> None:
@@ -1468,8 +1425,9 @@ class RationalFunction:
     (`lowest_terms`), and verify_surface_map then scales its num and
     den by one integer to Gaussian-integer coefficients
     (denominator_lcm), which changes neither its value nor its zeros.
-    `substitute` leaves its result over the least common denominator of
-    a coprime basis of the image denominators, not over their product."""
+    `substitute` leaves its result over the product of the image
+    denominators less each base that two or more of them share
+    (`_shared_bases`), cleared once by the largest power a term needs."""
 
     __slots__ = ("num", "den")
 
@@ -1538,21 +1496,22 @@ class RationalFunction:
 def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFunction:
     """Compose p with rational-function values for its variables.
 
-    Every variable occurring in p must be assigned. The result is left
-    over the least common denominator that a coprime basis of the
-    assignment denominators gives, not over their product: factor
-    refinement (Bach, Driscoll & Shallit, "Factor refinement",
-    J. Algorithms 15(2), 1993) splits the denominators that use one
-    variable, pooled by that variable, into pairwise coprime bases B_j
-    with den_v = private_v * prod_j B_j**e_vj over the bases B_j that
-    two or more denominators share (`_shared_bases`); a denominator in
-    two or more variables is its own private part. With top_v the degree
+    Every variable occurring in p must be assigned. The assignment
+    denominators that use one variable are pooled by it, and in a pool
+    of two or more the member of least degree is a base B_j, shared
+    when it divides two or more members: den_v = private_v * B_j**e_vj,
+    e_vj the largest power of B_j that divides den_v (`_shared_bases`).
+    Any other denominator is its own private part. With top_v the degree
     of p in v and E_j the largest sum_v k_v e_vj over the terms prod
     v**k_v of p, the result is over
 
         prod_v private_v**top_v * prod_j B_j**E_j,
 
-    which is prod_v den_v**top_v when no base is shared.
+    which is prod_v den_v**top_v when no base is shared. For denominators
+    c_v * B**e_v over one base B with some e_v = 1, as the catalogued maps
+    and group laws have, this is the least common denominator of the
+    terms; only powers of a least member are shared, so (w+1)(w-1)
+    with (w+1)**2 stays over their product.
     """
     used = p.used_vars()
     missing = [v for v in used if v not in assignment]

@@ -19,11 +19,12 @@ step, and `MultiPoly.__str__` against the loop that zipped every term
 against all variable names. A solved scan
 chart's kept rows are checked against their rebuild from its solution.
 The Horner composition of `tubes.poly` is checked against the per-group
-product chains it replaced, `substitute` over the least common
-denominator of a coprime basis against the product of the assignment
-denominators it gave before (`product_substitute`), the scaled series
-inversion against the
-geometric series in E / c0 it replaced, its quotient recurrence against
+product chains it replaced, `substitute` over its shared bases against
+the product of the assignment denominators it gave before
+(`product_substitute`), its split of the image denominators by trial
+division against each pool's least member against the factor
+refinement it replaced (`refined_shared_bases`), the scaled series
+inversion against the geometric series in E / c0 it replaced, its quotient recurrence against
 the reciprocal-then-truncated-product route it replaced
 (`reciprocal_series`), the relation rewrites by key shifts against the
 split-and-multiply route they replaced (`split_reduce_poly`), and
@@ -47,13 +48,14 @@ component (`frozen_rank_at`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from tubes import linalg
 from tubes.fields import VectorField
 from tubes.poly import (_NO_TERMS, MultiPoly, Powers, RationalFunction, _chain, _field_mask,
-                        _horner, _poly, coefficient_columns, poly_sum)
+                        _from_ulists, _horner, _monic, _poly, _udivmod, _ugcd, _ulists,
+                        coefficient_columns, poly_sum)
 from tubes.scalars import I, ONE, ZERO, GaussianRational, _canon, _div
 from tubes.symmetry import ChartOutcome, _residuals
 
@@ -417,6 +419,112 @@ def product_substitute(p: MultiPoly, assignment) -> RationalFunction:
             term = term * f.num ** k * f.den ** (p.degree(v) - k)
         num = num + term
     return RationalFunction(num, den)
+
+
+def refined_shared_bases(dens):
+    """tubes.poly._shared_bases while it split the denominators by factor
+    refinement, frozen: in a pool of two or more denominators in one
+    variable x, x is a base of those with x**low, low > 0, by exponent
+    arithmetic, and the rest, of positive degree, are refined into
+    pairwise coprime monic bases (`_refine`), each scaled to coprime
+    Gaussian integers; a base two or more hold is shared. Returns
+    ([(base, {index: exponent})], {index: private part}) as
+    _shared_bases does."""
+    pools = {}
+    for i, den in dens.items():
+        seen = 0
+        for k in den.re_terms:
+            seen |= k
+        for k in den.im_terms:
+            seen |= k
+        seen &= (1 << 8 * len(den.vars)) - 1
+        at = seen.bit_length() - 1 >> 3
+        if seen and seen >> 8 * at << 8 * at == seen:
+            pools.setdefault(at, []).append(i)
+    shared = []
+    private = dens
+    for at, idxs in pools.items():
+        if len(idxs) < 2:
+            continue
+        variables = dens[idxs[0]].vars
+        name = variables[len(variables) - 1 - at]
+        lows, lists = {}, {}
+        for i in idxs:
+            a = _ulists(dens[i], name)[0]
+            low = next(e for e, c in enumerate(a) if c != (0, 0))
+            lows[i], lists[i] = low, a[low:]
+        found = []
+        held = {i: low for i, low in lows.items() if low}
+        if len(held) > 1:
+            found.append(([(0, 0), (1, 0)], held))
+            lows.update(dict.fromkeys(held, 0))
+        polys = [i for i in idxs if len(lists[i]) > 1]
+        if len(polys) > 1:
+            for base in _refine([_monic(lists[i]) for i in polys]):
+                base = _refined_integral(base)
+                held = {}
+                for i in polys:
+                    e, rest = _refined_valuation(lists[i], base)
+                    if e:
+                        held[i] = e, rest
+                if len(held) > 1:
+                    found.append((base, {i: e for i, (e, _) in held.items()}))
+                    lists.update((i, rest) for i, (_, rest) in held.items())
+        if not found:
+            continue
+        if private is dens:
+            private = dict(dens)
+        for base, exps in found:
+            shared.append((_from_ulists(variables, name, {0: base}), exps))
+            for i in exps:
+                private[i] = _from_ulists(variables, name, {0: [(0, 0)] * lows[i] + lists[i]})
+    return shared, private
+
+
+def _refine(polys):
+    """Factor refinement (Bach, Driscoll & Shallit, J. Algorithms 15(2),
+    1993) of nonconstant monic coefficient lists into pairwise coprime
+    monic nonconstant lists, each of polys a product of their powers."""
+    basis = []
+    todo = list(polys)
+    while todo:
+        f = todo.pop()
+        for i, b in enumerate(basis):
+            if f == b:
+                break
+            g = _ugcd(f, b)
+            if len(g) > 1:
+                rest = _udivmod(f, g)[0]
+                if len(g) == len(b):
+                    new = [rest]
+                else:
+                    del basis[i]
+                    new = [g, _udivmod(b, g)[0], rest]
+                todo += [h for h in new if len(h) > 1]
+                break
+        else:
+            basis.append(f)
+    return basis
+
+
+def _refined_integral(a):
+    """A coefficient list scaled by a nonzero rational to coprime Gaussian
+    integers."""
+    scale = lcm(*(x.denominator for c in a for x in c if type(x) is not int))
+    ints = [(re * scale, im * scale) for re, im in a] if scale > 1 else a
+    content = gcd(*(int(x) for c in ints for x in c))
+    return [(int(re) // content, int(im) // content) for re, im in ints]
+
+
+def _refined_valuation(a, b):
+    """(e, a / b**e) for the largest e such that b**e divides a."""
+    e = 0
+    while len(a) >= len(b):
+        q, r = _udivmod(a, b)
+        if r:
+            break
+        a, e = q, e + 1
+    return e, a
 
 
 def fraction_series(f: RationalFunction, cutoff: int) -> MultiPoly:

@@ -13,7 +13,7 @@ import tubes.fields
 import tubes.linalg
 import tubes.poly
 import tubes.symmetry
-from tubes import catalog
+from tubes import catalog, cli
 from tubes.fields import VectorField, lie_bracket
 from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, _from_ulists, _ulists,
                         merge_vars, poly_div_exact, poly_sum, series_expand, subs_each,
@@ -24,7 +24,7 @@ from tubes.scalars import GaussianRational, I
 from oracles import (boxed_conjugate, boxed_product, boxed_specialize, boxed_sum, boxed_terms,
                      canonical, chain_compose, div_exact_terms, eval_terms, fraction_series,
                      frozen_subs_each, product_substitute, random_poly, reciprocal_series,
-                     split_reduce_poly, str_terms)
+                     refined_shared_bases, split_reduce_poly, str_terms)
 
 VARS = ("x", "y", "z")
 
@@ -154,6 +154,29 @@ def test_a_one_term_factor_keeps_the_degree_bound():
         a * (x ** 55 * y * 2)
     with pytest.raises(OverflowError, match=r"total degree 56 \+ 200 exceeds 255"):
         (x ** 55 * y * GaussianRational(0, 1)) * a
+
+
+def test_a_constant_factor_skips_the_degree_check(monkeypatch):
+    """A constant raises no degree, so a product by one, real or complex,
+    on either side, makes no `_check_degrees` call."""
+    x, y = (MultiPoly.var(XY, n) for n in XY)
+    top = x ** 255
+    p = MultiPoly(XY, {(255, 0): 1, (0, 1): I})
+    calls = []
+    check = tubes.poly._check_degrees
+
+    def spying(*parts):
+        calls.append(parts)
+        return check(*parts)
+
+    monkeypatch.setattr(tubes.poly, "_check_degrees", spying)
+    for c in (3, Fraction(-2, 3), I, GaussianRational(Fraction(1, 2), -1), 0):
+        assert p * c == c * p == MultiPoly(XY, {(255, 0): c, (0, 1): c * I})
+    assert top * 3 == MultiPoly(XY, {(255, 0): 3})
+    assert top * I == MultiPoly(XY, {(255, 0): I})
+    assert not calls
+    x * y
+    assert len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,7 +631,7 @@ def test_substitute_missing_variable():
         substitute(p, {"x": 1})
 
 
-def test_substitute_denominator_is_the_least_over_a_coprime_basis():
+def test_substitute_shares_the_least_denominator_of_a_pool():
     x = MultiPoly.var(("x", "y"), "x")
     y = MultiPoly.var(("x", "y"), "y")
     w = MultiPoly.var(("w",), "w")
@@ -622,6 +645,24 @@ def test_substitute_denominator_is_the_least_over_a_coprime_basis():
                                 "y": RationalFunction(w, (w + 1) ** 2)})
     assert out.den == (w + 1) ** 2
     assert out.num == w + 1  # 1 + w over (w+1)^2
+
+
+def test_substitute_stays_over_the_product_form_when_no_member_generates_the_pool():
+    """(w+1)(w-1) and (w+1)**2 share w+1, which neither is: the least
+    member, (w+1)(w-1), does not divide (w+1)**2, so nothing is shared and
+    x + y is over (w+1)**3 (w-1), where factor refinement gave (w+1)**2 (w-1)."""
+    xy = ("x", "y")
+    x, y = (MultiPoly.var(xy, n) for n in xy)
+    w = MultiPoly.var(("w",), "w")
+    one = MultiPoly.const(("w",), 1)
+    assignment = {"x": RationalFunction(one, (w + 1) * (w - 1)),
+                  "y": RationalFunction(one, (w + 1) ** 2)}
+    out = substitute(x + y, assignment)
+    assert out == assignment["x"] + assignment["y"]
+    assert out.den == (w + 1) ** 3 * (w - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tubes.poly, "_shared_bases", refined_shared_bases)
+        assert substitute(x + y, assignment).den == (w + 1) ** 2 * (w - 1)
 
 
 UVW = ("u", "v", "w")
@@ -660,7 +701,7 @@ def shared_factor_images(draw):
 @settings(max_examples=120, deadline=None)
 @given(polys(max_terms=5), shared_factor_images(),
        st.tuples(rationals(), rationals(), rationals()))
-def test_substitute_over_a_coprime_basis_equals_the_product_form(p, assignment, point):
+def test_substitute_with_shared_bases_equals_the_product_form(p, assignment, point):
     out = substitute(p, assignment)
     old = product_substitute(p, assignment)
     assert out.num * old.den == old.num * out.den
@@ -671,6 +712,73 @@ def test_substitute_over_a_coprime_basis_equals_the_product_form(p, assignment, 
         assert out.den.eval_at(at)
         x = {v: f.num.eval_at(at) / d for (v, f), d in zip(assignment.items(), values)}
         assert out.num.eval_at(at) == p.eval_at(x) * out.den.eval_at(at)
+
+
+@st.composite
+def powers_of_one_base(draw):
+    """Images over UVW whose denominators are c_i * B**e_i for one drawn
+    base B in u (often u itself), as the catalogued maps and group laws
+    have, with e_i = 1 for at least one i, so that the least member is
+    c_i * B; numerators are random polynomials in u, v, w."""
+    if draw(st.booleans()):
+        base = MultiPoly.var(UVW, "u")
+    else:
+        degree = draw(st.integers(1, 2))
+        lead = draw(small_scalar().filter(bool))
+        rest = draw(polys(("u",), max_terms=2, max_exp=degree - 1))
+        base = (MultiPoly.var(("u",), "u") ** degree * lead + rest).with_vars(UVW)
+    exps = [draw(st.integers(1, 3)) for _ in VARS]
+    exps[draw(st.integers(0, len(VARS) - 1))] = 1
+    return {v: RationalFunction(draw(polys(UVW, max_terms=3, max_exp=2)),
+                                base ** e * draw(small_scalar().filter(bool)))
+            for v, e in zip(VARS, exps)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=5), powers_of_one_base())
+def test_substitute_over_powers_of_one_base_matches_factor_refinement(p, assignment):
+    out = substitute(p, assignment)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tubes.poly, "_shared_bases", refined_shared_bases)
+        old = substitute(p, assignment)
+    assert out == old
+    # equal up to a constant: each times the other's leading coefficient
+    assert out.den * old.den.leading()[1] == old.den * out.den.leading()[1]
+
+
+# every subcommand whose checks compose rational maps through `substitute`
+SPLIT_TRAFFIC = ([["verify-map", "--id", mid] for mid in catalog.list_ids("map.*")]
+                 + [[cmd, "--case", case] for cmd in ("isotropy", "group") for case in "DC"]
+                 + [["witness", "--id", wid] for wid in catalog.list_ids("witness.*")]
+                 + [["classify"]])
+
+
+def test_the_least_member_split_equals_factor_refinement_on_catalogued_traffic(
+        monkeypatch, capsys):
+    """Every `_shared_bases` call that the catalogued checks make gives the
+    split that factor refinement gave: the same bases up to a unit, the
+    same exponents and the same private parts; at least 8 calls share a
+    base (powers of w1 + 2, w1 + 4, their conjugates and rp)."""
+    calls = []
+    split = tubes.poly._shared_bases
+
+    def recording(dens):
+        out = split(dens)
+        calls.append((dict(dens), out))
+        return out
+
+    monkeypatch.setattr(tubes.poly, "_shared_bases", recording)
+    for argv in SPLIT_TRAFFIC:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    for dens, (shared, private) in calls:
+        want_shared, want_private = refined_shared_bases(dens)
+        assert len(shared) == len(want_shared)
+        for (base, exps), (want_base, want_exps) in zip(shared, want_shared):
+            assert any(base == want_base * u for u in (1, -1, I, -I))
+            assert exps == want_exps
+        assert private == want_private
+    assert sum(1 for _, (shared, _) in calls if shared) >= 8
 
 
 def test_series_geometric():
