@@ -468,13 +468,11 @@ def _slice_check(reg, slice_fx: Fixture) -> Check:
     full: MapFamily = _fixture(reg, info.family).payload
     target: MapFamily = _fixture(reg, info.reduces_to).payload
     assignments = dict(info.assignments)
+    # the family's variables are the target's too, so they stay as they are
+    values = {p: assignments[p].with_vars(target.universe) for p in full.params}
     ok = True
     detail = ""
     for i, comp in enumerate(full.components):
-        values: Dict[str, object] = {v: MultiPoly.var(target.universe, v)
-                                     for v in full.variables}
-        for p in full.params:
-            values[p] = assignments[p].with_vars(target.universe)
         if comp.subs_poly(values) != target.components[i]:
             ok = False
             detail = f"component {full.variables[i]} disagrees"

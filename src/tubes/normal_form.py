@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
 from .linalg import invert_gaussian_matrix
-from .poly import (Exponents, MultiPoly, Powers, RationalFunction, conjugation_pairing,
+from .poly import (Exponents, MultiPoly, RationalFunction, conjugation_pairing,
                    denominator_lcm, lowest_terms, poly_sum, series_expand, specialize_each,
                    substitute)
 from .record import Record
@@ -288,11 +288,15 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     scaled by the lcm of their coefficient denominators (`denominator_lcm`),
     so the products run on Gaussian integers; this changes neither the
     zero set of the target nor the value of a component.
-    Substitutes z := phi(w), conj z := conj phi(conj w), then the graph
-    relations for the solved coordinate, and cross-multiplies by the
-    least power of the graph denominator that clears them. Returns
-    (identity holds, residual numerator); the residual is exact up to a
-    nonzero rational factor, from the scaling.
+    Substitutes z := phi(w), conj z := conj phi(conj w), then, by one
+    more `substitute` call, the graph relations w := w_num/D and
+    conj w := wbar_num/D for the solved coordinate and its conjugate,
+    which share a nonconstant D as a base: the numerator is cleared by
+    D**top, up to a constant factor, top being the largest sum of the
+    exponents of w and conj w in a term, and every other variable stays
+    as it is. Returns (identity holds, residual numerator, over the
+    graph's free variables); the residual is exact up to a nonzero
+    rational factor, from the scaling.
     """
     src_holo_full = source.holo_vars + (source.solved_var,)
     src_anti_full = source.anti_vars + (source.solved_conj,)
@@ -312,23 +316,9 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
         assignment[a] = assignment[h].conjugate(pairing)
 
     composed = substitute(target * denominator_lcm(target), assignment)
-    numer = composed.num
-
-    groups = numer.split_by_vars([source.solved_var, source.solved_conj])
     w_num, wbar_num, den = source.solved_pair()
-    fv = source.free_vars
-    # den(0) != 0, so den is a nonzero polynomial and clearing its least
-    # power den**top keeps the zero test exact
-    top = max((j + k for j, k in groups), default=0)
-    w_pows, wbar_pows, den_pows = Powers(w_num), Powers(wbar_num), Powers(den)
-    products = []
-    for (j, k), part in groups.items():
-        term = part.with_vars(fv)
-        for pows, n in ((w_pows, j), (wbar_pows, k), (den_pows, top - j - k)):
-            if n:
-                term = term * pows[n]
-        products.append(term)
-    total = poly_sum(fv, products)
+    total = substitute(composed.num, {source.solved_var: RationalFunction(w_num, den),
+                                      source.solved_conj: RationalFunction(wbar_num, den)}).num
     return total.is_zero(), total
 
 
@@ -493,9 +483,7 @@ def verify_group_law(fam: MapFamily) -> GroupLawResult:
 
     inner_images = {name: comp.rename_vars(rename).with_vars(big)
                     for name, comp in zip(fam.variables, fam.components)}
-    assignment: Dict[str, MultiPoly] = {v: MultiPoly.var(big, v) for v in fam.variables}
-    for p in fam.params:
-        assignment[p] = law[p].with_vars(big)
+    assignment = {p: law[p].with_vars(big) for p in fam.params}
     for name, comp in zip(fam.variables, fam.components):
         lhs = comp.with_vars(big).subs_poly(inner_images)
         rhs = substitute(comp, assignment)

@@ -29,19 +29,24 @@ OverflowError before it starts, so a field never carries into the next.
 Exponent tuples appear only at the public edges: the constructor,
 `coeff`, `sorted_terms` and `leading`.
 
-Every substitution of polynomials (`subs_poly`, `substitute`) is one
-Horner routine over term keys, `_horner`, which splits the terms by one
-mapped variable's exponent per level with a shift and a mask.
-`_compose` takes images for the mapped variables only, {index in p:
-(Powers of the numerator, Powers of the denominator, top degree)}; every
-other variable is kept and moves into the target universe by the runs
-of `_moves`. `substitute` pools the image denominators that use one
-variable by it (`_shared_bases`): in each pool, the member of least
-degree is a base, shared when it divides two or more members, and each
-member's quotient by its power of the base stays in its Horner level.
-`_compose` groups the terms of p by their need of the shared bases.
-Only powers of a least member are shared: (w+1)(w-1) with (w+1)**2
-shares nothing and stays over the product of the two.
+Every composition of polynomials or rational functions is one call of
+`substitute`, which takes polynomial, rational or scalar values for
+some variables and keeps every other variable as it is, in the target
+universe; `subs_poly` is its numerator. It runs one Horner routine over
+term keys, `_horner`, which splits the terms by one mapped variable's
+exponent per level with a shift and a mask. `_compose` takes images for
+the mapped variables only, {index in p: (Powers of the numerator,
+Powers of the denominator, top degree)}; every other variable is kept
+and moves into the target universe by the runs of `_moves`.
+`substitute` pools the image denominators by the variables they use
+(`_shared_bases`): in each pool, the member of least degree is a base,
+shared when it divides two or more members, and each member's quotient
+by its power of the base stays in its Horner level. `_compose` groups
+the terms of p by their need of the shared bases. Only powers of a
+least member are shared: (w+1)(w-1) with (w+1)**2 shares nothing and
+stays over the product of the two. The powers of a polynomial are kept
+in one cache, `Powers`, which the composer and the chart scan's
+`subs_each` both read.
 
 Term dicts are built only in this module: through `MultiPoly.__init__`,
 which checks and coerces input from outside the engine, or through the
@@ -76,13 +81,14 @@ among them, skips the degree check, since it raises no degree.
 Rational functions are unreduced num/den pairs. Equality is decided by
 cross-multiplication; no multivariate gcd is ever computed. The one gcd
 is univariate, over Q(i), on coefficient lists of (re, im) pairs
-(`_ugcd`), for `lowest_terms`, and the trial divisions of
-`_shared_bases` run on the same lists; `_ulists` and `_from_ulists`
+(`_ugcd`), for `lowest_terms` alone; `_ulists` and `_from_ulists`
 convert between those lists and polynomials, and no other module reads
-them. Truncated expansions of rational functions (`series_expand`) run
-the coefficient recurrence of a power series quotient once per
-numerator, in plain (re, im) parts, seeded with that numerator; no
-inverse of the denominator is built and no truncated product taken.
+them. The trial divisions of `_shared_bases` are exact divisions of
+polynomials (`poly_div_exact`). Truncated expansions of rational
+functions (`series_expand`) run the coefficient recurrence of a power
+series quotient once per numerator, in plain (re, im) parts, seeded
+with that numerator; no inverse of the denominator is built and no
+truncated product taken.
 They come back as N times the true expansions, for one real rational N
 that is returned with them and never divided back here: N is a power
 of den(0), or of |den(0)|^2, and an integer for an integer denominator.
@@ -356,20 +362,11 @@ class MultiPoly:
                      dict(self.re_terms), dict(self.im_terms))
 
     def subs_poly(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Polynomial substitution. Values must share one variable tuple;
-        unmapped variables of self must exist there and map to themselves."""
-        if not mapping:
-            return self
-        target = next(iter(mapping.values())).vars
-        if any(value.vars != target for value in mapping.values()):
-            raise ValueError("substitution values must share a variable tuple")
-        images = {}
-        for i, v in enumerate(self.vars):
-            if v in mapping:
-                images[i] = (Powers(mapping[v]), None, 0)
-            elif v not in target:
-                raise ValueError(f"variable {v!r} not among {target}")
-        return _compose(self, target, images)[0]
+        """Polynomial substitution: `substitute`'s numerator, under its
+        variable rule. The values share one variable tuple, the target,
+        and each unmapped variable of self stays as it is, so it must be
+        a variable of the target too."""
+        return substitute(self, mapping).num
 
     def specialize(self, values: Mapping[str, ScalarLike]) -> "MultiPoly":
         """Set the variables named in `values` to those constants; the
@@ -585,8 +582,8 @@ def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
     replaced by the real polynomial whose part is value. A part in which
     `name` occurs is one multiply-accumulate: each term c * m * name**e
     adds c times the terms of value**e, shifted by m, into one dict that
-    one `_canonical` cleans. The powers of value are one list, shared by
-    all the parts and grown on demand. A part in which `name` does not
+    one `_canonical` cleans. The powers of value are one `Powers`, shared
+    by all the parts and grown on demand. A part in which `name` does not
     occur is returned as it is, the same dict. Raises OverflowError
     before it builds a term above MAX_DEGREE."""
     width = len(variables)
@@ -596,7 +593,7 @@ def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
     top = 8 * width
     # a term's total degree grows by this much per unit of its exponent of name
     grow = (max(value) >> top) - 1 if value else -1
-    pows = [{0: 1}, value]
+    pows = Powers(_poly(variables, value))
     out = []
     for p in parts:
         for k in p:
@@ -616,10 +613,8 @@ def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
             if grow > 0 and (k >> top) + e * grow > MAX_DEGREE:
                 raise OverflowError(f"substitution: total degree {(k >> top) + e * grow} "
                                     f"exceeds {MAX_DEGREE}, the most a term key holds")
-            while len(pows) <= e:
-                pows.append(_product(pows[-1], {}, value, {})[0])
             base = k - e * unit
-            for kv, cv in pows[e].items():
+            for kv, cv in pows[e].re_terms.items():
                 key = base + kv
                 s = get(key)
                 acc[key] = c * cv if s is None else s + c * cv
@@ -1142,9 +1137,9 @@ def _take(rem: Dict[int, Rational], key: int, x: Rational) -> None:
 
 # A univariate polynomial over Q(i) is the list of its coefficients as
 # (re, im) pairs of rationals, lowest degree first, with a nonzero last;
-# [] is zero. The one Euclid of the package runs on these lists: the gcds
-# of lowest_terms and the trial divisions of `_shared_bases`. _ulists and
-# _from_ulists are the one conversion between them and polynomials.
+# [] is zero. The one Euclid of the package, for the gcds of
+# lowest_terms, runs on these lists. _ulists and _from_ulists are the one
+# conversion between them and polynomials.
 
 def _ulists(p: MultiPoly, name: str) -> Dict[int, list]:
     """p as a polynomial in `name` over its other variables: for each
@@ -1258,67 +1253,55 @@ def lowest_terms(rf: RationalFunction) -> RationalFunction:
                             _from_ulists(rf.vars, x, {0: _udivmod(den, g)[0]}))
 
 
-def _integral(a: list) -> list:
-    """A coefficient list scaled by a nonzero rational to coprime Gaussian
-    integers, so that powers of it multiply on integers."""
-    scale = lcm(*(x.denominator for c in a for x in c if type(x) is not int))
-    ints = [(re * scale, im * scale) for re, im in a] if scale > 1 else a
-    content = gcd(*(int(x) for c in ints for x in c))
-    return [(int(re) // content, int(im) // content) for re, im in ints]
-
-
-def _valuation(a: list, b: list) -> Tuple[int, list]:
-    """(e, a / b**e) for the largest e such that b**e divides a."""
-    e = 0
-    while len(a) >= len(b):
-        q, r = _udivmod(a, b)
-        if r:
-            break
-        a, e = q, e + 1
-    return e, a
-
-
 def _shared_bases(dens: Mapping[int, MultiPoly]):
     """The bases that two or more of dens share, and each one's private
     part: ([(base, {index: exponent})], {index: private part}), with
     dens[i] its private part times base**exponent over the shared bases
     that i holds.
 
-    The denominators that use one variable are pooled by it. In a pool of
-    two or more, the base is the member of least degree (the first such),
-    scaled to coprime Gaussian integers, and every member is divided by
-    it as often as it goes (`_valuation`): the base is shared when two or
-    more members hold it, and each quotient is that member's private
-    part. A denominator in two or more variables, or in none, is private
-    as it is, and so is one alone in its pool or holding no shared base.
-    Only powers of the least member are shared: (w+1)(w-1) with
-    (w+1)**2 shares nothing."""
-    pools: Dict[str, List[int]] = {}
+    The nonconstant denominators are pooled by the tuple of variables
+    they use. In a pool of two or more, the base is the member of least
+    total degree (the first such), scaled to coprime Gaussian integers,
+    and every member is divided by it (`poly_div_exact`) for as long as
+    the division is exact: the base is shared when two or more members
+    hold it, and each quotient is that member's private part. A constant
+    denominator is private as it is, and so is one alone in its pool or
+    holding no shared base. Only powers of the least member are shared:
+    (w+1)(w-1) with (w+1)**2 shares nothing."""
+    pools: Dict[Tuple[str, ...], List[int]] = {}
     for i, den in dens.items():
         used = den.used_vars()
-        if len(used) == 1:
-            pools.setdefault(used[0], []).append(i)
+        if used:
+            pools.setdefault(used, []).append(i)
     shared = []
     private = dens
-    for name, idxs in pools.items():
+    for idxs in pools.values():
         if len(idxs) < 2:
             continue
-        lists = {i: _ulists(dens[i], name)[0] for i in idxs}
-        base = _integral(min(lists.values(), key=len))
+        least = dens[min(idxs, key=lambda i: dens[i].degree())]
+        scale = denominator_lcm(least)
+        content = gcd(*(int(x * scale) for part in (least.re_terms, least.im_terms)
+                        for x in part.values()))
+        base = least * Fraction(scale, content)
+        degree = base.degree()
         held = {}
-        for i, a in lists.items():
-            e, rest = _valuation(a, base)
+        for i in idxs:
+            e, rest = 0, dens[i]
+            try:
+                # no quotient of lower degree than the base holds it
+                while rest.degree() >= degree:
+                    rest, e = poly_div_exact(rest, base), e + 1
+            except ValueError:  # the first inexact division
+                pass
             if e:
                 held[i] = e, rest
         if len(held) < 2:
             continue
         if private is dens:
             private = dict(dens)
-        variables = dens[idxs[0]].vars
-        shared.append((_from_ulists(variables, name, {0: base}),
-                       {i: e for i, (e, _) in held.items()}))
+        shared.append((base, {i: e for i, (e, _) in held.items()}))
         for i, (_, rest) in held.items():
-            private[i] = _from_ulists(variables, name, {0: rest})
+            private[i] = rest
     return shared, private
 
 
@@ -1425,9 +1408,12 @@ class RationalFunction:
     (`lowest_terms`), and verify_surface_map then scales its num and
     den by one integer to Gaussian-integer coefficients
     (denominator_lcm), which changes neither its value nor its zeros.
-    `substitute` leaves its result over the product of the image
-    denominators less each base that two or more of them share
-    (`_shared_bases`), cleared once by the largest power a term needs."""
+    Every rational map of the package is composed into a polynomial by
+    `substitute`: the map components, the group laws, the witnesses
+    and a graph's solved coordinate w_num/D with its conjugate. It
+    leaves its result over the product of the image denominators less
+    each base that two or more of them share (`_shared_bases`), cleared
+    once by the largest power a term needs."""
 
     __slots__ = ("num", "den")
 
@@ -1439,10 +1425,6 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_scalar(cls, variables: Sequence[str], value: ScalarLike) -> "RationalFunction":
-        return cls(MultiPoly.const(variables, value))
 
     @property
     def vars(self) -> Tuple[str, ...]:
@@ -1463,7 +1445,7 @@ class RationalFunction:
         if isinstance(other, MultiPoly):
             return RationalFunction(other)
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return RationalFunction.from_scalar(self.vars, other)
+            return RationalFunction(MultiPoly.const(self.vars, other))
         raise TypeError(f"cannot combine rational function with {other!r}")
 
     def __add__(self, other):
@@ -1494,11 +1476,15 @@ class RationalFunction:
 
 
 def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFunction:
-    """Compose p with rational-function values for its variables.
+    """Compose p with polynomial, rational-function or scalar values for
+    some of its variables.
 
-    Every variable occurring in p must be assigned. The assignment
-    denominators that use one variable are pooled by it, and in a pool
-    of two or more the member of least degree is a base B_j, shared
+    The values must share one variable tuple, the target; with scalar
+    values only, the target is p's own. Each variable of p is either
+    assigned or a variable of the target too, where it stays as it is;
+    otherwise ValueError names it. The denominators of the values of
+    the used variables are pooled by the variables they use, and in a
+    pool of two or more the member of least degree is a base B_j, shared
     when it divides two or more members: den_v = private_v * B_j**e_vj,
     e_vj the largest power of B_j that divides den_v (`_shared_bases`).
     Any other denominator is its own private part. With top_v the degree
@@ -1508,45 +1494,48 @@ def substitute(p: MultiPoly, assignment: Mapping[str, object]) -> RationalFuncti
         prod_v private_v**top_v * prod_j B_j**E_j,
 
     which is prod_v den_v**top_v when no base is shared. For denominators
-    c_v * B**e_v over one base B with some e_v = 1, as the catalogued maps
-    and group laws have, this is the least common denominator of the
-    terms; only powers of a least member are shared, so (w+1)(w-1)
-    with (w+1)**2 stays over their product.
+    c_v * B**e_v over one base B with some e_v = 1, as the catalogued
+    maps, group laws and graphs have, this is the least common
+    denominator of the terms; only powers of a least member are shared,
+    so (w+1)(w-1) with (w+1)**2 stays over their product.
     """
-    used = p.used_vars()
-    missing = [v for v in used if v not in assignment]
-    if missing:
-        raise ValueError(f"no assignment for variable {missing[0]!r}")
-
     universes = {value.vars for value in assignment.values()
                  if isinstance(value, (MultiPoly, RationalFunction))}
     if len(universes) > 1:
         raise ValueError("assignment values must share a variable tuple")
     target = universes.pop() if universes else p.vars
-    # values for the used variables only; the others have exponent 0 throughout
-    values = {}
-    for v in used:
-        value = assignment[v]
-        if isinstance(value, MultiPoly):
-            value = RationalFunction(value)
-        elif isinstance(value, (int, Fraction, GaussianRational)):
-            value = RationalFunction.from_scalar(target, value)
-        elif not isinstance(value, RationalFunction):
-            raise TypeError(f"assignment for {v!r} is not a rational function")
-        values[p.vars.index(v)] = value
-    shared, private = _shared_bases({i: value.den for i, value in values.items()})
+    used = p.used_vars()
+    # the numerators and denominators of the values of the used variables
+    # only, by index; the others have exponent 0 throughout
+    nums: Dict[int, MultiPoly] = {}
+    dens: Dict[int, MultiPoly] = {}
+    for i, v in enumerate(p.vars):
+        if v not in assignment:
+            if v not in target:
+                raise ValueError(f"variable {v!r} not among {target}")
+        elif v in used:
+            value = assignment[v]
+            if isinstance(value, RationalFunction):
+                nums[i], dens[i] = value.num, value.den
+            elif isinstance(value, MultiPoly):
+                nums[i] = value
+            elif isinstance(value, (int, Fraction, GaussianRational)):
+                nums[i] = MultiPoly.const(target, value)
+            else:
+                raise TypeError(f"assignment for {v!r} is not a rational function")
+    shared, private = _shared_bases(dens)
     images = {}
     den_total = MultiPoly.const(target, 1)
-    for i, value in values.items():
-        den = private[i]
-        if den.im_terms or den.re_terms != {0: 1}:
+    for i, num in nums.items():
+        den = private.get(i)
+        if den is not None and (den.im_terms or den.re_terms != {0: 1}):
             top = p.degree(p.vars[i])
             den_pows = Powers(den)
-            images[i] = (Powers(value.num), den_pows, top)
+            images[i] = (Powers(num), den_pows, top)
             den_total = den_total * den_pows[top]
         else:
-            # a denominator 1 clears nothing
-            images[i] = (Powers(value.num), None, 0)
+            # a polynomial value, or a denominator 1, clears nothing
+            images[i] = (Powers(num), None, 0)
     bases = [(Powers(base), exps) for base, exps in shared]
     num, tops = _compose(p, target, images, bases)
     for (pows, _), top in zip(bases, tops):

@@ -22,8 +22,9 @@ The Horner composition of `tubes.poly` is checked against the per-group
 product chains it replaced, `substitute` over its shared bases against
 the product of the assignment denominators it gave before
 (`product_substitute`), its split of the image denominators by trial
-division against each pool's least member against the factor
-refinement it replaced (`refined_shared_bases`), the scaled series
+division against each pool's least member, on the pools in one
+variable, against the factor refinement it replaced
+(`refined_shared_bases`), the scaled series
 inversion against the geometric series in E / c0 it replaced, its quotient recurrence against
 the reciprocal-then-truncated-product route it replaced
 (`reciprocal_series`), the relation rewrites by key shifts against the
@@ -31,8 +32,11 @@ split-and-multiply route they replaced (`split_reduce_poly`), and
 brackets, which read cached
 jacobians, against fields applied one product per variable. GraphSurface's
 one-product invariance test is checked against the two products it took
-before. The products of the split real and imaginary term dicts are
-checked against the boxed product loop they replaced, and their sums,
+before, and the graph step of verify_surface_map, now one `substitute`
+call, against the bidegree split that cleared the graph denominator by
+hand (`split_surface_map`). The products of the split real and
+imaginary term dicts are checked against the boxed product loop they
+replaced, and their sums,
 conjugates and specializations against plain loops over boxed
 coefficients. The solves of tubes.linalg, which run over Q on real
 coordinates, are checked against the Gaussian-rational elimination they
@@ -55,7 +59,8 @@ from tubes import linalg
 from tubes.fields import VectorField
 from tubes.poly import (_NO_TERMS, MultiPoly, Powers, RationalFunction, _chain, _field_mask,
                         _from_ulists, _horner, _monic, _poly, _udivmod, _ugcd, _ulists,
-                        coefficient_columns, poly_sum)
+                        coefficient_columns, denominator_lcm, lowest_terms, poly_sum,
+                        substitute)
 from tubes.scalars import I, ONE, ZERO, GaussianRational, _canon, _div
 from tubes.symmetry import ChartOutcome, _residuals
 
@@ -622,6 +627,44 @@ def invariant_by_two_products(part: RationalFunction, pairing) -> bool:
     product, frozen: num * conj(den) - conj(num) * den vanishes."""
     return (part.num * part.den.conjugate(pairing)
             - part.num.conjugate(pairing) * part.den).is_zero()
+
+
+def split_surface_map(source, target: MultiPoly, target_holo, target_anti, phi):
+    """tubes.normal_form.verify_surface_map while it cleared the graph
+    denominator by hand, frozen: the map step is the engine's (each
+    component in lowest terms, scaled by `denominator_lcm`, composed by
+    `substitute`), and the graph step splits the composed numerator by
+    its bidegree (j, k) in the solved coordinate and its conjugate and
+    sums part * w_num**j * wbar_num**k * den**(top - j - k), top the
+    largest j + k, over the free variables, through three `Powers`.
+    Returns (identity holds, residual numerator)."""
+    universe = (source.holo_vars + (source.solved_var,)
+                + source.anti_vars + (source.solved_conj,))
+    pairing = dict(source.pairing)
+    pairing[source.solved_var] = source.solved_conj
+    pairing[source.solved_conj] = source.solved_var
+    assignment = {}
+    for name in target_holo:
+        rf = lowest_terms(phi[name])
+        d = denominator_lcm(rf.num, rf.den)
+        assignment[name] = RationalFunction(rf.num * d, rf.den * d).with_vars(universe)
+    for h, a in zip(target_holo, target_anti):
+        assignment[a] = assignment[h].conjugate(pairing)
+    numer = substitute(target * denominator_lcm(target), assignment).num
+    groups = numer.split_by_vars([source.solved_var, source.solved_conj])
+    w_num, wbar_num, den = source.solved_pair()
+    fv = source.free_vars
+    top = max((j + k for j, k in groups), default=0)
+    w_pows, wbar_pows, den_pows = Powers(w_num), Powers(wbar_num), Powers(den)
+    products = []
+    for (j, k), part in groups.items():
+        term = part.with_vars(fv)
+        for pows, n in ((w_pows, j), (wbar_pows, k), (den_pows, top - j - k)):
+            if n:
+                term = term * pows[n]
+        products.append(term)
+    total = poly_sum(fv, products)
+    return total.is_zero(), total
 
 
 def boxed_product(a_terms, b_terms):

@@ -20,7 +20,8 @@ from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 from tubes.symmetry import LieAlgebraPresentation, expand_in_fields
 
-from oracles import boxed_terms, dense_structure, fraction_series, invariant_by_two_products
+from oracles import (boxed_terms, dense_structure, fraction_series, invariant_by_two_products,
+                     split_surface_map)
 
 WG = ("w1", "w2", "w3", "w1b", "w2b", "w3b")
 W1, W2, W3, W1B, W2B, W3B = (MultiPoly.var(WG, n) for n in WG)
@@ -346,6 +347,16 @@ def test_chern_moser_needs_cutoff():
 
 # ------------------------------------------------------------- surface maps
 
+def checked_surface_map(source, target, holo, anti, phi):
+    """verify_surface_map, whose graph step is one `substitute` call,
+    asserted equal, residual for residual, to the frozen bidegree split
+    that cleared the graph denominator by hand."""
+    got = verify_surface_map(source, target, holo, anti, phi)
+    assert got == split_surface_map(source, target, holo, anti, phi)
+    assert got[1].vars == source.free_vars
+    return got
+
+
 MAP_IDS = ["map.cm.D", "map.cm.C", "map.case3.derived", "map.case3.printed",
            "map.case3.printed.reversed", "map.quadric.to.Bminus", "map.identity.quadric"]
 
@@ -355,8 +366,8 @@ def test_map_fixtures_match_expected_verdicts(mid):
     fx = catalog.get(mid)
     payload = fx.payload
     source = catalog.get(payload.source_graph).payload
-    ok, _ = verify_surface_map(source, payload.target, payload.target_holo,
-                               payload.target_anti, dict(payload.components))
+    ok, _ = checked_surface_map(source, payload.target, payload.target_holo,
+                                payload.target_anti, dict(payload.components))
     assert ok == payload.expected
     if payload.origin_image is not None:
         assert map_at_origin(dict(payload.components),
@@ -389,7 +400,9 @@ def test_an_imaginary_translation_after_a_cm_map_keeps_its_identity(mid):
     translations, so the cm map followed by the member of
     family.translations.z at a seeded rational parameter still maps the
     graph into the target. The member at i times that parameter
-    translates by a real amount instead, and the identity fails."""
+    translates by a real amount instead, and the identity fails. Either
+    way the composed map takes the origin to the recorded origin image
+    plus the translation."""
     payload = catalog.get(mid).payload
     source = catalog.get(payload.source_graph).payload
     family = catalog.get("family.translations.z").payload
@@ -400,11 +413,14 @@ def test_an_imaginary_translation_after_a_cm_map_keeps_its_identity(mid):
     phi = dict(payload.components)
     for unit, holds in ((1, True), (I, False)):
         values = {a: t * unit for a, t in zip(family.params, params)}
-        moved = {z: substitute(comp.specialize(values), phi)
-                 for z, comp in zip(family.variables, family.components)}
+        members = [comp.specialize(values) for comp in family.components]
+        moved = {z: substitute(member, phi) for z, member in zip(family.variables, members)}
         ok, _ = verify_surface_map(source, payload.target, payload.target_holo,
                                    payload.target_anti, moved)
         assert ok is holds
+        # the basepoint moves by the translation, the members' value at 0
+        assert map_at_origin(moved, family.variables) == [
+            o + member.const_coeff() for o, member in zip(payload.origin_image, members)]
 
 
 @pytest.mark.parametrize("mid", ["map.cm.C", "map.cm.D"])
@@ -449,14 +465,14 @@ def test_surface_map_clears_the_least_denominator_power():
     fv = source.free_vars
     q = MultiPoly.var(fv, "z") * MultiPoly.var(fv, "zb")
     # (W - Wb)(1 + Z Zb) = 2i Z Zb holds on the graph
-    ok, residual = verify_surface_map(source, (W - WB) * (1 + Z * ZB) - Z * ZB * 2 * I,
-                                      ("Z", "W"), ("Zb", "Wb"), phi)
+    ok, residual = checked_surface_map(source, (W - WB) * (1 + Z * ZB) - Z * ZB * 2 * I,
+                                       ("Z", "W"), ("Zb", "Wb"), phi)
     assert ok and residual.is_zero()
     # W - Wb = 2i Z Zb does not. Its groups are (1, 0), (0, 1) and (0, 0), so
     # den**1 clears them: w - wb = 2i q / den, and the residual is
     # 2i q - 2i q (1 + q) = -2i q^2 with no further factor of den
-    ok, residual = verify_surface_map(source, W - WB - Z * ZB * 2 * I,
-                                      ("Z", "W"), ("Zb", "Wb"), phi)
+    ok, residual = checked_surface_map(source, W - WB - Z * ZB * 2 * I,
+                                       ("Z", "W"), ("Zb", "Wb"), phi)
     assert not ok and residual == q * q * (-2 * I)
 
 
@@ -468,7 +484,7 @@ def test_surface_map_without_the_solved_coordinate_multiplies_no_denominator():
                                  1 + MultiPoly.var(universe, "z"))}  # in lowest terms
     zz = ("Z", "Zb")
     z, zb = MultiPoly.var(zz, "Z"), MultiPoly.var(zz, "Zb")
-    ok, residual = verify_surface_map(source, z - zb, ("Z",), ("Zb",), phi)
+    ok, residual = checked_surface_map(source, z - zb, ("Z",), ("Zb",), phi)
     # i / (1 + z) + i / (1 + zb), over (1 + z)(1 + zb) and no factor of the
     # graph denominator 1 + z zb
     fv = source.free_vars
@@ -483,10 +499,10 @@ def test_surface_map_reduces_each_component_first():
     phi = {"Z": RationalFunction(one_plus_z * I, one_plus_z)}  # the constant i
     zz = ("Z", "Zb")
     z, zb = MultiPoly.var(zz, "Z"), MultiPoly.var(zz, "Zb")
-    ok, residual = verify_surface_map(source, z + zb, ("Z",), ("Zb",), phi)
+    ok, residual = checked_surface_map(source, z + zb, ("Z",), ("Zb",), phi)
     assert ok and residual.is_zero()
     # i - (-i), with neither (1 + z)(1 + zb) nor a graph denominator multiplied
-    ok, residual = verify_surface_map(source, z - zb, ("Z",), ("Zb",), phi)
+    ok, residual = checked_surface_map(source, z - zb, ("Z",), ("Zb",), phi)
     assert not ok and residual == MultiPoly.const(source.free_vars, 2 * I)
 
 
@@ -495,9 +511,11 @@ def test_cm_map_check_stays_within_its_product_budget(monkeypatch, map_id, budge
     """Cost guard for the reduction to lowest terms, the coprime basis of
     `substitute` and the clearing power, counted as term pairs at
     `poly._product`, which every product of the check goes through, a
-    scaling by a constant too. map.cm.D makes 3,673 (2,157 in the
-    composition, 1,463 in the cross-multiplication, 53 in the real
-    scalings) and map.cm.C 1,145 (396, 715 and 34). Over the
+    scaling by a constant too. map.cm.D makes 3,691 (2,161 in the
+    composition, 1,477 in the graph step, from the graph relations to the
+    residual, 53 in the real scalings) and map.cm.C 1,163 (400, 729 and
+    34); with the graph denominator cleared by hand, as before the graph
+    step was one `substitute` call, they made 3,673 and 1,145. Over the
     product of the component denominators, as before the coprime basis,
     they made 25,066 (15,126 and 9,940) and 3,258 (1,487 and 1,771);
     composing the map.cm.D components as stored, with denominators of
@@ -555,8 +573,8 @@ def test_broken_cm_d_map_fails_the_exact_check():
     broken = dict(payload.components)
     w = MultiPoly.var(broken["z4"].vars, "w2")
     broken["z4"] = broken["z4"] + RationalFunction(w)
-    ok, residual = verify_surface_map(source, payload.target, payload.target_holo,
-                                      payload.target_anti, broken)
+    ok, residual = checked_surface_map(source, payload.target, payload.target_holo,
+                                       payload.target_anti, broken)
     assert not ok and not residual.is_zero()
 
 

@@ -622,13 +622,24 @@ def test_substitute_rational_composition():
 def test_substitute_evaluation():
     p = MultiPoly.var(("x1", "x2"), "x1") * MultiPoly.var(("x1", "x2"), "x2")
     out = substitute(p, {"x1": 2, "x2": Fraction(3, 2)})
-    assert out == RationalFunction.from_scalar(("x1", "x2"), 3)
+    assert out == RationalFunction(MultiPoly.const(("x1", "x2"), 3))
 
 
-def test_substitute_missing_variable():
-    p = MultiPoly.var(("x", "y"), "x") + MultiPoly.var(("x", "y"), "y")
-    with pytest.raises(ValueError, match="y"):
-        substitute(p, {"x": 1})
+def test_substitute_keeps_an_unassigned_variable_of_the_target():
+    """An unassigned variable of p stays as it is when the target holds
+    it, p's own universe under scalar values; a used variable that the
+    values' universe lacks is named."""
+    xy = ("x", "y")
+    p = MultiPoly.var(xy, "x") + MultiPoly.var(xy, "y")
+    out = substitute(p, {"x": 1})
+    assert out.num == 1 + MultiPoly.var(xy, "y") and out.is_polynomial()
+    yx = ("y", "x")
+    out = substitute(p, {"x": MultiPoly.var(yx, "x") * 2})
+    assert out.num == MultiPoly.var(yx, "y") + MultiPoly.var(yx, "x") * 2
+    for value in (MultiPoly.var(("x",), "x"), RationalFunction(MultiPoly.const(("x",), 1),
+                                                               MultiPoly.var(("x",), "x"))):
+        with pytest.raises(ValueError, match=r"variable 'y' not among \('x',\)"):
+            substitute(p, {"x": value})
 
 
 def test_substitute_shares_the_least_denominator_of_a_pool():
@@ -665,20 +676,57 @@ def test_substitute_stays_over_the_product_form_when_no_member_generates_the_poo
         assert substitute(x + y, assignment).den == (w + 1) ** 2 * (w - 1)
 
 
+def test_substitute_shares_a_denominator_in_two_variables():
+    """x and y over one D(u, v): x**2 + x*y + y**2 needs D**2, the largest
+    need of a term, not D**(2 + 2), the product form."""
+    xy, uv = ("x", "y"), ("u", "v")
+    x, y = (MultiPoly.var(xy, n) for n in xy)
+    u, v = (MultiPoly.var(uv, n) for n in uv)
+    den = u * v - v * 3 + 1
+    assignment = {"x": RationalFunction(u, den), "y": RationalFunction(v, den)}
+    p = x ** 2 + x * y + y ** 2
+    out = substitute(p, assignment)
+    assert (out.num, out.den) == (u * u + u * v + v * v, den ** 2)
+    assert product_substitute(p, assignment).den == den ** 4
+    # a term of need 1 is raised to the largest need by one power of D
+    out = substitute(x * y + x, assignment)
+    assert (out.num, out.den) == (u * v + u * den, den ** 2)
+
+
+def test_substitute_shares_nothing_when_the_least_member_divides_no_other():
+    """u + v and u v + 1 use the same variables, but the least of them
+    divides no other member, so x + y stays over their product."""
+    xy, uv = ("x", "y"), ("u", "v")
+    x, y = (MultiPoly.var(xy, n) for n in xy)
+    u, v = (MultiPoly.var(uv, n) for n in uv)
+    one = MultiPoly.const(uv, 1)
+    dens = {0: u + v, 1: u * v + 1}
+    assert tubes.poly._shared_bases(dens) == ([], dens)
+    out = substitute(x + y, {"x": RationalFunction(one, dens[0]),
+                             "y": RationalFunction(one, dens[1])})
+    assert (out.num, out.den) == (dens[0] + dens[1], dens[0] * dens[1])
+
+
 UVW = ("u", "v", "w")
 
 
 @st.composite
 def shared_factor_images(draw):
     """Three images over UVW whose denominators share factors: each is a
-    constant times a product of powers of one or two random bases in u
-    (one of them often u itself), or a random denominator in u, v and w
-    with a v term, or 1; numerators are random polynomials in u, v, w."""
+    constant times a product of powers of one or two random bases, each
+    u itself, one in u or one in u and v with a u v term, or a random
+    denominator in u, v and w with a v term, or 1; numerators are random
+    polynomials in u, v, w."""
     def base():
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["u", "in u", "in u and v"]))
+        if kind == "u":
             return MultiPoly.var(UVW, "u")
-        degree = draw(st.integers(1, 2))
+        u, v = MultiPoly.var(("u", "v"), "u"), MultiPoly.var(("u", "v"), "v")
         lead = draw(small_scalar().filter(bool))
+        if kind == "in u and v":
+            a, b, c = (draw(small_scalar()) for _ in range(3))
+            return u * v * lead + u * a + v * b + c
+        degree = draw(st.integers(1, 2))
         rest = draw(polys(("u",), max_terms=2, max_exp=degree - 1))
         return MultiPoly.var(("u",), "u") ** degree * lead + rest
     bases = [base().with_vars(UVW) for _ in range(draw(st.integers(1, 2)))]
@@ -755,30 +803,49 @@ SPLIT_TRAFFIC = ([["verify-map", "--id", mid] for mid in catalog.list_ids("map.*
 
 def test_the_least_member_split_equals_factor_refinement_on_catalogued_traffic(
         monkeypatch, capsys):
-    """Every `_shared_bases` call that the catalogued checks make gives the
-    split that factor refinement gave: the same bases up to a unit, the
-    same exponents and the same private parts; at least 8 calls share a
-    base (powers of w1 + 2, w1 + 4, their conjugates and rp)."""
+    """Every `_shared_bases` call that the catalogued checks make gives,
+    on its denominators in one variable, the split that factor refinement
+    gave: the same bases up to a unit, the same exponents and the same
+    private parts; at least 8 calls share such a base (powers of w1 + 2,
+    w1 + 4, their conjugates and rp). The one pool in several variables
+    is the graph step of `verify_surface_map` on map.cm.C and map.cm.D,
+    whose w4 and its conjugate share exactly the graph denominator D,
+    once each."""
     calls = []
     split = tubes.poly._shared_bases
 
     def recording(dens):
         out = split(dens)
-        calls.append((dict(dens), out))
+        calls.append((argv, dict(dens), out))
         return out
 
     monkeypatch.setattr(tubes.poly, "_shared_bases", recording)
     for argv in SPLIT_TRAFFIC:
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    for dens, (shared, private) in calls:
-        want_shared, want_private = refined_shared_bases(dens)
-        assert len(shared) == len(want_shared)
-        for (base, exps), (want_base, want_exps) in zip(shared, want_shared):
+    several = {}
+    for argv, dens, (shared, private) in calls:
+        single = {i: den for i, den in dens.items() if len(den.used_vars()) == 1}
+        want_shared, want_private = refined_shared_bases(single)
+        got = [(base, exps) for base, exps in shared if len(base.used_vars()) == 1]
+        assert len(got) == len(want_shared)
+        for (base, exps), (want_base, want_exps) in zip(got, want_shared):
             assert any(base == want_base * u for u in (1, -1, I, -I))
             assert exps == want_exps
-        assert private == want_private
-    assert sum(1 for _, (shared, _) in calls if shared) >= 8
+        assert {i: private[i] for i in single} == dict(want_private)
+        for base, exps in shared:
+            if len(base.used_vars()) > 1:
+                several.setdefault(argv[-1], []).append((base, exps, dens, private))
+    assert sum(1 for _, dens, (shared, _) in calls
+               if any(len(base.used_vars()) == 1 for base, _ in shared)) >= 8
+    assert sorted(several) == ["map.cm.C", "map.cm.D"]
+    for mid, pools in several.items():
+        graph = catalog.get(catalog.get(mid).payload.source_graph).payload
+        den = graph.solved_pair()[2]
+        (base, exps, dens, private), = pools
+        assert base == den and len(dens) == 2
+        assert exps == dict.fromkeys(dens, 1)
+        assert all(private[i] == 1 for i in dens)
 
 
 def test_series_geometric():
