@@ -14,7 +14,8 @@ Claims describe the mathematical assertion each fixture participates
 in. Fixtures are immutable after load and serialize one file per id
 under a fixtures/ tree (see export_tree), with an index listing ids,
 kinds, tags and claims. Every rational in a payload is canonical (see
-scalars), integral ones plain ints, so a fixture built here and the
+scalars), integral ones plain ints, and every map component is in
+lowest terms (RationalMapFixture), so a fixture built here and the
 decode of its exported file hold the same values of the same types.
 """
 
@@ -33,7 +34,7 @@ from .interchange import (FAMILY, FIELD, FLAG, FRAC, GAUSS, GRAPH, INT, POLY, RA
                           TEXT, optional, pairs, record, row, seq)
 from .fields import HoloField, VectorField
 from .normal_form import GraphSurface, MapFamily
-from .poly import MultiPoly, RationalFunction, conjugation_pairing
+from .poly import MultiPoly, RationalFunction, conjugation_pairing, lowest_terms
 from .record import Record
 from .relations import RelationContext
 from .scalars import GaussianRational, I, Rational
@@ -163,6 +164,13 @@ class IsoSpan(Record):
 
 
 class RationalMapFixture(Record):
+    """A rational map from a graph surface into {target = 0}, one component
+    per holomorphic target variable, each held in lowest terms: the record
+    reduces the components it is given (`lowest_terms`), so the in-code
+    catalog and a decoded tree store the same canonical data, and the
+    checks that read a map (verify_surface_map, map_at_origin,
+    verify_map_conjugation) reduce nothing."""
+
     components: Tuple[Tuple[str, RationalFunction], ...]
     source_graph: str  # fixture id of the GraphSurface
     target: MultiPoly
@@ -180,6 +188,9 @@ class RationalMapFixture(Record):
         if names != holo:
             raise ValueError(f"the components give {names}, not the target's "
                              f"holomorphic variables {holo}")
+        # a record's fields are set once, here, before anything reads them
+        self.__dict__["components"] = tuple((name, lowest_terms(rf))
+                                            for name, rf in self.components)
 
 
 class WitnessFixture(Record):
@@ -206,7 +217,6 @@ class SliceInfo(Record):
     """Parameter restriction of the full family onto its isotropy part."""
     family: str
     reduces_to: str
-    slice_params: Tuple[str, ...]
     assignments: Tuple[Tuple[str, MultiPoly], ...]
 
 
@@ -794,15 +804,15 @@ def _maps(reg: Mapping[str, Fixture]) -> List[Fixture]:
 def _witnesses(reg: Mapping[str, Fixture]) -> List[Fixture]:
     """Each witness moves the probe of the domain its id names to an arbitrary
     target of that domain, modulo rho^2 = d: d is the domain's expression at
-    the target, times x1 in the cubic case."""
+    the target, times x1 in the cubic case. A claim prints that expression
+    where its text has {expr}."""
     tvars = ("x1_0", "x2_0", "x3_0", "x4_0")
     uni = tvars + ("rho",)
     x10, x20, x30, x40, rho = _vars(uni)
     rf = RationalFunction
     data = [
         ("witness.D.gt", "source", "family.affine.D",
-         "the outer quartic-degenerate domain, modulo rho^2 = x4^2 - x1 x2 - x1^2 x3 at the "
-         "target",
+         "the outer quartic-degenerate domain, modulo rho^2 = {expr} at the target",
          lambda d: {"q": rf(x10), "r": rf(rho, x10), "s": rf(-x10**2*x30, d),
                     "t": rf(x40 - rho, rho)}),
         ("witness.D.lt", "derived", "family.affine.D",
@@ -829,7 +839,7 @@ def _witnesses(reg: Mapping[str, Fixture]) -> List[Fixture]:
         out.append(Fixture(
             fid, tag,
             f"parameters sending the base point {point_text(domain.probe)} to an arbitrary "
-            f"target of {text}", WitnessFixture(witness, domain.probe)))
+            f"target of {text.format(expr=domain.expr)}", WitnessFixture(witness, domain.probe)))
     return out
 
 
@@ -878,7 +888,7 @@ def _bridges_and_slices() -> List[Fixture]:
                 "restricting the full ten-parameter family by q = 1, s = t = 0, a1 = 0, "
                 "a2 = 2v - u, a3 = 2u, a4 = v gives exactly the isotropy family "
                 "(oracle script, isotropy_and_full_group section)",
-                SliceInfo("family.full.D", "family.isotropy.D", pr, assignments)),
+                SliceInfo("family.full.D", "family.isotropy.D", assignments)),
     ]
 
 
@@ -998,8 +1008,7 @@ _KINDS = (
         BridgeInfo, ("u_scale", FRAC), ("v_scale", FRAC), ("w_family", TEXT),
         ("z_family", TEXT), ("map", TEXT))),
     ("derived_slice", SliceInfo, record(
-        SliceInfo, ("family", TEXT), ("reduces_to", TEXT), ("slice_params", seq(TEXT)),
-        ("assignments", pairs(POLY)))),
+        SliceInfo, ("family", TEXT), ("reduces_to", TEXT), ("assignments", pairs(POLY)))),
     ("alpha_family", AlphaFamilyInfo, record(
         AlphaFamilyInfo, ("parameter", TEXT), ("samples", _POINT), ("sample_ids", seq(TEXT)),
         ("target", TEXT), ("sign_rule", TEXT))),

@@ -22,10 +22,9 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
-from .linalg import invert_gaussian_matrix
-from .poly import (Exponents, MultiPoly, RationalFunction, conjugation_pairing,
-                   denominator_lcm, lowest_terms, poly_sum, series_expand, specialize_each,
-                   substitute)
+from .linalg import invert_gaussian_matrix, poly_div_exact
+from .poly import (MultiPoly, RationalFunction, conjugation_pairing, denominator_lcm,
+                   poly_sum, series_expand, specialize_each, substitute)
 from .record import Record
 from .relations import RelationContext
 from .scalars import I, ZERO, GaussianRational, Rational, ScalarLike
@@ -275,16 +274,18 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
                        phi: Mapping[str, RationalFunction]) -> Tuple[bool, MultiPoly]:
     """Exact check that phi maps the source graph into {target = 0}.
 
-    Each component is first put in lowest terms (`lowest_terms`), since
-    `substitute` clears the components' denominators to the powers the
-    target needs and so carries every surplus factor through the whole
-    composition; the stored components are left as they are. The
+    The components are composed as they are given. A catalogued map
+    holds them in lowest terms (catalog.RationalMapFixture), which
+    matters for cost alone: `substitute` clears the components'
+    denominators to the powers the target needs, so a common factor of a
+    num and its den would be carried through the whole composition and
+    multiply the residual, not change whether it vanishes. The
     components of a cm map, all over powers of w1 + 4 (of its conjugate
     on the conjugate side), share the least of them as a base in
     `substitute`, so they are cleared by one power of w1 + 4 and one of
     its conjugate, the largest that a term of the target needs, not by
     their product.
-    The target, and the num and den of each reduced component, are then
+    The target, and the num and den of each component, are
     scaled by the lcm of their coefficient denominators (`denominator_lcm`),
     so the products run on Gaussian integers; this changes neither the
     zero set of the target nor the value of a component.
@@ -309,7 +310,7 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
     for name in target_holo:
         if name not in phi:
             raise ValueError(f"map provides no component for {name!r}")
-        rf = lowest_terms(phi[name])
+        rf = phi[name]
         d = denominator_lcm(rf.num, rf.den)
         assignment[name] = RationalFunction(rf.num * d, rf.den * d).with_vars(universe)
     for h, a in zip(target_holo, target_anti):
@@ -325,15 +326,15 @@ def verify_surface_map(source: GraphSurface, target: MultiPoly,
 def map_at_origin(phi: Mapping[str, RationalFunction],
                   order: Sequence[str]) -> List[GaussianRational]:
     """Value of a rational map at the origin of its source coordinates,
-    read off each component in lowest terms. Raises ZeroDivisionError
-    naming the first component whose reduced denominator vanishes there."""
+    read off each component as num(0) / den(0). The components must be in
+    lowest terms, as a catalogued map holds them
+    (catalog.RationalMapFixture): then den(0) = 0 means that the
+    component is singular there, and no factor vanishing at the origin
+    could cancel against num. Raises ZeroDivisionError naming the first
+    component whose denominator vanishes there."""
     out = []
     for name in order:
         rf = phi[name]
-        if not rf.den.const_coeff():
-            # a factor of den that vanishes at 0 may cancel against num;
-            # when den(0) != 0, reducing changes neither den(0) != 0 nor the value
-            rf = lowest_terms(rf)
         den0 = rf.den.const_coeff()
         if not den0:
             raise ZeroDivisionError(f"component {name!r} is singular at the origin")
@@ -405,7 +406,6 @@ class InvarianceResult(Record):
     ok: bool
     multiplier: Optional[MultiPoly]
     fixes_point: Optional[bool]
-    residual: Optional[MultiPoly]
 
 
 def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
@@ -415,8 +415,12 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
                              ) -> InvarianceResult:
     """Exact invariance rho(fam(z), conj fam(conj z)) = m(params) * rho.
 
-    The multiplier is found per parameter monomial by a scalar solve;
-    the identity must hold with all parameters symbolic. When holo/anti
+    The multiplier is one exact division (`poly_div_exact`) of the image,
+    reduced under the family's relations, by rho: rho divides the image
+    with a quotient over the parameters alone exactly when the family
+    preserves the surface, and that quotient is m. An inexact division,
+    or a quotient that uses a coordinate, is a failure (no multiplier).
+    The identity must hold with all parameters symbolic. When holo/anti
     variable groups are given, the surface lives over holo + anti and the
     family acts on the holomorphic group; otherwise the family variables
     must match the surface variables (a real affine family).
@@ -439,28 +443,17 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
 
     rho = surface.with_vars(universe)
     image = fam.relations.reduce_poly(rho.subs_poly(images))
-    lead_exps, lead_coeff = rho.leading()
-
-    multiplier: Dict[Exponents, GaussianRational] = {}
-    groups = image.split_by_vars(list(fam.params))
-    ok = True
-    residual: Optional[MultiPoly] = None
-    for pexps, part in groups.items():
-        c = part.coeff(lead_exps) / lead_coeff
-        rest = part - rho * c
-        if not rest.is_zero():
-            ok = False
-            residual = rest
-            break
-        if c:
-            multiplier[pexps] = c
+    try:
+        multiplier: Optional[MultiPoly] = poly_div_exact(image, rho).with_vars(fam.params)
+    except ValueError:  # rho does not divide the image, or the quotient uses a coordinate
+        multiplier = None
     fixes: Optional[bool] = None
     if fixed_point is not None:
         point = dict(zip(fam.variables, fixed_point))
         fixes = all(fam.relations.reduce_poly(comp.specialize(point))
                     == MultiPoly.const(fam.params, x)
                     for comp, x in zip(fam.components, fixed_point))
-    return InvarianceResult(ok, MultiPoly(fam.params, multiplier) if ok else None, fixes, residual)
+    return InvarianceResult(multiplier is not None, multiplier, fixes)
 
 
 class GroupLawResult(Record):
@@ -510,29 +503,27 @@ def verify_map_conjugation(phi: Mapping[str, RationalFunction],
     phi maps the inner family's coordinates to the outer family's; the
     param_map expresses each outer parameter as a polynomial in the
     inner parameters. This is conjugation equality written without
-    inverting phi. Each component is first put in lowest terms
-    (`lowest_terms`), as in verify_surface_map, so that no surplus factor
-    of a stored component is composed.
+    inverting phi. The components are composed as they are given; a
+    catalogued map holds them in lowest terms
+    (catalog.RationalMapFixture), so no surplus factor is composed.
     """
     universe = inner.variables + inner.params
     inner_images = {name: comp.with_vars(universe)
                     for name, comp in zip(inner.variables, inner.components)}
 
-    reduced: Dict[str, RationalFunction] = {}
     outer_assignment: Dict[str, object] = {}
     for name in outer.variables:
         if name not in phi:
             raise ValueError(f"phi provides no component for {name!r}")
-        reduced[name] = lowest_terms(phi[name])
-        outer_assignment[name] = reduced[name].with_vars(universe)
+        outer_assignment[name] = phi[name].with_vars(universe)
     for p in outer.params:
         if p not in param_map:
             raise ValueError(f"no parameter expression for {p!r}")
         outer_assignment[p] = param_map[p].with_vars(universe)
 
     for i, name in enumerate(outer.variables):
-        lhs_num = reduced[name].num.subs_poly(inner_images)
-        lhs_den = reduced[name].den.subs_poly(inner_images)
+        lhs_num = phi[name].num.subs_poly(inner_images)
+        lhs_den = phi[name].den.subs_poly(inner_images)
         rhs = substitute(outer.components[i], outer_assignment)
         diff = lhs_num * rhs.den - rhs.num * lhs_den
         if not diff.is_zero():

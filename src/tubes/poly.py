@@ -6,7 +6,7 @@ parts of its coefficients, and `im_terms`, the imaginary parts, empty
 for a real polynomial. Every operation works part by part and skips an
 empty imaginary part, so a polynomial costs what the ring of its data
 costs. GaussianRational is the scalar of the public edges only (`coeff`,
-`const_coeff`, `leading`, `eval_at`, `__str__`, and `terms`, which
+`const_coeff`, `eval_at`, `__str__`, and `terms`, which
 boxes every coefficient for code outside the package); `sorted_terms`
 hands out each coefficient as its (re, im) parts, `values_at` the
 (re, im) parts of values at a point, and
@@ -27,7 +27,7 @@ no polynomial has a term of total degree above 255 (MAX_DEGREE): the
 constructor refuses one and a product that could reach one raises
 OverflowError before it starts, so a field never carries into the next.
 Exponent tuples appear only at the public edges: the constructor,
-`coeff`, `sorted_terms` and `leading`.
+`coeff` and `sorted_terms`.
 
 Every composition of polynomials or rational functions is one call of
 `substitute`, which takes polynomial, rational or scalar values for
@@ -320,13 +320,6 @@ class MultiPoly:
         return [(tuple(k.to_bytes(n + 1, "big")[1:]), re_terms.get(k, 0), im_terms.get(k, 0))
                 for k in sorted(_keys(self), reverse=True)]
 
-    def leading(self) -> Tuple[Exponents, GaussianRational]:
-        if not self:
-            raise ValueError("zero polynomial has no leading term")
-        k = max(_keys(self))
-        return (tuple(k.to_bytes(len(self.vars) + 1, "big")[1:]),
-                _gr(self.re_terms.get(k, 0), self.im_terms.get(k, 0)))
-
     # ------------------------------------------------------------- calculus
 
     def diff(self, name: str) -> "MultiPoly":
@@ -437,28 +430,6 @@ class MultiPoly:
                     part = parts[key] = ({}, {})
                 part[side][k] = c
         return {key: _poly(self.vars, *part) for key, part in parts.items()}
-
-    def split_by_vars(self, group: Sequence[str]):
-        """Group terms by their exponents in `group`; values are polynomials
-        in the full universe with those exponents stripped to zero, keyed
-        by the exponent tuples in `group`."""
-        n = len(self.vars)
-        idxs = [self.vars.index(v) for v in group]
-        gmask = _field_mask(n, idxs)
-        # under the group's fields of a key: (their exponent tuple, their
-        # key as a monomial, the stripped real and imaginary parts)
-        parts: Dict[int, Tuple[Exponents, int, Terms, Terms]] = {}
-        for side, terms in enumerate((self.re_terms, self.im_terms), 2):
-            for k, c in terms.items():
-                g = k & gmask
-                part = parts.get(g)
-                if part is None:
-                    fields = g.to_bytes(n, "big")
-                    part = parts[g] = (tuple(fields[i] for i in idxs),
-                                       g + (sum(fields) << 8 * n), {}, {})
-                # the key and the stripped exponents together give back k
-                part[side][k - part[1]] = c
-        return {key: _poly(self.vars, re, im) for key, _, re, im in parts.values()}
 
     def split_squares(self, name: str) -> Dict[int, "MultiPoly"]:
         """self grouped by j = e // 2, e being the exponent of `name` in a
@@ -583,9 +554,10 @@ def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
     `name` occurs is one multiply-accumulate: each term c * m * name**e
     adds c times the terms of value**e, shifted by m, into one dict that
     one `_canonical` cleans. The powers of value are one `Powers`, shared
-    by all the parts and grown on demand. A part in which `name` does not
-    occur is returned as it is, the same dict. Raises OverflowError
-    before it builds a term above MAX_DEGREE."""
+    by all the parts and grown on demand; the terms of each power are
+    fetched from it once per call. A part in which `name` does not occur
+    is returned as it is, the same dict. Raises OverflowError before it
+    builds a term above MAX_DEGREE."""
     width = len(variables)
     shift = 8 * (width - 1 - variables.index(name))
     unit = (1 << 8 * width) + (1 << shift)
@@ -594,6 +566,8 @@ def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
     # a term's total degree grows by this much per unit of its exponent of name
     grow = (max(value) >> top) - 1 if value else -1
     pows = Powers(_poly(variables, value))
+    # pow_terms[e] is the real part of value**e, read off pows once
+    pow_terms: List[Terms] = []
     out = []
     for p in parts:
         for k in p:
@@ -614,7 +588,9 @@ def subs_each(parts: Sequence[Terms], variables: Tuple[str, ...], name: str,
                 raise OverflowError(f"substitution: total degree {(k >> top) + e * grow} "
                                     f"exceeds {MAX_DEGREE}, the most a term key holds")
             base = k - e * unit
-            for kv, cv in pows[e].re_terms.items():
+            while len(pow_terms) <= e:
+                pow_terms.append(pows[len(pow_terms)].re_terms)
+            for kv, cv in pow_terms[e].items():
                 key = base + kv
                 s = get(key)
                 acc[key] = c * cv if s is None else s + c * cv
@@ -1402,12 +1378,14 @@ def _mac(acc_re: Dict[int, Rational], acc_im: Dict[int, Rational], ar: Terms, ai
 class RationalFunction:
     """Quotient num/den of polynomials over a shared variable tuple.
 
-    Never normalized to lowest terms in storage, and equality goes
-    through cross-multiplication. verify_surface_map and
-    verify_map_conjugation reduce each map component at use
-    (`lowest_terms`), and verify_surface_map then scales its num and
-    den by one integer to Gaussian-integer coefficients
-    (denominator_lcm), which changes neither its value nor its zeros.
+    Not normalized by its own operations (a sum multiplies denominators
+    without a gcd), and equality goes through cross-multiplication. A
+    catalogued map holds its components in lowest terms, reduced once
+    where the record is built (`lowest_terms`, in
+    catalog.RationalMapFixture), and verify_surface_map scales each
+    component's num and den by one integer to Gaussian-integer
+    coefficients (denominator_lcm), which changes neither its value nor
+    its zeros.
     Every rational map of the package is composed into a polynomial by
     `substitute`: the map components, the group laws, the witnesses
     and a graph's solved coordinate w_num/D with its conjugate. It

@@ -46,7 +46,9 @@ frozen: the bracket as a `poly_sum` of products (`frozen_lie_bracket`),
 the tangency matrix of affine_symmetry_algebra built from products and
 `coefficient_columns` (`frozen_tangency_matrix`), the scan's `subs_each`
 as one Horner level (`frozen_subs_each`), and `rank_at` on one value per
-component (`frozen_rank_at`).
+component (`frozen_rank_at`). The frozen routes read the split by
+variable exponents and the leading term through their own copies
+(`split_by_vars`, `leading_term`), since the engine has neither.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ from tubes import linalg
 from tubes.fields import VectorField
 from tubes.poly import (_NO_TERMS, MultiPoly, Powers, RationalFunction, _chain, _field_mask,
                         _from_ulists, _horner, _monic, _poly, _udivmod, _ugcd, _ulists,
-                        coefficient_columns, denominator_lcm, lowest_terms, poly_sum,
-                        substitute)
+                        coefficient_columns, denominator_lcm, poly_sum, substitute)
 from tubes.scalars import I, ONE, ZERO, GaussianRational, _canon, _div
 from tubes.symmetry import ChartOutcome, _residuals
 
@@ -233,6 +234,38 @@ def boxed_terms(p: MultiPoly) -> List[Tuple[Tuple[int, ...], GaussianRational]]:
     return [(e, GaussianRational(re, im)) for e, re, im in p.sorted_terms()]
 
 
+def leading_term(p: MultiPoly):
+    """MultiPoly.leading, frozen when the engine stopped reading one: the
+    exponents and the coefficient of p's term of greatest key, in graded
+    lexicographic order."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no leading term")
+    return boxed_terms(p)[0]
+
+
+def split_by_vars(p: MultiPoly, group: Sequence[str]):
+    """MultiPoly.split_by_vars, frozen when the engine stopped splitting
+    by it: p's terms grouped by their exponents in `group`, {exponent
+    tuple in group: those terms with the group's exponents stripped to
+    zero, over p.vars}."""
+    n = len(p.vars)
+    idxs = [p.vars.index(v) for v in group]
+    gmask = _field_mask(n, idxs)
+    # under the group's fields of a key: (their exponent tuple, their key
+    # as a monomial, the stripped real and imaginary parts)
+    parts = {}
+    for side, terms in enumerate((p.re_terms, p.im_terms), 2):
+        for k, c in terms.items():
+            g = k & gmask
+            part = parts.get(g)
+            if part is None:
+                fields = g.to_bytes(n, "big")
+                part = parts[g] = (tuple(fields[i] for i in idxs),
+                                   g + (sum(fields) << 8 * n), {}, {})
+            part[side][k - part[1]] = c
+    return {key: _poly(p.vars, re, im) for key, _, re, im in parts.values()}
+
+
 def first_written_pivot(e: MultiPoly):
     """The scan's pivot pick as first written, frozen: over
     sorted(e.used_vars()), the first variable of degree 1 in e whose
@@ -346,9 +379,9 @@ def div_exact_terms(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("polynomial division by zero")
     q_terms = []
     rem = f
-    g_exps, g_coeff = g.leading()
+    g_exps, g_coeff = leading_term(g)
     while not rem.is_zero():
-        r_exps, r_coeff = rem.leading()
+        r_exps, r_coeff = leading_term(rem)
         q_exps = tuple(a - b for a, b in zip(r_exps, g_exps))
         if any(k < 0 for k in q_exps):
             raise ValueError("inexact polynomial division")
@@ -591,7 +624,7 @@ def reciprocal_series(nums: Sequence[MultiPoly], den: MultiPoly, cutoff: int):
 
 def split_reduce_poly(ctx, p: MultiPoly) -> MultiPoly:
     """RelationContext.reduce_poly before its rewrites moved term keys,
-    frozen: p split by the adjoined symbols' exponents (split_by_vars),
+    frozen: p split by the adjoined symbols' exponents (`split_by_vars`),
     each part multiplied back by a power of a symbol, or of the radical's
     value, and the parts summed."""
     out = p
@@ -601,7 +634,7 @@ def split_reduce_poly(ctx, p: MultiPoly) -> MultiPoly:
         d_pows = Powers(d.with_vars(out.vars))
         s = MultiPoly.var(out.vars, sym)
         parts = []
-        for (k,), part in out.split_by_vars([sym]).items():
+        for (k,), part in split_by_vars(out, [sym]).items():
             if k % 2:
                 part = part * s
             parts.append(part * d_pows[k // 2] if k > 1 else part)
@@ -612,7 +645,7 @@ def split_reduce_poly(ctx, p: MultiPoly) -> MultiPoly:
         c_pows = Powers(MultiPoly.var(out.vars, c_name))
         cb_pows = Powers(MultiPoly.var(out.vars, cb_name))
         parts = []
-        for (a, b), part in out.split_by_vars([c_name, cb_name]).items():
+        for (a, b), part in split_by_vars(out, [c_name, cb_name]).items():
             if a > b:
                 part = part * c_pows[a - b]
             elif b > a:
@@ -632,9 +665,10 @@ def invariant_by_two_products(part: RationalFunction, pairing) -> bool:
 def split_surface_map(source, target: MultiPoly, target_holo, target_anti, phi):
     """tubes.normal_form.verify_surface_map while it cleared the graph
     denominator by hand, frozen: the map step is the engine's (each
-    component in lowest terms, scaled by `denominator_lcm`, composed by
+    component as given, scaled by `denominator_lcm`, composed by
     `substitute`), and the graph step splits the composed numerator by
-    its bidegree (j, k) in the solved coordinate and its conjugate and
+    its bidegree (j, k) in the solved coordinate and its conjugate
+    (`split_by_vars`) and
     sums part * w_num**j * wbar_num**k * den**(top - j - k), top the
     largest j + k, over the free variables, through three `Powers`.
     Returns (identity holds, residual numerator)."""
@@ -645,13 +679,13 @@ def split_surface_map(source, target: MultiPoly, target_holo, target_anti, phi):
     pairing[source.solved_conj] = source.solved_var
     assignment = {}
     for name in target_holo:
-        rf = lowest_terms(phi[name])
+        rf = phi[name]
         d = denominator_lcm(rf.num, rf.den)
         assignment[name] = RationalFunction(rf.num * d, rf.den * d).with_vars(universe)
     for h, a in zip(target_holo, target_anti):
         assignment[a] = assignment[h].conjugate(pairing)
     numer = substitute(target * denominator_lcm(target), assignment).num
-    groups = numer.split_by_vars([source.solved_var, source.solved_conj])
+    groups = split_by_vars(numer, [source.solved_var, source.solved_conj])
     w_num, wbar_num, den = source.solved_pair()
     fv = source.free_vars
     top = max((j + k for j, k in groups), default=0)

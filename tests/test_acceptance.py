@@ -146,7 +146,7 @@ def test_criterion_05_groups():
     # isotropy slice of the full family fixes the basepoint identically
     info = catalog.get("slice.isotropy.D").payload
     assignments = dict(info.assignments)
-    pr = info.slice_params
+    pr = info.assignments[0][1].vars  # the slice parameters, shared by every assignment
     fixes = True
     for i, comp in enumerate(full.components):
         values = {v: MultiPoly.const(pr, Fraction((1, 0, 1, 1)[i2]))

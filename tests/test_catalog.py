@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from tubes import catalog, interchange
+from tubes.poly import lowest_terms
 from tubes.record import Record
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational
@@ -153,6 +154,22 @@ def test_every_domain_is_a_side_of_its_surface(source):
         side = {"gt": 1, "lt": -1}[fid.rsplit(".", 1)[1]]
         assert spec.expr == surface.defining * side, fid
         assert spec.constraints == surface.constraints, fid
+
+
+@pytest.mark.parametrize("mid", catalog.list_ids("map.*"))
+def test_every_map_component_is_stored_in_lowest_terms(mid):
+    """Built in code, decoded from fixtures/, and read from its file by the
+    bare codec, without the record that reduces it: each component of a
+    catalogued map is the same num over the same den, in which
+    `lowest_terms` finds no common factor to cancel."""
+    path = ROOT / "fixtures" / f"{mid}.json"
+    stored = json.loads(path.read_text())["payload"]["components"]
+    built = catalog.get(mid).payload.components
+    decoded = catalog.read_fixture(path).payload.components
+    for (name, rf), (_, back) in zip(built, decoded):
+        for got in (rf, back, interchange.ratfun_from_obj(stored[name])):
+            assert lowest_terms(got) is got, (mid, name)
+            assert (got.num, got.den) == (rf.num, rf.den), (mid, name)
 
 
 def test_case6_surface_example():

@@ -903,6 +903,20 @@ def test_map_origin_reads_the_components_in_lowest_terms(edit, expected, tmp_pat
     assert failed == expected and code == (1 if expected else 0)
 
 
+def test_a_common_factor_of_a_stored_component_is_gone_once_decoded(tmp_path):
+    """The record puts each component in lowest terms as it is built, so z3
+    written as 2 w1 w3 / (w1^2 + 2 w1) decodes to the committed 2 w3 / (w1 + 2),
+    num for num and den for den."""
+    obj = json.loads((FIXTURES / "map.cm.C.json").read_text())
+    _z3_times_w1(obj["payload"])
+    path = tmp_path / "map.cm.C.json"
+    path.write_text(json.dumps(obj))
+    got, want = (dict(catalog.read_fixture(p).payload.components)["z3"]
+                 for p in (path, FIXTURES / "map.cm.C.json"))
+    assert (got.num, got.den) == (want.num, want.den)
+    assert str(got) == "(2*w3) / (w1 + 2)"
+
+
 def _verdicts(argv, capsys):
     """The exit code and {check id: verdict} of one --json invocation."""
     code, report = run_json(argv, capsys)

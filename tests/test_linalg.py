@@ -263,25 +263,28 @@ def _to_sympy(p, symbols):
 
 
 @pytest.mark.parametrize("mid, degrees", [("map.cm.D", (1, 3, 2, 2)),
-                                          ("map.cm.C", None)])
+                                          ("map.cm.C", (0, 2, 1, 0))])
 def test_lowest_terms_agrees_with_sympy_cancel(mid, degrees):
-    """Against sympy's cancel: map.cm.D reduces to denominators of degree
-    1, 3, 2 and 2 in w1, and map.cm.C is already in lowest terms."""
+    """Against sympy's cancel, on each stored component times
+    (w1 + 4)^2 / (w1 + 4)^2: the reduction gives the stored component back,
+    whose denominators have degree 1, 3, 2 and 2 in w1 for map.cm.D and
+    0, 2, 1 and 0 for map.cm.C, and leaves the stored one as it is."""
     components = catalog.get(mid).payload.components
     symbols = sympy.symbols(components[0][1].vars)
+    planted = (MultiPoly.var(components[0][1].vars, "w1") + 4) ** 2
     got = []
-    for _, rf in components:
+    for _, stored in components:
+        rf = RationalFunction(stored.num * planted, stored.den * planted)
         red = lowest_terms(rf)
         num, den = (_to_sympy(p, symbols) for p in (red.num, red.den))
         want_num, want_den = sympy.fraction(sympy.cancel(_to_sympy(rf.num, symbols)
                                                          / _to_sympy(rf.den, symbols)))
         assert sympy.expand(num * want_den - want_num * den) == 0
         assert sympy.degree(den, symbols[0]) == sympy.degree(want_den, symbols[0])
+        assert (red.num, red.den) == (stored.num, stored.den)
+        assert lowest_terms(stored) is stored
         got.append(sympy.degree(den, symbols[0]))
-        if degrees is None:
-            assert red is rf
-    if degrees is not None:
-        assert tuple(got) == degrees
+    assert tuple(got) == degrees
 
 
 def test_solve_columns_consistency():

@@ -492,23 +492,32 @@ def test_surface_map_without_the_solved_coordinate_multiplies_no_denominator():
     assert not ok and residual == expect
 
 
-def test_surface_map_reduces_each_component_first():
+def test_a_map_record_reduces_its_components_and_the_check_composes_them_as_given():
     source = sphere_graph()
     universe = ("z", "w", "zb", "wb")
     one_plus_z = 1 + MultiPoly.var(universe, "z")
     phi = {"Z": RationalFunction(one_plus_z * I, one_plus_z)}  # the constant i
     zz = ("Z", "Zb")
     z, zb = MultiPoly.var(zz, "Z"), MultiPoly.var(zz, "Zb")
+    fv = source.free_vars
+    # as given, the common factor stays: i - (-i) times (1 + z)(1 + zb)
     ok, residual = checked_surface_map(source, z + zb, ("Z",), ("Zb",), phi)
     assert ok and residual.is_zero()
-    # i - (-i), with neither (1 + z)(1 + zb) nor a graph denominator multiplied
     ok, residual = checked_surface_map(source, z - zb, ("Z",), ("Zb",), phi)
-    assert not ok and residual == MultiPoly.const(source.free_vars, 2 * I)
+    factor = (1 + MultiPoly.var(fv, "z")) * (1 + MultiPoly.var(fv, "zb"))
+    assert not ok and residual == factor * (2 * I)
+    # the record holds the constant i over 1, and the check leaves 2i
+    record = catalog.RationalMapFixture(tuple(phi.items()), "", z - zb, ("Z",), ("Zb",), False)
+    (_, reduced), = record.components
+    assert (reduced.num, reduced.den) == (MultiPoly.const(universe, I),
+                                          MultiPoly.const(universe, 1))
+    ok, residual = checked_surface_map(source, z - zb, ("Z",), ("Zb",), dict(record.components))
+    assert not ok and residual == MultiPoly.const(fv, 2 * I)
 
 
 @pytest.mark.parametrize("map_id, budget", [("map.cm.D", 4_000), ("map.cm.C", 1_250)])
 def test_cm_map_check_stays_within_its_product_budget(monkeypatch, map_id, budget):
-    """Cost guard for the reduction to lowest terms, the coprime basis of
+    """Cost guard for the components in lowest terms, the coprime basis of
     `substitute` and the clearing power, counted as term pairs at
     `poly._product`, which every product of the check goes through, a
     scaling by a constant too. map.cm.D makes 3,691 (2,161 in the
@@ -518,8 +527,10 @@ def test_cm_map_check_stays_within_its_product_budget(monkeypatch, map_id, budge
     step was one `substitute` call, they made 3,673 and 1,145. Over the
     product of the component denominators, as before the coprime basis,
     they made 25,066 (15,126 and 9,940) and 3,258 (1,487 and 1,771);
-    composing the map.cm.D components as stored, with denominators of
-    degree 6, 3 and 3 where lowest terms need 3, 2 and 2, makes 12,778."""
+    composing the map.cm.D components as the catalog's sums build them,
+    with denominators of degree 6, 3 and 3 where the lowest terms that
+    the record stores have 3, 2 and 2, makes 12,778. The check reduces
+    nothing, so these counts are all of its products."""
     payload = catalog.get(map_id).payload
     source = catalog.get(payload.source_graph).payload
     pairs = []
@@ -642,7 +653,24 @@ def test_cubic_case_isotropy_triple():
 def test_printed_circle_action_fails():
     fam = catalog.get("family.circle.C.printed").payload
     res = verify_family_invariance(fam, tube_rho("C"), catalog.ZV, ZF_ANTI)
-    assert not res.ok
+    assert not res.ok and res.multiplier is None
+
+
+def test_invariance_fails_when_the_quotient_by_rho_uses_a_coordinate():
+    """x -> x (1 + a y), y -> y sends rho = x to (1 + a y) rho: rho divides
+    the image exactly, but the quotient is no multiplier over the parameter.
+    rho = x + y does not divide its image x + y + a x y at all."""
+    xy = ("x", "y")
+    x, y, a = (MultiPoly.var(xy + ("a",), n) for n in ("x", "y", "a"))
+    fam = MapFamily("shear", xy, ("a",), (x * (1 + a * y), y), (("a", 0),))
+    rho_x, rho_xy = MultiPoly.var(xy, "x"), MultiPoly.var(xy, "x") + MultiPoly.var(xy, "y")
+    for rho in (rho_x, rho_xy):
+        res = verify_family_invariance(fam, rho)
+        assert not res.ok and res.multiplier is None, rho
+    # the same image over a parameter alone is a multiplier: x -> (1 + a) x
+    fam = MapFamily("scale", xy, ("a",), (x * (1 + a), y), (("a", 0),))
+    res = verify_family_invariance(fam, rho_x)
+    assert res.ok and res.multiplier == 1 + MultiPoly.var(("a",), "a")
 
 
 def test_affine_families_preserve_bases():
