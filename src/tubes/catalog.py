@@ -164,12 +164,13 @@ class IsoSpan(Record):
 
 
 class RationalMapFixture(Record):
-    """A rational map from a graph surface into {target = 0}, one component
-    per holomorphic target variable, each held in lowest terms: the record
-    reduces the components it is given (`lowest_terms`), so the in-code
-    catalog and a decoded tree store the same canonical data, and the
-    checks that read a map (verify_surface_map, map_at_origin,
-    verify_map_conjugation) reduce nothing."""
+    """A rational map from a graph surface into {target = 0}, for a nonzero
+    target, with one component per holomorphic target variable, each held
+    in lowest terms: the record reduces the components it is given
+    (`lowest_terms`), so the in-code catalog and a decoded tree store the
+    same canonical data, and the checks that read a map
+    (verify_surface_map, map_at_origin, verify_map_conjugation) reduce
+    nothing."""
 
     components: Tuple[Tuple[str, RationalFunction], ...]
     source_graph: str  # fixture id of the GraphSurface
@@ -184,6 +185,8 @@ class RationalMapFixture(Record):
         if len(holo) != len(anti) or self.target.vars != holo + anti:
             raise ValueError(f"the target is over {self.target.vars}, not over the "
                              f"holomorphic {holo} and antiholomorphic {anti} variables")
+        if not self.target:  # every map lands in {0 = 0}
+            raise ValueError("the target is the zero polynomial")
         names = tuple(name for name, _ in self.components)
         if names != holo:
             raise ValueError(f"the components give {names}, not the target's "

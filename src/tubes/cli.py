@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import random
 import sys
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -621,6 +623,19 @@ def cmd_lines(args, reg) -> List[Check]:
     return checks
 
 
+SHOWN_RESIDUALS = 3
+
+
+def _residual_summary(residual: Sequence[MultiPoly]) -> str:
+    """The detail of an UNRESOLVED chart: the number of residual equations,
+    how many there are of each total degree, and the first few of them."""
+    degrees = Counter(e.degree() for e in residual)
+    shown = residual[:SHOWN_RESIDUALS]
+    return (f"residual equations: {len(residual)} (by total degree: "
+            + ", ".join(f"{d}: {degrees[d]}" for d in sorted(degrees))
+            + f"); first {len(shown)}: " + "; ".join(str(e) for e in shown))
+
+
 def cmd_scan(args, reg) -> List[Check]:
     surface, provenance = _surface(reg, args.surface)
     algebra = affine_symmetry_algebra(surface)
@@ -630,13 +645,15 @@ def cmd_scan(args, reg) -> List[Check]:
     scan = subalgebra_scan(algebra, args.dim)
     checks = []
     n = len(surface.variables)
+    prefix = f"scan.{args.surface}.k{args.dim}."
     for chart in scan.charts:
-        cid = f"scan.{args.surface}.k{args.dim}.chart_" + "_".join(map(str, chart.pivots))
+        cid = prefix + "chart_" + "_".join(map(str, chart.pivots))
         if chart.status == "unresolved":
             checks.append(Check(cid, "chart closure system successively linearizes",
-                                "UNRESOLVED",
-                                "residual equations: "
-                                + "; ".join(str(e) for e in chart.residual), provenance))
+                                "UNRESOLVED", _residual_summary(chart.residual), provenance))
+            if args.verbose:
+                print(f"  {cid}: " + "; ".join(str(e) for e in chart.residual),
+                      file=sys.stderr)
             continue
         if chart.status == "empty":
             checks.append(check_of(cid, "chart has no bracket-closed subspaces",
@@ -665,10 +682,15 @@ def cmd_scan(args, reg) -> List[Check]:
             f"scan.{args.surface}.k5.recovers_half_domain_subalgebra",
             "the scan's chart outcome contains the wall-preserving five-dimensional "
             "subalgebra", covered, "", prov(fx)))
+    # every one of the C(m, k) charts is listed, and as UNRESOLVED exactly when
+    # the scan left it unresolved
+    charts = [c for c in checks if c.id.startswith(prefix + "chart_")]
     checks.append(check_of(
-        f"scan.{args.surface}.k{args.dim}.unresolved_count",
+        prefix + "unresolved_count",
         "unresolved charts are explicitly counted",
-        True, f"{len(scan.unresolved)} unresolved of {len(scan.charts)} charts",
+        len(charts) == math.comb(algebra.dim, args.dim)
+        and sum(c.verdict == "UNRESOLVED" for c in charts) == len(scan.unresolved),
+        f"{len(scan.unresolved)} unresolved of {len(scan.charts)} charts",
         provenance))
     return checks
 
@@ -818,6 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[common], help="Grassmannian subalgebra scan")
     p.add_argument("--surface", required=True)
     p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--verbose", action="store_true",
+                   help="print every UNRESOLVED chart's full residual system to stderr")
     sub.add_parser("classify", parents=[common],
                    help="full catalog pipeline against the domain list")
     return ap

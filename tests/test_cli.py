@@ -1,18 +1,22 @@
 """Front-end behavior: subcommands, exit codes, report schema."""
 
+import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tubes import catalog, cli
+from tubes.symmetry import ScanResult, affine_symmetry_algebra, subalgebra_scan
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -151,6 +155,71 @@ def test_scan_exit_code_unresolved(capsys):
     assert code == 2
     assert report["summary"]["unresolved"] == 1
     assert report["summary"]["fail"] == 0
+
+
+# the five scans of the algebra-scan benchmark
+BENCHMARK_SCANS = (("surface.table.1m", 5), ("surface.table.1p", 3), ("surface.table.3", 3),
+                   ("surface.table.2.sphere", 4), ("surface.quadric.half", 4))
+DETAIL = re.compile(r"residual equations: (\d+) \(by total degree: ([^)]*)\); first (\d+): (.*)")
+
+
+def _scan_outcome(surface_id, k):
+    return subalgebra_scan(affine_symmetry_algebra(catalog.get(surface_id).payload), k)
+
+
+@pytest.mark.parametrize("surface_id, k", BENCHMARK_SCANS)
+def test_an_unresolved_detail_counts_the_residuals_by_degree_and_shows_the_first_three(
+        surface_id, k, capsys):
+    code, report = run_json(["scan", "--surface", surface_id, "--dim", str(k)], capsys)
+    details = {c["id"]: c["details"] for c in report["checks"] if c["verdict"] == "UNRESOLVED"}
+    charts = _scan_outcome(surface_id, k).unresolved
+    assert code in (1, 2) and len(details) == len(charts) > 0
+    for chart in charts:
+        cid = f"scan.{surface_id}.k{k}.chart_" + "_".join(map(str, chart.pivots))
+        count, degrees, shown, first = DETAIL.fullmatch(details[cid]).groups()
+        residual = chart.residual
+        assert int(count) == len(residual)
+        by_degree = [tuple(map(int, part.split(": "))) for part in degrees.split(", ")]
+        degree = Counter(max(sum(exps) for exps, _, _ in e.sorted_terms()) for e in residual)
+        assert by_degree == sorted(degree.items())
+        assert int(shown) == min(3, len(residual))
+        assert first.split("; ") == [str(e) for e in residual[:3]]
+
+
+# the SHA-256 of the sorted lines "  <check id>: <full residual system>" built from
+# this scan's UNRESOLVED details as the report held them before they were bounded
+FULL_1P_K3 = "c7954248e76c730beb2bf5cb052a314d6bcb25551e5f62f5a79cdb09bedaf3b4"
+
+
+def test_scan_verbose_prints_every_full_residual_system_and_keeps_the_report(capsys):
+    argv = ["--json", "scan", "--surface", "surface.table.1p", "--dim", "3"]
+    assert cli.main(argv) == 2
+    plain = capsys.readouterr()
+    assert cli.main(argv + ["--verbose"]) == 2
+    verbose = capsys.readouterr()
+    reports = [json.loads(captured.out) for captured in (plain, verbose)]
+    for report in reports:
+        report.pop("seconds")
+    assert reports[0] == reports[1] and plain.err == ""
+    lines = verbose.err.splitlines()
+    charts = _scan_outcome("surface.table.1p", 3).unresolved
+    assert lines == [f"  scan.surface.table.1p.k3.chart_{'_'.join(map(str, c.pivots))}: "
+                     + "; ".join(str(e) for e in c.residual) for c in charts]
+    assert len(lines) == reports[0]["summary"]["unresolved"] == 34
+    assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == FULL_1P_K3
+
+
+@pytest.mark.parametrize("dropped", [0, 2])  # an unresolved chart, an empty one
+def test_unresolved_count_fails_when_a_chart_is_missing(dropped, monkeypatch, capsys):
+    def short(algebra, k):
+        charts = subalgebra_scan(algebra, k).charts
+        return ScanResult(charts[:dropped] + charts[dropped + 1:])
+    monkeypatch.setattr(cli, "subalgebra_scan", short)
+    code, report = run_json(["scan", "--surface", "surface.table.3", "--dim", "3"], capsys)
+    count = {c["id"]: c for c in report["checks"]}["scan.surface.table.3.k3.unresolved_count"]
+    assert code == 1 and count["verdict"] == "FAIL"
+    assert [c["id"] for c in report["checks"] if c["verdict"] == "FAIL"] == [count["id"]]
+    assert count["details"] == f"{5 if dropped == 0 else 6} unresolved of 9 charts"
 
 
 def test_normal_form_cutoff_flag(capsys):
@@ -342,6 +411,7 @@ BAD_TREES = {
     "hpbopen": ("basis.half_pseudo_ball.quadric", _raised_exponent(0, 0)),
     "foreignrad": ("witness.C.lt", _foreign_radicand),
     "timesi": ("basis.Z.D", _times_i(7)),
+    "zerotarget": ("map.cm.D", _set("target", "terms", value=[])),
 }
 
 # fixture trees {tmp}/<name> that hold only an index.json with this text
@@ -512,6 +582,11 @@ BAD_INDEXES = {
     # [B_1, i B_7] = i [B_1, B_7] lies in the complex span of the edited basis, not in its real span
     (["TUBES_FIXTURES={tmp}/timesi", "table", "--case", "D"],
      "basis.Z.D: the basis is not closed under bracket: [B_1, B_7] is outside the span"),
+    # every map lands in {0 = 0}, and the invariance checks divide by the target
+    *((["TUBES_FIXTURES={tmp}/zerotarget", *argv],
+       "'{tmp}/zerotarget': ValueError: the target is the zero polynomial")
+      for argv in (["verify-map", "--id", "map.cm.D"], ["isotropy", "--case", "D"],
+                   ["group", "--case", "D"])),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "bad.json").write_text("{not json")
