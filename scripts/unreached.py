@@ -38,7 +38,7 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "tubes"
 EXTRA = (
     ("--json", "--seed", "1", "orbits", "--surface", "surface.table.6",
-     "--probes", "1,0,0,1", "2,1/2,0,-1", "--random-probes", "2"),
+     "--probes", "1,0,0,1", "2,1/2,1,-1", "--random-probes", "2"),
     ("symmetry", "--surface", "surface.table.3", "--verbose"),
 )
 

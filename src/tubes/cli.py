@@ -141,13 +141,18 @@ def _domains_for_surface(reg, surface_id: str):
     return [fx for fx in domains if fx.payload.source_surface == surface_id]
 
 
-def _parse_probe(text: str, width: int) -> Tuple[Rational, ...]:
+def _parse_probe(text: str, surface: Hypersurface) -> Tuple[Rational, ...]:
+    """A --probes point: comma-separated rationals, one per variable of the
+    surface, off the surface; anything else is a usage error."""
     try:
         point = tuple(frac_from_str(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"probe {text!r} is not a comma-separated list of rationals") from None
+    width = len(surface.variables)
     if len(point) != width:
         raise UsageError(f"probe {text!r} has {len(point)} coordinates; the surface has {width}")
+    if surface.point_on_surface(point):
+        raise UsageError(f"probe {text!r} lies on the surface; a probe must be off it")
     return point
 
 
@@ -213,7 +218,7 @@ def cmd_orbits(args, reg) -> List[Check]:
     if args.random_probes < 0:
         raise UsageError(f"--random-probes must be at least 0, got {args.random_probes}")
     surface, provenance = _surface(reg, args.surface)
-    extra = [_parse_probe(text, len(surface.variables)) for text in args.probes or ()]
+    extra = [_parse_probe(text, surface) for text in args.probes or ()]
     algebra = affine_symmetry_algebra(surface)
     probes = [fx.payload.probe for fx in _domains_for_surface(reg, args.surface)] + extra
     rng = random.Random(getattr(args, "seed", 0))
@@ -221,7 +226,8 @@ def cmd_orbits(args, reg) -> List[Check]:
         p = _random_probe(rng, surface)
         if p is not None:
             probes.append(p)
-    report = open_orbit_report(algebra, surface, probes)
+    # each probe once, at its first place, so that no check id repeats
+    report = open_orbit_report(algebra, surface, list(dict.fromkeys(probes)))
     checks = []
     if args.surface in NO_ORBIT_SURFACES:
         ok = report.all_minors_zero or report.algebra_dim < len(surface.variables)
@@ -521,11 +527,12 @@ def cmd_group(args, reg) -> List[Check]:
         law_fx = afx
     sourced = [(provenance, g) for provenance, gens in gen_sources for g in gens]
     dim, outside = _generator_span([g for _, g in sourced], zbasis)
-    for i in outside:
-        provenance, g = sourced[i]
+    if outside:
+        found = [sourced[i] for i in outside]
         checks.append(check_of(f"group.{case}.generator_membership",
-                               "every generator lies in the span of the ten-field "
-                               "basis", False, str(g), provenance))
+                               "every generator lies in the span of the ten-field basis",
+                               False, "; ".join(f"{g} from {p}" for p, g in found),
+                               ", ".join(dict.fromkeys(p for p, _ in found))))
     checks.append(check_of(
         f"group.{case}.generators",
         "the infinitesimal generators span the full ten-dimensional algebra",

@@ -79,12 +79,13 @@ and scales the other (`_shifted`). A constant factor, a scalar multiple
 among them, skips the degree check, since it raises no degree.
 
 Rational functions are unreduced num/den pairs. Equality is decided by
-cross-multiplication; no multivariate gcd is ever computed. The one gcd
-is univariate, over Q(i), on coefficient lists of (re, im) pairs
-(`_ugcd`), for `lowest_terms` alone; `_ulists` and `_from_ulists`
-convert between those lists and polynomials, and no other module reads
-them. The trial divisions of `_shared_bases` are exact divisions of
-polynomials (`poly_div_exact`). Truncated expansions of rational
+cross-multiplication; no multivariate gcd is ever computed. Every
+polynomial division runs one loop, `_divmod`, which stops at the first
+remainder term that the divisor's leading monomial does not divide:
+`poly_div_exact` raises there, the trial divisions of `_shared_bases`
+read the remainder, and `lowest_terms` runs the one gcd, Euclid's
+algorithm over Q(i)[x] for a denominator in one variable x, on
+polynomials whose terms use x alone. Truncated expansions of rational
 functions (`series_expand`) run the coefficient recurrence of a power
 series quotient once per numerator, in plain (re, im) parts, seeded
 with that numerator; no inverse of the denominator is built and no
@@ -1056,15 +1057,30 @@ def merge_vars(*groups: Iterable[str]) -> Tuple[str, ...]:
 
 
 def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact division f / g. Raises ZeroDivisionError when g is zero,
-    ValueError when the variable tuples differ or g does not divide f.
+    """Exact division f / g, through the division loop (`_divmod`).
+    Raises ZeroDivisionError when g is zero, ValueError when the variable
+    tuples differ or g does not divide f: the loop stopped at a remainder
+    term that g's leading monomial does not divide."""
+    q, r = _divmod(f, g)
+    if r:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def _divmod(f: MultiPoly, g: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
+    """(q, r) with f = q * g + r, by the package's one polynomial division
+    loop. Raises ZeroDivisionError when g is zero, ValueError when the
+    variable tuples differ.
 
     The remainder is a copy of f's parts, worked in place in plain
     int/Fraction sums: each quotient term divides the remainder's leading
     key (one max) by g's, after a check, field by field, that g's leading
     monomial divides it, and then subtracts itself times g's other terms
     from the remainder, whose leading term it cancels exactly. Every key
-    it touches is below the leading one, so the loop ends."""
+    it touches is below the leading one, so the loop ends. It stops at
+    the first leading key that g's leading monomial does not divide and
+    returns the remainder left then, in canonical form: zero exactly when
+    g divides f, and over one variable the remainder of degree below g's."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f._check_same_vars(g)
@@ -1082,7 +1098,7 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     while rem_re or rem_im:
         k = max(rem_re.keys() | rem_im.keys()) if rem_im else max(rem_re)
         if any(k >> s & 255 < e for s, e in fields):
-            raise ValueError("inexact polynomial division")
+            break
         a, b = rem_re.pop(k, 0), rem_im.pop(k, 0)
         if li:
             qr, qi = _div(a * lr + b * li, norm), _div(b * lr - a * li, norm)
@@ -1098,7 +1114,7 @@ def poly_div_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 _take(rem_im, k + offset, qr * ci + qi * cr)
             else:
                 _take(rem_re, k + offset, qr * cr)
-    return _poly(f.vars, q_re, q_im)
+    return _poly(f.vars, q_re, q_im), _poly(f.vars, _canonical(rem_re), _canonical(rem_im))
 
 
 def _take(rem: Dict[int, Rational], key: int, x: Rational) -> None:
@@ -1111,122 +1127,51 @@ def _take(rem: Dict[int, Rational], key: int, x: Rational) -> None:
             del rem[key]
 
 
-# A univariate polynomial over Q(i) is the list of its coefficients as
-# (re, im) pairs of rationals, lowest degree first, with a nonzero last;
-# [] is zero. The one Euclid of the package, for the gcds of
-# lowest_terms, runs on these lists. _ulists and _from_ulists are the one
-# conversion between them and polynomials.
-
-def _ulists(p: MultiPoly, name: str) -> Dict[int, list]:
-    """p as a polynomial in `name` over its other variables: for each
-    monomial m in those, under m's key, the coefficient list in `name` of
-    the terms m * name**k, with (0, 0) for an absent k."""
-    shift = 8 * (len(p.vars) - 1 - p.vars.index(name))
-    unit = (1 << 8 * len(p.vars)) + (1 << shift)
-    grouped: Dict[int, Dict[int, Tuple[Rational, Rational]]] = {}
-    for k, re, im in _items(p.re_terms, p.im_terms):
-        e = k >> shift & 255
-        grouped.setdefault(k - e * unit, {})[e] = re, im
-    lists = {}
-    for rest, part in grouped.items():
-        out = [(0, 0)] * (max(part) + 1)
-        for e, c in part.items():
-            out[e] = c
-        lists[rest] = out
-    return lists
-
-
-def _from_ulists(variables: Tuple[str, ...], name: str, lists: Mapping[int, list]) -> MultiPoly:
-    """The polynomial over `variables` whose _ulists in `name` are lists;
-    zero parts are skipped."""
-    unit = variable_keys(variables)[variables.index(name)]
-    terms = [(rest + e * unit, c) for rest, part in lists.items() for e, c in enumerate(part)]
-    return _poly(variables, {k: _canon(re) for k, (re, _) in terms if re},
-                 {k: _canon(im) for k, (_, im) in terms if im})
-
-
-def _cmul(x: Tuple[Rational, Rational], y: Tuple[Rational, Rational]) -> Tuple[Rational, Rational]:
-    """The product of two Gaussian rationals given as (re, im) pairs."""
-    (a, b), (c, d) = x, y
-    return (a * c - b * d, a * d + b * c) if b or d else (a * c, 0)
-
-
-def _cinv(x: Tuple[Rational, Rational]) -> Tuple[Rational, Rational]:
-    """The inverse of a nonzero Gaussian rational given as an (re, im) pair."""
-    a, b = x
-    if not b:
-        return _div(1, a), 0
-    norm = a * a + b * b
-    return _div(a, norm), _div(-b, norm)
-
-
-def _monic(a: list) -> list:
-    """A nonzero coefficient list divided by its leading coefficient; the
-    empty list (zero) unchanged."""
-    if not a or a[-1] == (1, 0):
-        return a
-    lead, lead_im = a[-1]
-    if not lead_im:
-        return [(_div(re, lead), _div(im, lead)) for re, im in a]
-    inv = _cinv(a[-1])
-    return [(_canon(re), _canon(im)) for re, im in (_cmul(c, inv) for c in a)]
-
-
-def _udivmod(a: list, b: list) -> Tuple[list, list]:
-    """(quotient, remainder) of coefficient lists a by nonzero b, the
-    remainder with its high zero coefficients dropped."""
-    r = list(a)
-    n = len(b) - 1
-    inv = _cinv(b[-1])
-    q = [(0, 0)] * max(len(a) - n, 0)
-    for i in range(len(a) - 1 - n, -1, -1):
-        c = _cmul(r[i + n], inv)
-        if c[0] or c[1]:
-            q[i] = c
-            for j in range(n):
-                y = b[j]
-                if y[0] or y[1]:
-                    (x0, x1), (t0, t1) = r[i + j], _cmul(c, y)
-                    r[i + j] = x0 - t0, x1 - t1
-    del r[n:]
-    while r and not (r[-1][0] or r[-1][1]):
-        r.pop()
-    return q, r
-
-
-def _ugcd(a: list, b: list) -> list:
-    """The monic gcd of two coefficient lists, b nonzero, by Euclid's
-    algorithm over Q(i)[x] with monic remainders (Knuth, TAOCP Vol. 2,
-    4.6.1); [(1, 0)] when they are coprime."""
-    while b:
-        a, b = b, _monic(_udivmod(a, b)[1])
-    return _monic(a)
+def _monic(p: MultiPoly) -> MultiPoly:
+    """A nonzero p divided by the coefficient of its leading key; zero
+    unchanged."""
+    if not p:
+        return p
+    top = max(_keys(p))
+    lead = _gr(p.re_terms.get(top, 0), p.im_terms.get(top, 0))
+    return p if lead == 1 else p * (1 / lead)
 
 
 def lowest_terms(rf: RationalFunction) -> RationalFunction:
     """rf in lowest terms when its denominator uses exactly one variable
     x; rf itself otherwise.
 
-    Read num as a polynomial in its other variables over Q(i)[x]; then
-    gcd(num, den) is the gcd G of den and every coefficient of num, found
-    by Euclid's algorithm over Q(i)[x] (`_ugcd`; Brown, J. ACM 18, 1971),
-    which stops as soon as G is a constant. G is made monic and divides
-    num and den exactly, coefficient by coefficient."""
+    Read num as a polynomial in its other variables over Q(i)[x], each
+    coefficient a MultiPoly over rf's variables that uses x alone; then
+    gcd(num, den) is the gcd G of den and every coefficient of num. It is
+    found by Euclid's algorithm over Q(i)[x] with monic remainders (Knuth,
+    TAOCP Vol. 2, 4.6.1; Brown, J. ACM 18, 1971), each remainder one
+    `_divmod`, and the search stops as soon as G is a constant. Otherwise
+    num and den are divided by the monic G exactly (`poly_div_exact`)."""
     used = rf.den.used_vars()
     if len(used) != 1:
         return rf
-    x = used[0]
-    den = _ulists(rf.den, x)[0]
-    parts = _ulists(rf.num, x)
+    num, den = rf.num, rf.den
+    n = len(rf.vars)
+    shift = 8 * (n - 1 - rf.vars.index(used[0]))
+    unit = (1 << 8 * n) + (1 << shift)
+    # num's coefficients in Q(i)[x], under the key of their monomial in the
+    # other variables, each term keyed by its power of x alone
+    coeffs: Dict[int, Tuple[Terms, Terms]] = {}
+    for part, terms in enumerate((num.re_terms, num.im_terms)):
+        for k, c in terms.items():
+            x_part = (k >> shift & 255) * unit
+            coeffs.setdefault(k - x_part, ({}, {}))[part][x_part] = c
     g = den
-    for part in parts.values():
-        g = _ugcd(part, g)
-        if len(g) == 1:
+    for re, im in coeffs.values():
+        a = _poly(rf.vars, re, im)
+        while g:
+            a, g = g, _monic(_divmod(a, g)[1])
+        if not a.degree():
             return rf
+        g = a
     g = _monic(g)
-    num = {rest: _udivmod(part, g)[0] for rest, part in parts.items()}
-    return RationalFunction(_from_ulists(rf.vars, x, num),
-                            _from_ulists(rf.vars, x, {0: _udivmod(den, g)[0]}))
+    return RationalFunction(poly_div_exact(num, g), poly_div_exact(den, g))
 
 
 def _shared_bases(dens: Mapping[int, MultiPoly]):
@@ -1238,8 +1183,8 @@ def _shared_bases(dens: Mapping[int, MultiPoly]):
     The nonconstant denominators are pooled by the tuple of variables
     they use. In a pool of two or more, the base is the member of least
     total degree (the first such), scaled to coprime Gaussian integers,
-    and every member is divided by it (`poly_div_exact`) for as long as
-    the division is exact: the base is shared when two or more members
+    and every member is divided by it (`_divmod`) for as long as the
+    division is exact: the base is shared when two or more members
     hold it, and each quotient is that member's private part. A constant
     denominator is private as it is, and so is one alone in its pool or
     holding no shared base. Only powers of the least member are shared:
@@ -1263,12 +1208,12 @@ def _shared_bases(dens: Mapping[int, MultiPoly]):
         held = {}
         for i in idxs:
             e, rest = 0, dens[i]
-            try:
-                # no quotient of lower degree than the base holds it
-                while rest.degree() >= degree:
-                    rest, e = poly_div_exact(rest, base), e + 1
-            except ValueError:  # the first inexact division
-                pass
+            # no quotient of lower degree than the base holds it
+            while rest.degree() >= degree:
+                q, r = _divmod(rest, base)
+                if r:  # the first inexact division
+                    break
+                rest, e = q, e + 1
             if e:
                 held[i] = e, rest
         if len(held) < 2:
@@ -1380,9 +1325,11 @@ class RationalFunction:
 
     Not normalized by its own operations (a sum multiplies denominators
     without a gcd), and equality goes through cross-multiplication. A
-    catalogued map holds its components in lowest terms, reduced once
-    where the record is built (`lowest_terms`, in
-    catalog.RationalMapFixture), and verify_surface_map scales each
+    catalogued map holds each component whose denominator uses one
+    variable in lowest terms, reduced once where the record is built
+    (`lowest_terms`, in catalog.RationalMapFixture, one Euclid over
+    MultiPoly through the division loop `_divmod`), and
+    verify_surface_map scales each
     component's num and den by one integer to Gaussian-integer
     coefficients (denominator_lcm), which changes neither its value nor
     its zeros.

@@ -24,7 +24,9 @@ the product of the assignment denominators it gave before
 (`product_substitute`), its split of the image denominators by trial
 division against each pool's least member, on the pools in one
 variable, against the factor refinement it replaced
-(`refined_shared_bases`), the scaled series
+(`refined_shared_bases`), `lowest_terms`, a Euclid on MultiPoly
+through the one division loop, against the Euclid on (re, im)
+coefficient lists it replaced (`frozen_lowest_terms`), the scaled series
 inversion against the geometric series in E / c0 it replaced, its quotient recurrence against
 the reciprocal-then-truncated-product route it replaced
 (`reciprocal_series`), the relation rewrites by key shifts against the
@@ -60,8 +62,8 @@ from typing import List, Optional, Sequence, Tuple
 from tubes import linalg
 from tubes.fields import VectorField
 from tubes.poly import (_NO_TERMS, MultiPoly, Powers, RationalFunction, _chain, _field_mask,
-                        _from_ulists, _horner, _monic, _poly, _udivmod, _ugcd, _ulists,
-                        coefficient_columns, denominator_lcm, poly_sum, substitute)
+                        _horner, _poly, coefficient_columns, denominator_lcm, poly_sum,
+                        substitute, variable_keys)
 from tubes.scalars import I, ONE, ZERO, GaussianRational, _canon, _div
 from tubes.symmetry import ChartOutcome, _residuals
 
@@ -457,6 +459,122 @@ def product_substitute(p: MultiPoly, assignment) -> RationalFunction:
             term = term * f.num ** k * f.den ** (p.degree(v) - k)
         num = num + term
     return RationalFunction(num, den)
+
+
+# A univariate polynomial over Q(i) as the list of its coefficients as
+# (re, im) pairs of rationals, lowest degree first, with a nonzero last;
+# [] is zero. tubes.poly ran its one Euclid on these lists until
+# lowest_terms moved onto MultiPoly; the lists, their arithmetic and that
+# Euclid are frozen here, for `refined_shared_bases` and
+# `frozen_lowest_terms`.
+
+def _ulists(p: MultiPoly, name: str):
+    """p as a polynomial in `name` over its other variables: for each
+    monomial m in those, under m's key, the coefficient list in `name` of
+    the terms m * name**k, with (0, 0) for an absent k."""
+    shift = 8 * (len(p.vars) - 1 - p.vars.index(name))
+    unit = (1 << 8 * len(p.vars)) + (1 << shift)
+    grouped = {}
+    for k in p.re_terms.keys() | p.im_terms.keys():
+        e = k >> shift & 255
+        grouped.setdefault(k - e * unit, {})[e] = p.re_terms.get(k, 0), p.im_terms.get(k, 0)
+    lists = {}
+    for rest, part in grouped.items():
+        out = [(0, 0)] * (max(part) + 1)
+        for e, c in part.items():
+            out[e] = c
+        lists[rest] = out
+    return lists
+
+
+def _from_ulists(variables, name: str, lists) -> MultiPoly:
+    """The polynomial over `variables` whose _ulists in `name` are lists;
+    zero parts are skipped."""
+    unit = variable_keys(variables)[variables.index(name)]
+    terms = [(rest + e * unit, c) for rest, part in lists.items() for e, c in enumerate(part)]
+    return _poly(tuple(variables), {k: _canon(re) for k, (re, _) in terms if re},
+                 {k: _canon(im) for k, (_, im) in terms if im})
+
+
+def _cmul(x, y):
+    """The product of two Gaussian rationals given as (re, im) pairs."""
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c) if b or d else (a * c, 0)
+
+
+def _cinv(x):
+    """The inverse of a nonzero Gaussian rational given as an (re, im) pair."""
+    a, b = x
+    if not b:
+        return _div(1, a), 0
+    norm = a * a + b * b
+    return _div(a, norm), _div(-b, norm)
+
+
+def _monic(a: list) -> list:
+    """A nonzero coefficient list divided by its leading coefficient; the
+    empty list (zero) unchanged."""
+    if not a or a[-1] == (1, 0):
+        return a
+    lead, lead_im = a[-1]
+    if not lead_im:
+        return [(_div(re, lead), _div(im, lead)) for re, im in a]
+    inv = _cinv(a[-1])
+    return [(_canon(re), _canon(im)) for re, im in (_cmul(c, inv) for c in a)]
+
+
+def _udivmod(a: list, b: list):
+    """(quotient, remainder) of coefficient lists a by nonzero b, the
+    remainder with its high zero coefficients dropped."""
+    r = list(a)
+    n = len(b) - 1
+    inv = _cinv(b[-1])
+    q = [(0, 0)] * max(len(a) - n, 0)
+    for i in range(len(a) - 1 - n, -1, -1):
+        c = _cmul(r[i + n], inv)
+        if c[0] or c[1]:
+            q[i] = c
+            for j in range(n):
+                y = b[j]
+                if y[0] or y[1]:
+                    (x0, x1), (t0, t1) = r[i + j], _cmul(c, y)
+                    r[i + j] = x0 - t0, x1 - t1
+    del r[n:]
+    while r and not (r[-1][0] or r[-1][1]):
+        r.pop()
+    return q, r
+
+
+def _ugcd(a: list, b: list) -> list:
+    """The monic gcd of two coefficient lists, b nonzero, by Euclid's
+    algorithm over Q(i)[x] with monic remainders (Knuth, TAOCP Vol. 2,
+    4.6.1); [(1, 0)] when they are coprime."""
+    while b:
+        a, b = b, _monic(_udivmod(a, b)[1])
+    return _monic(a)
+
+
+def frozen_lowest_terms(rf: RationalFunction) -> RationalFunction:
+    """tubes.poly.lowest_terms while it ran on coefficient lists, frozen:
+    for a denominator in exactly one variable x, the gcd of den and every
+    coefficient of num in Q(i)[x] by `_ugcd`, rf itself as soon as it is
+    a constant, else num and den divided by it coefficient by
+    coefficient."""
+    used = rf.den.used_vars()
+    if len(used) != 1:
+        return rf
+    x = used[0]
+    den = _ulists(rf.den, x)[0]
+    parts = _ulists(rf.num, x)
+    g = den
+    for part in parts.values():
+        g = _ugcd(part, g)
+        if len(g) == 1:
+            return rf
+    g = _monic(g)
+    num = {rest: _udivmod(part, g)[0] for rest, part in parts.items()}
+    return RationalFunction(_from_ulists(rf.vars, x, num),
+                            _from_ulists(rf.vars, x, {0: _udivmod(den, g)[0]}))
 
 
 def refined_shared_bases(dens):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from tubes import catalog, cli
+from tubes.normal_form import infinitesimal_generators
 from tubes.symmetry import ScanResult, affine_symmetry_algebra, subalgebra_scan
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -101,11 +102,25 @@ def test_classify_builds_the_wall_preserving_presentation_once(monkeypatch, caps
     assert code == 0 and calls.count(True) == 1
 
 
-def test_orbits_rejects_on_surface_probe(capsys):
-    code, out = run_cli(["orbits", "--surface", "surface.table.6",
-                         "--probes", "1,0,0,0"], capsys)
-    assert code == 1
-    assert "probe lies on the surface" in out
+def test_orbits_rejects_on_surface_probe(capsys, monkeypatch):
+    """A --probes point on the surface is bad input, refused before any
+    check runs: a usage error on one line that names the probe."""
+    monkeypatch.setattr(cli, "affine_symmetry_algebra", None)
+    assert cli.main(["orbits", "--surface", "surface.table.6", "--probes", "1,0,0,0"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: probe '1,0,0,0' lies on the surface; a probe must be off it\n"
+
+
+def test_orbits_lists_each_probe_once(capsys):
+    """A probe given twice, and again as a domain probe of the surface,
+    is one check."""
+    code, report = run_json(["orbits", "--surface", "surface.table.6",
+                             "--probes", "1,0,0,1", "1,0,0,1"], capsys)
+    assert code == 0
+    ids = [c["id"] for c in report["checks"]]
+    assert ids.count("orbits.probe.surface.table.6.1_0_0_1") == 1
+    assert len(ids) == len(set(ids)) == report["summary"]["pass"] == 3
 
 
 def test_orbits_of_a_zero_dimensional_algebra_fail_at_rank_0(tmp_path, capsys):
@@ -632,6 +647,28 @@ def test_a_basis_field_times_i_is_outside_the_real_span(case, tmp_path, monkeypa
         failed |= {c["id"] for c in report["checks"] if c["verdict"] == "FAIL"}
     assert failed == {f"isotropy.{case}.dimension", f"group.{case}.generators",
                       f"group.{case}.generator_membership"}
+
+
+def test_generators_outside_the_span_are_one_check(monkeypatch, capsys):
+    """Two generators outside the span of the basis give one
+    generator_membership FAIL that names both, in generator order."""
+    real = cli.expand_in_fields
+
+    def two_outside(gens, basis):
+        coords = real(gens, basis)
+        return [None if i in (1, 4) else c for i, c in enumerate(coords)]
+
+    monkeypatch.setattr(cli, "expand_in_fields", two_outside)
+    code, report = run_json(["group", "--case", "D"], capsys)
+    assert code == 1
+    ids = [c["id"] for c in report["checks"]]
+    assert len(ids) == len(set(ids))
+    member, = (c for c in report["checks"] if c["id"] == "group.D.generator_membership")
+    assert member["verdict"] == "FAIL"
+    fx = catalog.get("family.full.D")
+    assert member["provenance"] == cli.prov(fx)
+    gens = infinitesimal_generators(fx.payload)
+    assert member["details"] == "; ".join(f"{gens[i]} from {cli.prov(fx)}" for i in (1, 4))
 
 
 def test_an_exponent_is_refused_before_it_is_expanded(tmp_path, capsys):

@@ -1,17 +1,24 @@
 """Differential checks against sympy on seeded random inputs that no
 fixture holds: the univariate Euclid of `lowest_terms` against
-`sympy.cancel`, and the dimension of `affine_symmetry_algebra` against a
-sympy nullspace of a tangency matrix built here, from sympy's own
-expansion of X(P) - c P. Skipped when sympy is missing."""
+`sympy.cancel`, the division loop against `sympy.div` over Q(i), and the
+dimension of `affine_symmetry_algebra` against a sympy nullspace of a
+tangency matrix built here, from sympy's own expansion of X(P) - c P.
+The same planted common factors, and every component that the in-code
+catalog hands `lowest_terms`, are also checked against the Euclid on
+(re, im) coefficient lists that `lowest_terms` ran before
+(`frozen_lowest_terms`). Skipped when sympy is missing."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from tubes.poly import MultiPoly, RationalFunction, lowest_terms
+from tubes import catalog
+from tubes.poly import MultiPoly, RationalFunction, _divmod, lowest_terms
 from tubes.scalars import GaussianRational
 from tubes.symmetry import Hypersurface, affine_symmetry_algebra
+
+from oracles import frozen_lowest_terms
 
 sympy = pytest.importorskip("sympy")
 
@@ -38,17 +45,24 @@ def _to_sympy(p, symbols):
                for e, re, im in p.sorted_terms())
 
 
-def test_lowest_terms_agrees_with_sympy_cancel_on_planted_common_factors():
-    """num * G / (den * G) for random num, den and a planted factor G over
-    Q(i): the reduction equals sympy's by cross-multiplication, and its
-    denominator has the degree of sympy's, below that of den * G."""
+def _planted_common_factors():
+    """40 seeded (num, den, G) over Q(i) in x: num of degree 0 to 3, den
+    of degree 1 to 3 and the planted factor G of degree 1 or 2."""
     rng = random.Random(20261020)
-    symbols = sympy.symbols(("x",))
-    reduced = 0
     for _ in range(40):
         common = _univariate(rng, rng.randint(1, 2))
         num = _univariate(rng, rng.randint(0, 3))
         den = _univariate(rng, rng.randint(1, 3))
+        yield num, den, common
+
+
+def test_lowest_terms_agrees_with_sympy_cancel_on_planted_common_factors():
+    """num * G / (den * G) for random num, den and a planted factor G over
+    Q(i): the reduction equals sympy's by cross-multiplication, and its
+    denominator has the degree of sympy's, below that of den * G."""
+    symbols = sympy.symbols(("x",))
+    reduced = 0
+    for num, den, common in _planted_common_factors():
         red = lowest_terms(RationalFunction(num * common, den * common))
         got_num, got_den = (_to_sympy(p, symbols) for p in (red.num, red.den))
         want_num, want_den = sympy.fraction(sympy.cancel(
@@ -58,6 +72,55 @@ def test_lowest_terms_agrees_with_sympy_cancel_on_planted_common_factors():
         assert red.den.degree() <= den.degree()
         reduced += red.den.degree() < (den * common).degree()
     assert reduced == 40
+
+
+def _agrees_with_the_list_euclid(rf) -> bool:
+    """lowest_terms gives rf itself exactly when the frozen list Euclid
+    does, and otherwise the same num and den, term for term."""
+    got, want = lowest_terms(rf), frozen_lowest_terms(rf)
+    if want is rf:
+        return got is rf
+    return got is not rf and (got.num, got.den) == (want.num, want.den)
+
+
+def test_lowest_terms_agrees_with_the_list_euclid_on_planted_common_factors():
+    """The planted quotients, the bare num / den, num * den / den, whose
+    gcd is den itself, and 0 / den."""
+    for num, den, common in _planted_common_factors():
+        for rf in (RationalFunction(num * common, den * common), RationalFunction(num, den),
+                   RationalFunction(num * den, den), RationalFunction(num * 0, den)):
+            assert _agrees_with_the_list_euclid(rf)
+
+
+def test_lowest_terms_agrees_with_the_list_euclid_on_the_catalogued_maps(monkeypatch):
+    """Every component that a fresh Registry hands lowest_terms while it
+    builds the map group, unreduced."""
+    seen = []
+
+    def capture(rf):
+        seen.append(rf)
+        return lowest_terms(rf)
+
+    monkeypatch.setattr(catalog, "lowest_terms", capture)
+    catalog.Registry().group_ids("map")
+    assert len(seen) >= 28
+    assert sum(frozen_lowest_terms(rf) is not rf for rf in seen) >= 3
+    assert all(_agrees_with_the_list_euclid(rf) for rf in seen)
+
+
+def test_the_division_loop_agrees_with_sympy_div_over_gaussian_rationals():
+    """40 seeded pairs in x over Q(i): _divmod's quotient and remainder
+    equal those of sympy.div over QQ_I."""
+    rng = random.Random(20261021)
+    symbols = sympy.symbols(("x",))
+    for _ in range(40):
+        f = _univariate(rng, rng.randint(0, 6))
+        g = _univariate(rng, rng.randint(0, 3))
+        q, r = _divmod(f, g)
+        want_q, want_r = sympy.div(_to_sympy(f, symbols), _to_sympy(g, symbols), symbols[0],
+                                   domain=sympy.QQ_I)
+        assert sympy.expand(_to_sympy(q, symbols) - want_q) == 0
+        assert sympy.expand(_to_sympy(r, symbols) - want_r) == 0
 
 
 def _random_surface(rng, n):

@@ -5,7 +5,8 @@ readable.
 One seeded pass of each workload (perfbench/workloads.build_pass) runs in
 process. Each report is checked with expected.mismatches, the function the
 benchmark harness checks its reports with, and the table keys seen must
-cover every EXPECTED entry. The fixture export that ends a catalog-disk
+cover every EXPECTED entry, and no report may list a check id twice.
+The fixture export that ends a catalog-disk
 pass has no report; tests/test_report_digests.py compares it byte for
 byte. Nothing under perfbench/ is changed.
 """
@@ -15,6 +16,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,13 @@ def test_one_pass_of_every_workload_gets_the_expected_verdicts(first_passes):
     assert problems == []
     seen = {op.key for op, _, _ in first_passes}
     assert EXPECTED.keys() <= seen, sorted(EXPECTED.keys() - seen)
+
+
+def test_no_report_of_a_benchmark_pass_repeats_a_check_id(first_passes):
+    repeated = [(op.key, cid) for op, _, report in first_passes
+                for cid, count in Counter(c["id"] for c in report["checks"]).items()
+                if count > 1]
+    assert repeated == []
 
 
 def test_no_check_detail_of_a_benchmark_pass_is_longer_than_the_bound(first_passes):

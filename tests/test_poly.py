@@ -15,17 +15,17 @@ import tubes.poly
 import tubes.symmetry
 from tubes import catalog, cli
 from tubes.fields import VectorField, lie_bracket
-from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, _from_ulists, _ulists,
-                        merge_vars, poly_div_exact, poly_sum, series_expand, subs_each,
-                        substitute, values_at)
+from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, _divmod, merge_vars,
+                        poly_div_exact, poly_sum, series_expand, subs_each, substitute,
+                        values_at)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
-from oracles import (boxed_conjugate, boxed_product, boxed_specialize, boxed_sum, boxed_terms,
-                     canonical, chain_compose, div_exact_terms, eval_terms, fraction_series,
-                     frozen_subs_each, leading_term, product_substitute, random_poly,
-                     reciprocal_series, refined_shared_bases, split_by_vars, split_reduce_poly,
-                     str_terms)
+from oracles import (_from_ulists, _ulists, boxed_conjugate, boxed_product, boxed_specialize,
+                     boxed_sum, boxed_terms, canonical, chain_compose, div_exact_terms,
+                     eval_terms, fraction_series, frozen_subs_each, leading_term,
+                     product_substitute, random_poly, reciprocal_series, refined_shared_bases,
+                     split_by_vars, split_reduce_poly, str_terms)
 
 VARS = ("x", "y", "z")
 
@@ -581,6 +581,38 @@ def test_division_refusals():
     assert poly_div_exact(MultiPoly.zero(XY), x + y) == MultiPoly.zero(XY)
 
 
+@st.composite
+def division_pairs(draw):
+    """(f, g) over one to three variables, g nonzero: f a random
+    polynomial, or g times one plus another half the time."""
+    variables = VARS[:draw(st.integers(1, 3))]
+    g = draw(polys(variables, max_terms=3).filter(bool))
+    f = draw(polys(variables, max_terms=5))
+    if draw(st.booleans()):
+        f = f * g + draw(polys(variables, max_terms=2, max_exp=1))
+    return f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_pairs())
+def test_the_division_loop_leaves_f_as_q_g_plus_r(pair):
+    """_divmod gives f == q g + r with r stored canonically; r is zero
+    exactly when poly_div_exact returns, and then q is its quotient; over
+    one variable, r is the remainder of degree below g's."""
+    f, g = pair
+    q, r = _divmod(f, g)
+    assert q * g + r == f
+    assert stored_canonically(q) and stored_canonically(r)
+    try:
+        exact = poly_div_exact(f, g)
+    except ValueError:
+        assert r
+    else:
+        assert not r and exact == q
+    if len(f.vars) == 1 and r:
+        assert r.degree() < g.degree()
+
+
 @pytest.mark.parametrize("exps", [(-1, 0), (1.5, 0), (1.0, 0), (True, 0)])
 def test_constructor_rejects_bad_exponents(exps):
     with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
@@ -1030,8 +1062,7 @@ def test_only_poly_module_writes_term_dicts():
 
 
 def test_no_module_imports_a_private_name_of_poly():
-    """poly.py keeps its private helpers, the univariate coefficient lists
-    of its one Euclid among them, to itself: no other module of the
+    """poly.py keeps its private helpers to itself: no other module of the
     package imports a `_` name from tubes.poly or reads one off the module,
     but the trusted constructor `_poly`."""
     package = Path(tubes.poly.__file__).parent
@@ -1059,15 +1090,15 @@ def _functions(module):
 
 
 def test_the_inner_loops_box_no_coefficient():
-    """The product, the Horner composer, the sum, the series quotient and
-    the algebra-layer kernels (the scan's substitution, the tangency rows,
-    the bracket's sum of products and the shared point values) run on the
-    rationals of the term dicts: none names GaussianRational or its
-    trusted builder _gr."""
+    """The product, the Horner composer, the sum, the series quotient, the
+    division loop and the algebra-layer kernels (the scan's substitution,
+    the tangency rows, the bracket's sum of products and the shared point
+    values) run on the rationals of the term dicts: none names
+    GaussianRational or its trusted builder _gr."""
     bodies = _functions(tubes.poly)
     loops = ("_product", "_mac", "_shifted", "_canonical", "_horner", "_split", "_add_into",
              "series_expand", "subs_each", "tangency_rows", "product_sum", "_check_degrees",
-             "values_at", "_part_value")
+             "values_at", "_part_value", "_divmod")
     named = {name: sorted({node.id for node in ast.walk(bodies[name])
                            if isinstance(node, ast.Name)} & {"GaussianRational", "_gr"})
              for name in loops}
