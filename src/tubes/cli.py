@@ -105,12 +105,21 @@ def prov(fx: Fixture) -> str:
 
 # ---------------------------------------------------------------- primitives
 
-def _fixture(reg, fid: str) -> Fixture:
+def _fixture(reg, fid: str, kind: str) -> Fixture:
+    """The fixture `fid`, which must be of this kind: an unknown id, or an
+    id of another kind, named by a command or by a fixture's reference
+    field, is a usage error."""
     if fid not in reg:
         import difflib
         near = difflib.get_close_matches(fid, reg.keys(), n=5, cutoff=0.4)
         raise UsageError(f"unknown fixture {fid!r}; near matches: {near}")
-    return reg[fid]
+    return _of_kind(reg[fid], kind)
+
+
+def _of_kind(fx: Fixture, kind: str) -> Fixture:
+    if fx.kind != kind:
+        raise UsageError(f"fixture {fx.id!r} is of kind {fx.kind}, not {kind}")
+    return fx
 
 
 def _presentation(fx: Fixture) -> LieAlgebraPresentation:
@@ -124,20 +133,18 @@ def _presentation(fx: Fixture) -> LieAlgebraPresentation:
 
 def _surface(reg, ident: str) -> Tuple[Hypersurface, str]:
     if ident in reg:
-        fx = reg[ident]
+        fx = _fixture(reg, ident, "hypersurface")
         source = prov(fx)
     elif os.path.exists(ident):
-        fx = catalog.read_fixture(ident)
+        fx = _of_kind(catalog.read_fixture(ident), "hypersurface")
         source = f"file:{ident}"
     else:
         raise UsageError(f"no surface fixture or file named {ident!r}")
-    if fx.kind != "hypersurface":
-        raise UsageError(f"fixture {ident!r} is not a hypersurface")
     return fx.payload, source
 
 
 def _domains_for_surface(reg, surface_id: str):
-    domains = (reg[fid] for fid in reg.group_ids("domain"))
+    domains = (_fixture(reg, fid, "domain") for fid in reg.group_ids("domain"))
     return [fx for fx in domains if fx.payload.source_surface == surface_id]
 
 
@@ -257,9 +264,9 @@ def cmd_orbits(args, reg) -> List[Check]:
 
 def cmd_table(args, reg) -> List[Check]:
     case = args.case
-    basis_fx = _fixture(reg, f"basis.Z.{case}")
+    basis_fx = _fixture(reg, f"basis.Z.{case}", "field_basis")
     fields = basis_fx.payload.fields
-    golden_fx = _fixture(reg, f"table.golden.{case}")
+    golden_fx = _fixture(reg, f"table.golden.{case}", "golden_table")
     dim = golden_fx.payload.dim
     if dim != len(fields):
         raise UsageError(f"table.golden.{case} has dimension {dim}, but basis.Z.{case} "
@@ -290,7 +297,7 @@ def cmd_normal_form(args, reg) -> List[Check]:
     cutoff = args.cutoff
     if cutoff < MIN_CM_CUTOFF:
         raise UsageError(f"--cutoff must be at least {MIN_CM_CUTOFF}, got {cutoff}")
-    fx = _fixture(reg, f"graph.cm.{case}")
+    fx = _fixture(reg, f"graph.cm.{case}", "graph_surface")
     graph: GraphSurface = fx.payload
     # the negative control: the numerator perturbed by a real (2,2) term
     pairing = graph.pairing
@@ -337,11 +344,9 @@ def cmd_normal_form(args, reg) -> List[Check]:
 
 
 def cmd_verify_map(args, reg) -> List[Check]:
-    fx = _fixture(reg, args.id)
-    if fx.kind != "rational_map":
-        raise UsageError(f"{args.id!r} is not a map fixture")
+    fx = _fixture(reg, args.id, "rational_map")
     payload = fx.payload
-    source = _fixture(reg, payload.source_graph).payload
+    source = _fixture(reg, payload.source_graph, "graph_surface").payload
     phi = dict(payload.components)
     ok, _ = verify_surface_map(source, payload.target, payload.target_holo,
                                payload.target_anti, phi)
@@ -370,7 +375,7 @@ C_ISOTROPY = ("family.isotropy.C.scale", "family.isotropy.C.shear", "family.circ
 def _cm_map(reg, case: str) -> RationalMapFixture:
     """The map.cm fixture of a case: its target is the tube surface rho and
     its origin image the basepoint."""
-    return _fixture(reg, f"map.cm.{case}").payload
+    return _fixture(reg, f"map.cm.{case}", "rational_map").payload
 
 
 def cmd_isotropy(args, reg) -> List[Check]:
@@ -379,7 +384,7 @@ def cmd_isotropy(args, reg) -> List[Check]:
     rho, point = cm.target, cm.origin_image
     checks = []
     if case == "D":
-        fx = _fixture(reg, "family.isotropy.D")
+        fx = _fixture(reg, "family.isotropy.D", "map_family")
         fam: MapFamily = fx.payload
         res = verify_family_invariance(fam, rho, catalog.ZV, catalog.ZA, fixed_point=point)
         checks.append(check_of("isotropy.D.invariance",
@@ -389,17 +394,17 @@ def cmd_isotropy(args, reg) -> List[Check]:
                                f"family fixes the basepoint {catalog.point_text(point)} "
                                "identically", bool(res.fixes_point), "", prov(fx)))
         gens = infinitesimal_generators(fam)
-        dim, _ = _generator_span(gens, _fixture(reg, "basis.Z.D").payload.fields)
+        dim, _ = _generator_span(gens, _fixture(reg, "basis.Z.D", "field_basis").payload.fields)
         checks.append(check_of("isotropy.D.dimension",
                                "isotropy group has dimension 3",
                                len(gens) == 3 and dim == 3,
                                f"{len(gens)} generators spanning {dim}", prov(fx)))
         # bridge to the linear normal-form isotropy
-        bridge_fx = _fixture(reg, "bridge.isotropy.D")
+        bridge_fx = _fixture(reg, "bridge.isotropy.D", "bridge")
         bridge = bridge_fx.payload
-        wfam = _fixture(reg, bridge.w_family).payload
-        zfam = _fixture(reg, bridge.z_family).payload
-        phi = dict(_fixture(reg, bridge.map_id).payload.components)
+        wfam = _fixture(reg, bridge.w_family, "map_family").payload
+        zfam = _fixture(reg, bridge.z_family, "map_family").payload
+        phi = dict(_fixture(reg, bridge.map_id, "rational_map").payload.components)
         pvars = wfam.params
         r, mu, nu = (MultiPoly.var(pvars, n) for n in pvars)
         param_map = {"r": r, "u": mu * bridge.u_scale, "v": nu * bridge.v_scale}
@@ -409,7 +414,7 @@ def cmd_isotropy(args, reg) -> List[Check]:
                                "polynomial isotropy with u = 16mu/25, v = 2nu/5",
                                ok, detail, prov(bridge_fx)))
         # the full family restricted to the isotropy slice equals the family
-        slice_fx = _fixture(reg, "slice.isotropy.D")
+        slice_fx = _fixture(reg, "slice.isotropy.D", "derived_slice")
         checks.append(_slice_check(reg, slice_fx))
         # the linear family preserves the normal-form graph
         checks.append(_graph_family_check(reg, "family.isotropy.D.w", "graph.cm.D",
@@ -417,7 +422,7 @@ def cmd_isotropy(args, reg) -> List[Check]:
     else:
         gens = []
         for fid in C_ISOTROPY:
-            fx = _fixture(reg, fid)
+            fx = _fixture(reg, fid, "map_family")
             res = verify_family_invariance(fx.payload, rho, catalog.ZV, catalog.ZA,
                                            fixed_point=point)
             checks.append(check_of(f"isotropy.C.invariance.{fid.split('.')[-1]}",
@@ -425,12 +430,12 @@ def cmd_isotropy(args, reg) -> List[Check]:
                                    res.ok and bool(res.fixes_point),
                                    f"multiplier {res.multiplier}", prov(fx)))
             gens.extend(infinitesimal_generators(fx.payload))
-        bad = _fixture(reg, "family.circle.C.printed")
+        bad = _fixture(reg, "family.circle.C.printed", "map_family")
         res = verify_family_invariance(bad.payload, rho, catalog.ZV, catalog.ZA)
         checks.append(check_of("isotropy.C.printed_circle_control",
                                "the circle action with the printed sign fails invariance "
                                "(negative control)", not res.ok, "", prov(bad)))
-        dim, _ = _generator_span(gens, _fixture(reg, "basis.Z.C").payload.fields)
+        dim, _ = _generator_span(gens, _fixture(reg, "basis.Z.C", "field_basis").payload.fields)
         checks.append(check_of("isotropy.C.dimension",
                                "isotropy group has dimension 3",
                                len(gens) == 3 and dim == 3,
@@ -453,9 +458,9 @@ def _generator_span(gens, basis) -> Tuple[int, List[int]]:
 def _graph_family_check(reg, family_id: str, graph_id: str, cid: str) -> Check:
     """A linear family preserves a graph Im w4 = N/D: the cross-multiplied
     defining polynomial (w4 - w4b) D - 2 i N transforms by a multiplier."""
-    fx = _fixture(reg, family_id)
+    fx = _fixture(reg, family_id, "map_family")
     fam: MapFamily = fx.payload
-    graph_fx = _fixture(reg, graph_id)
+    graph_fx = _fixture(reg, graph_id, "graph_surface")
     graph: GraphSurface = graph_fx.payload
     full_holo = graph.holo_vars + (graph.solved_var,)
     full_anti = graph.anti_vars + (graph.solved_conj,)
@@ -473,8 +478,8 @@ def _graph_family_check(reg, family_id: str, graph_id: str, cid: str) -> Check:
 
 def _slice_check(reg, slice_fx: Fixture) -> Check:
     info = slice_fx.payload
-    full: MapFamily = _fixture(reg, info.family).payload
-    target: MapFamily = _fixture(reg, info.reduces_to).payload
+    full: MapFamily = _fixture(reg, info.family, "map_family").payload
+    target: MapFamily = _fixture(reg, info.reduces_to, "map_family").payload
     assignments = dict(info.assignments)
     # the family's variables are the target's too, so they stay as they are
     values = {p: assignments[p].with_vars(target.universe) for p in full.params}
@@ -495,34 +500,34 @@ def cmd_group(args, reg) -> List[Check]:
     case = args.case
     rho = _cm_map(reg, case).target
     checks = []
-    zbasis = list(_fixture(reg, f"basis.Z.{case}").payload.fields)
+    zbasis = list(_fixture(reg, f"basis.Z.{case}", "field_basis").payload.fields)
     if case == "D":
-        fx = _fixture(reg, "family.full.D")
+        fx = _fixture(reg, "family.full.D", "map_family")
         res = verify_family_invariance(fx.payload, rho, catalog.ZV, catalog.ZA)
         checks.append(check_of("group.D.invariance",
                                "the ten-parameter family preserves the tube symbolically",
                                res.ok, f"multiplier {res.multiplier}", prov(fx)))
         gens = infinitesimal_generators(fx.payload)
         gen_sources = [(prov(fx), gens)]
-        law_fx = _fixture(reg, "family.affine.D")
+        law_fx = _fixture(reg, "family.affine.D", "map_family")
     else:
         gen_sources = []
-        afx = _fixture(reg, "family.affine.C")
-        px = _fixture(reg, "surface.table.5").payload.defining
+        afx = _fixture(reg, "family.affine.C", "map_family")
+        px = _fixture(reg, "surface.table.5", "hypersurface").payload.defining
         res = verify_family_invariance(afx.payload, px)
         checks.append(check_of("group.C.affine_invariance",
                                "the affine family preserves the base surface in R^4",
                                res.ok, f"multiplier {res.multiplier}", prov(afx)))
         zlift = _lift_family_to_z(afx.payload)
         gen_sources.append((prov(afx), infinitesimal_generators(zlift)))
-        tfx = _fixture(reg, "family.translations.z")
+        tfx = _fixture(reg, "family.translations.z", "map_family")
         rest = verify_family_invariance(tfx.payload, rho, catalog.ZV, catalog.ZA)
         checks.append(check_of("group.C.translations",
                                "imaginary translations preserve the tube",
                                rest.ok, "", prov(tfx)))
         gen_sources.append((prov(tfx), infinitesimal_generators(tfx.payload)))
         for fid in C_ISOTROPY[1:]:  # the scaling is among the affine generators
-            gfx = _fixture(reg, fid)
+            gfx = _fixture(reg, fid, "map_family")
             gen_sources.append((prov(gfx), infinitesimal_generators(gfx.payload)))
         law_fx = afx
     sourced = [(provenance, g) for provenance, gens in gen_sources for g in gens]
@@ -557,8 +562,8 @@ def _lift_family_to_z(fam: MapFamily) -> MapFamily:
 
 def cmd_nilpotency(args, reg) -> List[Check]:
     case = args.case
-    algebra = _presentation(_fixture(reg, f"basis.Z.{case}"))
-    iso_fx = _fixture(reg, f"isospan.{case}")
+    algebra = _presentation(_fixture(reg, f"basis.Z.{case}", "field_basis"))
+    iso_fx = _fixture(reg, f"isospan.{case}", "iso_span")
     iso = iso_fx.payload
     if len(iso.vectors[0]) != algebra.dim:
         raise UsageError(f"isospan.{case} has vectors of length {len(iso.vectors[0])}, "
@@ -594,9 +599,7 @@ def cmd_nilpotency(args, reg) -> List[Check]:
 
 
 def cmd_witness(args, reg) -> List[Check]:
-    fx = _fixture(reg, args.id)
-    if fx.kind != "witness":
-        raise UsageError(f"{args.id!r} is not a witness fixture")
+    fx = _fixture(reg, args.id, "witness")
     payload = fx.payload
     ok = verify_transitivity_witness(payload.witness, payload.base)
     return [check_of(f"witness.{args.id}",
@@ -607,9 +610,9 @@ def cmd_witness(args, reg) -> List[Check]:
 def cmd_lines(args, reg) -> List[Check]:
     checks = []
     for fid in reg.group_ids("line"):
-        fx = reg[fid]
+        fx = _fixture(reg, fid, "line")
         payload = fx.payload
-        domain = _fixture(reg, payload.domain_id).payload
+        domain = _fixture(reg, payload.domain_id, "domain").payload
         if len(payload.line.point) != len(domain.expr.vars):
             raise UsageError(f"{fid} has {len(payload.line.point)} coordinates, but its domain "
                              f"{payload.domain_id} has the variables {domain.expr.vars}")
@@ -681,7 +684,7 @@ def cmd_scan(args, reg) -> List[Check]:
             claim = "solved subalgebras are closure-verified"
         checks.append(check_of(cid, claim, ok, detail, provenance))
     if args.surface == "surface.table.1m" and args.dim == 5:
-        fx = _fixture(reg, "basis.half_pseudo_ball.1m")
+        fx = _fixture(reg, "basis.half_pseudo_ball.1m", "field_basis")
         coords = expand_in_fields(fx.payload.fields, algebra.basis)
         covered = (None not in coords
                    and scan_covers_subspace(scan, [list(c) for c in coords]))
@@ -727,14 +730,16 @@ def cmd_classify(args, reg) -> List[Check]:
         """The affine symmetry algebra of a surface, or the presentation of
         a stored basis (a usage error if it is not closed), built once per call."""
         if fixture_id not in algebra_cache:
-            fx = _fixture(reg, fixture_id)
-            algebra_cache[fixture_id] = (
-                _presentation(fx) if fixture_id.startswith("basis.")
-                else affine_symmetry_algebra(fx.payload))
+            if fixture_id.startswith("basis."):
+                algebra = _presentation(_fixture(reg, fixture_id, "field_basis"))
+            else:
+                surface = _fixture(reg, fixture_id, "hypersurface").payload
+                algebra = affine_symmetry_algebra(surface)
+            algebra_cache[fixture_id] = algebra
         return algebra_cache[fixture_id]
 
     for fid in reg.group_ids("domain"):
-        fx = reg[fid]
+        fx = _fixture(reg, fid, "domain")
         spec = fx.payload
         if fid.startswith("domain.H."):
             # both rows act by the five-field wall-preserving algebra
@@ -767,8 +772,8 @@ def cmd_classify(args, reg) -> List[Check]:
 
     # the cubic-graph case coincides with the indefinite-quadric domains
     for mid in ("map.case3.derived", "map.quadric.to.Bminus"):
-        fx = _fixture(reg, mid)
-        source = _fixture(reg, fx.payload.source_graph).payload
+        fx = _fixture(reg, mid, "rational_map")
+        source = _fixture(reg, fx.payload.source_graph, "graph_surface").payload
         ok, _ = verify_surface_map(source, fx.payload.target, fx.payload.target_holo,
                                    fx.payload.target_anti, dict(fx.payload.components))
         checks.append(check_of(
@@ -778,7 +783,7 @@ def cmd_classify(args, reg) -> List[Check]:
 
     # transitivity witnesses for the four new domains
     for wid in reg.group_ids("witness"):
-        fx = reg[wid]
+        fx = _fixture(reg, wid, "witness")
         ok = verify_transitivity_witness(fx.payload.witness, fx.payload.base)
         checks.append(check_of(f"classify.{wid}",
                                "the group moves the base point to an arbitrary "
@@ -786,7 +791,7 @@ def cmd_classify(args, reg) -> List[Check]:
                                ok, "", prov(fx)))
 
     # the half-domain subalgebra drops rank on its wall
-    basis_fx = _fixture(reg, "basis.half_pseudo_ball.quadric")
+    basis_fx = _fixture(reg, "basis.half_pseudo_ball.quadric", "field_basis")
     fields = list(basis_fx.payload.fields)
     wall_rank = rank_at(fields, [0, 0, 0, 2])
     checks.append(check_of(

@@ -479,8 +479,7 @@ def verify_group_law(fam: MapFamily) -> GroupLawResult:
     assignment = {p: law[p].with_vars(big) for p in fam.params}
     for name, comp in zip(fam.variables, fam.components):
         lhs = comp.with_vars(big).subs_poly(inner_images)
-        rhs = substitute(comp, assignment)
-        if not (lhs * rhs.den - rhs.num).is_zero():
+        if RationalFunction(lhs) != substitute(comp, assignment):
             return GroupLawResult("failed", f"component {name} disagrees")
 
     ident = dict(fam.identity)
@@ -522,11 +521,9 @@ def verify_map_conjugation(phi: Mapping[str, RationalFunction],
         outer_assignment[p] = param_map[p].with_vars(universe)
 
     for i, name in enumerate(outer.variables):
-        lhs_num = phi[name].num.subs_poly(inner_images)
-        lhs_den = phi[name].den.subs_poly(inner_images)
-        rhs = substitute(outer.components[i], outer_assignment)
-        diff = lhs_num * rhs.den - rhs.num * lhs_den
-        if not diff.is_zero():
+        lhs = RationalFunction(phi[name].num.subs_poly(inner_images),
+                               phi[name].den.subs_poly(inner_images))
+        if lhs != substitute(outer.components[i], outer_assignment):
             return False, f"component {name} disagrees"
     return True, ""
 

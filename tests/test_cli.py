@@ -406,6 +406,10 @@ BAD_TREES = {
     "longspan": ("isospan.C", _longer_span),
     "shortpoint": ("line.C.gt", _set("point", value=["1", "0", "0"])),
     "shortline": ("line.C.gt", _short_line),
+    "linekind": ("line.D.gt", _set("domain", value="surface.table.6")),
+    "graphkind": ("map.case3.derived", _set("source_graph", value="surface.table.3")),
+    "sourcekind": ("domain.C.gt", _set("source_surface", value="graph.cm.C")),
+    "bridgekind": ("bridge.isotropy.D", _set("map", value="family.isotropy.D")),
     "expcoef": ("surface.table.6", _set("poly", "terms", 0, "c", value="1e5000000")),
     "decprobe": ("domain.Bp.gt", _set("probe", 0, value="1.5")),
     "bigdim": ("table.golden.C", _set("dim", value=11)),
@@ -449,9 +453,23 @@ BAD_INDEXES = {
     (["orbits", "--surface", "surface.table.6", "--probes", "1,x"], "probe '1,x'"),
     (["orbits", "--surface", "surface.table.6", "--probes", "1,2"], "has 2 coordinates"),
     (["scan", "--surface", "surface.table.3", "--dim", "9"], "--dim must be strictly between"),
-    (["verify-map", "--id", "surface.table.6"], "is not a map fixture"),
+    (["verify-map", "--id", "surface.table.6"],
+     "fixture 'surface.table.6' is of kind hypersurface, not rational_map"),
+    (["witness", "--id", "map.cm.D"], "fixture 'map.cm.D' is of kind rational_map, not witness"),
     (["symmetry", "--surface", "{tmp}/bad.json"], "JSONDecodeError"),
-    (["symmetry", "--surface", str(FIXTURES / "domain.D.gt.json")], "is not a hypersurface"),
+    (["symmetry", "--surface", str(FIXTURES / "domain.D.gt.json")],
+     "fixture 'domain.D.gt' is of kind domain, not hypersurface"),
+    (["symmetry", "--surface", "graph.cm.D"],
+     "fixture 'graph.cm.D' is of kind graph_surface, not hypersurface"),
+    # a reference field that names a fixture of the wrong kind
+    (["TUBES_FIXTURES={tmp}/linekind", "lines"],
+     "fixture 'surface.table.6' is of kind hypersurface, not domain"),
+    (["TUBES_FIXTURES={tmp}/graphkind", "verify-map", "--id", "map.case3.derived"],
+     "fixture 'surface.table.3' is of kind hypersurface, not graph_surface"),
+    (["TUBES_FIXTURES={tmp}/sourcekind", "classify"],
+     "fixture 'graph.cm.C' is of kind graph_surface, not hypersurface"),
+    (["TUBES_FIXTURES={tmp}/bridgekind", "isotropy", "--case", "D"],
+     "fixture 'family.isotropy.D' is of kind map_family, not rational_map"),
     (["TUBES_FIXTURES={tmp}/missing", "lines"], "cannot load the fixture tree"),
     (["TUBES_FIXTURES={tmp}/oops", "lines"],
      "cannot load the fixture tree '{tmp}/oops': JSONDecodeError: "),

@@ -20,8 +20,8 @@ from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 from tubes.symmetry import LieAlgebraPresentation, expand_in_fields
 
-from oracles import (boxed_terms, dense_structure, fraction_series, invariant_by_two_products,
-                     split_surface_map)
+import reference as ref
+from oracles import boxed_terms, dense_structure
 
 WG = ("w1", "w2", "w3", "w1b", "w2b", "w3b")
 W1, W2, W3, W1B, W2B, W3B = (MultiPoly.var(WG, n) for n in WG)
@@ -115,29 +115,31 @@ def test_reality_check_catches_either_side_of_a_pair_dropped(side):
 
 @pytest.mark.parametrize("case", ["D", "C"])
 @pytest.mark.parametrize("cutoff", [6, 8, 10, 12, 14, 40])
-def test_series_expand_of_the_graphs_matches_the_fraction_series(case, cutoff):
-    """The recurrence inverse on the two catalogued denominators, for the
-    graph's numerator and the control's bump, against the frozen
-    geometric series over the field of fractions."""
+def test_series_expand_of_the_graphs_matches_the_reference_series(case, cutoff):
+    """The recurrence on the two catalogued denominators, for the graph's
+    numerator and the control's bump, against the reference's long
+    division."""
     g = graph(case).im_part
     bump = W1**2 * W1B * W2B + W1B**2 * W1 * W2
     scale, expansions = series_expand([g.num, bump], g.den, cutoff)
     assert scale == g.den.const_coeff().re ** (cutoff + 1)
-    assert expansions == [fraction_series(RationalFunction(num, g.den), cutoff) * scale
-                          for num in (g.num, bump)]
+    den = ref.poly(g.den)
+    assert [ref.poly(e) for e in expansions] == [
+        ref.scale(ref.series(ref.poly(num), den, cutoff), scale) for num in (g.num, bump)]
 
 
 def oracle_parts(g, cutoff):
-    """The true bidegree parts of a graph, from the frozen fraction series."""
-    f = fraction_series(g.im_part, cutoff)
+    """The true bidegree parts of a graph, from the reference series."""
+    terms = ref.series(ref.poly(g.im_part.num), ref.poly(g.im_part.den), cutoff)
+    f = MultiPoly(g.im_part.vars, {e: GaussianRational(*c) for e, c in terms.items()})
     return f.bidegree_split(g.holo_vars, g.anti_vars)
 
 
 @pytest.mark.parametrize("case", ["D", "C"])
 @pytest.mark.parametrize("cutoff", [8, 10, 12, 14])
-def test_scaled_parts_match_the_fraction_series_split(case, cutoff):
+def test_scaled_parts_match_the_reference_series_split(case, cutoff):
     """The series keeps scale * F_kl; `part` divides it back to the true
-    F_kl, which the frozen fraction series gives part for part."""
+    F_kl, which the reference series gives part for part."""
     g = graph(case)
     series = defining_series(g, cutoff)[0]
     want = oracle_parts(g, cutoff)
@@ -161,8 +163,8 @@ BUMP32 = W1 * W2 * W1B * W2B * (W1 + W1B)
 @pytest.mark.parametrize("cutoff", [8, 14])
 def test_failed_trace_details_print_the_true_residual(bump, fails, cutoff):
     """A real (2,2) or (3,2)+(2,3) bump on graph D fails a trace condition;
-    its detail is the trace of the true part, as the frozen fraction
-    series gives it, not that of the stored multiple."""
+    its detail is the trace of the true part, as the reference series
+    gives it, not that of the stored multiple."""
     g = graph("D")
     perturbed = bumped_graph(g, bump * g.im_part.den.const_coeff())
     series = defining_series(perturbed, cutoff)[0]
@@ -233,8 +235,17 @@ def _graph_perturbations(part, rng):
                 yield (moved, part.den) if side == "num" else (part.num, moved)
 
 
+def _invariant_in_the_reference(part, pairing):
+    """num * conj(den) - conj(num) * den vanishes in the reference ring."""
+    names = part.vars
+    partner = [names.index(pairing.get(v, v)) for v in names]
+    num, den = ref.poly(part.num), ref.poly(part.den)
+    return (ref.mul(num, ref.conjugate(den, partner))
+            == ref.mul(ref.conjugate(num, partner), den))
+
+
 @pytest.mark.parametrize("fid", catalog.list_ids("graph.*"))
-def test_one_product_invariance_agrees_with_the_two_product_oracle(fid):
+def test_one_product_invariance_agrees_with_the_reference(fid):
     g = catalog.get(fid).payload
     part = g.im_part if g.re_part is None else g.re_part
     rng = random.Random(fid)
@@ -243,7 +254,7 @@ def test_one_product_invariance_agrees_with_the_two_product_oracle(fid):
         if not den.const_coeff():
             continue  # refused for its denominator before invariance is tested
         moved = RationalFunction(num, den)
-        expected = invariant_by_two_products(moved, g.pairing)
+        expected = _invariant_in_the_reference(moved, g.pairing)
         try:
             GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var, g.solved_conj,
                          *((moved, None) if g.im_part is None else (None, moved)))
@@ -347,13 +358,56 @@ def test_chern_moser_needs_cutoff():
 
 # ------------------------------------------------------------- surface maps
 
+def reference_map_value(source, target, holo, anti, phi, point):
+    """target(phi(graph)) at a point of the graph's free variables, in the
+    reference ring: w and its conjugate are w_num / D and wbar_num / D
+    there, and each anti component is its holo one conjugated; None where
+    a denominator vanishes."""
+    at = dict(zip(source.free_vars, point))
+    w_num, wbar_num, den = (ref.evaluate(ref.poly(p), point) for p in source.solved_pair())
+    if den == ref.ZERO:
+        return None
+    at[source.solved_var] = ref.pair_div(w_num, den)
+    at[source.solved_conj] = ref.pair_div(wbar_num, den)
+    pairing = dict(source.pairing)
+    pairing.update({source.solved_var: source.solved_conj,
+                    source.solved_conj: source.solved_var})
+    values = {}
+    for h, a in zip(holo, anti):
+        names = phi[h].vars
+        num, den = ref.poly(phi[h].num), ref.poly(phi[h].den)
+        # the conjugate component: conjugated coefficients at the partners' values
+        same = range(len(names))
+        for name, n, d, place in ((h, num, den, [at[v] for v in names]),
+                                  (a, ref.conjugate(num, same), ref.conjugate(den, same),
+                                   [at[pairing.get(v, v)] for v in names])):
+            d = ref.evaluate(d, place)
+            if d == ref.ZERO:
+                return None
+            values[name] = ref.pair_div(ref.evaluate(n, place), d)
+    return ref.evaluate(ref.poly(target), [values[v] for v in target.vars])
+
+
 def checked_surface_map(source, target, holo, anti, phi):
-    """verify_surface_map, whose graph step is one `substitute` call,
-    asserted equal, residual for residual, to the frozen bidegree split
-    that cleared the graph denominator by hand."""
+    """verify_surface_map, whose graph step is one `substitute` call, with
+    its residual over the free variables checked against the reference at
+    three seeded points where no denominator vanishes: the residual
+    vanishes there exactly where target(phi(graph)) does, a nonzero
+    factor apart, and the identity holds exactly when that vanishes at
+    all three."""
     got = verify_surface_map(source, target, holo, anti, phi)
-    assert got == split_surface_map(source, target, holo, anti, phi)
-    assert got[1].vars == source.free_vars
+    ok, residual = got
+    assert residual.vars == source.free_vars
+    rng = random.Random(str(target))
+    rres = ref.poly(residual)
+    zeros = []
+    for _ in range(3):
+        point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in source.free_vars]
+        value = reference_map_value(source, target, holo, anti, phi, point)
+        if value is not None:
+            zeros.append(value == ref.ZERO)
+            assert (ref.evaluate(rres, point) == ref.ZERO) == zeros[-1]
+    assert zeros and ok == all(zeros)
     return got
 
 

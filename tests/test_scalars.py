@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from tubes import scalars as scalars_module
 from tubes.scalars import GaussianRational, frac_from_str, rat
 
-from oracles import (pair, pair_add, pair_conjugate, pair_div, pair_mul, pair_pow,
-                     pair_sub)
+from reference import pair, pair_add, pair_conjugate, pair_div, pair_mul, pair_pow, pair_sub
 
 # ints, and Fractions whose small denominators make integral values such
 # as 2/2 and integral sums such as 1/2 + 1/2 common

@@ -24,9 +24,9 @@ from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
                             open_orbit_report, scan_covers_subspace,
                             subalgebra_scan, verify_transitivity_witness)
 
+import reference as ref
 from oracles import (chart_rows_from_solution, dense_structure, first_written_pivot,
-                     frozen_scan_chart, frozen_tangency_matrix,
-                     fraction_rank, fraction_rref, jacobi_holds, random_poly, realify,
+                     frozen_scan_chart, jacobi_holds, random_poly, realify,
                      tangency_multiplier)
 
 XV = ("x1", "x2", "x3", "x4")
@@ -333,8 +333,8 @@ def test_is_nilpotent_fixtures():
 
 def _series_dims_oracle(structure):
     """The lower central series dimensions of a structure tensor, from
-    dense Fraction brackets and fraction_rank, one basis of each term kept
-    by plain Gauss-Jordan (oracles.fraction_rref)."""
+    dense Fraction brackets and the reference rank, one basis of each term kept
+    by plain Gauss-Jordan (reference.rref)."""
     dense = dense_structure(structure)
     dim = len(dense)
     current = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
@@ -342,11 +342,11 @@ def _series_dims_oracle(structure):
     while True:
         brackets = [[sum((v[j] * dense[i][j][k] for j in range(dim)), Fraction(0))
                      for k in range(dim)] for i in range(dim) for v in current]
-        rank = fraction_rank(brackets)
+        rank = ref.rank(brackets)
         dims.append(rank)
         if rank in (0, dims[-2]):
             return rank == 0, tuple(dims)
-        current = fraction_rref(brackets)[0][:rank]
+        current = ref.rref(brackets)[0][:rank]
 
 
 def _upper_triangular_tensor(rng, dim):
@@ -579,7 +579,7 @@ def test_rank_at_follows_a_probe_through_affine_changes(fid):
     for a, b, changed in _affine_changes(s, random.Random(fid)):
         moved = affine_symmetry_algebra(changed).basis
         for p, rank in zip(probes, ranks):
-            work, _ = fraction_rref([row + [x - bi] for row, x, bi in zip(a, p, b)])
+            work, _ = ref.rref([row + [x - bi] for row, x, bi in zip(a, p, b)])
             y = [row[n] for row in work]
             assert [sum(c * yj for c, yj in zip(row, y)) + bi for row, bi in zip(a, b)] == p
             assert changed.point_on_surface(y) == s.point_on_surface(p)
@@ -588,30 +588,39 @@ def test_rank_at_follows_a_probe_through_affine_changes(fid):
 
 @pytest.mark.parametrize("fid", sorted(f for f in catalog.list_ids("surface.*")
                                        if catalog.get(f).kind == "hypersurface"))
-def test_tangency_rows_equal_the_frozen_product_matrix_on_the_catalog(fid):
-    _assert_tangency_rows_are_frozen(surf(fid).defining)
+def test_tangency_rows_match_the_reference_on_the_catalog(fid):
+    _assert_tangency_rows_match_the_reference(surf(fid).defining)
 
 
-def test_tangency_rows_equal_the_frozen_product_matrix_on_random_polynomials():
+def test_tangency_rows_match_the_reference_on_random_polynomials():
     """Rational coefficients, one-term polynomials and a constant term."""
     rng = random.Random(43)
     for _ in range(60):
         names = ("a", "b", "c", "d")[:rng.randint(1, 4)]
-        _assert_tangency_rows_are_frozen(
+        _assert_tangency_rows_match_the_reference(
             random_poly(rng, names, max_degree=3, max_terms=rng.choice((1, 2, 6))))
 
 
-def _assert_tangency_rows_are_frozen(p):
-    """tangency_rows(p) holds the rows of the frozen product-built matrix,
-    in another order: the same values of the same types, so the same
-    kernel, and so the same basis and structure input."""
-    got, want = tangency_rows(p), frozen_tangency_matrix(p)
+def _assert_tangency_rows_match_the_reference(p):
+    """tangency_rows(p) holds the rows of the reference's matrix, in
+    another order: one row per monomial of the real polynomials x_j
+    dP/dx_i, dP/dx_i and -P, their coefficients canonical, so the same
+    values of the same types and the same kernel."""
+    got = tangency_rows(p)
+    n = len(p.vars)
+    real = {e: (re, 0) for e, (re, _) in ref.poly(p).items() if re}
+    gradient = [ref.diff(real, i) for i in range(n)]
+    columns = [ref.mul(ref.var(n, j), gradient[i]) for i in range(n) for j in range(n)]
+    columns += gradient + [ref.scale(real, -1)]
+    monomials = {e for column in columns for e in column}
+    want = [[ref.canonical(column.get(e, ref.ZERO)[0]) for column in columns]
+            for e in monomials]
 
     def typed(rows):
         return sorted(tuple((x, type(x).__name__) for x in row) for row in rows)
 
     assert typed(got) == typed(want)
-    assert kernel_basis(got) == kernel_basis(want)
+    assert kernel_basis(got) == ref.kernel(want)
 
 
 # names whose string order differs from their index order
