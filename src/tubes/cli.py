@@ -292,6 +292,14 @@ def cmd_table(args, reg) -> List[Check]:
     return checks
 
 
+def _control_bump(graph: GraphSurface) -> MultiPoly:
+    """w1^2 conj(w1 w2) + conj(w1)^2 w1 w2, the real (2,2) term by which
+    the negative control of `normal-form` perturbs a graph."""
+    w1, w2, w1b, w2b = (MultiPoly.var(graph.im_part.vars, v)
+                        for v in graph.holo_vars[:2] + graph.anti_vars[:2])
+    return w1**2 * w1b * w2b + w1b**2 * w1 * w2
+
+
 def cmd_normal_form(args, reg) -> List[Check]:
     case = args.case
     cutoff = args.cutoff
@@ -299,22 +307,14 @@ def cmd_normal_form(args, reg) -> List[Check]:
         raise UsageError(f"--cutoff must be at least {MIN_CM_CUTOFF}, got {cutoff}")
     fx = _fixture(reg, f"graph.cm.{case}", "graph_surface")
     graph: GraphSurface = fx.payload
-    # the negative control: the numerator perturbed by a real (2,2) term
-    pairing = graph.pairing
-    holo = graph.holo_vars
-    g = graph.im_part
-    w1 = MultiPoly.var(g.num.vars, holo[0])
-    w1b = MultiPoly.var(g.num.vars, pairing[holo[0]])
-    w2 = MultiPoly.var(g.num.vars, holo[1])
-    w2b = MultiPoly.var(g.num.vars, pairing[holo[1]])
-    bump = w1**2 * w1b * w2b + w1b**2 * w1 * w2
-    # series_expand refuses only a cutoff above MAX_DEGREE, since no key it
-    # builds rises above the cutoff; this command keeps the stricter bound
-    # MAX_DEGREE less the bump's degree (251), the one its usage states
+    bump = _control_bump(graph)
+    # series_expand refuses only a cutoff above MAX_DEGREE; this command
+    # keeps the bound its usage states, MAX_DEGREE less the bump's degree
+    # (251), though the control no longer expands the bump
     top = MAX_DEGREE - bump.degree()
     if cutoff > top:
         raise UsageError(f"--cutoff must be at most {top}, got {cutoff}")
-    series, perturbed = defining_series(graph, cutoff, [bump * g.den.const_coeff()])
+    series = defining_series(graph, cutoff)
     checks = []
     try:
         series.verify_reality()
@@ -334,7 +334,10 @@ def cmd_normal_form(args, reg) -> List[Check]:
         "classical third-power trace condition on the (3,3) part (reported separately)",
         report.classical_trace3, "", prov(fx)))
 
-    control_failed = not tr.apply(perturbed.stored(2, 2)).is_zero()
+    # the control is the graph with c0 * bump added to its numerator, c0 =
+    # den(0): the bump has bidegree (2,2) and degree 4, and 1/den = 1/c0 +
+    # terms of positive degree, so the control's (2,2) part is F22 + bump
+    control_failed = not tr.apply(series.stored(2, 2) + bump * series.scale).is_zero()
     checks.append(check_of(
         f"normal_form.{case}.perturbation_control",
         "perturbing the (2,2) data breaks the first trace condition (negative control)",
@@ -747,7 +750,10 @@ def cmd_classify(args, reg) -> List[Check]:
             expected_dim = 5
         else:
             algebra = algebra_for(spec.source_surface)
-            expected_dim = EXPECTED_DIMS[spec.source_surface]
+            expected_dim = EXPECTED_DIMS.get(spec.source_surface)
+            if expected_dim is None:
+                raise UsageError(f"{fid} names the surface {spec.source_surface}, "
+                                 "which has no expected symmetry dimension")
         rank = rank_at(list(algebra.basis), list(spec.probe))
         ok = spec.probe_inside() and rank == 4 and algebra.dim == expected_dim
         checks.append(check_of(

@@ -6,14 +6,14 @@ part, the normal-form condition checks, and exact verification of
 rational coordinate changes, polynomial self-map families, their
 rational group laws, and infinitesimal generators. All checks are
 polynomial identities after clearing denominators; series truncation
-appears only in series_expand, which defining_series calls once for a
-graph and every perturbation of its numerator, and which expands each
-numerator over the denominator by the coefficient recurrence of a power
-series quotient. The series is kept as N times the true one, for the
-real rational N that series_expand returns: every normal-form condition
-is a zero test or a reality test, which a nonzero real factor does not
-change, so nothing divides by N except the true parts a caller asks for
-(BidegreeSeries.part) and the residual a failed trace condition prints.
+appears only in series_expand, which defining_series calls once per
+graph, on its numerator alone, to expand it over the denominator by the
+coefficient recurrence of a power series quotient. The series is kept
+as N times the true one, for the real rational N that series_expand
+returns: every normal-form condition is a zero test or a reality test,
+which a nonzero real factor does not change, so nothing divides by N
+except the true parts a caller asks for (BidegreeSeries.part) and the
+residual a failed trace condition prints.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fields import HoloField
 from .linalg import invert_gaussian_matrix, poly_div_exact
-from .poly import (MultiPoly, RationalFunction, conjugation_pairing, denominator_lcm,
-                   poly_sum, series_expand, specialize_each, substitute)
+from .poly import (MultiPoly, RationalFunction, conjugate_each, conjugation_pairing,
+                   denominator_lcm, poly_sum, series_expand, specialize_each, substitute)
 from .record import Record
 from .relations import RelationContext
 from .scalars import I, ZERO, GaussianRational, Rational, ScalarLike
@@ -71,12 +71,13 @@ class BidegreeSeries(Record):
         """Raise AssertionError unless conj F_kl = F_lk for every part.
         Conjugation is an involution, so each mirror pair is checked once:
         (k, l) with k > l is skipped when (l, k) is present. The scale is
-        real, so the stored multiples are compared as they are."""
-        pairing = self.pairing
-        for (k, l), poly in self.parts.items():
-            if k > l and (l, k) in self.parts:
-                continue
-            if poly.conjugate(pairing) != self.stored(l, k):
+        real, so the stored multiples are compared as they are. The
+        pairing is checked and the swap planned once for all the parts
+        (`conjugate_each`)."""
+        keys = [(k, l) for k, l in self.parts if not (k > l and (l, k) in self.parts)]
+        conjugates = conjugate_each([self.parts[key] for key in keys], self.pairing)
+        for (k, l), conj in zip(keys, conjugates):
+            if conj != self.stored(l, k):
                 raise AssertionError(f"reality fails between parts {(k, l)} and {(l, k)}")
 
 
@@ -185,44 +186,21 @@ class GraphSurface(Record):
         return w_num, wbar_num, den
 
 
-def defining_series(surface: GraphSurface, cutoff: int,
-                    bumps: Sequence[MultiPoly] = ()) -> List[BidegreeSeries]:
-    """Expand the graph function num/den through `cutoff` and split it by
-    bidegree, and do the same for (num + bump)/den for each bump, whose
-    variables are those of num. Returns the graph's series, then one
-    series per bump.
-
-    All expansions come from one series_expand call, with one scale: a
-    bumped expansion is the graph's plus that of bump/den, which is exact
-    because the expansion is linear in the numerator. So are its parts:
-    only the parts of bump/den are split, and each is added to a copy of
-    the graph's parts, a part that cancels being dropped. Every series
-    keeps the N * F_kl that series_expand gives, with N as its scale;
-    nothing is divided here. The vanishing of each constant part is
-    verified. Reality of the split is a reported check
+def defining_series(surface: GraphSurface, cutoff: int) -> BidegreeSeries:
+    """Expand the graph function num/den through `cutoff`, by one
+    series_expand call, and split it by bidegree. The series keeps the
+    N * F_kl that series_expand gives, with N as its scale; nothing is
+    divided here. The vanishing of the constant part is verified.
+    Reality of the split is a reported check
     (BidegreeSeries.verify_reality), not a precondition."""
     if surface.im_part is None:
         raise ValueError("defining_series expects the normal-form graph pattern")
     g = surface.im_part
-    scale, (expansion, *deltas) = series_expand([g.num, *bumps], g.den, cutoff)
-    graph_parts = expansion.bidegree_split(surface.holo_vars, surface.anti_vars)
-    all_parts = [graph_parts]
-    for delta in deltas:
-        parts = dict(graph_parts)
-        for key, part in delta.bidegree_split(surface.holo_vars, surface.anti_vars).items():
-            total = parts[key] + part if key in parts else part
-            if total:
-                parts[key] = total
-            else:
-                del parts[key]
-        all_parts.append(parts)
-    out = []
-    for parts in all_parts:
-        series = BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, parts, scale)
-        if (0, 0) in parts:
-            raise ValueError("defining function does not vanish at the origin")
-        out.append(series)
-    return out
+    scale, (expansion,) = series_expand([g.num], g.den, cutoff)
+    parts = expansion.bidegree_split(surface.holo_vars, surface.anti_vars)
+    if (0, 0) in parts:
+        raise ValueError("defining function does not vanish at the origin")
+    return BidegreeSeries(cutoff, surface.holo_vars, surface.anti_vars, parts, scale)
 
 
 class NormalFormReport(Record):
@@ -393,7 +371,7 @@ class MapFamily(Record):
         for c, cb in self.relations.unit_pairs:
             pairing[c] = cb
             pairing[cb] = c
-        return [comp.with_vars(universe).conjugate(pairing) for comp in self.components]
+        return conjugate_each([comp.with_vars(universe) for comp in self.components], pairing)
 
     def unit_pair_params(self) -> Tuple[str, ...]:
         out: List[str] = []
@@ -441,10 +419,19 @@ def verify_family_invariance(fam: MapFamily, surface: MultiPoly,
     images.update((name, comp.with_vars(universe))
                   for name, comp in zip(fam.variables, fam.components))
 
-    rho = surface.with_vars(universe)
-    image = fam.relations.reduce_poly(rho.subs_poly(images))
+    # over Gaussian integers, so the composition multiplies no Fraction:
+    # rho times its lcm of coefficient denominators, and an image c with
+    # such an lcm d > 1 as d * c / d, whose constant d `substitute` clears;
+    # the image and rho scale together, so the quotient stays the same
+    rho = surface.with_vars(universe) * denominator_lcm(surface)
+    composed = substitute(rho, {
+        name: c if (d := denominator_lcm(c)) == 1
+        else RationalFunction(c * d, MultiPoly.const(universe, d))
+        for name, c in images.items()})
+    image = fam.relations.reduce_poly(composed.num)
     try:
-        multiplier: Optional[MultiPoly] = poly_div_exact(image, rho).with_vars(fam.params)
+        multiplier: Optional[MultiPoly] = poly_div_exact(
+            image, rho * composed.den).with_vars(fam.params)
     except ValueError:  # rho does not divide the image, or the quotient uses a coordinate
         multiplier = None
     fixes: Optional[bool] = None

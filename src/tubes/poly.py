@@ -385,26 +385,9 @@ class MultiPoly:
     # ----------------------------------------------------- conjugation, split
 
     def conjugate(self, pairing: Mapping[str, str]) -> "MultiPoly":
-        """Swap paired variables and conjugate coefficients.
-
-        The pairing must be an involution on names; a variable may be
-        paired with itself (a real variable). Every variable actually
-        used by the polynomial must be paired.
-        """
-        for a, b in pairing.items():
-            if pairing.get(b) != a:
-                raise ValueError(f"pairing is not an involution at {a!r}")
-        for v in self.vars:
-            if v in pairing and pairing[v] not in self.vars:
-                raise ValueError(f"conjugate variable {pairing[v]!r} absent from {self.vars}")
-        unpaired = [v for v in self.used_vars() if v not in pairing]
-        if unpaired:
-            raise ValueError(f"unpaired variables in conjugation: {unpaired}")
-        # the pairing is an involution, so each variable moves to the
-        # position of its partner
-        swapped = tuple(pairing.get(v, v) for v in self.vars)
-        return _poly(self.vars, _moved(self.re_terms, self.vars, swapped),
-                     {k: -c for k, c in _moved(self.im_terms, self.vars, swapped).items()})
+        """Swap paired variables and conjugate coefficients, under the
+        rules of `conjugate_each`."""
+        return conjugate_each([self], pairing)[0]
 
     def bidegree_split(self, holo_vars: Sequence[str], anti_vars: Sequence[str]):
         """Split into bihomogeneous parts keyed by (holo degree, anti degree)."""
@@ -746,6 +729,33 @@ def specialize_each(polys: Sequence[MultiPoly],
                     s = acc_im.get(key)
                     acc_im[key] = im if s is None else s + im
         out.append(_poly(rest, _canonical(acc_re), _canonical(acc_im)))
+    return out
+
+
+def conjugate_each(polys: Sequence[MultiPoly],
+                   pairing: Mapping[str, str]) -> List[MultiPoly]:
+    """Each of polys, all over one variable tuple, with paired variables
+    swapped and coefficients conjugated. The pairing must be an
+    involution on names, in which a variable may be paired with itself (a
+    real variable), and every variable that a poly uses must be paired.
+    The pairing is checked, and the swap planned, once for all of polys."""
+    variables = polys[0].vars if polys else ()
+    for a, b in pairing.items():
+        if pairing.get(b) != a:
+            raise ValueError(f"pairing is not an involution at {a!r}")
+    for v in variables:
+        if v in pairing and pairing[v] not in variables:
+            raise ValueError(f"conjugate variable {pairing[v]!r} absent from {variables}")
+    paired = all(v in pairing for v in variables)
+    swapped = tuple(pairing.get(v, v) for v in variables)
+    out = []
+    for p in polys:
+        p._check_same_vars(polys[0])
+        unpaired = [] if paired else [v for v in p.used_vars() if v not in pairing]
+        if unpaired:
+            raise ValueError(f"unpaired variables in conjugation: {unpaired}")
+        out.append(_poly(variables, _moved(p.re_terms, variables, swapped),
+                         {k: -c for k, c in _moved(p.im_terms, variables, swapped).items()}))
     return out
 
 
@@ -1362,7 +1372,7 @@ class RationalFunction:
         return RationalFunction(self.num.with_vars(variables), self.den.with_vars(variables))
 
     def conjugate(self, pairing: Mapping[str, str]) -> "RationalFunction":
-        return RationalFunction(self.num.conjugate(pairing), self.den.conjugate(pairing))
+        return RationalFunction(*conjugate_each((self.num, self.den), pairing))
 
     def _coerced(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):

@@ -89,7 +89,7 @@ def test_criterion_03_normal_form():
     details = []
     for case in ("D", "C"):
         graph = catalog.get(f"graph.cm.{case}").payload
-        series = defining_series(graph, 8)[0]
+        series = defining_series(graph, 8)
         tr = trace_from_levi(series.part(1, 1), WHOLO, WANTI)
         report = chern_moser_check(series, tr)
         failed = tuple(name for name, ok, _ in report.conditions if not ok)
@@ -105,7 +105,7 @@ def test_criterion_03_normal_form():
     perturbed = GraphSurface(graph.holo_vars, graph.anti_vars, graph.slice_var,
                              graph.solved_var, graph.solved_conj, None,
                              RationalFunction(graph.im_part.num + bump, graph.im_part.den))
-    series_p = defining_series(perturbed, 8)[0]
+    series_p = defining_series(perturbed, 8)
     tr = trace_from_levi(series_p.part(1, 1), WHOLO, WANTI)
     control = "tr F22 = 0" in [name for name, ok, _ in chern_moser_check(series_p, tr).conditions
                                if not ok]

@@ -410,6 +410,8 @@ BAD_TREES = {
     "graphkind": ("map.case3.derived", _set("source_graph", value="surface.table.3")),
     "sourcekind": ("domain.C.gt", _set("source_surface", value="graph.cm.C")),
     "bridgekind": ("bridge.isotropy.D", _set("map", value="family.isotropy.D")),
+    # a catalogued hypersurface that EXPECTED_DIMS does not list
+    "nodims": ("domain.C.gt", _set("source_surface", value="surface.table.2.cubic")),
     "expcoef": ("surface.table.6", _set("poly", "terms", 0, "c", value="1e5000000")),
     "decprobe": ("domain.Bp.gt", _set("probe", 0, value="1.5")),
     "bigdim": ("table.golden.C", _set("dim", value=11)),
@@ -468,6 +470,9 @@ BAD_INDEXES = {
      "fixture 'surface.table.3' is of kind hypersurface, not graph_surface"),
     (["TUBES_FIXTURES={tmp}/sourcekind", "classify"],
      "fixture 'graph.cm.C' is of kind graph_surface, not hypersurface"),
+    (["TUBES_FIXTURES={tmp}/nodims", "classify"],
+     "domain.C.gt names the surface surface.table.2.cubic, which has no expected "
+     "symmetry dimension"),
     (["TUBES_FIXTURES={tmp}/bridgekind", "isotropy", "--case", "D"],
      "fixture 'family.isotropy.D' is of kind map_family, not rational_map"),
     (["TUBES_FIXTURES={tmp}/missing", "lines"], "cannot load the fixture tree"),
@@ -817,11 +822,11 @@ def test_non_real_series_is_a_reality_fail(monkeypatch, capsys):
 
 @pytest.mark.parametrize("case", ["D", "C"])
 def test_perturbation_control_fails_when_the_bump_vanishes(monkeypatch, capsys, case):
-    """The control is live: with the graph's own series in place of the
-    perturbed one it reports FAIL."""
-    expand = cli.defining_series
-    monkeypatch.setattr(cli, "defining_series",
-                        lambda graph, cutoff, bumps: [expand(graph, cutoff)[0]] * 2)
+    """The control is live: with the bump patched to zero it reads the
+    graph's own (2,2) part and reports FAIL."""
+    from tubes.poly import MultiPoly
+
+    monkeypatch.setattr(cli, "_control_bump", lambda graph: MultiPoly.zero(graph.im_part.vars))
     code = cli.main(["--json", "normal-form", "--case", case])
     assert code == 1
     checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -829,6 +834,59 @@ def test_perturbation_control_fails_when_the_bump_vanishes(monkeypatch, capsys, 
     assert control["verdict"] == "FAIL"
     assert control["details"] == "perturbed series unexpectedly passed"
     assert [c["id"] for c in checks.values() if c["verdict"] == "FAIL"] == [control["id"]]
+
+
+@pytest.mark.parametrize("case", ["D", "C"])
+def test_normal_form_expands_one_numerator_once(monkeypatch, case):
+    """Cost guard: a `normal-form` run makes one series_expand call, on
+    the graph's numerator alone; the control reads no expansion of its
+    own."""
+    from tubes import normal_form, poly
+
+    calls = []
+    expand = poly.series_expand
+
+    def counted(nums, den, cutoff):
+        calls.append(len(nums))
+        return expand(nums, den, cutoff)
+
+    for module in (cli, normal_form, poly):
+        if hasattr(module, "series_expand"):
+            monkeypatch.setattr(module, "series_expand", counted)
+    assert cli.main(["normal-form", "--case", case]) == 0
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("argv", [["isotropy", "--case", "D"], ["isotropy", "--case", "C"],
+                                  ["group", "--case", "D"], ["group", "--case", "C"]])
+def test_family_invariance_multiplies_no_fraction(argv, monkeypatch):
+    """Cost guard: inside verify_family_invariance no product (`poly._mac`)
+    gets a Fraction coefficient, since rho and every image are scaled to
+    Gaussian integers before they are composed."""
+    from fractions import Fraction
+
+    from tubes import poly
+
+    mac, invariance = poly._mac, cli.verify_family_invariance
+    inside, fractions = [], []
+
+    def counted(acc_re, acc_im, *parts):
+        if inside:
+            fractions.append(any(type(c) is Fraction for terms in parts[:4]
+                                 for c in terms.values()))
+        return mac(acc_re, acc_im, *parts)
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return invariance(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(poly, "_mac", counted)
+    monkeypatch.setattr(cli, "verify_family_invariance", traced)
+    assert cli.main(argv) == 0
+    assert fractions and not any(fractions)
 
 
 def test_engine_key_error_is_not_a_usage_error(monkeypatch):

@@ -106,6 +106,24 @@ def test_lowest_terms_agrees_with_the_reference_on_planted_common_factors():
             assert _agrees_with_the_reference(rf)
 
 
+def test_lowest_terms_agrees_with_the_reference_in_a_later_variable():
+    """The planted quotients moved to w2 of (w1, w2, w3), with num given
+    w1 and w3 terms too: the denominator and the common factor use a
+    variable after the first, whose exponent field lowest_terms must
+    find; every one reduces."""
+    names = ("w1", "w2", "w3")
+    w1, w3 = MultiPoly.var(names, "w1"), MultiPoly.var(names, "w3")
+
+    def in_w2(p):
+        return p.rename_vars({"x": "w2"}).with_vars(names)
+
+    for num, den, common in _planted_common_factors():
+        num = in_w2(num) * (w1 + 2) + in_w2(den) * w3**2
+        rf = RationalFunction(num * in_w2(common), in_w2(den * common))
+        assert lowest_terms(rf) is not rf
+        assert _agrees_with_the_reference(rf)
+
+
 def test_lowest_terms_agrees_with_the_reference_on_the_catalogued_maps(monkeypatch):
     """Every component that a fresh Registry hands lowest_terms while it
     builds the map group, unreduced; at least 3 of them reduce."""

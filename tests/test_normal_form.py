@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import tubes.poly
-from tubes import catalog
+from tubes import catalog, cli
 from tubes.fields import lie_bracket
 from tubes.linalg import rref_rows
 from tubes.normal_form import (BidegreeSeries, GraphSurface, MapFamily, chern_moser_check,
@@ -44,7 +44,7 @@ def failed_names(report):
 # ------------------------------------------------------------------- series
 
 def test_series_parts_match_recorded_values():
-    series = defining_series(graph("D"), 8)[0]
+    series = defining_series(graph("D"), 8)
     assert series.part(1, 1) == (W3 * W3B + W1 * W2B + W2 * W1B) * Fraction(1, 2)
     want22 = ((W1**2 * W1B * W2B + W1B**2 * W1 * W2) * Fraction(-5, 32)
               + (W1**2 * W3B**2 + W1B**2 * W3**2) * Fraction(25, 64)
@@ -62,7 +62,7 @@ def test_series_parts_match_recorded_values():
 
 def test_series_multiply_back():
     g = graph("D")
-    series = defining_series(g, 8)[0]
+    series = defining_series(g, 8)
     total = MultiPoly.zero(WG)
     for k, l in series.parts:
         total = total + series.part(k, l)
@@ -75,7 +75,7 @@ def test_series_multiply_back():
 
 def test_series_reality_and_origin():
     for case in ("D", "C"):
-        series = defining_series(graph(case), 8)[0]
+        series = defining_series(graph(case), 8)
         series.verify_reality()
         assert series.part(0, 0).is_zero()
 
@@ -83,7 +83,7 @@ def test_series_reality_and_origin():
 def mirrored_parts():
     """The graph-D parts with a real (3,1) + (1,3) pair added, so that
     both sides of that mirror pair are present."""
-    parts = dict(defining_series(graph("D"), 8)[0].parts)
+    parts = dict(defining_series(graph("D"), 8).parts)
     parts[(3, 1)] = W1**3 * W2B * (2 + I)
     parts[(1, 3)] = W1B**3 * W2 * (2 - I)
     return parts
@@ -111,6 +111,22 @@ def test_reality_check_catches_either_side_of_a_pair_dropped(side):
     del parts[side]
     with pytest.raises(AssertionError, match="reality fails"):
         verify_reality(parts)
+
+
+def test_reality_check_calls_no_per_part_conjugate(monkeypatch):
+    """Cost guard: verify_reality checks the pairing and plans the swap
+    once for all the parts (`conjugate_each`), so it calls
+    MultiPoly.conjugate zero times; a perturbed part still fails."""
+    calls = []
+    conjugate = MultiPoly.conjugate
+    monkeypatch.setattr(MultiPoly, "conjugate",
+                        lambda self, pairing: calls.append(self) or conjugate(self, pairing))
+    defining_series(graph("D"), 14).verify_reality()
+    parts = mirrored_parts()
+    parts[(1, 3)] = parts[(1, 3)] + W1**2 * W3 * W1B
+    with pytest.raises(AssertionError, match="reality fails"):
+        verify_reality(parts)
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["D", "C"])
@@ -141,7 +157,7 @@ def test_scaled_parts_match_the_reference_series_split(case, cutoff):
     """The series keeps scale * F_kl; `part` divides it back to the true
     F_kl, which the reference series gives part for part."""
     g = graph(case)
-    series = defining_series(g, cutoff)[0]
+    series = defining_series(g, cutoff)
     want = oracle_parts(g, cutoff)
     assert set(series.parts) == set(want)
     assert series.scale == g.im_part.den.const_coeff().re ** (cutoff + 1)
@@ -167,7 +183,7 @@ def test_failed_trace_details_print_the_true_residual(bump, fails, cutoff):
     gives it, not that of the stored multiple."""
     g = graph("D")
     perturbed = bumped_graph(g, bump * g.im_part.den.const_coeff())
-    series = defining_series(perturbed, cutoff)[0]
+    series = defining_series(perturbed, cutoff)
     assert series.scale != 1
     want = oracle_parts(perturbed, cutoff)
     zero = MultiPoly.zero(WG)
@@ -182,19 +198,22 @@ def test_failed_trace_details_print_the_true_residual(bump, fails, cutoff):
         assert details[name] == (t.is_zero(), "" if t.is_zero() else str(t))
 
 
+def twisted(g, unit=1 + 2 * I):
+    """g with num and den both times unit: the same function over a
+    denominator with a non-real constant term when unit is not real."""
+    return GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var, g.solved_conj,
+                        None, RationalFunction(g.im_part.num * unit, g.im_part.den * unit))
+
+
 @pytest.mark.parametrize("cutoff", [8, 14])
 def test_non_real_denominator_constant_gives_a_real_scale(cutoff):
-    """Graph D with num and den both times 1 + 2i: the same function over a
-    denominator with a non-real constant term. The scale is |c0|**(2(cutoff+1)),
-    a positive rational, and the true parts and the verdicts are plain D's."""
+    """Graph D with num and den both times 1 + 2i. The scale is
+    |c0|**(2(cutoff+1)), a positive rational, and the true parts and the
+    verdicts are plain D's; a non-real bump still fails reality."""
     g = graph("D")
-    unit = 1 + 2 * I
-    twisted = GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var,
-                           g.solved_conj, None,
-                           RationalFunction(g.im_part.num * unit, g.im_part.den * unit))
-    bump = W1**2 * W1B**2 * I  # not real
-    series, perturbed = defining_series(twisted, cutoff, [bump])
-    plain = defining_series(g, cutoff)[0]
+    twin = twisted(g)
+    series = defining_series(twin, cutoff)
+    plain = defining_series(g, cutoff)
     assert isinstance(series.scale, (int, Fraction)) and series.scale > 0
     assert series.scale == (256 * 256 * 5) ** (cutoff + 1)
     assert set(series.parts) == set(plain.parts)
@@ -203,12 +222,17 @@ def test_non_real_denominator_constant_gives_a_real_scale(cutoff):
     series.verify_reality()
     tr = trace_from_levi(series.part(1, 1), g.holo_vars, g.anti_vars)
     assert chern_moser_check(series, tr) == chern_moser_check(plain, tr)
+    # a graph refuses non-real data, so the bumped expansion is split by hand
+    scale, (bumped,) = series_expand([twin.im_part.num + W1**2 * W1B**2 * I],
+                                     twin.im_part.den, cutoff)
+    perturbed = BidegreeSeries(cutoff, g.holo_vars, g.anti_vars,
+                               bumped.bidegree_split(g.holo_vars, g.anti_vars), scale)
     with pytest.raises(AssertionError, match="reality fails"):
         perturbed.verify_reality()
 
 
 def test_hermitian_quadric_series_only_11_part():
-    series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)[0]
+    series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)
     assert set(series.parts.keys()) == {(1, 1)}
 
 
@@ -270,7 +294,7 @@ def test_one_product_invariance_agrees_with_the_reference(fid):
 # -------------------------------------------------------------------- trace
 
 def test_trace_matches_displayed_operator():
-    series = defining_series(graph("D"), 6)[0]
+    series = defining_series(graph("D"), 6)
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     two = GaussianRational(2)
     zero = GaussianRational(0)
@@ -291,7 +315,7 @@ def test_trace_degenerate():
 
 @pytest.mark.parametrize("case", ["D", "C"])
 def test_chern_moser_conditions_pass(case):
-    series = defining_series(graph(case), 8)[0]
+    series = defining_series(graph(case), 8)
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     report = chern_moser_check(series, tr)
     assert not failed_names(report), failed_names(report)
@@ -299,7 +323,7 @@ def test_chern_moser_conditions_pass(case):
 
 
 def test_chern_moser_quadric_vacuous():
-    series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)[0]
+    series = defining_series(catalog.get("graph.hermitian.quadric").payload, 6)
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     assert not failed_names(chern_moser_check(series, tr))
 
@@ -308,49 +332,29 @@ def test_chern_moser_perturbation_control():
     g = graph("D")
     bump = W1**2 * W1B * W2B + W1B**2 * W1 * W2
     perturbed = bumped_graph(g, bump * 256)
-    series = defining_series(perturbed, 8)[0]
+    series = defining_series(perturbed, 8)
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     assert "tr F22 = 0" in failed_names(chern_moser_check(series, tr))
 
 
-@pytest.mark.parametrize("case", ["D", "C"])
+@pytest.mark.parametrize("case", ["D", "C", "D twisted"])
 @pytest.mark.parametrize("cutoff", [6, 8, 14])
-def test_bumped_series_equals_the_perturbed_graph_expanded_alone(case, cutoff):
-    """The control series of `normal-form`, the graph's expansion plus
-    that of bump/den over the same inverse, is the series of the
-    perturbed graph expanded on its own, part for part."""
-    g = graph(case)
-    bump = (W1**2 * W1B * W2B + W1B**2 * W1 * W2) * g.im_part.den.const_coeff()
-    series, control = defining_series(g, cutoff, [bump])
-    perturbed = GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var,
-                             g.solved_conj, None,
-                             RationalFunction(g.im_part.num + bump, g.im_part.den))
-    alone, = defining_series(perturbed, cutoff)
-    assert control.parts == alone.parts
-    assert series.parts == defining_series(g, cutoff)[0].parts
-
-
-@pytest.mark.parametrize("case", ["D", "C"])
-@pytest.mark.parametrize("cutoff", [6, 8, 14])
-def test_bumped_parts_equal_a_full_split_of_the_bumped_expansion(case, cutoff):
-    """defining_series splits only the bump's expansion and adds its parts
-    to the graph's; that equals splitting the whole bumped expansion,
-    term for term, with no part left that cancelled."""
-    g = graph(case)
-    holo, anti = g.holo_vars, g.anti_vars
-    den0 = g.im_part.den.const_coeff()
-    # the first bump cancels the graph's (1,1) part, the second changes others
-    for bump, cancels in ((-g.im_part.num.truncate(2), True),
-                          ((W1**2 * W1B * W2B + W1B**2 * W1 * W2) * den0, False)):
-        scale, (expansion, delta) = series_expand([g.im_part.num, bump], g.im_part.den, cutoff)
-        control = defining_series(g, cutoff, [bump])[1]
-        assert control.scale == scale
-        assert control.parts == (expansion + delta).bidegree_split(holo, anti)
-        assert ((1, 1) in control.parts) != cancels
+def test_control_part_equals_the_perturbed_graph_expanded_alone(case, cutoff):
+    """The (2,2) part that the control of `normal-form` reads without an
+    expansion, stored(2,2) + scale * bump, is the stored (2,2) part of the
+    graph with c0 * bump added to its numerator (c0 = den(0)) expanded on
+    its own: bump has bidegree (2,2) and degree 4, and 1/den = 1/c0 +
+    terms of positive degree. The twisted graph has a non-real c0."""
+    g = twisted(graph("D")) if case == "D twisted" else graph(case)
+    assert cli._control_bump(g) == BUMP22
+    series = defining_series(g, cutoff)
+    alone = defining_series(bumped_graph(g, BUMP22 * g.im_part.den.const_coeff()), cutoff)
+    assert alone.scale == series.scale
+    assert series.stored(2, 2) + BUMP22 * series.scale == alone.stored(2, 2)
 
 
 def test_chern_moser_needs_cutoff():
-    series = defining_series(graph("D"), 4)[0]
+    series = defining_series(graph("D"), 4)
     tr = trace_from_levi(series.part(1, 1), ("w1", "w2", "w3"), ("w1b", "w2b", "w3b"))
     with pytest.raises(ValueError):
         chern_moser_check(series, tr)

@@ -16,8 +16,8 @@ import tubes.symmetry
 from tubes import catalog, cli
 from tubes.fields import VectorField, lie_bracket
 from tubes.poly import (MAX_DEGREE, MultiPoly, Powers, RationalFunction, _divmod, _poly,
-                        poly_div_exact, poly_sum, product_sum, series_expand, subs_each,
-                        substitute, values_at)
+                        conjugate_each, poly_div_exact, poly_sum, product_sum, series_expand,
+                        subs_each, substitute, values_at)
 from tubes.relations import RelationContext
 from tubes.scalars import GaussianRational, I
 
@@ -973,6 +973,27 @@ def test_conjugate_example():
 @given(polys(variables=("a", "b", "ab", "bb")))
 def test_conjugate_involution(p):
     assert p.conjugate(PAIRING).conjugate(PAIRING) == p
+
+
+def test_conjugate_each_keeps_the_checks_of_conjugate():
+    """The batch conjugates each poly as `conjugate` does and refuses what
+    it refuses: a pairing that is no involution, a partner outside the
+    variables, a used variable left unpaired and polys over other
+    variables. x is real, paired with itself."""
+    vs = ("a", "ab", "x")
+    a, ab, x = (MultiPoly.var(vs, n) for n in vs)
+    pairing = {"a": "ab", "ab": "a", "x": "x"}
+    polys = [a * I + x, ab**2 * 3 - a * x * (1 + I), a * 0]
+    assert conjugate_each(polys, pairing) == [ab * -I + x, a**2 * 3 - ab * x * (1 - I), a * 0]
+    assert conjugate_each([], pairing) == []
+    with pytest.raises(ValueError, match="not an involution at 'x'"):
+        conjugate_each([a], {"a": "ab", "ab": "a", "x": "ab"})
+    with pytest.raises(ValueError, match="conjugate variable 'q' absent"):
+        conjugate_each([a], {"a": "ab", "ab": "a", "x": "q", "q": "x"})
+    with pytest.raises(ValueError, match=r"unpaired variables in conjugation: \['x'\]"):
+        conjugate_each([a, a * x], {"a": "ab", "ab": "a"})
+    with pytest.raises(ValueError, match="variable mismatch"):
+        conjugate_each([a, MultiPoly.var(("a", "ab"), "a")], pairing)
 
 
 def test_rational_function_equality_cross_multiplication():
