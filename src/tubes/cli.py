@@ -744,6 +744,7 @@ def cmd_classify(args, reg) -> List[Check]:
     for fid in reg.group_ids("domain"):
         fx = _fixture(reg, fid, "domain")
         spec = fx.payload
+        source = _fixture(reg, spec.source_surface, "hypersurface").payload
         if fid.startswith("domain.H."):
             # both rows act by the five-field wall-preserving algebra
             algebra = algebra_for("basis.half_pseudo_ball.quadric")
@@ -755,12 +756,20 @@ def cmd_classify(args, reg) -> List[Check]:
                 raise UsageError(f"{fid} names the surface {spec.source_surface}, "
                                  "which has no expected symmetry dimension")
         rank = rank_at(list(algebra.basis), list(spec.probe))
-        ok = spec.probe_inside() and rank == 4 and algebra.dim == expected_dim
+        # the domain is one side of its source surface: {P > 0} for .gt, {-P > 0} for .lt
+        sign = "-" if fid.endswith(".lt") else "+"
+        untied = []
+        if spec.expr != (-source.defining if sign == "-" else source.defining):
+            untied.append(f"expr is not {sign}P of {spec.source_surface}")
+        if spec.constraints != source.constraints:
+            untied.append(f"constraints are not those of {spec.source_surface}")
+        ok = (spec.probe_inside() and rank == 4 and algebra.dim == expected_dim
+              and not untied)
         checks.append(check_of(
             f"classify.{fid}",
             "the domain probe is interior and the acting algebra has an open orbit "
             f"there (dimension {expected_dim}, rank 4)",
-            ok, f"dimension {algebra.dim}, rank {rank}", prov(fx)))
+            ok, "; ".join([f"dimension {algebra.dim}, rank {rank}"] + untied), prov(fx)))
 
     # closed-surface row: no open orbits from either printed variant
     for sid in sorted(NO_ORBIT_SURFACES):

@@ -11,18 +11,20 @@ column off its reduced rows, rref_rows keeps its nonzero rows, and
 solve_columns runs it once on [columns | t_1 ... t_T] with pivots
 restricted to the columns, so one elimination answers every target t_i
 of a shared coefficient matrix. det_exact, over polynomial entries,
-where a division is an exact polynomial division (poly.poly_div_exact)
-and costly, eliminates fraction-free (Bareiss).
+where a division would be an exact polynomial division and costly,
+divides nothing: it takes the columns greedily and expands each minor,
+once, from the minors one size smaller.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd, lcm
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-# poly_div_exact works on term dicts, so it lives in poly; det_exact and
-# the callers of linalg.poly_div_exact use it from here
-from .poly import MultiPoly, poly_div_exact
+# poly_div_exact works on term dicts, so it lives in poly; its callers
+# import it from here
+from .poly import MultiPoly, poly_div_exact, product_sum
 from .scalars import GaussianRational, Rational, _canon, _div, _gr
 
 
@@ -151,13 +153,17 @@ def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     (n <= m), in itertools.combinations column order, or zero when the
     generic rank is below n; for a square matrix, its determinant.
 
-    Fraction-free (Bareiss) elimination with exact polynomial division
-    picks pivot columns greedily from the left, over the fraction field
-    the lexicographically first independent ones. After step r, entry
-    rows[r][c] of pivot column c is the minor of the swapped rows 0..r on
-    the pivot columns so far; entries left of a row's pivot are never
-    cleared or read. The minor at the n-th pivot, signed by the row swaps,
-    is the answer.
+    The columns of that minor are the greedy basis: each column, left to
+    right, is taken when it is independent of the columns taken before it
+    over the fraction field, which makes the set lexicographically first
+    (Edmonds, Math. Programming 1, 1971). The minors decide independence,
+    without any division, by Laplace expansion along the last column with
+    the minors of the level below kept (Gentleman & Johnson, ACM TOMS 2(3),
+    1976): the minor of the rows R on the columns taken and a candidate is
+    the alternating sum of the candidate's entries in R times the minors
+    of R less that row on the columns taken, one `poly.product_sum`. The
+    candidate is taken when one of these minors is nonzero, and its
+    nonzero minors become the level below. Each minor is computed once.
     """
     n = len(matrix)
     m = len(matrix[0]) if n else 0
@@ -168,28 +174,27 @@ def det_exact(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     variables = matrix[0][0].vars
     if any(entry.vars != variables for row in matrix for entry in row):
         raise ValueError("matrix entries must share a variable tuple")
-    rows = [list(row) for row in matrix]
-    prev = None  # the first step divides by nothing
-    sign = 1
-    r = 0
-    for c in range(m):
-        pivot_row = next((i for i in range(r, n) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
-        top = rows[r]
-        p = top[c]
-        for row in rows[r + 1:]:
-            if not any(row[c:]):
-                continue
-            f = row[c]
-            for j in range(c + 1, m):
-                num = p * row[j] - f * top[j]
-                row[j] = num if prev is None else poly_div_exact(num, prev)
-        prev = p
-        r += 1
-        if r == n:
-            return p if sign > 0 else -p
+    # the nonzero minors on the columns taken, by their sorted rows
+    minors: Dict[Tuple[int, ...], MultiPoly] = {}
+    taken = 0
+    for j in range(m):
+        column = [row[j] for row in matrix]
+        if not taken:
+            grown = {(i,): entry for i, entry in enumerate(column) if entry}
+        else:
+            grown = {}
+            for rows in combinations(range(n), taken + 1):
+                signed = ([], [])  # (added, subtracted): row p has sign (-1)^(p + taken)
+                for p, i in enumerate(rows):
+                    sub = minors.get(rows[:p] + rows[p + 1:])
+                    if sub is not None and column[i]:
+                        signed[(p + taken) & 1].append((column[i], sub))
+                if signed[0] or signed[1]:
+                    det = product_sum(variables, *signed)
+                    if det:
+                        grown[rows] = det
+        if grown:
+            minors, taken = grown, taken + 1
+            if taken == n:
+                return grown[tuple(range(n))]
     return MultiPoly.zero(variables)

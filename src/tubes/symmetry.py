@@ -350,7 +350,11 @@ class OrbitReport(Record):
 
 def open_orbit_report(algebra: LieAlgebraPresentation, surface: Hypersurface,
                       probes: Sequence[Sequence[Rational]]) -> OrbitReport:
-    """Determinant / minor analysis of the algebra's pointwise rank."""
+    """Determinant / minor analysis of the algebra's pointwise rank.
+
+    A nonzero value of the first nonzero maximal minor at an accepted probe
+    proves rank n there; only the probes where it vanishes, or where there
+    is no such minor, take the exact rank (`rank_at`)."""
     n = len(surface.variables)
     fields = list(algebra.basis)
     minor = minors_scan(fields)[0] if algebra.dim >= n else None
@@ -361,7 +365,10 @@ def open_orbit_report(algebra: LieAlgebraPresentation, surface: Hypersurface,
         if surface.point_on_surface(point):
             records.append(ProbeRecord(point, "probe lies on the surface", None, False))
             continue
-        rk = rank_at(fields, point)
+        if minor and minor.eval_at(dict(zip(surface.variables, point))):
+            rk = n
+        else:
+            rk = rank_at(fields, point)
         records.append(ProbeRecord(point, None, rk, rk == n))
     if algebra.dim < n or all_zero:
         verdict = "no open orbits: fields are nowhere of full rank"

@@ -141,6 +141,44 @@ def test_orbits_of_a_zero_dimensional_algebra_fail_at_rank_0(tmp_path, capsys):
     assert len(fails) == 1 and fails[0].endswith("(rank 0)")
 
 
+def test_orbits_keep_their_verdicts_and_ranks_when_p_is_negated(tmp_path, monkeypatch, capsys):
+    """Metamorphic relation (sign): -P = 0 is the surface P = 0, with the
+    same affine symmetry algebra and the same sides. On a fixture tree whose
+    surfaces all have P negated, `orbits` on every surface of EXPECTED_DIMS
+    and NO_ORBIT_SURFACES, at its domain probes and seeded random ones,
+    keeps every check id, verdict and rank, and its minor up to sign."""
+    from tubes.fields import minors_scan
+    surfaces = sorted(set(cli.EXPECTED_DIMS) | cli.NO_ORBIT_SURFACES)
+    argvs = [["orbits", "--surface", sid, "--random-probes", "3", "--seed", "55"]
+             for sid in surfaces]
+    monkeypatch.delenv("TUBES_FIXTURES", raising=False)
+    before = [run_json(argv, capsys) for argv in argvs]
+    tree = tmp_path / "tree"
+    shutil.copytree(FIXTURES, tree)
+    for sid in surfaces:
+        path = tree / f"{sid}.json"
+        obj = json.loads(path.read_text())
+        for term in obj["payload"]["poly"]["terms"]:
+            term["c"] = str(-Fraction(term["c"]))
+        path.write_text(json.dumps(obj))
+    monkeypatch.setenv("TUBES_FIXTURES", str(tree))
+    reg = catalog.active_registry()
+    for sid, argv, (code, report) in zip(surfaces, argvs, before):
+        assert reg[sid].payload.defining == -catalog.get(sid).payload.defining
+        negated_code, negated = run_json(argv, capsys)
+        checks = {c["id"]: (c["verdict"], c["details"]) for c in report["checks"]}
+        assert negated_code == code and checks
+        for c in negated["checks"]:
+            verdict, details = checks.pop(c["id"])
+            assert c["verdict"] == verdict, c["id"]
+            if c["id"].startswith("orbits.det."):
+                minor = minors_scan(list(affine_symmetry_algebra(catalog.get(sid).payload).basis))[0]
+                assert details == str(minor) and c["details"] in (str(minor), str(-minor))
+            else:
+                assert c["details"] == details, c["id"]
+        assert not checks, sid
+
+
 def test_random_probes_are_canonical_rationals_of_the_same_draws():
     class Recorded(random.Random):
         def randint(self, a, b):
@@ -749,7 +787,9 @@ def test_reading_a_broken_fixture_is_a_usage_error(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("argv, decodes", [
     (["witness", "--id", "witness.C.gt"], 1),
     (["lines"], 8),  # the four lines and their four domains
-    (["classify"], 31),
+    # the 14 domains, their 7 source surfaces, the 2 closed surfaces, the
+    # wall-preserving basis, 2 maps with their 2 graphs and the 4 witnesses
+    (["classify"], 32),
 ])
 def test_commands_decode_only_the_fixtures_they_read(argv, decodes, monkeypatch, capsys):
     from tubes import catalog
@@ -1011,12 +1051,18 @@ CLASSIFY_CONTROLS = {
         _x_field(**{n: [("1", [0, 0, 0, 0])]}) for n in ("x2", "x3", "x4")])},
                   {"classify.domain.H.gt": "dimension 4, rank 4",
                    "classify.domain.H.lt": "dimension 4, rank 4"}),
+    # table.4.a0's algebra has an open orbit at the probe of C.gt, whose
+    # expr and side constraint x1 > 0 are those of table.5, not of table.4.a0
+    "source": ({"domain.C.gt": lambda p: p.update(source_surface="surface.table.4.a0")},
+               {"classify.domain.C.gt": "dimension 4, rank 4; expr is not +P of "
+                "surface.table.4.a0; constraints are not those of surface.table.4.a0"}),
 }
 
 
 @pytest.mark.parametrize("control", sorted(CLASSIFY_CONTROLS))
 def test_classify_fails_when_one_conjunct_fails(control, tmp_path, monkeypatch, capsys):
-    """probe inside, rank 4 and the catalogued dimension: break one."""
+    """probe inside, rank 4, the catalogued dimension and a side of the
+    source surface: break one."""
     from tubes import catalog
     edits, expected = CLASSIFY_CONTROLS[control]
     code, failed, tree = _run_on_edited_tree(tmp_path, monkeypatch, capsys, ["classify"], edits)

@@ -213,7 +213,7 @@ def test_poly_div_exact_and_inexact():
     assert poly_div_exact(f, x + y) == (x - y) * (x + 2)
     with pytest.raises(ValueError):
         poly_div_exact(x * y + 1, x + y)
-    # a quotient of the kind det_exact's Bareiss steps take
+    # a quotient by a product of two of f's factors
     assert poly_div_exact(f, (x - y) * (x + 2)) == x + y
 
 

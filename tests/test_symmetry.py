@@ -381,6 +381,19 @@ def test_open_orbit_report_case6():
     assert rep.probes[1].rank == 4
     assert rep.probes[2].rejected is not None
     assert rep.determinant is not None
+    assert rep.verdict == "open orbit at every accepted probe"
+
+
+def test_open_orbit_report_is_mixed_where_a_probe_drops_rank():
+    """table.5 has four fields, whose determinant -2 x1 P vanishes on the
+    wall x1 = 0; the probe (0, 0, 0, 1) there is off the surface and of
+    rank below 4, while (1, 0, 0, 2) has rank 4."""
+    s = surf("surface.table.5")
+    rep = open_orbit_report(algebra("surface.table.5"), s, [(1, 0, 0, 2), (0, 0, 0, 1)])
+    assert rep.determinant == -2 * X1 * s.defining
+    assert [(r.rejected, r.rank, r.open_orbit) for r in rep.probes] == [(None, 4, True),
+                                                                       (None, 3, False)]
+    assert rep.verdict == "mixed or undetermined at the probes"
 
 
 def test_open_orbit_report_sphere():
@@ -391,9 +404,17 @@ def test_open_orbit_report_sphere():
 
 
 def test_open_orbit_case1_probe():
+    """The seven fields of table.1p have the first maximal minor 2 x1^2 P,
+    which vanishes at the probe (0, 0, 0, 1) off the surface; the rank
+    there is still 4, by another minor, and the report takes it from
+    rank_at."""
     s = surf("surface.table.1p")
-    rep = open_orbit_report(algebra("surface.table.1p"), s, [(0, 0, 0, 1)])
-    assert rep.probes[0].rank == 4
+    alg = algebra("surface.table.1p")
+    minor = minors_scan(list(alg.basis))[0]
+    assert alg.dim > 4 and minor == 2 * X1 ** 2 * s.defining
+    assert not s.point_on_surface((0, 0, 0, 1)) and not minor.eval_at(dict(zip(XV, (0, 0, 0, 1))))
+    rep = open_orbit_report(alg, s, [(0, 0, 0, 1)])
+    assert rep.probes[0].rank == 4 == rank_at(list(alg.basis), (0, 0, 0, 1))
 
 
 def test_orbit_report_basis_independent():
@@ -584,6 +605,65 @@ def test_rank_at_follows_a_probe_through_affine_changes(fid):
             assert [sum(c * yj for c, yj in zip(row, y)) + bi for row, bi in zip(a, b)] == p
             assert changed.point_on_surface(y) == s.point_on_surface(p)
             assert rank_at(moved, y) == rank, (fid, p, y)
+
+
+def _domain_probes(fid):
+    domains = (catalog.get(d).payload for d in catalog.list_ids("domain.*"))
+    return [d.probe for d in domains if d.source_surface == fid]
+
+
+@pytest.mark.parametrize("fid", SMALL_HYPERSURFACES)
+def test_open_orbit_report_takes_each_rank_the_minor_does_not_prove_from_rank_at(
+        fid, monkeypatch):
+    """At the surface's domain probes and twelve seeded random ones, half
+    of them on x1 = 0, where the first minors of the wider algebras
+    vanish off the surface: every rank of the report is rank_at's, and
+    rank_at runs exactly at the accepted probes where the minor is zero
+    or missing. The sphere's minors are all zero and the cubic has fewer
+    fields than variables, so there it runs at every accepted probe."""
+    s, alg = surf(fid), algebra(fid)
+    n = len(s.variables)
+    rng = random.Random(fid + ".orbits")
+    probes = _domain_probes(fid) + [
+        tuple(0 if k == 0 and t % 2 else Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+              for k in range(n)) for t in range(12)]
+    minor = minors_scan(list(alg.basis))[0] if alg.dim >= n else None
+    ranked = []
+
+    def counting_rank_at(fields, point):
+        ranked.append(tuple(point))
+        return rank_at(fields, point)
+
+    monkeypatch.setattr(symmetry, "rank_at", counting_rank_at)
+    rep = open_orbit_report(alg, s, probes)
+    accepted = [r for r in rep.probes if r.rejected is None]
+    assert len(accepted) >= 6
+    for r in accepted:
+        assert r.rank == rank_at(list(alg.basis), r.point) and r.open_orbit == (r.rank == n)
+    assert ranked == [tuple(r.point) for r in accepted
+                      if not (minor and minor.eval_at(dict(zip(s.variables, r.point))))]
+
+
+def test_minors_divide_nothing_on_the_orbit_and_chart_matrices(monkeypatch):
+    """Cost guard: det_exact divides no polynomial, so neither the orbit
+    minors of the catalogued surfaces nor the minors of the solved k = n
+    charts that `scan` analyses reach poly._divmod."""
+    from tubes import poly
+    orbits = [list(alg.basis) for alg in map(algebra, SMALL_HYPERSURFACES)
+              if alg.dim >= len(alg.basis[0].variables)]
+    charts = [(algebra(fid), chart.rows, surf(fid))
+              for fid in ("surface.quadric.half", "surface.table.3")
+              for chart in _solved(subalgebra_scan(algebra(fid), 4))]
+    assert len(orbits) == 11 and len(charts) == 5
+
+    def refuse(f, g):
+        raise AssertionError(f"a minor divided {f} by {g}")
+
+    monkeypatch.setattr(poly, "_divmod", refuse)
+    for fields in orbits:
+        minors_scan(fields)
+    for chart in charts:
+        _family_minors(*chart)
 
 
 @pytest.mark.parametrize("fid", sorted(f for f in catalog.list_ids("surface.*")
