@@ -690,7 +690,7 @@ def cmd_scan(args, reg) -> List[Check]:
         fx = _fixture(reg, "basis.half_pseudo_ball.1m", "field_basis")
         coords = expand_in_fields(fx.payload.fields, algebra.basis)
         covered = (None not in coords
-                   and scan_covers_subspace(scan, [list(c) for c in coords]))
+                   and scan_covers_subspace(algebra, scan, [list(c) for c in coords]))
         checks.append(check_of(
             f"scan.{args.surface}.k5.recovers_half_domain_subalgebra",
             "the scan's chart outcome contains the wall-preserving five-dimensional "

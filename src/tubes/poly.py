@@ -209,10 +209,6 @@ class MultiPoly:
             return self == MultiPoly.const(self.vars, other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.re_terms.items()),
-                     frozenset(self.im_terms.items())))
-
     def _check_same_vars(self, other: "MultiPoly") -> None:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
@@ -1398,9 +1394,6 @@ class RationalFunction:
         except TypeError:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __hash__(self):
-        raise TypeError("rational functions are not hashable (unreduced representation)")
 
     def __str__(self) -> str:
         if self.is_polynomial():

@@ -4,9 +4,11 @@ A subclass lists its fields as annotations, after those of its bases; a
 class attribute of the same name is that field's default, shared by every
 instance. Kept from frozen dataclasses: __init__ by position or keyword
 (TypeError on too many, missing or unknown arguments, then __post_init__),
-AttributeError on assignment and deletion, equality within one class and a
-hash over the field tuple, and the repr Name(a=..., b=...). Unlike them it
-generates no code per class, which was most of the package's import time.
+AttributeError on assignment and deletion, equality within one class, and
+the repr Name(a=..., b=...). Records have no hash: no path keys a dict or
+a set by one, and defining __eq__ alone makes hash() a TypeError. Unlike
+frozen dataclasses it generates no code per class, which was most of the
+package's import time.
 """
 
 
@@ -44,9 +46,6 @@ class Record:
             return NotImplemented
         fields = self._fields
         return [self.__dict__[n] for n in fields] == [other.__dict__[n] for n in fields]
-
-    def __hash__(self):
-        return hash(tuple(self.__dict__[n] for n in self._fields))
 
     def __repr__(self):
         body = ", ".join(f"{n}={self.__dict__[n]!r}" for n in self._fields)

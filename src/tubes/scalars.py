@@ -13,9 +13,11 @@ is a thin exact complex layer whose re and im parts are such canonical
 rationals. It lives at the edges: a polynomial holds the real and the
 imaginary parts of its coefficients as two dicts of rationals and boxes
 a coefficient only to hand it out (poly.py), and every linear solve runs
-over the rationals on those parts (linalg.py). No floating point enters
-anywhere in this package: a part is never a float or a bool, and
-division goes through Fraction, never through int / int.
+over the rationals on those parts (linalg.py). So a GaussianRational has
+no +, - or ** and no hash: the engine adds parts, not boxes. It keeps
+==, negation, conjugation, * and /, which the edges use. No floating
+point enters anywhere in this package: a part is never a float or a
+bool, and division goes through Fraction, never through int / int.
 """
 
 from __future__ import annotations
@@ -44,16 +46,15 @@ def _div(x: Rational, y: Rational) -> Rational:
 
 
 def rat(value) -> Rational:
-    """Parse an exact canonical rational from an int, Fraction or 'p/q' string
-    (read by frac_from_str)."""
+    """The exact canonical rational of an int or a Fraction; a bool becomes
+    a plain int, and anything else, a float or a string among them, is a
+    TypeError (a string is read by frac_from_str)."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return _canon(value)
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, str):
-        return frac_from_str(value)
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
 
@@ -90,7 +91,7 @@ class GaussianRational:
     def coerce(value: ScalarLike) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction, str)):
+        if isinstance(value, (int, Fraction)):
             return _gr(rat(value), 0)
         raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
@@ -110,34 +111,8 @@ class GaussianRational:
             return not self.im and self.re == other
         return NotImplemented
 
-    def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GaussianRational(other)
-        return _gr(_canon(self.re + other.re), _canon(self.im + other.im))
-
-    __radd__ = __add__
-
     def __neg__(self):
         return _gr(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GaussianRational(other)
-        return _gr(_canon(self.re - other.re), _canon(self.im - other.im))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return GaussianRational(other) - self
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
@@ -167,18 +142,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("GaussianRational powers must be nonnegative ints")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __str__(self) -> str:
         if not self.im:
             return str(self.re)
@@ -204,5 +167,4 @@ def _gr(re: Rational, im: Rational) -> GaussianRational:
 
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

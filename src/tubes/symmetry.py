@@ -131,10 +131,10 @@ class LieAlgebraPresentation(Record):
         return cls(basis, _antisymmetric(len(basis), upper))
 
     def bracket_coords(self, u: Sequence[object], v: Sequence[object]) -> list:
-        """Coordinates of [u, v] for coordinate vectors of scalars (ints,
-        Fractions or GaussianRationals, summed from 0), or of polynomials
-        over one variable tuple, which give polynomials; each coordinate
-        sums the terms of the (sparse) structure constants once."""
+        """Coordinates of [u, v] for coordinate vectors of rationals (ints or
+        Fractions, summed from 0), or of polynomials over one variable
+        tuple, which give polynomials; each coordinate sums the terms of
+        the (sparse) structure constants once."""
         parts: List[list] = [[] for _ in range(self.dim)]
         for ui, row in zip(u, self.structure):
             if not ui:
@@ -572,10 +572,9 @@ def _chart_system(algebra: LieAlgebraPresentation, pivots: Tuple[int, ...],
     return eqs
 
 
-def chart_coordinates_of_subspace(rows: Sequence[Sequence[Rational]]):
-    """RREF a subspace basis of rational rows and return (pivot columns,
-    value map for the corresponding chart variables)."""
-    reduced = linalg.rref_rows(rows)
+def chart_coordinates_of_subspace(reduced: Sequence[Sequence[Rational]]):
+    """(pivot columns, value map for the corresponding chart variables) of
+    a subspace basis in RREF."""
     pivots = []
     for row in reduced:
         lead = next(i for i, x in enumerate(row) if x)
@@ -589,9 +588,18 @@ def chart_coordinates_of_subspace(rows: Sequence[Sequence[Rational]]):
     return tuple(pivots), values
 
 
-def scan_covers_subspace(scan: ScanResult, rows: Sequence[Sequence[Rational]]) -> bool:
-    """True when the scan's outcome for the subspace's chart contains it."""
-    pivots, values = chart_coordinates_of_subspace(rows)
+def scan_covers_subspace(algebra: LieAlgebraPresentation, scan: ScanResult,
+                         rows: Sequence[Sequence[Rational]]) -> bool:
+    """True when the span of the rational rows is bracket-closed, tested
+    directly by one rank, and the scan's outcome for its chart contains it.
+    An UNRESOLVED chart holds only its residuals, which the equations it
+    eliminated do not constrain, so its outcome alone cannot refuse a
+    subspace that is not closed."""
+    reduced = linalg.rref_rows(rows)
+    brackets = [algebra.bracket_coords(u, v) for u, v in itertools.combinations(reduced, 2)]
+    if len(linalg.rref_rows(reduced + brackets)) != len(reduced):
+        return False
+    pivots, values = chart_coordinates_of_subspace(reduced)
     for chart in scan.charts:
         if chart.pivots != pivots:
             continue

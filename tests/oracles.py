@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from tubes.fields import VectorField
 from tubes.poly import MultiPoly
-from tubes.scalars import I, ONE, GaussianRational
+from tubes.scalars import I, GaussianRational
 from tubes.symmetry import ChartOutcome, _residuals
 
 from reference import rref
@@ -137,7 +137,7 @@ def frozen_scan_chart(algebra, k: int, pivots: Tuple[int, ...]):
         if pick is None:
             return ChartOutcome(pivots, "unresolved", residual=tuple(e for e, _ in eqs))
         var, c = pick
-        expr = (e - MultiPoly.var(tvars, var) * c) * (-ONE / c)
+        expr = (e - MultiPoly.var(tvars, var) * c) * (GaussianRational(-1) / c)
         steps.append((var, expr))
         del eqs[n]
         left = []
@@ -180,7 +180,7 @@ def str_terms(p: MultiPoly) -> str:
         )
         if not mono:
             bits.append(str(c))
-        elif c == ONE:
+        elif c == 1:
             bits.append(mono)
         else:
             bits.append(f"{c}*{mono}")
@@ -201,8 +201,9 @@ def random_poly(rng, variables, max_degree=2, max_terms=4, complex_coeffs=False)
         else:
             coeff = GaussianRational(Fraction(num, den))
         if coeff:
-            terms[tuple(exps)] = terms.get(tuple(exps), GaussianRational(0)) + coeff
-    return MultiPoly(variables, {e: c for e, c in terms.items() if c})
+            re, im = terms.get(tuple(exps), (0, 0))
+            terms[tuple(exps)] = (re + coeff.re, im + coeff.im)
+    return MultiPoly(variables, {e: GaussianRational(*c) for e, c in terms.items() if any(c)})
 
 
 def realify(z: VectorField) -> VectorField:

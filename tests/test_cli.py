@@ -275,6 +275,33 @@ def test_unresolved_count_fails_when_a_chart_is_missing(dropped, monkeypatch, ca
     assert count["details"] == f"{5 if dropped == 0 else 6} unresolved of 9 charts"
 
 
+def test_scan_fails_a_half_domain_span_that_is_not_closed(tmp_path, monkeypatch, capsys):
+    """basis.half_pseudo_ball.1m with its chart coordinate t2_5 raised from
+    1 to 2: the span lies in the UNRESOLVED chart (0, 1, 3, 4, 6), whose
+    residuals it satisfies, but it is not bracket-closed. The decoder does
+    not check closure of a field basis, so the tree loads, and only the
+    recovery check turns from PASS to FAIL."""
+    from tubes.fields import linear_combination
+    from tubes.interchange import FIELD
+    from tubes.linalg import rref_rows
+    from tubes.symmetry import expand_in_fields
+    argv = ["scan", "--surface", "surface.table.1m", "--dim", "5"]
+    monkeypatch.delenv("TUBES_FIXTURES", raising=False)
+    _, before = run_json(argv, capsys)
+    basis = affine_symmetry_algebra(catalog.get("surface.table.1m").payload).basis
+    fields = catalog.get("basis.half_pseudo_ball.1m").payload.fields
+    rows = rref_rows([list(c) for c in expand_in_fields(fields, basis)])
+    assert rows[2][5] == 1
+    rows[2][5] = 2
+    moved = [FIELD[0](linear_combination(row, basis)) for row in rows]
+    code, failed, _ = _run_on_edited_tree(tmp_path, monkeypatch, capsys, argv, {
+        "basis.half_pseudo_ball.1m": lambda payload: payload.update(fields=moved)})
+    cid = "scan.surface.table.1m.k5.recovers_half_domain_subalgebra"
+    was = {c["id"]: c["verdict"] for c in before["checks"]}
+    unresolved = {c["id"]: c["details"] for c in before["checks"] if c["verdict"] != "PASS"}
+    assert code == 1 and was[cid] == "PASS" and failed == {cid: "check failed", **unresolved}
+
+
 def test_normal_form_cutoff_flag(capsys):
     code, report = run_json(["normal-form", "--case", "C", "--cutoff", "7"], capsys)
     assert code == 0

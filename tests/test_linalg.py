@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
@@ -15,7 +16,7 @@ from tubes.fields import VectorField, linear_combination, rank_at
 from tubes.linalg import (det_exact, invert_gaussian_matrix, kernel_basis, poly_div_exact,
                           rref_rows, solve_columns)
 from tubes.poly import MultiPoly, RationalFunction, coefficient_columns, lowest_terms, poly_sum
-from tubes.scalars import ONE, ZERO, GaussianRational, _div
+from tubes.scalars import ZERO, GaussianRational, _div
 from tubes.symmetry import affine_symmetry_algebra, expand_in_fields
 
 import reference as ref
@@ -314,6 +315,13 @@ def _random_rational(rng):
     return _div(rng.randint(-4, 4), rng.randint(1, 3))
 
 
+def _add(x, y):
+    """x + y; Gaussian rationals, which have no +, add as reference pairs."""
+    if isinstance(x, GaussianRational):
+        return GaussianRational(*ref.pair_add(ref.pair(x), ref.pair(y)))
+    return x + y
+
+
 def _random_matrix(rng, nrows, ncols, rank_cap=None, entry=_random_rational):
     """Random matrix of entry(rng) values, canonical rationals by default;
     with rank_cap, the rows past the first rank_cap are combinations of
@@ -322,7 +330,7 @@ def _random_matrix(rng, nrows, ncols, rank_cap=None, entry=_random_rational):
     for i in range(nrows):
         if rank_cap is not None and i >= rank_cap:
             a, b = entry(rng), entry(rng)
-            rows.append([a * x + b * y for x, y in zip(rows[0], rows[rng.randrange(i)])])
+            rows.append([_add(a * x, b * y) for x, y in zip(rows[0], rows[rng.randrange(i)])])
         else:
             rows.append([entry(rng) for _ in range(ncols)])
     return rows
@@ -334,7 +342,7 @@ def _canonical(xs):
 
 
 def _matmul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO)
+    return [[reduce(_add, (a[i][k] * b[k][j] for k in range(len(b))), ZERO)
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
@@ -343,7 +351,7 @@ def test_invert_gaussian_matrix_random():
     for n in (1, 2, 3, 4):
         for _ in range(6):
             # L U with a unit lower and a nonsingular upper triangle is invertible
-            lower = [[ONE if i == j else _random_gaussian(rng) if j < i else ZERO
+            lower = [[GaussianRational(1) if i == j else _random_gaussian(rng) if j < i else ZERO
                       for j in range(n)] for i in range(n)]
             upper = [[_random_gaussian(rng) if j > i else ZERO for j in range(n)]
                      for i in range(n)]
@@ -351,7 +359,8 @@ def test_invert_gaussian_matrix_random():
                 while not upper[i][i]:
                     upper[i][i] = _random_gaussian(rng)
             a = _matmul(lower, upper)
-            identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+            identity = [[GaussianRational(1) if i == j else ZERO for j in range(n)]
+                        for i in range(n)]
             inv = invert_gaussian_matrix(a)
             assert inv is not None
             assert _matmul(a, inv) == identity
@@ -481,7 +490,8 @@ def test_real_solves_agree_with_the_reference_elimination_over_q_i():
             continue
         # targets: a real combination, one with a non-real weight, a random pair
         weights = [[_random_rational(rng) for _ in range(ncols)] for _ in range(2)]
-        weights[1][rng.randrange(ncols)] += GaussianRational(0, rng.choice([-2, 1, 3]))
+        k = rng.randrange(ncols)
+        weights[1][k] = GaussianRational(weights[1][k], rng.choice([-2, 1, 3]))
         targets = [tuple(poly_sum(xy, [col[i] * w for col, w in zip(columns, ws)])
                          for i in range(2)) for ws in weights]
         targets.append(tuple(random_poly(rng, xy, complex_coeffs=True) for _ in range(2)))

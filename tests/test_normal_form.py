@@ -84,8 +84,8 @@ def mirrored_parts():
     """The graph-D parts with a real (3,1) + (1,3) pair added, so that
     both sides of that mirror pair are present."""
     parts = dict(defining_series(graph("D"), 8).parts)
-    parts[(3, 1)] = W1**3 * W2B * (2 + I)
-    parts[(1, 3)] = W1B**3 * W2 * (2 - I)
+    parts[(3, 1)] = W1**3 * W2B * GaussianRational(2, 1)
+    parts[(1, 3)] = W1B**3 * W2 * GaussianRational(2, -1)
     return parts
 
 
@@ -198,7 +198,7 @@ def test_failed_trace_details_print_the_true_residual(bump, fails, cutoff):
         assert details[name] == (t.is_zero(), "" if t.is_zero() else str(t))
 
 
-def twisted(g, unit=1 + 2 * I):
+def twisted(g, unit=GaussianRational(1, 2)):
     """g with num and den both times unit: the same function over a
     denominator with a non-real constant term when unit is not real."""
     return GraphSurface(g.holo_vars, g.anti_vars, g.slice_var, g.solved_var, g.solved_conj,
@@ -252,7 +252,7 @@ def _graph_perturbations(part, rng):
         for exps, c in boxed_terms(poly):
             delta = GaussianRational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)),
                                      rng.choice((0, 0, 1, -1)))
-            for new_c in (0, c + delta):
+            for new_c in (0, GaussianRational(c.re + delta.re, c.im + delta.im)):
                 terms = dict(boxed_terms(poly))
                 terms[exps] = new_c
                 moved = MultiPoly(poly.vars, terms)
@@ -477,8 +477,9 @@ def test_an_imaginary_translation_after_a_cm_map_keeps_its_identity(mid):
                                    payload.target_anti, moved)
         assert ok is holds
         # the basepoint moves by the translation, the members' value at 0
-        assert map_at_origin(moved, family.variables) == [
-            o + member.const_coeff() for o, member in zip(payload.origin_image, members)]
+        assert [ref.pair(o) for o in map_at_origin(moved, family.variables)] == [
+            ref.pair_add(ref.pair(o), ref.pair(member.const_coeff()))
+            for o, member in zip(payload.origin_image, members)]
 
 
 @pytest.mark.parametrize("mid", ["map.cm.C", "map.cm.D"])
@@ -877,13 +878,13 @@ def test_generator_structure_constants_match_golden_table():
     for a in range(dim):
         for b in range(dim):
             # [G_a, G_b] in the Z basis, two ways
-            direct = [GaussianRational(0)] * dim
+            direct = [ref.ZERO] * dim
             for d in range(dim):
                 c = gen_table[a][b][d]
                 if c:
                     for g_ in range(dim):
-                        direct[g_] = direct[g_] + m[d][g_] * c
-            via_table = [GaussianRational(0)] * dim
+                        direct[g_] = ref.pair_add(direct[g_], ref.pair(m[d][g_] * c))
+            via_table = [ref.ZERO] * dim
             for e in range(dim):
                 if not m[a][e]:
                     continue
@@ -894,7 +895,7 @@ def test_generator_structure_constants_match_golden_table():
                     for g_ in range(dim):
                         cc = z_table[e][f][g_]
                         if cc:
-                            via_table[g_] = via_table[g_] + prod * cc
+                            via_table[g_] = ref.pair_add(via_table[g_], ref.pair(prod * cc))
             assert direct == via_table, (a, b)
 
 

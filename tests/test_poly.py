@@ -983,8 +983,9 @@ def test_conjugate_each_keeps_the_checks_of_conjugate():
     vs = ("a", "ab", "x")
     a, ab, x = (MultiPoly.var(vs, n) for n in vs)
     pairing = {"a": "ab", "ab": "a", "x": "x"}
-    polys = [a * I + x, ab**2 * 3 - a * x * (1 + I), a * 0]
-    assert conjugate_each(polys, pairing) == [ab * -I + x, a**2 * 3 - ab * x * (1 - I), a * 0]
+    one_plus_i, one_minus_i = GaussianRational(1, 1), GaussianRational(1, -1)
+    polys = [a * I + x, ab**2 * 3 - a * x * one_plus_i, a * 0]
+    assert conjugate_each(polys, pairing) == [ab * -I + x, a**2 * 3 - ab * x * one_minus_i, a * 0]
     assert conjugate_each([], pairing) == []
     with pytest.raises(ValueError, match="not an involution at 'x'"):
         conjugate_each([a], {"a": "ab", "ab": "a", "x": "ab"})

@@ -15,8 +15,8 @@ from tubes.linalg import kernel_basis, rref_rows
 from tubes.poly import (MultiPoly, linear_pivot, merge_vars, poly_sum, tangency_rows,
                         variable_keys)
 from tubes.scalars import GaussianRational
-from tubes.symmetry import (ComplexLine, Hypersurface, LieAlgebraPresentation,
-                            _chart_system, _residuals,
+from tubes.symmetry import (ChartOutcome, ComplexLine, Hypersurface, LieAlgebraPresentation,
+                            ScanResult, _chart_system, _residuals,
                             affine_symmetry_algebra, expand_in_fields,
                             is_nilpotent,
                             line_in_domain_check,
@@ -496,7 +496,53 @@ def test_scan_recovers_half_domain_subalgebra():
         c = expand_in_fields([f], alg.basis)[0]
         assert c is not None
         rows.append(list(c))
-    assert scan_covers_subspace(scan, rows)
+    assert scan_covers_subspace(alg, scan, rows)
+
+
+def test_scan_covers_a_closed_subspace_only_where_its_chart_outcome_holds_it():
+    """The half-domain subalgebra is closed, with t2_5 = 1 in its chart
+    (0, 1, 3, 4, 6). Outcomes made up for that chart cover it exactly when
+    they hold it: an UNRESOLVED chart by its residuals, a solved one by its
+    solution, an empty one never, and a missing chart never."""
+    alg = algebra("surface.table.1m")
+    fields = catalog.get("basis.half_pseudo_ball.1m").payload.fields
+    rows = [list(c) for c in expand_in_fields(fields, alg.basis)]
+    pivots = (0, 1, 3, 4, 6)
+    tvars = tuple(f"t{a}_{j}" for a in range(5) for j in (2, 5))
+    free = tuple(v for v in tvars if v != "t2_5")
+    t25 = MultiPoly.var(tvars, "t2_5")
+    for chart, covered in [
+            (ChartOutcome(pivots, "unresolved", residual=(t25 - 1,)), True),
+            (ChartOutcome(pivots, "unresolved", residual=(t25 - 2,)), False),
+            (ChartOutcome(pivots, "solved", free, (("t2_5", MultiPoly.const(free, 1)),)), True),
+            (ChartOutcome(pivots, "solved", free, (("t2_5", MultiPoly.const(free, 2)),)), False),
+            (ChartOutcome(pivots, "empty"), False),
+            (ChartOutcome((0, 1, 2, 3, 4), "unresolved"), False)]:
+        assert scan_covers_subspace(alg, ScanResult((chart,)), rows) is covered, chart
+
+
+def test_scan_covers_no_unit_perturbation_of_the_half_domain_subalgebra():
+    """Raising any one of the ten chart coordinates of the half-domain
+    subalgebra by 1 gives a span that is not bracket-closed, as the dense
+    structure shows, and the scan covers none of them. Its chart
+    (0, 1, 3, 4, 6) is UNRESOLVED, and its residuals alone let the span
+    with t2_5 = 2 through."""
+    alg = algebra("surface.table.1m")
+    scan = subalgebra_scan(alg, 5)
+    dense = dense_structure(alg.structure)
+    fields = catalog.get("basis.half_pseudo_ball.1m").payload.fields
+    reduced, pivots = ref.rref([list(c) for c in expand_in_fields(fields, alg.basis)])
+    assert pivots == [0, 1, 3, 4, 6]
+    assert [c.status for c in scan.charts if c.pivots == tuple(pivots)] == ["unresolved"]
+    moved = 0
+    for a, j in itertools.product(range(5), (2, 5)):
+        rows = [list(row) for row in reduced[:5]]
+        rows[a][j] += 1
+        brackets = [_dense_bracket(dense, u, v, 0) for u, v in itertools.combinations(rows, 2)]
+        assert ref.rank(rows + brackets) > 5, (a, j)
+        assert not scan_covers_subspace(alg, scan, rows), (a, j)
+        moved += 1
+    assert moved == 10
 
 
 def test_scan_permuted_basis_same_subspaces():
@@ -513,7 +559,7 @@ def test_scan_permuted_basis_same_subspaces():
             sampled = [[entry.eval_at(values).re for entry in row] for row in chart.rows]
             # coordinates w.r.t. permuted basis
             reexpressed = [[row[i] for i in perm] for row in sampled]
-            assert scan_covers_subspace(scan_b, reexpressed)
+            assert scan_covers_subspace(permuted, scan_b, reexpressed)
 
 
 def _unimodular(rng, n):
@@ -751,6 +797,20 @@ def _dense_bracket(structure, u, v, zero):
                 zero) for k in range(dim)]
 
 
+def _pair_bracket(structure, u, v):
+    """The dense bracket of two scalar vectors, in the reference ring."""
+    dim = len(structure)
+    out = []
+    for k in range(dim):
+        acc = ref.ZERO
+        for i in range(dim):
+            for j in range(dim):
+                acc = ref.pair_add(acc, ref.pair_mul(ref.pair_mul(ref.pair(u[i]), ref.pair(v[j])),
+                                                     ref.pair(structure[i][j][k])))
+        out.append(acc)
+    return out
+
+
 def test_bracket_coords_against_dense_sum_and_evaluation():
     rng = random.Random(3)
     vs = ("a", "b", "c")
@@ -771,9 +831,13 @@ def test_bracket_coords_against_dense_sum_and_evaluation():
             for _ in range(3):
                 point = {n: GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                                              rng.randint(-2, 2)) for n in vs}
-                scalar = alg.bracket_coords([x.eval_at(point) for x in u],
-                                            [x.eval_at(point) for x in v])
-                assert [x.eval_at(point) for x in w] == scalar
+                at_u, at_v, at_w = ([ref.pair(x.eval_at(point)) for x in vec] for vec in (u, v, w))
+                assert at_w == _pair_bracket(dense_structure(alg.structure), at_u, at_v)
+            # rational vectors, the scalars the command line brackets
+            ru, rv = ([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(alg.dim)]
+                      for _ in range(2))
+            assert [ref.pair(x) for x in alg.bracket_coords(ru, rv)] == _pair_bracket(
+                dense_structure(alg.structure), ru, rv)
 
 
 def _assert_chart_systems_match_generic(alg):
